@@ -30,7 +30,7 @@ from .geometry import (
     slice_side,
     supporting_hyperplane,
 )
-from .moments import DistributionSpec, MomentProfile, analytic_moments
+from .moments import DistributionSpec, MomentProfile, analytic_moments, scalar_family
 from .optimize import ProvisoViolatedError, Slab, max_concave_over_box, max_time_in_region, vertex_fraction_max
 from .schedules import SampleSchedule, audit_assumptions, gap_supremum, tau_index
 
@@ -622,50 +622,40 @@ def overshoot_upper_bound(z_spec: DistributionSpec, lam, variant: str = "T6",
     tag = "Lorden-T6" if variant == "T6" else "Lorden-T7"
     if z_spec.dim != 1:
         raise ValueError("overshoot bounds are for scalar increments")
+    z_spec = z_spec.components[0]  # a one-component product is its component
     prof = analytic_moments(z_spec)
     ez = float(prof.mean[0])
-    ez2 = ovs.second_moment(z_spec)
+    ez2 = float(prof.variance[0] + prof.mean[0] ** 2)
     checks = [
         _chk("positive-mean", ez > 0.0, f"E[Z]={ez:.6g}"),
         _chk("second-moment-finite", math.isfinite(ez2)),
     ]
     diag = {"mean": ez, "second_moment": ez2}
     if variant == "T6":
-        pos2 = ovs.positive_part_second_moment(z_spec)
+        pos2 = scalar_family(z_spec).positive_part_square(z_spec.params)
         diag["positive_part_second_moment"] = pos2
-        if any(c.status == "fail" for c in checks):
+        batch = 1
+    else:  # T7: positive increments, schedule with finite max gap
+        if schedule is None:
+            raise ValueError("T7 needs the sample schedule")
+        strictly_positive = (scalar_family(z_spec).strictly_positive or (
+            prof.bounded and float(prof.support_lo[0]) > 0.0))
+        checks.append(_chk("positive-increments", strictly_positive))
+        K = gap_supremum(schedule)
+        checks.append(_chk("finite-max-gap", math.isfinite(K)))
+        if not math.isfinite(K):
             return BoundReport(tag, "upper", math.nan, checks, diag)
-        pr, pe = ovs.threshold_functionals(
-            z_spec, lam, lambda c: ovs.cdf_strict(z_spec, c),
-            lambda c: ovs.partial_expectation_above(z_spec, c))
-        diag["prob_below_threshold"] = pr
-        diag["partial_expectation"] = pe
-        value = pos2 / ez * pr + pe
-        return BoundReport(tag, "upper", value, checks, diag)
-    # T7: positive increments, schedule with finite max gap
-    if schedule is None:
-        raise ValueError("T7 needs the sample schedule")
-    strictly_positive = (z_spec.family == "exponential" or (
-        prof.bounded and float(prof.support_lo[0]) > 0.0))
-    checks.append(_chk("positive-increments", strictly_positive))
-    K = gap_supremum(schedule)
-    checks.append(_chk("finite-max-gap", math.isfinite(K)))
-    if not math.isfinite(K):
-        return BoundReport(tag, "upper", math.nan, checks, diag)
-    n1 = schedule.element(1)
-    diag["K"] = K
-    diag["first_element"] = n1
+        batch = schedule.element(1)
+        diag["K"] = K
+        diag["first_element"] = batch
     if any(c.status == "fail" for c in checks):
         return BoundReport(tag, "upper", math.nan, checks, diag)
-    law = ovs.sum_law(z_spec, n1)
-    if law.estimated:
-        checks.append(AssumptionCheck("batch-law", "declared", "estimated by Monte Carlo"))
-        diag["batch_law"] = "estimated"
+    law = ovs.sum_law(z_spec, batch)
     pr, pe = ovs.threshold_functionals(z_spec, lam, law.cdf_strict, law.partial_above)
     diag["prob_below_threshold"] = pr
     diag["partial_expectation"] = pe
-    value = ((K - 1.0) * ez + ez2 / ez) * pr + pe
-    return BoundReport(tag, "upper", value, checks, diag)
+    coef = pos2 / ez if variant == "T6" else (K - 1.0) * ez + ez2 / ez
+    return BoundReport(tag, "upper", coef * pr + pe, checks, diag)
 
 
 # ---------------------------------------------------------------------------

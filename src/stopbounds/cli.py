@@ -21,6 +21,7 @@ import numpy as np
 
 from . import moments as mm
 from . import schedules as sch
+from .bounds import ALL_TAGS, BoundReport
 from .geometry import region_from_family
 from .harness import BrownianBundle, ScenarioBundle, bound_report, brownian_report, certify
 from .simulate import (
@@ -46,32 +47,62 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{what} must be a JSON list, got {value!r}")
+    return value
+
+
+def _choice(value, allowed, what: str):
+    if value not in allowed:
+        raise ConfigError(f"{what} must be one of {', '.join(allowed)}; got {value!r}")
+    return value
+
+
+def _real(value, what: str, kind=float, minimum=None):
+    """``value`` as a finite float (or an int, for ``kind=int``) of at least ``minimum``."""
+    if value is None:
+        raise ConfigError(f"config key {what!r} is required")
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max or (kind is int and value != int(value))
+            or (minimum is not None and value < minimum)):
+        expected = "an integer" if kind is int else "a finite number"
+        floor = "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(f"{what} must be {expected}{floor}, got {value!r}")
+    return kind(value)
+
+
+def _reals(value, what: str):
+    """A number, or a nonempty list of numbers, as given."""
+    if isinstance(value, list) and value:
+        return [_real(v, what) for v in value]
+    return _real(value, what)
+
+
 def spec_from_config(cfg: dict) -> mm.DistributionSpec:
+    cfg = _object(cfg, "distribution")
     family = cfg.get("family")
-    params = cfg.get("params", {})
+    params = _object(cfg.get("params", {}), "distribution params")
     try:
-        if family == "point-mass":
-            return mm.point_mass(params["value"])
-        if family == "bernoulli-affine":
-            return mm.bernoulli_affine(params["x0"], params["x1"], params["p"])
-        if family == "uniform-interval":
-            return mm.uniform_interval(params["lo"], params["hi"])
-        if family == "gaussian":
-            return mm.gaussian(params["mean"], params["sd"])
-        if family == "exponential":
-            return mm.exponential(params["rate"])
         if family == "product-of-scalars":
-            comps = [spec_from_config(c) for c in params["components"]]
-            return mm.product(comps)
-    except (KeyError, mm.ParameterError) as exc:
+            comps = _list(params.get("components"), "product-of-scalars components")
+            return mm.product(spec_from_config(c) for c in comps)
+        return mm.DistributionSpec(family, params)
+    except mm.ParameterError as exc:
         raise ConfigError(f"bad distribution config: {exc}") from exc
-    raise ConfigError(f"unknown distribution family {family!r}")
 
 
 def region_from_config(cfg: dict):
-    spec = dict(cfg)
+    spec = dict(_object(cfg, "region"))
     spec.setdefault("orientation", "le")
     spec.setdefault("kind", "continuity")
+    _choice(spec["orientation"], ("le", "ge"), "region orientation")
     try:
         return region_from_family(spec)
     except Exception as exc:
@@ -79,17 +110,23 @@ def region_from_config(cfg: dict):
 
 
 def schedule_from_config(cfg: dict) -> sch.SampleSchedule:
+    cfg = _object(cfg, "schedule")
     kind = cfg.get("kind")
+    n0 = _real(cfg.get("n0", 0), "schedule n0", int)
     try:
         if kind == "all-naturals":
-            return sch.naturals(cfg.get("n0", 0))
+            return sch.naturals(n0)
         if kind == "arithmetic":
-            return sch.arithmetic(cfg["n0"], cfg["step"])
+            return sch.arithmetic(_real(cfg.get("n0"), "n0", int),
+                                  _real(cfg.get("step"), "step", int))
         if kind == "geometric":
-            return sch.geometric(cfg["first"], cfg["ratio"], cfg.get("n0", 0))
+            return sch.geometric(_real(cfg.get("first"), "first", int),
+                                 _real(cfg.get("ratio"), "ratio"), n0)
         if kind == "explicit":
-            return sch.explicit(cfg["values"], cfg["lam"], cfg["K"], cfg.get("n0", 0))
-    except (KeyError, sch.ScheduleError) as exc:
+            values = _list(cfg.get("values"), "explicit schedule values")
+            return sch.explicit([_real(v, "schedule values", int) for v in values],
+                                _real(cfg.get("lam"), "lam"), _real(cfg.get("K"), "K"), n0)
+    except sch.ScheduleError as exc:
         raise ConfigError(f"bad schedule config: {exc}") from exc
     raise ConfigError(f"unknown schedule kind {kind!r}")
 
@@ -97,9 +134,10 @@ def schedule_from_config(cfg: dict) -> sch.SampleSchedule:
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return _object(config, "the config")
 
 
 def _fmt(value) -> str:
@@ -132,7 +170,7 @@ def write_report(rows, columns, path: str, fmt: str):
 
 
 def _build_discrete_bundle(config: dict) -> ScenarioBundle:
-    sim = config.get("simulate", {})
+    sim = _object(config.get("simulate", {}), "simulate")
     spec = spec_from_config(config.get("distribution") or _missing("distribution"))
     region = region_from_config(config.get("region") or _missing("region"))
     schedule = schedule_from_config(config.get("schedule") or _missing("schedule"))
@@ -141,10 +179,10 @@ def _build_discrete_bundle(config: dict) -> ScenarioBundle:
     return ScenarioBundle(
         name=config.get("name", "scenario"),
         spec=spec, region=region, schedule=schedule,
-        n_runs=int(sim.get("n_runs", 100_000)),
-        horizon=int(sim.get("horizon", 1_000_000)),
-        boundary=sim.get("boundary", "closed"),
-        declarations=config.get("declarations", {}),
+        n_runs=_real(sim.get("n_runs", 100_000), "simulate.n_runs", int, 1),
+        horizon=_real(sim.get("horizon", 1_000_000), "simulate.horizon", int, 1),
+        boundary=_choice(sim.get("boundary", "closed"), ("closed", "strict"), "boundary"),
+        declarations=_object(config.get("declarations", {}), "declarations"),
     )
 
 
@@ -152,42 +190,52 @@ def _missing(key: str):
     raise ConfigError(f"config key {key!r} is required")
 
 
-def _bound_rows(config: dict, seed: int):
-    tags = config.get("bounds", [])
-    chash = config_hash(config)
-    name = config.get("name", "scenario")
-    rows = []
-    reports = []
+def _bound_tags(config: dict, brownian: bool) -> list:
+    known = [t for t in ALL_TAGS if t.startswith("Brown") == brownian]
+    return [_choice(t, known, "bound tag") for t in _list(config.get("bounds", []), "bounds")]
+
+
+def _build_brownian_bundle(config: dict) -> BrownianBundle:
+    br = _object(config["brownian"], "brownian")
+    sim = _object(config.get("simulate", {}), "simulate")
+    region = region_from_config(config.get("region") or _missing("region"))
+    drift = _reals(br.get("drift"), "brownian.drift")
+    diffusion = _reals(br.get("diffusion", 0.0), "brownian.diffusion")
+    if len(np.atleast_1d(drift)) != region.dim or len(np.atleast_1d(diffusion)) not in (
+            1, region.dim):
+        raise ConfigError("region, drift and diffusion dimensions disagree")
+    return BrownianBundle(
+        config.get("name", "scenario"), region, drift=drift, diffusion=diffusion,
+        dt=_real(sim.get("dt", 0.01), "simulate.dt", minimum=1e-9),
+        n_runs=_real(sim.get("n_runs", 50_000), "simulate.n_runs", int, 1),
+        horizon=_real(sim.get("horizon", 10_000.0), "simulate.horizon", minimum=1e-9),
+        declarations=_object(config.get("declarations", {}), "declarations"),
+    )
+
+
+def _bound_reports(config: dict):
     if "brownian" in config:
-        br = config["brownian"]
-        sim = config.get("simulate", {})
-        bundle = BrownianBundle(name, region_from_config(config["region"]),
-                                drift=br["drift"], diffusion=br.get("diffusion", 0.0),
-                                dt=float(sim.get("dt", 0.01)),
-                                n_runs=int(sim.get("n_runs", 50_000)),
-                                horizon=float(sim.get("horizon", 10_000.0)),
-                                declarations=config.get("declarations", {}))
-        reports = [brownian_report(tag, bundle) for tag in tags]
-    else:
-        bundle = _build_discrete_bundle(config)
-        reports = [bound_report(tag, bundle) for tag in tags]
-    for rep in reports:
-        rows.append({"scenario": name, "theorem": rep.theorem,
-                     "direction": rep.direction, "value": rep.value,
-                     "applicable": rep.applicable, "mc_mean": "", "mc_stderr": "",
-                     "verdict": "", "config_hash": chash, "seed": seed})
-    return bundle, reports, rows
+        bundle = _build_brownian_bundle(config)
+        return bundle, [brownian_report(tag, bundle) for tag in _bound_tags(config, True)]
+    bundle = _build_discrete_bundle(config)
+    return bundle, [bound_report(tag, bundle) for tag in _bound_tags(config, False)]
+
+
+def _rows(config: dict, seed: int, results) -> list:
+    """Report rows from bound reports or certification rows."""
+    fixed = {"scenario": config.get("name", "scenario"), "config_hash": config_hash(config),
+             "seed": seed}
+    return [dict(fixed, **{c: getattr(r, c, "") for c in CSV_COLUMNS[1:8]}) for r in results]
 
 
 def cmd_bound(config: dict, seed: int, out: str, fmt: str) -> int:
-    _, _, rows = _bound_rows(config, seed)
-    write_report(rows, CSV_COLUMNS, out, fmt)
+    write_report(_rows(config, seed, _bound_reports(config)[1]), CSV_COLUMNS, out, fmt)
     return 0
 
 
 def _simulate_bundle(bundle, config: dict, seed: int, overshoot_level=None):
-    sim = config.get("simulate", {})
-    workers = int(sim.get("workers", 1))
+    sim = _object(config.get("simulate", {}), "simulate")
+    workers = _real(sim.get("workers", 1), "simulate.workers", int, 1)
     if isinstance(bundle, BrownianBundle):
         return run_brownian(bundle.region, bundle.drift, bundle.diffusion,
                             bundle.dt, bundle.n_runs, bundle.horizon, seed,
@@ -199,12 +247,13 @@ def _simulate_bundle(bundle, config: dict, seed: int, overshoot_level=None):
 
 
 def cmd_certify(config: dict, seed: int, out: str, fmt: str) -> int:
-    bundle, reports, _ = _bound_rows(config, seed)
-    for manual in config.get("manual_bounds", []):
-        from .bounds import BoundReport
-
-        reports.append(BoundReport(manual.get("theorem", "manual"),
-                                   manual["direction"], float(manual["value"])))
+    bundle, reports = _bound_reports(config)
+    for manual in _list(config.get("manual_bounds", []), "manual_bounds"):
+        manual = _object(manual, "manual bound")
+        reports.append(BoundReport(
+            manual.get("theorem", "manual"),
+            _choice(manual.get("direction"), ("upper", "lower"), "manual bound direction"),
+            _real(manual.get("value"), "manual bound value")))
     level = None
     if not isinstance(bundle, BrownianBundle):
         level = bundle.threshold_level() if any(
@@ -215,16 +264,10 @@ def cmd_certify(config: dict, seed: int, out: str, fmt: str) -> int:
         print(f"certify: {exc}", file=sys.stderr)
         return 3
     cert_rows = certify(reports, estimate)
-    chash = config_hash(config)
-    name = config.get("name", "scenario")
-    rows = [{"scenario": name, "theorem": r.theorem, "direction": r.direction,
-             "value": r.value, "applicable": r.applicable, "mc_mean": r.mc_mean,
-             "mc_stderr": r.mc_stderr, "verdict": r.verdict,
-             "config_hash": chash, "seed": seed} for r in cert_rows]
-    write_report(rows, CSV_COLUMNS, out, fmt)
+    write_report(_rows(config, seed, cert_rows), CSV_COLUMNS, out, fmt)
     failures = [r for r in cert_rows if r.verdict == "fail"]
     for r in failures:
-        print(f"certify: FAIL {name}/{r.theorem} value={r.value:.6g} "
+        print(f"certify: FAIL {config.get('name', 'scenario')}/{r.theorem} value={r.value:.6g} "
               f"mc={r.mc_mean:.6g}+-{r.mc_stderr:.3g}", file=sys.stderr)
     return 1 if failures else 0
 
@@ -249,9 +292,14 @@ _CONVEX_MEAN_CASES = {
 }
 
 
+def _gfun(name):
+    return _VALIDATOR_GFUNS[_choice(name, tuple(_VALIDATOR_GFUNS), "gfun")]
+
+
 def _convex_mean_validator(item: dict, seed: int):
-    case = item.get("case", "unit-square")
-    samples = int(item.get("samples", 10_000))
+    case = _choice(item.get("case", "unit-square"),
+                   ("two-point", "random-polytope", *_CONVEX_MEAN_CASES), "convex-mean case")
+    samples = _real(item.get("samples", 10_000), "samples", int, 1)
     if case == "two-point":
         halfspaces = _CONVEX_MEAN_CASES["triangle"]["halfspaces"]
         verts = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -261,69 +309,67 @@ def _convex_mean_validator(item: dict, seed: int):
 
         return validate_convex_mean(halfspaces, sampler, samples, seed)
     if case == "random-polytope":
-        rng = np.random.default_rng(item.get("case_seed", 42))
+        rng = np.random.default_rng(_real(item.get("case_seed", 42), "case_seed", int, 0))
         normals = rng.normal(size=(5, 2))
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
         halfspaces = [(normals[i].tolist(), 0.8) for i in range(5)]
         sampler = box_rejection_sampler(halfspaces, [-1.0, -1.0], [1.0, 1.0])
         return validate_convex_mean(halfspaces, sampler, samples, seed)
-    data = _CONVEX_MEAN_CASES.get(case)
-    if data is None:
-        raise ConfigError(f"unknown convex-mean case {case!r}")
+    data = _CONVEX_MEAN_CASES[case]
     sampler = box_rejection_sampler(data["halfspaces"], *data["box"])
     return validate_convex_mean(data["halfspaces"], sampler, samples, seed)
 
 
-def _identity_scenario(item: dict):
-    scenario = {}
-    if "distribution" in item:
-        scenario["spec"] = spec_from_config(item["distribution"])
-    if "region" in item:
-        scenario["region"] = region_from_config(item["region"])
-    if "schedule" in item:
-        scenario["schedule"] = schedule_from_config(item["schedule"])
+def _identity_scenario(item: dict, which: str):
+    spec = spec_from_config(item.get("distribution") or _missing("distribution"))
+    if which == "jensen-T3":
+        y_cfg = item.get("y_distribution")
+        return {"gfun": _gfun(item.get("gfun", "square")), "z_spec": spec,
+                "y_spec": mm.point_mass(1.0) if y_cfg is None else spec_from_config(y_cfg)}
+    scenario = {"spec": spec,
+                "region": region_from_config(item.get("region") or _missing("region")),
+                "schedule": schedule_from_config(item.get("schedule") or _missing("schedule")),
+                "horizon": _real(item.get("horizon", 1_000_000), "horizon", int, 1),
+                "boundary": _choice(item.get("boundary", "closed"), ("closed", "strict"),
+                                    "boundary")}
+    if scenario["region"].dim != spec.dim:
+        raise ConfigError("region and distribution dimensions disagree")
     if "gfun" in item:
-        scenario["gfun"] = _VALIDATOR_GFUNS[item["gfun"]]
-    for key in ("p", "lam", "horizon", "boundary"):
-        if key in item:
-            scenario[key] = item[key]
+        scenario["gfun"] = _gfun(item["gfun"])
+    if "p" in item:
+        _real(item["p"], "p", minimum=1)
+        scenario["p"] = item["p"]
+    if which.startswith("lorden"):
+        scenario["lam"] = _real(item.get("lam"), "lam")
     return scenario
 
 
 def cmd_validate(config: dict, seed: int, out: str, fmt: str) -> int:
-    chash = config_hash(config)
-    name = config.get("name", "validation")
     rows = []
-    for item in config.get("validators", []):
-        which = item.get("which")
+    for item in _list(config.get("validators", []), "validators"):
+        which = _object(item, "validator entry").get("which")
         if which is None:
             raise ConfigError("validator entries need the key 'which'")
         if which == "convex-mean":
             result = _convex_mean_validator(item, seed)
             margin = min(result.margins.values()) if result.margins else math.nan
         elif which == "perspective":
-            gfun = _VALIDATOR_GFUNS[item.get("gfun", "square")]
-            result = validate_perspective(gfun, int(item.get("trials", 10_000)),
-                                          seed, dim=int(item.get("dim", 1)))
+            result = validate_perspective(_gfun(item.get("gfun", "square")),
+                                          _real(item.get("trials", 10_000), "trials", int, 1),
+                                          seed, dim=_real(item.get("dim", 1), "dim", int, 1))
             margin = result.margins.get("worst_gap", math.nan)
         elif which in ("jensen-T3", "wald-T4-I", "wald-T4-II", "lp-norm",
                        "lorden-T6", "lorden-T7"):
-            scenario = _identity_scenario(item)
-            if which == "jensen-T3":
-                scenario.setdefault("gfun", _VALIDATOR_GFUNS["square"])
-                scenario["y_spec"] = (spec_from_config(item["y_distribution"])
-                                      if "y_distribution" in item else mm.point_mass(1.0))
-                scenario["z_spec"] = scenario.pop("spec")
-            result = validate_identity(which, scenario,
-                                       int(item.get("runs", 20_000)), seed)
+            result = validate_identity(which, _identity_scenario(item, which),
+                                       _real(item.get("runs", 20_000), "runs", int, 1), seed)
             margin = result.margins.get("mean_gap", result.margins.get("mc_overshoot", math.nan))
         else:
             raise ConfigError(f"unknown validator tag {which!r}")
-        rows.append({"scenario": name, "theorem": result.name, "direction": "check",
-                     "value": margin, "applicable": True, "mc_mean": "",
-                     "mc_stderr": "", "verdict": "pass" if result.passed else "fail",
-                     "config_hash": chash, "seed": seed})
-    write_report(rows, CSV_COLUMNS, out, fmt)
+        rows.append({"theorem": result.name, "direction": "check", "value": margin,
+                     "applicable": True, "verdict": "pass" if result.passed else "fail"})
+    fixed = {"scenario": config.get("name", "validation"), "config_hash": config_hash(config),
+             "seed": seed}
+    write_report([dict(fixed, **row) for row in rows], CSV_COLUMNS, out, fmt)
     return 0
 
 
@@ -345,8 +391,9 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         if args.runs is not None:
-            config.setdefault("simulate", {})["n_runs"] = args.runs
-        seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+            sim = _object(config.get("simulate", {}), "simulate")
+            config["simulate"] = dict(sim, n_runs=args.runs)
+        seed = args.seed if args.seed is not None else _real(config.get("seed", 0), "seed", int)
         out = args.out or str(Path(args.config).with_suffix(f".report.{args.format}"))
         if args.command == "bound":
             return cmd_bound(config, seed, out, args.format)

@@ -21,6 +21,7 @@ from .geometry import (
     NonConvexityError,
     NoRayExitError,
     Region,
+    RegionError,
     ray_exit_time,
     supporting_hyperplane,
 )
@@ -91,6 +92,10 @@ class ScenarioBundle:
         return bool(self.declarations.get(key, default))
 
 
+# a region outside a calculator's geometric hypotheses makes its report inapplicable
+_GEOMETRY_ERRORS = (RegionError, NoRayExitError, NonConvexityError, GradientDomainError)
+
+
 def _failed(tag: str, direction: str, ident: str, note: str) -> bd.BoundReport:
     return bd.BoundReport(tag, direction, math.nan,
                           [bd.AssumptionCheck(ident, "fail", note)], {})
@@ -157,7 +162,7 @@ def bound_report(tag: str, bundle: ScenarioBundle) -> bd.BoundReport:
                     "every-sample crossing rule"))
                 return report
             return bd.overshoot_upper_bound(bundle.spec, level, "T7", schedule=sched)
-    except (NoRayExitError, NonConvexityError, GradientDomainError) as exc:
+    except _GEOMETRY_ERRORS as exc:
         return _failed(tag, "upper" if tag in bd.UPPER_TAGS else "lower",
                        "geometry", str(exc))
     raise ValueError(f"unknown theorem tag {tag!r}")
@@ -197,21 +202,24 @@ class BrownianBundle:
 
 def brownian_report(tag: str, bundle: BrownianBundle) -> bd.BoundReport:
     declared = bool(bundle.declarations.get("concave_rule", True))
-    if tag == "Brown1":
-        region = (bundle.region if bundle.region.kind == "continuity"
-                  else bundle.region.complement_closure())
-        return bd.brownian_bound(region, bundle.drift, "Brown1")
-    if tag in ("Brown2-lower", "Brown2-upper"):
-        region = (bundle.region if bundle.region.kind == "stopping"
-                  else bundle.region.complement_closure())
-        return bd.brownian_bound(region, bundle.drift, tag)
-    if tag == "Brown3":
-        return bd.brownian_bound(bundle.region, bundle.drift, "Brown3",
-                                 gfun=bundle.rule_function(), concave_declared=declared)
-    if tag == "Brown4":
-        return bd.brownian_bound(bundle.region, bundle.drift, "Brown4",
-                                 gfun=bundle.reciprocal_rule_function(),
-                                 concave_declared=declared)
+    try:
+        if tag == "Brown1":
+            region = (bundle.region if bundle.region.kind == "continuity"
+                      else bundle.region.complement_closure())
+            return bd.brownian_bound(region, bundle.drift, "Brown1")
+        if tag in ("Brown2-lower", "Brown2-upper"):
+            region = (bundle.region if bundle.region.kind == "stopping"
+                      else bundle.region.complement_closure())
+            return bd.brownian_bound(region, bundle.drift, tag)
+        if tag == "Brown3":
+            return bd.brownian_bound(bundle.region, bundle.drift, "Brown3",
+                                     gfun=bundle.rule_function(), concave_declared=declared)
+        if tag == "Brown4":
+            return bd.brownian_bound(bundle.region, bundle.drift, "Brown4",
+                                     gfun=bundle.reciprocal_rule_function(),
+                                     concave_declared=declared)
+    except _GEOMETRY_ERRORS as exc:
+        return _failed(tag, "lower" if tag in bd.LOWER_TAGS else "upper", "geometry", str(exc))
     raise ValueError(f"unknown Brownian tag {tag!r}")
 
 

@@ -1,206 +1,36 @@
-"""Analytic distribution functionals for the overshoot bounds.
+"""Batch-sum laws and threshold averages for the overshoot bounds.
 
-For a scalar increment Z the generalized overshoot bounds need Pr{Z < c},
-E[(Z - c)^+], E[(Z^+)^2] and E[Z^2], and for schedule-aware variants the
-same functionals of the first-batch sum Y = Z_1 + ... + Z_k.  Everything
-here is closed form or deterministic quadrature; a seeded Monte Carlo
-fallback exists for sums whose law has no implemented convolution.
+The generalized overshoot bounds need Pr{Y < c} and E[(Y - c)^+] for the
+first-batch sum Y = Z_1 + ... + Z_k of a scalar increment Z (k = 1 for the
+every-sample bound), at a constant or random threshold c.  Both are exact:
+each family's entry in ``moments.SCALAR_FAMILIES`` gives the law of Y in
+closed form (a point mass, binomial atoms, the Irwin-Hall law in rational
+arithmetic, N(k mu, k sigma^2) and the Erlang finite sums), and a random
+threshold is averaged over its atoms or by deterministic quadrature over
+its density.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import Callable
 
-import numpy as np
-from scipy import integrate, special, stats
-
-from .moments import DistributionSpec, ParameterError, analytic_moments, sample_block
-
-
-def _phi(x: float) -> float:
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-
-def _Phi(x: float) -> float:
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
-def cdf_strict(spec: DistributionSpec, c: float) -> float:
-    """Pr{Z < c} with a strict inequality (matters for atomic laws)."""
-    p = spec.params
-    if spec.family == "point-mass":
-        return 1.0 if p["value"] < c else 0.0
-    if spec.family == "bernoulli-affine":
-        out = 0.0
-        if p["x0"] < c:
-            out += 1.0 - p["p"]
-        if p["x1"] < c:
-            out += p["p"]
-        return out
-    if spec.family == "uniform-interval":
-        if c <= p["lo"]:
-            return 0.0
-        if c >= p["hi"]:
-            return 1.0
-        return (c - p["lo"]) / (p["hi"] - p["lo"])
-    if spec.family == "gaussian":
-        return _Phi((c - p["mean"]) / p["sd"])
-    if spec.family == "exponential":
-        return 1.0 - math.exp(-p["rate"] * c) if c > 0 else 0.0
-    raise ParameterError(f"no cdf for family {spec.family!r}")
-
-
-def partial_expectation_above(spec: DistributionSpec, c: float) -> float:
-    """E[(Z - c)^+]."""
-    p = spec.params
-    if spec.family == "point-mass":
-        return max(p["value"] - c, 0.0)
-    if spec.family == "bernoulli-affine":
-        return (1.0 - p["p"]) * max(p["x0"] - c, 0.0) + p["p"] * max(p["x1"] - c, 0.0)
-    if spec.family == "uniform-interval":
-        lo, hi = p["lo"], p["hi"]
-        if c <= lo:
-            return 0.5 * (lo + hi) - c
-        if c >= hi:
-            return 0.0
-        return (hi - c) ** 2 / (2.0 * (hi - lo))
-    if spec.family == "gaussian":
-        z = (p["mean"] - c) / p["sd"]
-        return (p["mean"] - c) * _Phi(z) + p["sd"] * _phi(z)
-    if spec.family == "exponential":
-        r = p["rate"]
-        if c <= 0:
-            return 1.0 / r - c
-        return math.exp(-r * c) / r
-    raise ParameterError(f"no partial expectation for family {spec.family!r}")
-
-
-def second_moment(spec: DistributionSpec) -> float:
-    prof = analytic_moments(spec)
-    return float(prof.variance[0] + prof.mean[0] ** 2)
-
-
-def positive_part_second_moment(spec: DistributionSpec) -> float:
-    """E[(Z^+)^2]."""
-    p = spec.params
-    if spec.family == "point-mass":
-        return max(p["value"], 0.0) ** 2
-    if spec.family == "bernoulli-affine":
-        return (1.0 - p["p"]) * max(p["x0"], 0.0) ** 2 + p["p"] * max(p["x1"], 0.0) ** 2
-    if spec.family == "uniform-interval":
-        lo, hi = p["lo"], p["hi"]
-        if hi <= 0:
-            return 0.0
-        lo_eff = max(lo, 0.0)
-        return (hi**3 - lo_eff**3) / (3.0 * (hi - lo))
-    if spec.family == "gaussian":
-        mu, sd = p["mean"], p["sd"]
-        z = mu / sd
-        return (mu * mu + sd * sd) * _Phi(z) + mu * sd * _phi(z)
-    if spec.family == "exponential":
-        return 2.0 / p["rate"] ** 2
-    raise ParameterError(f"no positive-part moment for family {spec.family!r}")
+from .moments import DistributionSpec, ParameterError, scalar_family
 
 
 @dataclass(frozen=True)
 class SumLaw:
-    """Functionals of Y = Z_1 + ... + Z_count for i.i.d. Z of one scalar family.
+    """Functionals of Y = Z_1 + ... + Z_count for i.i.d. Z of one scalar family."""
 
-    ``estimated`` marks the Monte Carlo fallback, whose probabilities carry
-    a four-sigma conservative inflation.
-    """
-
-    cdf_strict: object  # c -> Pr{Y < c}
-    partial_above: object  # c -> E[(Y - c)^+]
-    estimated: bool = False
+    cdf_strict: Callable[[float], float]  # c -> Pr{Y < c}
+    partial_above: Callable[[float], float]  # c -> E[(Y - c)^+]
 
 
-def _irwin_hall_cdf(n: int, x: float) -> float:
-    """CDF of the sum of n independent standard uniforms."""
-    if x <= 0.0:
-        return 0.0
-    if x >= n:
-        return 1.0
-    total = 0.0
-    for k in range(int(math.floor(x)) + 1):
-        total += (-1.0) ** k * special.comb(n, k, exact=True) * (x - k) ** n
-    return total / math.factorial(n)
-
-
-def sum_law(spec: DistributionSpec, count: int, seed: int = 2024,
-            mc_samples: int = 200_000) -> SumLaw:
-    """Law of the count-fold i.i.d. sum, exact for the supported families."""
+def sum_law(spec: DistributionSpec, count: int) -> SumLaw:
+    """Exact law of the count-fold i.i.d. sum; count = 1 is the law of Z."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    p = spec.params
-    if spec.family == "point-mass":
-        total = count * p["value"]
-        return SumLaw(lambda c: 1.0 if total < c else 0.0,
-                      lambda c: max(total - c, 0.0))
-    if spec.family == "bernoulli-affine":
-        w = p["x1"] - p["x0"]
-        ks = np.arange(count + 1)
-        atoms = count * p["x0"] + ks * w
-        weights = stats.binom.pmf(ks, count, p["p"])
-
-        def cdf(c):
-            return float(weights[atoms < c].sum())
-
-        def partial(c):
-            return float((weights * np.maximum(atoms - c, 0.0)).sum())
-
-        return SumLaw(cdf, partial)
-    if spec.family == "exponential":
-        r = p["rate"]
-        dist = stats.gamma(count, scale=1.0 / r)
-        dist_up = stats.gamma(count + 1, scale=1.0 / r)
-
-        def cdf(c):
-            return float(dist.cdf(c))
-
-        def partial(c):
-            if c <= 0:
-                return count / r - c
-            # E[Y 1{Y>c}] = (count/r) * Pr{Gamma(count+1) > c}
-            return (count / r) * float(dist_up.sf(c)) - c * float(dist.sf(c))
-
-        return SumLaw(cdf, partial)
-    if spec.family == "uniform-interval":
-        lo, w = p["lo"], p["hi"] - p["lo"]
-        shift = count * lo
-
-        def cdf(c):
-            return _irwin_hall_cdf(count, (c - shift) / w)
-
-        def partial(c):
-            # E[(Y-c)^+] = integral of the survival function above c
-            x0 = (c - shift) / w
-            if x0 >= count:
-                return 0.0
-            x0 = max(x0, 0.0)
-            val, _ = integrate.quad(lambda x: 1.0 - _irwin_hall_cdf(count, x),
-                                    x0, count, limit=200)
-            base = w * val
-            if c < shift:
-                base += shift - c
-            return base
-
-        return SumLaw(cdf, partial)
-    # fallback: seeded Monte Carlo with conservative 4-sigma inflation
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 97], dtype=np.uint64)))
-    draws = sample_block(spec, rng, mc_samples * count)[:, 0].reshape(mc_samples, count).sum(axis=1)
-
-    def cdf_mc(c):
-        hits = float(np.mean(draws < c))
-        se = math.sqrt(max(hits * (1.0 - hits), 1.0 / mc_samples) / mc_samples)
-        return min(1.0, hits + 4.0 * se)
-
-    def partial_mc(c):
-        vals = np.maximum(draws - c, 0.0)
-        return float(vals.mean() + 4.0 * vals.std(ddof=1) / math.sqrt(mc_samples))
-
-    return SumLaw(cdf_mc, partial_mc, estimated=True)
+    return SumLaw(*scalar_family(spec).sum_law(spec.params, count))
 
 
 def threshold_functionals(spec: DistributionSpec, lam, base_cdf, base_partial):
@@ -214,31 +44,5 @@ def threshold_functionals(spec: DistributionSpec, lam, base_cdf, base_partial):
         return base_cdf(float(lam)), base_partial(float(lam))
     if not isinstance(lam, DistributionSpec):
         raise ParameterError("threshold must be a number or a scalar DistributionSpec")
-    p = lam.params
-    if lam.family == "point-mass":
-        return base_cdf(p["value"]), base_partial(p["value"])
-    if lam.family == "bernoulli-affine":
-        q = p["p"]
-        pr = (1.0 - q) * base_cdf(p["x0"]) + q * base_cdf(p["x1"])
-        pe = (1.0 - q) * base_partial(p["x0"]) + q * base_partial(p["x1"])
-        return pr, pe
-    if lam.family == "uniform-interval":
-        lo, hi = p["lo"], p["hi"]
-        den = hi - lo
-        pr, _ = integrate.quad(lambda l: base_cdf(l) / den, lo, hi, limit=200)
-        pe, _ = integrate.quad(lambda l: base_partial(l) / den, lo, hi, limit=200)
-        return pr, pe
-    if lam.family == "gaussian":
-        mu, sd = p["mean"], p["sd"]
-        pdf = lambda l: _phi((l - mu) / sd) / sd
-        pr, _ = integrate.quad(lambda l: base_cdf(l) * pdf(l), mu - 10 * sd, mu + 10 * sd, limit=200)
-        pe, _ = integrate.quad(lambda l: base_partial(l) * pdf(l), mu - 10 * sd, mu + 10 * sd, limit=200)
-        return pr, pe
-    if lam.family == "exponential":
-        r = p["rate"]
-        pdf = lambda l: r * math.exp(-r * l)
-        hi = 50.0 / r
-        pr, _ = integrate.quad(lambda l: base_cdf(l) * pdf(l), 0.0, hi, limit=200)
-        pe, _ = integrate.quad(lambda l: base_partial(l) * pdf(l), 0.0, hi, limit=200)
-        return pr, pe
-    raise ParameterError(f"no threshold integration for family {lam.family!r}")
+    family = scalar_family(lam)
+    return family.expect(lam.params, base_cdf), family.expect(lam.params, base_partial)

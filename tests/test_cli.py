@@ -1,8 +1,11 @@
 import csv
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stopbounds.cli import CSV_COLUMNS, main
 
@@ -64,7 +67,7 @@ def test_bound_command_empty_list_header_only(tmp_path):
     assert content == [",".join(CSV_COLUMNS)]
 
 
-def test_bound_command_config_errors(tmp_path):
+def test_bound_command_config_errors(tmp_path, capsys):
     path = write_config(tmp_path, "cfg.json", {"name": "broken"})
     assert main(["bound", str(path)]) == 2
     bad = tmp_path / "bad.json"
@@ -76,6 +79,82 @@ def test_bound_command_config_errors(tmp_path):
         {"family": "point-mass", "params": {"value": 1.0}}]}}
     path = write_config(tmp_path, "mismatch.json", cfg)
     assert main(["bound", str(path)]) == 2  # region is scalar, walk is 2-d
+    capsys.readouterr()
+    for command, payload in [
+        ("bound", dict(BROWNIAN, brownian={"diffusion": 1.0})),
+        ("bound", dict(BASE, bounds=["T10-upper"], simulate={"n_runs": "lots"})),
+        ("validate", {"validators": [{"which": "perspective", "gfun": "nope"}]}),
+        ("bound", [BASE]),
+        ("bound", dict(BASE, bounds=["T10-upper"], distribution={
+            "family": "bernoulli-affine", "params": {"x0": 0, "x1": 1, "p": "half"}})),
+        ("bound", dict(BASE, bounds=["no-such-tag"])),
+        ("bound", dict(BASE, schedule={"kind": "arithmetic", "n0": 0, "step": "two"})),
+    ]:
+        path = write_config(tmp_path, "malformed.json", payload)
+        assert main([command, str(path), "--out", str(tmp_path / "rep.csv")]) == 2, payload
+        assert capsys.readouterr().err.startswith("stopbounds: ")
+
+
+BROWNIAN = {
+    "name": "brown",
+    "region": {"family": "constant", "level": 4.0, "orientation": "le", "kind": "continuity"},
+    "brownian": {"drift": 0.5, "diffusion": 1.0},
+    "bounds": ["Brown1", "Brown3"],
+    "seed": 1,
+}
+
+
+def _paths(value, prefix=()):
+    yield prefix
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+def _replaced(config, path, new):
+    if not path:
+        return new
+    out = json.loads(json.dumps(config))
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = new
+    return out
+
+
+_FUZZ_BASES = [
+    dict(BASE, distribution={"family": "uniform-interval", "params": {"lo": 0.5, "hi": 1.5}},
+         region={"family": "constant", "level": 5.0, "orientation": "ge", "kind": "stopping"},
+         schedule={"kind": "arithmetic", "n0": 0, "step": 2},
+         bounds=["T8-lower", "T10-upper", "T12-samplemean", "Lorden-T6", "Lorden-T7"],
+         simulate={"n_runs": 100, "horizon": 1000}, declarations={"concave_rule": True}),
+    BROWNIAN,
+]
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 40), st.floats(-50, 50),
+              st.text(max_size=3), st.sampled_from(["ge", "stopping", "gaussian", "explicit"])),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.sampled_from(["p", "lo", "sd", "n0", "level"]),
+                                            inner, max_size=3)),
+    max_leaves=5)
+
+
+@st.composite
+def _mutated_configs(draw):
+    config = draw(st.sampled_from(_FUZZ_BASES))
+    for _ in range(draw(st.integers(1, 2))):
+        config = _replaced(config, draw(st.sampled_from(list(_paths(config)))), draw(_JSON))
+    return config
+
+
+@settings(max_examples=50, deadline=None)
+@given(config=_mutated_configs())
+def test_bound_command_never_raises_on_mutated_configs(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main(["bound", str(path), "--out", str(Path(tmp) / "rep.csv")]) in (0, 2)
 
 
 def test_certify_anchor_scenario_exits_zero(tmp_path):

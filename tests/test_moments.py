@@ -130,6 +130,16 @@ def test_parameter_domain_errors():
         sb.exponential(0.0)
     with pytest.raises(sb.ParameterError):
         sb.gaussian(0.0, -1.0)
+    # the same checks guard direct construction
+    for family, params in [("uniform-interval", {"lo": 2.0, "hi": 1.0}),
+                           ("gaussian", {"mean": 0.0, "sd": -1.0}),
+                           ("exponential", {}),
+                           ("bernoulli-affine", {"x0": 0.0, "x1": 1.0, "p": "half"}),
+                           ("point-mass", {"value": float("nan")}),
+                           ("point-mass", {"value": 1.0, "extra": 2.0})]:
+        with pytest.raises(sb.ParameterError):
+            sb.DistributionSpec(family, params)
+    assert sb.DistributionSpec("exponential", {"rate": 2}).params == {"rate": 2.0}
 
 
 @settings(max_examples=40, deadline=None)

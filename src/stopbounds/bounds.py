@@ -450,13 +450,11 @@ def gradient_upper_bound(region: Region, profile: MomentProfile,
         return BoundReport(tag, "upper", math.inf, checks, diag)
     checks.append(_chk("V", True, f"m={g0:.12g}"))
     if variant == "vipformula":
-        checks.append(_chk("scalar-boundary", region.scalar_boundary is not None
-                           and profile.dim == 1))
-        if region.scalar_boundary is None or profile.dim != 1:
+        slope = region.boundary_slope
+        checks.append(_chk("scalar-boundary", slope is not None and profile.dim == 1))
+        if slope is None or profile.dim != 1:
             return BoundReport(tag, "upper", math.nan, checks, diag)
-        h = 1e-6 * max(1.0, g0)
-        f = region.scalar_boundary
-        fprime = (f(g0 + h) - f(g0 - h)) / (2.0 * h)
+        fprime = slope(g0)
         diag["boundary_slope_at_m"] = fprime
         value = g0 + 1.0 + float(profile.variance[0]) / (fprime - float(mu[0])) ** 2
         return BoundReport(tag, "upper", value, checks, diag)
@@ -474,10 +472,8 @@ def gradient_upper_bound(region: Region, profile: MomentProfile,
         quad = float(np.dot(grad, grad)) * float(np.sum(profile.variance))
     diag["norm_chain_member"] = (
         g0 + 1.0 + float(np.dot(grad, grad)) * float(np.sum(profile.variance)))
-    if region.scalar_boundary is not None and profile.dim == 1:
-        h = 1e-6 * max(1.0, g0)
-        f = region.scalar_boundary
-        fprime = (f(g0 + h) - f(g0 - h)) / (2.0 * h)
+    if region.boundary_slope is not None and profile.dim == 1:
+        fprime = region.boundary_slope(g0)
         diag["closed_scalar_form"] = (
             g0 + 1.0 + float(profile.variance[0]) / (fprime - float(mu[0])) ** 2)
     return BoundReport(tag, "upper", g0 + 1.0 + quad, checks, diag)

@@ -1,15 +1,19 @@
 """Regions in the (time, sum) hyperspace and the geometry every bound needs.
 
-A region is a membership oracle over points (t, s) with t >= 0 and s a
-d-vector, plus asserted convexity/origin flags.  The quantities computed
-here: the crossing time m where the mean ray (t, t*mean) leaves the region,
-the ray function g(v) = sup{t : (t, t v) in region}, the gradient of ln g,
-the supporting hyperplane at (m, m*mean), and distances from the mean to
-region slices at fixed sample size.
+A region is a set of points (t, s) with t >= 0 and s a d-vector, plus
+asserted convexity/origin flags.  The quantities computed here: the crossing
+time m where the mean ray (t, t*mean) leaves the region, the ray function
+g(v) = sup{t : (t, t v) in region}, the gradient of ln g, the supporting
+hyperplane at (m, m*mean), and distances from the mean to region slices at
+fixed sample size.
 
-Built-in scalar families carry a signed slack function (positive inside,
-zero on the boundary) which enables exact root refinement and vectorized
-membership checks; custom oracles fall back to plain bisection.
+Each built-in family is one definition: a signed slack (positive inside,
+zero on the boundary) that broadcasts over points, and, for the d = 1
+families bounded by s = f(t), the exact boundary slope f'.  The slack gives
+vectorized membership and Brent root refinement; the slope gives the exact
+log-gradient 1/(f'(m) - mean), and a halfspace gives -a/(<a, mean> + b).
+Regions built from a plain membership oracle take the numeric path:
+bisection for boundary roots and Richardson differences for the gradient.
 """
 
 from __future__ import annotations
@@ -44,14 +48,29 @@ class EmptySliceError(RuntimeError):
     """The fixed-size slice of the region contains no point reachable by search."""
 
 
+# The boundary s = f(t) of each d = 1 family as (f, f'), from its parameters.
+# A scalar halfspace <a, s> + b t = c with a != 0 is the line s = (c - b t)/a.
+_CURVES = {
+    "constant": lambda level, **_: (lambda t: level, lambda t: 0.0),
+    "affine": lambda slope, intercept, **_: (lambda t: slope * t + intercept, lambda t: slope),
+    "power": lambda coef, exponent, **_: (lambda t: coef * t**exponent,
+                                          lambda t: coef * exponent * t ** (exponent - 1.0)),
+    "halfspace": lambda s_coef, t_coef, level, **_: (lambda t: (level - t_coef * t) / s_coef[0],
+                                                     lambda t: -t_coef / s_coef[0]),
+}
+
+
 @dataclass(frozen=True)
 class Region:
-    """Continuity or stopping region with membership oracle and asserted flags.
+    """Continuity or stopping region with asserted flags.
 
-    ``slack`` maps (t, s) to a signed margin, nonnegative exactly on the
-    closed region; it is present for the built-in families.  For d=1 regions
-    of the form {s <= f(t)} or {s >= f(t)}, ``scalar_boundary`` holds f and
-    ``orientation`` is "le" or "ge".
+    ``slack_batch`` is the built-in family's signed margin, nonnegative
+    exactly on the closed region.  It broadcasts: a scalar t with a (d,)
+    vector s gives one margin, (n,) times with (n, d) sums give n margins.
+    Oracle regions have no slack and answer through ``membership``.  For
+    d = 1 regions of the form {s <= f(t)} or {s >= f(t)}, ``scalar_boundary``
+    holds f and ``orientation`` is "le" or "ge"; ``boundary_slope`` gives
+    the exact f' for the built-in families.
     """
 
     kind: str  # "continuity" | "stopping"
@@ -59,7 +78,6 @@ class Region:
     membership: Callable[[float, np.ndarray], bool]
     convex_closure: bool = False
     contains_origin: bool = False
-    slack: Optional[Callable[[float, np.ndarray], float]] = None
     slack_batch: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     scalar_boundary: Optional[Callable[[float], float]] = None
     orientation: Optional[str] = None
@@ -69,12 +87,30 @@ class Region:
         if self.kind not in ("continuity", "stopping"):
             raise RegionError(f"unknown region kind {self.kind!r}")
 
-    def contains(self, t: float, s, strict: bool = False) -> bool:
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        if self.slack is not None:
-            margin = self.slack(t, s)
+    def inside(self, ts, ss, strict: bool = False):
+        """Membership of points with times ts >= 0, in the closed or open region.
+
+        Takes a scalar t with a (d,) vector s, or (n,) times with (n, d) sums.
+        Oracle regions have no open variant and ignore ``strict``.
+        """
+        if self.slack_batch is not None:
+            margin = self.slack_batch(ts, ss)
             return margin > 0.0 if strict else margin >= 0.0
-        return bool(self.membership(t, s))
+        if np.ndim(ts) == 0:
+            return bool(self.membership(ts, ss))
+        return np.array([bool(self.membership(t, s)) for t, s in zip(ts, ss)], dtype=bool)
+
+    def contains(self, t: float, s, strict: bool = False) -> bool:
+        if t < 0.0:
+            return False
+        return bool(self.inside(t, np.atleast_1d(np.asarray(s, dtype=float)), strict))
+
+    @property
+    def boundary_slope(self) -> Optional[Callable[[float], float]]:
+        """Exact f' of the boundary s = f(t) of a built-in d = 1 region, else None."""
+        if self.scalar_boundary is None or self.family is None:
+            return None
+        return _CURVES[self.family["family"]](**self.family)[1]
 
     def complement_closure(self) -> "Region":
         """Closure of the complement, as a region of the opposite kind.
@@ -85,22 +121,32 @@ class Region:
         if self.family is None:
             raise RegionError("complement_closure requires a built-in region family")
         spec = dict(self.family)
-        spec["orientation"] = "ge" if spec["orientation"] == "le" else "le"
+        spec["orientation"] = _FLIP[spec["orientation"]]
         spec["kind"] = "stopping" if self.kind == "continuity" else "continuity"
         return region_from_family(spec)
 
 
-def _mk_region(kind, dim, slack, slack_batch, convex, origin, boundary, orientation, family):
+_FLIP = {"le": "ge", "ge": "le"}
+
+
+def _sign(orientation) -> float:
+    """Slack sign: +1 for "le" (slack f - s), -1 for "ge" (slack s - f)."""
+    if orientation not in _FLIP:
+        raise RegionError(f"orientation must be 'le' or 'ge', not {orientation!r}")
+    return 1.0 if orientation == "le" else -1.0
+
+
+def _mk_region(family: dict, dim: int, slack_batch, convex: bool,
+               boundary=None, orientation=None) -> Region:
     def membership(t, s):
-        return slack(t, np.atleast_1d(np.asarray(s, dtype=float))) >= 0.0
+        return slack_batch(t, np.atleast_1d(np.asarray(s, dtype=float))) >= 0.0
 
     return Region(
-        kind=kind,
+        kind=family["kind"],
         dim=dim,
         membership=membership,
         convex_closure=convex,
-        contains_origin=origin,
-        slack=slack,
+        contains_origin=bool(slack_batch(0.0, np.zeros(dim)) >= 0.0),
         slack_batch=slack_batch,
         scalar_boundary=boundary,
         orientation=orientation,
@@ -108,51 +154,29 @@ def _mk_region(kind, dim, slack, slack_batch, convex, origin, boundary, orientat
     )
 
 
-def _oriented(value_minus_s, orientation):
-    # slack for {s <= f}: f - s;  for {s >= f}: s - f
-    return value_minus_s if orientation == "le" else -value_minus_s
+def _curve_region(family: dict, convex: bool) -> Region:
+    """The d = 1 region on one side of s = f(t), with slack sgn*(f(t) - s)."""
+    sgn = _sign(family["orientation"])
+    f = _CURVES[family["family"]](**family)[0]
+
+    def slack_batch(ts, ss):
+        return sgn * (f(ts) - ss[..., 0])
+
+    return _mk_region(family, 1, slack_batch, convex, f, family["orientation"])
 
 
 def constant_region(level: float, orientation: str = "le", kind: str = "continuity") -> Region:
     """Region {s <= level} ("le") or {s >= level} ("ge") for scalar s."""
-    level = float(level)
-    sgn = 1.0 if orientation == "le" else -1.0
-
-    def slack(t, s):
-        if t < 0:
-            return -math.inf
-        return sgn * (level - s[0])
-
-    def slack_batch(ts, ss):
-        out = sgn * (level - ss[:, 0])
-        return np.where(ts < 0, -np.inf, out)
-
-    origin = level >= 0 if orientation == "le" else level <= 0
-    return _mk_region(kind, 1, slack, slack_batch, True, origin, lambda t: level,
-                      orientation, {"family": "constant", "level": level,
-                                    "orientation": orientation, "kind": kind})
+    return _curve_region({"family": "constant", "level": float(level),
+                          "orientation": orientation, "kind": kind}, True)
 
 
 def affine_region(slope: float, intercept: float, orientation: str = "le",
                   kind: str = "continuity") -> Region:
     """Region bounded by the line f(t) = slope*t + intercept."""
-    slope, intercept = float(slope), float(intercept)
-    sgn = 1.0 if orientation == "le" else -1.0
-
-    def slack(t, s):
-        if t < 0:
-            return -math.inf
-        return sgn * (slope * t + intercept - s[0])
-
-    def slack_batch(ts, ss):
-        out = sgn * (slope * ts + intercept - ss[:, 0])
-        return np.where(ts < 0, -np.inf, out)
-
-    origin = intercept >= 0 if orientation == "le" else intercept <= 0
-    return _mk_region(kind, 1, slack, slack_batch, True, origin,
-                      lambda t: slope * t + intercept, orientation,
-                      {"family": "affine", "slope": slope, "intercept": intercept,
-                       "orientation": orientation, "kind": kind})
+    return _curve_region({"family": "affine", "slope": float(slope),
+                          "intercept": float(intercept), "orientation": orientation,
+                          "kind": kind}, True)
 
 
 def power_region(coef: float, exponent: float, orientation: str = "le",
@@ -166,50 +190,31 @@ def power_region(coef: float, exponent: float, orientation: str = "le",
     coef, exponent = float(coef), float(exponent)
     if not 0.0 < exponent < 1.0:
         raise RegionError("exponent must lie in (0, 1)")
-    sgn = 1.0 if orientation == "le" else -1.0
-
-    def slack(t, s):
-        if t < 0:
-            return -math.inf
-        return sgn * (coef * t**exponent - s[0])
-
-    def slack_batch(ts, ss):
-        safe = np.maximum(ts, 0.0)
-        out = sgn * (coef * safe**exponent - ss[:, 0])
-        return np.where(ts < 0, -np.inf, out)
-
     convex = coef > 0 if orientation == "le" else coef < 0
-    return _mk_region(kind, 1, slack, slack_batch, convex, True,
-                      lambda t: coef * t**exponent, orientation,
-                      {"family": "power", "coef": coef, "exponent": exponent,
-                       "orientation": orientation, "kind": kind})
+    return _curve_region({"family": "power", "coef": coef, "exponent": exponent,
+                          "orientation": orientation, "kind": kind}, convex)
 
 
 def halfspace_region(s_coef, t_coef: float, level: float, orientation: str = "le",
                      kind: str = "continuity") -> Region:
-    """Region {<s_coef, s> + t_coef*t <= level} ("le") or ">=" ("ge"), any dim."""
+    """Region {<s_coef, s> + t_coef*t <= level} ("le") or ">=" ("ge"), any dim.
+
+    A scalar halfspace with s_coef != 0 is the affine region on one side of
+    s = (level - t_coef*t)/s_coef; a negative s_coef flips that side.
+    """
     a = np.atleast_1d(np.asarray(s_coef, dtype=float))
     b, c = float(t_coef), float(level)
-    sgn = 1.0 if orientation == "le" else -1.0
-
-    def slack(t, s):
-        if t < 0:
-            return -math.inf
-        return sgn * (c - (float(a @ s) + b * t))
+    sgn = _sign(orientation)
+    family = {"family": "halfspace", "s_coef": [float(x) for x in a], "t_coef": b,
+              "level": c, "orientation": orientation, "kind": kind}
 
     def slack_batch(ts, ss):
-        out = sgn * (c - (ss @ a + b * ts))
-        return np.where(ts < 0, -np.inf, out)
+        return sgn * (c - (ss @ a + b * ts))
 
-    origin = c >= 0 if orientation == "le" else c <= 0
-    boundary = None
     if a.shape[0] == 1 and a[0] != 0.0:
-        # scalar halfspace reduces to an affine boundary s = (c - b t)/a
-        boundary = lambda t: (c - b * t) / a[0]
-    return _mk_region(kind, a.shape[0], slack, slack_batch, True, origin, boundary,
-                      orientation if boundary is not None else None,
-                      {"family": "halfspace", "s_coef": [float(x) for x in a],
-                       "t_coef": b, "level": c, "orientation": orientation, "kind": kind})
+        side = orientation if a[0] > 0.0 else _FLIP[orientation]
+        return _mk_region(family, 1, slack_batch, True, _CURVES["halfspace"](**family)[0], side)
+    return _mk_region(family, a.shape[0], slack_batch, True)
 
 
 def region_from_oracle(membership, dim: int, kind: str = "continuity",
@@ -257,23 +262,32 @@ def _ray_member(region: Region, v: np.ndarray):
     return member
 
 
+def _boundary_root(region: Region, point, inside: float, outside: float, tol: float) -> float:
+    """The boundary crossing of x -> point(x) = (t, s) between a member and a non-member.
+
+    Brent's method on the slack when it is finite with opposite signs at the
+    two ends; otherwise bisection of membership down to ``tol``.
+    """
+    if region.slack_batch is not None:
+        phi = lambda x: float(region.slack_batch(*point(x)))
+        f_in, f_out = phi(inside), phi(outside)
+        if f_in == 0.0:
+            return inside
+        if f_in > 0.0 > f_out and math.isfinite(f_in) and math.isfinite(f_out):
+            return float(brentq(phi, min(inside, outside), max(inside, outside),
+                                xtol=1e-15, rtol=8.9e-16))
+    while abs(outside - inside) > tol:
+        mid = 0.5 * (inside + outside)
+        if region.contains(*point(mid)):
+            inside = mid
+        else:
+            outside = mid
+    return 0.5 * (inside + outside)
+
+
 def _refine_exit(region: Region, v: np.ndarray, lo: float, hi: float, tol: float) -> float:
     """Boundary time in (lo, hi] with inside at lo, outside at hi."""
-    if region.slack is not None:
-        phi = lambda t: region.slack(t, t * v)
-        flo, fhi = phi(lo), phi(hi)
-        if flo == 0.0:
-            return lo
-        if flo > 0.0 > fhi and np.isfinite(flo) and np.isfinite(fhi):
-            return float(brentq(phi, lo, hi, xtol=1e-15, rtol=8.9e-16))
-    member = _ray_member(region, v)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if member(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _boundary_root(region, lambda t: (t, t * v), lo, hi, tol)
 
 
 def _bracket_ray_exit(region: Region, v: np.ndarray, t_hi_hint: float):
@@ -355,14 +369,6 @@ def ray_entry_and_exit(region: Region, v, t_hi_hint: float = 1.0,
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
     member = _ray_member(region, v)
-
-    def interior(t: float) -> bool:
-        # strict probe: at huge t the boundary terms can round away, making
-        # slack exactly zero far outside the true region
-        if region.slack is not None:
-            return region.contains(t, t * v, strict=True)
-        return member(t)
-
     if member(0.0):
         entry = 0.0
         t_in = max(float(t_hi_hint), 1e-12)
@@ -376,7 +382,9 @@ def ray_entry_and_exit(region: Region, v, t_hi_hint: float = 1.0,
             t = base * 2.0**k
             if t > DOUBLING_CAP:
                 break
-            if interior(t):
+            # strict probe: at huge t the boundary terms can round away, making
+            # slack exactly zero far outside the true region
+            if region.contains(t, t * v, strict=True):
                 t_in = t
                 break
             prev = t
@@ -384,18 +392,7 @@ def ray_entry_and_exit(region: Region, v, t_hi_hint: float = 1.0,
             return None, None
         if tol is None:
             tol = 1e-9 * max(1.0, t_in)
-        # boundary between prev (outside) and t_in (inside)
-        if region.slack is not None:
-            phi = lambda t: region.slack(t, t * v)
-            flo, fhi = phi(prev), phi(t_in)
-            if fhi == 0.0:
-                entry = t_in
-            elif flo < 0.0 < fhi and np.isfinite(flo):
-                entry = float(brentq(phi, prev, t_in, xtol=1e-15, rtol=8.9e-16))
-            else:
-                entry = _bisect_entry(member, prev, t_in, tol)
-        else:
-            entry = _bisect_entry(member, prev, t_in, tol)
+        entry = _boundary_root(region, lambda t: (t, t * v), t_in, prev, tol)
     # supremum: double from an inside point
     t = max(t_in, 1e-12)
     lo, hi = t, None
@@ -412,35 +409,42 @@ def ray_entry_and_exit(region: Region, v, t_hi_hint: float = 1.0,
     return entry, _refine_exit(region, v, lo, hi, tol)
 
 
-def _bisect_entry(member, lo: float, hi: float, tol: float) -> float:
-    # lo outside, hi inside
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if member(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
 # ---------------------------------------------------------------------------
 # Gradient and supporting hyperplane
 # ---------------------------------------------------------------------------
 
 
 def log_exit_gradient(region: Region, mean, step: Optional[float] = None) -> np.ndarray:
-    """Gradient of ln g(v) at v=mean by Richardson-extrapolated central differences.
+    """Gradient of ln g(v) at v=mean.
 
-    For d=1 regions with differentiable boundary f this equals
-    1 / (f'(m) - mean) at the crossing time m.
+    Exact for the built-in families: -a / (<a, mean> + b) for a halfspace
+    <a, s> + b t <= c (or >= c), and 1 / (f'(m) - mean) at the crossing time
+    m for a d=1 region bounded by s = f(t).  Oracle regions take
+    Richardson-extrapolated central differences of ln g with step ``step``.
     """
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    d = mean.shape[0]
     g0 = ray_exit_time(region, mean)
     if not (np.isfinite(g0) and g0 > 0.0):
         raise GradientDomainError("g is not finite and positive at the mean")
-    grad = np.empty(d)
-    for k in range(d):
+    if region.family is not None and region.family["family"] == "halfspace":
+        a = np.asarray(region.family["s_coef"])
+        grad = -a / (a @ mean + region.family["t_coef"])
+    elif region.boundary_slope is not None:
+        grad = np.array([1.0 / (region.boundary_slope(g0) - mean[0])])
+    else:
+        grad = _richardson_log_gradient(region, mean, g0, step)
+    if not np.all(np.isfinite(grad)):
+        raise GradientDomainError("non-finite log-gradient")
+    return grad
+
+
+def _richardson_log_gradient(region: Region, mean: np.ndarray, g0: float,
+                             step: Optional[float]) -> np.ndarray:
+    # bisect the stencil's exit times far below the difference step, whose
+    # quotient divides their error by about 1e-5
+    tol = 1e-13 * g0
+    grad = np.empty(mean.shape[0])
+    for k in range(mean.shape[0]):
         h = step if step is not None else 1e-5 * max(1.0, abs(mean[k]))
 
         def central(hh):
@@ -448,16 +452,14 @@ def log_exit_gradient(region: Region, mean, step: Optional[float] = None) -> np.
             vm = mean.copy()
             vp[k] += hh
             vm[k] -= hh
-            gp = ray_exit_time(region, vp, t_hi_hint=g0)
-            gm = ray_exit_time(region, vm, t_hi_hint=g0)
+            gp = ray_exit_time(region, vp, t_hi_hint=g0, tol=tol)
+            gm = ray_exit_time(region, vm, t_hi_hint=g0, tol=tol)
             if not (np.isfinite(gp) and np.isfinite(gm) and gp > 0.0 and gm > 0.0):
                 raise GradientDomainError("g not finite in the difference stencil")
             return (math.log(gp) - math.log(gm)) / (2.0 * hh)
 
         coarse, fine = central(h), central(0.5 * h)
         grad[k] = (4.0 * fine - coarse) / 3.0
-        if not np.isfinite(grad[k]):
-            raise GradientDomainError("non-finite difference quotient")
     return grad
 
 
@@ -500,20 +502,27 @@ class Hyperplane:
 
 def sample_member_points(region: Region, n_points: int, seed: int, t_max: float,
                          s_span, max_attempts_factor: int = 200):
-    """Rejection-sample up to n_points members of the region inside a box."""
+    """Rejection-sample up to n_points members of the region inside a box.
+
+    Candidate k is row k of one uniform draw: t = t_max*u[k, 0] and
+    s = -s_span + 2*s_span*u[k, 1:], the values that per-candidate calls
+    rng.uniform(0, t_max), rng.uniform(-s_span, s_span) would return.
+    """
     rng = np.random.default_rng(seed)
     s_span = np.atleast_1d(np.asarray(s_span, dtype=float))
-    found_t, found_s = [], []
-    attempts = 0
     cap = max_attempts_factor * n_points
-    while len(found_t) < n_points and attempts < cap:
-        attempts += 1
-        t = rng.uniform(0.0, t_max)
-        s = rng.uniform(-s_span, s_span)
-        if region.contains(t, s):
-            found_t.append(t)
-            found_s.append(s)
-    return np.array(found_t), np.array(found_s).reshape(len(found_t), region.dim)
+    u = rng.random((cap, 1 + region.dim))
+    ts = t_max * u[:, 0]
+    ss = -s_span + (s_span - -s_span) * u[:, 1:]
+    # test in slices, so that an oracle region stops calling its predicate early
+    keep = []
+    for lo in range(0, cap, 4 * n_points):
+        part = slice(lo, lo + 4 * n_points)
+        keep.extend(lo + np.flatnonzero(region.inside(ts[part], ss[part])))
+        if len(keep) >= n_points:
+            break
+    keep = keep[:n_points]
+    return ts[keep], ss[keep]
 
 
 def supporting_hyperplane(region: Region, mean, step: Optional[float] = None,
@@ -585,59 +594,28 @@ def _directional_hit(member, mu, u, scale, cap_doublings=60):
     return None
 
 
-def _slice_distance_1d(region: Region, n: float, mu: np.ndarray, tol: float):
-    member = _slice_member(region, n)
-    if member(mu):
-        return "inside", 0.0
-    scale = max(1.0, abs(mu[0]))
-    best = None
-    side = None
-    for sgn, name in ((1.0, "above"), (-1.0, "below")):
-        hit = _directional_hit(member, mu, np.array([sgn]), scale)
-        if hit is None:
-            continue
-        lo, hi = hit  # lo: outside offset, hi: member offset
-        if region.slack is not None:
-            phi = lambda r: region.slack(n, n * (mu + sgn * np.array([r])))
-            flo, fhi = phi(lo), phi(hi)
-            if fhi == 0.0:
-                dist = hi
-            elif flo < 0.0 < fhi:
-                dist = float(brentq(phi, lo, hi, xtol=1e-15, rtol=8.9e-16))
-            else:
-                dist = _bisect_entry(lambda r: member(mu + sgn * np.array([r])), lo, hi, tol)
-        else:
-            dist = _bisect_entry(lambda r: member(mu + sgn * np.array([r])), lo, hi, tol)
-        if best is None or dist < best:
-            best, side = dist, name
-    if best is None:
-        raise EmptySliceError(f"no member of the slice at n={n} found near the mean")
-    return side, best
-
-
-def _radial_boundary(member, region, n, mu, u, tol):
-    """Distance along direction u from mu to the nearest member, or inf."""
+def _radial_boundary(region: Region, n: float, mu: np.ndarray, u: np.ndarray, tol: float):
+    """Distance along direction u from mu to the nearest member of the slice, or inf."""
     scale = max(1.0, float(np.linalg.norm(mu)))
-    hit = _directional_hit(member, mu, u, scale)
+    hit = _directional_hit(_slice_member(region, n), mu, u, scale)
     if hit is None:
         return math.inf
-    lo, hi = hit
-    if region.slack is not None:
-        phi = lambda r: region.slack(n, n * (mu + r * u))
-        flo, fhi = phi(lo), phi(hi)
-        if fhi == 0.0:
-            return hi
-        if flo < 0.0 < fhi:
-            return float(brentq(phi, lo, hi, xtol=1e-15, rtol=8.9e-16))
-    return _bisect_entry(lambda r: member(mu + r * u), lo, hi, tol)
+    outside, inside = hit
+    return _boundary_root(region, lambda r: (n, n * (mu + r * u)), inside, outside, tol)
+
+
+def _slice_distance_1d(region: Region, n: float, mu: np.ndarray, tol: float):
+    """("above" | "below", distance) of the nearest slice member, for a mean outside it."""
+    above, below = (_radial_boundary(region, n, mu, np.array([sgn]), tol) for sgn in (1.0, -1.0))
+    if math.isinf(min(above, below)):
+        raise EmptySliceError(f"no member of the slice at n={n} found near the mean")
+    return ("above", above) if above <= below else ("below", below)
 
 
 def _slice_distance_2d(region: Region, n: float, mu: np.ndarray, tol: float) -> float:
-    member = _slice_member(region, n)
     angles = np.linspace(0.0, 2.0 * math.pi, 721)[:-1]
     dists = np.array([
-        _radial_boundary(member, region, n, mu,
-                         np.array([math.cos(a), math.sin(a)]), tol)
+        _radial_boundary(region, n, mu, np.array([math.cos(a), math.sin(a)]), tol)
         for a in angles
     ])
     if not np.any(np.isfinite(dists)):
@@ -647,8 +625,7 @@ def _slice_distance_2d(region: Region, n: float, mu: np.ndarray, tol: float) -> 
     lo, hi = angles[best] - span, angles[best] + span
 
     def objective(a):
-        return _radial_boundary(member, region, n, mu,
-                                np.array([math.cos(a), math.sin(a)]), tol)
+        return _radial_boundary(region, n, mu, np.array([math.cos(a), math.sin(a)]), tol)
 
     # golden-section refinement of the radial distance over the bracketing arc
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -676,7 +653,7 @@ def _slice_distance_nd(region: Region, n: float, mu: np.ndarray, tol: float,
     dirs += [u / np.linalg.norm(u) for u in rng.normal(size=(4 * d, d))]
     candidates = []
     for u in dirs:
-        r = _radial_boundary(member, region, n, mu, u, tol)
+        r = _radial_boundary(region, n, mu, u, tol)
         if math.isfinite(r):
             candidates.append(mu + r * u)
     if not candidates:

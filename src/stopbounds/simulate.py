@@ -78,19 +78,8 @@ def _mean_stderr(values: np.ndarray):
 
 def _exit_test(region: Region, boundary: str):
     """Vectorized stop test over (sizes, sums) given the boundary convention."""
-    if region.slack_batch is not None:
-        sb = region.slack_batch
-        if region.kind == "continuity":
-            if boundary == "closed":
-                return lambda ts, ss: sb(ts, ss) < 0.0
-            return lambda ts, ss: sb(ts, ss) <= 0.0
-        if boundary == "closed":
-            return lambda ts, ss: sb(ts, ss) >= 0.0
-        return lambda ts, ss: sb(ts, ss) > 0.0
-    member = region.membership
-    if region.kind == "continuity":
-        return lambda ts, ss: np.array([not member(t, s) for t, s in zip(ts, ss)])
-    return lambda ts, ss: np.array([member(t, s) for t, s in zip(ts, ss)])
+    strict, continuity = boundary == "strict", region.kind == "continuity"
+    return lambda ts, ss: region.inside(ts, ss, strict) != continuity
 
 
 def _block_plan(schedule: SampleSchedule, horizon: int):

@@ -186,7 +186,7 @@ def test_criterion_5_geometry_equivalences():
             m = int(math.ceil(hyp.anchor))
             for n in range(m + 1, 8 * m + 1):
                 assert sb.slice_distance(region, n, mu) == pytest.approx(
-                    sb.hyperplane_slice_distance(hyp, n, mu), abs=1e-6)
+                    sb.hyperplane_slice_distance(hyp, n, mu), abs=1e-12)
         # vertex maxima equal dense cube grids for d in {1, 2, 3}
         cases = [
             (sb.Hyperplane([1.0], 0.0, 5.0, 5.0),
@@ -208,9 +208,9 @@ def test_criterion_5_geometry_equivalences():
             assert res.value == pytest.approx(grid, abs=1e-9)
         # supporting hyperplane of the square-root boundary at unit mean
         hyp = sb.supporting_hyperplane(sb.power_region(2.0, 0.5), 1.0)
-        assert hyp.s_coef[0] == pytest.approx(2.0, abs=1e-5)
-        assert hyp.t_coef == pytest.approx(-1.0, abs=1e-5)
-        assert hyp.level == pytest.approx(4.0, abs=1e-5)
+        assert hyp.s_coef[0] == pytest.approx(2.0, abs=1e-12)
+        assert hyp.t_coef == pytest.approx(-1.0, abs=1e-12)
+        assert hyp.level == pytest.approx(4.0, abs=1e-12)
 
     _announce(5, run)
 

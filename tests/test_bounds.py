@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import stopbounds as sb
-from stopbounds.bounds import overshoot_upper_bound
+from stopbounds.bounds import ALL_TAGS, overshoot_upper_bound
 from stopbounds.harness import ScenarioBundle, bound_report
 
 
@@ -204,6 +204,40 @@ def test_gradient_bound_examples():
     assert report.value == pytest.approx(21.0, abs=1e-6)
     report = sb.gradient_upper_bound(sb.power_region(2.0, 0.5), bern, "T17", sb.naturals())
     assert report.value == pytest.approx(21.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("region,spec", [
+    (sb.constant_region(5.0), sb.bernoulli_affine(0, 1, 0.5)),
+    (sb.power_region(2.0, 0.5), sb.bernoulli_affine(0, 1, 0.5)),
+    (sb.power_region(2.0, 0.5), sb.exponential(1.0)),
+    (sb.affine_region(0.5, -1.0, "ge"), sb.uniform_interval(-0.5, 0.5)),
+    (sb.halfspace_region([-1.0], 0.0, -5.0, "ge"), sb.bernoulli_affine(-1, 1, 0.7)),
+])
+def test_t17_equals_vipformula_on_scalar_regions(region, spec):
+    # d = 1: grad ln g = 1/(f'(m) - mean), so the quadratic form is var/(f'(m) - mean)^2
+    prof = sb.analytic_moments(spec)
+    t17 = sb.gradient_upper_bound(region, prof, "T17", sb.naturals())
+    vip = sb.gradient_upper_bound(region, prof, "vipformula", sb.naturals())
+    assert t17.applicable and vip.applicable
+    assert t17.value == pytest.approx(vip.value, rel=0, abs=1e-12)
+    assert t17.diagnostics["closed_scalar_form"] == pytest.approx(vip.value, rel=0, abs=1e-12)
+
+
+def test_scalar_halfspace_matches_its_constant_region():
+    # {-s >= -5} is {s <= 5}; the slab search reads the reported orientation
+    spec = sb.bernoulli_affine(-1, 1, 0.7)
+    flipped = bundle(spec, sb.halfspace_region([-1.0], 0.0, -5.0, "ge"), sb.naturals())
+    plain = bundle(spec, sb.constant_region(5.0, "le"), sb.naturals())
+    # the overshoot tags need the constant family's threshold level by design
+    for tag in (t for t in ALL_TAGS if not t.startswith(("Lorden-", "Brown"))):
+        a, b = bound_report(tag, flipped), bound_report(tag, plain)
+        assert a.applicable == b.applicable, tag
+        if math.isnan(b.value):
+            assert math.isnan(a.value), tag
+        else:
+            assert a.value == pytest.approx(b.value, rel=1e-9, abs=1e-9), tag
+    t11 = bound_report("T11-upper-bounded", flipped)
+    assert t11.applicable and math.isfinite(t11.value)
 
 
 def test_gradient_bound_gates():

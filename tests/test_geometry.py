@@ -10,6 +10,7 @@ from stopbounds.geometry import (
     NoRayExitError,
     RegionError,
     convexity_audit,
+    region_from_family,
     sample_member_points,
     slice_side,
 )
@@ -58,10 +59,18 @@ def test_ray_monotone_membership_along_mean_ray():
 
 
 def test_log_exit_gradient_examples():
-    assert sb.log_exit_gradient(sb.constant_region(5.0), 1.0)[0] == pytest.approx(-1.0, abs=1e-6)
-    assert sb.log_exit_gradient(sb.power_region(2.0, 0.5), 1.0)[0] == pytest.approx(-2.0, abs=1e-5)
+    assert sb.log_exit_gradient(sb.constant_region(5.0), 1.0)[0] == pytest.approx(-1.0, abs=1e-12)
+    assert sb.log_exit_gradient(sb.power_region(2.0, 0.5), 1.0)[0] == pytest.approx(-2.0, abs=1e-12)
     region = sb.affine_region(1.0, -1.0, "ge")
-    assert sb.log_exit_gradient(region, 0.5)[0] == pytest.approx(2.0, abs=1e-5)
+    assert sb.log_exit_gradient(region, 0.5)[0] == pytest.approx(2.0, abs=1e-12)
+    # -2 s + t >= -6 is s <= 3 + t/2: m = 7.5 at mean 0.9, f' = 1/2
+    region = sb.halfspace_region([-2.0], 1.0, -6.0, "ge")
+    assert region.boundary_slope(7.5) == 0.5
+    assert sb.log_exit_gradient(region, 0.9)[0] == pytest.approx(-2.5, abs=1e-12)
+    # halfspace <a, s> + b t <= c: ln g = ln c - ln(<a, v> + b)
+    region = sb.halfspace_region([1.0, 2.0], 0.5, 3.0, "le")
+    np.testing.assert_allclose(sb.log_exit_gradient(region, [0.3, 0.4]),
+                               [-1.0 / 1.6, -2.0 / 1.6], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("region,mu", [
@@ -71,30 +80,56 @@ def test_log_exit_gradient_examples():
     (sb.affine_region(0.25, 2.0, "le"), 0.75),
 ])
 def test_gradient_matches_boundary_slope_form(region, mu):
-    # analytic cross-check: d(ln g)/dv = 1 / (f'(m) - v) at the crossing
+    # analytic cross-check: d(ln g)/dv = 1 / (f'(m) - v) at the crossing, with
+    # f' written out by hand for each boundary above (keyed by its mean)
+    fprime = {0.7: lambda t: 0.0, 1.3: lambda t: t ** -0.5,
+              0.25: lambda t: 0.5, 0.75: lambda t: 0.25}[mu]
     m = sb.mean_ray_crossing(region, mu)
-    h = 1e-6 * max(1.0, m)
-    f = region.scalar_boundary
-    fprime = (f(m + h) - f(m - h)) / (2 * h)
-    expected = 1.0 / (fprime - mu)
-    assert sb.log_exit_gradient(region, mu)[0] == pytest.approx(expected, abs=1e-5)
+    assert region.boundary_slope(m) == pytest.approx(fprime(m), abs=1e-15)
+    expected = 1.0 / (fprime(m) - mu)
+    assert sb.log_exit_gradient(region, mu)[0] == pytest.approx(expected, abs=1e-12)
+
+
+def _oracle(region):
+    return sb.region_from_oracle(region.contains, region.dim, region.kind,
+                                 region.convex_closure, region.contains_origin)
+
+
+@pytest.mark.parametrize("region,mu", [
+    (sb.constant_region(5.0), 0.7),
+    (sb.affine_region(0.25, 2.0, "le"), 0.75),
+    (sb.affine_region(0.5, -1.0, "ge"), 0.25),
+    (sb.power_region(2.0, 0.5), 1.3),
+    (sb.halfspace_region([1.0, 2.0], 0.5, 3.0, "le"), [0.3, 0.4]),
+], ids=["constant", "affine-le", "affine-ge", "power", "halfspace-2d"])
+def test_numeric_oracle_path_matches_exact(region, mu):
+    # bisection and Richardson differences on the bare predicate against the
+    # slack roots and the closed-form gradient of the built-in family
+    oracle = _oracle(region)
+    m = sb.mean_ray_crossing(region, mu)
+    assert sb.mean_ray_crossing(oracle, mu) == pytest.approx(m, rel=1e-8)
+    np.testing.assert_allclose(sb.log_exit_gradient(oracle, mu),
+                               sb.log_exit_gradient(region, mu), rtol=0, atol=1e-5)
+    for n in (1.5 * m, 4.0 * m):
+        assert sb.slice_distance(oracle, n, mu) == pytest.approx(
+            sb.slice_distance(region, n, mu), abs=1e-8)
 
 
 def test_supporting_hyperplane_examples():
     hyp = sb.supporting_hyperplane(sb.constant_region(5.0), 1.0)
-    assert hyp.s_coef[0] == pytest.approx(1.0, abs=1e-6)
-    assert hyp.t_coef == pytest.approx(0.0, abs=1e-6)
-    assert hyp.level == pytest.approx(5.0, abs=1e-9)
+    assert hyp.s_coef[0] == pytest.approx(1.0, abs=1e-12)
+    assert hyp.t_coef == pytest.approx(0.0, abs=1e-12)
+    assert hyp.level == pytest.approx(5.0, abs=1e-12)
 
     hyp = sb.supporting_hyperplane(sb.power_region(2.0, 0.5), 1.0)
-    assert hyp.s_coef[0] == pytest.approx(2.0, abs=1e-5)
-    assert hyp.t_coef == pytest.approx(-1.0, abs=1e-5)
-    assert hyp.level == pytest.approx(4.0, abs=1e-9)
+    assert hyp.s_coef[0] == pytest.approx(2.0, abs=1e-12)
+    assert hyp.t_coef == pytest.approx(-1.0, abs=1e-12)
+    assert hyp.level == pytest.approx(4.0, abs=1e-12)
 
     hyp = sb.supporting_hyperplane(sb.affine_region(1.0, -1.0, "ge"), 0.5)
-    assert hyp.s_coef[0] == pytest.approx(-2.0, abs=1e-5)
-    assert hyp.t_coef == pytest.approx(2.0, abs=1e-5)
-    assert hyp.level == pytest.approx(2.0, abs=1e-9)
+    assert hyp.s_coef[0] == pytest.approx(-2.0, abs=1e-12)
+    assert hyp.t_coef == pytest.approx(2.0, abs=1e-12)
+    assert hyp.level == pytest.approx(2.0, abs=1e-12)
 
 
 def test_hyperplane_invariants_and_support():
@@ -111,6 +146,35 @@ def test_hyperplane_invariants_and_support():
     assert ts.size >= 1000
     values = ss[:, 0] * hyp.s_coef[0] + hyp.t_coef * ts
     assert np.all(values <= hyp.level + 1e-6)
+
+
+def _reference_member_points(region, n_points, seed, t_max, s_span, factor=200):
+    # one rng.uniform pair and one membership test per candidate
+    rng = np.random.default_rng(seed)
+    s_span = np.atleast_1d(np.asarray(s_span, dtype=float))
+    found_t, found_s = [], []
+    for _ in range(factor * n_points):
+        if len(found_t) == n_points:
+            break
+        t = rng.uniform(0.0, t_max)
+        s = rng.uniform(-s_span, s_span)
+        if region.contains(t, s):
+            found_t.append(t)
+            found_s.append(s)
+    return np.array(found_t), np.array(found_s).reshape(len(found_t), region.dim)
+
+
+@pytest.mark.parametrize("region,t_max,s_span,n_points", [
+    (sb.power_region(2.0, 0.5), 8.0, [12.0], 200),
+    (sb.halfspace_region([1.0, 2.0], 0.5, 3.0, "le"), 4.0, [3.0, 3.0], 200),
+    (sb.region_from_oracle(lambda t, s: s[0] ** 2 + s[1] ** 2 <= t, 2), 2.0, [2.0, 2.0], 150),
+    (sb.constant_region(-50.0, "le"), 1.0, [1.0], 5),  # no members: the cap ends the search
+], ids=["power-1d", "halfspace-2d", "oracle-2d", "empty"])
+def test_sample_member_points_matches_per_candidate_reference(region, t_max, s_span, n_points):
+    ts, ss = sample_member_points(region, n_points, 7, t_max, s_span)
+    ref_t, ref_s = _reference_member_points(region, n_points, 7, t_max, s_span)
+    assert ts.shape == ref_t.shape and ss.shape == ref_s.shape == (ts.size, region.dim)
+    assert np.array_equal(ts, ref_t) and np.array_equal(ss, ref_s)
 
 
 def test_supporting_hyperplane_rejects_bad_gradient():
@@ -193,6 +257,31 @@ def test_region_complement_closure_roundtrip():
     assert comp.contains(3.0, 7.0) and not comp.contains(3.0, np.array([4.0]))
     again = comp.complement_closure()
     assert again.orientation == "le" and again.kind == "continuity"
+
+
+@pytest.mark.parametrize("orientation", [None, "xyz", "LE"])
+@pytest.mark.parametrize("build", [
+    lambda o: sb.constant_region(1.0, o),
+    lambda o: sb.affine_region(0.5, 1.0, o),
+    lambda o: sb.power_region(2.0, 0.5, o),
+    lambda o: sb.halfspace_region([1.0, 1.0], 0.0, 2.0, o),
+    lambda o: region_from_family({"family": "constant", "level": 1.0,
+                                  "orientation": o, "kind": "continuity"}),
+], ids=["constant", "affine", "power", "halfspace", "from-family"])
+def test_unknown_orientation_rejected(build, orientation):
+    with pytest.raises(RegionError, match="orientation"):
+        build(orientation)
+
+
+def test_scalar_halfspace_reports_the_side_of_its_boundary():
+    # -s >= -5 is s <= 5: the boundary s = 5 with the region below it
+    region = sb.halfspace_region([-1.0], 0.0, -5.0, "ge")
+    assert region.orientation == "le" and region.scalar_boundary(3.0) == 5.0
+    assert region.contains(1.0, 4.0) and not region.contains(1.0, 6.0)
+    comp = region.complement_closure()
+    assert comp.orientation == "ge" and comp.contains(1.0, 6.0)
+    assert sb.halfspace_region([2.0], 0.0, 10.0, "ge").orientation == "ge"
+    assert sb.halfspace_region([0.0], 1.0, 3.0, "le").orientation is None
 
 
 def test_power_region_convexity_flags():

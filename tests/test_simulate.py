@@ -135,3 +135,20 @@ def test_brownian_workers_bit_identical():
     b = sb.run_brownian(region, 0.5, 1.0, 0.05, 2000, horizon=200.0, seed=5, workers=6)
     assert a.mean == b.mean and a.stderr == b.stderr
     assert a.extras["coarse"] == b.extras["coarse"]
+
+
+@pytest.mark.parametrize("region,spec,schedule", [
+    (sb.constant_region(5.0, "ge", "stopping"), sb.bernoulli_affine(0, 1, 0.5), sb.naturals()),
+    (sb.power_region(2.0, 0.5), sb.uniform_interval(0.0, 2.0), sb.arithmetic(1, 3)),
+    (sb.halfspace_region([1.0, 1.0], 0.0, 8.0, "ge", "stopping"),
+     sb.product([sb.bernoulli_affine(0, 1, 0.5), sb.exponential(2.0)]), sb.naturals()),
+], ids=["constant-stopping", "power-continuity", "halfspace-2d"])
+def test_oracle_wrapper_walks_like_its_region(region, spec, schedule):
+    # the per-point oracle branch of Region.inside against the slack branch
+    oracle = sb.region_from_oracle(region.contains, region.dim, region.kind,
+                                   region.convex_closure, region.contains_origin)
+    exact = discrete_paths(region, spec, schedule, 60, seed=3)
+    wrapped = discrete_paths(oracle, spec, schedule, 60, seed=3)
+    assert np.array_equal(exact.stop_n, wrapped.stop_n)
+    assert np.array_equal(exact.stop_sum, wrapped.stop_sum)
+    assert np.array_equal(exact.last_before, wrapped.last_before)

@@ -1,0 +1,72 @@
+"""The names the benchmark's tracer (perfbench/tracing.py) replaces must stay in place.
+
+The tracer swaps module attributes and a region's ``slack_batch`` for timing
+wrappers.  A rename or a call that bypasses these names would silently drop
+layers from a traced run, so they are pinned here.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import stopbounds as sb
+from stopbounds import bounds, cli, harness, moments, overshoot, schedules, simulate
+from stopbounds.simulate import discrete_paths
+
+PATCHED = {
+    simulate: ("sample_block", "run_discrete", "run_brownian"),
+    moments.StreamPool: ("stream",),
+    schedules.SampleSchedule: ("iter_elements",),
+    bounds: ("supporting_hyperplane", "ray_exit_time", "mean_ray_crossing",
+             "ray_entry_and_exit", "slice_distance", "hyperplane_slice_distance",
+             "slice_side", "log_exit_gradient", "max_time_in_region",
+             "max_concave_over_box", "vertex_fraction_max", "audit_assumptions",
+             "gap_supremum"),
+    harness: ("supporting_hyperplane", "ray_exit_time", "bound_report",
+              "brownian_report", "certify"),
+    overshoot: ("sum_law", "threshold_functionals"),
+    cli: ("bound_report", "brownian_report", "certify", "run_discrete", "run_brownian",
+          "write_report"),
+}
+
+
+@pytest.mark.parametrize("owner,attr", [(o, a) for o, names in PATCHED.items() for a in names],
+                         ids=lambda x: x if isinstance(x, str) else getattr(x, "__name__", ""))
+def test_patched_name_exists(owner, attr):
+    assert callable(vars(owner)[attr])
+
+
+def test_gradient_bound_calls_log_exit_gradient_through_bounds(monkeypatch):
+    calls = []
+    original = bounds.log_exit_gradient
+    monkeypatch.setattr(bounds, "log_exit_gradient",
+                        lambda *a, **k: calls.append(a) or original(*a, **k))
+    prof = sb.analytic_moments(sb.bernoulli_affine(0, 1, 0.5))
+    report = sb.gradient_upper_bound(sb.constant_region(5.0), prof, "T17", sb.naturals())
+    assert report.applicable and len(calls) == 1
+
+
+SCALAR = sb.bernoulli_affine(0, 1, 0.5)
+
+
+@pytest.mark.parametrize("region,spec", [
+    (sb.constant_region(5.0, "ge", "stopping"), SCALAR),
+    (sb.affine_region(0.25, 2.0, "le"), SCALAR),
+    (sb.power_region(2.0, 0.5), SCALAR),
+    (sb.halfspace_region([-1.0], 0.0, -5.0, "ge"), SCALAR),
+    (sb.halfspace_region([1.0, 1.0], 0.0, 8.0, "ge", "stopping"), sb.product([SCALAR, SCALAR])),
+    (sb.constant_region(5.0, "le").complement_closure(), SCALAR),
+], ids=["constant", "affine", "power", "halfspace-1d", "halfspace-2d", "complement"])
+def test_discrete_paths_calls_the_swapped_slack(region, spec):
+    points = []
+
+    def counting(ts, ss):
+        points.append(len(ts))
+        return region.slack_batch(ts, ss)
+
+    swapped = dataclasses.replace(region, slack_batch=counting)
+    traced = discrete_paths(swapped, spec, sb.naturals(), 20, seed=2)
+    plain = discrete_paths(region, spec, sb.naturals(), 20, seed=2)
+    assert sum(points) > 0
+    assert np.array_equal(traced.stop_n, plain.stop_n)

@@ -83,6 +83,7 @@ from .simulate import (
     PathSample,
     SimulationEstimate,
     discrete_paths,
+    replay_run,
     run_brownian,
     run_discrete,
     validate_convex_mean,

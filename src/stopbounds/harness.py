@@ -82,10 +82,15 @@ class ScenarioBundle:
         return g
 
     def threshold_level(self) -> Optional[float]:
-        """Constant stopping threshold, when the stopping view is one."""
-        fam = self.stopping_view.family
-        if fam and fam.get("family") == "constant" and fam.get("orientation") == "ge":
-            return float(fam["level"])
+        """Level c of a flat stopping threshold {s >= c}, in whatever family it is written.
+
+        The boundary s = f(t) is flat when its exact slope is 0; t = 1
+        avoids the power family's infinite slope at t = 0.
+        """
+        view = self.stopping_view
+        slope = view.boundary_slope
+        if slope is not None and view.orientation == "ge" and slope(1.0) == 0.0:
+            return float(view.scalar_boundary(1.0))
         return None
 
     def declared(self, key: str, default: bool = True) -> bool:

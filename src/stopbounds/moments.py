@@ -359,12 +359,13 @@ def stream_for_run(seed: int, index: int) -> np.random.Generator:
 
 
 class StreamPool:
-    """Reusable generator that is rekeyed per run index.
+    """Reusable generator that is rekeyed per stream index.
 
-    Rekeying an existing Philox state is an order of magnitude cheaper than
-    constructing a fresh bit generator, and the draws are bit-identical to
-    ``stream_for_run(seed, index)``.  Not thread-safe: use one pool per
-    worker.
+    The simulator keys one stream per block of a chunk of runs (see
+    ``simulate``).  Rekeying an existing Philox state is an order of
+    magnitude cheaper than constructing a fresh bit generator, and the
+    draws are bit-identical to ``stream_for_run(seed, index)``.  Not
+    thread-safe: use one pool per worker.
     """
 
     def __init__(self, seed: int):

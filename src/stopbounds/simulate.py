@@ -1,16 +1,27 @@
 """Exact Monte Carlo simulation of stopping times and the inequality validators.
 
-Each run draws from its own counter-based stream keyed by (seed, run index),
-so results are bit-identical no matter how runs are batched across workers.
-Discrete walks apply the stopping rule only at schedule sizes and use closed
-membership by default (a strict variant is a switch).  Brownian paths use
-Euler steps with strict continuation so that drift-only passages land
-exactly on the boundary grid point.
+One engine walks every path.  The runs are cut into chunks of ``_CHUNK``,
+and a chunk advances ``_BLOCK`` steps at a time as one (live runs x block
+x d) matrix: one draw, one cumulative sum and one exit test at the
+checkpoints inside the block.  Runs that stopped are dropped before the
+next block.  Block b of chunk c draws from the counter-based stream keyed
+by (seed, grid, c, b), one row per live run in run order.  The chunk size
+depends on neither ``n_runs`` nor the worker count, so results are
+bit-identical for any number of workers, and chunks are what the thread
+pool maps over.  ``replay_run`` rebuilds one run's increments from this
+layout.
+
+Discrete walks apply the stopping rule only at schedule sizes, which are
+enumerated lazily as the blocks reach them, and use closed membership by
+default (a strict variant is a switch).  Brownian paths are walks of Euler
+increments with a checkpoint at every step and strict continuation, so
+that drift-only passages land exactly on the boundary grid point.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -21,8 +32,9 @@ from .geometry import Region
 from .moments import DistributionSpec, StreamPool, analytic_moments, sample_block, stream_for_run
 from .schedules import SampleSchedule
 
-_CHUNK = 8192
-_BLOCK = 256
+_CHUNK = 1024  # runs per chunk: the unit of stream keying and of the thread pool
+_FIRST = 32    # steps in a chunk's first block; each next block doubles, up to _BLOCK
+_BLOCK = 256   # steps per block: 1024 runs x 256 steps is 2 MB of doubles at d = 1
 
 
 class AllTruncatedError(RuntimeError):
@@ -82,88 +94,154 @@ def _exit_test(region: Region, boundary: str):
     return lambda ts, ss: region.inside(ts, ss, strict) != continuity
 
 
-def _block_plan(schedule: SampleSchedule, horizon: int):
-    """Fixed ladder of draw blocks with the schedule checkpoints inside each."""
-    points = list(schedule.iter_elements(horizon))
-    plan = []
-    start = 0
-    idx = 0
-    while start < horizon:
-        length = min(_BLOCK, horizon - start)
-        offs, vals = [], []
-        while idx < len(points) and points[idx] <= start + length:
-            offs.append(points[idx] - start - 1)
-            vals.append(points[idx])
-            idx += 1
-        plan.append((start, length, np.array(offs, dtype=np.int64),
-                     np.array(vals, dtype=np.float64)))
-        start += length
-        if idx >= len(points):
-            break
-    return plan
+def _blocks(n_steps: int):
+    """(block, start, length) of the blocks that cover steps 1..n_steps.
+
+    Blocks grow from ``_FIRST`` to ``_BLOCK`` steps, so that short walks
+    draw little more than they use and long ones few, large blocks.
+    """
+    block, start, length = 0, 0, _FIRST
+    while start < n_steps:
+        yield block, start, min(length, n_steps - start)
+        block, start, length = block + 1, start + length, min(2 * length, _BLOCK)
+
+
+def _stream_key(grid: int, chunk: int, block: int) -> int:
+    """``StreamPool`` index of one block: 2 bits of grid, 30 of chunk, 32 of block."""
+    return grid << 62 | chunk << 32 | block
+
+
+class _Checkpoints:
+    """Schedule sizes in (lo, hi], enumerated up to a reach that doubles as blocks pass it."""
+
+    def __init__(self, schedule: SampleSchedule, horizon: int):
+        self._schedule, self._horizon = schedule, horizon
+        self._reach, self._points = 0, np.empty(0, dtype=np.int64)
+        self._lock = threading.Lock()  # chunks on worker threads share the enumeration
+
+    def __call__(self, lo: int, hi: int) -> np.ndarray:
+        if hi > self._reach:
+            with self._lock:
+                if hi > self._reach:
+                    reach = min(max(hi, 2 * self._reach), self._horizon)
+                    self._points = np.fromiter(self._schedule.iter_elements(reach), np.int64)
+                    self._reach = reach
+        points = self._points
+        return points[np.searchsorted(points, lo, "right"):np.searchsorted(points, hi, "right")]
+
+
+def _walk(draw, checkpoints, stops, dim: int, n_steps: int, n_runs: int, seed: int,
+          grid: int, workers: int, horizon: float, cap: float, scale: float = 1.0,
+          anchor: float = 0.0) -> PathSample:
+    """Walk ``n_runs`` paths for at most ``n_steps`` steps, chunk by chunk.
+
+    ``draw(rng, runs, length)`` gives a (runs, length, dim) block of
+    increments, ``checkpoints(lo, hi)`` the steps in (lo, hi] where the rule
+    is checked, and ``stops(ts, ss)`` the exit test at times ``step *
+    scale``.  ``anchor`` is the time recorded as ``last_before`` for a stop
+    at the first checkpoint; truncated runs record ``cap`` as their stop.
+    """
+    stop_n = np.full(n_runs, float(cap))
+    stop_sum = np.empty((n_runs, dim))
+    last_before = np.empty(n_runs)
+    truncated = np.zeros(n_runs, dtype=bool)
+
+    def run_chunk(chunk: int):
+        pool = StreamPool(seed)
+        rows = np.arange(chunk * _CHUNK, min((chunk + 1) * _CHUNK, n_runs))
+        total = np.zeros((rows.size, dim))
+        last = float(anchor)
+        for block, start, length in _blocks(n_steps):
+            if not rows.size:
+                break
+            rng = pool.stream(_stream_key(grid, chunk, block))
+            sums = draw(rng, rows.size, length)
+            np.cumsum(sums, axis=1, out=sums)
+            sums += total[:, None, :]
+            steps = checkpoints(start, start + length)
+            if steps.size:
+                ts = steps * scale
+                at = sums if steps.size == length else sums[:, steps - start - 1]
+                shape = at.shape[:2]
+                hits = stops(np.broadcast_to(ts, shape).ravel(), at.reshape(-1, dim)).reshape(shape)
+                first = hits.argmax(axis=1)
+                done = hits[np.arange(rows.size), first]
+                if done.any():
+                    j, gone = first[done], rows[done]
+                    stop_n[gone] = ts[j]
+                    stop_sum[gone] = at[done, j]
+                    last_before[gone] = np.where(j > 0, ts[j - 1], last)
+                    rows, sums = rows[~done], sums[~done]
+                last = float(ts[-1])
+            total = sums[:, -1]
+        truncated[rows] = True
+        stop_sum[rows] = total
+        last_before[rows] = last
+
+    n_chunks = -(-n_runs // _CHUNK)
+    if workers > 1 and n_chunks > 1:
+        with ThreadPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
+            list(pool.map(run_chunk, range(n_chunks)))
+    else:
+        for chunk in range(n_chunks):
+            run_chunk(chunk)
+    if bool(truncated.all()):
+        raise AllTruncatedError("every run hit the horizon cap")
+    return PathSample(stop_n, stop_sum, last_before, truncated, seed, float(horizon))
+
+
+def _last_step(schedule: SampleSchedule, horizon: int) -> int:
+    """The last sample size a walk may need: the horizon or a finite schedule's end."""
+    if schedule.element(1) > horizon:
+        raise ValueError("horizon lies below the first schedule element")
+    return min(horizon, schedule.values[-1]) if schedule.finite else horizon
 
 
 def discrete_paths(region: Region, spec: DistributionSpec, schedule: SampleSchedule,
                    n_runs: int, horizon: int = 1_000_000, seed: int = 0,
                    boundary: str = "closed", workers: int = 1) -> PathSample:
-    """Simulate stopping times of the i.i.d. walk, one stream per run.
+    """Simulate stopping times of the i.i.d. walk (grid 0 of the stream layout).
 
     The rule is evaluated only at schedule sizes; ``last_before`` records
     the schedule size preceding the stop (the start anchor when the rule
     fires at the first size).  Runs reaching the horizon are marked
-    truncated and keep their horizon-size state.
+    truncated; a finite schedule ends the walk at its last size.
     """
     if boundary not in ("closed", "strict"):
         raise ValueError("boundary must be 'closed' or 'strict'")
     if region.dim != spec.dim:
         raise ValueError("region and distribution dimensions disagree")
-    plan = _block_plan(schedule, horizon)
-    if not plan or all(p[2].size == 0 for p in plan):
-        raise ValueError("horizon lies below the first schedule element")
-    stops = _exit_test(region, boundary)
+    n_steps = _last_step(schedule, horizon)
     d = spec.dim
 
-    stop_n = np.empty(n_runs)
-    stop_sum = np.empty((n_runs, d))
-    last_before = np.empty(n_runs)
-    truncated = np.zeros(n_runs, dtype=bool)
+    def draw(rng, runs: int, length: int) -> np.ndarray:
+        return sample_block(spec, rng, runs * length).reshape(runs, length, d)
 
-    def run_one(rng, idx: int):
-        total = np.zeros(d)
-        last = float(schedule.n0)
-        for start, length, offs, vals in plan:
-            draws = sample_block(spec, rng, length)
-            sums = total + np.cumsum(draws, axis=0)
-            if offs.size:
-                hits = stops(vals, sums[offs])
-                where = np.nonzero(hits)[0]
-                if where.size:
-                    j = int(where[0])
-                    prev = last if j == 0 else vals[j - 1]
-                    return vals[j], sums[offs[j]], prev, False
-                last = vals[-1]
-            total = sums[-1]
-        return float(horizon), total, last, True
+    return _walk(draw, _Checkpoints(schedule, horizon), _exit_test(region, boundary), d,
+                 n_steps, n_runs, seed, 0, workers, horizon, cap=horizon, anchor=schedule.n0)
 
-    def run_span(lo: int, hi: int):
-        pool = StreamPool(seed)
-        for idx in range(lo, hi):
-            n, s, prev, trunc = run_one(pool.stream(idx), idx)
-            stop_n[idx] = n
-            stop_sum[idx] = s
-            last_before[idx] = prev
-            truncated[idx] = trunc
 
-    spans = [(lo, min(lo + _CHUNK, n_runs)) for lo in range(0, n_runs, _CHUNK)]
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda span: run_span(*span), spans))
-    else:
-        for span in spans:
-            run_span(*span)
-    if bool(truncated.all()):
-        raise AllTruncatedError("every run hit the horizon cap")
-    return PathSample(stop_n, stop_sum, last_before, truncated, seed, float(horizon))
+def replay_run(seed: int, run: int, spec: DistributionSpec, schedule: SampleSchedule,
+               stop_n: np.ndarray, horizon: int) -> np.ndarray:
+    """The increments of one run of ``discrete_paths`` up to its stop, shape (steps, dim).
+
+    Rebuilt from the stream layout alone: block b of the run's chunk drew
+    one row per run of the chunk whose stop lies beyond the block's start,
+    in run order.  ``stop_n`` holds the stop sizes of all the walk's runs,
+    which fix those rows; the schedule and horizon fix where the walk ends.
+    """
+    chunk, d = run // _CHUNK, spec.dim
+    peers = np.asarray(stop_n)[chunk * _CHUNK:(chunk + 1) * _CHUNK]
+    end = int(stop_n[run])
+    pool, out = StreamPool(seed), []
+    for block, start, length in _blocks(_last_step(schedule, horizon)):
+        if start >= end:
+            break
+        live = peers > start
+        draws = sample_block(spec, pool.stream(_stream_key(0, chunk, block)), live.sum() * length)
+        row = np.count_nonzero(live[:run - chunk * _CHUNK])
+        out.append(draws.reshape(-1, length, d)[row])
+    return np.concatenate(out)[:end]
 
 
 def estimate_from_paths(paths: PathSample, overshoot_level: Optional[float] = None) -> SimulationEstimate:
@@ -193,85 +271,48 @@ def run_discrete(region: Region, spec: DistributionSpec, schedule: SampleSchedul
 
 
 def _brownian_paths(region: Region, drift, diffusion, dt: float, n_runs: int,
-                    horizon: float, seed: int, index_offset: int, workers: int) -> PathSample:
+                    horizon: float, seed: int, grid: int, workers: int) -> PathSample:
+    """Euler walk: increments drift*dt + sqrt(dt)*diffusion*N(0, 1), checked every step."""
     drift_vec = np.atleast_1d(np.asarray(drift, dtype=float))
     diff_vec = np.atleast_1d(np.asarray(diffusion, dtype=float))
     d = drift_vec.shape[0]
     if diff_vec.shape[0] == 1 and d > 1:
         diff_vec = np.full(d, float(diff_vec[0]))
     n_steps = int(math.ceil(horizon / dt))
+    step_drift, step_noise = drift_vec * dt, math.sqrt(dt) * diff_vec
+    noisy = bool(np.any(diff_vec != 0.0))
+
+    def draw(rng, runs: int, length: int) -> np.ndarray:
+        if not noisy:
+            return np.full((runs, length, d), step_drift)
+        out = rng.standard_normal((runs, length, d))
+        out *= step_noise
+        out += step_drift
+        return out
+
     # continuity regions use strict continuation so that drift-only passages
     # stop exactly when the path reaches the boundary grid point
     boundary = "strict" if region.kind == "continuity" else "closed"
-    stops = _exit_test(region, boundary)
-    sqdt = math.sqrt(dt)
-    step_drift = drift_vec * dt
-    noisy = bool(np.any(diff_vec != 0.0))
-
-    stop_n = np.empty(n_runs)
-    stop_sum = np.empty((n_runs, d))
-    last_before = np.empty(n_runs)
-    truncated = np.zeros(n_runs, dtype=bool)
-    block = 512
-
-    def run_one(rng, idx: int):
-        w = np.zeros(d)
-        prev_t = 0.0
-        k = 0
-        while k < n_steps:
-            length = min(block, n_steps - k)
-            if noisy:
-                incr = step_drift + sqdt * diff_vec * rng.standard_normal((length, d))
-            else:
-                incr = np.tile(step_drift, (length, 1))
-            path = w + np.cumsum(incr, axis=0)
-            ts = (np.arange(1, length + 1) + k) * dt
-            hits = stops(ts, path)
-            where = np.nonzero(hits)[0]
-            if where.size:
-                j = int(where[0])
-                prev = prev_t if j == 0 else ts[j - 1]
-                return ts[j], path[j], prev, False
-            w = path[-1]
-            prev_t = ts[-1]
-            k += length
-        return float(n_steps) * dt, w, prev_t, True
-
-    def run_span(lo: int, hi: int):
-        pool = StreamPool(seed)
-        for idx in range(lo, hi):
-            t, s, prev, trunc = run_one(pool.stream(index_offset + idx), idx)
-            stop_n[idx] = t
-            stop_sum[idx] = s
-            last_before[idx] = prev
-            truncated[idx] = trunc
-
-    spans = [(lo, min(lo + _CHUNK, n_runs)) for lo in range(0, n_runs, _CHUNK)]
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda span: run_span(*span), spans))
-    else:
-        for span in spans:
-            run_span(*span)
-    if bool(truncated.all()):
-        raise AllTruncatedError("every Brownian run hit the horizon cap")
-    return PathSample(stop_n, stop_sum, last_before, truncated, seed, float(horizon))
+    return _walk(draw, lambda lo, hi: np.arange(lo + 1, hi + 1), _exit_test(region, boundary),
+                 d, n_steps, n_runs, seed, grid, workers, horizon, cap=float(n_steps) * dt,
+                 scale=dt)
 
 
 def run_brownian(region: Region, drift, diffusion, dt: float, n_runs: int,
                  horizon: float = 10_000.0, seed: int = 0, workers: int = 1) -> SimulationEstimate:
     """Euler-discretized first passage for drifted Brownian motion.
 
-    The estimate is computed at step sizes dt and dt/4; the headline figures
-    come from the finer grid and the difference between the two is recorded
-    as the discretization diagnostic.  Discrete crossing detection misses
-    excursions between grid points, which biases passage times upward for
-    exits through an upper boundary; the two-grid difference quantifies it.
+    The estimate is computed at step sizes dt (stream grid 1) and dt/4
+    (grid 0); the headline figures come from the finer grid and the
+    difference between the two is recorded as the discretization
+    diagnostic.  Discrete crossing detection misses excursions between grid
+    points, which biases passage times upward for exits through an upper
+    boundary; the two-grid difference quantifies it.
     """
     coarse = _brownian_paths(region, drift, diffusion, dt, n_runs, horizon, seed,
-                             index_offset=n_runs, workers=workers)
+                             grid=1, workers=workers)
     fine = _brownian_paths(region, drift, diffusion, dt / 4.0, n_runs, horizon, seed,
-                           index_offset=0, workers=workers)
+                           grid=0, workers=workers)
     mean, stderr = _mean_stderr(fine.stop_n)
     coarse_mean, coarse_stderr = _mean_stderr(coarse.stop_n)
     extras = {"coarse": (coarse_mean, coarse_stderr)}

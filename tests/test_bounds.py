@@ -228,8 +228,7 @@ def test_scalar_halfspace_matches_its_constant_region():
     spec = sb.bernoulli_affine(-1, 1, 0.7)
     flipped = bundle(spec, sb.halfspace_region([-1.0], 0.0, -5.0, "ge"), sb.naturals())
     plain = bundle(spec, sb.constant_region(5.0, "le"), sb.naturals())
-    # the overshoot tags need the constant family's threshold level by design
-    for tag in (t for t in ALL_TAGS if not t.startswith(("Lorden-", "Brown"))):
+    for tag in (t for t in ALL_TAGS if not t.startswith("Brown")):
         a, b = bound_report(tag, flipped), bound_report(tag, plain)
         assert a.applicable == b.applicable, tag
         if math.isnan(b.value):
@@ -238,6 +237,23 @@ def test_scalar_halfspace_matches_its_constant_region():
             assert a.value == pytest.approx(b.value, rel=1e-9, abs=1e-9), tag
     t11 = bound_report("T11-upper-bounded", flipped)
     assert t11.applicable and math.isfinite(t11.value)
+
+
+@pytest.mark.parametrize("spec,schedule", [(sb.exponential(1.0), sb.naturals()),
+                                           (sb.uniform_interval(0.5, 1.5), sb.arithmetic(0, 3))],
+                         ids=["exponential-naturals", "uniform-arith"])
+def test_flat_threshold_forms_give_identical_lorden_reports(spec, schedule):
+    forms = [sb.constant_region(2.5, "ge", "stopping"),
+             sb.affine_region(0.0, 2.5, "ge", "stopping"),
+             sb.halfspace_region([1.0], 0.0, 2.5, "ge", "stopping"),
+             sb.halfspace_region([-1.0], 0.0, -2.5, "ge")]  # continuity {s <= 2.5}
+    for tag in ("Lorden-T6", "Lorden-T7"):
+        reports = [bound_report(tag, bundle(spec, region, schedule)) for region in forms]
+        assert "constant-threshold" not in reports[0].failed_assumptions(), tag
+        assert math.isfinite(reports[0].value), tag
+        assert all(r == reports[0] for r in reports[1:]), tag
+    sloped = bundle(spec, sb.affine_region(0.1, 2.5, "ge", "stopping"), schedule)
+    assert bound_report("Lorden-T6", sloped).failed_assumptions() == ["constant-threshold"]
 
 
 def test_gradient_bound_gates():

@@ -1,9 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 
 import stopbounds as sb
-from stopbounds.moments import sample_block, stream_for_run
-from stopbounds.simulate import AllTruncatedError, discrete_paths
+from stopbounds.simulate import (_BLOCK, _CHUNK, AllTruncatedError, _blocks, discrete_paths,
+                                 replay_run)
 
 
 def test_point_mass_continuity_anchor():
@@ -38,6 +40,15 @@ def test_boundary_convention_switch():
     assert strict.mean == 5.0  # boundary touch already counts as exit
 
 
+def _block_sums(draws):
+    """Running sums as the engine forms them: each block's cumsum plus the total before it."""
+    sums, total = [], 0.0
+    for _, lo, length in _blocks(draws.size):
+        sums.append(total + np.cumsum(draws[lo:lo + length]))
+        total = sums[-1][-1]
+    return np.concatenate(sums)
+
+
 def test_paths_respect_schedule_and_rule():
     region = sb.constant_region(5.0, "ge", "stopping")
     sched = sb.arithmetic(1, 3)  # checks at 4, 7, 10, ...
@@ -51,14 +62,62 @@ def test_paths_respect_schedule_and_rule():
         assert m < n
         assert m == sched.n0 or int(m) in allowed
         # replay the stream: the rule must fail at every earlier checkpoint
-        draws = sample_block(spec, stream_for_run(5, idx), 256)[:, 0]
-        sums = np.cumsum(draws)
+        draws = replay_run(5, idx, spec, sched, paths.stop_n, int(paths.horizon))[:, 0]
+        assert draws.shape == (n,)
+        sums = _block_sums(draws)
         for point in sched.iter_elements(n):
             if point < n:
                 assert sums[point - 1] < 5.0
             else:
                 assert sums[point - 1] >= 5.0
         assert paths.stop_sum[idx, 0] == sums[n - 1]
+
+
+def test_replay_spans_chunks_and_long_walks():
+    # a level far above the block length makes runs outlive several blocks,
+    # and 2300 runs give a partial third chunk
+    assert 2300 % _CHUNK and 2300 > 2 * _CHUNK
+    region = sb.constant_region(500.0, "ge", "stopping")
+    sched = sb.arithmetic(0, 7)
+    spec = sb.uniform_interval(0.0, 2.0)
+    paths = discrete_paths(region, spec, sched, 2300, seed=8, workers=2)
+    # stops fall in several blocks, so later blocks draw for fewer runs
+    starts = [start for _, start, _ in _blocks(1000)]
+    assert len(set(np.searchsorted(starts, paths.stop_n))) > 1
+    assert paths.stop_n.min() > 3 * _BLOCK // 2  # and every run outlives several blocks
+    picked = list(range(0, 2300, 97)) + [_CHUNK - 1, _CHUNK, 2299]
+    for idx in picked:
+        n = int(paths.stop_n[idx])
+        sums = _block_sums(replay_run(8, idx, spec, sched, paths.stop_n, int(paths.horizon))[:, 0])
+        assert sums.shape == (n,)
+        assert all(sums[p - 1] < 500.0 for p in sched.iter_elements(n) if p < n)
+        assert sums[n - 1] >= 500.0
+        assert paths.stop_sum[idx, 0] == sums[n - 1]
+
+
+@pytest.mark.parametrize("schedule,horizon", [(sb.naturals(), 0),
+                                              (sb.explicit([50, 60], 1.0, 50.0), 49)],
+                         ids=["naturals-horizon-0", "explicit-beyond-horizon"])
+def test_horizon_below_first_element_fails_cleanly(schedule, horizon):
+    region = sb.constant_region(5.0, "ge", "stopping")
+    with pytest.raises(ValueError, match="horizon lies below the first schedule element"):
+        discrete_paths(region, sb.point_mass(1.0), schedule, 10, horizon=horizon)
+
+
+def test_finite_schedule_ends_the_walk():
+    # checks only at 2 and 3: runs below level 2 at size 3 are truncated
+    region = sb.constant_region(2.0, "ge", "stopping")
+    spec, sched = sb.bernoulli_affine(0, 1, 0.5), sb.explicit([2, 3], 1.0, 1.0)
+    paths = discrete_paths(region, spec, sched, 2000, horizon=10**12, seed=1)
+    cut = paths.truncated
+    assert 0 < cut.sum() < 2000
+    assert np.all(paths.stop_n[cut] == 1e12) and np.all(paths.last_before[cut] == 3.0)
+    assert np.all(paths.stop_sum[cut, 0] < 2.0)  # the sum at size 3: nothing drawn beyond it
+    for idx in range(0, 2000, 37):
+        draws = replay_run(1, idx, spec, sched, paths.stop_n, 10**12)
+        assert draws.shape == (min(paths.stop_n[idx], 3), 1)
+        assert draws.sum() == paths.stop_sum[idx, 0]
+    assert np.all(paths.stop_n[~cut] <= 3.0)
 
 
 def test_truncation_accounting_and_bias_flag():
@@ -76,11 +135,31 @@ def test_truncation_accounting_and_bias_flag():
 def test_worker_count_is_invisible():
     region = sb.constant_region(5.0, "ge", "stopping")
     spec = sb.bernoulli_affine(0, 1, 0.5)
+    assert 20_000 % _CHUNK  # a partial last chunk
     a = discrete_paths(region, spec, sb.naturals(), 20_000, seed=9, workers=1)
-    b = discrete_paths(region, spec, sb.naturals(), 20_000, seed=9, workers=8)
-    assert np.array_equal(a.stop_n, b.stop_n)
-    assert np.array_equal(a.stop_sum, b.stop_sum)
-    assert np.array_equal(a.last_before, b.last_before)
+    for workers in (3, 8):
+        b = discrete_paths(region, spec, sb.naturals(), 20_000, seed=9, workers=workers)
+        assert np.array_equal(a.stop_n, b.stop_n)
+        assert np.array_equal(a.stop_sum, b.stop_sum)
+        assert np.array_equal(a.last_before, b.last_before)
+        assert np.array_equal(a.truncated, b.truncated)
+
+
+def test_shared_checkpoints_under_thread_switching():
+    # more threads than cores extend the shared lazy checkpoint list while
+    # others read it; a lost update would move some run's stop
+    region = sb.constant_region(1500.0, "ge", "stopping")
+    args = (region, sb.exponential(1.0), sb.arithmetic(0, 3), 6 * _CHUNK + 5)
+    one = discrete_paths(*args, seed=12)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        many = discrete_paths(*args, seed=12, workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(one.stop_n, many.stop_n)
+    assert np.array_equal(one.stop_sum, many.stop_sum)
+    assert np.array_equal(one.last_before, many.last_before)
 
 
 def test_overshoot_nonnegative_in_threshold_runs():
@@ -131,10 +210,13 @@ def test_brownian_diffusive_first_passage():
 
 def test_brownian_workers_bit_identical():
     region = sb.constant_region(4.0)
+    assert 2000 % _CHUNK  # a partial last chunk
     a = sb.run_brownian(region, 0.5, 1.0, 0.05, 2000, horizon=200.0, seed=5, workers=1)
-    b = sb.run_brownian(region, 0.5, 1.0, 0.05, 2000, horizon=200.0, seed=5, workers=6)
-    assert a.mean == b.mean and a.stderr == b.stderr
-    assert a.extras["coarse"] == b.extras["coarse"]
+    for workers in (3, 6, 8):
+        b = sb.run_brownian(region, 0.5, 1.0, 0.05, 2000, horizon=200.0, seed=5,
+                            workers=workers)
+        assert a.mean == b.mean and a.stderr == b.stderr
+        assert a.extras == b.extras
 
 
 @pytest.mark.parametrize("region,spec,schedule", [

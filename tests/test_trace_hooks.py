@@ -70,3 +70,67 @@ def test_discrete_paths_calls_the_swapped_slack(region, spec):
     plain = discrete_paths(region, spec, sb.naturals(), 20, seed=2)
     assert sum(points) > 0
     assert np.array_equal(traced.stop_n, plain.stop_n)
+
+
+class _CountingGenerator:
+    """Generator proxy that counts the variates each method hands out."""
+
+    def __init__(self, gen, drawn):
+        self._gen, self._drawn = gen, drawn
+
+    def __getattr__(self, name):
+        method = getattr(self._gen, name)
+
+        def counted(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self._drawn[name] = self._drawn.get(name, 0) + np.size(out)
+            return out
+
+        return counted
+
+
+def _route(monkeypatch):
+    """Counting wrappers over the two names the tracer patches for draws and rekeys."""
+    log = {"keys": [], "drawn": {}, "block_draws": 0, "foreign_rng": 0}
+    stream, block = moments.StreamPool.stream, simulate.sample_block
+
+    def counting_stream(pool, index):
+        log["keys"].append(index)
+        return _CountingGenerator(stream(pool, index), log["drawn"])
+
+    def counting_block(spec, rng, n):
+        log["block_draws"] += n * spec.dim
+        log["foreign_rng"] += not isinstance(rng, _CountingGenerator)
+        return block(spec, rng, n)
+
+    monkeypatch.setattr(moments.StreamPool, "stream", counting_stream)
+    monkeypatch.setattr(simulate, "sample_block", counting_block)
+    return log
+
+
+def test_discrete_draws_and_keys_go_through_the_traced_names(monkeypatch):
+    region = sb.halfspace_region([1.0, 1.0], 0.0, 8.0, "ge", "stopping")
+    spec = sb.product([SCALAR, sb.exponential(2.0)])
+    plain = discrete_paths(region, spec, sb.naturals(), 2500, seed=4)
+    routed = _route(monkeypatch)
+    traced = discrete_paths(region, spec, sb.naturals(), 2500, seed=4, workers=3)
+    assert np.array_equal(traced.stop_n, plain.stop_n)
+    assert np.array_equal(traced.stop_sum, plain.stop_sum)
+    # one fresh key per block, every variate drawn through sample_block on a keyed stream
+    assert len(routed["keys"]) == len(set(routed["keys"])) >= 3
+    assert routed["foreign_rng"] == 0
+    assert sum(routed["drawn"].values()) == routed["block_draws"]
+    assert traced.stop_n.sum() * spec.dim <= routed["block_draws"]  # draw efficiency <= 1
+
+
+def test_brownian_draws_and_keys_go_through_the_traced_names(monkeypatch):
+    args = (sb.constant_region(4.0), 0.5, 1.0, 0.05, 1500)
+    plain = simulate.run_brownian(*args, horizon=200.0, seed=5, workers=1)
+    routed = _route(monkeypatch)
+    traced = simulate.run_brownian(*args, horizon=200.0, seed=5, workers=2)
+    assert (traced.mean, traced.stderr, traced.extras) == (plain.mean, plain.stderr, plain.extras)
+    assert len(routed["keys"]) == len(set(routed["keys"]))
+    assert set(routed["drawn"]) == {"standard_normal"}
+    used = traced.n_runs * (traced.mean / 0.0125 + traced.extras["coarse"][0] / 0.05)
+    assert used <= routed["drawn"]["standard_normal"]
+    assert routed["block_draws"] == 0

@@ -78,6 +78,14 @@ def _real(value, what: str, kind=float, minimum=None):
     return kind(value)
 
 
+def _seed(value, what: str) -> int:
+    """A seed in [0, 2**64), the range of the Philox key word it becomes."""
+    seed = _real(value, what, int, 0)
+    if seed >= 2**64:
+        raise ConfigError(f"{what} must be below 2**64, got {value!r}")
+    return seed
+
+
 def _reals(value, what: str):
     """A number, or a nonempty list of numbers, as given."""
     if isinstance(value, list) and value:
@@ -393,7 +401,8 @@ def main(argv=None) -> int:
         if args.runs is not None:
             sim = _object(config.get("simulate", {}), "simulate")
             config["simulate"] = dict(sim, n_runs=args.runs)
-        seed = args.seed if args.seed is not None else _real(config.get("seed", 0), "seed", int)
+        seed = (_seed(args.seed, "--seed") if args.seed is not None
+                else _seed(config.get("seed", 0), "seed"))
         out = args.out or str(Path(args.config).with_suffix(f".report.{args.format}"))
         if args.command == "bound":
             return cmd_bound(config, seed, out, args.format)

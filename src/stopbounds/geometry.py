@@ -12,6 +12,8 @@ zero on the boundary) that broadcasts over points, and, for the d = 1
 families bounded by s = f(t), the exact boundary slope f'.  The slack gives
 vectorized membership and Brent root refinement; the slope gives the exact
 log-gradient 1/(f'(m) - mean), and a halfspace gives -a/(<a, mean> + b).
+The Brent refinement is in-house (``_brent``, a port of scipy's ``brentq``
+that takes the same steps), so this module needs numpy only.
 Regions built from a plain membership oracle take the numeric path:
 bisection for boundary roots and Richardson differences for the gradient.
 """
@@ -23,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 DOUBLING_CAP = 2.0**60
 
@@ -262,6 +263,62 @@ def _ray_member(region: Region, v: np.ndarray):
     return member
 
 
+def _brent(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """A root of f between xa and xb by Brent's method (Brent 1973, ch. 4).
+
+    A line-for-line port of scipy's ``brentq.c``: on IEEE doubles it takes the
+    same steps and returns the same root as ``scipy.optimize.brentq``.  Stops
+    when the bracket half-width is below (xtol + rtol*|x|)/2.  Raises
+    ``ValueError`` for ends of one sign or a NaN value, ``RuntimeError`` when
+    ``maxiter`` steps do not converge.
+    """
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(xa) and f(xb) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                # C divides by a zero den to an infinity or a NaN, and so bisects
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Brent's method did not converge in {maxiter} iterations")
+
+
 def _boundary_root(region: Region, point, inside: float, outside: float, tol: float) -> float:
     """The boundary crossing of x -> point(x) = (t, s) between a member and a non-member.
 
@@ -274,8 +331,7 @@ def _boundary_root(region: Region, point, inside: float, outside: float, tol: fl
         if f_in == 0.0:
             return inside
         if f_in > 0.0 > f_out and math.isfinite(f_in) and math.isfinite(f_out):
-            return float(brentq(phi, min(inside, outside), max(inside, outside),
-                                xtol=1e-15, rtol=8.9e-16))
+            return _brent(phi, min(inside, outside), max(inside, outside), 1e-15, 8.9e-16)
     while abs(outside - inside) > tol:
         mid = 0.5 * (inside + outside)
         if region.contains(*point(mid)):

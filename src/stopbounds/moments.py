@@ -19,7 +19,6 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -115,6 +114,8 @@ def _Phi(x: float) -> float:
 
 
 def _quad(fn, lo: float, hi: float) -> float:
+    from scipy import integrate  # only random thresholds with a density get here
+
     return integrate.quad(fn, lo, hi, limit=200)[0]
 
 
@@ -347,14 +348,20 @@ def analytic_moments(spec: DistributionSpec) -> MomentProfile:
     return MomentProfile(mean, pos, pos.copy(), var, a3)
 
 
+def _seed_word(seed: int) -> int:
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed!r}")
+    return seed
+
+
 def stream_for_run(seed: int, index: int) -> np.random.Generator:
     """Counter-based stream for one simulation run.
 
     Distinct (seed, index) pairs map to distinct Philox keys, so draws are
     independent across runs and identical regardless of scheduling or worker
-    count.
+    count.  ``seed`` must lie in [0, 2**64), the Philox key word it becomes.
     """
-    key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
+    key = np.array([_seed_word(seed), index & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -369,7 +376,7 @@ class StreamPool:
     """
 
     def __init__(self, seed: int):
-        self._key = np.array([seed & _MASK64, 0], dtype=np.uint64)
+        self._key = np.array([_seed_word(seed), 0], dtype=np.uint64)
         self._zeros = np.zeros(4, dtype=np.uint64)
         self._bg = np.random.Philox(key=self._key)
         self._gen = np.random.Generator(self._bg)

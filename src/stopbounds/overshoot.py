@@ -7,7 +7,8 @@ each family's entry in ``moments.SCALAR_FAMILIES`` gives the law of Y in
 closed form (a point mass, binomial atoms, the Irwin-Hall law in rational
 arithmetic, N(k mu, k sigma^2) and the Erlang finite sums), and a random
 threshold is averaged over its atoms or by deterministic quadrature over
-its density.
+its density; the quadrature loads ``scipy.integrate`` on first use, so the
+package imports numpy only.
 """
 
 from __future__ import annotations

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -19,6 +22,16 @@ def write_config(tmp_path: Path, name: str, payload: dict) -> Path:
 def read_rows(path: Path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_python(*args):
+    """Run a fresh interpreter with this tree's ``src`` first on the path."""
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True)
 
 
 BASE = {
@@ -93,6 +106,15 @@ def test_bound_command_config_errors(tmp_path, capsys):
         path = write_config(tmp_path, "malformed.json", payload)
         assert main([command, str(path), "--out", str(tmp_path / "rep.csv")]) == 2, payload
         assert capsys.readouterr().err.startswith("stopbounds: ")
+    # seeds outside [0, 2**64) would alias in-range Philox keys
+    path = write_config(tmp_path, "seeded.json", dict(BASE, bounds=["T10-upper"]))
+    for seed in (-1, 2**64, 2**70):
+        bad = write_config(tmp_path, "bad-seed.json", dict(BASE, bounds=["T10-upper"], seed=seed))
+        for argv in (["certify", str(bad)], ["certify", str(path), "--seed", str(seed)]):
+            assert main(argv + ["--runs", "16", "--out", str(tmp_path / "rep.csv")]) == 2, argv
+            assert capsys.readouterr().err.startswith("stopbounds: ")
+    assert main(["bound", str(path), "--seed", str(2**64 - 1),
+                 "--out", str(tmp_path / "rep.csv")]) == 0
 
 
 BROWNIAN = {
@@ -338,3 +360,33 @@ def test_worker_count_bit_identical_reports(tmp_path):
                 for line in text.splitlines()]
 
     assert strip(outs[0]) == strip(outs[1])
+
+
+_SCIPY_PROBE = """
+import sys
+import stopbounds, stopbounds.cli, stopbounds.scenarios, stopbounds.overshoot as ovs
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+z = stopbounds.exponential(1.0)
+law = ovs.sum_law(z, 1)
+ovs.threshold_functionals(z, stopbounds.uniform_interval(0.5, 1.5), law.cdf_strict, law.partial_above)
+print("scipy.integrate" in sys.modules)
+"""
+
+
+def test_import_and_cli_runs_load_no_scipy(tmp_path):
+    # importing the package loads numpy only; quadrature for a random threshold
+    # with a density loads scipy.integrate on first use
+    probe = run_python("-c", _SCIPY_PROBE)
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.split() == ["[]", "True"]
+    # -X importtime lists every module the CLI process imports on stderr
+    for argv in (["bound", str(ROOT / "configs" / "bernoulli_threshold_certify.json")],
+                 ["certify", str(ROOT / "configs" / "brownian_passage_certify.json"),
+                  "--runs", "256"]):
+        out = tmp_path / f"{argv[0]}.csv"
+        run = run_python("-X", "importtime", "-m", "stopbounds", *argv, "--out", str(out))
+        assert run.returncode == 0, run.stderr
+        imported = [line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "stopbounds.cli" in imported and len(read_rows(out)) > 0
+        assert not [name for name in imported if name.startswith("scipy")], argv

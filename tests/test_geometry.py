@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 import stopbounds as sb
 from stopbounds.geometry import (
+    _brent,
     EmptySliceError,
     NonConvexityError,
     NoRayExitError,
@@ -325,3 +329,47 @@ def test_ray_entry_and_exit():
     assert sb.ray_entry_and_exit(region, 1.0) == (None, None)
     entry, sup = sb.ray_entry_and_exit(sb.constant_region(0.0, "ge", "stopping"), 1.0)
     assert entry == 0.0
+
+
+# Bracketed functions with their root at r and a shape parameter k > 0.
+_BRENT_SHAPES = {
+    "smooth": lambda r, k: lambda x: (x - r) * (1.0 + k * (x - r) ** 2),
+    "steep": lambda r, k: lambda x: math.expm1(k * (x - r)),
+    "flat-ended": lambda r, k: lambda x: max(-1.0, min(1.0, k * (x - r))),
+    "sqrt-kinked": lambda r, k: lambda x: math.copysign(math.sqrt(k * abs(x - r)), x - r),
+    # slopes near 1e-200, whose products underflow to a zero extrapolation denominator
+    "tiny": lambda r, k: lambda x: 1e-200 * k * (x - r) ** 3,
+}
+
+
+def _root_or_error(solve, f, a, b, **kwargs):
+    try:
+        return solve(f, a, b, xtol=1e-15, rtol=8.9e-16, **kwargs)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("shape", sorted(_BRENT_SHAPES))
+@settings(max_examples=300, deadline=None)
+@given(r=st.floats(-1e3, 1e3), k=st.floats(1e-2, 7.0),
+       below=st.floats(1e-9, 100.0), above=st.floats(1e-9, 100.0), flip=st.booleans())
+def test_brent_matches_scipy_brentq_bit_for_bit(shape, r, k, below, above, flip):
+    f = _BRENT_SHAPES[shape](r, k)
+    a, b = (r + above, r - below) if flip else (r - below, r + above)
+    assert _root_or_error(_brent, f, a, b) == _root_or_error(brentq, f, a, b)
+
+
+def test_brent_edge_cases():
+    line = lambda x: x - 1.0
+    assert _brent(line, 1.0, 3.0, 1e-15, 8.9e-16) == 1.0  # exact zero at either end
+    assert _brent(line, -2.0, 1.0, 1e-15, 8.9e-16) == 1.0
+    with pytest.raises(ValueError):
+        _brent(line, 2.0, 3.0, 1e-15, 8.9e-16)
+    holed = lambda x: math.nan if 0.25 < x < 0.75 else x - 0.5
+    for solve in (_brent, brentq):
+        with pytest.raises(ValueError):
+            solve(holed, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
+    kinked = _BRENT_SHAPES["sqrt-kinked"](0.3, 1.0)
+    for solve in (_brent, brentq):
+        with pytest.raises(RuntimeError):
+            solve(kinked, 0.0, 10.0, xtol=1e-15, rtol=8.9e-16, maxiter=1)

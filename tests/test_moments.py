@@ -119,6 +119,17 @@ def test_stream_pool_matches_fresh_streams(spec):
         assert np.array_equal(a, b)
 
 
+def test_seeds_outside_the_key_word_are_rejected():
+    # a masked seed would alias: -1 and 2**64 - 1 (or 2**64 and 0) would share streams
+    for seed in (-1, 2**64, -(2**64)):
+        with pytest.raises(ValueError):
+            StreamPool(seed)
+        with pytest.raises(ValueError):
+            stream_for_run(seed, 0)
+    top = sample_block(sb.gaussian(0, 1), StreamPool(2**64 - 1).stream(3), 8)
+    assert np.array_equal(top, sample_block(sb.gaussian(0, 1), stream_for_run(2**64 - 1, 3), 8))
+
+
 def test_parameter_domain_errors():
     with pytest.raises(sb.ParameterError):
         sb.bernoulli_affine(1.0, 0.0, 0.5)

@@ -1,7 +1,4 @@
 import math
-import os
-import subprocess
-import sys
 
 import mpmath as mp
 import numpy as np
@@ -111,15 +108,6 @@ def test_batch_laws_match_scipy_stats():
     law = sum_law(sb.bernoulli_affine(0.0, 1.0, 0.3), 1)
     assert law.cdf_strict(0.5) == 1.0 - 0.3
     assert law.partial_above(0.0) == 0.3
-
-
-def test_import_leaves_scipy_stats_unloaded():
-    src = os.path.dirname(os.path.dirname(sb.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", "import stopbounds, sys; "
-                          "print('scipy.stats' in sys.modules)"],
-                         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
 
 
 def test_threshold_functionals_uniform_random_threshold():

@@ -345,11 +345,16 @@ def hyperplane_vertex_upper_bound(hyp: Hyperplane, profile: MomentProfile,
             results[name] = vertex_fraction_max(hyp, slab)
         except ProvisoViolatedError as exc:
             diag[f"{name}_proviso"] = str(exc)
-    checks.append(_chk("denominator-positive", bool(results),
-                       "proviso failed on every available slab" if not results else ""))
+    winner = min(results, key=lambda k: results[k].value, default=None)
+    if winner is not None and results[winner].min_denominator == 0.0:
+        # a zero denominator leaves the vertex maximum unbounded: +inf is the bound
+        checks.append(AssumptionCheck("denominator-positive", "unchecked",
+                                      "minimum vertex denominator is 0: unbounded, value +inf"))
+    else:
+        checks.append(_chk("denominator-positive", bool(results),
+                           "proviso failed on every available slab" if not results else ""))
     if any(c.status == "fail" for c in checks):
         return BoundReport(tag, "upper", math.nan, checks, diag)
-    winner = min(results, key=lambda k: results[k].value)
     res = results[winner]
     diag["winning_slab"] = winner
     diag["vertex"] = res.vertex

@@ -113,6 +113,22 @@ class Region:
             return None
         return _CURVES[self.family["family"]](**self.family)[1]
 
+    @property
+    def linear_slack(self):
+        """(alpha, beta, kappa) with slack alpha - <beta, s> - kappa*t, or None.
+
+        Defined for the families with a flat boundary: constant, affine and
+        halfspace, of either orientation and any dimension.
+        """
+        p = self.family
+        if p is None or p["family"] not in ("constant", "affine", "halfspace"):
+            return None
+        sgn = _sign(p["orientation"])
+        if p["family"] == "halfspace":
+            return sgn * p["level"], sgn * np.asarray(p["s_coef"]), sgn * p["t_coef"]
+        f, slope = _CURVES[p["family"]](**p)
+        return sgn * f(0.0), np.array([sgn]), -sgn * slope(0.0)
+
     def complement_closure(self) -> "Region":
         """Closure of the complement, as a region of the opposite kind.
 
@@ -263,23 +279,25 @@ def _ray_member(region: Region, v: np.ndarray):
     return member
 
 
-def _brent(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+def _brent(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100,
+           fa: Optional[float] = None, fb: Optional[float] = None) -> float:
     """A root of f between xa and xb by Brent's method (Brent 1973, ch. 4).
 
     A line-for-line port of scipy's ``brentq.c``: on IEEE doubles it takes the
     same steps and returns the same root as ``scipy.optimize.brentq``.  Stops
-    when the bracket half-width is below (xtol + rtol*|x|)/2.  Raises
+    when the bracket half-width is below (xtol + rtol*|x|)/2.  ``fa`` and
+    ``fb`` are f(xa) and f(xb) when the caller already has them.  Raises
     ``ValueError`` for ends of one sign or a NaN value, ``RuntimeError`` when
     ``maxiter`` steps do not converge.
     """
-    def value(x):
-        fx = f(x)
+    def value(x, known=None):
+        fx = f(x) if known is None else known
         if math.isnan(fx):
             raise ValueError(f"the function value at x={x} is NaN")
         return fx
 
     xpre, xcur = float(xa), float(xb)
-    fpre, fcur = value(xpre), value(xcur)
+    fpre, fcur = value(xpre, fa), value(xcur, fb)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -331,7 +349,9 @@ def _boundary_root(region: Region, point, inside: float, outside: float, tol: fl
         if f_in == 0.0:
             return inside
         if f_in > 0.0 > f_out and math.isfinite(f_in) and math.isfinite(f_out):
-            return _brent(phi, min(inside, outside), max(inside, outside), 1e-15, 8.9e-16)
+            if inside < outside:
+                return _brent(phi, inside, outside, 1e-15, 8.9e-16, fa=f_in, fb=f_out)
+            return _brent(phi, outside, inside, 1e-15, 8.9e-16, fa=f_out, fb=f_in)
     while abs(outside - inside) > tol:
         mid = 0.5 * (inside + outside)
         if region.contains(*point(mid)):

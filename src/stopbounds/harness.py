@@ -258,9 +258,10 @@ def certify(reports, estimate: SimulationEstimate, slack_sigmas: float = 4.0):
 
     Upper bounds must exceed mean - slack, lower bounds must not exceed
     mean + slack.  A truncated (downward-biased) estimate cannot refute a
-    lower bound, so those comparisons are skipped.  For Euler-discretized
-    estimates the slack also absorbs twice the two-grid discretization
-    diagnostic.
+    lower bound, so those comparisons are skipped.  The slack also absorbs
+    twice the discretization diagnostic, which is nonzero only for Brownian
+    estimates of curved or oracle regions, walked on two Euler grids; exact
+    passage estimates report 0 and get no grid slack.
     """
     grid_bias = 2.0 * estimate.diagnostics.get("discretization_diagnostic", 0.0)
     rows = []

@@ -291,8 +291,11 @@ def vertex_fraction_max(hyp: Hyperplane, slab: Slab, use_primed: bool = False) -
 
     q ranges over {0,1}^d; slope(q) interpolates the upper and lower slab
     slopes elementwise and icept(q) the intercepts.  The positivity of every
-    denominator is the applicability proviso and is checked first.  Ties
-    resolve to the lexicographically smallest maximizing vertex.
+    denominator is the applicability proviso and is checked first: a
+    negative minimum raises, and a minimum of exactly 0 leaves the maximum
+    unbounded, so the value is +inf at the first vertex with that
+    denominator.  Ties resolve to the lexicographically smallest maximizing
+    vertex.
     """
     quad = slab.primed if use_primed else slab
     if quad is None:
@@ -314,9 +317,11 @@ def vertex_fraction_max(hyp: Hyperplane, slab: Slab, use_primed: bool = False) -
         num = hyp.level - float(a @ icept)
         min_den = min(min_den, den)
         rows.append((bits, num, den))
-    if min_den <= 0.0:
+    if min_den < 0.0:
         raise ProvisoViolatedError(
             f"vertex denominator minimum {min_den:.6g} is not positive")
+    if min_den == 0.0:
+        return VertexMaxResult(math.inf, next(bits for bits, _, den in rows if den == 0.0), 0.0)
     for bits, num, den in rows:
         val = num / den
         if val > best_val + 0.0 or (val == best_val and bits < best_vertex):

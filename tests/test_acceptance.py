@@ -5,9 +5,11 @@ lines.  The certification matrix (criterion 1) is computed once and shared
 with the anchor checks.
 """
 
+import csv
 import itertools
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,6 +244,25 @@ def test_criterion_6_brownian_suite():
             2.0 * line["estimate"].diagnostics["discretization_diagnostic"])
 
     _announce(6, run)
+
+
+@pytest.mark.parametrize("seed", range(401, 411))
+def test_brownian_cases_certify_on_seed(seed, tmp_path):
+    # the exact passage sampler has no grid bias, so every applicable
+    # Brownian bound must pass on any seed at the default sizes
+    for row in brownian_cases():
+        bundle = row["bundle"]
+        reports = [brownian_report(tag, bundle) for tag in row["tags"]]
+        estimate = run_brownian(bundle.region, bundle.drift, bundle.diffusion, bundle.dt,
+                                bundle.n_runs, bundle.horizon, seed)
+        assert estimate.diagnostics["passage"] == "exact-inverse-gaussian"
+        verdicts = {r.theorem: r.verdict for r in certify(reports, estimate)}
+        assert set(verdicts.values()) == {"pass"}, (bundle.name, verdicts)
+    config = Path(__file__).resolve().parents[1] / "configs" / "brownian_passage_certify.json"
+    out = tmp_path / "report.csv"
+    assert cli_main(["certify", str(config), "--seed", str(seed), "--out", str(out)]) == 0
+    with open(out) as fh:
+        assert {row["verdict"] for row in csv.DictReader(fh)} == {"pass"}
 
 
 def test_criterion_7_validator_suite():

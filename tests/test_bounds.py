@@ -7,6 +7,7 @@ import pytest
 import stopbounds as sb
 from stopbounds.bounds import ALL_TAGS, overshoot_upper_bound
 from stopbounds.harness import ScenarioBundle, bound_report
+from stopbounds.scenarios import certification_matrix
 
 
 def bundle(spec, region, schedule, **decl):
@@ -413,3 +414,20 @@ def test_inapplicable_report_carries_no_consumable_value():
     report = bound_report("T15-hyperplane-bounded", b)
     assert not report.applicable
     assert math.isnan(report.value)
+
+
+def test_t14_zero_vertex_denominator_gives_an_applicable_infinity():
+    # the square-root boundary's supporting plane makes the deviation slab's
+    # smallest vertex denominator exactly 0: the vertex maximum is unbounded
+    row = next(r for r in certification_matrix(10) if r["bundle"].name == "sqrt-bernoulli-naturals")
+    report = bound_report("T14-hyperplane", row["bundle"])
+    assert report.applicable and report.value == math.inf
+    assert report.diagnostics["min_denominator"] == 0.0
+    check = next(c for c in report.assumptions if c.ident == "denominator-positive")
+    assert check.status == "unchecked" and "unbounded" in check.note
+    # a negative smallest denominator still fails the proviso
+    hyp = row["bundle"].hyperplane
+    steeper = sb.Hyperplane(hyp.s_coef, hyp.t_coef - 1.0, hyp.level, hyp.anchor)
+    report = sb.hyperplane_vertex_upper_bound(steeper, row["bundle"].profile, sb.naturals(), "T14")
+    assert not report.applicable and math.isnan(report.value)
+    assert report.failed_assumptions() == ["denominator-positive"]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.optimize import brentq
 
 import stopbounds as sb
 from stopbounds.geometry import (
+    _boundary_root,
     _brent,
     EmptySliceError,
     NonConvexityError,
@@ -373,3 +375,27 @@ def test_brent_edge_cases():
     for solve in (_brent, brentq):
         with pytest.raises(RuntimeError):
             solve(kinked, 0.0, 10.0, xtol=1e-15, rtol=8.9e-16, maxiter=1)
+
+
+@pytest.mark.parametrize("region,inside,outside", [
+    (sb.power_region(2.0, 0.5), 1.0, 8.0),
+    (sb.power_region(2.0, 0.5, "ge", "stopping"), 8.0, 1.0),
+    (sb.affine_region(0.25, 2.0, "le"), 0.5, 4.0),
+], ids=["inside-below", "inside-above", "affine"])
+def test_boundary_root_evaluates_the_slack_once_per_point(region, inside, outside):
+    point = lambda t: (t, np.array([t]))
+    phi = lambda x: float(region.slack_batch(*point(x)))
+    seen = []
+
+    def counting(ts, ss):
+        seen.append(float(ts))
+        return region.slack_batch(ts, ss)
+
+    root = _boundary_root(dataclasses.replace(region, slack_batch=counting), point,
+                          inside, outside, 1e-9)
+    lo, hi = sorted((inside, outside))
+    steps = []
+    assert root == _brent(lambda x: steps.append(x) or phi(x), lo, hi, 1e-15, 8.9e-16)
+    # the two bracket ends and then one evaluation per Brent step, none repeated
+    assert len(seen) == len(set(seen)) == len(steps)
+    assert sorted(seen[:2]) == [lo, hi]

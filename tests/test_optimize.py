@@ -164,6 +164,9 @@ def test_vertex_fraction_proviso_error():
     slab = sb.Slab([0.9], [1.1], [-0.5], [0.5])
     with pytest.raises(ProvisoViolatedError):
         sb.vertex_fraction_max(hyp, slab)
+    # a smallest denominator of exactly 0 leaves the maximum unbounded
+    res = sb.vertex_fraction_max(sb.Hyperplane([1.0], -0.9, 5.0, 5.0), slab)
+    assert (res.value, res.vertex, res.min_denominator) == (math.inf, (1,), 0.0)
 
 
 @settings(max_examples=30, deadline=None)

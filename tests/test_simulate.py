@@ -1,10 +1,13 @@
+import math
 import sys
 
 import numpy as np
 import pytest
 
 import stopbounds as sb
-from stopbounds.simulate import (_BLOCK, _CHUNK, AllTruncatedError, _blocks, discrete_paths,
+from stopbounds.moments import StreamPool
+from stopbounds.simulate import (_BLOCK, _CHUNK, AllTruncatedError, _blocks, _coefficients,
+                                 _exact_paths, _passage_line, _stream_key, discrete_paths,
                                  replay_run)
 
 
@@ -209,14 +212,191 @@ def test_brownian_diffusive_first_passage():
 
 
 def test_brownian_workers_bit_identical():
-    region = sb.constant_region(4.0)
     assert 2000 % _CHUNK  # a partial last chunk
-    a = sb.run_brownian(region, 0.5, 1.0, 0.05, 2000, horizon=200.0, seed=5, workers=1)
-    for workers in (3, 6, 8):
-        b = sb.run_brownian(region, 0.5, 1.0, 0.05, 2000, horizon=200.0, seed=5,
-                            workers=workers)
-        assert a.mean == b.mean and a.stderr == b.stderr
-        assert a.extras == b.extras
+    # exact passage; the same with residuals and truncation; the Euler walk
+    for args in [(sb.constant_region(4.0), 0.5, 1.0, 0.05, 2000),
+                 (sb.halfspace_region([1.0, 1.0], 0.0, 1.5, "le"), [-0.3, 0.2], [1.0, 0.7],
+                  0.05, 2000),
+                 (sb.power_region(2.0, 0.3), 0.5, 1.0, 0.05, 2000)]:
+        a = sb.run_brownian(*args, horizon=6.0, seed=5, workers=1)
+        for workers in (3, 6, 8):
+            b = sb.run_brownian(*args, horizon=6.0, seed=5, workers=workers)
+            assert (a.mean, a.stderr, a.truncated) == (b.mean, b.stderr, b.truncated)
+            assert a.extras == b.extras
+
+
+def _exact(region, drift, diffusion, n_runs, horizon, seed):
+    mu, sigma = _coefficients(drift, diffusion)
+    return _exact_paths(region, mu, sigma, n_runs, horizon, seed)
+
+
+def _phi(z):
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
+def _ig_cdf(x, mean, shape):
+    """Inverse Gaussian CDF (Chhikara & Folks 1989, eq. 2.3)."""
+    r = math.sqrt(shape / x)
+    return _phi(r * (x / mean - 1.0)) + math.exp(2.0 * shape / mean) * _phi(-r * (x / mean + 1.0))
+
+
+def _ks(values, cdf, n):
+    """Kolmogorov-Smirnov distance of n draws whose values <= some cap are ``values``."""
+    values = np.sort(values)
+    f = np.array([cdf(x) for x in values])
+    i = np.arange(1, values.size + 1)
+    return max(np.max(i / n - f), np.max(f - (i - 1) / n))
+
+
+_KS_001 = 1.95  # Kolmogorov distribution quantile at level 0.001, times sqrt(n)
+
+
+@pytest.mark.parametrize("region,drift,diffusion", [
+    (sb.constant_region(4.0), 0.5, 1.0),
+    (sb.affine_region(1.0, 10.0, "ge", "stopping"), 2.0, 1.5),
+    (sb.halfspace_region([1.0, 2.0], 0.5, 3.0, "le"), [0.5, -0.1], [1.0, 0.5]),
+], ids=["constant", "affine-stopping", "halfspace-2d"])
+def test_passage_times_follow_the_inverse_gaussian_law(region, drift, diffusion):
+    a, b, c = _passage_line(region)
+    mu, sigma = _coefficients(drift, diffusion)
+    gamma, v = float(a @ mu) + b, float(np.sum((a * sigma) ** 2))
+    n = 20_000
+    paths = _exact(region, drift, diffusion, n, 1e6, seed=31)
+    assert not paths.truncated.any()
+    assert _ks(paths.stop_n, lambda x: _ig_cdf(x, c / gamma, c * c / v), n) < _KS_001 / math.sqrt(n)
+
+
+def test_passage_without_noise_is_exact():
+    est = sb.run_brownian(sb.constant_region(4.0), 0.5, 0.0, 0.3, 300, horizon=64.0, seed=4)
+    assert (est.mean, est.stderr, est.truncated) == (8.0, 0.0, 0)
+    assert est.extras["stop_sum[0]"] == (4.0, 0.0)
+    # noise orthogonal to the normal leaves tau exact but spreads the other coordinate
+    region = sb.halfspace_region([1.0, 0.0], 0.0, 3.0, "le")
+    paths = _exact(region, [1.5, 0.5], [0.0, 2.0], 4000, 10.0, seed=4)
+    assert np.all(paths.stop_n == 2.0) and np.all(paths.stop_sum[:, 0] == 3.0)
+    z = (paths.stop_sum[:, 1] - 1.0) / (2.0 * math.sqrt(2.0))
+    assert abs(z.mean()) < 4.0 / math.sqrt(4000) and abs(z.var() - 1.0) < 0.1
+    # drift away from the boundary never reaches it
+    with pytest.raises(AllTruncatedError):
+        sb.run_brownian(sb.constant_region(4.0), -0.5, 0.0, 0.1, 10, horizon=64.0)
+
+
+def test_passage_without_drift_is_levy():
+    # gamma = 0: P(tau <= t) = erfc(c / sqrt(2 v t)), with a heavy tail beyond the horizon
+    n, h, c, v = 20_000, 50.0, 2.0, 1.5**2
+    paths = _exact(sb.constant_region(c), 0.0, 1.5, n, h, seed=6)
+    cut = paths.truncated
+    p_cut = 1.0 - math.erfc(c / math.sqrt(2.0 * v * h))
+    assert abs(cut.mean() - p_cut) < 4.0 * math.sqrt(p_cut * (1 - p_cut) / n)
+    levy = lambda t: math.erfc(c / math.sqrt(2.0 * v * t))
+    assert _ks(paths.stop_n[~cut], levy, n) < _KS_001 / math.sqrt(n)
+
+
+def test_passage_against_the_drift_hits_with_the_exponential_probability():
+    n, c, gamma, v = 20_000, 1.0, -0.4, 1.0
+    paths = _exact(sb.constant_region(c), gamma, 1.0, n, 1e4, seed=8)
+    p_hit = math.exp(2.0 * c * gamma / v)
+    hit = ~paths.truncated
+    assert abs(hit.mean() - p_hit) < 4.0 * math.sqrt(p_hit * (1 - p_hit) / n)
+    # given a hit, the time is IG(c/|gamma|, c^2/v)
+    ig = lambda t: _ig_cdf(t, c / -gamma, c * c / v)
+    assert _ks(paths.stop_n[hit], ig, hit.sum()) < _KS_001 / math.sqrt(hit.sum())
+    assert np.allclose(paths.stop_sum[hit, 0], c, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("region", [
+    sb.constant_region(-1.0),
+    sb.constant_region(0.0),
+    sb.affine_region(1.0, -2.0, "ge", "stopping"),
+    sb.halfspace_region([1.0, 1.0], 0.0, 0.0, "ge", "stopping"),
+], ids=["continuity-outside", "continuity-on-boundary", "stopping-inside", "stopping-2d"])
+def test_passage_from_outside_the_continuation_set_is_immediate(region):
+    drift = [0.5] * region.dim
+    paths = _exact(region, drift, 1.0, 50, 10.0, seed=1)
+    assert np.all(paths.stop_n == 0.0) and np.all(paths.stop_sum == 0.0)
+    assert not paths.truncated.any()
+
+
+def test_truncated_runs_end_at_the_exact_conditional_law():
+    # tau ~ IG(8, 16); W_h given tau > h has the image-method density below c
+    n, h, c, gamma, v = 20_000, 5.0, 4.0, 0.5, 1.0
+    paths = _exact(sb.constant_region(c), gamma, 1.0, n, h, seed=10)
+    cut = paths.truncated
+    p_cut = 1.0 - _ig_cdf(h, c / gamma, c * c / v)
+    assert abs(cut.mean() - p_cut) < 4.0 * math.sqrt(p_cut * (1 - p_cut) / n)
+    assert np.all(paths.stop_n[cut] == h) and np.all(paths.stop_n[~cut] <= h)
+    w = paths.stop_sum[cut, 0]
+    assert np.all(w < c)
+    s = math.sqrt(v * h)
+    survive = lambda y: (_phi((y - gamma * h) / s)
+                         - math.exp(2 * c * gamma / v) * _phi((y - 2 * c - gamma * h) / s)) / p_cut
+    assert _ks(w, survive, w.size) < _KS_001 / math.sqrt(w.size)
+
+
+def test_halfspace_exit_lies_on_the_plane_with_the_stated_covariance():
+    a, b, c = np.array([1.0, 2.0]), 0.5, 3.0
+    mu, sigma = np.array([0.5, -0.1]), np.array([1.0, 0.5])
+    n = 20_000
+    paths = _exact(sb.halfspace_region(a, b, c, "le"), mu, sigma, n, 1e6, seed=12)
+    tau, w = paths.stop_n, paths.stop_sum
+    assert np.allclose(w @ a + b * tau, c, rtol=0, atol=1e-9)
+    # u is Sigma-orthogonal to a: <u, W> is independent of the passage and
+    # <u, W_tau> - <u, mu> tau ~ N(0, tau u' Sigma u)
+    u = np.array([sigma[1] ** 2 * a[1], -sigma[0] ** 2 * a[0]])
+    z = (w @ u - (u @ mu) * tau) / np.sqrt(tau * np.sum((u * sigma) ** 2))
+    assert abs(z.mean()) < 4.0 / math.sqrt(n)
+    assert abs(z.var() - 1.0) < 0.05
+    assert abs(np.corrcoef(z, np.log(tau))[0, 1]) < 4.0 / math.sqrt(n)
+
+
+def test_replay_passage_from_the_chunk_stream():
+    # chunk c of the exact sampler draws everything from the stream keyed
+    # (seed, grid 2, chunk c, block 0): first the passage times, in run order
+    n, seed = 2300, 8
+    assert n % _CHUNK and n > 2 * _CHUNK
+    paths = _exact(sb.constant_region(4.0), 0.5, 1.0, n, 400.0, seed)
+    for chunk in range(3):
+        rows = slice(chunk * _CHUNK, min((chunk + 1) * _CHUNK, n))
+        rng = StreamPool(seed).stream(_stream_key(2, chunk, 0))
+        tau = rng.wald(8.0, 16.0, rows.stop - rows.start)
+        assert np.array_equal(paths.stop_n[rows], tau)
+        assert np.allclose(paths.stop_sum[rows, 0], 4.0, rtol=0, atol=1e-12)
+    # against the drift: a uniform per run decides the hit, then IG times for the hits,
+    # then the truncated runs' proposals
+    region = sb.halfspace_region([1.0, 2.0], 0.0, 1.0, "le")
+    mu, sigma = [-0.2, 0.05], [1.0, 0.5]
+    paths = _exact(region, mu, sigma, n, 30.0, seed)
+    gamma, v = -0.1, 2.0
+    for chunk in range(3):
+        rows = np.arange(chunk * _CHUNK, min((chunk + 1) * _CHUNK, n))
+        rng = StreamPool(seed).stream(_stream_key(2, chunk, 0))
+        hit = rng.random(rows.size) < math.exp(2.0 * gamma / v)
+        tau = rng.wald(10.0, 0.5, hit.sum())
+        inside = tau <= 30.0
+        assert np.array_equal(paths.stop_n[rows[hit][inside]], tau[inside])
+        assert np.array_equal(paths.truncated[rows], ~hit | (paths.stop_n[rows] == 30.0))
+        assert np.all(paths.stop_n[rows[~hit]] == 30.0)
+        # the residual of each exit is one standard-normal row, in run order
+        z = rng.standard_normal((inside.sum(), 2))
+        t = tau[inside, None]
+        k = np.array([1.0, 0.5]) / v
+        q = np.array([1.0, 1.0]) / math.sqrt(v)
+        w = np.array(mu) * t + k * (1.0 - gamma * t) + np.sqrt(t) * sigma * (z - np.outer(z @ q, q))
+        assert np.allclose(paths.stop_sum[rows[hit][inside]], w, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("region", [
+    sb.power_region(2.0, 0.5),
+    sb.region_from_oracle(sb.constant_region(4.0).contains, 1, "continuity", True, True),
+], ids=["power", "oracle"])
+def test_curved_and_oracle_regions_keep_the_two_grid_euler_path(region):
+    est = sb.run_brownian(region, 0.5, 1.0, 0.05, 600, horizon=200.0, seed=3)
+    assert est.diagnostics["passage"] == "euler-two-grid"
+    assert est.diagnostics["dt_fine"] == 0.0125
+    assert est.extras["coarse"] != (est.mean, est.stderr)
+    assert est.diagnostics["discretization_diagnostic"] == abs(est.mean - est.extras["coarse"][0])
+    exact = sb.run_brownian(sb.constant_region(4.0), 0.5, 1.0, 0.05, 600, horizon=200.0, seed=3)
+    assert exact.diagnostics["passage"] == "exact-inverse-gaussian"
 
 
 @pytest.mark.parametrize("region,spec,schedule", [

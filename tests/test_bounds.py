@@ -1,3 +1,4 @@
+import collections
 import math
 
 import mpmath
@@ -6,8 +7,9 @@ import pytest
 
 import stopbounds as sb
 from stopbounds.bounds import ALL_TAGS, overshoot_upper_bound
-from stopbounds.harness import ScenarioBundle, bound_report
-from stopbounds.scenarios import certification_matrix
+from stopbounds import geometry
+from stopbounds.harness import BrownianBundle, ScenarioBundle, bound_report, brownian_report
+from stopbounds.scenarios import brownian_cases, certification_matrix
 
 
 def bundle(spec, region, schedule, **decl):
@@ -59,7 +61,8 @@ def test_slab_bound_unbounded_domain_flag():
     report = sb.slab_optimization_upper_bound(conic, prof, sb.naturals(), "T10",
                                               t_cap=2.0**20)
     assert report.value == math.inf
-    assert not report.applicable  # the unique-crossing check fails
+    assert report.applicable  # no unique crossing: the domain is unbounded
+    assert [c.status for c in report.assumptions if c.ident == "V"] == ["unchecked"]
 
 
 def test_sample_mean_bound_examples():
@@ -431,3 +434,49 @@ def test_t14_zero_vertex_denominator_gives_an_applicable_infinity():
     report = sb.hyperplane_vertex_upper_bound(steeper, row["bundle"].profile, sb.naturals(), "T14")
     assert not report.applicable and math.isnan(report.value)
     assert report.failed_assumptions() == ["denominator-positive"]
+
+
+@pytest.mark.parametrize("tag", ["T10-upper", "T11-upper-bounded", "T17-gradient",
+                                 "T18-concentration", "Brown1"])
+def test_mean_ray_that_never_exits_gives_an_applicable_infinity(tag):
+    # drift 1/2 under the boundary s = t + 2 of slope 1: the mean ray stays inside
+    region = sb.affine_region(1.0, 2.0, "le")
+    if tag == "Brown1":
+        report = brownian_report(tag, BrownianBundle("never-exits", region, drift=0.5,
+                                                     diffusion=1.0, dt=0.01))
+    else:
+        report = bound_report(tag, bundle(sb.bernoulli_affine(0, 1, 0.5), region, sb.naturals()))
+    assert report.value == math.inf
+    assert report.applicable and report.failed_assumptions() == []
+    check = next(c for c in report.assumptions if c.ident == "V")
+    assert check.status == "unchecked" and "never exits" in check.note
+
+
+def test_t8_entries_on_the_affine_scenarios_are_exact():
+    # the mean ray meets s = t/2 - 1 at t = 4 and s = t/4 + 2 at t = 8, both
+    # doubling probe points; a lower bound above the entry would not hold
+    rows = {r["bundle"].name: r["bundle"] for r in certification_matrix(10)}
+    assert bound_report("T8-lower", rows["affine-bernoulli-naturals"]).value == 4.0
+    assert bound_report("T8-lower", rows["affine-pointmass-arith"]).value == 8.0
+
+
+def test_shipped_bound_reports_never_search(monkeypatch):
+    # every shipped region is a built-in family, answered by closed forms: a
+    # silent fall-back to the doubling and bisection search fails here
+    calls = collections.Counter()
+    for name in ("_boundary_root", "_bracket_ray_exit"):
+        def counted(*args, _name=name, _search=getattr(geometry, name), **kwargs):
+            calls[_name] += 1
+            return _search(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, name, counted)
+    reports = [bound_report(tag, row["bundle"])
+               for row in certification_matrix(10) for tag in row["tags"]]
+    reports += [brownian_report(tag, case["bundle"])
+                for case in brownian_cases(10) for tag in case["tags"]]
+    assert len(reports) == 155 and calls == {}
+    # the counters see the search: an oracle region goes through both
+    oracle = sb.region_from_oracle(lambda t, s: s[0] <= 5.0, 1, convex_closure=True,
+                                   contains_origin=True)
+    assert sb.mean_ray_crossing(oracle, 1.0) == pytest.approx(5.0, abs=1e-8)
+    assert calls["_boundary_root"] == calls["_bracket_ray_exit"] == 1

@@ -1,16 +1,14 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
 
 import stopbounds as sb
 from stopbounds.geometry import (
-    _boundary_root,
-    _brent,
     EmptySliceError,
     NonConvexityError,
     NoRayExitError,
@@ -313,6 +311,8 @@ def test_oracle_region_bisection_fallback():
                                    convex_closure=True, contains_origin=True)
     assert sb.mean_ray_crossing(region, 1.0, tol=1e-10) == pytest.approx(5.0, abs=1e-9)
     assert sb.slice_distance(region, 10, 1.0, tol=1e-10) == pytest.approx(0.5, abs=1e-8)
+    # 1e8 from the mean the float spacing exceeds tol: bisection ends at adjacent floats
+    assert sb.slice_distance(region, 1, 1e8 + 5.0) == pytest.approx(1e8, rel=1e-15)
 
 
 def test_flag_requirements():
@@ -333,69 +333,133 @@ def test_ray_entry_and_exit():
     assert entry == 0.0
 
 
-# Bracketed functions with their root at r and a shape parameter k > 0.
-_BRENT_SHAPES = {
-    "smooth": lambda r, k: lambda x: (x - r) * (1.0 + k * (x - r) ** 2),
-    "steep": lambda r, k: lambda x: math.expm1(k * (x - r)),
-    "flat-ended": lambda r, k: lambda x: max(-1.0, min(1.0, k * (x - r))),
-    "sqrt-kinked": lambda r, k: lambda x: math.copysign(math.sqrt(k * abs(x - r)), x - r),
-    # slopes near 1e-200, whose products underflow to a zero extrapolation denominator
-    "tiny": lambda r, k: lambda x: 1e-200 * k * (x - r) ** 3,
-}
+# Closed forms of the built-in families against the doubling and bisection
+# search on the same regions wrapped as bare oracles.  Parameters are small
+# dyadic rationals, so slacks and ray rates are exact and a mismatch is not
+# rounding; a level of 1e20 puts the crossing beyond the 2**61 cap.
+_DYADIC = st.integers(-24, 24).map(lambda k: k / 8.0)
+_LEVEL = st.one_of(_DYADIC, st.sampled_from([1e20, -1e20]))
+_GEOMETRY_ERRORS = (RegionError, NonConvexityError, NoRayExitError, EmptySliceError)
 
 
-def _root_or_error(solve, f, a, b, **kwargs):
+@st.composite
+def _region_and_ray(draw):
+    family = draw(st.sampled_from(["constant", "affine", "power", "halfspace"]))
+    orientation = draw(st.sampled_from(["le", "ge"]))
+    kind = draw(st.sampled_from(["continuity", "stopping"]))
+    dim = draw(st.integers(1, 3)) if family == "halfspace" else 1
+    v = np.array([draw(_DYADIC) for _ in range(dim)])
+    parallel = draw(st.booleans())  # a ray parallel to a flat boundary
+    if family == "constant":
+        if parallel:
+            v[:] = 0.0
+        return sb.constant_region(draw(_LEVEL), orientation, kind), v
+    if family == "affine":
+        slope = draw(_DYADIC)
+        if parallel:
+            v[:] = slope
+        return sb.affine_region(slope, draw(_LEVEL), orientation, kind), v
+    if family == "power":
+        coef = draw(_LEVEL.filter(lambda c: c != 0.0))
+        exponent = draw(st.sampled_from([0.25, 0.5, 0.75]))
+        return sb.power_region(coef, exponent, orientation, kind), v
+    s_coef = [draw(_DYADIC) for _ in range(dim)]
+    t_coef = -float(np.dot(s_coef, v)) if parallel else draw(_DYADIC)
+    return sb.halfspace_region(s_coef, t_coef, draw(_LEVEL), orientation, kind), v
+
+
+def _exact_oracle(region):
+    """The region as a bare predicate; a flat family's slack is summed in exact rationals.
+
+    Float slacks of a ray parallel to a flat boundary round to 0 at large t,
+    which a bare predicate would read as membership far outside the region.
+    """
+    if region.linear_slack is None:
+        return _oracle(region)
+    alpha, beta, kappa = region.linear_slack
+    alpha, kappa, beta = Fraction(alpha), Fraction(kappa), [Fraction(b) for b in beta]
+
+    def member(t, s):
+        return alpha - sum(b * Fraction(x) for b, x in zip(beta, s)) - kappa * Fraction(t) >= 0
+
+    return sb.region_from_oracle(member, region.dim, region.kind, region.convex_closure,
+                                 region.contains_origin)
+
+
+def _outcome(fn, *args, **kwargs):
     try:
-        return solve(f, a, b, xtol=1e-15, rtol=8.9e-16, **kwargs)
-    except (ValueError, RuntimeError) as exc:
+        return fn(*args, **kwargs)
+    except _GEOMETRY_ERRORS as exc:
         return type(exc)
 
 
-@pytest.mark.parametrize("shape", sorted(_BRENT_SHAPES))
+def _agree(closed, searched) -> bool:
+    if isinstance(closed, tuple):
+        return (isinstance(searched, tuple) and len(closed) == len(searched)
+                and all(map(_agree, closed, searched)))
+    if isinstance(closed, float) and isinstance(searched, float):
+        return closed == searched or abs(closed - searched) <= 1e-9 * max(
+            1.0, abs(closed), abs(searched))
+    return closed == searched
+
+
+def _tight(*values) -> float:
+    finite = [abs(x) for x in values if isinstance(x, float) and math.isfinite(x)]
+    return 1e-12 * max([1.0] + finite)
+
+
 @settings(max_examples=300, deadline=None)
-@given(r=st.floats(-1e3, 1e3), k=st.floats(1e-2, 7.0),
-       below=st.floats(1e-9, 100.0), above=st.floats(1e-9, 100.0), flip=st.booleans())
-def test_brent_matches_scipy_brentq_bit_for_bit(shape, r, k, below, above, flip):
-    f = _BRENT_SHAPES[shape](r, k)
-    a, b = (r + above, r - below) if flip else (r - below, r + above)
-    assert _root_or_error(_brent, f, a, b) == _root_or_error(brentq, f, a, b)
+@given(case=_region_and_ray(), n=st.integers(1, 64))
+def test_closed_forms_match_the_search_on_oracles(case, n):
+    region, v = case
+    assert region.ray_form(v) is not None
+    oracle = _exact_oracle(region)
+    for fn in (sb.ray_exit_time, sb.mean_ray_crossing):
+        closed = _outcome(fn, region, v)
+        assert _agree(closed, _outcome(fn, oracle, v, tol=_tight(closed))), fn.__name__
+    if region.convex_closure:  # the search reads a non-convex ray set only in part
+        closed = _outcome(sb.ray_entry_and_exit, region, v)
+        searched = _outcome(sb.ray_entry_and_exit, oracle, v,
+                            tol=_tight(*(closed if isinstance(closed, tuple) else ())))
+        assert _agree(closed, searched), "ray_entry_and_exit"
+    # slices within the radial search's reach (about 5e8 from the mean)
+    if region.dim == 1 and abs(float(region.slack_batch(n, n * v))) / n < 1e6:
+        closed = _outcome(slice_side, region, n, v)
+        assert closed == _outcome(slice_side, oracle, n, v, tol=1e-12), "slice_side"
+        closed = _outcome(sb.slice_distance, region, n, v)
+        searched = _outcome(sb.slice_distance, oracle, n, v, tol=_tight(closed))
+        assert _agree(closed, searched), "slice_distance"
 
 
-def test_brent_edge_cases():
-    line = lambda x: x - 1.0
-    assert _brent(line, 1.0, 3.0, 1e-15, 8.9e-16) == 1.0  # exact zero at either end
-    assert _brent(line, -2.0, 1.0, 1e-15, 8.9e-16) == 1.0
-    with pytest.raises(ValueError):
-        _brent(line, 2.0, 3.0, 1e-15, 8.9e-16)
-    holed = lambda x: math.nan if 0.25 < x < 0.75 else x - 0.5
-    for solve in (_brent, brentq):
-        with pytest.raises(ValueError):
-            solve(holed, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
-    kinked = _BRENT_SHAPES["sqrt-kinked"](0.3, 1.0)
-    for solve in (_brent, brentq):
-        with pytest.raises(RuntimeError):
-            solve(kinked, 0.0, 10.0, xtol=1e-15, rtol=8.9e-16, maxiter=1)
+@pytest.mark.parametrize("s_coef,t_coef,level,orientation,mu,n", [
+    ([1.0, 2.0], 0.5, 3.0, "le", [0.75, 0.5], 8),
+    ([1.0, -1.0], 0.0, -2.0, "ge", [0.25, 1.0], 5),
+    ([1.0, 1.0, 1.0], 0.0, 3.0, "le", [0.5, 0.5, 0.5], 12),
+    ([0.0, 0.0], 1.0, 3.0, "le", [0.5, 0.5], 5),  # a time slab: the slice is empty
+], ids=["2d-le", "2d-ge", "3d", "2d-slab"])
+def test_closed_slice_distance_within_the_search_accuracy(s_coef, t_coef, level, orientation,
+                                                          mu, n):
+    # the d >= 2 searches are approximate: the angular refinement to about 1e-6
+    # and the random descent to 2e-3; a found member bounds the distance above
+    region = sb.halfspace_region(s_coef, t_coef, level, orientation)
+    closed = _outcome(sb.slice_distance, region, n, mu)
+    searched = _outcome(sb.slice_distance, _exact_oracle(region), n, mu)
+    if isinstance(closed, type):
+        assert closed is searched is EmptySliceError
+        return
+    a, sgn = np.asarray(s_coef), 1.0 if orientation == "le" else -1.0
+    exact = max(0.0, sgn * (float(a @ mu) + t_coef - level / n)) / np.linalg.norm(a)
+    assert exact > 0.0
+    assert closed == pytest.approx(exact, rel=1e-15, abs=0.0)
+    assert closed - 1e-9 <= searched <= closed * (1.0 + 2e-3) + 1e-9
 
 
-@pytest.mark.parametrize("region,inside,outside", [
-    (sb.power_region(2.0, 0.5), 1.0, 8.0),
-    (sb.power_region(2.0, 0.5, "ge", "stopping"), 8.0, 1.0),
-    (sb.affine_region(0.25, 2.0, "le"), 0.5, 4.0),
-], ids=["inside-below", "inside-above", "affine"])
-def test_boundary_root_evaluates_the_slack_once_per_point(region, inside, outside):
-    point = lambda t: (t, np.array([t]))
-    phi = lambda x: float(region.slack_batch(*point(x)))
-    seen = []
-
-    def counting(ts, ss):
-        seen.append(float(ts))
-        return region.slack_batch(ts, ss)
-
-    root = _boundary_root(dataclasses.replace(region, slack_batch=counting), point,
-                          inside, outside, 1e-9)
-    lo, hi = sorted((inside, outside))
-    steps = []
-    assert root == _brent(lambda x: steps.append(x) or phi(x), lo, hi, 1e-15, 8.9e-16)
-    # the two bracket ends and then one evaluation per Brent step, none repeated
-    assert len(seen) == len(set(seen)) == len(steps)
-    assert sorted(seen[:2]) == [lo, hi]
+def test_power_region_on_its_non_convex_side_is_refuted():
+    # {s >= 2 sqrt(t)} holds the origin, leaves the ray at once and meets it
+    # again from t = 4: with the convexity flag forced, exits raise
+    region = dataclasses.replace(sb.power_region(2.0, 0.5, "ge"), convex_closure=True)
+    assert region.contains_origin
+    with pytest.raises(NonConvexityError):
+        sb.ray_exit_time(region, 1.0)
+    assert sb.ray_entry_and_exit(region, 1.0) == (0.0, math.inf)
+    assert sb.ray_entry_and_exit(region, -1.0) == (0.0, 0.0)

@@ -12,7 +12,6 @@ from .bounds import (
     ALL_TAGS,
     AssumptionCheck,
     BoundReport,
-    brownian_bound,
     concentration_upper_bound,
     gradient_upper_bound,
     hyperplane_vertex_upper_bound,

@@ -101,10 +101,10 @@ def _standard_audit(region: Region, profile: MomentProfile, schedule: SampleSche
 _NEVER_EXITS = AssumptionCheck("V", "unchecked", "mean ray never exits: unbounded, value +inf")
 
 
-def _crossing_check(region: Region, mean, tol=None):
+def _crossing_check(region: Region, mean):
     """Assumption (V): the unique mean-ray crossing.  Returns (checks, m or inf)."""
     try:
-        m = mean_ray_crossing(region, mean, tol=tol)
+        m = mean_ray_crossing(region, mean)
         return [_chk("V", True, f"m={m:.12g}")], m
     except NoRayExitError:
         return [_NEVER_EXITS], math.inf
@@ -119,25 +119,20 @@ def stopping_region_lower_bound(region: Region, mean) -> BoundReport:
     """E[N] >= first mean-ray entry time of a convex stopping region.
 
     When the mean ray never meets the region the expected stopping time is
-    infinite and the report carries value +inf.
+    infinite and the report carries value +inf.  Otherwise the diagnostics
+    also hold the ray's exit time, the Brownian upper bound.
     """
     checks = [
         _chk("stopping-kind", region.kind == "stopping"),
         _chk("convex", region.convex_closure, "asserted flag"),
     ]
-    diag = {}
-    if all(c.status == "pass" for c in checks):
-        entry, sup = ray_entry_and_exit(region, mean)
-        if entry is None:
-            value = math.inf
-            diag["mean_ray_entry"] = None
-        else:
-            value = entry
-            diag["mean_ray_entry"] = entry
-            diag["mean_ray_exit"] = sup
-    else:
-        value = math.nan
-    return BoundReport("T8-lower", "lower", value, checks, diag)
+    if any(c.status == "fail" for c in checks):
+        return BoundReport("T8-lower", "lower", math.nan, checks, {})
+    entry, sup = ray_entry_and_exit(region, mean)
+    if entry is None:
+        return BoundReport("T8-lower", "lower", math.inf, checks, {"mean_ray_entry": None})
+    return BoundReport("T8-lower", "lower", entry, checks,
+                       {"mean_ray_entry": entry, "mean_ray_exit": sup})
 
 
 def wald_lower_bound(gfun: Callable[[np.ndarray], float], mean,
@@ -373,8 +368,7 @@ def hyperplane_vertex_upper_bound(hyp: Hyperplane, profile: MomentProfile,
 
 
 def lorden_hyperplane_upper_bound(hyp: Hyperplane, profile: MomentProfile, K: int,
-                                  assertion: str = "II",
-                                  independent_components: Optional[bool] = None) -> BoundReport:
+                                  assertion: str = "II") -> BoundReport:
     """Renewal-overshoot bound for rules checked every K samples.
 
     Assertion "I" is the Euclidean-norm chain member, "II" the elementwise
@@ -387,8 +381,6 @@ def lorden_hyperplane_upper_bound(hyp: Hyperplane, profile: MomentProfile, K: in
     tag = f"T16-chenlorden-{assertion}"
     m, c = hyp.anchor, hyp.level
     a = hyp.s_coef
-    if independent_components is None:
-        independent_components = profile.dim == 1
     checks = [
         _chk("K-positive-integer", K >= 1 and int(K) == K),
         _chk("second-moment-finite", bool(np.all(np.isfinite(profile.variance)))),
@@ -399,7 +391,7 @@ def lorden_hyperplane_upper_bound(hyp: Hyperplane, profile: MomentProfile, K: in
         value = m + K + (m / c) ** 2 * quad
         diag["norm_chain_member"] = value
     elif assertion == "II":
-        checks.append(_chk("independent-components", bool(independent_components)))
+        checks.append(_chk("independent-components", profile.dim == 1))
         quad = float(np.sum(a * a * profile.variance))
         value = m + K + (m / c) ** 2 * quad
         diag["elementwise_quadratic"] = quad
@@ -427,9 +419,8 @@ def lorden_hyperplane_upper_bound(hyp: Hyperplane, profile: MomentProfile, K: in
 # ---------------------------------------------------------------------------
 
 
-def gradient_upper_bound(region: Region, profile: MomentProfile,
-                         variant: str = "T17", schedule: Optional[SampleSchedule] = None,
-                         independent_components: Optional[bool] = None) -> BoundReport:
+def gradient_upper_bound(region: Region, profile: MomentProfile, variant: str = "T17",
+                         schedule: Optional[SampleSchedule] = None) -> BoundReport:
     """E[N] <= g(mean) + 1 + quadratic form of the log-gradient against the noise.
 
     Variant "vipformula" is the closed scalar form m + 1 + var/(f'(m)-mean)^2
@@ -439,8 +430,6 @@ def gradient_upper_bound(region: Region, profile: MomentProfile,
         raise ValueError("variant must be T17 or vipformula")
     tag = "T17-gradient" if variant == "T17" else "vipformula"
     mu = profile.mean
-    if independent_components is None:
-        independent_components = profile.dim == 1
     checks = [
         _chk("III", region.convex_closure and region.contains_origin, "asserted flags"),
         _chk("second-moment-finite", bool(np.all(np.isfinite(profile.variance)))),
@@ -474,7 +463,7 @@ def gradient_upper_bound(region: Region, profile: MomentProfile,
         return BoundReport(tag, "upper", math.nan, checks, diag)
     checks.append(_chk("g-differentiable", True))
     diag["log_gradient"] = grad.tolist()
-    if independent_components:
+    if profile.dim == 1:
         quad = float(np.sum(grad * grad * profile.variance))
     else:
         # cross moments unknown: fall back to the norm chain member
@@ -501,11 +490,15 @@ def _hoeffding_one_sided(n: float, dev: float, width: float) -> float:
     return math.exp(-2.0 * n * dev * dev / (width * width))
 
 
+# the series stops after three terms in a row below _TERM_TOL, or fails at _MAX_TERMS
+_TERM_TOL = 1e-12
+_MAX_TERMS = 1_000_000
+
+
 def concentration_upper_bound(region: Region, profile: MomentProfile,
                               schedule: SampleSchedule, tail: str = "hoeffding",
                               variant: str = "auto", hyp: Optional[Hyperplane] = None,
                               user_tail: Optional[Callable] = None,
-                              term_tol: float = 1e-12, max_terms: int = 1_000_000,
                               start_containment_declared: bool = True) -> BoundReport:
     """Tail-sum bound N_tau + sum of schedule gaps weighted by deviation tails.
 
@@ -594,18 +587,18 @@ def concentration_upper_bound(region: Region, profile: MomentProfile,
         term = gap * tail_probability(n_cur, deviation(n_cur))
         total += term
         terms += 1
-        if term < term_tol:
+        if term < _TERM_TOL:
             tiny_streak += 1
             if tiny_streak >= 3:
                 break
         else:
             tiny_streak = 0
         index += 1
-        if terms >= max_terms:
+        if terms >= _MAX_TERMS:
             raise CapExceededError("concentration series did not fall below the cutoff")
     diag["series_terms"] = terms
     diag["last_term"] = term
-    diag["truncation_tol"] = term_tol
+    diag["truncation_tol"] = _TERM_TOL
     return BoundReport(tag, "upper", n_tau + total, checks, diag)
 
 
@@ -661,59 +654,3 @@ def overshoot_upper_bound(z_spec: DistributionSpec, lam, variant: str = "T6",
     diag["partial_expectation"] = pe
     coef = pos2 / ez if variant == "T6" else (K - 1.0) * ez + ez2 / ez
     return BoundReport(tag, "upper", coef * pr + pe, checks, diag)
-
-
-# ---------------------------------------------------------------------------
-# Brownian bounds
-# ---------------------------------------------------------------------------
-
-
-def brownian_bound(region: Region, drift, variant: str,
-                   gfun: Optional[Callable] = None,
-                   concave_declared: bool = True) -> BoundReport:
-    """Continuous-time analogues: crossing-time and ray-entry bounds for drift paths.
-
-    "Brown1" bounds first exit of a continuity region by the drift-ray
-    crossing; "Brown2-lower"/"Brown2-upper" bracket first entry of a convex
-    stopping region by the entry and exit of the drift ray; "Brown3" and
-    "Brown4" are the sample-mean forms with a concave rule function.
-    """
-    drift_vec = np.atleast_1d(np.asarray(drift, dtype=float))
-    if variant == "Brown1":
-        checks = [_chk("III", region.convex_closure and region.contains_origin)]
-        if any(c.status == "fail" for c in checks):
-            return BoundReport("Brown1", "upper", math.nan, checks, {})
-        vchecks, m = _crossing_check(region, drift_vec)
-        checks += vchecks
-        return BoundReport("Brown1", "upper", m, checks, {"m": m})
-    if variant in ("Brown2-lower", "Brown2-upper"):
-        checks = [
-            _chk("stopping-kind", region.kind == "stopping"),
-            _chk("convex", region.convex_closure),
-        ]
-        if any(c.status == "fail" for c in checks):
-            return BoundReport(variant, "lower" if variant.endswith("lower") else "upper",
-                               math.nan, checks, {})
-        entry, sup = ray_entry_and_exit(region, drift_vec)
-        diag = {"mean_ray_entry": entry, "mean_ray_exit": sup}
-        if entry is None:
-            value = math.inf
-        else:
-            value = entry if variant.endswith("lower") else sup
-        direction = "lower" if variant.endswith("lower") else "upper"
-        return BoundReport(variant, direction, value, checks, diag)
-    if variant in ("Brown3", "Brown4"):
-        if gfun is None:
-            raise ValueError(f"{variant} needs the rule function")
-        g0 = float(gfun(drift_vec))
-        checks = [
-            AssumptionCheck("g-concave", "declared" if concave_declared else "fail"),
-            _chk("g-positive-at-mean", g0 > 0.0, f"g(drift)={g0:.6g}"),
-        ]
-        if any(c.status == "fail" for c in checks):
-            return BoundReport(variant, "upper" if variant == "Brown3" else "lower",
-                               math.nan, checks, {"g_at_drift": g0})
-        if variant == "Brown3":
-            return BoundReport("Brown3", "upper", g0, checks, {"g_at_drift": g0})
-        return BoundReport("Brown4", "lower", 1.0 / g0, checks, {"g_at_drift": g0})
-    raise ValueError(f"unknown variant {variant!r}")

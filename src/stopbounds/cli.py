@@ -93,6 +93,16 @@ def _reals(value, what: str):
     return _real(value, what)
 
 
+def _declarations(value) -> dict:
+    """The declared modeling hypotheses: known keys with JSON booleans only."""
+    declarations = _object(value, "declarations")
+    for key, flag in declarations.items():
+        _choice(key, ("concave_rule", "sure_start", "start_containment"), "declaration key")
+        if not isinstance(flag, bool):
+            raise ConfigError(f"declaration {key!r} must be true or false, got {flag!r}")
+    return declarations
+
+
 def spec_from_config(cfg: dict) -> mm.DistributionSpec:
     cfg = _object(cfg, "distribution")
     family = cfg.get("family")
@@ -190,7 +200,7 @@ def _build_discrete_bundle(config: dict) -> ScenarioBundle:
         n_runs=_real(sim.get("n_runs", 100_000), "simulate.n_runs", int, 1),
         horizon=_real(sim.get("horizon", 1_000_000), "simulate.horizon", int, 1),
         boundary=_choice(sim.get("boundary", "closed"), ("closed", "strict"), "boundary"),
-        declarations=_object(config.get("declarations", {}), "declarations"),
+        declarations=_declarations(config.get("declarations", {})),
     )
 
 
@@ -217,7 +227,7 @@ def _build_brownian_bundle(config: dict) -> BrownianBundle:
         dt=_real(sim.get("dt", 0.01), "simulate.dt", minimum=1e-9),
         n_runs=_real(sim.get("n_runs", 50_000), "simulate.n_runs", int, 1),
         horizon=_real(sim.get("horizon", 10_000.0), "simulate.horizon", minimum=1e-9),
-        declarations=_object(config.get("declarations", {}), "declarations"),
+        declarations=_declarations(config.get("declarations", {})),
     )
 
 

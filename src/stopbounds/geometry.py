@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -73,7 +74,9 @@ class Region:
     Oracle regions have no slack and answer through ``membership``.  For
     d = 1 regions of the form {s <= f(t)} or {s >= f(t)}, ``scalar_boundary``
     holds f and ``orientation`` is "le" or "ge"; ``boundary_slope`` gives
-    the exact f' for the built-in families.
+    the exact f' for the built-in families.  ``family`` holds a built-in
+    region's parameters, read-only, since the slack and the closed forms
+    were built from them.
     """
 
     kind: str  # "continuity" | "stopping"
@@ -84,7 +87,7 @@ class Region:
     slack_batch: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     scalar_boundary: Optional[Callable[[float], float]] = None
     orientation: Optional[str] = None
-    family: Optional[dict] = field(default=None, repr=False)
+    family: Optional[Mapping] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("continuity", "stopping"):
@@ -187,7 +190,7 @@ def _mk_region(family: dict, dim: int, slack_batch, convex: bool,
         slack_batch=slack_batch,
         scalar_boundary=boundary,
         orientation=orientation,
-        family=family,
+        family=MappingProxyType(family),
     )
 
 
@@ -242,7 +245,7 @@ def halfspace_region(s_coef, t_coef: float, level: float, orientation: str = "le
     a = np.atleast_1d(np.asarray(s_coef, dtype=float))
     b, c = float(t_coef), float(level)
     sgn = _sign(orientation)
-    family = {"family": "halfspace", "s_coef": [float(x) for x in a], "t_coef": b,
+    family = {"family": "halfspace", "s_coef": tuple(float(x) for x in a), "t_coef": b,
               "level": c, "orientation": orientation, "kind": kind}
 
     def slack_batch(ts, ss):
@@ -392,22 +395,20 @@ def ray_exit_time(region: Region, v, t_hi_hint: float = 1.0, tol: Optional[float
     return _boundary_root(region, lambda t: (t, t * v), lo, hi, tol)
 
 
-def mean_ray_crossing(region: Region, mean, t_hi_hint: float = 1.0,
-                      tol: Optional[float] = None) -> float:
+def mean_ray_crossing(region: Region, mean, tol: Optional[float] = None) -> float:
     """The unique positive m with (m, m*mean) on the region boundary.
 
     Raises NoRayExitError when the mean ray never leaves the region below
     the doubling cap (the caller may interpret the associated bound as
     infinite).
     """
-    m = ray_exit_time(region, mean, t_hi_hint, tol)
+    m = ray_exit_time(region, mean, tol=tol)
     if math.isinf(m):
         raise NoRayExitError("mean ray stays inside the region up to the doubling cap")
     return m
 
 
-def ray_entry_and_exit(region: Region, v, t_hi_hint: float = 1.0,
-                       tol: Optional[float] = None):
+def ray_entry_and_exit(region: Region, v, tol: Optional[float] = None):
     """(inf A, sup A) for A = {t >= 0 : (t, t v) in the closed region}.
 
     Returns (None, None) when A holds no point below the doubling cap
@@ -427,15 +428,14 @@ def ray_entry_and_exit(region: Region, v, t_hi_hint: float = 1.0,
     member = _ray_member(region, v)
     if member(0.0):
         entry = 0.0
-        t_in = max(float(t_hi_hint), 1e-12)
+        t_in = 1.0
         if not member(t_in):
             t_in = 0.0
     else:
         t_in = None
-        base = max(float(t_hi_hint), 1e-12)
         prev = 0.0
         for k in range(-40, 62):
-            t = base * 2.0**k
+            t = 2.0**k
             if t > _RAY_CAP:
                 break
             # strict probe: at huge t the boundary terms can round away, making
@@ -466,13 +466,14 @@ def ray_entry_and_exit(region: Region, v, t_hi_hint: float = 1.0,
 # ---------------------------------------------------------------------------
 
 
-def log_exit_gradient(region: Region, mean, step: Optional[float] = None) -> np.ndarray:
+def log_exit_gradient(region: Region, mean) -> np.ndarray:
     """Gradient of ln g(v) at v=mean.
 
     Exact for the built-in families: -a / (<a, mean> + b) for a halfspace
     <a, s> + b t <= c (or >= c), and 1 / (f'(m) - mean) at the crossing time
     m for a d=1 region bounded by s = f(t).  Oracle regions take
-    Richardson-extrapolated central differences of ln g with step ``step``.
+    Richardson-extrapolated central differences of ln g with step
+    1e-5 * max(1, |mean_k|).
     """
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     g0 = ray_exit_time(region, mean)
@@ -484,20 +485,19 @@ def log_exit_gradient(region: Region, mean, step: Optional[float] = None) -> np.
     elif region.boundary_slope is not None:
         grad = np.array([1.0 / (region.boundary_slope(g0) - mean[0])])
     else:
-        grad = _richardson_log_gradient(region, mean, g0, step)
+        grad = _richardson_log_gradient(region, mean, g0)
     if not np.all(np.isfinite(grad)):
         raise GradientDomainError("non-finite log-gradient")
     return grad
 
 
-def _richardson_log_gradient(region: Region, mean: np.ndarray, g0: float,
-                             step: Optional[float]) -> np.ndarray:
+def _richardson_log_gradient(region: Region, mean: np.ndarray, g0: float) -> np.ndarray:
     # bisect the stencil's exit times far below the difference step, whose
     # quotient divides their error by about 1e-5
     tol = 1e-13 * g0
     grad = np.empty(mean.shape[0])
     for k in range(mean.shape[0]):
-        h = step if step is not None else 1e-5 * max(1.0, abs(mean[k]))
+        h = 1e-5 * max(1.0, abs(mean[k]))
 
         def central(hh):
             vp = mean.copy()
@@ -552,8 +552,7 @@ class Hyperplane:
         return float(self.s_coef @ s + self.t_coef * t)
 
 
-def sample_member_points(region: Region, n_points: int, seed: int, t_max: float,
-                         s_span, max_attempts_factor: int = 200):
+def sample_member_points(region: Region, n_points: int, seed: int, t_max: float, s_span):
     """Rejection-sample up to n_points members of the region inside a box.
 
     Candidate k is row k of one uniform draw: t = t_max*u[k, 0] and
@@ -562,7 +561,7 @@ def sample_member_points(region: Region, n_points: int, seed: int, t_max: float,
     """
     rng = np.random.default_rng(seed)
     s_span = np.atleast_1d(np.asarray(s_span, dtype=float))
-    cap = max_attempts_factor * n_points
+    cap = 200 * n_points  # candidates drawn at most
     u = rng.random((cap, 1 + region.dim))
     ts = t_max * u[:, 0]
     ss = -s_span + (s_span - -s_span) * u[:, 1:]
@@ -577,9 +576,7 @@ def sample_member_points(region: Region, n_points: int, seed: int, t_max: float,
     return ts[keep], ss[keep]
 
 
-def supporting_hyperplane(region: Region, mean, step: Optional[float] = None,
-                          tol: Optional[float] = None, grad=None,
-                          check_points: int = 200, seed: int = 7) -> Hyperplane:
+def supporting_hyperplane(region: Region, mean, grad=None) -> Hyperplane:
     """Supporting hyperplane of the region at the mean-ray crossing point.
 
     Coefficients come from the log-gradient of the ray function: the normal
@@ -589,8 +586,8 @@ def supporting_hyperplane(region: Region, mean, step: Optional[float] = None,
     non-convex region.
     """
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    m = mean_ray_crossing(region, mean, tol=tol)
-    numeric = log_exit_gradient(region, mean, step=step)
+    m = mean_ray_crossing(region, mean)
+    numeric = log_exit_gradient(region, mean)
     if grad is not None:
         grad = np.atleast_1d(np.asarray(grad, dtype=float))
         if not np.allclose(grad, numeric, rtol=1e-4, atol=1e-4):
@@ -601,9 +598,9 @@ def supporting_hyperplane(region: Region, mean, step: Optional[float] = None,
     a = -use
     b = 1.0 - float(a @ mean)
     hyp = Hyperplane(s_coef=a, t_coef=b, level=m, anchor=m)
-    # support audit: every sampled member must satisfy value <= level
+    # support audit: each of 200 members sampled from seed 7 must satisfy value <= level
     span = 2.0 * m * (np.abs(mean) + 1.0)
-    ts, ss = sample_member_points(region, check_points, seed, 2.0 * m, span)
+    ts, ss = sample_member_points(region, 200, 7, 2.0 * m, span)
     if ts.size:
         vals = ss @ hyp.s_coef + hyp.t_coef * ts
         slackness = 1e-6 * max(1.0, abs(m))

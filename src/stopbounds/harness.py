@@ -3,16 +3,18 @@
 A bundle ties one increment law, one region, and one schedule together and
 derives the views the calculators need: the continuity-side closure, the
 stopping-side closure, the ray rule function and its reciprocal, and the
-supporting hyperplane.  ``bound_report`` turns a theorem tag into a report;
-``certify`` compares reports against a Monte Carlo estimate with the
+supporting hyperplane.  A Brownian bundle shares the region views and rule
+functions.  ``bound_report`` turns a theorem tag into a report, and
+``brownian_report`` answers a Brownian tag with the same calculators at the
+drift; ``certify`` compares reports against a Monte Carlo estimate with the
 four-sigma slack, respecting truncation bias.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, replace
+from functools import cached_property, wraps
 from typing import Optional
 
 from . import bounds as bd
@@ -30,22 +32,8 @@ from .schedules import SampleSchedule
 from .simulate import SimulationEstimate
 
 
-@dataclass
-class ScenarioBundle:
-    """One experiment: distribution + region + schedule + declared hypotheses."""
-
-    name: str
-    spec: DistributionSpec
-    region: Region
-    schedule: SampleSchedule
-    n_runs: int = 100_000
-    horizon: int = 1_000_000
-    boundary: str = "closed"
-    declarations: dict = field(default_factory=dict)
-
-    @cached_property
-    def profile(self) -> MomentProfile:
-        return analytic_moments(self.spec)
+class _RegionViews:
+    """Region views, rule functions and declarations of a bundle with ``region``."""
 
     @cached_property
     def continuity_view(self) -> Region:
@@ -58,10 +46,6 @@ class ScenarioBundle:
         if self.region.kind == "stopping":
             return self.region
         return self.region.complement_closure()
-
-    @cached_property
-    def hyperplane(self):
-        return supporting_hyperplane(self.continuity_view, self.profile.mean)
 
     def rule_function(self):
         """g(v): how long the slope-v ray stays in the continuity closure."""
@@ -81,6 +65,32 @@ class ScenarioBundle:
 
         return g
 
+    def declared(self, key: str) -> bool:
+        """A modeling hypothesis, held true unless declared false."""
+        return bool(self.declarations.get(key, True))
+
+
+@dataclass
+class ScenarioBundle(_RegionViews):
+    """One experiment: distribution + region + schedule + declared hypotheses."""
+
+    name: str
+    spec: DistributionSpec
+    region: Region
+    schedule: SampleSchedule
+    n_runs: int = 100_000
+    horizon: int = 1_000_000
+    boundary: str = "closed"
+    declarations: dict = field(default_factory=dict)
+
+    @cached_property
+    def profile(self) -> MomentProfile:
+        return analytic_moments(self.spec)
+
+    @cached_property
+    def hyperplane(self):
+        return supporting_hyperplane(self.continuity_view, self.profile.mean)
+
     def threshold_level(self) -> Optional[float]:
         """Level c of a flat stopping threshold {s >= c}, in whatever family it is written.
 
@@ -93,88 +103,9 @@ class ScenarioBundle:
             return float(view.scalar_boundary(1.0))
         return None
 
-    def declared(self, key: str, default: bool = True) -> bool:
-        return bool(self.declarations.get(key, default))
-
-
-# a region outside a calculator's geometric hypotheses makes its report inapplicable
-_GEOMETRY_ERRORS = (RegionError, NoRayExitError, NonConvexityError, GradientDomainError)
-
-
-def _failed(tag: str, direction: str, ident: str, note: str) -> bd.BoundReport:
-    return bd.BoundReport(tag, direction, math.nan,
-                          [bd.AssumptionCheck(ident, "fail", note)], {})
-
-
-def bound_report(tag: str, bundle: ScenarioBundle) -> bd.BoundReport:
-    """Compute the report for one theorem tag against the bundle's scenario."""
-    prof = bundle.profile
-    sched = bundle.schedule
-    mean = prof.mean
-    iv = bundle.declared("start_containment")
-    try:
-        if tag == "T8-lower":
-            return bd.stopping_region_lower_bound(bundle.stopping_view, mean)
-        if tag == "T-UseWald-lower":
-            return bd.wald_lower_bound(bundle.reciprocal_rule_function(), mean,
-                                       concave_declared=bundle.declared("concave_rule"))
-        if tag in ("T10-upper", "T11-upper-bounded"):
-            variant = "T10" if tag == "T10-upper" else "T11"
-            return bd.slab_optimization_upper_bound(
-                bundle.continuity_view, prof, sched, variant,
-                start_containment_declared=iv)
-        if tag in ("T12-samplemean", "T13-samplemean-naturals", "T-try88-bounded"):
-            variant = {"T12-samplemean": "T12", "T13-samplemean-naturals": "T13",
-                       "T-try88-bounded": "try88"}[tag]
-            return bd.sample_mean_upper_bound(
-                bundle.rule_function(), prof, sched, variant,
-                concave_declared=bundle.declared("concave_rule"),
-                sure_start_declared=bundle.declared("sure_start"))
-        if tag in ("T14-hyperplane", "T15-hyperplane-bounded"):
-            variant = "T14" if tag == "T14-hyperplane" else "T15"
-            return bd.hyperplane_vertex_upper_bound(
-                bundle.hyperplane, prof, sched, variant,
-                region=bundle.continuity_view, start_containment_declared=iv)
-        if tag.startswith("T16-chenlorden-"):
-            assertion = tag.rsplit("-", 1)[1]
-            k = 1 if sched.is_all_naturals else (sched.step or 0)
-            if not k or not sched.is_multiples_of(k):
-                return _failed(tag, "upper", "schedule-multiples",
-                               "rule must be checked at multiples of a fixed batch size")
-            return bd.lorden_hyperplane_upper_bound(bundle.hyperplane, prof, k, assertion)
-        if tag in ("T17-gradient", "vipformula"):
-            variant = "T17" if tag == "T17-gradient" else "vipformula"
-            return bd.gradient_upper_bound(bundle.continuity_view, prof, variant, sched)
-        if tag in ("T18-concentration", "T19-concentration-hyperplane"):
-            if tag.startswith("T19"):
-                return bd.concentration_upper_bound(
-                    bundle.continuity_view, prof, sched, "hoeffding", "T19",
-                    hyp=bundle.hyperplane, start_containment_declared=iv)
-            return bd.concentration_upper_bound(
-                bundle.continuity_view, prof, sched, "hoeffding", "auto",
-                start_containment_declared=iv)
-        if tag in ("Lorden-T6", "Lorden-T7"):
-            level = bundle.threshold_level()
-            if level is None:
-                return _failed(tag, "upper", "constant-threshold",
-                               "overshoot bounds need a constant stopping threshold")
-            if prof.dim != 1:
-                return _failed(tag, "upper", "scalar-increments", "dim must be 1")
-            if tag == "Lorden-T6":
-                report = bd.overshoot_upper_bound(bundle.spec, level, "T6")
-                report.assumptions.append(bd.AssumptionCheck(
-                    "all-naturals", "pass" if sched.is_all_naturals else "fail",
-                    "every-sample crossing rule"))
-                return report
-            return bd.overshoot_upper_bound(bundle.spec, level, "T7", schedule=sched)
-    except _GEOMETRY_ERRORS as exc:
-        return _failed(tag, "upper" if tag in bd.UPPER_TAGS else "lower",
-                       "geometry", str(exc))
-    raise ValueError(f"unknown theorem tag {tag!r}")
-
 
 @dataclass(frozen=True)
-class BrownianBundle:
+class BrownianBundle(_RegionViews):
     """Continuous-time experiment: drift/diffusion path in a region."""
 
     name: str
@@ -186,45 +117,120 @@ class BrownianBundle:
     horizon: float = 10_000.0
     declarations: dict = field(default_factory=dict)
 
-    def rule_function(self):
-        view = (self.region if self.region.kind == "continuity"
-                else self.region.complement_closure())
 
-        def g(v):
-            return ray_exit_time(view, v)
-
-        return g
-
-    def reciprocal_rule_function(self):
-        base = self.rule_function()
-
-        def g(v):
-            val = base(v)
-            return 1.0 / val if math.isfinite(val) and val > 0 else 0.0
-
-        return g
+# a region outside a calculator's geometric hypotheses makes its report inapplicable
+_GEOMETRY_ERRORS = (RegionError, NoRayExitError, NonConvexityError, GradientDomainError)
 
 
+def _failed(tag: str, direction: str, ident: str, note: str) -> bd.BoundReport:
+    return bd.BoundReport(tag, direction, math.nan,
+                          [bd.AssumptionCheck(ident, "fail", note)], {})
+
+
+def _geometry_guard(report_fn):
+    """Turn a geometry error raised for ``tag`` into an inapplicable report."""
+    @wraps(report_fn)
+    def guarded(tag: str, bundle) -> bd.BoundReport:
+        try:
+            return report_fn(tag, bundle)
+        except _GEOMETRY_ERRORS as exc:
+            return _failed(tag, "upper" if tag in bd.UPPER_TAGS else "lower",
+                           "geometry", str(exc))
+
+    return guarded
+
+
+@_geometry_guard
+def bound_report(tag: str, bundle: ScenarioBundle) -> bd.BoundReport:
+    """Compute the report for one theorem tag against the bundle's scenario."""
+    prof = bundle.profile
+    sched = bundle.schedule
+    mean = prof.mean
+    iv = bundle.declared("start_containment")
+    if tag == "T8-lower":
+        return bd.stopping_region_lower_bound(bundle.stopping_view, mean)
+    if tag == "T-UseWald-lower":
+        return bd.wald_lower_bound(bundle.reciprocal_rule_function(), mean,
+                                   concave_declared=bundle.declared("concave_rule"))
+    if tag in ("T10-upper", "T11-upper-bounded"):
+        variant = "T10" if tag == "T10-upper" else "T11"
+        return bd.slab_optimization_upper_bound(
+            bundle.continuity_view, prof, sched, variant,
+            start_containment_declared=iv)
+    if tag in ("T12-samplemean", "T13-samplemean-naturals", "T-try88-bounded"):
+        variant = {"T12-samplemean": "T12", "T13-samplemean-naturals": "T13",
+                   "T-try88-bounded": "try88"}[tag]
+        return bd.sample_mean_upper_bound(
+            bundle.rule_function(), prof, sched, variant,
+            concave_declared=bundle.declared("concave_rule"),
+            sure_start_declared=bundle.declared("sure_start"))
+    if tag in ("T14-hyperplane", "T15-hyperplane-bounded"):
+        variant = "T14" if tag == "T14-hyperplane" else "T15"
+        return bd.hyperplane_vertex_upper_bound(
+            bundle.hyperplane, prof, sched, variant,
+            region=bundle.continuity_view, start_containment_declared=iv)
+    if tag.startswith("T16-chenlorden-"):
+        assertion = tag.rsplit("-", 1)[1]
+        k = 1 if sched.is_all_naturals else (sched.step or 0)
+        if not k or not sched.is_multiples_of(k):
+            return _failed(tag, "upper", "schedule-multiples",
+                           "rule must be checked at multiples of a fixed batch size")
+        return bd.lorden_hyperplane_upper_bound(bundle.hyperplane, prof, k, assertion)
+    if tag in ("T17-gradient", "vipformula"):
+        variant = "T17" if tag == "T17-gradient" else "vipformula"
+        return bd.gradient_upper_bound(bundle.continuity_view, prof, variant, sched)
+    if tag in ("T18-concentration", "T19-concentration-hyperplane"):
+        t19 = tag.startswith("T19")
+        return bd.concentration_upper_bound(
+            bundle.continuity_view, prof, sched, "hoeffding", "T19" if t19 else "auto",
+            hyp=bundle.hyperplane if t19 else None, start_containment_declared=iv)
+    if tag in ("Lorden-T6", "Lorden-T7"):
+        level = bundle.threshold_level()
+        if level is None:
+            return _failed(tag, "upper", "constant-threshold",
+                           "overshoot bounds need a constant stopping threshold")
+        if prof.dim != 1:
+            return _failed(tag, "upper", "scalar-increments", "dim must be 1")
+        if tag == "Lorden-T6":
+            report = bd.overshoot_upper_bound(bundle.spec, level, "T6")
+            report.assumptions.append(bd.AssumptionCheck(
+                "all-naturals", "pass" if sched.is_all_naturals else "fail",
+                "every-sample crossing rule"))
+            return report
+        return bd.overshoot_upper_bound(bundle.spec, level, "T7", schedule=sched)
+    raise ValueError(f"unknown theorem tag {tag!r}")
+
+
+@_geometry_guard
 def brownian_report(tag: str, bundle: BrownianBundle) -> bd.BoundReport:
-    declared = bool(bundle.declarations.get("concave_rule", True))
-    try:
-        if tag == "Brown1":
-            region = (bundle.region if bundle.region.kind == "continuity"
-                      else bundle.region.complement_closure())
-            return bd.brownian_bound(region, bundle.drift, "Brown1")
-        if tag in ("Brown2-lower", "Brown2-upper"):
-            region = (bundle.region if bundle.region.kind == "stopping"
-                      else bundle.region.complement_closure())
-            return bd.brownian_bound(region, bundle.drift, tag)
-        if tag == "Brown3":
-            return bd.brownian_bound(bundle.region, bundle.drift, "Brown3",
-                                     gfun=bundle.rule_function(), concave_declared=declared)
-        if tag == "Brown4":
-            return bd.brownian_bound(bundle.region, bundle.drift, "Brown4",
-                                     gfun=bundle.reciprocal_rule_function(),
-                                     concave_declared=declared)
-    except _GEOMETRY_ERRORS as exc:
-        return _failed(tag, "lower" if tag in bd.LOWER_TAGS else "upper", "geometry", str(exc))
+    """The discrete calculators at the drift, renamed to the Brownian tag.
+
+    Brown2 reads the entry and exit of T8's ray; Brown3 and Brown4 are the
+    Wald checks on the rule function and on its reciprocal.
+    """
+    drift, concave = bundle.drift, bundle.declared("concave_rule")
+    if tag == "Brown1":
+        view = bundle.continuity_view
+        iii = bd._chk("III", view.convex_closure and view.contains_origin, "asserted flags")
+        if iii.status == "fail":
+            return bd.BoundReport(tag, "upper", math.nan, [iii], {})
+        crossing, m = bd._crossing_check(view, drift)
+        return bd.BoundReport(tag, "upper", m, [iii, *crossing], {"m": m})
+    if tag in ("Brown2-lower", "Brown2-upper"):
+        report = bd.stopping_region_lower_bound(bundle.stopping_view, drift)
+        if tag == "Brown2-lower":
+            return replace(report, theorem=tag)
+        # a ray that never enters keeps the +inf, failed checks the nan
+        return replace(report, theorem=tag, direction="upper",
+                       value=report.diagnostics.get("mean_ray_exit", report.value))
+    if tag == "Brown3":
+        report = bd.wald_lower_bound(bundle.rule_function(), drift, concave_declared=concave)
+        g0 = report.diagnostics["g_at_mean"]
+        return replace(report, theorem=tag, direction="upper", value=g0 if g0 > 0.0 else math.nan)
+    if tag == "Brown4":
+        report = bd.wald_lower_bound(bundle.reciprocal_rule_function(), drift,
+                                     concave_declared=concave)
+        return replace(report, theorem=tag)
     raise ValueError(f"unknown Brownian tag {tag!r}")
 
 
@@ -253,7 +259,10 @@ def _target_stat(report: bd.BoundReport, estimate: SimulationEstimate):
     return estimate.mean, estimate.stderr
 
 
-def certify(reports, estimate: SimulationEstimate, slack_sigmas: float = 4.0):
+_SLACK_SIGMAS = 4.0  # the certification slack, in standard errors of the estimate
+
+
+def certify(reports, estimate: SimulationEstimate):
     """Compare each applicable report against the Monte Carlo estimate.
 
     Upper bounds must exceed mean - slack, lower bounds must not exceed
@@ -272,7 +281,7 @@ def certify(reports, estimate: SimulationEstimate, slack_sigmas: float = 4.0):
                                 False, estimate.mean, estimate.stderr, "inapplicable"))
             continue
         mean, stderr = target
-        slack = max(slack_sigmas * stderr, grid_bias)
+        slack = max(_SLACK_SIGMAS * stderr, grid_bias)
         if report.direction == "upper":
             verdict = "pass" if report.value >= mean - slack else "fail"
         else:

@@ -193,7 +193,7 @@ def max_time_in_region(region: Region, slab: Slab, t_cap: float = 2.0**30,
 
 
 def max_concave_over_box(fun: Callable[[np.ndarray], float], lo, hi,
-                         tol: float = 1e-10, restarts: int = 6, seed: int = 3) -> float:
+                         tol: float = 1e-10) -> float:
     """Maximum of a caller-asserted concave function over the box [lo, hi].
 
     Golden-section search per coordinate for d=1, projected multi-start
@@ -242,9 +242,9 @@ def max_concave_over_box(fun: Callable[[np.ndarray], float], lo, hi,
                 return math.inf
         return max(best, fc, fe)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(3)
     width = hi - lo
-    for r in range(restarts):
+    for r in range(6):  # the box centre, then five random starts
         x = lo + rng.random(d) * width if r else 0.5 * (lo + hi)
         fx = probe(x)
         if fx == math.inf:
@@ -286,7 +286,7 @@ class VertexMaxResult:
     min_denominator: float
 
 
-def vertex_fraction_max(hyp: Hyperplane, slab: Slab, use_primed: bool = False) -> VertexMaxResult:
+def vertex_fraction_max(hyp: Hyperplane, slab: Slab) -> VertexMaxResult:
     """Maximum of (level - <a, icept(q)>) / (t_coef + <a, slope(q)>) over cube vertices.
 
     q ranges over {0,1}^d; slope(q) interpolates the upper and lower slab
@@ -297,10 +297,7 @@ def vertex_fraction_max(hyp: Hyperplane, slab: Slab, use_primed: bool = False) -
     denominator.  Ties resolve to the lexicographically smallest maximizing
     vertex.
     """
-    quad = slab.primed if use_primed else slab
-    if quad is None:
-        raise ValueError("slab carries no primed quadruple")
-    d = quad.dim
+    d = slab.dim
     if d > 20:
         raise ValueError("vertex enumeration is limited to dim <= 20")
     if hyp.dim != d:
@@ -311,8 +308,8 @@ def vertex_fraction_max(hyp: Hyperplane, slab: Slab, use_primed: bool = False) -
     rows = []
     for bits in itertools.product((0, 1), repeat=d):
         q = np.array(bits, dtype=float)
-        slope = quad.upper_slope + q * (quad.lower_slope - quad.upper_slope)
-        icept = quad.upper_icept + q * (quad.lower_icept - quad.upper_icept)
+        slope = slab.upper_slope + q * (slab.lower_slope - slab.upper_slope)
+        icept = slab.upper_icept + q * (slab.lower_icept - slab.upper_icept)
         den = hyp.t_coef + float(a @ slope)
         num = hyp.level - float(a @ icept)
         min_den = min(min_den, den)

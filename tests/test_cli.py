@@ -80,6 +80,10 @@ def test_bound_command_empty_list_header_only(tmp_path):
     assert content == [",".join(CSV_COLUMNS)]
 
 
+SQRT_WALD = dict(BASE, region={"family": "power", "coef": 2.0, "exponent": 0.5},
+                 bounds=["T-UseWald-lower"])
+
+
 def test_bound_command_config_errors(tmp_path, capsys):
     path = write_config(tmp_path, "cfg.json", {"name": "broken"})
     assert main(["bound", str(path)]) == 2
@@ -102,6 +106,13 @@ def test_bound_command_config_errors(tmp_path, capsys):
             "family": "bernoulli-affine", "params": {"x0": 0, "x1": 1, "p": "half"}})),
         ("bound", dict(BASE, bounds=["no-such-tag"])),
         ("bound", dict(BASE, schedule={"kind": "arithmetic", "n0": 0, "step": "two"})),
+        # declarations take known keys and JSON booleans; anything else would be misread
+        ("bound", dict(SQRT_WALD, declarations={"concave_rule": "false"})),
+        ("bound", dict(SQRT_WALD, declarations={"concave_rul": False})),
+        ("bound", dict(SQRT_WALD, declarations={"concave_rule": 0})),
+        ("bound", dict(SQRT_WALD, declarations={"concave_rule": None})),
+        ("bound", dict(BROWNIAN, declarations={"concave_rule": "no"})),
+        ("bound", dict(BROWNIAN, declarations=[])),
     ]:
         path = write_config(tmp_path, "malformed.json", payload)
         assert main([command, str(path), "--out", str(tmp_path / "rep.csv")]) == 2, payload
@@ -115,6 +126,10 @@ def test_bound_command_config_errors(tmp_path, capsys):
             assert capsys.readouterr().err.startswith("stopbounds: ")
     assert main(["bound", str(path), "--seed", str(2**64 - 1),
                  "--out", str(tmp_path / "rep.csv")]) == 0
+    path = write_config(tmp_path, "declared.json", dict(SQRT_WALD, declarations={
+        "concave_rule": False, "sure_start": True, "start_containment": True}))
+    assert main(["bound", str(path), "--out", str(tmp_path / "rep.csv")]) == 0
+    assert read_rows(tmp_path / "rep.csv")[0]["applicable"] == "false"
 
 
 BROWNIAN = {

@@ -263,6 +263,22 @@ def test_region_complement_closure_roundtrip():
     assert again.orientation == "le" and again.kind == "continuity"
 
 
+def test_region_family_is_read_only():
+    # the slack and the closed forms were built from these parameters: an
+    # edit would make the ray answers disagree with membership
+    region = sb.constant_region(5.0)
+    with pytest.raises(TypeError):
+        region.family["level"] = 7.0
+    assert region.family["family"] == "constant"
+    assert sb.ray_exit_time(region, 1.0) == 5.0
+    plane = sb.halfspace_region([1.0, 2.0], 0.5, 3.0, "le")
+    with pytest.raises(TypeError):
+        plane.family["s_coef"][0] = 9.0
+    with pytest.raises(TypeError):
+        plane.family["s_coef"] = (9.0, 2.0)
+    assert plane.complement_closure().family["s_coef"] == (1.0, 2.0)
+
+
 @pytest.mark.parametrize("orientation", [None, "xyz", "LE"])
 @pytest.mark.parametrize("build", [
     lambda o: sb.constant_region(1.0, o),

@@ -70,7 +70,8 @@ class Region:
 
     ``slack_batch`` is the built-in family's signed margin, nonnegative
     exactly on the closed region.  It broadcasts: a scalar t with a (d,)
-    vector s gives one margin, (n,) times with (n, d) sums give n margins.
+    vector s gives one margin, (n,) times with (n, d) sums give n margins,
+    and (steps,) times with a (runs, steps, d) block give (runs, steps).
     Oracle regions have no slack and answer through ``membership``.  For
     d = 1 regions of the form {s <= f(t)} or {s >= f(t)}, ``scalar_boundary``
     holds f and ``orientation`` is "le" or "ge"; ``boundary_slope`` gives
@@ -96,7 +97,8 @@ class Region:
     def inside(self, ts, ss, strict: bool = False):
         """Membership of points with times ts >= 0, in the closed or open region.
 
-        Takes a scalar t with a (d,) vector s, or (n,) times with (n, d) sums.
+        Takes a scalar t with a (d,) vector s, or (n,) times with (n, d) sums;
+        a built-in slack also takes (steps,) times with (runs, steps, d) sums.
         Oracle regions have no open variant and ignore ``strict``.
         """
         if self.slack_batch is not None:
@@ -555,25 +557,28 @@ class Hyperplane:
 def sample_member_points(region: Region, n_points: int, seed: int, t_max: float, s_span):
     """Rejection-sample up to n_points members of the region inside a box.
 
-    Candidate k is row k of one uniform draw: t = t_max*u[k, 0] and
+    Candidate k is row k of one uniform stream: t = t_max*u[k, 0] and
     s = -s_span + 2*s_span*u[k, 1:], the values that per-candidate calls
     rng.uniform(0, t_max), rng.uniform(-s_span, s_span) would return.
+    Candidates are drawn and tested 4*n_points rows at a time, up to
+    200*n_points rows; consecutive ``rng.random`` calls continue one
+    stream, so the slices are the rows a single draw would give.
     """
     rng = np.random.default_rng(seed)
     s_span = np.atleast_1d(np.asarray(s_span, dtype=float))
-    cap = 200 * n_points  # candidates drawn at most
-    u = rng.random((cap, 1 + region.dim))
-    ts = t_max * u[:, 0]
-    ss = -s_span + (s_span - -s_span) * u[:, 1:]
-    # test in slices, so that an oracle region stops calling its predicate early
-    keep = []
-    for lo in range(0, cap, 4 * n_points):
-        part = slice(lo, lo + 4 * n_points)
-        keep.extend(lo + np.flatnonzero(region.inside(ts[part], ss[part])))
-        if len(keep) >= n_points:
+    width = 4 * n_points  # candidates drawn and tested at a time
+    t_parts, s_parts, found = [], [], 0
+    for _ in range(50):  # 200 * n_points candidates at most
+        u = rng.random((width, 1 + region.dim))
+        ts = t_max * u[:, 0]
+        ss = -s_span + (s_span - -s_span) * u[:, 1:]
+        keep = np.flatnonzero(region.inside(ts, ss))[:n_points - found]
+        t_parts.append(ts[keep])
+        s_parts.append(ss[keep])
+        found += keep.size
+        if found == n_points:
             break
-    keep = keep[:n_points]
-    return ts[keep], ss[keep]
+    return np.concatenate(t_parts), np.concatenate(s_parts)
 
 
 def supporting_hyperplane(region: Region, mean, grad=None) -> Hyperplane:

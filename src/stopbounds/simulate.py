@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -95,9 +94,23 @@ def _mean_stderr(values: np.ndarray):
 
 
 def _exit_test(region: Region, boundary: str):
-    """Vectorized stop test over (sizes, sums) given the boundary convention."""
+    """Stop test of a block given the boundary convention.
+
+    Takes (steps,) checkpoint times and the (runs, steps, d) sums at them
+    and gives (runs, steps) hits.  A built-in slack broadcasts the times
+    against the block as it is; an oracle region is asked point by point.
+    """
     strict, continuity = boundary == "strict", region.kind == "continuity"
-    return lambda ts, ss: region.inside(ts, ss, strict) != continuity
+    if region.slack_batch is not None:
+        return lambda ts, at: region.inside(ts, at, strict) != continuity
+
+    def stops(ts, at):
+        shape = at.shape[:2]
+        hits = region.inside(np.broadcast_to(ts, shape).ravel(), at.reshape(-1, at.shape[2]),
+                             strict)
+        return (hits != continuity).reshape(shape)
+
+    return stops
 
 
 def _blocks(n_steps: int):
@@ -143,9 +156,10 @@ def _walk(draw, checkpoints, stops, dim: int, n_steps: int, n_runs: int, seed: i
 
     ``draw(rng, runs, length)`` gives a (runs, length, dim) block of
     increments, ``checkpoints(lo, hi)`` the steps in (lo, hi] where the rule
-    is checked, and ``stops(ts, ss)`` the exit test at times ``step *
-    scale``.  ``anchor`` is the time recorded as ``last_before`` for a stop
-    at the first checkpoint; truncated runs record ``cap`` as their stop.
+    is checked, and ``stops(ts, at)`` the exit test of the sums ``at`` at
+    those steps, at times ``ts = step * scale``.  ``anchor`` is the time
+    recorded as ``last_before`` for a stop at the first checkpoint;
+    truncated runs record ``cap`` as their stop.
     """
     stop_n = np.full(n_runs, float(cap))
     stop_sum = np.empty((n_runs, dim))
@@ -168,8 +182,7 @@ def _walk(draw, checkpoints, stops, dim: int, n_steps: int, n_runs: int, seed: i
             if steps.size:
                 ts = steps * scale
                 at = sums if steps.size == length else sums[:, steps - start - 1]
-                shape = at.shape[:2]
-                hits = stops(np.broadcast_to(ts, shape).ravel(), at.reshape(-1, dim)).reshape(shape)
+                hits = stops(ts, at)
                 first = hits.argmax(axis=1)
                 done = hits[np.arange(rows.size), first]
                 if done.any():
@@ -186,6 +199,8 @@ def _walk(draw, checkpoints, stops, dim: int, n_steps: int, n_runs: int, seed: i
 
     n_chunks = -(-n_runs // _CHUNK)
     if workers > 1 and n_chunks > 1:
+        from concurrent.futures import ThreadPoolExecutor  # loads logging: only when threaded
+
         with ThreadPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
             list(pool.map(run_chunk, range(n_chunks)))
     else:

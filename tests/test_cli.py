@@ -380,28 +380,36 @@ def test_worker_count_bit_identical_reports(tmp_path):
 _SCIPY_PROBE = """
 import sys
 import stopbounds, stopbounds.cli, stopbounds.scenarios, stopbounds.overshoot as ovs
-print(sorted(m for m in sys.modules if m.startswith("scipy")))
+print(sorted(m for m in sys.modules if m.startswith(("scipy", "concurrent"))))
 z = stopbounds.exponential(1.0)
 law = ovs.sum_law(z, 1)
 ovs.threshold_functionals(z, stopbounds.uniform_interval(0.5, 1.5), law.cdf_strict, law.partial_above)
 print("scipy.integrate" in sys.modules)
+stopbounds.run_discrete(stopbounds.constant_region(3.0), stopbounds.bernoulli_affine(0, 1, 0.5),
+                        stopbounds.naturals(), 2048, workers=2)
+print("concurrent.futures" in sys.modules)
 """
 
 
-def test_import_and_cli_runs_load_no_scipy(tmp_path):
+def test_import_and_cli_runs_load_no_scipy_or_thread_pool(tmp_path):
     # importing the package loads numpy only; quadrature for a random threshold
-    # with a density loads scipy.integrate on first use
+    # with a density loads scipy.integrate on first use, and only walks on
+    # more than one worker load concurrent.futures (and with it logging)
     probe = run_python("-c", _SCIPY_PROBE)
     assert probe.returncode == 0, probe.stderr
-    assert probe.stdout.split() == ["[]", "True"]
+    assert probe.stdout.split() == ["[]", "True", "True"]
     # -X importtime lists every module the CLI process imports on stderr
-    for argv in (["bound", str(ROOT / "configs" / "bernoulli_threshold_certify.json")],
-                 ["certify", str(ROOT / "configs" / "brownian_passage_certify.json"),
-                  "--runs", "256"]):
-        out = tmp_path / f"{argv[0]}.csv"
+    # the Bernoulli certify walks two chunks on the config's one worker
+    for k, argv in enumerate((
+            ["bound", str(ROOT / "configs" / "bernoulli_threshold_certify.json")],
+            ["certify", str(ROOT / "configs" / "bernoulli_threshold_certify.json"),
+             "--runs", "2048"],
+            ["certify", str(ROOT / "configs" / "brownian_passage_certify.json"),
+             "--runs", "256"])):
+        out = tmp_path / f"{k}.csv"
         run = run_python("-X", "importtime", "-m", "stopbounds", *argv, "--out", str(out))
         assert run.returncode == 0, run.stderr
         imported = [line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()
                     if line.startswith("import time:")]
         assert "stopbounds.cli" in imported and len(read_rows(out)) > 0
-        assert not [name for name in imported if name.startswith("scipy")], argv
+        assert not [name for name in imported if name.startswith(("scipy", "concurrent"))], argv

@@ -181,6 +181,35 @@ def test_sample_member_points_matches_per_candidate_reference(region, t_max, s_s
     assert np.array_equal(ts, ref_t) and np.array_equal(ss, ref_s)
 
 
+class _RowCounter:
+    """Generator proxy that counts the rows ``random`` hands out."""
+
+    def __init__(self, gen, rows):
+        self._gen, self._rows = gen, rows
+
+    def random(self, size):
+        out = self._gen.random(size)
+        self._rows.append(out.shape[0])
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
+
+
+def test_support_audit_draws_candidates_slice_by_slice(monkeypatch):
+    rows, make = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _RowCounter(make(seed), rows))
+    hyp = sb.supporting_hyperplane(sb.constant_region(5.0), 0.5)
+    assert hyp.level == 10.0
+    # 200 members are found in the first slice of 4 * 200 rows
+    assert 0 < sum(rows) <= 800
+    # a region with no members in the box stops at the cap of 200 * n_points rows
+    rows.clear()
+    ts, ss = sample_member_points(sb.constant_region(-50.0, "le"), 5, 7, 1.0, [1.0])
+    assert ts.shape == (0,) and ss.shape == (0, 1)
+    assert sum(rows) == 200 * 5 and set(rows) == {4 * 5}
+
+
 def test_supporting_hyperplane_rejects_bad_gradient():
     region = sb.power_region(2.0, 0.5)
     with pytest.raises((sb.GradientDomainError, NonConvexityError)):

@@ -404,9 +404,12 @@ def test_curved_and_oracle_regions_keep_the_two_grid_euler_path(region):
     (sb.power_region(2.0, 0.5), sb.uniform_interval(0.0, 2.0), sb.arithmetic(1, 3)),
     (sb.halfspace_region([1.0, 1.0], 0.0, 8.0, "ge", "stopping"),
      sb.product([sb.bernoulli_affine(0, 1, 0.5), sb.exponential(2.0)]), sb.naturals()),
-], ids=["constant-stopping", "power-continuity", "halfspace-2d"])
+    # stops at sizes 210..1065; past step 480 each 256-step block holds zero or one size
+    (sb.power_region(2.0, 0.5), sb.bernoulli_affine(0, 1, 0.1), sb.geometric(2, 1.5)),
+], ids=["constant-stopping", "power-continuity", "halfspace-2d", "power-geometric"])
 def test_oracle_wrapper_walks_like_its_region(region, spec, schedule):
-    # the per-point oracle branch of Region.inside against the slack branch
+    # the per-point oracle branch of the exit test against the slack, which
+    # takes the checkpoint times and the gathered block as they are
     oracle = sb.region_from_oracle(region.contains, region.dim, region.kind,
                                    region.convex_closure, region.contains_origin)
     exact = discrete_paths(region, spec, schedule, 60, seed=3)

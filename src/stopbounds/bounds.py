@@ -76,17 +76,16 @@ def _chk(ident: str, ok: bool, note: str = "") -> AssumptionCheck:
     return AssumptionCheck(ident, "pass" if ok else "fail", note)
 
 
-def _audit_horizon(schedule: SampleSchedule) -> int:
-    index = min(64, schedule.size or 64)
-    index = max(index, 2)
-    return schedule.element(index)
-
-
 def _standard_audit(region: Region, profile: MomentProfile, schedule: SampleSchedule,
                     need_third_moment: bool, start_containment_declared: bool):
-    aud = audit_assumptions(schedule, _audit_horizon(schedule))
+    """Assumptions (I)-(IV), plus (VI) when asked.
+
+    (I) and (II) come from the schedule's kind and parameters, never from a
+    prefix of its elements; (III) from the region's asserted flags.
+    """
+    aud = audit_assumptions(schedule)
     checks = [
-        _chk("I", aud.growth_pass, f"worst excess {aud.worst_excess:.3g}"),
+        _chk("I", aud.growth_pass, f"lam={schedule.lam:.6g}, K={schedule.K:.6g}"),
         _chk("II", aud.gap_or_ratio_pass, aud.gap_or_ratio_mode),
         _chk("III", region.convex_closure and region.contains_origin, "asserted flags"),
         AssumptionCheck("IV", "declared" if start_containment_declared else "fail",
@@ -137,13 +136,19 @@ def stopping_region_lower_bound(region: Region, mean) -> BoundReport:
 
 def wald_lower_bound(gfun: Callable[[np.ndarray], float], mean,
                      concave_declared: bool = True) -> BoundReport:
-    """E[N] >= 1/gfun(mean) for rules that stop once n >= 1/gfun(sample mean)."""
+    """E[N] >= 1/gfun(mean) for rules that stop once n >= 1/gfun(sample mean).
+
+    gfun(mean) = 0 leaves the rule at the mean never stopping: the value is
+    +inf with the positivity check marked "unchecked".
+    """
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     g0 = float(gfun(mean))
-    checks = [
-        AssumptionCheck("g-concave", "declared" if concave_declared else "fail"),
-        _chk("g-positive-at-mean", g0 > 0.0, f"g(mean)={g0:.6g}"),
-    ]
+    checks = [AssumptionCheck("g-concave", "declared" if concave_declared else "fail")]
+    if g0 == 0.0:
+        checks.append(AssumptionCheck("g-positive-at-mean", "unchecked",
+                                      "g(mean)=0: never stops, value +inf"))
+        return BoundReport("T-UseWald-lower", "lower", math.inf, checks, {"g_at_mean": g0})
+    checks.append(_chk("g-positive-at-mean", g0 > 0.0, f"g(mean)={g0:.6g}"))
     value = 1.0 / g0 if g0 > 0 else math.nan
     return BoundReport("T-UseWald-lower", "lower", value, checks, {"g_at_mean": g0})
 
@@ -205,15 +210,11 @@ def slab_optimization_upper_bound(region: Region, profile: MomentProfile,
     diag = {"m": m, "lam": lam, "K": K, "n0": n0}
     if variant == "T11":
         checks.append(_chk("support-bounds", profile.bounded))
-        if not profile.bounded:
-            return BoundReport(tag, "upper", math.nan, checks, diag)
-        slab = bounded_support_slab(profile, lam, K, n0)
-    else:
-        slab = deviation_slab(profile, lam, K, n0)
     if any(c.status == "fail" for c in checks):
         return BoundReport(tag, "upper", math.nan, checks, diag)
     if not math.isfinite(m):
         return BoundReport(tag, "upper", math.inf, checks, diag)
+    slab = (bounded_support_slab if variant == "T11" else deviation_slab)(profile, lam, K, n0)
     checks.append(_chk("slab-nonempty", not slab.is_empty))
     if slab.is_empty:
         return BoundReport(tag, "upper", math.nan, checks, diag)
@@ -306,11 +307,10 @@ def _concavity_probe(gfun, lo, hi, trials: int = 400, seed: int = 5) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def hyperplane_vertex_upper_bound(hyp: Hyperplane, profile: MomentProfile,
+def hyperplane_vertex_upper_bound(region: Region, hyp: Hyperplane, profile: MomentProfile,
                                   schedule: SampleSchedule, variant: str = "T14",
-                                  region: Optional[Region] = None,
                                   start_containment_declared: bool = True) -> BoundReport:
-    """E[N] <= lam * (vertex fractional max) + K using the supporting hyperplane.
+    """E[N] <= lam * (vertex fractional max) + K using the region's supporting hyperplane.
 
     "T14" evaluates the deviation slab; "T15" evaluates both the envelope
     and primed support slabs and keeps the smaller vertex maximum among
@@ -320,18 +320,17 @@ def hyperplane_vertex_upper_bound(hyp: Hyperplane, profile: MomentProfile,
         raise ValueError("variant must be T14 or T15")
     tag = "T14-hyperplane" if variant == "T14" else "T15-hyperplane-bounded"
     lam, K, n0 = schedule.lam, schedule.K, schedule.n0
-    checks = []
+    checks = _standard_audit(region, profile, schedule,
+                             need_third_moment=(variant == "T14"),
+                             start_containment_declared=start_containment_declared)
     diag = {"m": hyp.anchor, "C": hyp.level, "lam": lam, "K": K, "n0": n0}
-    if region is not None:
-        checks += _standard_audit(region, profile, schedule,
-                                  need_third_moment=(variant == "T14"),
-                                  start_containment_declared=start_containment_declared)
+    if variant == "T15":
+        checks.append(_chk("support-bounds", profile.bounded))
+    if any(c.status == "fail" for c in checks):
+        return BoundReport(tag, "upper", math.nan, checks, diag)
     if variant == "T14":
         slabs = {"deviation": deviation_slab(profile, lam, K, n0)}
     else:
-        checks.append(_chk("support-bounds", profile.bounded))
-        if not profile.bounded:
-            return BoundReport(tag, "upper", math.nan, checks, diag)
         both = bounded_support_slab(profile, lam, K, n0)
         slabs = {
             "envelope": Slab(both.lower_slope, both.upper_slope,
@@ -419,8 +418,8 @@ def lorden_hyperplane_upper_bound(hyp: Hyperplane, profile: MomentProfile, K: in
 # ---------------------------------------------------------------------------
 
 
-def gradient_upper_bound(region: Region, profile: MomentProfile, variant: str = "T17",
-                         schedule: Optional[SampleSchedule] = None) -> BoundReport:
+def gradient_upper_bound(region: Region, profile: MomentProfile, schedule: SampleSchedule,
+                         variant: str = "T17") -> BoundReport:
     """E[N] <= g(mean) + 1 + quadratic form of the log-gradient against the noise.
 
     Variant "vipformula" is the closed scalar form m + 1 + var/(f'(m)-mean)^2
@@ -433,11 +432,8 @@ def gradient_upper_bound(region: Region, profile: MomentProfile, variant: str = 
     checks = [
         _chk("III", region.convex_closure and region.contains_origin, "asserted flags"),
         _chk("second-moment-finite", bool(np.all(np.isfinite(profile.variance)))),
+        _chk("all-naturals", schedule.is_all_naturals),
     ]
-    if schedule is not None:
-        checks.append(_chk("all-naturals", schedule.is_all_naturals))
-    else:
-        checks.append(AssumptionCheck("all-naturals", "unchecked", "no schedule supplied"))
     diag = {}
     if any(c.status == "fail" for c in checks):
         return BoundReport(tag, "upper", math.nan, checks, diag)
@@ -607,13 +603,13 @@ def concentration_upper_bound(region: Region, profile: MomentProfile,
 # ---------------------------------------------------------------------------
 
 
-def overshoot_upper_bound(z_spec: DistributionSpec, lam, variant: str = "T6",
-                          schedule: Optional[SampleSchedule] = None) -> BoundReport:
+def overshoot_upper_bound(z_spec: DistributionSpec, lam, schedule: SampleSchedule,
+                          variant: str = "T6") -> BoundReport:
     """Expected-overshoot bound for renewal sums crossing a threshold.
 
-    "T6" bounds E[overshoot] for a crossing checked at every sample; "T7"
-    handles thresholds checked only on a schedule with finite maximum gap K,
-    via the law of the first-batch sum.
+    "T6" bounds E[overshoot] for a crossing checked at every sample, so it
+    needs the all-naturals schedule; "T7" handles thresholds checked only on
+    a schedule with finite maximum gap K, via the law of the first-batch sum.
     """
     if variant not in ("T6", "T7"):
         raise ValueError("variant must be T6 or T7")
@@ -633,9 +629,9 @@ def overshoot_upper_bound(z_spec: DistributionSpec, lam, variant: str = "T6",
         pos2 = scalar_family(z_spec).positive_part_square(z_spec.params)
         diag["positive_part_second_moment"] = pos2
         batch = 1
+        checks.append(_chk("all-naturals", schedule.is_all_naturals,
+                           "every-sample crossing rule"))
     else:  # T7: positive increments, schedule with finite max gap
-        if schedule is None:
-            raise ValueError("T7 needs the sample schedule")
         strictly_positive = (scalar_family(z_spec).strictly_positive or (
             prof.bounded and float(prof.support_lo[0]) > 0.0))
         checks.append(_chk("positive-increments", strictly_positive))

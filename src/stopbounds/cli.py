@@ -142,8 +142,7 @@ def schedule_from_config(cfg: dict) -> sch.SampleSchedule:
                                  _real(cfg.get("ratio"), "ratio"), n0)
         if kind == "explicit":
             values = _list(cfg.get("values"), "explicit schedule values")
-            return sch.explicit([_real(v, "schedule values", int) for v in values],
-                                _real(cfg.get("lam"), "lam"), _real(cfg.get("K"), "K"), n0)
+            return sch.explicit([_real(v, "schedule values", int) for v in values], n0)
     except sch.ScheduleError as exc:
         raise ConfigError(f"bad schedule config: {exc}") from exc
     raise ConfigError(f"unknown schedule kind {kind!r}")

@@ -57,11 +57,12 @@ class _RegionViews:
         return g
 
     def reciprocal_rule_function(self):
+        """1/g(v), with 1/0 = +inf and 1/+inf = 0."""
         view = self.continuity_view
 
         def g(v):
             val = ray_exit_time(view, v)
-            return 1.0 / val if math.isfinite(val) and val > 0 else 0.0
+            return 1.0 / val if val > 0 else math.inf
 
         return g
 
@@ -167,8 +168,8 @@ def bound_report(tag: str, bundle: ScenarioBundle) -> bd.BoundReport:
     if tag in ("T14-hyperplane", "T15-hyperplane-bounded"):
         variant = "T14" if tag == "T14-hyperplane" else "T15"
         return bd.hyperplane_vertex_upper_bound(
-            bundle.hyperplane, prof, sched, variant,
-            region=bundle.continuity_view, start_containment_declared=iv)
+            bundle.continuity_view, bundle.hyperplane, prof, sched, variant,
+            start_containment_declared=iv)
     if tag.startswith("T16-chenlorden-"):
         assertion = tag.rsplit("-", 1)[1]
         k = 1 if sched.is_all_naturals else (sched.step or 0)
@@ -178,7 +179,7 @@ def bound_report(tag: str, bundle: ScenarioBundle) -> bd.BoundReport:
         return bd.lorden_hyperplane_upper_bound(bundle.hyperplane, prof, k, assertion)
     if tag in ("T17-gradient", "vipformula"):
         variant = "T17" if tag == "T17-gradient" else "vipformula"
-        return bd.gradient_upper_bound(bundle.continuity_view, prof, variant, sched)
+        return bd.gradient_upper_bound(bundle.continuity_view, prof, sched, variant)
     if tag in ("T18-concentration", "T19-concentration-hyperplane"):
         t19 = tag.startswith("T19")
         return bd.concentration_upper_bound(
@@ -191,13 +192,7 @@ def bound_report(tag: str, bundle: ScenarioBundle) -> bd.BoundReport:
                            "overshoot bounds need a constant stopping threshold")
         if prof.dim != 1:
             return _failed(tag, "upper", "scalar-increments", "dim must be 1")
-        if tag == "Lorden-T6":
-            report = bd.overshoot_upper_bound(bundle.spec, level, "T6")
-            report.assumptions.append(bd.AssumptionCheck(
-                "all-naturals", "pass" if sched.is_all_naturals else "fail",
-                "every-sample crossing rule"))
-            return report
-        return bd.overshoot_upper_bound(bundle.spec, level, "T7", schedule=sched)
+        return bd.overshoot_upper_bound(bundle.spec, level, sched, tag.rsplit("-", 1)[1])
     raise ValueError(f"unknown theorem tag {tag!r}")
 
 
@@ -226,6 +221,8 @@ def brownian_report(tag: str, bundle: BrownianBundle) -> bd.BoundReport:
     if tag == "Brown3":
         report = bd.wald_lower_bound(bundle.rule_function(), drift, concave_declared=concave)
         g0 = report.diagnostics["g_at_mean"]
+        if g0 == 0.0:  # Wald's +inf lower bound at g = 0 bounds nothing from above
+            report.assumptions[-1] = bd._chk("g-positive-at-mean", False, "g(mean)=0")
         return replace(report, theorem=tag, direction="upper", value=g0 if g0 > 0.0 else math.nan)
     if tag == "Brown4":
         report = bd.wald_lower_bound(bundle.reciprocal_rule_function(), drift,

@@ -1,16 +1,20 @@
 """Permitted sample-size sets and their growth certificates.
 
 A schedule is the increasing set of sample sizes at which the stopping rule
-may be checked, together with the growth constants (lam, K) used by the
-indirect bound E[N] <= lam * E[M] + K.  The two growth conditions audited
-here are (I) N_{l+1} <= lam * N_l + K and (II) bounded gaps or a growth
-ratio strictly above one.
+may be checked.  The indirect bound E[N] <= lam * E[M] + K rests on two
+growth conditions: (I) N_{l+1} <= lam * N_l + K and (II) bounded gaps or a
+growth ratio strictly above one.  Both are settled from the schedule's kind
+and parameters, never by enumerating a prefix: (lam, K) are derived from the
+parameters of the infinite kinds, so (I) holds by construction, and (II) is
+read off the kind.  An explicit list is finite and the rule is never checked
+after its last element, so its last gap, its K and its gap supremum are
++inf: no schedule-based upper bound applies to it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, Optional
 
 
@@ -22,18 +26,16 @@ class ExhaustedScheduleError(RuntimeError):
     """No schedule element exceeds the requested level."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class SampleSchedule:
     """Increasing set of permitted sample sizes N_1 < N_2 < ...
 
     ``n0`` is the pre-check anchor 0 <= N_0 < N_1 (the rule is never applied
-    at N_0).  ``lam`` and ``K`` are the declared growth constants; for the
-    built-in kinds they are derived, for explicit lists they are supplied.
+    at N_0).  The growth constants ``lam`` and ``K`` are properties of the
+    kind and its parameters, not settable values.
     """
 
     kind: str  # "all-naturals" | "arithmetic" | "geometric" | "explicit"
-    lam: float
-    K: float
     n0: int = 0
     step: Optional[int] = None
     ratio: Optional[float] = None
@@ -56,13 +58,30 @@ class SampleSchedule:
             return self.values[index - 1]
         raise ScheduleError(f"unknown kind {self.kind!r}")
 
+    def __repr__(self) -> str:
+        # the derived growth constants are shown beside the fields
+        rest = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)[1:])
+        return f"SampleSchedule(kind={self.kind!r}, lam={self.lam!r}, K={self.K!r}, {rest})"
+
     @property
     def finite(self) -> bool:
         return self.kind == "explicit"
 
     @property
-    def size(self) -> Optional[int]:
-        return len(self.values) if self.finite else None
+    def lam(self) -> float:
+        """Growth ratio of condition (I): the geometric ratio, else 1."""
+        return self.ratio if self.kind == "geometric" else 1.0
+
+    @property
+    def K(self) -> float:
+        """Growth offset of condition (I), covering the jump from N_0 to N_1.
+
+        A geometric schedule needs K = max(ratio, first - ratio * n0): the
+        ceiling adds less than one to ratio * N_l, and ratio > 1.
+        """
+        if self.kind == "geometric":
+            return max(self.ratio, self.first - self.ratio * self.n0)
+        return gap_supremum(self)
 
     def iter_elements(self, limit: int) -> Iterator[int]:
         """Yield schedule elements <= limit in increasing order."""
@@ -91,17 +110,6 @@ class SampleSchedule:
                 return index, value
             index += 1
 
-    def max_gap(self, horizon: int) -> int:
-        """sup of N_{l+1} - N_l over the audited prefix, including N_1 - N_0."""
-        gap = 0
-        prev = self.n0
-        for value in self.iter_elements(horizon):
-            gap = max(gap, value - prev)
-            prev = value
-        if gap == 0:
-            raise ScheduleError("horizon below the first schedule element")
-        return gap
-
     @property
     def is_all_naturals(self) -> bool:
         return self.kind == "all-naturals" and self.n0 == 0
@@ -120,7 +128,7 @@ _GEOMETRIC_CACHE: dict = {}
 
 def _geometric_element(first: int, ratio: float, index: int) -> int:
     # exact rational growth: float multiplication would overflow and break
-    # the declared growth certificate on long prefixes
+    # the growth certificate on long prefixes
     from fractions import Fraction
 
     cache = _GEOMETRIC_CACHE.setdefault((first, ratio), [first])
@@ -137,7 +145,7 @@ def naturals(n0: int = 0) -> SampleSchedule:
     """All positive integers above n0; growth constants lam=1, K=1."""
     if n0 < 0:
         raise ScheduleError("n0 must be nonnegative")
-    return SampleSchedule("all-naturals", lam=1.0, K=1.0, n0=n0)
+    return SampleSchedule("all-naturals", n0=n0)
 
 
 def arithmetic(n0: int, step: int) -> SampleSchedule:
@@ -146,25 +154,20 @@ def arithmetic(n0: int, step: int) -> SampleSchedule:
         raise ScheduleError("step must be a positive integer")
     if n0 < 0:
         raise ScheduleError("n0 must be nonnegative")
-    return SampleSchedule("arithmetic", lam=1.0, K=float(step), n0=n0, step=int(step))
+    return SampleSchedule("arithmetic", n0=n0, step=int(step))
 
 
 def geometric(first: int, ratio: float, n0: int = 0) -> SampleSchedule:
-    """N_1 = first, N_{l+1} = ceil(ratio * N_l); growth constants lam=ratio, K derived.
-
-    K = max(ratio, first - ratio * n0) so the growth certificate also covers
-    the initial jump from n0 to the first element.
-    """
+    """N_1 = first, N_{l+1} = ceil(ratio * N_l); growth constants lam=ratio, K derived."""
     if ratio <= 1.0:
         raise ScheduleError("ratio must exceed 1")
     if first < 1 or n0 >= first or n0 < 0:
         raise ScheduleError("need 0 <= n0 < first")
-    K = max(float(ratio), float(first) - float(ratio) * n0)
-    return SampleSchedule("geometric", lam=float(ratio), K=K, n0=n0,
-                          ratio=float(ratio), first=int(first))
+    return SampleSchedule("geometric", n0=n0, ratio=float(ratio), first=int(first))
 
 
-def explicit(values, lam: float, K: float, n0: int = 0) -> SampleSchedule:
+def explicit(values, n0: int = 0) -> SampleSchedule:
+    """A finite list of looks; growth constants lam=1, K=+inf."""
     vals = tuple(int(v) for v in values)
     if not vals:
         raise ScheduleError("explicit schedule must be nonempty")
@@ -172,44 +175,29 @@ def explicit(values, lam: float, K: float, n0: int = 0) -> SampleSchedule:
         raise ScheduleError("need 0 <= n0 < first element")
     if any(b <= a for a, b in zip(vals, vals[1:])):
         raise ScheduleError("explicit schedule must be strictly increasing")
-    return SampleSchedule("explicit", lam=float(lam), K=float(K), n0=n0, values=vals)
+    return SampleSchedule("explicit", n0=n0, values=vals)
 
 
 @dataclass(frozen=True)
 class ScheduleAudit:
-    """Pass/fail record of the growth assumptions over an audited prefix."""
+    """Pass/fail record of the growth conditions."""
 
-    increasing: bool
-    growth_pass: bool            # condition (I) with the declared (lam, K)
+    growth_pass: bool            # condition (I): finite derived (lam, K)
     gap_or_ratio_pass: bool      # condition (II)
-    gap_or_ratio_mode: str       # "bounded-gaps" | "ratio-above-one" | "prefix-only"
-    audited: int
-    worst_excess: float          # max of N_{l+1} - lam*N_l - K over the prefix
+    gap_or_ratio_mode: str       # "bounded-gaps" | "ratio-above-one" | "last-gap-infinite"
 
 
-def audit_assumptions(schedule: SampleSchedule, horizon: int) -> ScheduleAudit:
-    """Audit the growth conditions on the prefix of elements <= horizon.
+def audit_assumptions(schedule: SampleSchedule) -> ScheduleAudit:
+    """Settle the growth conditions from the schedule's kind and parameters.
 
-    For the built-in kinds condition (II) is settled analytically; for
-    explicit lists only the prefix is checked and the mode is marked
-    ``prefix-only``.
+    Naturals and arithmetic schedules have bounded gaps; a geometric one
+    grows by a ratio above one.  An explicit list fails both conditions:
+    its last gap is +inf, so no finite K bounds it.
     """
-    elements = [schedule.n0] + list(schedule.iter_elements(horizon))
-    if len(elements) < 3:
-        raise ScheduleError("horizon must cover at least two schedule elements")
-    increasing = all(b > a for a, b in zip(elements, elements[1:]))
-    worst = max(b - schedule.lam * a - schedule.K for a, b in zip(elements, elements[1:]))
-    growth_pass = worst <= 1e-12
-
-    if schedule.kind in ("all-naturals", "arithmetic"):
-        mode, ii_pass = "bounded-gaps", True
-    elif schedule.kind == "geometric":
-        mode, ii_pass = "ratio-above-one", schedule.ratio > 1.0
-    else:
-        mode = "prefix-only"
-        gaps = [b - a for a, b in zip(elements[1:], elements[2:])]
-        ii_pass = bool(gaps) and max(gaps) < math.inf
-    return ScheduleAudit(increasing, growth_pass, ii_pass, mode, len(elements) - 1, worst)
+    if schedule.kind == "geometric":
+        return ScheduleAudit(True, schedule.ratio > 1.0, "ratio-above-one")
+    bounded = math.isfinite(gap_supremum(schedule))
+    return ScheduleAudit(bounded, bounded, "bounded-gaps" if bounded else "last-gap-infinite")
 
 
 def tau_index(schedule: SampleSchedule, m: float):
@@ -219,16 +207,14 @@ def tau_index(schedule: SampleSchedule, m: float):
     return schedule.first_index_above(m)
 
 
-def gap_supremum(schedule: SampleSchedule, horizon: int = 10_000) -> float:
-    """sup of consecutive gaps over the whole schedule.
+def gap_supremum(schedule: SampleSchedule) -> float:
+    """sup of consecutive gaps over the whole schedule, including N_1 - N_0.
 
-    Analytic for the built-in kinds (infinite for geometric growth); for
-    explicit lists this is a prefix estimate only.
+    Infinite for geometric growth, and for an explicit list, whose rule is
+    never checked after its last element.
     """
     if schedule.kind == "all-naturals":
         return 1.0
     if schedule.kind == "arithmetic":
         return float(schedule.step)
-    if schedule.kind == "geometric":
-        return math.inf
-    return float(schedule.max_gap(horizon))
+    return math.inf

@@ -630,8 +630,7 @@ def validate_identity(which: str, scenario: dict, n_runs: int, seed: int = 0) ->
         overshoot = s[:, 0] - level
         mean, stderr, slack = _four_sigma(overshoot)
         variant = "T6" if which.endswith("T6") else "T7"
-        report = overshoot_upper_bound(spec, lam, variant=variant,
-                                       schedule=scenario["schedule"])
+        report = overshoot_upper_bound(spec, lam, scenario["schedule"], variant)
         ok = report.applicable and mean - slack <= report.value
         return ValidationResult(which, ok,
                                 {"mc_overshoot": mean, "stderr": stderr,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import stopbounds as sb
-from stopbounds.bounds import ALL_TAGS, overshoot_upper_bound
+from stopbounds.bounds import ALL_TAGS, UPPER_TAGS, overshoot_upper_bound
 from stopbounds import geometry
 from stopbounds.harness import BrownianBundle, ScenarioBundle, bound_report, brownian_report
 from stopbounds.scenarios import brownian_cases, certification_matrix
@@ -109,7 +109,8 @@ def test_wald_lower_bound_examples():
 def test_hyperplane_vertex_bound_examples():
     pm = sb.analytic_moments(sb.point_mass(1.0))
     hyp = sb.Hyperplane([1.0], 0.0, 5.0, 5.0)
-    report = sb.hyperplane_vertex_upper_bound(hyp, pm, sb.naturals(), "T14")
+    region = sb.constant_region(5.0)
+    report = sb.hyperplane_vertex_upper_bound(region, hyp, pm, sb.naturals(), "T14")
     assert report.value == pytest.approx(6.0, abs=1e-12)
 
     # two-vertex arithmetic with a widened manual slab
@@ -124,7 +125,7 @@ def test_hyperplane_vertex_bounded_variant_takes_minimum():
     prof = sb.analytic_moments(sb.bernoulli_affine(0, 1, 0.5))
     region = sb.constant_region(5.0)
     hyp = sb.supporting_hyperplane(region, prof.mean)
-    report = sb.hyperplane_vertex_upper_bound(hyp, prof, sb.naturals(), "T15", region=region)
+    report = sb.hyperplane_vertex_upper_bound(region, hyp, prof, sb.naturals(), "T15")
     assert report.applicable
     assert report.diagnostics["winning_slab"] == "support"
     assert report.value == pytest.approx(12.0, abs=1e-6)
@@ -148,7 +149,8 @@ def test_hyperplane_vertex_bounded_variant_takes_minimum():
 def test_hyperplane_vertex_bound_needs_support():
     prof = sb.analytic_moments(sb.exponential(1.0))
     hyp = sb.Hyperplane([1.0], 0.0, 5.0, 5.0)
-    report = sb.hyperplane_vertex_upper_bound(hyp, prof, sb.naturals(), "T15")
+    region = sb.constant_region(5.0)
+    report = sb.hyperplane_vertex_upper_bound(region, hyp, prof, sb.naturals(), "T15")
     assert not report.applicable
 
 
@@ -196,17 +198,17 @@ def test_lorden_chain_is_monotone(batch):
 def test_gradient_bound_examples():
     bern = sb.analytic_moments(sb.bernoulli_affine(0, 1, 0.5))
     region = sb.constant_region(5.0)
-    report = sb.gradient_upper_bound(region, bern, "vipformula", sb.naturals())
+    report = sb.gradient_upper_bound(region, bern, sb.naturals(), "vipformula")
     assert report.applicable and report.value == pytest.approx(12.0, abs=1e-9)
 
     pm = sb.analytic_moments(sb.point_mass(1.0))
-    report = sb.gradient_upper_bound(sb.power_region(2.0, 0.5), pm, "T17", sb.naturals())
+    report = sb.gradient_upper_bound(sb.power_region(2.0, 0.5), pm, sb.naturals(), "T17")
     assert report.value == pytest.approx(5.0, abs=1e-6)
 
-    report = sb.gradient_upper_bound(sb.power_region(2.0, 0.5), bern, "vipformula",
-                                     sb.naturals())
+    report = sb.gradient_upper_bound(sb.power_region(2.0, 0.5), bern, sb.naturals(),
+                                     "vipformula")
     assert report.value == pytest.approx(21.0, abs=1e-6)
-    report = sb.gradient_upper_bound(sb.power_region(2.0, 0.5), bern, "T17", sb.naturals())
+    report = sb.gradient_upper_bound(sb.power_region(2.0, 0.5), bern, sb.naturals(), "T17")
     assert report.value == pytest.approx(21.0, abs=1e-4)
 
 
@@ -220,8 +222,8 @@ def test_gradient_bound_examples():
 def test_t17_equals_vipformula_on_scalar_regions(region, spec):
     # d = 1: grad ln g = 1/(f'(m) - mean), so the quadratic form is var/(f'(m) - mean)^2
     prof = sb.analytic_moments(spec)
-    t17 = sb.gradient_upper_bound(region, prof, "T17", sb.naturals())
-    vip = sb.gradient_upper_bound(region, prof, "vipformula", sb.naturals())
+    t17 = sb.gradient_upper_bound(region, prof, sb.naturals(), "T17")
+    vip = sb.gradient_upper_bound(region, prof, sb.naturals(), "vipformula")
     assert t17.applicable and vip.applicable
     assert t17.value == pytest.approx(vip.value, rel=0, abs=1e-12)
     assert t17.diagnostics["closed_scalar_form"] == pytest.approx(vip.value, rel=0, abs=1e-12)
@@ -254,7 +256,8 @@ def test_flat_threshold_forms_give_identical_lorden_reports(spec, schedule):
     for tag in ("Lorden-T6", "Lorden-T7"):
         reports = [bound_report(tag, bundle(spec, region, schedule)) for region in forms]
         assert "constant-threshold" not in reports[0].failed_assumptions(), tag
-        assert math.isfinite(reports[0].value), tag
+        # T6 on the arithmetic schedule fails all-naturals and carries no value
+        assert math.isfinite(reports[0].value) == reports[0].applicable, tag
         assert all(r == reports[0] for r in reports[1:]), tag
     sloped = bundle(spec, sb.affine_region(0.1, 2.5, "ge", "stopping"), schedule)
     assert bound_report("Lorden-T6", sloped).failed_assumptions() == ["constant-threshold"]
@@ -263,7 +266,7 @@ def test_flat_threshold_forms_give_identical_lorden_reports(spec, schedule):
 def test_gradient_bound_gates():
     bern = sb.analytic_moments(sb.bernoulli_affine(0, 1, 0.5))
     region = sb.constant_region(5.0)
-    report = sb.gradient_upper_bound(region, bern, "T17", sb.arithmetic(0, 2))
+    report = sb.gradient_upper_bound(region, bern, sb.arithmetic(0, 2), "T17")
     assert not report.applicable  # needs every sample size
 
 
@@ -351,13 +354,12 @@ def test_concentration_user_tail():
 
 
 def test_overshoot_bound_examples():
-    report = overshoot_upper_bound(sb.exponential(1.0), math.log(2.0), "T6")
+    report = overshoot_upper_bound(sb.exponential(1.0), math.log(2.0), sb.naturals(), "T6")
     assert report.value == pytest.approx(1.5, abs=1e-12)
-    report = overshoot_upper_bound(sb.point_mass(1.0), 0.5, "T6")
+    report = overshoot_upper_bound(sb.point_mass(1.0), 0.5, sb.naturals(), "T6")
     assert report.value == pytest.approx(0.5, abs=1e-12)
     # schedule-aware variant, threshold 3, checks every second sample
-    report = overshoot_upper_bound(sb.exponential(1.0), 3.0, "T7",
-                                   schedule=sb.arithmetic(0, 2))
+    report = overshoot_upper_bound(sb.exponential(1.0), 3.0, sb.arithmetic(0, 2), "T7")
     lam = 3.0
     pr = 1.0 - math.exp(-lam) * (1.0 + lam)
     pe = math.exp(-lam) * (lam + 2.0)
@@ -366,20 +368,18 @@ def test_overshoot_bound_examples():
 
 def test_overshoot_bound_random_threshold():
     lam_spec = sb.bernoulli_affine(0.5, 1.5, 0.5)
-    report = overshoot_upper_bound(sb.exponential(1.0), lam_spec, "T6")
+    report = overshoot_upper_bound(sb.exponential(1.0), lam_spec, sb.naturals(), "T6")
     manual = 0.5 * (2.0 * (1 - math.exp(-0.5)) + math.exp(-0.5)) + \
         0.5 * (2.0 * (1 - math.exp(-1.5)) + math.exp(-1.5))
     assert report.value == pytest.approx(manual, abs=1e-12)
 
 
 def test_overshoot_bound_gates():
-    report = overshoot_upper_bound(sb.gaussian(0.0, 1.0), 1.0, "T6")
+    report = overshoot_upper_bound(sb.gaussian(0.0, 1.0), 1.0, sb.naturals(), "T6")
     assert not report.applicable  # mean is not positive
-    report = overshoot_upper_bound(sb.uniform_interval(-1, 2), 1.0, "T7",
-                                   schedule=sb.arithmetic(0, 2))
+    report = overshoot_upper_bound(sb.uniform_interval(-1, 2), 1.0, sb.arithmetic(0, 2), "T7")
     assert not report.applicable  # increments not strictly positive
-    report = overshoot_upper_bound(sb.exponential(1.0), 1.0, "T7",
-                                   schedule=sb.geometric(1, 2.0))
+    report = overshoot_upper_bound(sb.exponential(1.0), 1.0, sb.geometric(1, 2.0), "T7")
     assert not report.applicable  # unbounded gaps
 
 
@@ -436,7 +436,8 @@ def test_t14_zero_vertex_denominator_gives_an_applicable_infinity():
     # a negative smallest denominator still fails the proviso
     hyp = row["bundle"].hyperplane
     steeper = sb.Hyperplane(hyp.s_coef, hyp.t_coef - 1.0, hyp.level, hyp.anchor)
-    report = sb.hyperplane_vertex_upper_bound(steeper, row["bundle"].profile, sb.naturals(), "T14")
+    report = sb.hyperplane_vertex_upper_bound(row["bundle"].continuity_view, steeper,
+                                              row["bundle"].profile, sb.naturals(), "T14")
     assert not report.applicable and math.isnan(report.value)
     assert report.failed_assumptions() == ["denominator-positive"]
 
@@ -485,3 +486,78 @@ def test_shipped_bound_reports_never_search(monkeypatch):
                                    contains_origin=True)
     assert sb.mean_ray_crossing(oracle, 1.0) == pytest.approx(5.0, abs=1e-8)
     assert calls["_boundary_root"] == calls["_bracket_ray_exit"] == 1
+
+
+@pytest.mark.parametrize("tag", ["T-UseWald-lower", "Brown4"])
+def test_reciprocal_rule_of_a_never_exiting_ray_gives_an_applicable_infinity(tag):
+    # 1/g at g = +inf is 0: the rule at the mean never stops, as T8-lower and T10 find
+    region = sb.affine_region(1.0, 2.0, "le")
+    if tag == "Brown4":
+        report = brownian_report(tag, BrownianBundle("never-exits", region, drift=0.5,
+                                                     diffusion=1.0, dt=0.01))
+    else:
+        report = bound_report(tag, bundle(sb.bernoulli_affine(0, 1, 0.5), region, sb.naturals()))
+    assert report.direction == "lower" and report.value == math.inf
+    assert report.applicable and report.failed_assumptions() == []
+    check = next(c for c in report.assumptions if c.ident == "g-positive-at-mean")
+    assert check.status == "unchecked" and "+inf" in check.note
+
+
+def test_reciprocal_rule_function_maps_zero_and_infinity():
+    never, at_once = sb.affine_region(1.0, 2.0, "le"), sb.constant_region(0.0)
+    views = [BrownianBundle(name, region, drift=0.5, diffusion=1.0, dt=0.01)
+             for name, region in (("never", never), ("at-once", at_once),
+                                  ("finite", sb.constant_region(4.0)))]
+    assert [b.reciprocal_rule_function()(0.5) for b in views] == [0.0, math.inf, 0.125]
+    # g(drift) = 0: Brown3 stays inapplicable, Brown4 is the true lower bound 1/(1/0) = 0
+    brown3 = brownian_report("Brown3", views[1])
+    assert not brown3.applicable and math.isnan(brown3.value)
+    assert brown3.failed_assumptions() == ["g-positive-at-mean"]
+    brown4 = brownian_report("Brown4", views[1])
+    assert brown4.applicable and brown4.value == 0.0
+
+
+# a finite look list is never checked after its last look: its last gap is +inf
+
+def test_explicit_list_makes_t15_inapplicable():
+    # every gap up to the 69th look is 1, yet almost every run stops at 5000
+    sparse = bundle(sb.bernoulli_affine(0, 1, 0.01), sb.constant_region(5.0),
+                    sb.explicit(list(range(1, 70)) + [5000]))
+    report = bound_report("T15-hyperplane-bounded", sparse)
+    assert not report.applicable and math.isnan(report.value)
+    assert report.failed_assumptions() == ["I", "II"]
+    est = sb.run_discrete(sparse.region, sparse.spec, sparse.schedule, 2000, seed=1)
+    assert est.mean - 4.0 * est.stderr > 600.0  # T15 from the first 64 looks alone: 600
+
+
+def test_explicit_list_makes_lorden_t7_inapplicable():
+    threshold = bundle(sb.exponential(1.0), sb.constant_region(5.0, "ge", "stopping"),
+                       sb.explicit([3, 6, 9, 20009]))
+    report = bound_report("Lorden-T7", threshold)
+    assert not report.applicable and report.failed_assumptions() == ["finite-max-gap"]
+    # runs below 5 at the ninth sample overshoot by about 20 000 at the last look
+    est = sb.run_discrete(threshold.region, threshold.spec, threshold.schedule, 2000, seed=1,
+                          overshoot_level=5.0)
+    mean, stderr = est.extras["overshoot"]
+    assert mean - 4.0 * stderr > 100.0  # T7 from the gap K = 3 of the first looks: 3.67
+
+
+def test_explicit_list_gets_no_upper_bound():
+    # looks at 1, 2 and 3 only: no run ever leaves {s <= 5}
+    short = bundle(sb.bernoulli_affine(0, 1, 0.5), sb.constant_region(5.0), sb.explicit([1, 2, 3]))
+    for tag in UPPER_TAGS:
+        if not tag.startswith("Brown"):
+            report = bound_report(tag, short)
+            assert not report.applicable and math.isnan(report.value), tag
+    assert bound_report("T8-lower", short).applicable  # lower bounds do not read the schedule
+    with pytest.raises(sb.AllTruncatedError):
+        sb.run_discrete(short.region, short.spec, short.schedule, 200, horizon=10**6, seed=1)
+    # the calculators called directly run the same schedule checks
+    prof, region = short.profile, short.continuity_view
+    decades = sb.explicit([1, 2, 3] + [10 * 2**k for k in range(7)])
+    direct = sb.hyperplane_vertex_upper_bound(region, short.hyperplane, prof, decades, "T14")
+    assert {"I", "II"} <= set(direct.failed_assumptions())
+    assert sb.gradient_upper_bound(region, prof, decades).failed_assumptions() == ["all-naturals"]
+    t6 = overshoot_upper_bound(sb.exponential(1.0), 5.0, decades, "T6")
+    assert t6.failed_assumptions() == ["all-naturals"]
+    assert t6.assumptions[-1].ident == "all-naturals"

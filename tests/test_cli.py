@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stopbounds.bounds import ALL_TAGS
 from stopbounds.cli import CSV_COLUMNS, main
 
 
@@ -166,6 +167,9 @@ _FUZZ_BASES = [
          schedule={"kind": "arithmetic", "n0": 0, "step": 2},
          bounds=["T8-lower", "T10-upper", "T12-samplemean", "Lorden-T6", "Lorden-T7"],
          simulate={"n_runs": 100, "horizon": 1000}, declarations={"concave_rule": True}),
+    dict(BASE, distribution={"family": "bernoulli-affine", "params": {"x0": 0, "x1": 1, "p": 0.5}},
+         schedule={"kind": "explicit", "values": [2, 4]},
+         bounds=[tag for tag in ALL_TAGS if not tag.startswith("Brown")]),
     BROWNIAN,
 ]
 _JSON = st.recursive(
@@ -192,6 +196,22 @@ def test_bound_command_never_raises_on_mutated_configs(config):
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(config))
         assert main(["bound", str(path), "--out", str(Path(tmp) / "rep.csv")]) in (0, 2)
+
+
+def test_bound_command_reports_on_explicit_lists(tmp_path):
+    # a one-look list, and the concentration sums on a list that ends below the crossing
+    tags = ["T10-upper", "T18-concentration", "T19-concentration-hyperplane", "T8-lower"]
+    csvs = []
+    for schedule in ({"kind": "explicit", "values": [5]},
+                     {"kind": "explicit", "values": [5], "lam": 1, "K": 1},
+                     {"kind": "explicit", "values": [1, 2, 4], "n0": 0}):
+        path = write_config(tmp_path, "cfg.json", dict(BASE, schedule=schedule, bounds=tags))
+        out = tmp_path / "rep.csv"
+        assert main(["bound", str(path), "--out", str(out)]) == 0
+        rows = read_rows(out)
+        assert [r["applicable"] for r in rows] == ["false", "false", "false", "true"]
+        csvs.append([{k: r[k] for k in ("theorem", "value", "applicable")} for r in rows])
+    assert csvs[0] == csvs[1]  # lam and K are not read: the constants are derived
 
 
 def test_certify_anchor_scenario_exits_zero(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -14,38 +15,51 @@ from stopbounds.schedules import (
 
 
 def test_naturals_audit_passes():
-    audit = audit_assumptions(sb.naturals(), horizon=100)
+    audit = audit_assumptions(sb.naturals())
     assert audit.growth_pass
     assert audit.gap_or_ratio_pass
     assert audit.gap_or_ratio_mode == "bounded-gaps"
 
 
 def test_geometric_audit_passes():
-    audit = audit_assumptions(sb.geometric(1, 2.0), horizon=10_000)
+    audit = audit_assumptions(sb.geometric(1, 2.0))
     assert audit.growth_pass
     assert audit.gap_or_ratio_pass
     assert audit.gap_or_ratio_mode == "ratio-above-one"
 
 
-def test_declared_constants_too_small_fail():
-    # step-3 progression audited against declared growth constants (1, 2)
-    sched = explicit([8, 11, 14, 17, 20], lam=1.0, K=2.0, n0=5)
-    audit = audit_assumptions(sched, horizon=20)
-    assert not audit.growth_pass
-    assert audit.worst_excess == pytest.approx(1.0)
-    assert audit.gap_or_ratio_mode == "prefix-only"
+def test_explicit_list_fails_both_growth_conditions():
+    # the rule is never checked after the last look: the last gap is +inf
+    for values in ([5], [8, 11, 14, 17, 20], list(range(1, 70)) + [5000]):
+        sched = explicit(values)
+        assert (sched.lam, sched.K, gap_supremum(sched)) == (1.0, math.inf, math.inf)
+        audit = audit_assumptions(sched)
+        assert not audit.growth_pass and not audit.gap_or_ratio_pass
+        assert audit.gap_or_ratio_mode == "last-gap-infinite"
+
+
+def test_growth_constants_are_derived_not_settable():
+    assert "lam" not in {f.name for f in dataclasses.fields(sb.SampleSchedule)}
+    assert "K" not in {f.name for f in dataclasses.fields(sb.SampleSchedule)}
+    with pytest.raises(TypeError):
+        dataclasses.replace(sb.naturals(), K=0.5)
+    with pytest.raises(TypeError):
+        explicit([1, 2, 4], lam=2.0, K=0.0)
+    assert (sb.arithmetic(1, 3).lam, sb.arithmetic(1, 3).K) == (1.0, 3.0)
+    # K covers the jump from n0 = 2 to first = 10: 10 - 1.5 * 2 = 7
+    assert (sb.geometric(10, 1.5, 2).lam, sb.geometric(10, 1.5, 2).K) == (1.5, 7.0)
 
 
 def test_tau_index_examples():
     assert tau_index(sb.naturals(), 4.0) == (5, 5)
-    sched = explicit([1, 2, 4, 8, 16], lam=2.0, K=0.0)
+    sched = explicit([1, 2, 4, 8, 16])
     index, value = tau_index(sched, 5.0)
     assert value == 8
     assert tau_index(sb.naturals(), 0.5) == (1, 1)
 
 
 def test_tau_exhausted():
-    sched = explicit([1, 2, 4], lam=2.0, K=0.0)
+    sched = explicit([1, 2, 4])
     with pytest.raises(ExhaustedScheduleError):
         tau_index(sched, 10.0)
 
@@ -75,7 +89,7 @@ def test_gap_supremum_by_kind():
     assert gap_supremum(sb.naturals()) == 1.0
     assert gap_supremum(sb.arithmetic(2, 2)) == 2.0
     assert gap_supremum(sb.geometric(1, 2.0)) == math.inf
-    assert gap_supremum(explicit([2, 4, 7], lam=2, K=3)) == 3.0
+    assert gap_supremum(explicit([2, 4, 7])) == math.inf
 
 
 def test_multiples_detection():
@@ -87,9 +101,9 @@ def test_multiples_detection():
 
 def test_schedule_validation_errors():
     with pytest.raises(ScheduleError):
-        explicit([3, 3, 4], lam=1, K=1)
+        explicit([3, 3, 4])
     with pytest.raises(ScheduleError):
-        explicit([], lam=1, K=1)
+        explicit([])
     with pytest.raises(ScheduleError):
         sb.arithmetic(0, 0)
     with pytest.raises(ScheduleError):

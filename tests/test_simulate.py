@@ -99,7 +99,7 @@ def test_replay_spans_chunks_and_long_walks():
 
 
 @pytest.mark.parametrize("schedule,horizon", [(sb.naturals(), 0),
-                                              (sb.explicit([50, 60], 1.0, 50.0), 49)],
+                                              (sb.explicit([50, 60]), 49)],
                          ids=["naturals-horizon-0", "explicit-beyond-horizon"])
 def test_horizon_below_first_element_fails_cleanly(schedule, horizon):
     region = sb.constant_region(5.0, "ge", "stopping")
@@ -110,7 +110,7 @@ def test_horizon_below_first_element_fails_cleanly(schedule, horizon):
 def test_finite_schedule_ends_the_walk():
     # checks only at 2 and 3: runs below level 2 at size 3 are truncated
     region = sb.constant_region(2.0, "ge", "stopping")
-    spec, sched = sb.bernoulli_affine(0, 1, 0.5), sb.explicit([2, 3], 1.0, 1.0)
+    spec, sched = sb.bernoulli_affine(0, 1, 0.5), sb.explicit([2, 3])
     paths = discrete_paths(region, spec, sched, 2000, horizon=10**12, seed=1)
     cut = paths.truncated
     assert 0 < cut.sum() < 2000

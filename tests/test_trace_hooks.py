@@ -43,7 +43,7 @@ def test_gradient_bound_calls_log_exit_gradient_through_bounds(monkeypatch):
     monkeypatch.setattr(bounds, "log_exit_gradient",
                         lambda *a, **k: calls.append(a) or original(*a, **k))
     prof = sb.analytic_moments(sb.bernoulli_affine(0, 1, 0.5))
-    report = sb.gradient_upper_bound(sb.constant_region(5.0), prof, "T17", sb.naturals())
+    report = sb.gradient_upper_bound(sb.constant_region(5.0), prof, sb.naturals(), "T17")
     assert report.applicable and len(calls) == 1
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -50,6 +51,18 @@ def config_hash(config: dict) -> str:
 def _object(value, what: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
+def _keys(value, allowed, what: str) -> dict:
+    """``value`` as a JSON object holding no key outside ``allowed``.
+
+    A misspelt or stale key would otherwise be ignored without a word.
+    """
+    unknown = sorted(set(_object(value, what)) - set(allowed))
+    if unknown:
+        raise ConfigError(f"{what} takes the keys {', '.join(allowed)}; "
+                          f"unknown: {', '.join(map(repr, unknown))}")
     return value
 
 
@@ -104,11 +117,12 @@ def _declarations(value) -> dict:
 
 
 def spec_from_config(cfg: dict) -> mm.DistributionSpec:
-    cfg = _object(cfg, "distribution")
+    cfg = _keys(cfg, ("family", "params"), "distribution")
     family = cfg.get("family")
     params = _object(cfg.get("params", {}), "distribution params")
     try:
         if family == "product-of-scalars":
+            _keys(params, ("components",), "product-of-scalars params")
             comps = _list(params.get("components"), "product-of-scalars components")
             return mm.product(spec_from_config(c) for c in comps)
         return mm.DistributionSpec(family, params)
@@ -127,9 +141,16 @@ def region_from_config(cfg: dict):
         raise ConfigError(f"bad region config: {exc}") from exc
 
 
+_SCHEDULE_KEYS = {"all-naturals": ("kind", "n0"), "arithmetic": ("kind", "n0", "step"),
+                  "geometric": ("kind", "first", "ratio", "n0"),
+                  "explicit": ("kind", "values", "n0")}
+
+
 def schedule_from_config(cfg: dict) -> sch.SampleSchedule:
     cfg = _object(cfg, "schedule")
     kind = cfg.get("kind")
+    if kind in _SCHEDULE_KEYS:
+        _keys(cfg, _SCHEDULE_KEYS[kind], f"schedule kind {kind!r}")
     n0 = _real(cfg.get("n0", 0), "schedule n0", int)
     try:
         if kind == "all-naturals":
@@ -187,7 +208,8 @@ def write_report(rows, columns, path: str, fmt: str):
 
 
 def _build_discrete_bundle(config: dict) -> ScenarioBundle:
-    sim = _object(config.get("simulate", {}), "simulate")
+    sim = _keys(config.get("simulate", {}), ("n_runs", "horizon", "boundary", "workers"),
+                "simulate")
     spec = spec_from_config(config.get("distribution") or _missing("distribution"))
     region = region_from_config(config.get("region") or _missing("region"))
     schedule = schedule_from_config(config.get("schedule") or _missing("schedule"))
@@ -213,8 +235,8 @@ def _bound_tags(config: dict, brownian: bool) -> list:
 
 
 def _build_brownian_bundle(config: dict) -> BrownianBundle:
-    br = _object(config["brownian"], "brownian")
-    sim = _object(config.get("simulate", {}), "simulate")
+    br = _keys(config["brownian"], ("drift", "diffusion"), "brownian")
+    sim = _keys(config.get("simulate", {}), ("n_runs", "dt", "horizon", "workers"), "simulate")
     region = region_from_config(config.get("region") or _missing("region"))
     drift = _reals(br.get("drift"), "brownian.drift")
     diffusion = _reals(br.get("diffusion", 0.0), "brownian.diffusion")
@@ -390,7 +412,9 @@ def cmd_validate(config: dict, seed: int, out: str, fmt: str) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call rather than at import."""
     parser = argparse.ArgumentParser(
         prog="stopbounds",
         description="Bounds on expected stopping times, certified by Monte Carlo")
@@ -404,7 +428,11 @@ def main(argv=None) -> int:
         p.add_argument("--runs", type=int, default=None, help="override simulate.n_runs")
         p.add_argument("--out", default=None, help="report path (default: <config>.report.<fmt>)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         config = load_config(args.config)
         if args.runs is not None:

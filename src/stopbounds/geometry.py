@@ -271,20 +271,25 @@ def region_from_oracle(membership, dim: int, kind: str = "continuity",
                   orientation=orientation)
 
 
-_FAMILY_BUILDERS = {
-    "constant": lambda p: constant_region(p["level"], p["orientation"], p["kind"]),
-    "affine": lambda p: affine_region(p["slope"], p["intercept"], p["orientation"], p["kind"]),
-    "power": lambda p: power_region(p["coef"], p["exponent"], p["orientation"], p["kind"]),
-    "halfspace": lambda p: halfspace_region(p["s_coef"], p["t_coef"], p["level"],
-                                            p["orientation"], p["kind"]),
+_FAMILY_BUILDERS = {  # family -> (constructor, the parameters it takes before orientation, kind)
+    "constant": (constant_region, ("level",)),
+    "affine": (affine_region, ("slope", "intercept")),
+    "power": (power_region, ("coef", "exponent")),
+    "halfspace": (halfspace_region, ("s_coef", "t_coef", "level")),
 }
 
 
 def region_from_family(spec: dict) -> Region:
-    builder = _FAMILY_BUILDERS.get(spec.get("family"))
-    if builder is None:
+    """The built-in region of a family dict: its parameters, orientation and kind, no other key."""
+    entry = _FAMILY_BUILDERS.get(spec.get("family"))
+    if entry is None:
         raise RegionError(f"unknown region family {spec.get('family')!r}")
-    return builder(spec)
+    build, params = entry
+    keys = ("family", *params, "orientation", "kind")
+    if set(spec) != set(keys):
+        raise RegionError(f"a {spec['family']} region takes the keys {', '.join(keys)}; "
+                          f"got {', '.join(map(str, spec))}")
+    return build(*(spec[key] for key in params), spec["orientation"], spec["kind"])
 
 
 # ---------------------------------------------------------------------------

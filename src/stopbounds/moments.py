@@ -78,7 +78,7 @@ class ScalarFamily:
     params: tuple
     checks: tuple  # (predicate on the params, message when it fails)
     moments: Callable
-    draw: Callable  # (params, rng, n) -> n draws; its numpy calls fix the streams
+    draw: Callable  # (params, rng, out) fills the 1-D out; its numpy calls fix the streams
     positive_part_square: Callable  # E[(Z^+)^2]
     sum_law: Callable
     expect: Callable
@@ -209,10 +209,37 @@ def _uniform_moments(p: dict):
     return 0.5 * (p["lo"] + p["hi"]), w / 8.0, w * w / 12.0, w**3 / 32.0, p["lo"], p["hi"]
 
 
+# The draws fill ``out`` in place with the arithmetic of numpy's allocating
+# samplers (uniform: lo + (hi - lo) u, normal: mean + sd z, exponential:
+# z / rate as (1 / rate) z), so the values are bit-identical to theirs.
+def _bernoulli_draw(p: dict, rng, out: np.ndarray):
+    rng.random(out=out)
+    np.less(out, p["p"], out=out)  # x0 + (x1 - x0) * [u < p]
+    out *= p["x1"] - p["x0"]
+    out += p["x0"]
+
+
+def _uniform_draw(p: dict, rng, out: np.ndarray):
+    rng.random(out=out)
+    out *= p["hi"] - p["lo"]
+    out += p["lo"]
+
+
+def _gaussian_draw(p: dict, rng, out: np.ndarray):
+    rng.standard_normal(out=out)
+    out *= p["sd"]
+    out += p["mean"]
+
+
+def _exponential_draw(p: dict, rng, out: np.ndarray):
+    rng.standard_exponential(out=out)
+    out *= 1.0 / p["rate"]
+
+
 _POINT_MASS = ScalarFamily(
     "point-mass", ("value",), (),
     moments=lambda p: (p["value"], 0.0, 0.0, 0.0, p["value"], p["value"]),
-    draw=lambda p, rng, n: np.full(n, p["value"]),
+    draw=lambda p, rng, out: out.fill(p["value"]),
     positive_part_square=lambda p: max(p["value"], 0.0) ** 2,
     sum_law=lambda p, k: _atomic_law([k * p["value"]], [1.0]),
     expect=lambda p, fn: fn(p["value"]),
@@ -222,7 +249,7 @@ _BERNOULLI = ScalarFamily(
     ((lambda p: 0.0 <= p["p"] <= 1.0, "p must lie in [0, 1]"),
      (lambda p: p["x0"] < p["x1"], "need x0 < x1")),
     moments=_bernoulli_moments,
-    draw=lambda p, rng, n: p["x0"] + (p["x1"] - p["x0"]) * (rng.random(n) < p["p"]),
+    draw=_bernoulli_draw,
     positive_part_square=lambda p: ((1.0 - p["p"]) * max(p["x0"], 0.0) ** 2
                                     + p["p"] * max(p["x1"], 0.0) ** 2),
     sum_law=_binomial_law,
@@ -232,7 +259,7 @@ _UNIFORM = ScalarFamily(
     "uniform-interval", ("lo", "hi"),
     ((lambda p: p["lo"] < p["hi"], "need lo < hi"),),
     moments=_uniform_moments,
-    draw=lambda p, rng, n: rng.uniform(p["lo"], p["hi"], n),
+    draw=_uniform_draw,
     positive_part_square=lambda p: (0.0 if p["hi"] <= 0 else (p["hi"] ** 3 - max(p["lo"], 0.0) ** 3)
                                     / (3.0 * (p["hi"] - p["lo"]))),
     sum_law=_uniform_sum_law,
@@ -243,7 +270,7 @@ _GAUSSIAN = ScalarFamily(
     ((lambda p: p["sd"] > 0, "sd must be positive (use point-mass for sd=0)"),),
     moments=lambda p: (p["mean"], p["sd"] / math.sqrt(2.0 * math.pi), p["sd"] * p["sd"],
                        2.0 * math.sqrt(2.0) / math.sqrt(math.pi) * p["sd"] ** 3, None, None),
-    draw=lambda p, rng, n: rng.normal(p["mean"], p["sd"], n),
+    draw=_gaussian_draw,
     positive_part_square=lambda p: ((p["mean"] * p["mean"] + p["sd"] * p["sd"])
                                     * _Phi(p["mean"] / p["sd"])
                                     + p["mean"] * p["sd"] * _phi(p["mean"] / p["sd"])),
@@ -257,7 +284,7 @@ _EXPONENTIAL = ScalarFamily(
     # E[(X-1/r)^+] = e^-1 / r, E[|X-1/r|^3] = (12/e - 2) / r^3
     moments=lambda p: (1.0 / p["rate"], math.exp(-1.0) / p["rate"], 1.0 / p["rate"] ** 2,
                        (12.0 * math.exp(-1.0) - 2.0) / p["rate"] ** 3, None, None),
-    draw=lambda p, rng, n: rng.exponential(1.0 / p["rate"], n),
+    draw=_exponential_draw,
     positive_part_square=lambda p: 2.0 / p["rate"] ** 2,
     sum_law=_erlang_law,
     expect=lambda p, fn: _quad(lambda l: fn(l) * (p["rate"] * math.exp(-p["rate"] * l)),
@@ -395,12 +422,23 @@ class StreamPool:
         return self._gen
 
 
-def sample_block(spec: DistributionSpec, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw ``n`` i.i.d. increments, shape (n, dim). Component draw order is fixed."""
+def sample_block(spec: DistributionSpec, rng: np.random.Generator, n: int,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Draw ``n`` i.i.d. increments, shape (n, dim). Component draw order is fixed.
+
+    ``out``, a C-contiguous (n, dim) float array, is filled in place and
+    returned; a new array is allocated only when it is None.
+    """
+    if out is None:
+        out = np.empty((n, spec.dim))
     if spec.family != "product-of-scalars":
-        return SCALAR_FAMILIES[spec.family].draw(spec.params, rng, n).reshape(n, 1)
-    cols = [SCALAR_FAMILIES[c.family].draw(c.params, rng, n) for c in spec.components]
-    return np.column_stack(cols)
+        SCALAR_FAMILIES[spec.family].draw(spec.params, rng, out.reshape(n))
+        return out
+    col = np.empty(n)  # the generators fill contiguous arrays only
+    for k, c in enumerate(spec.components):
+        SCALAR_FAMILIES[c.family].draw(c.params, rng, col)
+        out[:, k] = col
+    return out
 
 
 def sample(spec: DistributionSpec, rng: np.random.Generator) -> np.ndarray:

@@ -1,15 +1,18 @@
 """Exact Monte Carlo simulation of stopping times and the inequality validators.
 
 One engine walks every path.  The runs are cut into chunks of ``_CHUNK``,
-and a chunk advances ``_BLOCK`` steps at a time as one (live runs x block
-x d) matrix: one draw, one cumulative sum and one exit test at the
-checkpoints inside the block.  Runs that stopped are dropped before the
-next block.  Block b of chunk c draws from the counter-based stream keyed
-by (seed, grid, c, b), one row per live run in run order.  The chunk size
-depends on neither ``n_runs`` nor the worker count, so results are
-bit-identical for any number of workers, and chunks are what the thread
-pool maps over.  ``replay_run`` rebuilds one run's increments from this
-layout.
+and a chunk advances one block of steps at a time as one (live runs x
+block x d) matrix: one draw, one cumulative sum and one exit test at the
+checkpoints inside the block.  Blocks grow from ``_FIRST`` steps, a little
+more than a short walk uses, to ``_BLOCK``.  Runs that stopped are dropped
+before the next block.  Block b of chunk c draws from the counter-based
+stream keyed by (seed, grid, c, b), one row per live run in run order.
+The chunk size depends on neither ``n_runs`` nor the worker count, so
+results are bit-identical for any number of workers.  Each worker walks
+its share of the chunks with one ``StreamPool`` and draws every block in
+place into one scratch block of ``_CHUNK x _BLOCK x d`` doubles, so a walk
+allocates no block arrays.  ``replay_run`` rebuilds one run's increments
+from this layout.
 
 Discrete walks apply the stopping rule only at schedule sizes, which are
 enumerated lazily as the blocks reach them, and use closed membership by
@@ -37,9 +40,9 @@ from .geometry import Region
 from .moments import DistributionSpec, StreamPool, analytic_moments, sample_block, stream_for_run
 from .schedules import SampleSchedule
 
-_CHUNK = 1024  # runs per chunk: the unit of stream keying and of the thread pool
-_FIRST = 32    # steps in a chunk's first block; each next block doubles, up to _BLOCK
-_BLOCK = 256   # steps per block: 1024 runs x 256 steps is 2 MB of doubles at d = 1
+_CHUNK = 4096  # runs per chunk: the unit of stream keying and of the thread pool
+_FIRST = 16    # steps in a chunk's first block; each next block doubles, up to _BLOCK
+_BLOCK = 128   # steps per block: a worker's scratch of 4096 runs x 128 steps is 4 MB at d = 1
 
 
 class AllTruncatedError(RuntimeError):
@@ -154,30 +157,36 @@ def _walk(draw, checkpoints, stops, dim: int, n_steps: int, n_runs: int, seed: i
           anchor: float = 0.0) -> PathSample:
     """Walk ``n_runs`` paths for at most ``n_steps`` steps, chunk by chunk.
 
-    ``draw(rng, runs, length)`` gives a (runs, length, dim) block of
-    increments, ``checkpoints(lo, hi)`` the steps in (lo, hi] where the rule
+    ``draw(rng, out)`` fills a (runs, length, dim) block of increments in
+    place, ``checkpoints(lo, hi)`` gives the steps in (lo, hi] where the rule
     is checked, and ``stops(ts, at)`` the exit test of the sums ``at`` at
     those steps, at times ``ts = step * scale``.  ``anchor`` is the time
     recorded as ``last_before`` for a stop at the first checkpoint;
-    truncated runs record ``cap`` as their stop.
+    truncated runs record ``cap`` as their stop.  Of W = min(workers, chunks)
+    workers, worker w walks chunks w, w + W, w + 2W, ... with one
+    ``StreamPool`` and one scratch block that every block it draws reuses.
     """
     stop_n = np.full(n_runs, float(cap))
     stop_sum = np.empty((n_runs, dim))
     last_before = np.empty(n_runs)
     truncated = np.zeros(n_runs, dtype=bool)
+    n_chunks = -(-n_runs // _CHUNK)
+    n_workers = max(1, min(workers, n_chunks))
+    width = min(n_runs, _CHUNK)
 
-    def run_chunk(chunk: int):
-        pool = StreamPool(seed)
+    def run_chunk(chunk: int, pool: StreamPool, scratch: np.ndarray, carry: np.ndarray):
         rows = np.arange(chunk * _CHUNK, min((chunk + 1) * _CHUNK, n_runs))
-        total = np.zeros((rows.size, dim))
+        total = carry[:rows.size]
+        total.fill(0.0)
         last = float(anchor)
         for block, start, length in _blocks(n_steps):
             if not rows.size:
                 break
-            rng = pool.stream(_stream_key(grid, chunk, block))
-            sums = draw(rng, rows.size, length)
+            sums = scratch[:rows.size * length * dim].reshape(rows.size, length, dim)
+            draw(pool.stream(_stream_key(grid, chunk, block)), sums)
             np.cumsum(sums, axis=1, out=sums)
             sums += total[:, None, :]
+            live = slice(None)
             steps = checkpoints(start, start + length)
             if steps.size:
                 ts = steps * scale
@@ -190,22 +199,29 @@ def _walk(draw, checkpoints, stops, dim: int, n_steps: int, n_runs: int, seed: i
                     stop_n[gone] = ts[j]
                     stop_sum[gone] = at[done, j]
                     last_before[gone] = np.where(j > 0, ts[j - 1], last)
-                    rows, sums = rows[~done], sums[~done]
+                    live = ~done
+                    rows = rows[live]
                 last = float(ts[-1])
-            total = sums[:, -1]
+            total = carry[:rows.size]
+            total[...] = sums[live, -1]
         truncated[rows] = True
         stop_sum[rows] = total
         last_before[rows] = last
 
-    n_chunks = -(-n_runs // _CHUNK)
-    if workers > 1 and n_chunks > 1:
+    def run_worker(worker: int):
+        pool = StreamPool(seed)
+        scratch = np.empty(width * min(n_steps, _BLOCK) * dim)
+        carry = np.empty((width, dim))  # each live run's sum before the block
+        for chunk in range(worker, n_chunks, n_workers):
+            run_chunk(chunk, pool, scratch, carry)
+
+    if n_workers > 1:
         from concurrent.futures import ThreadPoolExecutor  # loads logging: only when threaded
 
-        with ThreadPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
-            list(pool.map(run_chunk, range(n_chunks)))
+        with ThreadPoolExecutor(max_workers=n_workers) as executor:
+            list(executor.map(run_worker, range(n_workers)))
     else:
-        for chunk in range(n_chunks):
-            run_chunk(chunk)
+        run_worker(0)
     if bool(truncated.all()):
         raise AllTruncatedError("every run hit the horizon cap")
     return PathSample(stop_n, stop_sum, last_before, truncated, seed, float(horizon))
@@ -235,8 +251,8 @@ def discrete_paths(region: Region, spec: DistributionSpec, schedule: SampleSched
     n_steps = _last_step(schedule, horizon)
     d = spec.dim
 
-    def draw(rng, runs: int, length: int) -> np.ndarray:
-        return sample_block(spec, rng, runs * length).reshape(runs, length, d)
+    def draw(rng, out: np.ndarray):
+        sample_block(spec, rng, out.shape[0] * out.shape[1], out.reshape(-1, d))
 
     return _walk(draw, _Checkpoints(schedule, horizon), _exit_test(region, boundary), d,
                  n_steps, n_runs, seed, 0, workers, horizon, cap=horizon, anchor=schedule.n0)
@@ -309,13 +325,13 @@ def _brownian_paths(region: Region, drift_vec: np.ndarray, sigma: np.ndarray, dt
     step_drift, step_noise = drift_vec * dt, math.sqrt(dt) * sigma
     noisy = bool(np.any(sigma != 0.0))
 
-    def draw(rng, runs: int, length: int) -> np.ndarray:
+    def draw(rng, out: np.ndarray):
         if not noisy:
-            return np.full((runs, length, d), step_drift)
-        out = rng.standard_normal((runs, length, d))
+            out[...] = step_drift
+            return
+        rng.standard_normal(out=out)
         out *= step_noise
         out += step_drift
-        return out
 
     # continuity regions use strict continuation so that drift-only passages
     # stop exactly when the path reaches the boundary grid point

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from stopbounds.bounds import ALL_TAGS
 from stopbounds.cli import CSV_COLUMNS, main
+from stopbounds.simulate import _CHUNK
 
 
 def write_config(tmp_path: Path, name: str, payload: dict) -> Path:
@@ -114,6 +115,20 @@ def test_bound_command_config_errors(tmp_path, capsys):
         ("bound", dict(SQRT_WALD, declarations={"concave_rule": None})),
         ("bound", dict(BROWNIAN, declarations={"concave_rule": "no"})),
         ("bound", dict(BROWNIAN, declarations=[])),
+        # keys the parsers do not read are refused, not ignored
+        ("bound", dict(BASE, bounds=["T10-upper"],
+                       schedule={"kind": "arithmetic", "n0": 0, "step": 2, "ste": 3})),
+        ("bound", dict(BASE, bounds=["T10-upper"], region=dict(BASE["region"], levle=6.0))),
+        ("bound", dict(BASE, bounds=["T10-upper"], distribution=dict(BASE["distribution"],
+                                                                     mean=1.0))),
+        ("bound", dict(BASE, bounds=["T10-upper"],
+                       schedule={"kind": "explicit", "values": [5], "lam": 1, "K": 1})),
+        ("bound", dict(BASE, bounds=["T10-upper"], simulate={"n_runs": 10, "run": 10})),
+        ("bound", dict(BROWNIAN, brownian={"drift": 0.5, "diffusion": 1.0, "drfit": 0.4})),
+        ("bound", dict(BROWNIAN, simulate={"dt": 0.01, "boundary": "strict"})),
+        ("bound", dict(BASE, bounds=["T10-upper"], distribution={
+            "family": "product-of-scalars", "params": {"components": [BASE["distribution"]],
+                                                       "dim": 1}})),
     ]:
         path = write_config(tmp_path, "malformed.json", payload)
         assert main([command, str(path), "--out", str(tmp_path / "rep.csv")]) == 2, payload
@@ -201,17 +216,13 @@ def test_bound_command_never_raises_on_mutated_configs(config):
 def test_bound_command_reports_on_explicit_lists(tmp_path):
     # a one-look list, and the concentration sums on a list that ends below the crossing
     tags = ["T10-upper", "T18-concentration", "T19-concentration-hyperplane", "T8-lower"]
-    csvs = []
     for schedule in ({"kind": "explicit", "values": [5]},
-                     {"kind": "explicit", "values": [5], "lam": 1, "K": 1},
                      {"kind": "explicit", "values": [1, 2, 4], "n0": 0}):
         path = write_config(tmp_path, "cfg.json", dict(BASE, schedule=schedule, bounds=tags))
         out = tmp_path / "rep.csv"
         assert main(["bound", str(path), "--out", str(out)]) == 0
         rows = read_rows(out)
         assert [r["applicable"] for r in rows] == ["false", "false", "false", "true"]
-        csvs.append([{k: r[k] for k in ("theorem", "value", "applicable")} for r in rows])
-    assert csvs[0] == csvs[1]  # lam and K are not read: the constants are derived
 
 
 def test_certify_anchor_scenario_exits_zero(tmp_path):
@@ -401,21 +412,22 @@ _SCIPY_PROBE = """
 import sys
 import stopbounds, stopbounds.cli, stopbounds.scenarios, stopbounds.overshoot as ovs
 print(sorted(m for m in sys.modules if m.startswith(("scipy", "concurrent"))))
+stopbounds.run_discrete(stopbounds.constant_region(3.0), stopbounds.bernoulli_affine(0, 1, 0.5),
+                        stopbounds.naturals(), {runs}, workers=2)
+print("concurrent.futures" in sys.modules)
 z = stopbounds.exponential(1.0)
 law = ovs.sum_law(z, 1)
 ovs.threshold_functionals(z, stopbounds.uniform_interval(0.5, 1.5), law.cdf_strict, law.partial_above)
 print("scipy.integrate" in sys.modules)
-stopbounds.run_discrete(stopbounds.constant_region(3.0), stopbounds.bernoulli_affine(0, 1, 0.5),
-                        stopbounds.naturals(), 2048, workers=2)
-print("concurrent.futures" in sys.modules)
 """
 
 
 def test_import_and_cli_runs_load_no_scipy_or_thread_pool(tmp_path):
-    # importing the package loads numpy only; quadrature for a random threshold
-    # with a density loads scipy.integrate on first use, and only walks on
-    # more than one worker load concurrent.futures (and with it logging)
-    probe = run_python("-c", _SCIPY_PROBE)
+    # importing the package loads numpy only; only walks on more than one
+    # worker load concurrent.futures (and with it logging), which runs before
+    # scipy.integrate loads it too; quadrature for a random threshold with a
+    # density loads scipy.integrate on first use
+    probe = run_python("-c", _SCIPY_PROBE.format(runs=2 * _CHUNK))  # two chunks
     assert probe.returncode == 0, probe.stderr
     assert probe.stdout.split() == ["[]", "True", "True"]
     # -X importtime lists every module the CLI process imports on stderr
@@ -423,7 +435,7 @@ def test_import_and_cli_runs_load_no_scipy_or_thread_pool(tmp_path):
     for k, argv in enumerate((
             ["bound", str(ROOT / "configs" / "bernoulli_threshold_certify.json")],
             ["certify", str(ROOT / "configs" / "bernoulli_threshold_certify.json"),
-             "--runs", "2048"],
+             "--runs", str(2 * _CHUNK)],
             ["certify", str(ROOT / "configs" / "brownian_passage_certify.json"),
              "--runs", "256"])):
         out = tmp_path / f"{k}.csv"

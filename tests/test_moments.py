@@ -119,6 +119,28 @@ def test_stream_pool_matches_fresh_streams(spec):
         assert np.array_equal(a, b)
 
 
+_NUMPY_SAMPLERS = {  # numpy's allocating samplers, whose values the in-place draws reproduce
+    "point-mass": lambda p, rng, n: np.full(n, p["value"]),
+    "bernoulli-affine": lambda p, rng, n: p["x0"] + (p["x1"] - p["x0"]) * (rng.random(n) < p["p"]),
+    "uniform-interval": lambda p, rng, n: rng.uniform(p["lo"], p["hi"], n),
+    "gaussian": lambda p, rng, n: rng.normal(p["mean"], p["sd"], n),
+    "exponential": lambda p, rng, n: rng.exponential(1.0 / p["rate"], n),
+}
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS + [sb.product(ALL_SPECS[:5])],
+                         ids=lambda s: f"{s.family}-{s.dim}")
+def test_in_place_draws_match_the_allocating_forms_bit_for_bit(spec):
+    n = 5000
+    fresh = sample_block(spec, stream_for_run(9, 4), n)
+    out = np.full((n, spec.dim), np.nan)
+    assert sample_block(spec, stream_for_run(9, 4), n, out) is out
+    assert out.tobytes() == fresh.tobytes()
+    rng = stream_for_run(9, 4)  # components draw in order, each n values
+    cols = [_NUMPY_SAMPLERS[c.family](c.params, rng, n) for c in spec.components]
+    assert np.column_stack(cols).tobytes() == out.tobytes()
+
+
 def test_seeds_outside_the_key_word_are_rejected():
     # a masked seed would alias: -1 and 2**64 - 1 (or 2**64 and 0) would share streams
     for seed in (-1, 2**64, -(2**64)):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import stopbounds as sb
+from stopbounds import simulate
 from stopbounds.moments import StreamPool
 from stopbounds.simulate import (_BLOCK, _CHUNK, AllTruncatedError, _blocks, _coefficients,
                                  _exact_paths, _passage_line, _stream_key, discrete_paths,
@@ -78,17 +79,19 @@ def test_paths_respect_schedule_and_rule():
 
 def test_replay_spans_chunks_and_long_walks():
     # a level far above the block length makes runs outlive several blocks,
-    # and 2300 runs give a partial third chunk
-    assert 2300 % _CHUNK and 2300 > 2 * _CHUNK
+    # and 9000 runs give a partial third chunk
+    runs = 9000
+    assert runs % _CHUNK and 2 * _CHUNK < runs < 3 * _CHUNK
     region = sb.constant_region(500.0, "ge", "stopping")
     sched = sb.arithmetic(0, 7)
     spec = sb.uniform_interval(0.0, 2.0)
-    paths = discrete_paths(region, spec, sched, 2300, seed=8, workers=2)
+    paths = discrete_paths(region, spec, sched, runs, seed=8, workers=2)
     # stops fall in several blocks, so later blocks draw for fewer runs
     starts = [start for _, start, _ in _blocks(1000)]
     assert len(set(np.searchsorted(starts, paths.stop_n))) > 1
-    assert paths.stop_n.min() > 3 * _BLOCK // 2  # and every run outlives several blocks
-    picked = list(range(0, 2300, 97)) + [_CHUNK - 1, _CHUNK, 2299]
+    assert paths.stop_n.min() > 3 * _BLOCK  # and every run outlives several blocks
+    picked = list(range(0, runs, 331)) + [_CHUNK - 1, _CHUNK, 2 * _CHUNK - 1, 2 * _CHUNK,
+                                          runs - 1]
     for idx in picked:
         n = int(paths.stop_n[idx])
         sums = _block_sums(replay_run(8, idx, spec, sched, paths.stop_n, int(paths.horizon))[:, 0])
@@ -146,6 +149,43 @@ def test_worker_count_is_invisible():
         assert np.array_equal(a.stop_sum, b.stop_sum)
         assert np.array_equal(a.last_before, b.last_before)
         assert np.array_equal(a.truncated, b.truncated)
+
+
+_SIX_CHUNKS = (sb.constant_region(40.0, "ge", "stopping"), sb.bernoulli_affine(0, 1, 0.5),
+               sb.naturals(), 5 * _CHUNK + 7)  # each chunk walks several blocks
+
+
+def test_a_walk_builds_one_stream_pool_per_worker(monkeypatch):
+    pools = []
+
+    class CountingPool(StreamPool):
+        def __init__(self, seed):
+            pools.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(simulate, "StreamPool", CountingPool)
+    for workers in (1, 2, 4):
+        pools.clear()
+        discrete_paths(*_SIX_CHUNKS, seed=3, workers=workers)
+        assert len(pools) == workers
+    pools.clear()
+    sb.run_brownian(sb.power_region(2.0, 0.3), 0.5, 1.0, 0.05, 2 * _CHUNK + 7, horizon=6.0,
+                    seed=5, workers=2)
+    assert len(pools) == 4  # two workers on each of the two Euler grids
+
+
+def test_every_block_is_drawn_in_place_into_a_worker_scratch_block(monkeypatch):
+    starts = []
+
+    def recording_block(spec, rng, n, out=None):
+        starts.append(out.__array_interface__["data"][0])
+        return sb.sample_block(spec, rng, n, out)
+
+    monkeypatch.setattr(simulate, "sample_block", recording_block)
+    for workers in (1, 3):
+        starts.clear()
+        discrete_paths(*_SIX_CHUNKS, seed=3, workers=workers)
+        assert len(starts) > 6 * 3 and len(set(starts)) <= workers
 
 
 def test_shared_checkpoints_under_thread_switching():
@@ -212,12 +252,13 @@ def test_brownian_diffusive_first_passage():
 
 
 def test_brownian_workers_bit_identical():
-    assert 2000 % _CHUNK  # a partial last chunk
+    n = 6000
+    assert n % _CHUNK and n > _CHUNK  # two chunks, the last one partial
     # exact passage; the same with residuals and truncation; the Euler walk
-    for args in [(sb.constant_region(4.0), 0.5, 1.0, 0.05, 2000),
+    for args in [(sb.constant_region(4.0), 0.5, 1.0, 0.05, n),
                  (sb.halfspace_region([1.0, 1.0], 0.0, 1.5, "le"), [-0.3, 0.2], [1.0, 0.7],
-                  0.05, 2000),
-                 (sb.power_region(2.0, 0.3), 0.5, 1.0, 0.05, 2000)]:
+                  0.05, n),
+                 (sb.power_region(2.0, 0.3), 0.5, 1.0, 0.05, n)]:
         a = sb.run_brownian(*args, horizon=6.0, seed=5, workers=1)
         for workers in (3, 6, 8):
             b = sb.run_brownian(*args, horizon=6.0, seed=5, workers=workers)
@@ -352,8 +393,8 @@ def test_halfspace_exit_lies_on_the_plane_with_the_stated_covariance():
 def test_replay_passage_from_the_chunk_stream():
     # chunk c of the exact sampler draws everything from the stream keyed
     # (seed, grid 2, chunk c, block 0): first the passage times, in run order
-    n, seed = 2300, 8
-    assert n % _CHUNK and n > 2 * _CHUNK
+    n, seed = 9000, 8
+    assert n % _CHUNK and 2 * _CHUNK < n < 3 * _CHUNK
     paths = _exact(sb.constant_region(4.0), 0.5, 1.0, n, 400.0, seed)
     for chunk in range(3):
         rows = slice(chunk * _CHUNK, min((chunk + 1) * _CHUNK, n))
@@ -404,7 +445,7 @@ def test_curved_and_oracle_regions_keep_the_two_grid_euler_path(region):
     (sb.power_region(2.0, 0.5), sb.uniform_interval(0.0, 2.0), sb.arithmetic(1, 3)),
     (sb.halfspace_region([1.0, 1.0], 0.0, 8.0, "ge", "stopping"),
      sb.product([sb.bernoulli_affine(0, 1, 0.5), sb.exponential(2.0)]), sb.naturals()),
-    # stops at sizes 210..1065; past step 480 each 256-step block holds zero or one size
+    # stops at sizes 210..1065; past step 315 each 128-step block holds zero or one size
     (sb.power_region(2.0, 0.5), sb.bernoulli_affine(0, 1, 0.1), sb.geometric(2, 1.5)),
 ], ids=["constant-stopping", "power-continuity", "halfspace-2d", "power-geometric"])
 def test_oracle_wrapper_walks_like_its_region(region, spec, schedule):

@@ -98,10 +98,10 @@ def _route(monkeypatch):
         log["keys"].append(index)
         return _CountingGenerator(stream(pool, index), log["drawn"])
 
-    def counting_block(spec, rng, n):
+    def counting_block(spec, rng, n, out=None):
         log["block_draws"] += n * spec.dim
         log["foreign_rng"] += not isinstance(rng, _CountingGenerator)
-        return block(spec, rng, n)
+        return block(spec, rng, n, out)
 
     monkeypatch.setattr(moments.StreamPool, "stream", counting_stream)
     monkeypatch.setattr(simulate, "sample_block", counting_block)
@@ -111,9 +111,11 @@ def _route(monkeypatch):
 def test_discrete_draws_and_keys_go_through_the_traced_names(monkeypatch):
     region = sb.halfspace_region([1.0, 1.0], 0.0, 8.0, "ge", "stopping")
     spec = sb.product([SCALAR, sb.exponential(2.0)])
-    plain = discrete_paths(region, spec, sb.naturals(), 2500, seed=4)
+    n = 9000  # three chunks, the last one partial
+    assert n % simulate._CHUNK and 2 * simulate._CHUNK < n < 3 * simulate._CHUNK
+    plain = discrete_paths(region, spec, sb.naturals(), n, seed=4)
     routed = _route(monkeypatch)
-    traced = discrete_paths(region, spec, sb.naturals(), 2500, seed=4, workers=3)
+    traced = discrete_paths(region, spec, sb.naturals(), n, seed=4, workers=3)
     assert np.array_equal(traced.stop_n, plain.stop_n)
     assert np.array_equal(traced.stop_sum, plain.stop_sum)
     # one fresh key per block, every variate drawn through sample_block on a keyed stream
@@ -133,9 +135,11 @@ _EXACT_ROUTES = [  # region, drift, diffusion, horizon and the Generator methods
 
 
 def test_brownian_draws_and_keys_go_through_the_traced_names(monkeypatch):
-    chunks = -(-2500 // simulate._CHUNK)
+    n = 9000
+    chunks = -(-n // simulate._CHUNK)
+    assert chunks == 3
     for region, drift, diffusion, horizon, methods in _EXACT_ROUTES:
-        args = (region, drift, diffusion, 0.05, 2500)
+        args = (region, drift, diffusion, 0.05, n)
         plain = simulate.run_brownian(*args, horizon=horizon, seed=5, workers=1)
         with monkeypatch.context() as patch:
             routed = _route(patch)
@@ -154,7 +158,7 @@ def test_brownian_draws_and_keys_go_through_the_traced_names(monkeypatch):
 
 
 def test_euler_brownian_draws_and_keys_go_through_the_traced_names(monkeypatch):
-    args = (sb.power_region(2.0, 0.5), 0.5, 1.0, 0.05, 1500)
+    args = (sb.power_region(2.0, 0.5), 0.5, 1.0, 0.05, 4500)  # two chunks
     plain = simulate.run_brownian(*args, horizon=200.0, seed=5, workers=1)
     routed = _route(monkeypatch)
     traced = simulate.run_brownian(*args, horizon=200.0, seed=5, workers=2)

@@ -28,7 +28,7 @@ from .geometry import (
     ray_exit_time,
     slice_distance,
     slice_side,
-    supporting_hyperplane,
+    supporting_hyperplane,  # noqa: F401  (kept as a bounds name: the benchmark tracer wraps it)
 )
 from .moments import DistributionSpec, MomentProfile, analytic_moments, scalar_family
 from .optimize import ProvisoViolatedError, Slab, max_concave_over_box, max_time_in_region, vertex_fraction_max
@@ -74,6 +74,13 @@ class BoundReport:
 
 def _chk(ident: str, ok: bool, note: str = "") -> AssumptionCheck:
     return AssumptionCheck(ident, "pass" if ok else "fail", note)
+
+
+def _known(tag: str, *tags: str) -> str:
+    """``tag`` if it names one of the theorems a calculator computes."""
+    if tag not in tags:
+        raise ValueError(f"tag must be one of {', '.join(tags)}; got {tag!r}")
+    return tag
 
 
 def _standard_audit(region: Region, profile: MomentProfile, schedule: SampleSchedule,
@@ -190,35 +197,31 @@ def bounded_support_slab(profile: MomentProfile, lam: float, K: float, n0: float
 
 
 def slab_optimization_upper_bound(region: Region, profile: MomentProfile,
-                                  schedule: SampleSchedule, variant: str = "T10",
-                                  t_cap: float = 2.0**30, tol: float = 1e-9,
+                                  schedule: SampleSchedule, tag: str,
                                   start_containment_declared: bool = True) -> BoundReport:
     """E[N] <= lam * max{t over the slab-constrained region} + K.
 
-    Variant "T10" uses the one-sided-deviation slab; "T11" needs support
-    bounds and intersects the envelope slab with the primed support slab.
+    "T10-upper" uses the one-sided-deviation slab; "T11-upper-bounded" needs
+    support bounds and intersects the envelope slab with the primed support slab.
     """
-    if variant not in ("T10", "T11"):
-        raise ValueError("variant must be T10 or T11")
-    tag = "T10-upper" if variant == "T10" else "T11-upper-bounded"
+    bounded = _known(tag, "T10-upper", "T11-upper-bounded") == "T11-upper-bounded"
     lam, K, n0 = schedule.lam, schedule.K, schedule.n0
-    checks = _standard_audit(region, profile, schedule,
-                             need_third_moment=(variant == "T10"),
+    checks = _standard_audit(region, profile, schedule, need_third_moment=not bounded,
                              start_containment_declared=start_containment_declared)
     vchecks, m = _crossing_check(region, profile.mean)
     checks += vchecks
     diag = {"m": m, "lam": lam, "K": K, "n0": n0}
-    if variant == "T11":
+    if bounded:
         checks.append(_chk("support-bounds", profile.bounded))
     if any(c.status == "fail" for c in checks):
         return BoundReport(tag, "upper", math.nan, checks, diag)
     if not math.isfinite(m):
         return BoundReport(tag, "upper", math.inf, checks, diag)
-    slab = (bounded_support_slab if variant == "T11" else deviation_slab)(profile, lam, K, n0)
+    slab = (bounded_support_slab if bounded else deviation_slab)(profile, lam, K, n0)
     checks.append(_chk("slab-nonempty", not slab.is_empty))
     if slab.is_empty:
         return BoundReport(tag, "upper", math.nan, checks, diag)
-    res = max_time_in_region(region, slab, t_cap=t_cap, tol=tol)
+    res = max_time_in_region(region, slab)
     diag["sample_count_before_exit_max"] = res.value
     diag["optimizer_uncertainty"] = res.uncertainty
     if res.empty_domain:
@@ -229,21 +232,18 @@ def slab_optimization_upper_bound(region: Region, profile: MomentProfile,
 
 
 def sample_mean_upper_bound(gfun: Callable[[np.ndarray], float], profile: MomentProfile,
-                            schedule: SampleSchedule, variant: str = "T12",
+                            schedule: SampleSchedule, tag: str,
                             concave_declared: bool = True,
                             sure_start_declared: bool = True,
-                            audit_concavity: bool = False,
-                            tol: float = 1e-10) -> BoundReport:
+                            audit_concavity: bool = False) -> BoundReport:
     """E[N] <= K + max of gfun over a moment box, for rules n >= gfun(sample mean).
 
-    "T12" uses the one-sided-deviation box with the schedule's max gap K;
-    "T13" is the all-naturals form with constant 2 instead of K; "try88"
-    uses the support envelope box and needs bounded increments.
+    "T12-samplemean" uses the one-sided-deviation box with the schedule's max
+    gap K; "T13-samplemean-naturals" is the all-naturals form with constant 2
+    instead of K; "T-try88-bounded" uses the support envelope box and needs
+    bounded increments.
     """
-    if variant not in ("T12", "T13", "try88"):
-        raise ValueError("variant must be T12, T13 or try88")
-    tag = {"T12": "T12-samplemean", "T13": "T13-samplemean-naturals",
-           "try88": "T-try88-bounded"}[variant]
+    _known(tag, "T12-samplemean", "T13-samplemean-naturals", "T-try88-bounded")
     mu = profile.mean
     checks = []
     diag = {}
@@ -252,9 +252,9 @@ def sample_mean_upper_bound(gfun: Callable[[np.ndarray], float], profile: Moment
     diag["K"] = K
     checks.append(AssumptionCheck("g-concave", "declared" if concave_declared else "fail"))
     if audit_concavity:
-        ok = _concavity_probe(gfun, *(_box_for_variant(profile, variant)))
+        ok = _concavity_probe(gfun, *_box_for(profile, tag))
         checks.append(_chk("g-concavity-audit", ok))
-    if variant == "T13":
+    if tag == "T13-samplemean-naturals":
         checks.append(_chk("all-naturals", schedule.is_all_naturals))
         gmu = float(gfun(mu))
         checks.append(_chk("g-nonnegative", gmu >= 0.0, f"g(mean)={gmu:.6g}"))
@@ -267,22 +267,22 @@ def sample_mean_upper_bound(gfun: Callable[[np.ndarray], float], profile: Moment
             "rule must surely continue at the start anchor"))
         checks.append(_chk("VI", profile.abs_third_finite))
         constant = float(K)
-    if variant == "try88":
+    if tag == "T-try88-bounded":
         checks.append(_chk("support-bounds", profile.bounded))
         if not profile.bounded:
             return BoundReport(tag, "upper", math.nan, checks, diag)
-    lo, hi = _box_for_variant(profile, variant)
+    lo, hi = _box_for(profile, tag)
     diag["box"] = (lo.tolist(), hi.tolist())
     if any(c.status == "fail" for c in checks):
         return BoundReport(tag, "upper", math.nan, checks, diag)
-    peak = max_concave_over_box(gfun, lo, hi, tol=tol)
+    peak = max_concave_over_box(gfun, lo, hi)
     diag["box_max"] = peak
     value = constant + peak if math.isfinite(peak) else math.inf
     return BoundReport(tag, "upper", value, checks, diag)
 
 
-def _box_for_variant(profile: MomentProfile, variant: str):
-    if variant == "try88":
+def _box_for(profile: MomentProfile, tag: str):
+    if tag == "T-try88-bounded":
         return profile.mean - profile.bound_v, profile.mean + profile.bound_v
     return profile.mean - profile.pos_dev, profile.mean + profile.neg_dev
 
@@ -308,27 +308,24 @@ def _concavity_probe(gfun, lo, hi, trials: int = 400, seed: int = 5) -> bool:
 
 
 def hyperplane_vertex_upper_bound(region: Region, hyp: Hyperplane, profile: MomentProfile,
-                                  schedule: SampleSchedule, variant: str = "T14",
+                                  schedule: SampleSchedule, tag: str,
                                   start_containment_declared: bool = True) -> BoundReport:
     """E[N] <= lam * (vertex fractional max) + K using the region's supporting hyperplane.
 
-    "T14" evaluates the deviation slab; "T15" evaluates both the envelope
-    and primed support slabs and keeps the smaller vertex maximum among
-    those whose positivity proviso holds.
+    "T14-hyperplane" evaluates the deviation slab; "T15-hyperplane-bounded"
+    evaluates both the envelope and primed support slabs and keeps the
+    smaller vertex maximum among those whose positivity proviso holds.
     """
-    if variant not in ("T14", "T15"):
-        raise ValueError("variant must be T14 or T15")
-    tag = "T14-hyperplane" if variant == "T14" else "T15-hyperplane-bounded"
+    bounded = _known(tag, "T14-hyperplane", "T15-hyperplane-bounded") == "T15-hyperplane-bounded"
     lam, K, n0 = schedule.lam, schedule.K, schedule.n0
-    checks = _standard_audit(region, profile, schedule,
-                             need_third_moment=(variant == "T14"),
+    checks = _standard_audit(region, profile, schedule, need_third_moment=not bounded,
                              start_containment_declared=start_containment_declared)
     diag = {"m": hyp.anchor, "C": hyp.level, "lam": lam, "K": K, "n0": n0}
-    if variant == "T15":
+    if bounded:
         checks.append(_chk("support-bounds", profile.bounded))
     if any(c.status == "fail" for c in checks):
         return BoundReport(tag, "upper", math.nan, checks, diag)
-    if variant == "T14":
+    if not bounded:
         slabs = {"deviation": deviation_slab(profile, lam, K, n0)}
     else:
         both = bounded_support_slab(profile, lam, K, n0)
@@ -367,17 +364,15 @@ def hyperplane_vertex_upper_bound(region: Region, hyp: Hyperplane, profile: Mome
 
 
 def lorden_hyperplane_upper_bound(hyp: Hyperplane, profile: MomentProfile, K: int,
-                                  assertion: str = "II") -> BoundReport:
+                                  tag: str) -> BoundReport:
     """Renewal-overshoot bound for rules checked every K samples.
 
-    Assertion "I" is the Euclidean-norm chain member, "II" the elementwise
-    variance form (independent components), "III" the bounded-support form.
-    The elementwise reading of assertion II is sum_k s_coef_k^2 * var_k,
-    recorded in diagnostics.
+    "T16-chenlorden-I" is the Euclidean-norm chain member, "-II" the
+    elementwise variance form (independent components), "-III" the
+    bounded-support form.  The elementwise reading of II is
+    sum_k s_coef_k^2 * var_k, recorded in diagnostics.
     """
-    if assertion not in ("I", "II", "III"):
-        raise ValueError("assertion must be I, II or III")
-    tag = f"T16-chenlorden-{assertion}"
+    _known(tag, "T16-chenlorden-I", "T16-chenlorden-II", "T16-chenlorden-III")
     m, c = hyp.anchor, hyp.level
     a = hyp.s_coef
     checks = [
@@ -385,11 +380,11 @@ def lorden_hyperplane_upper_bound(hyp: Hyperplane, profile: MomentProfile, K: in
         _chk("second-moment-finite", bool(np.all(np.isfinite(profile.variance)))),
     ]
     diag = {"m": m, "C": c, "K": K}
-    if assertion == "I":
+    if tag == "T16-chenlorden-I":
         quad = float(np.dot(a, a)) * float(np.sum(profile.variance))
         value = m + K + (m / c) ** 2 * quad
         diag["norm_chain_member"] = value
-    elif assertion == "II":
+    elif tag == "T16-chenlorden-II":
         checks.append(_chk("independent-components", profile.dim == 1))
         quad = float(np.sum(a * a * profile.variance))
         value = m + K + (m / c) ** 2 * quad
@@ -419,15 +414,14 @@ def lorden_hyperplane_upper_bound(hyp: Hyperplane, profile: MomentProfile, K: in
 
 
 def gradient_upper_bound(region: Region, profile: MomentProfile, schedule: SampleSchedule,
-                         variant: str = "T17") -> BoundReport:
+                         tag: str) -> BoundReport:
     """E[N] <= g(mean) + 1 + quadratic form of the log-gradient against the noise.
 
-    Variant "vipformula" is the closed scalar form m + 1 + var/(f'(m)-mean)^2
-    for d=1 regions with a differentiable boundary curve.
+    "T17-gradient" is the general form; "vipformula" is the closed scalar
+    form m + 1 + var/(f'(m)-mean)^2 for d=1 regions with a differentiable
+    boundary curve.
     """
-    if variant not in ("T17", "vipformula"):
-        raise ValueError("variant must be T17 or vipformula")
-    tag = "T17-gradient" if variant == "T17" else "vipformula"
+    _known(tag, "T17-gradient", "vipformula")
     mu = profile.mean
     checks = [
         _chk("III", region.convex_closure and region.contains_origin, "asserted flags"),
@@ -443,7 +437,7 @@ def gradient_upper_bound(region: Region, profile: MomentProfile, schedule: Sampl
         checks.append(_NEVER_EXITS)
         return BoundReport(tag, "upper", math.inf, checks, diag)
     checks.append(_chk("V", True, f"m={g0:.12g}"))
-    if variant == "vipformula":
+    if tag == "vipformula":
         slope = region.boundary_slope
         checks.append(_chk("scalar-boundary", slope is not None and profile.dim == 1))
         if slope is None or profile.dim != 1:
@@ -492,23 +486,23 @@ _MAX_TERMS = 1_000_000
 
 
 def concentration_upper_bound(region: Region, profile: MomentProfile,
-                              schedule: SampleSchedule, tail: str = "hoeffding",
-                              variant: str = "auto", hyp: Optional[Hyperplane] = None,
+                              schedule: SampleSchedule, hyp: Optional[Hyperplane] = None,
                               user_tail: Optional[Callable] = None,
                               start_containment_declared: bool = True) -> BoundReport:
     """Tail-sum bound N_tau + sum of schedule gaps weighted by deviation tails.
 
     Deviations come from the distance between the mean and the region slice
-    at each schedule size ("T18-*" variants) or from the supporting
-    hyperplane's closed-form distance ("T19").  The scalar variants need a
-    verified one-sided condition at the first post-crossing slice; "auto"
-    selects the valid scalar side and falls back to the vector form.  The
-    support restriction on contributing indices is over-approximated by all
+    at each schedule size ("T18-concentration") or, when ``hyp`` is given,
+    from that supporting hyperplane's closed-form distance
+    ("T19-concentration-hyperplane").  When the d = 1 slice at the first
+    post-crossing size lies above or below the mean, the one-sided scalar
+    tail is used, which is never looser than the two-sided vector form.
+    Tails are Hoeffding's, which need support bounds, unless ``user_tail``
+    (n, deviation) -> one-sided tail probability is given.  The support
+    restriction on contributing indices is over-approximated by all
     indices, which can only loosen the bound.
     """
-    if variant not in ("auto", "T18-vector", "T18-scalar-above", "T18-scalar-below", "T19"):
-        raise ValueError(f"unknown variant {variant!r}")
-    tag = "T19-concentration-hyperplane" if variant == "T19" else "T18-concentration"
+    tag = "T18-concentration" if hyp is None else "T19-concentration-hyperplane"
     d = profile.dim
     mu = profile.mean
     checks = _standard_audit(region, profile, schedule, need_third_moment=True,
@@ -516,42 +510,27 @@ def concentration_upper_bound(region: Region, profile: MomentProfile,
     vchecks, m = _crossing_check(region, mu)
     checks += vchecks
     diag = {"m": m}
-    if tail == "hoeffding":
+    if user_tail is None:
         checks.append(_chk("support-bounds", profile.bounded, "tail=hoeffding"))
-    elif tail == "chernoff-user":
-        checks.append(_chk("user-tail-supplied", user_tail is not None))
     else:
-        raise ValueError("tail must be 'hoeffding' or 'chernoff-user'")
+        checks.append(_chk("user-tail-supplied", True))
     if any(c.status == "fail" for c in checks) or not math.isfinite(m):
         value = math.inf if not math.isfinite(m) else math.nan
         return BoundReport(tag, "upper", value, checks, diag)
-    if variant == "T19" and hyp is None:
-        hyp = supporting_hyperplane(region, mu)
     tau, n_tau = tau_index(schedule, m)
     diag["tau"] = tau
     diag["N_tau"] = n_tau
-
-    side = None
+    one_sided = False
     if d == 1:
         side = slice_side(region, n_tau, mu)
         diag["slice_side_at_N_tau"] = side
-    if variant in ("T18-scalar-above", "T18-scalar-below"):
-        wanted = "above" if variant.endswith("above") else "below"
-        checks.append(_chk("one-sided-condition", side == wanted,
-                           f"slice lies {side}"))
-        if side != wanted:
-            return BoundReport(tag, "upper", math.nan, checks, diag)
-        one_sided = True
-    elif variant == "auto" or variant == "T19":
-        one_sided = d == 1 and side in ("above", "below")
-    else:
-        one_sided = False
+        one_sided = side in ("above", "below")
     diag["one_sided"] = one_sided
 
     widths = (profile.support_hi - profile.support_lo) if profile.bounded else None
 
     def deviation(n: float) -> float:
-        if variant == "T19":
+        if hyp is not None:
             return hyperplane_slice_distance(hyp, n, mu)
         if region.scalar_boundary is not None and d == 1:
             z = region.scalar_boundary(n) / n
@@ -560,13 +539,13 @@ def concentration_upper_bound(region: Region, profile: MomentProfile,
 
     def tail_probability(n: float, dev: float) -> float:
         if one_sided:
-            if tail == "hoeffding":
+            if user_tail is None:
                 return min(1.0, _hoeffding_one_sided(n, dev, float(widths[0])))
             return min(1.0, float(user_tail(n, dev)))
         total = 0.0
         comp_dev = dev / math.sqrt(d)
         for k in range(d):
-            if tail == "hoeffding":
+            if user_tail is None:
                 total += 2.0 * _hoeffding_one_sided(n, comp_dev, float(widths[k]))
             else:
                 total += 2.0 * float(user_tail(n, comp_dev))
@@ -604,16 +583,15 @@ def concentration_upper_bound(region: Region, profile: MomentProfile,
 
 
 def overshoot_upper_bound(z_spec: DistributionSpec, lam, schedule: SampleSchedule,
-                          variant: str = "T6") -> BoundReport:
+                          tag: str) -> BoundReport:
     """Expected-overshoot bound for renewal sums crossing a threshold.
 
-    "T6" bounds E[overshoot] for a crossing checked at every sample, so it
-    needs the all-naturals schedule; "T7" handles thresholds checked only on
-    a schedule with finite maximum gap K, via the law of the first-batch sum.
+    "Lorden-T6" bounds E[overshoot] for a crossing checked at every sample,
+    so it needs the all-naturals schedule; "Lorden-T7" handles thresholds
+    checked only on a schedule with finite maximum gap K, via the law of the
+    first-batch sum.
     """
-    if variant not in ("T6", "T7"):
-        raise ValueError("variant must be T6 or T7")
-    tag = "Lorden-T6" if variant == "T6" else "Lorden-T7"
+    every_sample = _known(tag, "Lorden-T6", "Lorden-T7") == "Lorden-T6"
     if z_spec.dim != 1:
         raise ValueError("overshoot bounds are for scalar increments")
     z_spec = z_spec.components[0]  # a one-component product is its component
@@ -625,7 +603,7 @@ def overshoot_upper_bound(z_spec: DistributionSpec, lam, schedule: SampleSchedul
         _chk("second-moment-finite", math.isfinite(ez2)),
     ]
     diag = {"mean": ez, "second_moment": ez2}
-    if variant == "T6":
+    if every_sample:
         pos2 = scalar_family(z_spec).positive_part_square(z_spec.params)
         diag["positive_part_second_moment"] = pos2
         batch = 1
@@ -648,5 +626,5 @@ def overshoot_upper_bound(z_spec: DistributionSpec, lam, schedule: SampleSchedul
     pr, pe = ovs.threshold_functionals(z_spec, lam, law.cdf_strict, law.partial_above)
     diag["prob_below_threshold"] = pr
     diag["partial_expectation"] = pe
-    coef = pos2 / ez if variant == "T6" else (K - 1.0) * ez + ez2 / ez
+    coef = pos2 / ez if every_sample else (K - 1.0) * ez + ez2 / ez
     return BoundReport(tag, "upper", coef * pr + pe, checks, diag)

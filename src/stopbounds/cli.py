@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import hashlib
 import json
 import math
 import sys
@@ -44,6 +43,8 @@ class ConfigError(ValueError):
 
 
 def config_hash(config: dict) -> str:
+    import hashlib  # loads OpenSSL, which only a written report needs
+
     canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
@@ -148,9 +149,8 @@ _SCHEDULE_KEYS = {"all-naturals": ("kind", "n0"), "arithmetic": ("kind", "n0", "
 
 def schedule_from_config(cfg: dict) -> sch.SampleSchedule:
     cfg = _object(cfg, "schedule")
-    kind = cfg.get("kind")
-    if kind in _SCHEDULE_KEYS:
-        _keys(cfg, _SCHEDULE_KEYS[kind], f"schedule kind {kind!r}")
+    kind = _choice(cfg.get("kind"), tuple(_SCHEDULE_KEYS), "schedule kind")
+    _keys(cfg, _SCHEDULE_KEYS[kind], f"schedule kind {kind!r}")
     n0 = _real(cfg.get("n0", 0), "schedule n0", int)
     try:
         if kind == "all-naturals":
@@ -161,12 +161,10 @@ def schedule_from_config(cfg: dict) -> sch.SampleSchedule:
         if kind == "geometric":
             return sch.geometric(_real(cfg.get("first"), "first", int),
                                  _real(cfg.get("ratio"), "ratio"), n0)
-        if kind == "explicit":
-            values = _list(cfg.get("values"), "explicit schedule values")
-            return sch.explicit([_real(v, "schedule values", int) for v in values], n0)
+        values = _list(cfg.get("values"), "explicit schedule values")
+        return sch.explicit([_real(v, "schedule values", int) for v in values], n0)
     except sch.ScheduleError as exc:
         raise ConfigError(f"bad schedule config: {exc}") from exc
-    raise ConfigError(f"unknown schedule kind {kind!r}")
 
 
 def load_config(path: str) -> dict:

@@ -801,8 +801,8 @@ def convexity_audit(region: Region, t_max: float, s_span, n_pairs: int = 200,
 def slice_side(region: Region, n: float, mean, tol: float = 1e-9) -> str:
     """For scalar regions: whether the slice lies above or below the mean.
 
-    Returns "inside" when the mean belongs to the slice.  Used to verify the
-    one-sided conditions of the scalar concentration bounds.
+    Returns "inside" when the mean belongs to the slice.  The concentration
+    bound sums one-sided scalar tails when the slice lies above or below.
     """
     mu = np.atleast_1d(np.asarray(mean, dtype=float))
     if mu.shape[0] != 1:

@@ -154,37 +154,29 @@ def bound_report(tag: str, bundle: ScenarioBundle) -> bd.BoundReport:
         return bd.wald_lower_bound(bundle.reciprocal_rule_function(), mean,
                                    concave_declared=bundle.declared("concave_rule"))
     if tag in ("T10-upper", "T11-upper-bounded"):
-        variant = "T10" if tag == "T10-upper" else "T11"
-        return bd.slab_optimization_upper_bound(
-            bundle.continuity_view, prof, sched, variant,
-            start_containment_declared=iv)
+        return bd.slab_optimization_upper_bound(bundle.continuity_view, prof, sched, tag,
+                                                start_containment_declared=iv)
     if tag in ("T12-samplemean", "T13-samplemean-naturals", "T-try88-bounded"):
-        variant = {"T12-samplemean": "T12", "T13-samplemean-naturals": "T13",
-                   "T-try88-bounded": "try88"}[tag]
         return bd.sample_mean_upper_bound(
-            bundle.rule_function(), prof, sched, variant,
+            bundle.rule_function(), prof, sched, tag,
             concave_declared=bundle.declared("concave_rule"),
             sure_start_declared=bundle.declared("sure_start"))
     if tag in ("T14-hyperplane", "T15-hyperplane-bounded"):
-        variant = "T14" if tag == "T14-hyperplane" else "T15"
-        return bd.hyperplane_vertex_upper_bound(
-            bundle.continuity_view, bundle.hyperplane, prof, sched, variant,
-            start_containment_declared=iv)
+        return bd.hyperplane_vertex_upper_bound(bundle.continuity_view, bundle.hyperplane,
+                                                prof, sched, tag, start_containment_declared=iv)
     if tag.startswith("T16-chenlorden-"):
-        assertion = tag.rsplit("-", 1)[1]
         k = 1 if sched.is_all_naturals else (sched.step or 0)
         if not k or not sched.is_multiples_of(k):
             return _failed(tag, "upper", "schedule-multiples",
                            "rule must be checked at multiples of a fixed batch size")
-        return bd.lorden_hyperplane_upper_bound(bundle.hyperplane, prof, k, assertion)
+        return bd.lorden_hyperplane_upper_bound(bundle.hyperplane, prof, k, tag)
     if tag in ("T17-gradient", "vipformula"):
-        variant = "T17" if tag == "T17-gradient" else "vipformula"
-        return bd.gradient_upper_bound(bundle.continuity_view, prof, sched, variant)
+        return bd.gradient_upper_bound(bundle.continuity_view, prof, sched, tag)
     if tag in ("T18-concentration", "T19-concentration-hyperplane"):
-        t19 = tag.startswith("T19")
         return bd.concentration_upper_bound(
-            bundle.continuity_view, prof, sched, "hoeffding", "T19" if t19 else "auto",
-            hyp=bundle.hyperplane if t19 else None, start_containment_declared=iv)
+            bundle.continuity_view, prof, sched,
+            hyp=bundle.hyperplane if tag.startswith("T19") else None,
+            start_containment_declared=iv)
     if tag in ("Lorden-T6", "Lorden-T7"):
         level = bundle.threshold_level()
         if level is None:
@@ -192,7 +184,7 @@ def bound_report(tag: str, bundle: ScenarioBundle) -> bd.BoundReport:
                            "overshoot bounds need a constant stopping threshold")
         if prof.dim != 1:
             return _failed(tag, "upper", "scalar-increments", "dim must be 1")
-        return bd.overshoot_upper_bound(bundle.spec, level, sched, tag.rsplit("-", 1)[1])
+        return bd.overshoot_upper_bound(bundle.spec, level, sched, tag)
     raise ValueError(f"unknown theorem tag {tag!r}")
 
 

@@ -33,7 +33,7 @@ def test_stopping_lower_bound_requires_flags():
 def test_slab_bound_point_mass():
     prof = sb.analytic_moments(sb.point_mass(1.0))
     report = sb.slab_optimization_upper_bound(
-        sb.constant_region(5.0), prof, sb.naturals(), "T10")
+        sb.constant_region(5.0), prof, sb.naturals(), "T10-upper")
     assert report.applicable
     assert report.value == pytest.approx(6.0, abs=1e-6)
 
@@ -41,7 +41,7 @@ def test_slab_bound_point_mass():
 def test_slab_bound_bounded_variant_against_grid():
     prof = sb.analytic_moments(sb.bernoulli_affine(0, 1, 0.5))
     region = sb.constant_region(5.0)
-    report = sb.slab_optimization_upper_bound(region, prof, sb.naturals(), "T11")
+    report = sb.slab_optimization_upper_bound(region, prof, sb.naturals(), "T11-upper-bounded")
     assert report.applicable
     # grid oracle over (t, s): envelope and support slabs intersected
     from stopbounds.bounds import bounded_support_slab
@@ -58,8 +58,7 @@ def test_slab_bound_bounded_variant_against_grid():
 def test_slab_bound_unbounded_domain_flag():
     prof = sb.analytic_moments(sb.bernoulli_affine(0, 1, 0.5))
     conic = sb.affine_region(1.0, 5.0, "le")
-    report = sb.slab_optimization_upper_bound(conic, prof, sb.naturals(), "T10",
-                                              t_cap=2.0**20)
+    report = sb.slab_optimization_upper_bound(conic, prof, sb.naturals(), "T10-upper")
     assert report.value == math.inf
     assert report.applicable  # no unique crossing: the domain is unbounded
     assert [c.status for c in report.assumptions if c.ident == "V"] == ["unchecked"]
@@ -67,27 +66,29 @@ def test_slab_bound_unbounded_domain_flag():
 
 def test_sample_mean_bound_examples():
     pm = sb.analytic_moments(sb.point_mass(1.0))
-    report = sb.sample_mean_upper_bound(lambda v: 5.0 / v[0], pm, sb.naturals(), "T13")
+    report = sb.sample_mean_upper_bound(lambda v: 5.0 / v[0], pm, sb.naturals(),
+                                        "T13-samplemean-naturals")
     assert report.applicable and report.value == pytest.approx(7.0, abs=1e-9)
 
     bern = sb.analytic_moments(sb.bernoulli_affine(0, 1, 0.5))
     sched = sb.naturals(1)  # gap 1 <= start anchor 1
-    report = sb.sample_mean_upper_bound(lambda v: 5.0 / v[0], bern, sched, "try88")
+    report = sb.sample_mean_upper_bound(lambda v: 5.0 / v[0], bern, sched, "T-try88-bounded")
     assert report.applicable and report.value == pytest.approx(21.0, abs=1e-9)
 
-    report = sb.sample_mean_upper_bound(lambda v: 4.0, bern, sched, "T12")
+    report = sb.sample_mean_upper_bound(lambda v: 4.0, bern, sched, "T12-samplemean")
     assert report.value == pytest.approx(1.0 + 4.0, abs=1e-12)
 
 
 def test_sample_mean_bound_gate_checks():
     bern = sb.analytic_moments(sb.bernoulli_affine(0, 1, 0.5))
-    report = sb.sample_mean_upper_bound(lambda v: 5.0 / v[0], bern, sb.naturals(), "T12")
+    report = sb.sample_mean_upper_bound(lambda v: 5.0 / v[0], bern, sb.naturals(), "T12-samplemean")
     assert not report.applicable  # max gap 1 exceeds start anchor 0
-    report = sb.sample_mean_upper_bound(lambda v: 5.0 / v[0], bern, sb.naturals(), "T13",
-                                        audit_concavity=True)
+    report = sb.sample_mean_upper_bound(lambda v: 5.0 / v[0], bern, sb.naturals(),
+                                        "T13-samplemean-naturals", audit_concavity=True)
     assert not report.applicable  # 5/v is convex, the opt-in audit rejects it
     exp = sb.analytic_moments(sb.exponential(1.0))
-    report = sb.sample_mean_upper_bound(lambda v: 5.0 / v[0], exp, sb.naturals(1), "try88")
+    report = sb.sample_mean_upper_bound(lambda v: 5.0 / v[0], exp, sb.naturals(1),
+                                        "T-try88-bounded")
     assert not report.applicable  # no support bounds
 
 
@@ -95,7 +96,7 @@ def test_sample_mean_bound_infinite_box_value():
     bern = sb.analytic_moments(sb.bernoulli_affine(0, 1, 0.5))
     region = sb.affine_region(0.5, -1.0, "ge")  # rays at slope >= 1/2 never leave
     g = lambda v: sb.ray_exit_time(region, v)
-    report = sb.sample_mean_upper_bound(g, bern, sb.naturals(), "T13")
+    report = sb.sample_mean_upper_bound(g, bern, sb.naturals(), "T13-samplemean-naturals")
     assert report.value == math.inf
 
 
@@ -110,7 +111,7 @@ def test_hyperplane_vertex_bound_examples():
     pm = sb.analytic_moments(sb.point_mass(1.0))
     hyp = sb.Hyperplane([1.0], 0.0, 5.0, 5.0)
     region = sb.constant_region(5.0)
-    report = sb.hyperplane_vertex_upper_bound(region, hyp, pm, sb.naturals(), "T14")
+    report = sb.hyperplane_vertex_upper_bound(region, hyp, pm, sb.naturals(), "T14-hyperplane")
     assert report.value == pytest.approx(6.0, abs=1e-12)
 
     # two-vertex arithmetic with a widened manual slab
@@ -125,7 +126,8 @@ def test_hyperplane_vertex_bounded_variant_takes_minimum():
     prof = sb.analytic_moments(sb.bernoulli_affine(0, 1, 0.5))
     region = sb.constant_region(5.0)
     hyp = sb.supporting_hyperplane(region, prof.mean)
-    report = sb.hyperplane_vertex_upper_bound(region, hyp, prof, sb.naturals(), "T15")
+    report = sb.hyperplane_vertex_upper_bound(region, hyp, prof, sb.naturals(),
+                                              "T15-hyperplane-bounded")
     assert report.applicable
     assert report.diagnostics["winning_slab"] == "support"
     assert report.value == pytest.approx(12.0, abs=1e-6)
@@ -150,22 +152,23 @@ def test_hyperplane_vertex_bound_needs_support():
     prof = sb.analytic_moments(sb.exponential(1.0))
     hyp = sb.Hyperplane([1.0], 0.0, 5.0, 5.0)
     region = sb.constant_region(5.0)
-    report = sb.hyperplane_vertex_upper_bound(region, hyp, prof, sb.naturals(), "T15")
+    report = sb.hyperplane_vertex_upper_bound(region, hyp, prof, sb.naturals(),
+                                              "T15-hyperplane-bounded")
     assert not report.applicable
 
 
 def test_lorden_hyperplane_examples():
     prof = sb.analytic_moments(sb.bernoulli_affine(0, 1, 0.5))
     hyp = sb.Hyperplane([1.0], 0.0, 5.0, 10.0)
-    report = sb.lorden_hyperplane_upper_bound(hyp, prof, 1, "II")
+    report = sb.lorden_hyperplane_upper_bound(hyp, prof, 1, "T16-chenlorden-II")
     assert report.value == pytest.approx(12.0, abs=1e-12)
-    report = sb.lorden_hyperplane_upper_bound(hyp, prof, 1, "III")
+    report = sb.lorden_hyperplane_upper_bound(hyp, prof, 1, "T16-chenlorden-III")
     assert report.value == pytest.approx(12.0, abs=1e-12)
     assert report.diagnostics["batch_min_mean_gap"] == pytest.approx(0.0)
     assert report.diagnostics["batch_max_mean_gap"] == pytest.approx(1.0)
     pm = sb.analytic_moments(sb.point_mass(1.0))
     hyp = sb.Hyperplane([1.0], 0.0, 5.0, 5.0)
-    report = sb.lorden_hyperplane_upper_bound(hyp, pm, 3, "I")
+    report = sb.lorden_hyperplane_upper_bound(hyp, pm, 3, "T16-chenlorden-I")
     assert report.value == pytest.approx(5.0 + 3.0, abs=1e-12)
 
 
@@ -189,10 +192,11 @@ def test_lorden_chain_is_monotone(batch):
     m, c = hyp.anchor, hyp.level
     first = m + (1.0 / batch) * (m / c) ** 2 * _exact_batch_moments(hyp, 0, 1, 0.25, batch)
     second = m + batch + (m / c) ** 2 * float(hyp.s_coef[0] ** 2 * prof.variance[0])
-    third = sb.lorden_hyperplane_upper_bound(hyp, prof, batch, "I").value
+    third = sb.lorden_hyperplane_upper_bound(hyp, prof, batch, "T16-chenlorden-I").value
     assert first <= second + 1e-9
     assert second <= third + 1e-9
-    assert sb.lorden_hyperplane_upper_bound(hyp, prof, batch, "II").value == pytest.approx(second)
+    two = sb.lorden_hyperplane_upper_bound(hyp, prof, batch, "T16-chenlorden-II").value
+    assert two == pytest.approx(second)
 
 
 def test_gradient_bound_examples():
@@ -202,13 +206,13 @@ def test_gradient_bound_examples():
     assert report.applicable and report.value == pytest.approx(12.0, abs=1e-9)
 
     pm = sb.analytic_moments(sb.point_mass(1.0))
-    report = sb.gradient_upper_bound(sb.power_region(2.0, 0.5), pm, sb.naturals(), "T17")
+    report = sb.gradient_upper_bound(sb.power_region(2.0, 0.5), pm, sb.naturals(), "T17-gradient")
     assert report.value == pytest.approx(5.0, abs=1e-6)
 
     report = sb.gradient_upper_bound(sb.power_region(2.0, 0.5), bern, sb.naturals(),
                                      "vipformula")
     assert report.value == pytest.approx(21.0, abs=1e-6)
-    report = sb.gradient_upper_bound(sb.power_region(2.0, 0.5), bern, sb.naturals(), "T17")
+    report = sb.gradient_upper_bound(sb.power_region(2.0, 0.5), bern, sb.naturals(), "T17-gradient")
     assert report.value == pytest.approx(21.0, abs=1e-4)
 
 
@@ -222,7 +226,7 @@ def test_gradient_bound_examples():
 def test_t17_equals_vipformula_on_scalar_regions(region, spec):
     # d = 1: grad ln g = 1/(f'(m) - mean), so the quadratic form is var/(f'(m) - mean)^2
     prof = sb.analytic_moments(spec)
-    t17 = sb.gradient_upper_bound(region, prof, sb.naturals(), "T17")
+    t17 = sb.gradient_upper_bound(region, prof, sb.naturals(), "T17-gradient")
     vip = sb.gradient_upper_bound(region, prof, sb.naturals(), "vipformula")
     assert t17.applicable and vip.applicable
     assert t17.value == pytest.approx(vip.value, rel=0, abs=1e-12)
@@ -266,8 +270,31 @@ def test_flat_threshold_forms_give_identical_lorden_reports(spec, schedule):
 def test_gradient_bound_gates():
     bern = sb.analytic_moments(sb.bernoulli_affine(0, 1, 0.5))
     region = sb.constant_region(5.0)
-    report = sb.gradient_upper_bound(region, bern, sb.arithmetic(0, 2), "T17")
+    report = sb.gradient_upper_bound(region, bern, sb.arithmetic(0, 2), "T17-gradient")
     assert not report.applicable  # needs every sample size
+
+
+def test_calculators_take_only_the_report_tags():
+    # one name per theorem: a calculator computes the tag it is given, and
+    # refuses a short name or another calculator's tag
+    prof = sb.analytic_moments(sb.bernoulli_affine(0, 1, 0.5))
+    region, hyp = sb.constant_region(5.0), sb.Hyperplane([1.0], 0.0, 5.0, 10.0)
+    calls = {
+        "T10-upper": lambda tag: sb.slab_optimization_upper_bound(region, prof, sb.naturals(), tag),
+        "T13-samplemean-naturals": lambda tag: sb.sample_mean_upper_bound(
+            lambda v: 5.0 / v[0], prof, sb.naturals(), tag),
+        "T15-hyperplane-bounded": lambda tag: sb.hyperplane_vertex_upper_bound(
+            region, hyp, prof, sb.naturals(), tag),
+        "T16-chenlorden-III": lambda tag: sb.lorden_hyperplane_upper_bound(hyp, prof, 1, tag),
+        "vipformula": lambda tag: sb.gradient_upper_bound(region, prof, sb.naturals(), tag),
+        "Lorden-T6": lambda tag: overshoot_upper_bound(sb.exponential(1.0), 1.0,
+                                                       sb.naturals(), tag),
+    }
+    for tag, call in calls.items():
+        assert call(tag).theorem == tag
+        for wrong in ("T10", "II", "T6", "T17", "T18-concentration"):
+            with pytest.raises(ValueError):
+                call(wrong)
 
 
 def _series_oracle_mpmath(n_start, dev_fn, width=1.0):
@@ -287,8 +314,10 @@ def _series_oracle_mpmath(n_start, dev_fn, width=1.0):
 def test_concentration_bound_affine_example():
     prof = sb.analytic_moments(sb.bernoulli_affine(0, 1, 0.25))
     region = sb.affine_region(0.5, -1.0, "ge")
-    report = sb.concentration_upper_bound(region, prof, sb.naturals(),
-                                          "hoeffding", "T18-scalar-above")
+    report = sb.concentration_upper_bound(region, prof, sb.naturals())
+    # the slice lies above the mean, so the one-sided scalar tail is summed
+    assert report.diagnostics["slice_side_at_N_tau"] == "above"
+    assert report.diagnostics["one_sided"]
     # high-precision re-summation oracle of 5 + sum exp(-2n(1/4 - 1/n)^2)
     oracle = _series_oracle_mpmath(5, lambda n: 0.25 - 1.0 / n)
     assert report.applicable
@@ -299,7 +328,7 @@ def test_concentration_bound_affine_example():
 def test_concentration_point_mass_collapses_to_first_check():
     prof = sb.analytic_moments(sb.point_mass(1.0))
     region = sb.constant_region(5.0)
-    report = sb.concentration_upper_bound(region, prof, sb.naturals(), "hoeffding", "auto")
+    report = sb.concentration_upper_bound(region, prof, sb.naturals())
     assert report.value == pytest.approx(6.0, abs=1e-12)
 
 
@@ -307,24 +336,16 @@ def test_concentration_t19_matches_t18_on_halfspace():
     prof = sb.analytic_moments(sb.bernoulli_affine(0, 1, 0.25))
     region = sb.affine_region(0.5, -1.0, "ge")
     hyp = sb.supporting_hyperplane(region, prof.mean)
-    t18 = sb.concentration_upper_bound(region, prof, sb.naturals(), "hoeffding", "auto")
-    t19 = sb.concentration_upper_bound(region, prof, sb.naturals(), "hoeffding",
-                                       "T19", hyp=hyp)
+    t18 = sb.concentration_upper_bound(region, prof, sb.naturals())
+    t19 = sb.concentration_upper_bound(region, prof, sb.naturals(), hyp=hyp)
+    assert (t18.theorem, t19.theorem) == ("T18-concentration", "T19-concentration-hyperplane")
     assert t19.value == pytest.approx(t18.value, abs=1e-9)
-
-
-def test_concentration_side_condition_gate():
-    prof = sb.analytic_moments(sb.bernoulli_affine(0, 1, 0.25))
-    region = sb.affine_region(0.5, -1.0, "ge")
-    report = sb.concentration_upper_bound(region, prof, sb.naturals(),
-                                          "hoeffding", "T18-scalar-below")
-    assert not report.applicable
 
 
 def test_concentration_needs_support_for_hoeffding():
     prof = sb.analytic_moments(sb.exponential(1.0))
     region = sb.constant_region(5.0)
-    report = sb.concentration_upper_bound(region, prof, sb.naturals(), "hoeffding", "auto")
+    report = sb.concentration_upper_bound(region, prof, sb.naturals())
     assert not report.applicable
 
 
@@ -332,8 +353,7 @@ def test_concentration_vector_variant_d2():
     spec = sb.product([sb.bernoulli_affine(0, 1, 0.5), sb.bernoulli_affine(0, 1, 0.5)])
     prof = sb.analytic_moments(spec)
     region = sb.halfspace_region([1.0, 1.0], 0.0, 5.0, "le", "continuity")
-    report = sb.concentration_upper_bound(region, prof, sb.geometric(1, 2.0),
-                                          "hoeffding", "T18-vector")
+    report = sb.concentration_upper_bound(region, prof, sb.geometric(1, 2.0))
     assert report.applicable
     assert not report.diagnostics["one_sided"]
     est = sb.run_discrete(region, spec, sb.geometric(1, 2.0), 10_000, seed=5)
@@ -347,19 +367,18 @@ def test_concentration_user_tail():
     def gauss_tail(n, dev):  # exact one-sided gaussian mean tail
         return math.erfc(dev * math.sqrt(n) / (0.5 * math.sqrt(2.0))) / 2.0
 
-    report = sb.concentration_upper_bound(region, prof, sb.naturals(),
-                                          "chernoff-user", "auto", user_tail=gauss_tail)
+    report = sb.concentration_upper_bound(region, prof, sb.naturals(), user_tail=gauss_tail)
     assert report.applicable
     assert report.value > report.diagnostics["N_tau"]
 
 
 def test_overshoot_bound_examples():
-    report = overshoot_upper_bound(sb.exponential(1.0), math.log(2.0), sb.naturals(), "T6")
+    report = overshoot_upper_bound(sb.exponential(1.0), math.log(2.0), sb.naturals(), "Lorden-T6")
     assert report.value == pytest.approx(1.5, abs=1e-12)
-    report = overshoot_upper_bound(sb.point_mass(1.0), 0.5, sb.naturals(), "T6")
+    report = overshoot_upper_bound(sb.point_mass(1.0), 0.5, sb.naturals(), "Lorden-T6")
     assert report.value == pytest.approx(0.5, abs=1e-12)
     # schedule-aware variant, threshold 3, checks every second sample
-    report = overshoot_upper_bound(sb.exponential(1.0), 3.0, sb.arithmetic(0, 2), "T7")
+    report = overshoot_upper_bound(sb.exponential(1.0), 3.0, sb.arithmetic(0, 2), "Lorden-T7")
     lam = 3.0
     pr = 1.0 - math.exp(-lam) * (1.0 + lam)
     pe = math.exp(-lam) * (lam + 2.0)
@@ -368,18 +387,19 @@ def test_overshoot_bound_examples():
 
 def test_overshoot_bound_random_threshold():
     lam_spec = sb.bernoulli_affine(0.5, 1.5, 0.5)
-    report = overshoot_upper_bound(sb.exponential(1.0), lam_spec, sb.naturals(), "T6")
+    report = overshoot_upper_bound(sb.exponential(1.0), lam_spec, sb.naturals(), "Lorden-T6")
     manual = 0.5 * (2.0 * (1 - math.exp(-0.5)) + math.exp(-0.5)) + \
         0.5 * (2.0 * (1 - math.exp(-1.5)) + math.exp(-1.5))
     assert report.value == pytest.approx(manual, abs=1e-12)
 
 
 def test_overshoot_bound_gates():
-    report = overshoot_upper_bound(sb.gaussian(0.0, 1.0), 1.0, sb.naturals(), "T6")
+    report = overshoot_upper_bound(sb.gaussian(0.0, 1.0), 1.0, sb.naturals(), "Lorden-T6")
     assert not report.applicable  # mean is not positive
-    report = overshoot_upper_bound(sb.uniform_interval(-1, 2), 1.0, sb.arithmetic(0, 2), "T7")
+    report = overshoot_upper_bound(sb.uniform_interval(-1, 2), 1.0, sb.arithmetic(0, 2),
+                                   "Lorden-T7")
     assert not report.applicable  # increments not strictly positive
-    report = overshoot_upper_bound(sb.exponential(1.0), 1.0, sb.geometric(1, 2.0), "T7")
+    report = overshoot_upper_bound(sb.exponential(1.0), 1.0, sb.geometric(1, 2.0), "Lorden-T7")
     assert not report.applicable  # unbounded gaps
 
 
@@ -437,7 +457,8 @@ def test_t14_zero_vertex_denominator_gives_an_applicable_infinity():
     hyp = row["bundle"].hyperplane
     steeper = sb.Hyperplane(hyp.s_coef, hyp.t_coef - 1.0, hyp.level, hyp.anchor)
     report = sb.hyperplane_vertex_upper_bound(row["bundle"].continuity_view, steeper,
-                                              row["bundle"].profile, sb.naturals(), "T14")
+                                              row["bundle"].profile, sb.naturals(),
+                                              "T14-hyperplane")
     assert not report.applicable and math.isnan(report.value)
     assert report.failed_assumptions() == ["denominator-positive"]
 
@@ -555,9 +576,11 @@ def test_explicit_list_gets_no_upper_bound():
     # the calculators called directly run the same schedule checks
     prof, region = short.profile, short.continuity_view
     decades = sb.explicit([1, 2, 3] + [10 * 2**k for k in range(7)])
-    direct = sb.hyperplane_vertex_upper_bound(region, short.hyperplane, prof, decades, "T14")
+    direct = sb.hyperplane_vertex_upper_bound(region, short.hyperplane, prof, decades,
+                                              "T14-hyperplane")
     assert {"I", "II"} <= set(direct.failed_assumptions())
-    assert sb.gradient_upper_bound(region, prof, decades).failed_assumptions() == ["all-naturals"]
-    t6 = overshoot_upper_bound(sb.exponential(1.0), 5.0, decades, "T6")
+    gradient = sb.gradient_upper_bound(region, prof, decades, "T17-gradient")
+    assert gradient.failed_assumptions() == ["all-naturals"]
+    t6 = overshoot_upper_bound(sb.exponential(1.0), 5.0, decades, "Lorden-T6")
     assert t6.failed_assumptions() == ["all-naturals"]
     assert t6.assumptions[-1].ident == "all-naturals"

@@ -108,6 +108,9 @@ def test_bound_command_config_errors(tmp_path, capsys):
             "family": "bernoulli-affine", "params": {"x0": 0, "x1": 1, "p": "half"}})),
         ("bound", dict(BASE, bounds=["no-such-tag"])),
         ("bound", dict(BASE, schedule={"kind": "arithmetic", "n0": 0, "step": "two"})),
+        # a schedule kind that is no string is refused like an unknown one
+        ("bound", dict(BASE, bounds=["T10-upper"], schedule={"kind": ["all-naturals"]})),
+        ("bound", dict(BASE, bounds=["T10-upper"], schedule={"kind": {"all-naturals": 0}})),
         # declarations take known keys and JSON booleans; anything else would be misread
         ("bound", dict(SQRT_WALD, declarations={"concave_rule": "false"})),
         ("bound", dict(SQRT_WALD, declarations={"concave_rul": False})),
@@ -411,7 +414,8 @@ def test_worker_count_bit_identical_reports(tmp_path):
 _SCIPY_PROBE = """
 import sys
 import stopbounds, stopbounds.cli, stopbounds.scenarios, stopbounds.overshoot as ovs
-print(sorted(m for m in sys.modules if m.startswith(("scipy", "concurrent"))))
+print(sorted(m for m in sys.modules
+             if m.startswith(("scipy", "concurrent", "hashlib", "_hashlib"))))
 stopbounds.run_discrete(stopbounds.constant_region(3.0), stopbounds.bernoulli_affine(0, 1, 0.5),
                         stopbounds.naturals(), {runs}, workers=2)
 print("concurrent.futures" in sys.modules)
@@ -423,8 +427,9 @@ print("scipy.integrate" in sys.modules)
 
 
 def test_import_and_cli_runs_load_no_scipy_or_thread_pool(tmp_path):
-    # importing the package loads numpy only; only walks on more than one
-    # worker load concurrent.futures (and with it logging), which runs before
+    # importing the package and the CLI loads numpy only, and no hashlib
+    # (OpenSSL) until a report is written; only walks on more than one worker
+    # load concurrent.futures (and with it logging), which runs before
     # scipy.integrate loads it too; quadrature for a random threshold with a
     # density loads scipy.integrate on first use
     probe = run_python("-c", _SCIPY_PROBE.format(runs=2 * _CHUNK))  # two chunks

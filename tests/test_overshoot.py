@@ -52,7 +52,7 @@ def test_uniform_batch_law_closed_forms():
 
 def test_t7_uniform_hand_computed_value():
     report = sb.overshoot_upper_bound(sb.uniform_interval(0.5, 1.5), 2.0, sb.arithmetic(0, 2),
-                                      "T7")
+                                      "Lorden-T7")
     assert report.applicable
     # ((K-1) E[Z] + E[Z^2]/E[Z]) Pr{Y<2} + E[(Y-2)^+] = (25/12)/2 + 1/6
     assert report.value == pytest.approx(25.0 / 24.0 + 1.0 / 6.0, abs=1e-7)
@@ -70,7 +70,7 @@ def test_t7_uniform_large_steps_match_exact_oracle(step):
     # x = 0.3*step in uniform units.  Oracle at 60 digits: the alternating sum for
     # Pr{Y < c} and E[(Y-c)^+] = E[Y] - c + int_0^x F by Gauss-Legendre quadrature.
     report = sb.overshoot_upper_bound(sb.uniform_interval(0.5, 1.5), 0.8 * step,
-                                      sb.arithmetic(0, step), "T7")
+                                      sb.arithmetic(0, step), "Lorden-T7")
     assert report.applicable
     assert math.isfinite(report.value) and report.value >= 0.0
     with mp.workdps(60):

@@ -427,7 +427,7 @@ def test_replay_passage_from_the_chunk_stream():
 
 
 @pytest.mark.parametrize("region", [
-    sb.power_region(2.0, 0.5),
+    sb.power_region(2.0, 0.3),
     sb.region_from_oracle(sb.constant_region(4.0).contains, 1, "continuity", True, True),
 ], ids=["power", "oracle"])
 def test_curved_and_oracle_regions_keep_the_two_grid_euler_path(region):
@@ -438,6 +438,31 @@ def test_curved_and_oracle_regions_keep_the_two_grid_euler_path(region):
     assert est.diagnostics["discretization_diagnostic"] == abs(est.mean - est.extras["coarse"][0])
     exact = sb.run_brownian(sb.constant_region(4.0), 0.5, 1.0, 0.05, 600, horizon=200.0, seed=3)
     assert exact.diagnostics["passage"] == "exact-inverse-gaussian"
+
+
+@pytest.mark.parametrize("orientation", ["le", "ge"])
+@pytest.mark.parametrize("kind", ["continuity", "stopping"])
+def test_noisy_power_boundary_with_exponent_from_one_half_is_left_at_once(orientation, kind,
+                                                                         monkeypatch):
+    # W_t - c t^e changes sign at times arbitrarily close to 0 when e >= 1/2,
+    # so tau = 0 almost surely; no grid is walked and no stream drawn
+    def no_walk(*args, **kwargs):
+        raise AssertionError("an immediate passage walks no grid")
+
+    monkeypatch.setattr(simulate, "_walk", no_walk)
+    monkeypatch.setattr(simulate, "StreamPool", no_walk)
+    for coef, exponent in ((2.0, 0.5), (-1.0, 0.75)):
+        region = sb.power_region(coef, exponent, orientation, kind)
+        est = sb.run_brownian(region, 0.5, 1.0, 0.05, 600, horizon=200.0, seed=3)
+        assert (est.mean, est.stderr, est.n_runs, est.truncated) == (0.0, 0.0, 600, 0)
+        assert est.extras == {"coarse": (0.0, 0.0), "stop_sum[0]": (0.0, 0.0)}
+        assert est.diagnostics == {"dt": 0.05, "dt_fine": 0.05,
+                                   "discretization_diagnostic": 0.0, "passage": "immediate"}
+    monkeypatch.undo()
+    # without noise, and below exponent 1/2, the path is walked as before
+    for region, sigma in ((sb.power_region(2.0, 0.5), 0.0), (sb.power_region(2.0, 0.3), 1.0)):
+        est = sb.run_brownian(region, 0.5, sigma, 0.05, 50, horizon=200.0, seed=3)
+        assert est.diagnostics["passage"] == "euler-two-grid" and est.mean > 0.0
 
 
 @pytest.mark.parametrize("region,spec,schedule", [

@@ -43,7 +43,7 @@ def test_gradient_bound_calls_log_exit_gradient_through_bounds(monkeypatch):
     monkeypatch.setattr(bounds, "log_exit_gradient",
                         lambda *a, **k: calls.append(a) or original(*a, **k))
     prof = sb.analytic_moments(sb.bernoulli_affine(0, 1, 0.5))
-    report = sb.gradient_upper_bound(sb.constant_region(5.0), prof, sb.naturals(), "T17")
+    report = sb.gradient_upper_bound(sb.constant_region(5.0), prof, sb.naturals(), "T17-gradient")
     assert report.applicable and len(calls) == 1
 
 
@@ -158,7 +158,7 @@ def test_brownian_draws_and_keys_go_through_the_traced_names(monkeypatch):
 
 
 def test_euler_brownian_draws_and_keys_go_through_the_traced_names(monkeypatch):
-    args = (sb.power_region(2.0, 0.5), 0.5, 1.0, 0.05, 4500)  # two chunks
+    args = (sb.power_region(2.0, 0.3), 0.5, 1.0, 0.05, 4500)  # two chunks
     plain = simulate.run_brownian(*args, horizon=200.0, seed=5, workers=1)
     routed = _route(monkeypatch)
     traced = simulate.run_brownian(*args, horizon=200.0, seed=5, workers=2)

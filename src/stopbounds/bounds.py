@@ -25,6 +25,7 @@ from .geometry import (
     log_exit_gradient,
     mean_ray_crossing,
     ray_entry_and_exit,
+    ray_exit_box_max,
     ray_exit_time,
     slice_distance,
     slice_side,
@@ -231,19 +232,25 @@ def slab_optimization_upper_bound(region: Region, profile: MomentProfile,
     return BoundReport(tag, "upper", value, checks, diag)
 
 
-def sample_mean_upper_bound(gfun: Callable[[np.ndarray], float], profile: MomentProfile,
+def sample_mean_upper_bound(region: Region, profile: MomentProfile,
                             schedule: SampleSchedule, tag: str,
                             concave_declared: bool = True,
                             sure_start_declared: bool = True,
                             audit_concavity: bool = False) -> BoundReport:
-    """E[N] <= K + max of gfun over a moment box, for rules n >= gfun(sample mean).
+    """E[N] <= K + max of g over a moment box, for rules n >= g(sample mean).
 
+    g(v) = ray_exit_time(region, v) is the rule of the continuity region.
     "T12-samplemean" uses the one-sided-deviation box with the schedule's max
     gap K; "T13-samplemean-naturals" is the all-naturals form with constant 2
     instead of K; "T-try88-bounded" uses the support envelope box and needs
-    bounded increments.
+    bounded increments.  The box maximum is closed-form for a built-in
+    family and searched for an oracle region.
     """
     _known(tag, "T12-samplemean", "T13-samplemean-naturals", "T-try88-bounded")
+
+    def gfun(v):
+        return ray_exit_time(region, v)
+
     mu = profile.mean
     checks = []
     diag = {}
@@ -275,7 +282,10 @@ def sample_mean_upper_bound(gfun: Callable[[np.ndarray], float], profile: Moment
     diag["box"] = (lo.tolist(), hi.tolist())
     if any(c.status == "fail" for c in checks):
         return BoundReport(tag, "upper", math.nan, checks, diag)
-    peak = max_concave_over_box(gfun, lo, hi)
+    if region.family is None:
+        peak = max_concave_over_box(gfun, lo, hi)
+    else:
+        peak = ray_exit_box_max(region, lo, hi)
     diag["box_max"] = peak
     value = constant + peak if math.isfinite(peak) else math.inf
     return BoundReport(tag, "upper", value, checks, diag)

@@ -11,12 +11,14 @@ Each built-in family is one definition: a signed slack (positive inside,
 zero on the boundary) that broadcasts over points, and, for the d = 1
 families bounded by s = f(t), the exact boundary slope f'.  Along a ray
 (t, t v) the slack has the sign of alpha - rate*t**k (``Region.ray_form``),
-so ray exits, crossings and entries are closed forms, as are the side and
-distance of a slice, where the slack is affine in s.  The slope gives the
-exact log-gradient 1/(f'(m) - mean), and a halfspace gives
--a/(<a, mean> + b).  Regions built from a plain membership oracle take the
-numeric path: doubling searches refined by bisection of membership, and
-Richardson differences for the gradient.  There is no root finder.
+with the rate affine in v, so ray exits, crossings, entries and the
+maximum of g over a box are closed forms, as are the side and distance of
+a slice, where the slack is affine in s.  The slope gives the exact
+log-gradient 1/(f'(m) - mean), and a halfspace gives -a/(<a, mean> + b),
+so the supporting hyperplane is exact.  Regions built from a plain
+membership oracle take the numeric path: doubling searches refined by
+bisection of membership, Richardson differences for the gradient, and a
+sampled audit of the hyperplane.  There is no root finder.
 """
 
 from __future__ import annotations
@@ -136,23 +138,31 @@ class Region:
         f, slope = _CURVES[p["family"]](**p)
         return sgn * f(0.0), np.array([sgn]), -sgn * slope(0.0)
 
-    def ray_form(self, v: np.ndarray):
-        """(alpha, rate, k) of a built-in family along the ray (t, t v), or None.
+    @property
+    def ray_coefficients(self):
+        """(alpha, beta, kappa, k) of a built-in family, or None.
 
         For t > 0 the point (t, t v) is in the closed region exactly when
-        alpha - rate * t**k >= 0.  A flat family has slack
-        alpha - t*(<beta, v> + kappa), so k = 1; a power boundary c t^e has
-        slack sgn*t^e*(c - v t^(1-e)), so alpha = sgn*c, rate = sgn*v and
-        k = 1 - e.
+        alpha - rate * t**k >= 0, with the rate <beta, v> + kappa affine in
+        v.  A flat family has slack alpha - t*(<beta, v> + kappa), so k = 1;
+        a power boundary c t^e has slack sgn*t^e*(c - v t^(1-e)), so
+        alpha = sgn*c, beta = sgn, kappa = 0 and k = 1 - e.
         """
         p = self.family
         if p is None:
             return None
         if p["family"] == "power":
             sgn = _sign(p["orientation"])
-            return sgn * p["coef"], sgn * float(v[0]), 1.0 - p["exponent"]
-        alpha, beta, kappa = self.linear_slack
-        return alpha, float(beta @ v) + kappa, 1.0
+            return sgn * p["coef"], np.array([sgn]), 0.0, 1.0 - p["exponent"]
+        return (*self.linear_slack, 1.0)
+
+    def ray_form(self, v: np.ndarray):
+        """(alpha, rate, k) of a built-in family along the ray (t, t v), or None."""
+        coefs = self.ray_coefficients
+        if coefs is None:
+            return None
+        alpha, beta, kappa, k = coefs
+        return alpha, float(beta @ v) + kappa, k
 
     def complement_closure(self) -> "Region":
         """Closure of the complement, as a region of the opposite kind.
@@ -402,6 +412,30 @@ def ray_exit_time(region: Region, v, t_hi_hint: float = 1.0, tol: Optional[float
     return _boundary_root(region, lambda t: (t, t * v), lo, hi, tol)
 
 
+def ray_exit_box_max(region: Region, lo, hi) -> float:
+    """max of ray_exit_time(region, v) over the box lo <= v <= hi, for a built-in family.
+
+    The rate <beta, v> + kappa of ``Region.ray_coefficients`` is affine in
+    v, so on a box it is smallest at the corner taking lo_i where beta_i > 0
+    and hi_i elsewhere, and g = (alpha/rate)^(1/k) is largest there: +inf
+    when that rate is <= 0.  Refuses what ``ray_exit_time`` refuses.
+    """
+    _require_convex_origin(region)
+    coefs = region.ray_coefficients
+    if coefs is None:
+        raise RegionError("the closed-form box maximum requires a built-in region family")
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    if np.any(lo > hi):
+        raise ValueError("box is empty")
+    alpha, beta, kappa, k = coefs
+    if alpha < 0.0:  # the slack at the origin is alpha on a flat boundary, 0 on a power one
+        if k == 1.0:
+            raise RegionError("asserted origin containment fails at (0, 0)")
+        raise NonConvexityError("the region lies on the non-convex side of its boundary")
+    return _ray_crossing(alpha, float(beta @ np.where(beta > 0.0, lo, hi)) + kappa, k)
+
+
 def mean_ray_crossing(region: Region, mean, tol: Optional[float] = None) -> float:
     """The unique positive m with (m, m*mean) on the region boundary.
 
@@ -592,8 +626,11 @@ def supporting_hyperplane(region: Region, mean, grad=None) -> Hyperplane:
     Coefficients come from the log-gradient of the ray function: the normal
     on the sum coordinate is minus that gradient, the time coefficient is
     chosen so the mean gap equals one, and the level equals the crossing
-    time.  A sampled support check guards against bad gradients or a
-    non-convex region.
+    time.  With the exact gradient of a built-in family the plane is exact:
+    the boundary itself for a flat family, the tangent on the convex side of
+    a power boundary (``ray_exit_time`` refuses the other side).  An oracle
+    region or a supplied gradient gets ``support_audit``, which guards
+    against bad gradients or a non-convex region.
     """
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     m = mean_ray_crossing(region, mean)
@@ -608,15 +645,25 @@ def supporting_hyperplane(region: Region, mean, grad=None) -> Hyperplane:
     a = -use
     b = 1.0 - float(a @ mean)
     hyp = Hyperplane(s_coef=a, t_coef=b, level=m, anchor=m)
-    # support audit: each of 200 members sampled from seed 7 must satisfy value <= level
+    if region.family is None or grad is not None:
+        support_audit(region, hyp, mean)
+    return hyp
+
+
+def support_audit(region: Region, hyp: Hyperplane, mean):
+    """Raise NonConvexityError unless 200 members sampled from seed 7 lie below the plane.
+
+    Members come from [0, 2m] x [-span, span] with span = 2m(|mean| + 1) and
+    m the plane's anchor; each must satisfy value <= level + 1e-6 max(1, m).
+    """
+    m = hyp.anchor
     span = 2.0 * m * (np.abs(mean) + 1.0)
     ts, ss = sample_member_points(region, 200, 7, 2.0 * m, span)
     if ts.size:
         vals = ss @ hyp.s_coef + hyp.t_coef * ts
         slackness = 1e-6 * max(1.0, abs(m))
-        if np.any(vals > m + slackness):
+        if np.any(vals > hyp.level + slackness):
             raise NonConvexityError("support check failed: a member lies above the plane")
-    return hyp
 
 
 # ---------------------------------------------------------------------------

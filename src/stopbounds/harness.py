@@ -70,6 +70,18 @@ class _RegionViews:
         """A modeling hypothesis, held true unless declared false."""
         return bool(self.declarations.get(key, True))
 
+    def reciprocal_rule_concave(self) -> bool:
+        """Whether 1/g may be held concave, as T-UseWald-lower and Brown4 need.
+
+        Along a ray a built-in region has g = (alpha/rate)^(1/k) with the
+        rate affine in v, so 1/g = (rate/alpha)^(1/k) is affine for a flat
+        family (k = 1), which keeps its declaration, and strictly convex for
+        a power boundary (k < 1), whatever is declared.  An oracle region
+        keeps its declaration.
+        """
+        coefs = self.continuity_view.ray_coefficients
+        return self.declared("concave_rule") and (coefs is None or coefs[3] == 1.0)
+
 
 @dataclass
 class ScenarioBundle(_RegionViews):
@@ -152,13 +164,13 @@ def bound_report(tag: str, bundle: ScenarioBundle) -> bd.BoundReport:
         return bd.stopping_region_lower_bound(bundle.stopping_view, mean)
     if tag == "T-UseWald-lower":
         return bd.wald_lower_bound(bundle.reciprocal_rule_function(), mean,
-                                   concave_declared=bundle.declared("concave_rule"))
+                                   concave_declared=bundle.reciprocal_rule_concave())
     if tag in ("T10-upper", "T11-upper-bounded"):
         return bd.slab_optimization_upper_bound(bundle.continuity_view, prof, sched, tag,
                                                 start_containment_declared=iv)
     if tag in ("T12-samplemean", "T13-samplemean-naturals", "T-try88-bounded"):
         return bd.sample_mean_upper_bound(
-            bundle.rule_function(), prof, sched, tag,
+            bundle.continuity_view, prof, sched, tag,
             concave_declared=bundle.declared("concave_rule"),
             sure_start_declared=bundle.declared("sure_start"))
     if tag in ("T14-hyperplane", "T15-hyperplane-bounded"):
@@ -195,7 +207,7 @@ def brownian_report(tag: str, bundle: BrownianBundle) -> bd.BoundReport:
     Brown2 reads the entry and exit of T8's ray; Brown3 and Brown4 are the
     Wald checks on the rule function and on its reciprocal.
     """
-    drift, concave = bundle.drift, bundle.declared("concave_rule")
+    drift = bundle.drift
     if tag == "Brown1":
         view = bundle.continuity_view
         iii = bd._chk("III", view.convex_closure and view.contains_origin, "asserted flags")
@@ -211,14 +223,15 @@ def brownian_report(tag: str, bundle: BrownianBundle) -> bd.BoundReport:
         return replace(report, theorem=tag, direction="upper",
                        value=report.diagnostics.get("mean_ray_exit", report.value))
     if tag == "Brown3":
-        report = bd.wald_lower_bound(bundle.rule_function(), drift, concave_declared=concave)
+        report = bd.wald_lower_bound(bundle.rule_function(), drift,
+                                     concave_declared=bundle.declared("concave_rule"))
         g0 = report.diagnostics["g_at_mean"]
         if g0 == 0.0:  # Wald's +inf lower bound at g = 0 bounds nothing from above
             report.assumptions[-1] = bd._chk("g-positive-at-mean", False, "g(mean)=0")
         return replace(report, theorem=tag, direction="upper", value=g0 if g0 > 0.0 else math.nan)
     if tag == "Brown4":
         report = bd.wald_lower_bound(bundle.reciprocal_rule_function(), drift,
-                                     concave_declared=concave)
+                                     concave_declared=bundle.reciprocal_rule_concave())
         return replace(report, theorem=tag)
     raise ValueError(f"unknown Brownian tag {tag!r}")
 

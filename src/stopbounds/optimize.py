@@ -196,8 +196,10 @@ def max_concave_over_box(fun: Callable[[np.ndarray], float], lo, hi,
                          tol: float = 1e-10) -> float:
     """Maximum of a caller-asserted concave function over the box [lo, hi].
 
-    Golden-section search per coordinate for d=1, projected multi-start
-    ascent for d >= 2.  An infinite probe value propagates as the maximum.
+    The corners (for d <= 12) and the centre first, then golden-section
+    search for d=1 and projected multi-start ascent for d >= 2.  An infinite
+    probe value propagates as the maximum.  The bounds call it for oracle
+    regions only; a built-in family has ``geometry.ray_exit_box_max``.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
@@ -211,7 +213,8 @@ def max_concave_over_box(fun: Callable[[np.ndarray], float], lo, hi,
             raise ValueError("objective returned NaN inside the box")
         return v
 
-    corners = [np.where(np.array(mask), hi, lo) for mask in itertools.product((0, 1), repeat=min(d, 12))]
+    corners = [np.where(np.array(mask), hi, lo)
+               for mask in itertools.product((0, 1), repeat=d)] if d <= 12 else []
     base_points = corners + [0.5 * (lo + hi)]
     best = -math.inf
     for p in base_points:

@@ -18,10 +18,9 @@ def certification_matrix(n_runs: int = 100_000):
     """The scenario matrix with the theorem tags each scenario certifies."""
     rows = []
 
-    def add(name, spec, region, schedule, tags, declarations=None, overshoot=None):
+    def add(name, spec, region, schedule, tags, overshoot=None):
         rows.append({
-            "bundle": ScenarioBundle(name, spec, region, schedule, n_runs=n_runs,
-                                     declarations=declarations or {}),
+            "bundle": ScenarioBundle(name, spec, region, schedule, n_runs=n_runs),
             "tags": tags,
             "overshoot_level": overshoot,
         })
@@ -67,34 +66,29 @@ def certification_matrix(n_runs: int = 100_000):
         base + ("T11-upper-bounded", "T15-hyperplane-bounded",
                 "T18-concentration", "T19-concentration-hyperplane"))
 
-    # square-root boundaries; the reciprocal ray rule is not concave here,
-    # so the Wald-style lower bound is declared inapplicable
-    sqrt_decl = {"concave_rule": False}
+    # square-root boundaries; the reciprocal ray rule is strictly convex
+    # here, so the Wald-style lower bound is inapplicable
     sqrt_base = ("T8-lower", "T10-upper", "T14-hyperplane")
     add("sqrt-pointmass-naturals", point_mass(1.0),
         power_region(2.0, 0.5, "le", "continuity"), naturals(),
         sqrt_base + ("T16-chenlorden-I", "T16-chenlorden-II", "T16-chenlorden-III",
                      "T17-gradient", "vipformula", "T11-upper-bounded",
                      "T15-hyperplane-bounded", "T18-concentration",
-                     "T19-concentration-hyperplane"),
-        declarations=sqrt_decl)
+                     "T19-concentration-hyperplane"))
     add("sqrt-bernoulli-naturals", bernoulli_affine(0, 1, 0.5),
         power_region(2.0, 0.5, "le", "continuity"), naturals(),
         sqrt_base + ("T-UseWald-lower", "T16-chenlorden-I", "T16-chenlorden-II",
                      "T16-chenlorden-III", "T17-gradient", "vipformula",
                      "T11-upper-bounded", "T15-hyperplane-bounded",
-                     "T18-concentration", "T19-concentration-hyperplane"),
-        declarations=sqrt_decl)
+                     "T18-concentration", "T19-concentration-hyperplane"))
     add("sqrt-exponential-naturals", exponential(1.0),
         power_region(2.0, 0.5, "le", "continuity"), naturals(),
         sqrt_base + ("T16-chenlorden-I", "T16-chenlorden-II", "T17-gradient",
-                     "vipformula", "T15-hyperplane-bounded"),
-        declarations=sqrt_decl)
+                     "vipformula", "T15-hyperplane-bounded"))
     add("sqrt-uniform-geometric", uniform_interval(0.0, 1.0),
         power_region(2.0, 0.5, "le", "continuity"), geometric(1, 2.0),
         sqrt_base + ("T11-upper-bounded", "T15-hyperplane-bounded",
-                     "T18-concentration", "T19-concentration-hyperplane"),
-        declarations=sqrt_decl)
+                     "T18-concentration", "T19-concentration-hyperplane"))
     return rows
 
 

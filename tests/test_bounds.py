@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import math
 
 import mpmath
@@ -7,7 +8,7 @@ import pytest
 
 import stopbounds as sb
 from stopbounds.bounds import ALL_TAGS, UPPER_TAGS, overshoot_upper_bound
-from stopbounds import geometry
+from stopbounds import bounds, geometry
 from stopbounds.harness import BrownianBundle, ScenarioBundle, bound_report, brownian_report
 from stopbounds.scenarios import brownian_cases, certification_matrix
 
@@ -66,37 +67,42 @@ def test_slab_bound_unbounded_domain_flag():
 
 def test_sample_mean_bound_examples():
     pm = sb.analytic_moments(sb.point_mass(1.0))
-    report = sb.sample_mean_upper_bound(lambda v: 5.0 / v[0], pm, sb.naturals(),
+    five_over_v = sb.constant_region(5.0)  # g(v) = 5/v
+    report = sb.sample_mean_upper_bound(five_over_v, pm, sb.naturals(),
                                         "T13-samplemean-naturals")
     assert report.applicable and report.value == pytest.approx(7.0, abs=1e-9)
 
     bern = sb.analytic_moments(sb.bernoulli_affine(0, 1, 0.5))
     sched = sb.naturals(1)  # gap 1 <= start anchor 1
-    report = sb.sample_mean_upper_bound(lambda v: 5.0 / v[0], bern, sched, "T-try88-bounded")
+    report = sb.sample_mean_upper_bound(five_over_v, bern, sched, "T-try88-bounded")
     assert report.applicable and report.value == pytest.approx(21.0, abs=1e-9)
 
-    report = sb.sample_mean_upper_bound(lambda v: 4.0, bern, sched, "T12-samplemean")
+    four = sb.halfspace_region([0.0], 1.0, 4.0)  # g(v) = 4: the time slab t <= 4
+    report = sb.sample_mean_upper_bound(four, bern, sched, "T12-samplemean")
     assert report.value == pytest.approx(1.0 + 4.0, abs=1e-12)
 
 
 def test_sample_mean_bound_gate_checks():
     bern = sb.analytic_moments(sb.bernoulli_affine(0, 1, 0.5))
-    report = sb.sample_mean_upper_bound(lambda v: 5.0 / v[0], bern, sb.naturals(), "T12-samplemean")
+    five_over_v = sb.constant_region(5.0)
+    report = sb.sample_mean_upper_bound(five_over_v, bern, sb.naturals(), "T12-samplemean")
     assert not report.applicable  # max gap 1 exceeds start anchor 0
-    report = sb.sample_mean_upper_bound(lambda v: 5.0 / v[0], bern, sb.naturals(),
+    report = sb.sample_mean_upper_bound(five_over_v, bern, sb.naturals(),
                                         "T13-samplemean-naturals", audit_concavity=True)
     assert not report.applicable  # 5/v is convex, the opt-in audit rejects it
     exp = sb.analytic_moments(sb.exponential(1.0))
-    report = sb.sample_mean_upper_bound(lambda v: 5.0 / v[0], exp, sb.naturals(1),
-                                        "T-try88-bounded")
+    report = sb.sample_mean_upper_bound(five_over_v, exp, sb.naturals(1), "T-try88-bounded")
     assert not report.applicable  # no support bounds
 
 
 def test_sample_mean_bound_infinite_box_value():
     bern = sb.analytic_moments(sb.bernoulli_affine(0, 1, 0.5))
     region = sb.affine_region(0.5, -1.0, "ge")  # rays at slope >= 1/2 never leave
-    g = lambda v: sb.ray_exit_time(region, v)
-    report = sb.sample_mean_upper_bound(g, bern, sb.naturals(), "T13-samplemean-naturals")
+    report = sb.sample_mean_upper_bound(region, bern, sb.naturals(), "T13-samplemean-naturals")
+    assert report.value == math.inf
+    # an oracle region takes the box search, which finds the same +inf
+    oracle = sb.region_from_oracle(region.contains, 1, convex_closure=True, contains_origin=True)
+    report = sb.sample_mean_upper_bound(oracle, bern, sb.naturals(), "T13-samplemean-naturals")
     assert report.value == math.inf
 
 
@@ -282,7 +288,7 @@ def test_calculators_take_only_the_report_tags():
     calls = {
         "T10-upper": lambda tag: sb.slab_optimization_upper_bound(region, prof, sb.naturals(), tag),
         "T13-samplemean-naturals": lambda tag: sb.sample_mean_upper_bound(
-            lambda v: 5.0 / v[0], prof, sb.naturals(), tag),
+            region, prof, sb.naturals(), tag),
         "T15-hyperplane-bounded": lambda tag: sb.hyperplane_vertex_upper_bound(
             region, hyp, prof, sb.naturals(), tag),
         "T16-chenlorden-III": lambda tag: sb.lorden_hyperplane_upper_bound(hyp, prof, 1, tag),
@@ -489,24 +495,60 @@ def test_t8_entries_on_the_affine_scenarios_are_exact():
 
 def test_shipped_bound_reports_never_search(monkeypatch):
     # every shipped region is a built-in family, answered by closed forms: a
-    # silent fall-back to the doubling and bisection search fails here
+    # silent fall-back to the ray search, the box search or the sampled
+    # support audit fails here
     calls = collections.Counter()
-    for name in ("_boundary_root", "_bracket_ray_exit"):
-        def counted(*args, _name=name, _search=getattr(geometry, name), **kwargs):
+    for owner, name in ((geometry, "_boundary_root"), (geometry, "_bracket_ray_exit"),
+                        (geometry, "sample_member_points"), (bounds, "max_concave_over_box")):
+        def counted(*args, _name=name, _search=getattr(owner, name), **kwargs):
             calls[_name] += 1
             return _search(*args, **kwargs)
 
-        monkeypatch.setattr(geometry, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     reports = [bound_report(tag, row["bundle"])
                for row in certification_matrix(10) for tag in row["tags"]]
     reports += [brownian_report(tag, case["bundle"])
                 for case in brownian_cases(10) for tag in case["tags"]]
     assert len(reports) == 155 and calls == {}
-    # the counters see the search: an oracle region goes through both
+    # the counters see the searches: an oracle region goes through each
     oracle = sb.region_from_oracle(lambda t, s: s[0] <= 5.0, 1, convex_closure=True,
                                    contains_origin=True)
     assert sb.mean_ray_crossing(oracle, 1.0) == pytest.approx(5.0, abs=1e-8)
     assert calls["_boundary_root"] == calls["_bracket_ray_exit"] == 1
+    assert sb.supporting_hyperplane(oracle, 1.0).level == pytest.approx(5.0, abs=1e-8)
+    assert calls["sample_member_points"] == 1
+    prof = sb.analytic_moments(sb.bernoulli_affine(0, 1, 0.5))
+    report = sb.sample_mean_upper_bound(oracle, prof, sb.naturals(), "T13-samplemean-naturals")
+    assert report.value == pytest.approx(2.0 + 5.0 / 0.25, rel=1e-8)  # box [0.25, 0.75]
+    assert calls["max_concave_over_box"] == 1
+
+
+@pytest.mark.parametrize("exponent", [0.3, 0.5])
+def test_brown4_is_inapplicable_on_power_boundaries(exponent):
+    # 1/g = (v/2)^(1/(1 - e)) is strictly convex: at e = 0.3 Brown4 read an
+    # applicable 7.2458 while Euler reads E[tau] = 6.31 +- 0.11, and at
+    # e = 0.5 an applicable 16 while tau = 0
+    case = BrownianBundle("power", sb.power_region(2.0, exponent, "le", "continuity"),
+                          drift=0.5, diffusion=1.0, dt=0.01)
+    report = brownian_report("Brown4", case)
+    assert not report.applicable and report.failed_assumptions() == ["g-concave"]
+    flat = BrownianBundle("flat", sb.constant_region(4.0), drift=0.5, diffusion=1.0, dt=0.01)
+    assert brownian_report("Brown4", flat).applicable  # 1/g = v/4 is affine
+    declared = dataclasses.replace(flat, declarations={"concave_rule": False})
+    assert not brownian_report("Brown4", declared).applicable
+
+
+def test_wald_lower_bound_is_inapplicable_on_a_power_row_without_declarations():
+    row = bundle(sb.bernoulli_affine(0, 1, 0.5), sb.power_region(2.0, 0.5), sb.naturals())
+    assert row.declarations == {}
+    report = bound_report("T-UseWald-lower", row)
+    assert not report.applicable and report.failed_assumptions() == ["g-concave"]
+    # a declaration cannot make it concave; a flat row keeps its declaration
+    declared = bundle(sb.bernoulli_affine(0, 1, 0.5), sb.power_region(2.0, 0.5), sb.naturals(),
+                      concave_rule=True)
+    assert not bound_report("T-UseWald-lower", declared).applicable
+    flat = bundle(sb.bernoulli_affine(0, 1, 0.5), sb.constant_region(5.0), sb.naturals())
+    assert bound_report("T-UseWald-lower", flat).applicable
 
 
 @pytest.mark.parametrize("tag", ["T-UseWald-lower", "Brown4"])

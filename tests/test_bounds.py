@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -364,6 +365,11 @@ def test_concentration_vector_variant_d2():
     assert not report.diagnostics["one_sided"]
     est = sb.run_discrete(region, spec, sb.geometric(1, 2.0), 10_000, seed=5)
     assert report.value >= est.mean - 4.0 * est.stderr
+    # the two-sided vector tail, which no snapshot row (all d = 1) reaches, pinned
+    # bit for bit on both series: the plane of a halfspace is the halfspace
+    hyp = sb.supporting_hyperplane(region, prof.mean)
+    t19 = sb.concentration_upper_bound(region, prof, sb.geometric(1, 2.0), hyp=hyp)
+    assert report.value == t19.value == 17.460274096760507
 
 
 def test_concentration_user_tail():
@@ -376,6 +382,24 @@ def test_concentration_user_tail():
     report = sb.concentration_upper_bound(region, prof, sb.naturals(), user_tail=gauss_tail)
     assert report.applicable
     assert report.value > report.diagnostics["N_tau"]
+    assert report.value == 12.302896357794216  # pinned bit for bit: no snapshot row has a user tail
+
+
+@pytest.mark.parametrize("coef,exponent", [(-8.0, 0.25), (-4.0, 0.5)])
+def test_concentration_at_an_exact_tie_counts_the_touching_look(coef, exponent):
+    # -1 per step touches s = coef * n**exponent at n = 16 and leaves at 17,
+    # so E[N] = 17.  At exponent 0.25 the crossing computes as
+    # 15.999999999999998; with N_tau taken above that value T19 would read
+    # 16.0, since the zero-width Hoeffding tail of the slice at 16, just past
+    # the anchor, drops its term
+    region = sb.power_region(coef, exponent, "ge")
+    prof = sb.analytic_moments(sb.point_mass(-1.0))
+    hyp = sb.supporting_hyperplane(region, prof.mean)
+    for plane in (None, hyp):
+        report = sb.concentration_upper_bound(region, prof, sb.naturals(), hyp=plane)
+        assert report.applicable and report.value == 17.0
+    est = sb.run_discrete(region, sb.point_mass(-1.0), sb.naturals(), 100, seed=1)
+    assert est.mean == 17.0 and est.stderr == 0.0
 
 
 def test_overshoot_bound_examples():
@@ -521,6 +545,30 @@ def test_shipped_bound_reports_never_search(monkeypatch):
     report = sb.sample_mean_upper_bound(oracle, prof, sb.naturals(), "T13-samplemean-naturals")
     assert report.value == pytest.approx(2.0 + 5.0 / 0.25, rel=1e-8)  # box [0.25, 0.75]
     assert calls["max_concave_over_box"] == 1
+
+
+def test_shipped_bound_reports_probe_membership_only_in_slice_side(monkeypatch):
+    # built-in ray exits answer from the coefficients alone, with no origin
+    # probe and no audit probe around the exit; what is left is slice_side's
+    # one slack evaluation per d = 1 T18/T19 report
+    callers = collections.Counter()
+    contains = geometry.Region.contains
+
+    def counted(self, *args, **kwargs):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return contains(self, *args, **kwargs)
+
+    monkeypatch.setattr(geometry.Region, "contains", counted)
+    reports = [bound_report(tag, row["bundle"])
+               for row in certification_matrix(10) for tag in row["tags"]]
+    reports += [brownian_report(tag, case["bundle"])
+                for case in brownian_cases(10) for tag in case["tags"]]
+    assert len(reports) == 155 and callers == {"slice_side": 22}
+    # the counter sees the probes of an oracle region's search and audit
+    oracle = sb.region_from_oracle(lambda t, s: s[0] <= 5.0, 1, convex_closure=True,
+                                   contains_origin=True)
+    assert sb.ray_exit_time(oracle, 1.0) == pytest.approx(5.0, abs=1e-8)
+    assert callers["member"] > 0
 
 
 @pytest.mark.parametrize("exponent", [0.3, 0.5])

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import stopbounds as sb
+from stopbounds import geometry
 from stopbounds.geometry import (
     EmptySliceError,
     NonConvexityError,
@@ -540,6 +541,54 @@ def test_closed_box_maximum_refuses_what_ray_exit_time_refuses(region, error):
         ray_exit_box_max(region, [0.25], [0.75])
     with pytest.raises(RegionError):  # an oracle region has no closed form
         ray_exit_box_max(_oracle(sb.constant_region(5.0)), [0.25], [0.75])
+
+
+def _probed_ray_exit_time(region, v):
+    """ray_exit_time of a built-in family checked by membership probes: the reference.
+
+    The origin probe, the closed form, then the convexity audit around the
+    exit that oracle regions get: inside at a quarter of the exit, outside
+    at 1.5 and 4 times it.
+    """
+    if not (region.convex_closure and region.contains_origin):
+        raise RegionError("operation requires asserted convex_closure and contains_origin")
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+
+    def member(t):
+        return region.contains(t, t * v)
+
+    if not member(0.0):
+        raise RegionError("asserted origin containment fails at (0, 0)")
+    alpha, rate, k = region.ray_form(v)
+    if alpha < 0.0:
+        raise NonConvexityError("the region lies on the non-convex side of its boundary")
+    g = geometry._ray_crossing(alpha, rate, k)
+    if 0.0 < g < math.inf and not member(0.25 * g):
+        raise NonConvexityError("membership not monotone along the ray below the exit")
+    for factor in (1.5, 4.0):
+        if 0.0 < g * factor <= geometry.DOUBLING_CAP and member(g * factor):
+            raise NonConvexityError("membership recurs along the ray beyond the exit")
+    return g
+
+
+@st.composite
+def _region_with_any_flags(draw):
+    """A built-in region and ray, its convexity and origin flags possibly forced to lie."""
+    region, v = draw(st.one_of(_region_and_ray(), _flagged_region_and_ray()))
+    flags = {"convex_closure": draw(st.booleans()), "contains_origin": draw(st.booleans())}
+    if draw(st.booleans()):
+        region = dataclasses.replace(region, **flags)
+    return region, v
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_region_with_any_flags())
+def test_probe_free_ray_exit_agrees_with_the_probed_path(case):
+    # the same value, or the same refusal: a forced origin flag on a flat region
+    # whose origin lies outside, a forced convexity flag on the non-convex side
+    # of a power boundary, or flags that read false
+    region, v = case
+    assert _outcome(sb.ray_exit_time, region, v) == _outcome(_probed_ray_exit_time, region, v)
 
 
 @settings(max_examples=200, deadline=None)

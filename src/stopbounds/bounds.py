@@ -518,7 +518,9 @@ def concentration_upper_bound(region: Region, profile: MomentProfile,
     Tails are Hoeffding's, which need support bounds, unless ``user_tail``
     (n, deviation) -> one-sided tail probability is given.  The support
     restriction on contributing indices is over-approximated by all
-    indices, which can only loosen the bound.
+    indices, which can only loosen the bound.  A plane with s_coef = 0, or
+    a built-in time slab, reads N_tau: its slices past the crossing are
+    empty.
     """
     tag = "T18-concentration" if hyp is None else "T19-concentration-hyperplane"
     d = profile.dim
@@ -538,6 +540,17 @@ def concentration_upper_bound(region: Region, profile: MomentProfile,
     tau, n_tau = tau_index(schedule, m + _CROSSING_ROUND * max(1.0, m))
     diag["tau"] = tau
     diag["N_tau"] = n_tau
+    if hyp is not None:
+        anchor, abs_gap, norm = hyp.anchor, abs(hyp.mean_gap(mu)), hyp.norm
+        in_t_alone = norm == 0.0
+    else:
+        p = region.family
+        in_t_alone = p is not None and p["family"] == "halfspace" and not any(p["s_coef"])
+    if in_t_alone:
+        # a plane, or a built-in halfspace, in t alone has empty slices past
+        # the crossing: a continuation probability of 0, so every walk has
+        # stopped by N_tau
+        return BoundReport(tag, "upper", float(n_tau), checks, diag)
     one_sided = False
     if d == 1:
         side = slice_side(region, n_tau, mu)
@@ -545,12 +558,10 @@ def concentration_upper_bound(region: Region, profile: MomentProfile,
         one_sided = side in ("above", "below")
     diag["one_sided"] = one_sided
 
-    # the series constants are computed once, outside the loop; the T19 term
-    # keeps the operation order of geometry.hyperplane_slice_distance, so the
-    # two agree bit for bit
+    # the series constants are computed once, outside the loop (T19's before
+    # the time-slab check); the T19 term keeps the operation order of
+    # geometry.hyperplane_slice_distance, so the two agree bit for bit
     if hyp is not None:
-        anchor, abs_gap, norm = hyp.anchor, abs(hyp.mean_gap(mu)), hyp.norm
-
         def deviation(n: float) -> float:
             if not n > anchor:
                 raise ValueError("slice size must exceed the anchor time")

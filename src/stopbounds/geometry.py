@@ -16,10 +16,9 @@ maximum of g over a box are closed forms, as are the side and distance of
 a slice, where the slack is affine in s.  The slope gives the exact
 log-gradient 1/(f'(m) - mean), and a halfspace gives -a/(<a, mean> + b),
 so the supporting hyperplane is exact.  Regions built from a plain
-membership oracle take the numeric path: doubling searches refined by
-bisection of membership, a membership audit around each ray exit,
-Richardson differences for the gradient, and a sampled audit of the
-hyperplane.  There is no root finder.
+membership oracle are searched: each entry point hands them to the
+``oracle`` module, imported on that first call, and ``supporting_hyperplane``
+audits their plane on sampled members.  There is no root finder.
 """
 
 from __future__ import annotations
@@ -100,16 +99,21 @@ class Region:
     def inside(self, ts, ss, strict: bool = False):
         """Membership of points with times ts >= 0, in the closed or open region.
 
-        Takes a scalar t with a (d,) vector s, or (n,) times with (n, d) sums;
-        a built-in slack also takes (steps,) times with (runs, steps, d) sums.
-        Oracle regions have no open variant and ignore ``strict``.
+        Takes sums s of shape (..., d) with times that broadcast against
+        s[..., 0]: a scalar t with a (d,) vector, (n,) times with (n, d)
+        sums, or (steps,) times with a (runs, steps, d) block.  Oracle
+        regions are asked point by point, and have no open variant: they
+        ignore ``strict``.
         """
         if self.slack_batch is not None:
             margin = self.slack_batch(ts, ss)
             return margin > 0.0 if strict else margin >= 0.0
-        if np.ndim(ts) == 0:
+        if np.ndim(ss) == 1:
             return bool(self.membership(ts, ss))
-        return np.array([bool(self.membership(t, s)) for t, s in zip(ts, ss)], dtype=bool)
+        ss = np.asarray(ss)
+        ts = np.broadcast_to(ts, ss.shape[:-1])
+        hits = [self.membership(t, s) for t, s in zip(ts.ravel(), ss.reshape(-1, ss.shape[-1]))]
+        return np.array(hits, dtype=bool).reshape(ts.shape)
 
     def contains(self, t: float, s, strict: bool = False) -> bool:
         if t < 0.0:
@@ -271,15 +275,13 @@ def halfspace_region(s_coef, t_coef: float, level: float, orientation: str = "le
 
 
 def region_from_oracle(membership, dim: int, kind: str = "continuity",
-                       convex_closure: bool = False, contains_origin: bool = False,
-                       scalar_boundary=None, orientation=None) -> Region:
-    """Wrap a plain membership predicate; no slack, so boundary refinement bisects."""
+                       convex_closure: bool = False, contains_origin: bool = False) -> Region:
+    """Wrap a plain membership predicate; no slack, so the ``oracle`` searches answer for it."""
     def member(t, s):
         return bool(membership(t, np.atleast_1d(np.asarray(s, dtype=float))))
 
     return Region(kind=kind, dim=dim, membership=member, convex_closure=convex_closure,
-                  contains_origin=contains_origin, scalar_boundary=scalar_boundary,
-                  orientation=orientation)
+                  contains_origin=contains_origin)
 
 
 _FAMILY_BUILDERS = {  # family -> (constructor, the parameters it takes before orientation, kind)
@@ -313,72 +315,6 @@ def _require_convex_origin(region: Region):
         raise RegionError("operation requires asserted convex_closure and contains_origin")
 
 
-def _ray_member(region: Region, v: np.ndarray):
-    def member(t: float) -> bool:
-        return region.contains(t, t * v)
-
-    return member
-
-
-def _boundary_root(region: Region, point, inside: float, outside: float,
-                   tol: Optional[float] = None) -> float:
-    """The boundary crossing of x -> point(x) = (t, s) between a member and a non-member.
-
-    Bisection of membership down to ``tol`` (default 1e-9 of the larger end,
-    at least 1e-9); only oracle regions get here.
-    """
-    if tol is None:
-        tol = 1e-9 * max(1.0, abs(inside), abs(outside))
-    while abs(outside - inside) > tol:
-        mid = 0.5 * (inside + outside)
-        if mid in (inside, outside):  # adjacent floats: tol is below their spacing
-            break
-        if region.contains(*point(mid)):
-            inside = mid
-        else:
-            outside = mid
-    return 0.5 * (inside + outside)
-
-
-def _bracket_ray_exit(region: Region, v: np.ndarray, t_hi_hint: float):
-    """Find lo (inside) and hi (outside) along the ray, or hi=None if capped."""
-    member = _ray_member(region, v)
-    if not member(0.0):
-        raise RegionError("asserted origin containment fails at (0, 0)")
-    t = max(float(t_hi_hint), 1e-12)
-    if member(t):
-        lo, hi = t, None
-        while t <= DOUBLING_CAP:
-            t *= 2.0
-            if not member(t):
-                hi = t
-                break
-            lo = t
-        if hi is None:
-            return lo, None
-    else:
-        hi, lo = t, None
-        while t > 1e-300:
-            t *= 0.5
-            if member(t):
-                lo = t
-                break
-            hi = t
-        if lo is None:
-            lo = 0.0
-    _audit_exit(member, lo, hi)
-    return lo, hi
-
-
-def _audit_exit(member, lo: float, hi: float):
-    """Convexity audit around an exit in [lo, hi]: inside must persist below, outside above."""
-    if 0.0 < lo < math.inf and not member(0.25 * lo):
-        raise NonConvexityError("membership not monotone along the ray below the exit")
-    for factor in (1.5, 4.0):
-        if 0.0 < hi * factor <= DOUBLING_CAP and member(hi * factor):
-            raise NonConvexityError("membership recurs along the ray beyond the exit")
-
-
 def _ray_crossing(alpha: float, rate: float, k: float) -> float:
     """The t > 0 where alpha - rate * t**k changes sign; inf when none lies below _RAY_CAP."""
     if not (rate > 0.0 if alpha >= 0.0 else rate < 0.0):
@@ -405,23 +341,22 @@ def _exit_coefficients(region: Region):
     return coefs
 
 
-def ray_exit_time(region: Region, v, t_hi_hint: float = 1.0, tol: Optional[float] = None) -> float:
+def ray_exit_time(region: Region, v, tol: Optional[float] = None) -> float:
     """sup{t >= 0 : (t, t v) in the closed region}; inf when the ray never leaves.
 
     Requires the convexity and origin flags.  A built-in family answers with
     the closed form (alpha/rate)^(1/k) and no membership call.  An oracle
-    region is searched by doubling, with a convexity audit of membership
-    around the exit.  Either way an exit at or beyond 2**61 reads inf.
+    region is searched by doubling and bisection to ``tol``, with a
+    convexity audit of membership around the exit (``oracle.ray_exit``).
+    Either way an exit at or beyond 2**61 reads inf.
     """
     coefs = _exit_coefficients(region)
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    if coefs is not None:
-        alpha, beta, kappa, k = coefs
-        return _ray_crossing(alpha, float(beta @ v) + kappa, k)
-    lo, hi = _bracket_ray_exit(region, v, t_hi_hint)
-    if hi is None:
-        return math.inf
-    return _boundary_root(region, lambda t: (t, t * v), lo, hi, tol)
+    if coefs is None:
+        from .oracle import ray_exit
+        return ray_exit(region, v, tol)
+    alpha, beta, kappa, k = coefs
+    return _ray_crossing(alpha, float(beta @ v) + kappa, k)
 
 
 def ray_exit_box_max(region: Region, lo, hi) -> float:
@@ -461,52 +396,21 @@ def ray_entry_and_exit(region: Region, v, tol: Optional[float] = None):
 
     Returns (None, None) when A holds no point below the doubling cap
     (2**61).  sup A is math.inf when the ray stays inside past the cap.
-    Exact for the built-in families; an oracle region is searched.
+    Exact for the built-in families; an oracle region is searched
+    (``oracle.ray_entry_and_exit``).
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
     form = region.ray_form(v)
-    if form is not None:
-        alpha, rate, k = form
-        cross = _ray_crossing(alpha, rate, k)
-        if alpha >= 0.0:
-            return 0.0, cross
-        if region.family["family"] == "power":  # the origin, on the boundary, then [cross, inf)
-            return 0.0, 0.0 if math.isinf(cross) else math.inf
-        return (None, None) if math.isinf(cross) else (cross, math.inf)
-    member = _ray_member(region, v)
-    if member(0.0):
-        entry = 0.0
-        t_in = 1.0
-        if not member(t_in):
-            t_in = 0.0
-    else:
-        t_in = None
-        prev = 0.0
-        for k in range(-40, 62):
-            t = 2.0**k
-            if t > _RAY_CAP:
-                break
-            # strict probe: at huge t the boundary terms can round away, making
-            # slack exactly zero far outside the true region
-            if region.contains(t, t * v, strict=True):
-                t_in = t
-                break
-            prev = t
-        if t_in is None:
-            return None, None
-        entry = _boundary_root(region, lambda t: (t, t * v), t_in, prev, tol)
-    # supremum: double from an inside point
-    t = max(t_in, 1e-12)
-    lo, hi = t, None
-    while t <= DOUBLING_CAP:
-        t *= 2.0
-        if not member(t):
-            hi = t
-            break
-        lo = t
-    if hi is None:
-        return entry, math.inf
-    return entry, _boundary_root(region, lambda t: (t, t * v), lo, hi, tol)
+    if form is None:
+        from .oracle import ray_entry_and_exit as search
+        return search(region, v, tol)
+    alpha, rate, k = form
+    cross = _ray_crossing(alpha, rate, k)
+    if alpha >= 0.0:
+        return 0.0, cross
+    if region.family["family"] == "power":  # the origin, on the boundary, then [cross, inf)
+        return 0.0, 0.0 if math.isinf(cross) else math.inf
+    return (None, None) if math.isinf(cross) else (cross, math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +425,7 @@ def log_exit_gradient(region: Region, mean) -> np.ndarray:
     <a, s> + b t <= c (or >= c), and 1 / (f'(m) - mean) at the crossing time
     m for a d=1 region bounded by s = f(t).  Oracle regions take
     Richardson-extrapolated central differences of ln g with step
-    1e-5 * max(1, |mean_k|).
+    1e-5 * max(1, |mean_k|) (``oracle.log_gradient``).
     """
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     g0 = ray_exit_time(region, mean)
@@ -533,33 +437,10 @@ def log_exit_gradient(region: Region, mean) -> np.ndarray:
     elif region.boundary_slope is not None:
         grad = np.array([1.0 / (region.boundary_slope(g0) - mean[0])])
     else:
-        grad = _richardson_log_gradient(region, mean, g0)
+        from .oracle import log_gradient
+        grad = log_gradient(region, mean, g0)
     if not np.all(np.isfinite(grad)):
         raise GradientDomainError("non-finite log-gradient")
-    return grad
-
-
-def _richardson_log_gradient(region: Region, mean: np.ndarray, g0: float) -> np.ndarray:
-    # bisect the stencil's exit times far below the difference step, whose
-    # quotient divides their error by about 1e-5
-    tol = 1e-13 * g0
-    grad = np.empty(mean.shape[0])
-    for k in range(mean.shape[0]):
-        h = 1e-5 * max(1.0, abs(mean[k]))
-
-        def central(hh):
-            vp = mean.copy()
-            vm = mean.copy()
-            vp[k] += hh
-            vm[k] -= hh
-            gp = ray_exit_time(region, vp, t_hi_hint=g0, tol=tol)
-            gm = ray_exit_time(region, vm, t_hi_hint=g0, tol=tol)
-            if not (np.isfinite(gp) and np.isfinite(gm) and gp > 0.0 and gm > 0.0):
-                raise GradientDomainError("g not finite in the difference stencil")
-            return (math.log(gp) - math.log(gm)) / (2.0 * hh)
-
-        coarse, fine = central(h), central(0.5 * h)
-        grad[k] = (4.0 * fine - coarse) / 3.0
     return grad
 
 
@@ -703,132 +584,21 @@ def _closed_slice_distance(region: Region, n: float, mu: np.ndarray) -> float:
     return -slack / (n * norm)
 
 
-def _slice_member(region: Region, n: float):
-    def member(z: np.ndarray) -> bool:
-        return region.contains(n, n * z)
-
-    return member
-
-
-def _directional_hit(member, mu, u, scale, cap_doublings=60):
-    """Smallest r with member(mu + r u) found by doubling, else None."""
-    r = 1e-9 * scale
-    prev = 0.0
-    for _ in range(cap_doublings):
-        if member(mu + r * u):
-            return prev, r
-        prev = r
-        r *= 2.0
-    return None
-
-
-def _radial_boundary(region: Region, n: float, mu: np.ndarray, u: np.ndarray, tol: float):
-    """Distance along direction u from mu to the nearest member of the slice, or inf."""
-    scale = max(1.0, float(np.linalg.norm(mu)))
-    hit = _directional_hit(_slice_member(region, n), mu, u, scale)
-    if hit is None:
-        return math.inf
-    outside, inside = hit
-    return _boundary_root(region, lambda r: (n, n * (mu + r * u)), inside, outside, tol)
-
-
-def _slice_distance_1d(region: Region, n: float, mu: np.ndarray, tol: float):
-    """("above" | "below", distance) of the nearest slice member, for a mean outside it."""
-    above, below = (_radial_boundary(region, n, mu, np.array([sgn]), tol) for sgn in (1.0, -1.0))
-    if math.isinf(min(above, below)):
-        raise EmptySliceError(f"no member of the slice at n={n} found near the mean")
-    return ("above", above) if above <= below else ("below", below)
-
-
-def _slice_distance_2d(region: Region, n: float, mu: np.ndarray, tol: float) -> float:
-    angles = np.linspace(0.0, 2.0 * math.pi, 721)[:-1]
-    dists = np.array([
-        _radial_boundary(region, n, mu, np.array([math.cos(a), math.sin(a)]), tol)
-        for a in angles
-    ])
-    if not np.any(np.isfinite(dists)):
-        raise EmptySliceError(f"no member of the slice at n={n} found near the mean")
-    best = int(np.argmin(dists))
-    span = angles[1] - angles[0]
-    lo, hi = angles[best] - span, angles[best] + span
-
-    def objective(a):
-        return _radial_boundary(region, n, mu, np.array([math.cos(a), math.sin(a)]), tol)
-
-    # golden-section refinement of the radial distance over the bracketing arc
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = objective(c), objective(d)
-    for _ in range(80):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = objective(d)
-    return min(fc, fd, dists[best])
-
-
-def _slice_distance_nd(region: Region, n: float, mu: np.ndarray, tol: float,
-                       iterations: int = 10_000, restarts: int = 4, seed: int = 11) -> float:
-    member = _slice_member(region, n)
-    d = mu.shape[0]
-    rng = np.random.default_rng(seed)
-    dirs = [np.eye(d)[k] * s for k in range(d) for s in (1.0, -1.0)]
-    dirs += [u / np.linalg.norm(u) for u in rng.normal(size=(4 * d, d))]
-    candidates = []
-    for u in dirs:
-        r = _radial_boundary(region, n, mu, u, tol)
-        if math.isfinite(r):
-            candidates.append(mu + r * u)
-    if not candidates:
-        raise EmptySliceError(f"no member of the slice at n={n} found near the mean")
-    best = min(candidates, key=lambda z: np.linalg.norm(z - mu))
-    best_d = float(np.linalg.norm(best - mu))
-    # derivative-free descent over the convex slice: random steps, shrinking radius
-    for _ in range(restarts):
-        z, dist, h = best.copy(), best_d, 0.5 * best_d
-        for it in range(iterations // restarts):
-            u = rng.normal(size=d)
-            u /= np.linalg.norm(u)
-            cand = z + h * u
-            if member(cand):
-                cd = float(np.linalg.norm(cand - mu))
-                if cd < dist:
-                    z, dist = cand, cd
-                    continue
-            if it % 40 == 39:
-                h *= 0.8
-                if h < tol:
-                    break
-        if dist < best_d:
-            best_d, best = dist, z
-    return best_d
-
-
 def slice_distance(region: Region, n: float, mean, tol: float = 1e-9) -> float:
     """Euclidean distance from the mean to {z : (n, n z) in the closed region}.
 
-    Exact for the built-in families.  An oracle region is searched:
-    bisection for d=1, an angular refinement for d=2, and a derivative-free
-    projected search (approximate) for d >= 3.  Returns 0 when the mean
-    itself lies in the slice.
+    Exact for the built-in families.  An oracle region is searched
+    (``oracle.slice_distance``): bisection for d=1, an angular refinement
+    for d=2, and a derivative-free projected search (approximate) for
+    d >= 3.  Returns 0 when the mean itself lies in the slice.
     """
     if not region.convex_closure:
         raise RegionError("slice distance requires the asserted convex closure")
     mu = np.atleast_1d(np.asarray(mean, dtype=float))
-    if region.family is not None:
-        return _closed_slice_distance(region, n, mu)
-    if region.contains(n, n * mu):
-        return 0.0
-    if mu.shape[0] == 1:
-        return _slice_distance_1d(region, n, mu, tol)[1]
-    if mu.shape[0] == 2:
-        return _slice_distance_2d(region, n, mu, tol)
-    return _slice_distance_nd(region, n, mu, tol)
+    if region.family is None:
+        from .oracle import slice_distance as search
+        return search(region, n, mu, tol)
+    return _closed_slice_distance(region, n, mu)
 
 
 def convexity_audit(region: Region, t_max: float, s_span, n_pairs: int = 200,
@@ -864,7 +634,8 @@ def slice_side(region: Region, n: float, mean, tol: float = 1e-9) -> str:
     if region.contains(n, n * mu):
         return "inside"
     if region.family is None:
-        return _slice_distance_1d(region, n, mu, tol)[0]
+        from .oracle import slice_side as search
+        return search(region, n, mu, tol)[0]
     if region.orientation is None:  # a time slab: its slice is all or nothing
         raise EmptySliceError(f"the slice at n={n} is empty")
     return "above" if region.orientation == "ge" else "below"

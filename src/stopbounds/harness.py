@@ -19,6 +19,7 @@ from typing import Optional
 
 from . import bounds as bd
 from .geometry import (
+    EmptySliceError,
     GradientDomainError,
     NonConvexityError,
     NoRayExitError,
@@ -131,8 +132,10 @@ class BrownianBundle(_RegionViews):
     declarations: dict = field(default_factory=dict)
 
 
-# a region outside a calculator's geometric hypotheses makes its report inapplicable
-_GEOMETRY_ERRORS = (RegionError, NoRayExitError, NonConvexityError, GradientDomainError)
+# a region outside a calculator's geometric hypotheses makes its report inapplicable,
+# as does an oracle slice search that finds no member
+_GEOMETRY_ERRORS = (RegionError, NoRayExitError, NonConvexityError, GradientDomainError,
+                    EmptySliceError)
 
 
 def _failed(tag: str, direction: str, ident: str, note: str) -> bd.BoundReport:

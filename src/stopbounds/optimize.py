@@ -3,7 +3,11 @@
 Three operations: maximize the time coordinate over a slab-constrained
 region slice, maximize a concave function over a box, and maximize the
 fractional vertex form over the corners of the unit cube.  All of them are
-deterministic given their tolerances and seeds.
+deterministic given their tolerances and seeds.  The slab maximum bisects
+in t; each feasibility test is exact for a built-in region and searched
+by membership, in ``oracle``, for an oracle region.  The box maximum is
+a function kernel (golden section for d = 1, multi-start ascent above),
+which the bounds call for oracle regions only.
 """
 
 from __future__ import annotations
@@ -70,126 +74,100 @@ class SlabMaxResult:
     uncertainty: float = 0.0  # one bisection step plus feasibility margin
 
 
-def _feasible_scalar(region: Region, t: float, lo: float, hi: float) -> bool:
-    if lo > hi:
-        return False
-    if region.scalar_boundary is not None:
-        f = region.scalar_boundary(t)
-        if region.orientation == "le":
-            return lo <= f
-        return hi >= f
-    # membership-only scalar region: endpoint checks plus a grid sweep
-    for s in np.linspace(lo, hi, 65):
-        if region.contains(t, np.array([s])):
-            return True
-    return False
-
-
-def _find_slice_anchor(region: Region, t: float, center: np.ndarray, scale: float):
-    """Any point of the region slice at time t, found by directional doubling."""
-    d = center.shape[0]
-    if region.contains(t, center):
-        return center
-    dirs = [np.eye(d)[k] * s for k in range(d) for s in (1.0, -1.0)]
-    rng = np.random.default_rng(1234)
-    dirs += [u / np.linalg.norm(u) for u in rng.normal(size=(2 * d, d))]
-    for u in dirs:
-        r = max(scale, 1e-9)
-        for _ in range(48):
-            if region.contains(t, center + r * u):
-                return center + r * u
-            r *= 2.0
-    return None
-
-
-def _feasible_vector(region: Region, t: float, lo: np.ndarray, hi: np.ndarray,
-                     tol: float) -> bool:
-    if np.any(lo > hi):
-        return False
-    d = lo.shape[0]
-    center = 0.5 * (lo + hi)
-    probes = [center]
-    if d <= 12:
-        probes += [np.where(np.array(mask, dtype=bool), hi, lo)
-                   for mask in itertools.product((0, 1), repeat=d)]
-    for p in probes:
-        if region.contains(t, p):
-            return True
-    scale = float(np.max(hi - lo) + np.max(np.abs(center)) + 1.0)
-    anchor = _find_slice_anchor(region, t, center, scale)
-    if anchor is None:
-        return False
-    if np.all(anchor >= lo - tol) and np.all(anchor <= hi + tol):
-        return True
-    # walk each probe toward the slice anchor; feasible when the region
-    # boundary point on that segment still lies inside the box
-    for p in probes:
-        lam_lo, lam_hi = 0.0, 1.0  # p + lam*(anchor - p); lam=1 is inside
-        for _ in range(60):
-            lam = 0.5 * (lam_lo + lam_hi)
-            if region.contains(t, p + lam * (anchor - p)):
-                lam_hi = lam
-            else:
-                lam_lo = lam
-        b = p + lam_hi * (anchor - p)
-        if np.all(b >= lo - tol) and np.all(b <= hi + tol):
-            return True
-    return False
-
-
 def max_time_in_region(region: Region, slab: Slab, t_cap: float = 2.0**30,
                        tol: float = 1e-9) -> SlabMaxResult:
     """Largest t whose slab box intersects the region slice.
 
     The feasible t values form an interval by convexity, so the search
-    probes a geometric grid for one feasible point, brackets the upper end
-    by doubling, and bisects.  Feasibility at t_cap is reported as an
-    unbounded domain; feasibility nowhere as an empty one.
+    halves t from t_cap (down to 1e-12, then 0) to a feasible t, and
+    bisects between it and the last infeasible t above it.  Feasibility at
+    t_cap is reported as an unbounded domain; feasibility nowhere as an
+    empty one.  A built-in region tests each t exactly, with no membership
+    call: a d = 1 curve s = f(t) compares f(t) with the box edge on its
+    side, and a halfspace (time slabs included) takes its slack at the box
+    corner that maximizes it, lo_i where beta_i > 0 and hi_i elsewhere.  An
+    oracle region is searched (``oracle.slab_feasible``).
     """
     if not region.convex_closure:
         raise ValueError("max_time_in_region requires the asserted convex closure")
     if slab.is_empty:
         return SlabMaxResult(0.0, empty_domain=True)
 
-    if region.dim == 1:
+    if region.scalar_boundary is not None:
+        f, le = region.scalar_boundary, region.orientation == "le"
+
         def feasible(t: float) -> bool:
             lo, hi = slab.box(t)
-            return _feasible_scalar(region, t, float(lo[0]), float(hi[0]))
+            lo, hi = float(lo[0]), float(hi[0])
+            return lo <= hi and (lo <= f(t) if le else hi >= f(t))
+    elif region.family is not None:
+        take_lo = region.linear_slack[1] > 0.0
+
+        def feasible(t: float) -> bool:
+            lo, hi = slab.box(t)
+            return not np.any(lo > hi) and region.slack_batch(t, np.where(take_lo, lo, hi)) >= 0.0
     else:
+        from .oracle import slab_feasible
+
         def feasible(t: float) -> bool:
             lo, hi = slab.box(t)
-            return _feasible_vector(region, t, lo, hi, tol)
+            return not np.any(lo > hi) and slab_feasible(region, t, lo, hi, tol)
 
     if feasible(t_cap):
         return SlabMaxResult(math.inf, unbounded=True)
-    t_feas = None
-    for k in range(0, 120):
-        t = t_cap * 0.5**k
-        if t < 1e-12:
-            break
-        if feasible(t):
-            t_feas = t
-            break
-    if t_feas is None and feasible(0.0):
-        t_feas = 0.0
-    if t_feas is None:
-        return SlabMaxResult(0.0, empty_domain=True)
-    lo, hi = t_feas, 2.0 * t_feas if t_feas > 0 else 1.0
-    while feasible(hi):
-        lo = hi
-        hi *= 2.0
-        if hi >= t_cap:
-            if feasible(t_cap):
-                return SlabMaxResult(math.inf, unbounded=True)
-            hi = t_cap
-            break
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
+    hi, lo = bracket(feasible, 0.5 * t_cap, 0.5, 1e-12, t_cap)
+    if lo is None:
+        if not feasible(0.0):
+            return SlabMaxResult(0.0, empty_domain=True)
+        lo = 0.0
+    lo, hi = bisect(feasible, lo, hi, tol)
     return SlabMaxResult(hi, uncertainty=hi - lo)
+
+
+def bracket(flips: Callable[[float], bool], x: float, factor: float, cap: float, last=None):
+    """(last x that did not flip, first x = start * factor**j that flips), x None if none does.
+
+    Doubling stops past cap, halving below it; ``last`` starts as the point before the start.
+    """
+    while x <= cap if factor > 1.0 else x >= cap:
+        if flips(x):
+            return last, x
+        last, x = x, x * factor
+    return last, None
+
+
+def bisect(holds: Callable[[float], bool], inside: float, outside: float, tol: float):
+    """(inside, outside), where ``holds`` is true and false, bisected to tol or adjacent floats."""
+    while abs(outside - inside) > tol:
+        mid = 0.5 * (inside + outside)
+        if mid in (inside, outside):  # adjacent floats: tol is below their spacing
+            break
+        if holds(mid):
+            inside = mid
+        else:
+            outside = mid
+    return inside, outside
+
+
+def golden_section_max(fun: Callable[[float], float], a: float, b: float, tol: float) -> float:
+    """Largest value of fun found by golden-section search on [a, b], down to b - a <= tol.
+
+    fun is taken to be unimodal on [a, b].  A probe that reads +inf is
+    returned at once.
+    """
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, e = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fe = fun(c), fun(e)
+    while math.inf not in (fc, fe) and b - a > tol:
+        if fc >= fe:
+            b, e, fe = e, c, fc
+            c = b - invphi * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, e, fe
+            e = a + invphi * (b - a)
+            fe = fun(e)
+    return max(fc, fe)
 
 
 def max_concave_over_box(fun: Callable[[np.ndarray], float], lo, hi,
@@ -227,23 +205,7 @@ def max_concave_over_box(fun: Callable[[np.ndarray], float], lo, hi,
         a, b = float(lo[0]), float(hi[0])
         if b - a <= tol:
             return best
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        c, e = b - invphi * (b - a), a + invphi * (b - a)
-        fc, fe = probe(np.array([c])), probe(np.array([e]))
-        if math.inf in (fc, fe):
-            return math.inf
-        while b - a > tol:
-            if fc >= fe:
-                b, e, fe = e, c, fc
-                c = b - invphi * (b - a)
-                fc = probe(np.array([c]))
-            else:
-                a, c, fc = c, e, fe
-                e = a + invphi * (b - a)
-                fe = probe(np.array([e]))
-            if math.inf in (fc, fe):
-                return math.inf
-        return max(best, fc, fe)
+        return max(best, golden_section_max(lambda x: probe(np.array([x])), a, b, tol))
 
     rng = np.random.default_rng(3)
     width = hi - lo
@@ -269,6 +231,8 @@ def max_concave_over_box(fun: Callable[[np.ndarray], float], lo, hi,
             if gnorm * step_scale * float(np.max(width)) < tol:
                 break
             cand = np.clip(x + step_scale * grad / max(gnorm, 1e-300) * np.max(width), lo, hi)
+            if np.array_equal(cand, x):  # pinned to the box: smaller steps stay put too
+                break
             fc = probe(cand)
             if fc == math.inf:
                 return math.inf

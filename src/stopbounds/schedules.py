@@ -97,7 +97,16 @@ class SampleSchedule:
             index += 1
 
     def first_index_above(self, level: float):
-        """Smallest (index, N_index) with N_index > level."""
+        """Smallest (index, N_index) with N_index > level.
+
+        Closed form for naturals and arithmetic schedules, whose elements
+        are integers: N_index > level exactly when N_index >= floor(level) + 1,
+        and floor is exact on a float.  Other kinds are scanned from index 1.
+        """
+        if self.kind in ("all-naturals", "arithmetic"):
+            above_n0 = math.floor(level) + 1 - self.n0  # the least N - n0 that exceeds level
+            index = max(1, -(-above_n0 // (self.step or 1)))
+            return index, self.element(index)
         index = 1
         while True:
             try:

@@ -101,20 +101,11 @@ def _exit_test(region: Region, boundary: str):
     """Stop test of a block given the boundary convention.
 
     Takes (steps,) checkpoint times and the (runs, steps, d) sums at them
-    and gives (runs, steps) hits.  A built-in slack broadcasts the times
-    against the block as it is; an oracle region is asked point by point.
+    and gives (runs, steps) hits: ``Region.inside`` broadcasts the times
+    against the block as it is.
     """
     strict, continuity = boundary == "strict", region.kind == "continuity"
-    if region.slack_batch is not None:
-        return lambda ts, at: region.inside(ts, at, strict) != continuity
-
-    def stops(ts, at):
-        shape = at.shape[:2]
-        hits = region.inside(np.broadcast_to(ts, shape).ravel(), at.reshape(-1, at.shape[2]),
-                             strict)
-        return (hits != continuity).reshape(shape)
-
-    return stops
+    return lambda ts, at: region.inside(ts, at, strict) != continuity
 
 
 def _blocks(n_steps: int):

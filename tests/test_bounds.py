@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import stopbounds as sb
+import stopbounds.oracle  # sets sb.oracle, whose searches a test counts
 from stopbounds.bounds import ALL_TAGS, UPPER_TAGS, overshoot_upper_bound
 from stopbounds import bounds, geometry
 from stopbounds.harness import BrownianBundle, ScenarioBundle, bound_report, brownian_report
@@ -402,6 +403,32 @@ def test_concentration_at_an_exact_tie_counts_the_touching_look(coef, exponent):
     assert est.mean == 17.0 and est.stderr == 0.0
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_concentration_on_a_time_slab_reads_the_sure_stop(d):
+    # {t <= 3} has empty slices past the crossing m = 3: every walk stops at
+    # n = 4, so E[N] = 4.  T18 read EmptySliceError from the slice, and T19 at
+    # d = 2 divided by its plane's zero norm
+    step = sb.bernoulli_affine(0, 1, 0.5)
+    row = bundle(sb.product([step] * d) if d > 1 else step,
+                 sb.halfspace_region([0.0] * d, 1.0, 3.0), sb.naturals())
+    for tag in ("T18-concentration", "T19-concentration-hyperplane"):
+        report = bound_report(tag, row)
+        assert report.applicable and report.value == 4.0
+        assert report.diagnostics["N_tau"] == 4
+    est = sb.run_discrete(row.region, row.spec, row.schedule, 100, seed=1)
+    assert est.mean == 4.0 and est.stderr == 0.0
+
+
+def test_oracle_slice_search_without_a_member_reads_inapplicable():
+    # the search cannot tell an empty slice from a missed one, so T18 on an
+    # oracle time slab is inapplicable rather than a raised EmptySliceError
+    slab = sb.region_from_oracle(lambda t, s: t <= 3.0, 1, convex_closure=True,
+                                 contains_origin=True)
+    report = bound_report("T18-concentration",
+                          bundle(sb.bernoulli_affine(0, 1, 0.5), slab, sb.naturals()))
+    assert not report.applicable and report.failed_assumptions() == ["geometry"]
+
+
 def test_overshoot_bound_examples():
     report = overshoot_upper_bound(sb.exponential(1.0), math.log(2.0), sb.naturals(), "Lorden-T6")
     assert report.value == pytest.approx(1.5, abs=1e-12)
@@ -522,7 +549,7 @@ def test_shipped_bound_reports_never_search(monkeypatch):
     # silent fall-back to the ray search, the box search or the sampled
     # support audit fails here
     calls = collections.Counter()
-    for owner, name in ((geometry, "_boundary_root"), (geometry, "_bracket_ray_exit"),
+    for owner, name in ((sb.oracle, "_boundary_root"), (sb.oracle, "_bracket_ray_exit"),
                         (geometry, "sample_member_points"), (bounds, "max_concave_over_box")):
         def counted(*args, _name=name, _search=getattr(owner, name), **kwargs):
             calls[_name] += 1

@@ -228,6 +228,19 @@ def test_bound_command_reports_on_explicit_lists(tmp_path):
         assert [r["applicable"] for r in rows] == ["false", "false", "false", "true"]
 
 
+def test_bound_command_reports_concentration_on_a_time_slab(tmp_path):
+    # the region {t <= 3}: every walk stops at n = 4, and T18/T19 read 4
+    region = {"family": "halfspace", "s_coef": [0.0], "t_coef": 1.0, "level": 3.0,
+              "orientation": "le", "kind": "continuity"}
+    tags = ["T18-concentration", "T19-concentration-hyperplane"]
+    path = write_config(tmp_path, "cfg.json", dict(BASE, region=region, bounds=tags))
+    out = tmp_path / "rep.csv"
+    assert main(["bound", str(path), "--out", str(out)]) == 0
+    rows = read_rows(out)
+    assert [(r["theorem"], r["applicable"], float(r["value"])) for r in rows] == [
+        (tag, "true", 4.0) for tag in tags]
+
+
 def test_certify_anchor_scenario_exits_zero(tmp_path):
     cfg = {
         "name": "bern-threshold",
@@ -435,18 +448,21 @@ reports = [bound_report(tag, row["bundle"])
 reports += [brownian_report(tag, case["bundle"])
             for case in brownian_cases(10) for tag in case["tags"]]
 assert len(reports) == 155
-print("numpy.random" in sys.modules)
+print("stopbounds.oracle" in sys.modules, "numpy.random" in sys.modules)
 """
 
 
 def test_shipped_bound_reports_load_no_numpy_random():
-    # no search and no sampled audit: a bound pass draws no random number at all
+    # no search and no sampled audit: a bound pass never loads the oracle
+    # searches, and draws no random number at all
+    probe = run_python("-c", _NO_RANDOM_PROBE)
+    assert probe.returncode == 0, probe.stderr
+    oracle_loaded, random_loaded = probe.stdout.split()
+    assert oracle_loaded == "False"
     numpy_only = run_python("-c", "import sys, numpy; print('numpy.random' in sys.modules)")
     if numpy_only.stdout.strip() == "True":
         pytest.skip("this numpy loads numpy.random on import")
-    probe = run_python("-c", _NO_RANDOM_PROBE)
-    assert probe.returncode == 0, probe.stderr
-    assert probe.stdout.strip() == "False"
+    assert random_loaded == "False"
 
 
 def test_import_and_cli_runs_load_no_scipy_or_thread_pool(tmp_path):
@@ -454,7 +470,8 @@ def test_import_and_cli_runs_load_no_scipy_or_thread_pool(tmp_path):
     # (OpenSSL) until a report is written; only walks on more than one worker
     # load concurrent.futures (and with it logging), which runs before
     # scipy.integrate loads it too; quadrature for a random threshold with a
-    # density loads scipy.integrate on first use
+    # density loads scipy.integrate on first use; no CLI run on built-in
+    # regions loads the oracle searches
     probe = run_python("-c", _SCIPY_PROBE.format(runs=2 * _CHUNK))  # two chunks
     assert probe.returncode == 0, probe.stderr
     assert probe.stdout.split() == ["[]", "True", "True"]
@@ -473,3 +490,4 @@ def test_import_and_cli_runs_load_no_scipy_or_thread_pool(tmp_path):
                     if line.startswith("import time:")]
         assert "stopbounds.cli" in imported and len(read_rows(out)) > 0
         assert not [name for name in imported if name.startswith(("scipy", "concurrent"))], argv
+        assert "stopbounds.oracle" not in imported, argv

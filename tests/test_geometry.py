@@ -1,6 +1,7 @@
 import dataclasses
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -527,6 +528,54 @@ def test_closed_box_maximum_matches_the_search_on_oracles(case):
 
     searched = _outcome(sb.max_concave_over_box, g, lo, hi)
     assert _agree(closed, searched)
+
+
+@st.composite
+def _region_and_slab(draw):
+    """A convex built-in region, some halfspaces made time slabs, and a slab, primed or not."""
+    region, v = draw(st.one_of(_region_and_ray(), _flagged_region_and_ray()))
+    assume(region.convex_closure)
+    if region.family["family"] == "halfspace" and draw(st.booleans()):
+        region = region_from_family(dict(region.family, s_coef=(0.0,) * region.dim))
+
+    def edges(centre):
+        lo = centre + np.array([draw(_DYADIC) for _ in v]) / 4.0
+        return lo, lo + np.array([draw(st.integers(0, 8)) / 8.0 for _ in v])
+
+    slopes, icepts = edges(v), edges(np.zeros_like(v))
+    primed = sb.Slab(*edges(v), *edges(np.zeros_like(v))) if draw(st.booleans()) else None
+    return region, sb.Slab(slopes[0], slopes[1], icepts[0], icepts[1], primed)
+
+
+def _widened(slab, by):
+    """The slab with its intercepts moved apart by ``by`` each way: every box grows by ``by``."""
+    primed = None if slab.primed is None else _widened(slab.primed, by)
+    return sb.Slab(slab.lower_slope, slab.upper_slope, slab.lower_icept - by,
+                   slab.upper_icept + by, primed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_region_and_slab())
+def test_built_in_slab_feasibility_matches_the_search_on_oracles(case):
+    # the exact test of each t (curve edge or halfspace corner) against the
+    # membership search, through the same bisection in t to tol = 1e-9; the
+    # built-in side makes no membership call.  The search reads a box within
+    # tol of the slice as meeting it, so its answer lies between the exact
+    # answers for the slab and for the slab widened by tol
+    region, slab = case
+    calls = []
+    contains = geometry.Region.contains
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return contains(self, *args, **kwargs)
+
+    with mock.patch.object(geometry.Region, "contains", counted):
+        closed = sb.max_time_in_region(region, slab)
+    assert calls == []
+    searched = sb.max_time_in_region(_exact_oracle(region), slab)
+    widened = sb.max_time_in_region(region, _widened(slab, 1e-9))
+    assert closed.value - 1e-9 <= searched.value <= widened.value + 1e-9
 
 
 @pytest.mark.parametrize("region,error", [

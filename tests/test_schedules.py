@@ -2,6 +2,8 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stopbounds as sb
 from stopbounds.schedules import (
@@ -56,6 +58,34 @@ def test_tau_index_examples():
     index, value = tau_index(sched, 5.0)
     assert value == 8
     assert tau_index(sb.naturals(), 0.5) == (1, 1)
+
+
+def _scanned_index_above(sched, level):
+    """The first (index, N_index) with N_index > level, by a scan from index 1: the reference."""
+    index = 1
+    while sched.element(index) <= level:
+        index += 1
+    return index, sched.element(index)
+
+
+@st.composite
+def _schedule_and_level(draw):
+    n0 = draw(st.integers(0, 50))
+    sched = draw(st.sampled_from([sb.naturals(n0), sb.arithmetic(n0, draw(st.integers(1, 9)))]))
+    element = float(sched.element(draw(st.integers(1, 2000))))
+    level = draw(st.one_of(
+        st.just(element),  # a level that equals an element exactly
+        st.sampled_from([math.nextafter(element, -math.inf), math.nextafter(element, math.inf)]),
+        st.floats(-10.0, element + 10.0, allow_nan=False),
+    ))
+    return sched, level
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_schedule_and_level())
+def test_closed_form_index_above_matches_the_scan(case):
+    sched, level = case
+    assert sched.first_index_above(level) == _scanned_index_above(sched, level)
 
 
 def test_tau_exhausted():

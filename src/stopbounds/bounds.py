@@ -542,11 +542,7 @@ def concentration_upper_bound(region: Region, profile: MomentProfile,
     diag["N_tau"] = n_tau
     if hyp is not None:
         anchor, abs_gap, norm = hyp.anchor, abs(hyp.mean_gap(mu)), hyp.norm
-        in_t_alone = norm == 0.0
-    else:
-        p = region.family
-        in_t_alone = p is not None and p["family"] == "halfspace" and not any(p["s_coef"])
-    if in_t_alone:
+    if region.time_slab if hyp is None else norm == 0.0:
         # a plane, or a built-in halfspace, in t alone has empty slices past
         # the crossing: a continuation probability of 0, so every walk has
         # stopped by N_tau

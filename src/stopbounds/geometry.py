@@ -128,6 +128,12 @@ class Region:
         return _CURVES[self.family["family"]](**self.family)[1]
 
     @property
+    def time_slab(self) -> bool:
+        """Whether this is a built-in halfspace in t alone, whose slices are all or nothing."""
+        p = self.family
+        return p is not None and p["family"] == "halfspace" and not any(p["s_coef"])
+
+    @property
     def linear_slack(self):
         """(alpha, beta, kappa) with slack alpha - <beta, s> - kappa*t, or None.
 
@@ -577,10 +583,10 @@ def _closed_slice_distance(region: Region, n: float, mu: np.ndarray) -> float:
     slack = float(region.slack_batch(n, n * mu))
     if slack >= 0.0:
         return 0.0
+    if region.time_slab:
+        raise EmptySliceError(f"the slice at n={n} is empty")
     p = region.family
     norm = float(np.linalg.norm(p["s_coef"])) if p["family"] == "halfspace" else 1.0
-    if norm == 0.0:
-        raise EmptySliceError(f"the slice at n={n} is empty")
     return -slack / (n * norm)
 
 
@@ -636,6 +642,6 @@ def slice_side(region: Region, n: float, mean, tol: float = 1e-9) -> str:
     if region.family is None:
         from .oracle import slice_side as search
         return search(region, n, mu, tol)[0]
-    if region.orientation is None:  # a time slab: its slice is all or nothing
+    if region.time_slab:
         raise EmptySliceError(f"the slice at n={n} is empty")
     return "above" if region.orientation == "ge" else "below"

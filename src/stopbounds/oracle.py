@@ -206,9 +206,12 @@ def slice_distance(region: Region, n: float, mu: np.ndarray, tol: float) -> floa
 def slab_feasible(region: Region, t: float, lo: np.ndarray, hi: np.ndarray, tol: float) -> bool:
     """Whether the box [lo, hi] (lo <= hi) meets the region's slice at time t.
 
-    Failing the centre and corners (up to d = 12), each probe walks toward
-    a member found by doubling from the centre; a boundary point so found
-    within tol of the box counts.
+    Failing the centre, the corners (up to d = 12) and, for d = 1, a
+    65-point sweep of [lo, hi], each probe walks toward a member found by
+    doubling from the centre; a boundary point so found within tol of the
+    box counts.  The doubling starts outside the box, so a bounded slice
+    inside the box is found only by the probes: the sweep finds any such
+    d = 1 slice wider than (hi - lo)/64.
     """
     def member(s: np.ndarray) -> bool:
         return region.contains(t, s)
@@ -219,7 +222,8 @@ def slab_feasible(region: Region, t: float, lo: np.ndarray, hi: np.ndarray, tol:
     if d <= 12:
         probes += [np.where(np.array(mask, dtype=bool), hi, lo)
                    for mask in itertools.product((0, 1), repeat=d)]
-    if any(member(p) for p in probes):
+    sweep = np.linspace(lo, hi, 65) if d == 1 else ()
+    if any(member(p) for p in itertools.chain(probes, sweep)):
         return True
     r0 = float(np.max(hi - lo) + np.max(np.abs(center)) + 1.0)
     for u in _directions(d, 2 * d, np.random.default_rng(1234)):

@@ -81,6 +81,18 @@ def test_max_time_vector_dimension():
     assert res.value == pytest.approx(2.4 / 1.0, abs=1e-3)
 
 
+def test_max_time_finds_a_d1_oracle_slice_inside_the_box_away_from_its_centre():
+    # the convex band {2t - 1 <= s <= 2t + 1, t <= 10} leaves the box centre
+    # s = 0 at t = 0.5, and its slice misses both ends of the box, but stays
+    # inside the box up to t = 10
+    band = sb.region_from_oracle(lambda t, s: 2.0 * t - 1.0 <= s[0] <= 2.0 * t + 1.0 and t <= 10.0,
+                                 1, convex_closure=True, contains_origin=True)
+    for slab in (sb.Slab([0.0], [0.0], [-50.0], [50.0]), sb.Slab([0.0], [0.0], [-5.0], [30.0])):
+        res = sb.max_time_in_region(band, slab)
+        assert not res.empty_domain
+        assert res.value == pytest.approx(10.0, abs=1e-8)
+
+
 def test_max_concave_over_box_examples():
     val = sb.max_concave_over_box(lambda x: 5.0 / x[0], [0.4], [0.6], tol=1e-12)
     assert val == pytest.approx(12.5, abs=1e-9)

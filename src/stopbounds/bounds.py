@@ -25,14 +25,14 @@ from .geometry import (
     log_exit_gradient,
     mean_ray_crossing,
     ray_entry_and_exit,
-    ray_exit_box_max,
     ray_exit_time,
     slice_distance,
     slice_side,
     supporting_hyperplane,  # noqa: F401  (kept as a bounds name: the benchmark tracer wraps it)
 )
 from .moments import DistributionSpec, MomentProfile, analytic_moments, scalar_family
-from .optimize import ProvisoViolatedError, Slab, max_concave_over_box, max_time_in_region, vertex_fraction_max
+from .optimize import ProvisoViolatedError, Slab, max_time_in_region, vertex_fraction_max
+from .optimize import max_concave_over_box  # noqa: F401  (a bounds name the tracer wraps)
 from .schedules import SampleSchedule, audit_assumptions, gap_supremum, tau_index
 
 UPPER_TAGS = (
@@ -243,8 +243,8 @@ def sample_mean_upper_bound(region: Region, profile: MomentProfile,
     "T12-samplemean" uses the one-sided-deviation box with the schedule's max
     gap K; "T13-samplemean-naturals" is the all-naturals form with constant 2
     instead of K; "T-try88-bounded" uses the support envelope box and needs
-    bounded increments.  The box maximum is closed-form for a built-in
-    family and searched for an oracle region.
+    bounded increments.  The box maximum is the region's ``exit_box_max``:
+    closed-form for a built-in family and searched for an oracle region.
     """
     _known(tag, "T12-samplemean", "T13-samplemean-naturals", "T-try88-bounded")
 
@@ -282,10 +282,7 @@ def sample_mean_upper_bound(region: Region, profile: MomentProfile,
     diag["box"] = (lo.tolist(), hi.tolist())
     if any(c.status == "fail" for c in checks):
         return BoundReport(tag, "upper", math.nan, checks, diag)
-    if region.family is None:
-        peak = max_concave_over_box(gfun, lo, hi)
-    else:
-        peak = ray_exit_box_max(region, lo, hi)
+    peak = region.exit_box_max(lo, hi)
     diag["box_max"] = peak
     value = constant + peak if math.isfinite(peak) else math.inf
     return BoundReport(tag, "upper", value, checks, diag)
@@ -556,14 +553,16 @@ def concentration_upper_bound(region: Region, profile: MomentProfile,
 
     # the series constants are computed once, outside the loop (T19's before
     # the time-slab check); the T19 term keeps the operation order of
-    # geometry.hyperplane_slice_distance, so the two agree bit for bit
+    # geometry.hyperplane_slice_distance, so the two agree bit for bit; a
+    # region with a d = 1 boundary curve s = f(t) gives its deviation directly
+    f = region.scalar_boundary if d == 1 else None
     if hyp is not None:
         def deviation(n: float) -> float:
             if not n > anchor:
                 raise ValueError("slice size must exceed the anchor time")
             return (1.0 - anchor / n) * abs_gap / norm
-    elif region.scalar_boundary is not None and d == 1:
-        f, mu0 = region.scalar_boundary, float(mu[0])
+    elif f is not None:
+        mu0 = float(mu[0])
 
         def deviation(n: float) -> float:
             return abs(mu0 - f(n) / n)

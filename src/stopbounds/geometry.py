@@ -7,24 +7,24 @@ g(v) = sup{t : (t, t v) in region}, the gradient of ln g, the supporting
 hyperplane at (m, m*mean), and distances from the mean to region slices at
 fixed sample size.
 
-Each built-in family is one definition: a signed slack (positive inside,
-zero on the boundary) that broadcasts over points, and, for the d = 1
-families bounded by s = f(t), the exact boundary slope f'.  Along a ray
-(t, t v) the slack has the sign of alpha - rate*t**k (``Region.ray_form``),
-with the rate affine in v, so ray exits, crossings, entries and the
-maximum of g over a box are closed forms, as are the side and distance of
-a slice, where the slack is affine in s.  The slope gives the exact
-log-gradient 1/(f'(m) - mean), and a halfspace gives -a/(<a, mean> + b),
-so the supporting hyperplane is exact.  Regions built from a plain
-membership oracle are searched: each entry point hands them to the
-``oracle`` module, imported on that first call, and ``supporting_hyperplane``
-audits their plane on sampled members.  There is no root finder.
+The free functions here check the flags an answer needs, then ask the
+region's own method.  A built-in family (``FamilyRegion``) is one signed
+slack (positive inside, zero on the boundary) that broadcasts over points,
+and, for d = 1 boundaries s = f(t), the exact slope f'.  Along a ray
+(t, t v) the slack has the sign of alpha - rate*t**k (``ray_form``), with
+the rate affine in v, so ray exits, entries and the maximum of g over a box
+are closed forms, as are the side and distance of a slice, where the slack
+is affine in s.  The slope gives the exact log-gradient 1/(f'(m) - mean),
+and a halfspace gives -a/(<a, mean> + b), so the supporting hyperplane is
+exact.  A membership predicate makes an ``oracle.OracleRegion``, whose
+methods are searches and whose plane is audited on sampled members.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional
 
@@ -68,80 +68,102 @@ _CURVES = {
 
 @dataclass(frozen=True)
 class Region:
-    """Continuity or stopping region with asserted flags.
+    """Continuity or stopping region with asserted flags: what every region type provides.
 
-    ``slack_batch`` is the built-in family's signed margin, nonnegative
-    exactly on the closed region.  It broadcasts: a scalar t with a (d,)
-    vector s gives one margin, (n,) times with (n, d) sums give n margins,
-    and (steps,) times with a (runs, steps, d) block give (runs, steps).
-    Oracle regions have no slack and answer through ``membership``.  For
-    d = 1 regions of the form {s <= f(t)} or {s >= f(t)}, ``scalar_boundary``
-    holds f and ``orientation`` is "le" or "ge"; ``boundary_slope`` gives
-    the exact f' for the built-in families.  ``family`` holds a built-in
-    region's parameters, read-only, since the slack and the closed forms
-    were built from them.
+    Each type has the methods ``inside``, ``ray_exit``, ``entry_and_exit``,
+    ``exit_box_max``, ``log_gradient``, ``slice_side``, ``slice_distance``,
+    ``slab_feasibility`` and ``complement_closure``.  ``closed_form`` says
+    whether the answers are exact, so that the supporting plane needs no
+    ``support_audit``.  The capabilities below belong to some built-in
+    families; a region without one answers None, or False for ``time_slab``.
     """
 
     kind: str  # "continuity" | "stopping"
     dim: int
-    membership: Callable[[float, np.ndarray], bool]
-    convex_closure: bool = False
-    contains_origin: bool = False
-    slack_batch: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    scalar_boundary: Optional[Callable[[float], float]] = None
-    orientation: Optional[str] = None
-    family: Optional[Mapping] = field(default=None, repr=False)
+    convex_closure: bool
+    contains_origin: bool
+
+    closed_form = False
+    scalar_boundary = boundary_slope = orientation = linear_slack = power_exponent = None
+    time_slab = False
 
     def __post_init__(self):
         if self.kind not in ("continuity", "stopping"):
             raise RegionError(f"unknown region kind {self.kind!r}")
-
-    def inside(self, ts, ss, strict: bool = False):
-        """Membership of points with times ts >= 0, in the closed or open region.
-
-        Takes sums s of shape (..., d) with times that broadcast against
-        s[..., 0]: a scalar t with a (d,) vector, (n,) times with (n, d)
-        sums, or (steps,) times with a (runs, steps, d) block.  Oracle
-        regions are asked point by point, and have no open variant: they
-        ignore ``strict``.
-        """
-        if self.slack_batch is not None:
-            margin = self.slack_batch(ts, ss)
-            return margin > 0.0 if strict else margin >= 0.0
-        if np.ndim(ss) == 1:
-            return bool(self.membership(ts, ss))
-        ss = np.asarray(ss)
-        ts = np.broadcast_to(ts, ss.shape[:-1])
-        hits = [self.membership(t, s) for t, s in zip(ts.ravel(), ss.reshape(-1, ss.shape[-1]))]
-        return np.array(hits, dtype=bool).reshape(ts.shape)
 
     def contains(self, t: float, s, strict: bool = False) -> bool:
         if t < 0.0:
             return False
         return bool(self.inside(t, np.atleast_1d(np.asarray(s, dtype=float)), strict))
 
-    @property
-    def boundary_slope(self) -> Optional[Callable[[float], float]]:
-        """Exact f' of the boundary s = f(t) of a built-in d = 1 region, else None."""
-        if self.scalar_boundary is None or self.family is None:
-            return None
-        return _CURVES[self.family["family"]](**self.family)[1]
+
+def _curve_part(index: int, doc: str) -> property:
+    return property(lambda self: None if self._curve is None else self._curve[index], doc=doc)
+
+
+@dataclass(frozen=True)
+class FamilyRegion(Region):
+    """A built-in region family, answered in closed form with no membership call.
+
+    ``family`` holds the parameters, read-only, since the slack and every
+    closed form are built from them.  ``slack_batch`` is the signed margin,
+    nonnegative exactly on the closed region, over the shapes ``inside`` takes.
+    """
+
+    family: Mapping = field(repr=False)
+    slack_batch: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+    closed_form = True
+
+    def inside(self, ts, ss, strict: bool = False):
+        """Membership of points with times ts >= 0, in the closed or open region.
+
+        Takes sums s of shape (..., d) with times that broadcast against
+        s[..., 0]: a scalar t with a (d,) vector, (n,) times with (n, d)
+        sums, or (steps,) times with a (runs, steps, d) block.
+        """
+        margin = self.slack_batch(ts, ss)
+        return margin > 0.0 if strict else margin >= 0.0
+
+    @cached_property
+    def _curve(self):
+        """(f, f', side) when the region lies on one side of a d = 1 curve s = f(t), else None.
+
+        A negative s_coef flips the side of a scalar halfspace.  Cached: ``family`` is read-only.
+        """
+        p = self.family
+        side = p["orientation"]
+        if p["family"] == "halfspace":
+            if len(p["s_coef"]) != 1 or p["s_coef"][0] == 0.0:
+                return None
+            side = side if p["s_coef"][0] > 0.0 else _FLIP[side]
+        return (*_CURVES[p["family"]](**p), side)
+
+    scalar_boundary = _curve_part(0, "The boundary f of a d = 1 region {s <= f(t)} or {s >= f(t)}.")
+    boundary_slope = _curve_part(1, "The exact slope f' of that boundary.")
+    orientation = _curve_part(2, 'The side of that boundary the region lies on: "le" or "ge".')
 
     @property
     def time_slab(self) -> bool:
-        """Whether this is a built-in halfspace in t alone, whose slices are all or nothing."""
+        """Whether this is a halfspace in t alone, whose slices are all or nothing."""
         p = self.family
-        return p is not None and p["family"] == "halfspace" and not any(p["s_coef"])
+        return p["family"] == "halfspace" and not any(p["s_coef"])
+
+    @property
+    def power_exponent(self) -> Optional[float]:
+        """The exponent e of a power boundary c*t**e."""
+        p = self.family
+        return p["exponent"] if p["family"] == "power" else None
 
     @property
     def linear_slack(self):
-        """(alpha, beta, kappa) with slack alpha - <beta, s> - kappa*t, or None.
+        """(alpha, beta, kappa) with slack alpha - <beta, s> - kappa*t.
 
         Defined for the families with a flat boundary: constant, affine and
         halfspace, of either orientation and any dimension.
         """
         p = self.family
-        if p is None or p["family"] not in ("constant", "affine", "halfspace"):
+        if p["family"] not in ("constant", "affine", "halfspace"):
             return None
         sgn = _sign(p["orientation"])
         if p["family"] == "halfspace":
@@ -151,7 +173,7 @@ class Region:
 
     @property
     def ray_coefficients(self):
-        """(alpha, beta, kappa, k) of a built-in family, or None.
+        """(alpha, beta, kappa, k).
 
         For t > 0 the point (t, t v) is in the closed region exactly when
         alpha - rate * t**k >= 0, with the rate <beta, v> + kappa affine in
@@ -160,33 +182,106 @@ class Region:
         alpha = sgn*c, beta = sgn, kappa = 0 and k = 1 - e.
         """
         p = self.family
-        if p is None:
-            return None
         if p["family"] == "power":
             sgn = _sign(p["orientation"])
             return sgn * p["coef"], np.array([sgn]), 0.0, 1.0 - p["exponent"]
         return (*self.linear_slack, 1.0)
 
     def ray_form(self, v: np.ndarray):
-        """(alpha, rate, k) of a built-in family along the ray (t, t v), or None."""
-        coefs = self.ray_coefficients
-        if coefs is None:
-            return None
-        alpha, beta, kappa, k = coefs
+        """(alpha, rate, k) along the ray (t, t v)."""
+        alpha, beta, kappa, k = self.ray_coefficients
         return alpha, float(beta @ v) + kappa, k
 
-    def complement_closure(self) -> "Region":
-        """Closure of the complement, as a region of the opposite kind.
-
-        Only available for the built-in families, where flipping the
-        boundary orientation gives the complement exactly.
-        """
-        if self.family is None:
-            raise RegionError("complement_closure requires a built-in region family")
+    def complement_closure(self) -> "FamilyRegion":
+        """Closure of the complement: the opposite kind, with the orientation flipped."""
         spec = dict(self.family)
         spec["orientation"] = _FLIP[spec["orientation"]]
         spec["kind"] = "stopping" if self.kind == "continuity" else "continuity"
         return region_from_family(spec)
+
+    def ray_exit(self, v: np.ndarray, tol: Optional[float] = None) -> float:
+        """(alpha/rate)^(1/k), with no membership call, refusing flags that misstate the region.
+
+        The slack at the origin is alpha on a flat boundary, so alpha < 0 puts
+        the origin outside; a power boundary passes through the origin, and
+        alpha < 0 puts its region on the non-convex side.
+        """
+        alpha, beta, kappa, k = self.ray_coefficients
+        if alpha < 0.0:
+            if self.family["family"] != "power":
+                raise RegionError("asserted origin containment fails at (0, 0)")
+            raise NonConvexityError("the region lies on the non-convex side of its boundary")
+        return _ray_crossing(alpha, float(beta @ v) + kappa, k)
+
+    def exit_box_max(self, lo, hi) -> float:
+        """``ray_exit_time`` at the box corner taking lo_i where beta_i > 0 and hi_i elsewhere.
+
+        There the rate <beta, v> + kappa, affine in v, is smallest, and
+        g = (alpha/rate)^(1/k) largest: +inf when that rate is <= 0.
+        """
+        lo = np.atleast_1d(np.asarray(lo, dtype=float))
+        hi = np.atleast_1d(np.asarray(hi, dtype=float))
+        if np.any(lo > hi):
+            raise ValueError("box is empty")
+        return ray_exit_time(self, np.where(self.ray_coefficients[1] > 0.0, lo, hi))
+
+    def entry_and_exit(self, v: np.ndarray, tol: Optional[float] = None):
+        """Exact (inf A, sup A), or (None, None)."""
+        alpha, rate, k = self.ray_form(v)
+        cross = _ray_crossing(alpha, rate, k)
+        if alpha >= 0.0:
+            return 0.0, cross
+        if self.family["family"] == "power":  # the origin, on the boundary, then [cross, inf)
+            return 0.0, 0.0 if math.isinf(cross) else math.inf
+        return (None, None) if math.isinf(cross) else (cross, math.inf)
+
+    def log_gradient(self, mean: np.ndarray, g0: float) -> np.ndarray:
+        """-a / (<a, mean> + b) for a halfspace <a, s> + b t = c; 1 / (f'(g0) - mean) for f."""
+        p = self.family
+        if p["family"] == "halfspace":
+            a = np.asarray(p["s_coef"])
+            return -a / (a @ mean + p["t_coef"])
+        return np.array([1.0 / (self.boundary_slope(g0) - mean[0])])
+
+    def slice_side(self, n: float, mu: np.ndarray, tol: float) -> str:
+        """The side of the curve the slice lies on, when it misses mu."""
+        if self.time_slab:
+            raise EmptySliceError(f"the slice at n={n} is empty")
+        return "above" if self.orientation == "ge" else "below"
+
+    def slice_distance(self, n: float, mu: np.ndarray, tol: float) -> float:
+        """max(0, -slack(n, n mu)) / (n |beta|), beta = s_coef for a halfspace and 1 for a curve."""
+        slack = float(self.slack_batch(n, n * mu))
+        if slack >= 0.0:
+            return 0.0
+        if self.time_slab:
+            raise EmptySliceError(f"the slice at n={n} is empty")
+        p = self.family
+        norm = float(np.linalg.norm(p["s_coef"])) if p["family"] == "halfspace" else 1.0
+        return -slack / (n * norm)
+
+    def slab_feasibility(self, slab, tol: float):
+        """t -> whether the box ``slab.box(t)`` meets the slice at t.
+
+        A curve s = f(t) compares f(t) with the box edge on its side; a
+        halfspace (time slabs included) takes its slack at the box corner
+        that maximizes it, lo_i where beta_i > 0 and hi_i elsewhere.
+        """
+        curve = self._curve
+        if curve is not None:
+            f, le = curve[0], curve[2] == "le"
+
+            def feasible(t: float) -> bool:
+                lo, hi = slab.box(t)
+                lo, hi = float(lo[0]), float(hi[0])
+                return lo <= hi and (lo <= f(t) if le else hi >= f(t))
+        else:
+            take_lo = self.linear_slack[1] > 0.0
+
+            def feasible(t: float) -> bool:
+                lo, hi = slab.box(t)
+                return not np.any(lo > hi) and self.slack_batch(t, np.where(take_lo, lo, hi)) >= 0.0
+        return feasible
 
 
 _FLIP = {"le": "ge", "ge": "le"}
@@ -199,25 +294,18 @@ def _sign(orientation) -> float:
     return 1.0 if orientation == "le" else -1.0
 
 
-def _mk_region(family: dict, dim: int, slack_batch, convex: bool,
-               boundary=None, orientation=None) -> Region:
-    def membership(t, s):
-        return slack_batch(t, np.atleast_1d(np.asarray(s, dtype=float))) >= 0.0
-
-    return Region(
+def _mk_region(family: dict, dim: int, slack_batch, convex: bool) -> FamilyRegion:
+    return FamilyRegion(
         kind=family["kind"],
         dim=dim,
-        membership=membership,
         convex_closure=convex,
         contains_origin=bool(slack_batch(0.0, np.zeros(dim)) >= 0.0),
-        slack_batch=slack_batch,
-        scalar_boundary=boundary,
-        orientation=orientation,
         family=MappingProxyType(family),
+        slack_batch=slack_batch,
     )
 
 
-def _curve_region(family: dict, convex: bool) -> Region:
+def _curve_region(family: dict, convex: bool) -> FamilyRegion:
     """The d = 1 region on one side of s = f(t), with slack sgn*(f(t) - s)."""
     sgn = _sign(family["orientation"])
     f = _CURVES[family["family"]](**family)[0]
@@ -225,7 +313,7 @@ def _curve_region(family: dict, convex: bool) -> Region:
     def slack_batch(ts, ss):
         return sgn * (f(ts) - ss[..., 0])
 
-    return _mk_region(family, 1, slack_batch, convex, f, family["orientation"])
+    return _mk_region(family, 1, slack_batch, convex)
 
 
 def constant_region(level: float, orientation: str = "le", kind: str = "continuity") -> Region:
@@ -274,20 +362,15 @@ def halfspace_region(s_coef, t_coef: float, level: float, orientation: str = "le
     def slack_batch(ts, ss):
         return sgn * (c - (ss @ a + b * ts))
 
-    if a.shape[0] == 1 and a[0] != 0.0:
-        side = orientation if a[0] > 0.0 else _FLIP[orientation]
-        return _mk_region(family, 1, slack_batch, True, _CURVES["halfspace"](**family)[0], side)
     return _mk_region(family, a.shape[0], slack_batch, True)
 
 
 def region_from_oracle(membership, dim: int, kind: str = "continuity",
                        convex_closure: bool = False, contains_origin: bool = False) -> Region:
-    """Wrap a plain membership predicate; no slack, so the ``oracle`` searches answer for it."""
-    def member(t, s):
-        return bool(membership(t, np.atleast_1d(np.asarray(s, dtype=float))))
+    """Wrap a plain membership predicate as an ``oracle.OracleRegion``, which searches."""
+    from .oracle import OracleRegion
 
-    return Region(kind=kind, dim=dim, membership=member, convex_closure=convex_closure,
-                  contains_origin=contains_origin)
+    return OracleRegion(kind, dim, convex_closure, contains_origin, membership)
 
 
 _FAMILY_BUILDERS = {  # family -> (constructor, the parameters it takes before orientation, kind)
@@ -312,7 +395,7 @@ def region_from_family(spec: dict) -> Region:
 
 
 # ---------------------------------------------------------------------------
-# Rays: closed forms for built-in families, searches for oracle regions
+# Rays
 # ---------------------------------------------------------------------------
 
 
@@ -329,59 +412,22 @@ def _ray_crossing(alpha: float, rate: float, k: float) -> float:
     return ratio ** (1.0 / k) if ratio < _RAY_CAP**k else math.inf
 
 
-def _exit_coefficients(region: Region):
-    """``Region.ray_coefficients`` of a flagged region; None for an oracle region.
-
-    Refuses a built-in region whose flags misstate it.  The slack at the
-    origin is alpha on a flat boundary and 0 on a power boundary, which
-    passes through the origin.  So alpha < 0 means that the origin lies
-    outside a flat region, or that a power region lies on the non-convex
-    side of its boundary.
-    """
-    _require_convex_origin(region)
-    coefs = region.ray_coefficients
-    if coefs is not None and coefs[0] < 0.0:
-        if region.family["family"] != "power":
-            raise RegionError("asserted origin containment fails at (0, 0)")
-        raise NonConvexityError("the region lies on the non-convex side of its boundary")
-    return coefs
-
-
 def ray_exit_time(region: Region, v, tol: Optional[float] = None) -> float:
     """sup{t >= 0 : (t, t v) in the closed region}; inf when the ray never leaves.
 
-    Requires the convexity and origin flags.  A built-in family answers with
-    the closed form (alpha/rate)^(1/k) and no membership call.  An oracle
-    region is searched by doubling and bisection to ``tol``, with a
-    convexity audit of membership around the exit (``oracle.ray_exit``).
-    Either way an exit at or beyond 2**61 reads inf.
+    Requires the convexity and origin flags.  A built-in family answers in
+    closed form; an oracle region searches to ``tol`` and audits convexity
+    around the exit.  Either way an exit at or beyond 2**61 reads inf.
     """
-    coefs = _exit_coefficients(region)
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if coefs is None:
-        from .oracle import ray_exit
-        return ray_exit(region, v, tol)
-    alpha, beta, kappa, k = coefs
-    return _ray_crossing(alpha, float(beta @ v) + kappa, k)
+    _require_convex_origin(region)
+    return region.ray_exit(np.atleast_1d(np.asarray(v, dtype=float)), tol)
 
 
 def ray_exit_box_max(region: Region, lo, hi) -> float:
-    """max of ray_exit_time(region, v) over the box lo <= v <= hi, for a built-in family.
-
-    The rate <beta, v> + kappa of ``Region.ray_coefficients`` is affine in
-    v, so on a box it is smallest at the corner taking lo_i where beta_i > 0
-    and hi_i elsewhere, and g = (alpha/rate)^(1/k) is largest there: +inf
-    when that rate is <= 0.  Refuses what ``ray_exit_time`` refuses.
-    """
-    coefs = _exit_coefficients(region)
-    if coefs is None:
+    """max of ray_exit_time(region, v) over the box lo <= v <= hi, for a built-in family only."""
+    if not region.closed_form:
         raise RegionError("the closed-form box maximum requires a built-in region family")
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    if np.any(lo > hi):
-        raise ValueError("box is empty")
-    alpha, beta, kappa, k = coefs
-    return _ray_crossing(alpha, float(beta @ np.where(beta > 0.0, lo, hi)) + kappa, k)
+    return region.exit_box_max(lo, hi)
 
 
 def mean_ray_crossing(region: Region, mean, tol: Optional[float] = None) -> float:
@@ -402,21 +448,8 @@ def ray_entry_and_exit(region: Region, v, tol: Optional[float] = None):
 
     Returns (None, None) when A holds no point below the doubling cap
     (2**61).  sup A is math.inf when the ray stays inside past the cap.
-    Exact for the built-in families; an oracle region is searched
-    (``oracle.ray_entry_and_exit``).
     """
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    form = region.ray_form(v)
-    if form is None:
-        from .oracle import ray_entry_and_exit as search
-        return search(region, v, tol)
-    alpha, rate, k = form
-    cross = _ray_crossing(alpha, rate, k)
-    if alpha >= 0.0:
-        return 0.0, cross
-    if region.family["family"] == "power":  # the origin, on the boundary, then [cross, inf)
-        return 0.0, 0.0 if math.isinf(cross) else math.inf
-    return (None, None) if math.isinf(cross) else (cross, math.inf)
+    return region.entry_and_exit(np.atleast_1d(np.asarray(v, dtype=float)), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -425,26 +458,12 @@ def ray_entry_and_exit(region: Region, v, tol: Optional[float] = None):
 
 
 def log_exit_gradient(region: Region, mean) -> np.ndarray:
-    """Gradient of ln g(v) at v=mean.
-
-    Exact for the built-in families: -a / (<a, mean> + b) for a halfspace
-    <a, s> + b t <= c (or >= c), and 1 / (f'(m) - mean) at the crossing time
-    m for a d=1 region bounded by s = f(t).  Oracle regions take
-    Richardson-extrapolated central differences of ln g with step
-    1e-5 * max(1, |mean_k|) (``oracle.log_gradient``).
-    """
+    """Gradient of ln g(v) at v=mean: exact for a built-in family, extrapolated differences else."""
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     g0 = ray_exit_time(region, mean)
     if not (np.isfinite(g0) and g0 > 0.0):
         raise GradientDomainError("g is not finite and positive at the mean")
-    if region.family is not None and region.family["family"] == "halfspace":
-        a = np.asarray(region.family["s_coef"])
-        grad = -a / (a @ mean + region.family["t_coef"])
-    elif region.boundary_slope is not None:
-        grad = np.array([1.0 / (region.boundary_slope(g0) - mean[0])])
-    else:
-        from .oracle import log_gradient
-        grad = log_gradient(region, mean, g0)
+    grad = region.log_gradient(mean, g0)
     if not np.all(np.isfinite(grad)):
         raise GradientDomainError("non-finite log-gradient")
     return grad
@@ -522,9 +541,9 @@ def supporting_hyperplane(region: Region, mean, grad=None) -> Hyperplane:
     chosen so the mean gap equals one, and the level equals the crossing
     time.  With the exact gradient of a built-in family the plane is exact:
     the boundary itself for a flat family, the tangent on the convex side of
-    a power boundary (``ray_exit_time`` refuses the other side).  An oracle
-    region or a supplied gradient gets ``support_audit``, which guards
-    against bad gradients or a non-convex region.
+    a power boundary (``ray_exit_time`` refuses the other side).  A region
+    without closed forms, or a supplied gradient, gets ``support_audit``,
+    which guards against bad gradients or a non-convex region.
     """
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     m = mean_ray_crossing(region, mean)
@@ -539,7 +558,7 @@ def supporting_hyperplane(region: Region, mean, grad=None) -> Hyperplane:
     a = -use
     b = 1.0 - float(a @ mean)
     hyp = Hyperplane(s_coef=a, t_coef=b, level=m, anchor=m)
-    if region.family is None or grad is not None:
+    if not region.closed_form or grad is not None:
         support_audit(region, hyp, mean)
     return hyp
 
@@ -575,36 +594,15 @@ def hyperplane_slice_distance(hyp: Hyperplane, n: float, mean) -> float:
     return (1.0 - hyp.anchor / n) * abs(hyp.mean_gap(mean)) / hyp.norm
 
 
-def _closed_slice_distance(region: Region, n: float, mu: np.ndarray) -> float:
-    """max(0, -slack(n, n mu)) / (n |beta|) for a built-in family.
-
-    At fixed n the slack is affine in s; |beta| is |s_coef| for a halfspace, 1 for a curve.
-    """
-    slack = float(region.slack_batch(n, n * mu))
-    if slack >= 0.0:
-        return 0.0
-    if region.time_slab:
-        raise EmptySliceError(f"the slice at n={n} is empty")
-    p = region.family
-    norm = float(np.linalg.norm(p["s_coef"])) if p["family"] == "halfspace" else 1.0
-    return -slack / (n * norm)
-
-
 def slice_distance(region: Region, n: float, mean, tol: float = 1e-9) -> float:
     """Euclidean distance from the mean to {z : (n, n z) in the closed region}.
 
-    Exact for the built-in families.  An oracle region is searched
-    (``oracle.slice_distance``): bisection for d=1, an angular refinement
-    for d=2, and a derivative-free projected search (approximate) for
-    d >= 3.  Returns 0 when the mean itself lies in the slice.
+    Exact for the built-in families; an oracle region's search is
+    approximate for d >= 3.  Returns 0 when the mean lies in the slice.
     """
     if not region.convex_closure:
         raise RegionError("slice distance requires the asserted convex closure")
-    mu = np.atleast_1d(np.asarray(mean, dtype=float))
-    if region.family is None:
-        from .oracle import slice_distance as search
-        return search(region, n, mu, tol)
-    return _closed_slice_distance(region, n, mu)
+    return region.slice_distance(n, np.atleast_1d(np.asarray(mean, dtype=float)), tol)
 
 
 def convexity_audit(region: Region, t_max: float, s_span, n_pairs: int = 200,
@@ -639,9 +637,4 @@ def slice_side(region: Region, n: float, mean, tol: float = 1e-9) -> str:
         raise RegionError("slice_side is defined for scalar regions only")
     if region.contains(n, n * mu):
         return "inside"
-    if region.family is None:
-        from .oracle import slice_side as search
-        return search(region, n, mu, tol)[0]
-    if region.time_slab:
-        raise EmptySliceError(f"the slice at n={n} is empty")
-    return "above" if region.orientation == "ge" else "below"
+    return region.slice_side(n, mu, tol)

@@ -77,11 +77,10 @@ class _RegionViews:
         Along a ray a built-in region has g = (alpha/rate)^(1/k) with the
         rate affine in v, so 1/g = (rate/alpha)^(1/k) is affine for a flat
         family (k = 1), which keeps its declaration, and strictly convex for
-        a power boundary (k < 1), whatever is declared.  An oracle region
-        keeps its declaration.
+        a power boundary (k < 1), whatever is declared.  An oracle region,
+        which has no power exponent, keeps its declaration.
         """
-        coefs = self.continuity_view.ray_coefficients
-        return self.declared("concave_rule") and (coefs is None or coefs[3] == 1.0)
+        return self.declared("concave_rule") and self.continuity_view.power_exponent is None
 
 
 @dataclass
@@ -109,11 +108,11 @@ class ScenarioBundle(_RegionViews):
         """Level c of a flat stopping threshold {s >= c}, in whatever family it is written.
 
         The boundary s = f(t) is flat when its exact slope is 0; t = 1
-        avoids the power family's infinite slope at t = 0.
+        avoids the power family's infinite slope at t = 0.  Only a region
+        with a boundary curve has an orientation.
         """
         view = self.stopping_view
-        slope = view.boundary_slope
-        if slope is not None and view.orientation == "ge" and slope(1.0) == 0.0:
+        if view.orientation == "ge" and view.boundary_slope(1.0) == 0.0:
             return float(view.scalar_boundary(1.0))
         return None
 

@@ -4,10 +4,9 @@ Three operations: maximize the time coordinate over a slab-constrained
 region slice, maximize a concave function over a box, and maximize the
 fractional vertex form over the corners of the unit cube.  All of them are
 deterministic given their tolerances and seeds.  The slab maximum bisects
-in t; each feasibility test is exact for a built-in region and searched
-by membership, in ``oracle``, for an oracle region.  The box maximum is
-a function kernel (golden section for d = 1, multi-start ascent above),
-which the bounds call for oracle regions only.
+in t, and the region tests each t (``Region.slab_feasibility``).  The box
+maximum is a function kernel (golden section for d = 1, multi-start ascent
+above), which oracle regions call for the maximum of their ray exit.
 """
 
 from __future__ import annotations
@@ -83,36 +82,13 @@ def max_time_in_region(region: Region, slab: Slab, t_cap: float = 2.0**30,
     bisects between it and the last infeasible t above it.  Feasibility at
     t_cap is reported as an unbounded domain; feasibility nowhere as an
     empty one.  A built-in region tests each t exactly, with no membership
-    call: a d = 1 curve s = f(t) compares f(t) with the box edge on its
-    side, and a halfspace (time slabs included) takes its slack at the box
-    corner that maximizes it, lo_i where beta_i > 0 and hi_i elsewhere.  An
-    oracle region is searched (``oracle.slab_feasible``).
+    call, and an oracle region searches its slice.
     """
     if not region.convex_closure:
         raise ValueError("max_time_in_region requires the asserted convex closure")
     if slab.is_empty:
         return SlabMaxResult(0.0, empty_domain=True)
-
-    if region.scalar_boundary is not None:
-        f, le = region.scalar_boundary, region.orientation == "le"
-
-        def feasible(t: float) -> bool:
-            lo, hi = slab.box(t)
-            lo, hi = float(lo[0]), float(hi[0])
-            return lo <= hi and (lo <= f(t) if le else hi >= f(t))
-    elif region.family is not None:
-        take_lo = region.linear_slack[1] > 0.0
-
-        def feasible(t: float) -> bool:
-            lo, hi = slab.box(t)
-            return not np.any(lo > hi) and region.slack_batch(t, np.where(take_lo, lo, hi)) >= 0.0
-    else:
-        from .oracle import slab_feasible
-
-        def feasible(t: float) -> bool:
-            lo, hi = slab.box(t)
-            return not np.any(lo > hi) and slab_feasible(region, t, lo, hi, tol)
-
+    feasible = region.slab_feasibility(slab, tol)
     if feasible(t_cap):
         return SlabMaxResult(math.inf, unbounded=True)
     hi, lo = bracket(feasible, 0.5 * t_cap, 0.5, 1e-12, t_cap)
@@ -176,8 +152,8 @@ def max_concave_over_box(fun: Callable[[np.ndarray], float], lo, hi,
 
     The corners (for d <= 12) and the centre first, then golden-section
     search for d=1 and projected multi-start ascent for d >= 2.  An infinite
-    probe value propagates as the maximum.  The bounds call it for oracle
-    regions only; a built-in family has ``geometry.ray_exit_box_max``.
+    probe value propagates as the maximum.  An oracle region's
+    ``exit_box_max`` calls it; a built-in family has a closed form.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))

@@ -1,18 +1,19 @@
-"""Membership searches: how an oracle region answers what built-in families answer in closed form.
+"""Oracle regions: known by membership alone, they search what built-in families answer exactly.
 
-A region from ``geometry.region_from_oracle`` is known only by membership,
-like the general convex regions of the paper.  Ray exits and entries, the
-log-gradient, slice sides and distances and slab feasibility are searched
-with the ``optimize`` kernels: ``bracket`` (double or halve until membership
-flips), ``bisect`` and ``golden_section_max``.  ``geometry`` and
-``optimize`` import this module on the first oracle call, so the built-in
-path never loads it; its searches are the reference for every closed form.
+``geometry.region_from_oracle`` makes an ``OracleRegion``, like the general
+convex regions of the paper, and imports this module on its first call, so
+the built-in path never loads it.  Its methods use the ``optimize`` kernels
+``bracket`` (double or halve until membership flips), ``bisect``,
+``golden_section_max`` and ``max_concave_over_box``; their searches are the
+reference for every closed form.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -24,8 +25,9 @@ from .geometry import (
     NonConvexityError,
     Region,
     RegionError,
+    ray_exit_time,
 )
-from .optimize import bisect, bracket, golden_section_max
+from .optimize import bisect, bracket, golden_section_max, max_concave_over_box
 
 
 def _boundary_root(member, inside: float, outside: float, tol=None) -> float:
@@ -66,177 +68,204 @@ def _audit_exit(member, lo: float, hi: float):
             raise NonConvexityError("membership recurs along the ray beyond the exit")
 
 
-def ray_exit(region: Region, v: np.ndarray, tol=None, t_start: float = 1.0) -> float:
-    """sup{t >= 0 : (t, t v) in the region} from a bracket at ``t_start``, audited, bisected."""
-    member = _ray_member(region, v)
-    if not member(0.0):
-        raise RegionError("asserted origin containment fails at (0, 0)")
-    lo, hi = _bracket_ray_exit(member, max(float(t_start), 1e-12))
-    if hi is None:
-        return math.inf
-    _audit_exit(member, lo, hi)
-    return _boundary_root(member, lo, hi, tol)
+@dataclass(frozen=True)
+class OracleRegion(Region):
+    """Known by ``membership(t, s)`` alone (s a (d,) float vector): no slack or complement."""
 
+    membership: Callable[[float, np.ndarray], bool]
 
-def ray_entry_and_exit(region: Region, v: np.ndarray, tol=None):
-    """(inf A, sup A) of A = {t >= 0 : (t, t v) in the region}, or (None, None).
+    slack_batch = None
 
-    An entry past the origin is scanned for by doubling from 2**-40.
-    """
-    member = _ray_member(region, v)
-    if member(0.0):
-        entry, t_in = 0.0, 1.0
-    else:
-        prev, t_in = bracket(member, 2.0**-40, 2.0, _RAY_CAP, 0.0)
-        if t_in is None:
-            return None, None
-        entry = _boundary_root(member, t_in, prev, tol)
-    lo, hi = _bracket_ray_exit(member, t_in)
-    return entry, math.inf if hi is None else _boundary_root(member, lo, hi, tol)
+    def inside(self, ts, ss, strict: bool = False):
+        """Membership asked point by point over any leading shape; there is no open variant."""
+        ss = np.asarray(ss, dtype=float)
+        if ss.ndim == 1:
+            return bool(self.membership(ts, ss))
+        ts = np.broadcast_to(ts, ss.shape[:-1])
+        hits = [bool(self.membership(t, s))
+                for t, s in zip(ts.ravel(), ss.reshape(-1, ss.shape[-1]))]
+        return np.array(hits, dtype=bool).reshape(ts.shape)
 
+    def complement_closure(self):
+        raise RegionError("complement_closure requires a built-in region family")
 
-def log_gradient(region: Region, mean: np.ndarray, g0: float) -> np.ndarray:
-    """Richardson-extrapolated central differences of ln g at the mean, where g = g0."""
-    # bisect the stencil's exit times far below the difference step, whose
-    # quotient divides their error by about 1e-5
-    tol = 1e-13 * g0
-    grad = np.empty(mean.shape[0])
-    for k in range(mean.shape[0]):
-        h = 1e-5 * max(1.0, abs(mean[k]))
+    def ray_exit(self, v: np.ndarray, tol=None, t_start: float = 1.0) -> float:
+        """sup{t >= 0 : (t, t v) in the region} from a bracket at ``t_start``, audited, bisected."""
+        member = _ray_member(self, v)
+        if not member(0.0):
+            raise RegionError("asserted origin containment fails at (0, 0)")
+        lo, hi = _bracket_ray_exit(member, max(float(t_start), 1e-12))
+        if hi is None:
+            return math.inf
+        _audit_exit(member, lo, hi)
+        return _boundary_root(member, lo, hi, tol)
 
-        def central(hh):
-            vp = mean.copy()
-            vm = mean.copy()
-            vp[k] += hh
-            vm[k] -= hh
-            gp = ray_exit(region, vp, tol, g0)
-            gm = ray_exit(region, vm, tol, g0)
-            if not (np.isfinite(gp) and np.isfinite(gm) and gp > 0.0 and gm > 0.0):
-                raise GradientDomainError("g not finite in the difference stencil")
-            return (math.log(gp) - math.log(gm)) / (2.0 * hh)
+    def exit_box_max(self, lo, hi) -> float:
+        """The box search of ``max_concave_over_box`` on g = ``ray_exit_time``."""
+        return max_concave_over_box(lambda v: ray_exit_time(self, v), lo, hi)
 
-        coarse, fine = central(h), central(0.5 * h)
-        grad[k] = (4.0 * fine - coarse) / 3.0
-    return grad
+    def entry_and_exit(self, v: np.ndarray, tol=None):
+        """(inf A, sup A) of A = {t >= 0 : (t, t v) in the region}, or (None, None).
 
+        An entry past the origin is scanned for by doubling from 2**-40.
+        """
+        member = _ray_member(self, v)
+        if member(0.0):
+            entry, t_in = 0.0, 1.0
+        else:
+            prev, t_in = bracket(member, 2.0**-40, 2.0, _RAY_CAP, 0.0)
+            if t_in is None:
+                return None, None
+            entry = _boundary_root(member, t_in, prev, tol)
+        lo, hi = _bracket_ray_exit(member, t_in)
+        return entry, math.inf if hi is None else _boundary_root(member, lo, hi, tol)
 
-def _radial_boundary(region: Region, n: float, mu: np.ndarray, u: np.ndarray, tol: float):
-    """Distance along direction u from mu to the nearest member of the slice, or inf."""
-    def member(r):
-        return region.contains(n, n * (mu + r * u))
+    def log_gradient(self, mean: np.ndarray, g0: float) -> np.ndarray:
+        """Richardson-extrapolated central differences of ln g at the mean, where g = g0."""
+        # bisect the stencil's exit times far below the difference step, whose
+        # quotient divides their error by about 1e-5
+        tol = 1e-13 * g0
+        grad = np.empty(mean.shape[0])
+        for k in range(mean.shape[0]):
+            h = 1e-5 * max(1.0, abs(mean[k]))
 
-    r0 = 1e-9 * max(1.0, float(np.linalg.norm(mu)))
-    outside, inside = bracket(member, r0, 2.0, r0 * 2.0**59, 0.0)
-    return math.inf if inside is None else _boundary_root(member, inside, outside, tol)
+            def central(hh):
+                vp = mean.copy()
+                vm = mean.copy()
+                vp[k] += hh
+                vm[k] -= hh
+                gp = self.ray_exit(vp, tol, g0)
+                gm = self.ray_exit(vm, tol, g0)
+                if not (np.isfinite(gp) and np.isfinite(gm) and gp > 0.0 and gm > 0.0):
+                    raise GradientDomainError("g not finite in the difference stencil")
+                return (math.log(gp) - math.log(gm)) / (2.0 * hh)
 
+            coarse, fine = central(h), central(0.5 * h)
+            grad[k] = (4.0 * fine - coarse) / 3.0
+        return grad
 
-def slice_side(region: Region, n: float, mu: np.ndarray, tol: float):
-    """("above" | "below", distance) of the nearest member of a d = 1 slice that misses mu."""
-    above, below = (_radial_boundary(region, n, mu, np.array([sgn]), tol) for sgn in (1.0, -1.0))
-    if math.isinf(min(above, below)):
-        raise EmptySliceError(f"no member of the slice at n={n} found near the mean")
-    return ("above", above) if above <= below else ("below", below)
+    def _radial_boundary(self, n: float, mu: np.ndarray, u: np.ndarray, tol: float):
+        """Distance along direction u from mu to the nearest member of the slice, or inf."""
+        def member(r):
+            return self.contains(n, n * (mu + r * u))
 
+        r0 = 1e-9 * max(1.0, float(np.linalg.norm(mu)))
+        outside, inside = bracket(member, r0, 2.0, r0 * 2.0**59, 0.0)
+        return math.inf if inside is None else _boundary_root(member, inside, outside, tol)
 
-def _slice_distance_2d(region: Region, n: float, mu: np.ndarray, tol: float) -> float:
-    def radial(a):
-        return _radial_boundary(region, n, mu, np.array([math.cos(a), math.sin(a)]), tol)
+    def _nearest_side(self, n: float, mu: np.ndarray, tol: float):
+        """("above" | "below", distance) of the nearest member of a d = 1 slice that misses mu."""
+        above, below = (self._radial_boundary(n, mu, np.array([sgn]), tol) for sgn in (1.0, -1.0))
+        if math.isinf(min(above, below)):
+            raise EmptySliceError(f"no member of the slice at n={n} found near the mean")
+        return ("above", above) if above <= below else ("below", below)
 
-    angles = np.linspace(0.0, 2.0 * math.pi, 721)[:-1]
-    dists = np.array([radial(a) for a in angles])
-    if not np.any(np.isfinite(dists)):
-        raise EmptySliceError(f"no member of the slice at n={n} found near the mean")
-    best = int(np.argmin(dists))
-    span = angles[1] - angles[0]
-    # an angle off by 1e-12 moves the distance by about 1e-24 of it, far
-    # below the bisection error of each radial distance
-    refined = -golden_section_max(lambda a: -radial(a), angles[best] - span, angles[best] + span,
-                                  1e-12)
-    return min(refined, float(dists[best]))
+    def slice_side(self, n: float, mu: np.ndarray, tol: float) -> str:
+        return self._nearest_side(n, mu, tol)[0]
 
+    def _slice_distance_2d(self, n: float, mu: np.ndarray, tol: float) -> float:
+        def radial(a):
+            return self._radial_boundary(n, mu, np.array([math.cos(a), math.sin(a)]), tol)
 
-def _slice_distance_nd(region: Region, n: float, mu: np.ndarray, tol: float) -> float:
-    def member(z: np.ndarray) -> bool:
-        return region.contains(n, n * z)
+        angles = np.linspace(0.0, 2.0 * math.pi, 721)[:-1]
+        dists = np.array([radial(a) for a in angles])
+        if not np.any(np.isfinite(dists)):
+            raise EmptySliceError(f"no member of the slice at n={n} found near the mean")
+        best = int(np.argmin(dists))
+        span = angles[1] - angles[0]
+        # an angle off by 1e-12 moves the distance by about 1e-24 of it, far
+        # below the bisection error of each radial distance
+        refined = -golden_section_max(lambda a: -radial(a), angles[best] - span,
+                                      angles[best] + span, 1e-12)
+        return min(refined, float(dists[best]))
 
-    d = mu.shape[0]
-    rng = np.random.default_rng(11)
-    candidates = []
-    for u in _directions(d, 4 * d, rng):
-        r = _radial_boundary(region, n, mu, u, tol)
-        if math.isfinite(r):
-            candidates.append(mu + r * u)
-    if not candidates:
-        raise EmptySliceError(f"no member of the slice at n={n} found near the mean")
-    best = min(candidates, key=lambda z: np.linalg.norm(z - mu))
-    best_d = float(np.linalg.norm(best - mu))
-    # derivative-free descent over the convex slice: random steps, shrinking
-    # radius, four restarts of 2500 steps
-    for _ in range(4):
-        z, dist, h = best.copy(), best_d, 0.5 * best_d
-        for it in range(2500):
-            u = rng.normal(size=d)
-            u /= np.linalg.norm(u)
-            cand = z + h * u
-            if member(cand):
-                cd = float(np.linalg.norm(cand - mu))
-                if cd < dist:
-                    z, dist = cand, cd
-                    continue
-            if it % 40 == 39:
-                h *= 0.8
-                if h < tol:
-                    break
-        if dist < best_d:
-            best_d, best = dist, z
-    return best_d
+    def _slice_distance_nd(self, n: float, mu: np.ndarray, tol: float) -> float:
+        def member(z: np.ndarray) -> bool:
+            return self.contains(n, n * z)
 
+        d = mu.shape[0]
+        rng = np.random.default_rng(11)
+        candidates = []
+        for u in _directions(d, 4 * d, rng):
+            r = self._radial_boundary(n, mu, u, tol)
+            if math.isfinite(r):
+                candidates.append(mu + r * u)
+        if not candidates:
+            raise EmptySliceError(f"no member of the slice at n={n} found near the mean")
+        best = min(candidates, key=lambda z: np.linalg.norm(z - mu))
+        best_d = float(np.linalg.norm(best - mu))
+        # derivative-free descent over the convex slice: random steps, shrinking
+        # radius, four restarts of 2500 steps
+        for _ in range(4):
+            z, dist, h = best.copy(), best_d, 0.5 * best_d
+            for it in range(2500):
+                u = rng.normal(size=d)
+                u /= np.linalg.norm(u)
+                cand = z + h * u
+                if member(cand):
+                    cd = float(np.linalg.norm(cand - mu))
+                    if cd < dist:
+                        z, dist = cand, cd
+                        continue
+                if it % 40 == 39:
+                    h *= 0.8
+                    if h < tol:
+                        break
+            if dist < best_d:
+                best_d, best = dist, z
+        return best_d
 
-def slice_distance(region: Region, n: float, mu: np.ndarray, tol: float) -> float:
-    """Distance from mu to {z : (n, n z) in the region}: 0 when mu is a member."""
-    if region.contains(n, n * mu):
-        return 0.0
-    if mu.shape[0] == 1:
-        return slice_side(region, n, mu, tol)[1]
-    if mu.shape[0] == 2:
-        return _slice_distance_2d(region, n, mu, tol)
-    return _slice_distance_nd(region, n, mu, tol)
+    def slice_distance(self, n: float, mu: np.ndarray, tol: float) -> float:
+        """Distance from mu to {z : (n, n z) in the region}: 0 when mu is a member."""
+        if self.contains(n, n * mu):
+            return 0.0
+        if mu.shape[0] == 1:
+            return self._nearest_side(n, mu, tol)[1]
+        if mu.shape[0] == 2:
+            return self._slice_distance_2d(n, mu, tol)
+        return self._slice_distance_nd(n, mu, tol)
 
+    def slab_feasibility(self, slab, tol: float):
+        """t -> whether the box ``slab.box(t)`` meets the slice at t.
 
-def slab_feasible(region: Region, t: float, lo: np.ndarray, hi: np.ndarray, tol: float) -> bool:
-    """Whether the box [lo, hi] (lo <= hi) meets the region's slice at time t.
+        Failing the centre, the corners (up to d = 12) and a 65-point sweep
+        of each of the d axis segments through the centre, each probe walks
+        toward a member found by doubling from the centre; a boundary point
+        so found within tol of the box counts.  The doubling starts outside
+        the box, so a bounded slice inside the box is found only by the
+        probes: the sweep finds any such slice that covers more than 1/64
+        of one of those segments.
+        """
+        return lambda t: self._meets_box(t, *slab.box(t), tol)
 
-    Failing the centre, the corners (up to d = 12) and, for d = 1, a
-    65-point sweep of [lo, hi], each probe walks toward a member found by
-    doubling from the centre; a boundary point so found within tol of the
-    box counts.  The doubling starts outside the box, so a bounded slice
-    inside the box is found only by the probes: the sweep finds any such
-    d = 1 slice wider than (hi - lo)/64.
-    """
-    def member(s: np.ndarray) -> bool:
-        return region.contains(t, s)
+    def _meets_box(self, t: float, lo: np.ndarray, hi: np.ndarray, tol: float) -> bool:
+        def member(s: np.ndarray) -> bool:
+            return self.contains(t, s)
 
-    d = lo.shape[0]
-    center = 0.5 * (lo + hi)
-    probes = [center]
-    if d <= 12:
-        probes += [np.where(np.array(mask, dtype=bool), hi, lo)
-                   for mask in itertools.product((0, 1), repeat=d)]
-    sweep = np.linspace(lo, hi, 65) if d == 1 else ()
-    if any(member(p) for p in itertools.chain(probes, sweep)):
-        return True
-    r0 = float(np.max(hi - lo) + np.max(np.abs(center)) + 1.0)
-    for u in _directions(d, 2 * d, np.random.default_rng(1234)):
-        _, r = bracket(lambda r: member(center + r * u), r0, 2.0, r0 * 2.0**47)
-        if r is not None:
-            anchor = center + r * u
-            break
-    else:
-        return False
+        if np.any(lo > hi):
+            return False
+        d = lo.shape[0]
+        center = 0.5 * (lo + hi)
+        probes = [center]
+        if d <= 12:
+            probes += [np.where(np.array(mask, dtype=bool), hi, lo)
+                       for mask in itertools.product((0, 1), repeat=d)]
+        grid, axis = np.linspace(lo, hi, 65), np.arange(d)
+        sweep = (np.where(axis == k, row, center) for k in range(d) for row in grid)
+        if any(member(p) for p in itertools.chain(probes, sweep)):
+            return True
+        r0 = float(np.max(hi - lo) + np.max(np.abs(center)) + 1.0)
+        for u in _directions(d, 2 * d, np.random.default_rng(1234)):
+            _, r = bracket(lambda r: member(center + r * u), r0, 2.0, r0 * 2.0**47)
+            if r is not None:
+                anchor = center + r * u
+                break
+        else:
+            return False
 
-    def walked(p):  # the boundary point on the segment from the probe p to the anchor
-        step = anchor - p
-        return p + _boundary_root(lambda x: member(p + x * step), 1.0, 0.0, 2.0**-60) * step
+        def walked(p):  # the boundary point on the segment from the probe p to the anchor
+            step = anchor - p
+            return p + _boundary_root(lambda x: member(p + x * step), 1.0, 0.0, 2.0**-60) * step
 
-    return any(np.all(b >= lo - tol) and np.all(b <= hi + tol)
-               for b in itertools.chain([anchor], map(walked, probes)))
+        return any(np.all(b >= lo - tol) and np.all(b <= hi + tol)
+                   for b in itertools.chain([anchor], map(walked, probes)))

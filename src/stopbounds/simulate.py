@@ -446,9 +446,8 @@ def _leaves_at_once(region: Region, sigma: np.ndarray) -> bool:
     the law of the iterated logarithm).  So W_t - c*t^e changes sign at
     once and tau = 0 almost surely, for either orientation and kind.
     """
-    family = region.family
-    return (family is not None and family["family"] == "power"
-            and family["exponent"] >= 0.5 and bool(np.any(sigma != 0.0)))
+    exponent = region.power_exponent
+    return exponent is not None and exponent >= 0.5 and bool(np.any(sigma != 0.0))
 
 
 def run_brownian(region: Region, drift, diffusion, dt: float, n_runs: int,

@@ -10,7 +10,7 @@ import pytest
 import stopbounds as sb
 import stopbounds.oracle  # sets sb.oracle, whose searches a test counts
 from stopbounds.bounds import ALL_TAGS, UPPER_TAGS, overshoot_upper_bound
-from stopbounds import bounds, geometry
+from stopbounds import geometry
 from stopbounds.harness import BrownianBundle, ScenarioBundle, bound_report, brownian_report
 from stopbounds.scenarios import brownian_cases, certification_matrix
 
@@ -28,7 +28,7 @@ def test_stopping_lower_bound_examples():
 
 
 def test_stopping_lower_bound_requires_flags():
-    region = sb.Region(kind="stopping", dim=1, membership=lambda t, s: s[0] >= 5)
+    region = sb.region_from_oracle(lambda t, s: s[0] >= 5, dim=1, kind="stopping")
     report = sb.stopping_region_lower_bound(region, 1.0)
     assert not report.applicable
 
@@ -550,7 +550,7 @@ def test_shipped_bound_reports_never_search(monkeypatch):
     # support audit fails here
     calls = collections.Counter()
     for owner, name in ((sb.oracle, "_boundary_root"), (sb.oracle, "_bracket_ray_exit"),
-                        (geometry, "sample_member_points"), (bounds, "max_concave_over_box")):
+                        (geometry, "sample_member_points"), (sb.oracle, "max_concave_over_box")):
         def counted(*args, _name=name, _search=getattr(owner, name), **kwargs):
             calls[_name] += 1
             return _search(*args, **kwargs)
@@ -596,6 +596,26 @@ def test_shipped_bound_reports_probe_membership_only_in_slice_side(monkeypatch):
                                    contains_origin=True)
     assert sb.ray_exit_time(oracle, 1.0) == pytest.approx(5.0, abs=1e-8)
     assert callers["member"] > 0
+
+
+def test_matrix_reports_agree_with_those_of_the_oracle_twins():
+    # each matrix row against its region as a bare predicate, tag by tag: the
+    # closed forms against the searches.  A twin has no complement (T8, the
+    # stopping row, Lorden) and no boundary slope (vipformula), so those
+    # reports differ by design; the others agree where both are finite
+    compared, tags = 0, set()
+    for row in certification_matrix(10):
+        built_in, r = row["bundle"], row["bundle"].region
+        twin = dataclasses.replace(built_in, region=sb.region_from_oracle(
+            r.contains, r.dim, r.kind, r.convex_closure, r.contains_origin))
+        for tag in row["tags"]:
+            closed, searched = bound_report(tag, built_in), bound_report(tag, twin)
+            if (closed.applicable and searched.applicable
+                    and math.isfinite(closed.value) and math.isfinite(searched.value)):
+                assert searched.value == pytest.approx(closed.value, rel=1e-6), (built_in.name, tag)
+                compared += 1
+                tags.add(tag)
+    assert compared == 101 and len(tags) == 15
 
 
 @pytest.mark.parametrize("exponent", [0.3, 0.5])

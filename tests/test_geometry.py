@@ -366,7 +366,7 @@ def test_oracle_region_bisection_fallback():
 
 
 def test_flag_requirements():
-    region = sb.Region(kind="continuity", dim=1, membership=lambda t, s: s[0] <= 5.0)
+    region = sb.region_from_oracle(lambda t, s: s[0] <= 5.0, dim=1, kind="continuity")
     with pytest.raises(RegionError):
         sb.ray_exit_time(region, 1.0)
     with pytest.raises(RegionError):

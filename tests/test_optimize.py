@@ -93,6 +93,22 @@ def test_max_time_finds_a_d1_oracle_slice_inside_the_box_away_from_its_centre():
         assert res.value == pytest.approx(10.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("d,axis", [(2, 0), (2, 1), (3, 2)])
+def test_max_time_finds_an_oracle_slice_inside_the_box_along_an_axis_segment(d, axis):
+    # the convex band {|s_axis - 2t| <= 1, |s_j| <= 1 otherwise, t <= 10} leaves
+    # the box centre at t = 0.5 and misses every corner of [-50, 50]^d, but its
+    # slice crosses the axis segment through the centre up to t = 10
+    def member(t, s):
+        others = np.delete(s, axis)
+        return abs(s[axis] - 2.0 * t) <= 1.0 and bool(np.all(np.abs(others) <= 1.0)) and t <= 10.0
+
+    band = sb.region_from_oracle(member, d, convex_closure=True, contains_origin=True)
+    zero = np.zeros(d)
+    res = sb.max_time_in_region(band, sb.Slab(zero, zero, np.full(d, -50.0), np.full(d, 50.0)))
+    assert not res.empty_domain
+    assert res.value == pytest.approx(10.0, abs=1e-8)
+
+
 def test_max_concave_over_box_examples():
     val = sb.max_concave_over_box(lambda x: 5.0 / x[0], [0.4], [0.6], tol=1e-12)
     assert val == pytest.approx(12.5, abs=1e-9)

@@ -72,6 +72,28 @@ def test_discrete_paths_calls_the_swapped_slack(region, spec):
     assert np.array_equal(traced.stop_n, plain.stop_n)
 
 
+@pytest.mark.parametrize("region", [
+    sb.constant_region(5.0),
+    sb.region_from_oracle(lambda t, s: s[0] <= 5.0, 1),
+], ids=["built-in", "oracle"])
+def test_run_discrete_passes_the_tracers_slack_check(region):
+    # the tracer reads region.slack_batch on every region it simulates and
+    # swaps in a counting slack when there is one; an oracle region has none
+    # and is walked as it is
+    points = []
+
+    def counting(ts, ss):
+        points.append(len(ts))
+        return region.slack_batch(ts, ss)
+
+    traced = region if region.slack_batch is None else dataclasses.replace(
+        region, slack_batch=counting)
+    estimate = simulate.run_discrete(traced, SCALAR, sb.naturals(), 64, seed=3)
+    plain = simulate.run_discrete(region, SCALAR, sb.naturals(), 64, seed=3)
+    assert (estimate.mean, estimate.stderr) == (plain.mean, plain.stderr)
+    assert (region.slack_batch is not None) == region.closed_form == (sum(points) > 0)
+
+
 class _CountingGenerator:
     """Generator proxy that counts the variates each method hands out."""
 

@@ -306,12 +306,18 @@ def _mk_region(family: dict, dim: int, slack_batch, convex: bool) -> FamilyRegio
 
 
 def _curve_region(family: dict, convex: bool) -> FamilyRegion:
-    """The d = 1 region on one side of s = f(t), with slack sgn*(f(t) - s)."""
-    sgn = _sign(family["orientation"])
-    f = _CURVES[family["family"]](**family)[0]
+    """The d = 1 region on one side of s = f(t), with slack f(t) - s ("le") or s - f(t) ("ge").
 
-    def slack_batch(ts, ss):
-        return sgn * (f(ts) - ss[..., 0])
+    IEEE subtraction is antisymmetric, so s - f(t) is -(f(t) - s) but for
+    the sign of a zero slack, in one pass over the sums.
+    """
+    f = _CURVES[family["family"]](**family)[0]
+    if _sign(family["orientation"]) > 0.0:
+        def slack_batch(ts, ss):
+            return f(ts) - ss[..., 0]
+    else:
+        def slack_batch(ts, ss):
+            return ss[..., 0] - f(ts)
 
     return _mk_region(family, 1, slack_batch, convex)
 
@@ -355,12 +361,14 @@ def halfspace_region(s_coef, t_coef: float, level: float, orientation: str = "le
     """
     a = np.atleast_1d(np.asarray(s_coef, dtype=float))
     b, c = float(t_coef), float(level)
-    sgn = _sign(orientation)
     family = {"family": "halfspace", "s_coef": tuple(float(x) for x in a), "t_coef": b,
               "level": c, "orientation": orientation, "kind": kind}
-
-    def slack_batch(ts, ss):
-        return sgn * (c - (ss @ a + b * ts))
+    if _sign(orientation) > 0.0:  # no sign pass, as for a curve
+        def slack_batch(ts, ss):
+            return c - (ss @ a + b * ts)
+    else:
+        def slack_batch(ts, ss):
+            return (ss @ a + b * ts) - c
 
     return _mk_region(family, a.shape[0], slack_batch, True)
 

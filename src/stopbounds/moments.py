@@ -215,8 +215,11 @@ def _uniform_moments(p: dict):
 def _bernoulli_draw(p: dict, rng, out: np.ndarray):
     rng.random(out=out)
     np.less(out, p["p"], out=out)  # x0 + (x1 - x0) * [u < p]
-    out *= p["x1"] - p["x0"]
-    out += p["x0"]
+    # [u < p] is +0.0 or 1.0, which a unit width and a zero x0 leave as they are
+    if p["x1"] - p["x0"] != 1.0:
+        out *= p["x1"] - p["x0"]
+    if p["x0"] != 0.0:
+        out += p["x0"]
 
 
 def _uniform_draw(p: dict, rng, out: np.ndarray):

@@ -8,10 +8,13 @@ more than a short walk uses, to ``_BLOCK``.  Runs that stopped are dropped
 before the next block.  Block b of chunk c draws from the counter-based
 stream keyed by (seed, grid, c, b), one row per live run in run order.
 The chunk size depends on neither ``n_runs`` nor the worker count, so
-results are bit-identical for any number of workers.  Each worker walks
-its share of the chunks with one ``StreamPool`` and draws every block in
-place into one scratch block of ``_CHUNK x _BLOCK x d`` doubles, so a walk
-allocates no block arrays.  ``replay_run`` rebuilds one run's increments
+results are bit-identical for any number of workers.  Of W = min(workers,
+chunks) shares, share w takes chunks w, w + W, ... with one ``StreamPool``
+(``_in_shares``); a walk's share draws every block in place into one
+scratch block of ``_CHUNK x _BLOCK x d`` doubles, so a walk allocates no
+block arrays.  The calling thread takes share 0 and one module-wide thread
+pool, built on the first call with more than one share and capped at the
+CPU count, takes the others.  ``replay_run`` rebuilds one run's increments
 from this layout.
 
 Discrete walks apply the stopping rule only at schedule sizes, which are
@@ -21,8 +24,9 @@ default (a strict variant is a switch).
 Brownian motion leaves a region with a flat boundary (constant, affine
 and halfspace families) at an inverse-Gaussian time, which is sampled
 exactly: one draw per run, and chunk c takes all of its draws from the
-single stream keyed (seed, grid 2, c, block 0).  With noise it leaves a
-power boundary c*t^e with e >= 1/2 at time 0, which needs no draw at all.
+single stream keyed (seed, grid 2, c, block 0); its chunks are shared out
+as the walk's are.  With noise it leaves a power boundary c*t^e with
+e >= 1/2 at time 0, which needs no draw at all.
 Other regions are walked by the engine as Euler increments (grid 1 at dt,
 grid 0 at dt/4) with a checkpoint at every step and strict continuation,
 so that drift-only passages land exactly on the boundary grid point.
@@ -31,6 +35,7 @@ so that drift-only passages land exactly on the boundary grid point.
 from __future__ import annotations
 
 import math
+import os
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -41,7 +46,7 @@ from .geometry import Region
 from .moments import DistributionSpec, StreamPool, analytic_moments, sample_block, stream_for_run
 from .schedules import SampleSchedule
 
-_CHUNK = 4096  # runs per chunk: the unit of stream keying and of the thread pool
+_CHUNK = 4096  # runs per chunk: the unit of stream keying and of the shares
 _FIRST = 16    # steps in a chunk's first block; each next block doubles, up to _BLOCK
 _BLOCK = 128   # steps per block: a worker's scratch of 4096 runs x 128 steps is 4 MB at d = 1
 
@@ -102,10 +107,19 @@ def _exit_test(region: Region, boundary: str):
 
     Takes (steps,) checkpoint times and the (runs, steps, d) sums at them
     and gives (runs, steps) hits: ``Region.inside`` broadcasts the times
-    against the block as it is.
+    against the block as it is.  A stopping region's hits are its
+    membership; a continuity region negates its membership in place, so a
+    NaN slack reads as outside.
     """
-    strict, continuity = boundary == "strict", region.kind == "continuity"
-    return lambda ts, at: region.inside(ts, at, strict) != continuity
+    strict = boundary == "strict"
+    if region.kind == "stopping":
+        return lambda ts, at: region.inside(ts, at, strict)
+
+    def outside(ts, at):
+        hits = region.inside(ts, at, strict)
+        return np.logical_not(hits, out=hits)
+
+    return outside
 
 
 def _blocks(n_steps: int):
@@ -123,6 +137,62 @@ def _blocks(n_steps: int):
 def _stream_key(grid: int, chunk: int, block: int) -> int:
     """``StreamPool`` index of one block: 2 bits of grid, 30 of chunk, 32 of block."""
     return grid << 62 | chunk << 32 | block
+
+
+_executor = None  # the thread pool of both samplers, built by the first call with two shares
+_executor_lock = threading.Lock()
+
+
+def _thread_cap() -> int:
+    """Threads the pool may start: the CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _drop_executor():
+    """Forget the pool in a forked child: its threads do not exist there."""
+    global _executor, _executor_lock
+    _executor, _executor_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_executor)
+
+
+def _in_shares(walk: Callable[[range], None], n_chunks: int, workers: int):
+    """Call ``walk(range(w, n_chunks, W))`` for each share w of W = min(workers, n_chunks).
+
+    The calling thread walks share 0 and the module's pool the others.  A
+    share the pool has not started by the time the caller is done is taken
+    back and walked here, so no share waits on another, and shares queued
+    behind a saturated pool, or submitted from one of its threads, cannot
+    deadlock.  If a share raises, the others are cancelled or finished
+    before the error propagates, so none writes after the return.
+    """
+    global _executor
+    shares = max(1, min(workers, n_chunks))
+    parts = [range(w, n_chunks, shares) for w in range(shares)]
+    if shares == 1:
+        walk(parts[0])
+        return
+    from concurrent.futures import ThreadPoolExecutor, wait  # loads logging: only when threaded
+
+    with _executor_lock:
+        if _executor is None:
+            _executor = ThreadPoolExecutor(_thread_cap(), thread_name_prefix="stopbounds")
+        futures = [_executor.submit(walk, part) for part in parts[1:]]
+    try:
+        walk(parts[0])
+        for part, future in zip(parts[1:], futures):
+            if future.cancel():
+                walk(part)
+            else:
+                future.result()
+    finally:
+        for future in futures:
+            future.cancel()
+        wait(futures)
 
 
 class _Checkpoints:
@@ -154,16 +224,14 @@ def _walk(draw, checkpoints, stops, dim: int, n_steps: int, n_runs: int, seed: i
     is checked, and ``stops(ts, at)`` the exit test of the sums ``at`` at
     those steps, at times ``ts = step * scale``.  ``anchor`` is the time
     recorded as ``last_before`` for a stop at the first checkpoint;
-    truncated runs record ``cap`` as their stop.  Of W = min(workers, chunks)
-    workers, worker w walks chunks w, w + W, w + 2W, ... with one
-    ``StreamPool`` and one scratch block that every block it draws reuses.
+    truncated runs record ``cap`` as their stop.  Each share of the chunks
+    (``_in_shares``) walks them with one ``StreamPool`` and one scratch
+    block that every block it draws reuses.
     """
     stop_n = np.full(n_runs, float(cap))
     stop_sum = np.empty((n_runs, dim))
     last_before = np.empty(n_runs)
     truncated = np.zeros(n_runs, dtype=bool)
-    n_chunks = -(-n_runs // _CHUNK)
-    n_workers = max(1, min(workers, n_chunks))
     width = min(n_runs, _CHUNK)
 
     def run_chunk(chunk: int, pool: StreamPool, scratch: np.ndarray, carry: np.ndarray):
@@ -200,20 +268,14 @@ def _walk(draw, checkpoints, stops, dim: int, n_steps: int, n_runs: int, seed: i
         stop_sum[rows] = total
         last_before[rows] = last
 
-    def run_worker(worker: int):
+    def run_share(chunks: range):
         pool = StreamPool(seed)
         scratch = np.empty(width * min(n_steps, _BLOCK) * dim)
         carry = np.empty((width, dim))  # each live run's sum before the block
-        for chunk in range(worker, n_chunks, n_workers):
+        for chunk in chunks:
             run_chunk(chunk, pool, scratch, carry)
 
-    if n_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor  # loads logging: only when threaded
-
-        with ThreadPoolExecutor(max_workers=n_workers) as executor:
-            list(executor.map(run_worker, range(n_workers)))
-    else:
-        run_worker(0)
+    _in_shares(run_share, -(-n_runs // _CHUNK), workers)
     if bool(truncated.all()):
         raise AllTruncatedError("every run hit the horizon cap")
     return PathSample(stop_n, stop_sum, last_before, truncated, seed, float(horizon))
@@ -374,7 +436,7 @@ def _passage_times(rng: np.random.Generator, n: int, c: float, gamma: float,
 
 
 def _exact_paths(region: Region, drift_vec: np.ndarray, sigma: np.ndarray, n_runs: int,
-                 horizon: float, seed: int) -> PathSample:
+                 horizon: float, seed: int, workers: int = 1) -> PathSample:
     """Exact first passage through a flat boundary, one stream per chunk (grid 2, block 0).
 
     Y_t = <a, W_t> + b*t is a Brownian motion with drift gamma = <a, mu> + b
@@ -387,11 +449,9 @@ def _exact_paths(region: Region, drift_vec: np.ndarray, sigma: np.ndarray, n_run
     rejection, keeping a proposal with Y_h = y < c with the probability
     1 - exp(-2c(c - y)/(v h)) that the bridge between them stayed below c.
     Each chunk draws its passage times, then the residuals R of the runs
-    that exited, then the proposals for the truncated runs.  The chunks run
-    in order on the calling thread.  Split over two threads as ``_walk``
-    splits its chunks, the same draws took, on a 2-core machine (constant
-    boundary 4, drift 0.5, sigma 1, median of 9 calls): 1.54 -> 2.77 ms at
-    16 384 runs, 23.1 -> 14.3 ms at 262 144 and 84.8 -> 55.1 ms at 1 048 576.
+    that exited, then the proposals for the truncated runs.  The chunks are
+    shared out over ``workers`` as the walk's are (``_in_shares``), one
+    ``StreamPool`` per share.
     """
     a, b, c = _passage_line(region)
     gamma = float(a @ drift_vec) + b
@@ -417,20 +477,23 @@ def _exact_paths(region: Region, drift_vec: np.ndarray, sigma: np.ndarray, n_run
             filled, batch = filled + take, min(2 * batch, 1 << 16)
         return out
 
-    pool = StreamPool(seed)
-    for chunk in range(-(-n_runs // _CHUNK)):
-        rows = np.arange(chunk * _CHUNK, min((chunk + 1) * _CHUNK, n_runs))
-        rng = pool.stream(_stream_key(2, chunk, 0))
-        tau = _passage_times(rng, rows.size, c, gamma, v)
-        cut = tau > h
-        done, gone = rows[~cut], rows[cut]
-        t = tau[~cut, None]
-        w = drift_vec * t + k * (level - gamma * t)
-        if spread:
-            z = rng.standard_normal(w.shape)
-            w += np.sqrt(t) * sigma * (z - np.outer(z @ q, q))
-        stop_n[done], stop_sum[done] = tau[~cut], w
-        stop_n[gone], stop_sum[gone], truncated[gone] = h, survivors(rng, gone.size), True
+    def run_share(chunks: range):
+        pool = StreamPool(seed)
+        for chunk in chunks:
+            rows = np.arange(chunk * _CHUNK, min((chunk + 1) * _CHUNK, n_runs))
+            rng = pool.stream(_stream_key(2, chunk, 0))
+            tau = _passage_times(rng, rows.size, c, gamma, v)
+            cut = tau > h
+            done, gone = rows[~cut], rows[cut]
+            t = tau[~cut, None]
+            w = drift_vec * t + k * (level - gamma * t)
+            if spread:
+                z = rng.standard_normal(w.shape)
+                w += np.sqrt(t) * sigma * (z - np.outer(z @ q, q))
+            stop_n[done], stop_sum[done] = tau[~cut], w
+            stop_n[gone], stop_sum[gone], truncated[gone] = h, survivors(rng, gone.size), True
+
+    _in_shares(run_share, -(-n_runs // _CHUNK), workers)
     if bool(truncated.all()):
         raise AllTruncatedError("every run hit the horizon cap")
     # monitoring is continuous: the last time checked before the stop is the stop
@@ -458,9 +521,9 @@ def run_brownian(region: Region, drift, diffusion, dt: float, n_runs: int,
     (``_leaves_at_once``): every run stops at 0 with W = 0, no stream is
     drawn and ``diagnostics["passage"]`` is "immediate".  Regions with a
     flat boundary (constant, affine and halfspace families) take the exact
-    passage sampler ``_exact_paths``.  In both cases the estimate does not
-    depend on dt, ``extras["coarse"]`` repeats the headline figures, the
-    discretization diagnostic is 0, and ``workers`` is unused; the exact
+    passage sampler ``_exact_paths`` on ``workers`` threads.  In both cases
+    the estimate does not depend on dt, ``extras["coarse"]`` repeats the
+    headline figures and the discretization diagnostic is 0; the exact
     sampler's ``diagnostics["passage"]`` is "exact-inverse-gaussian".  Other
     regions are walked with Euler steps at dt (stream grid 1) and dt/4
     (grid 0) on ``workers`` threads: the headline figures come from the
@@ -477,7 +540,7 @@ def run_brownian(region: Region, drift, diffusion, dt: float, n_runs: int,
             paths = PathSample(zeros, np.zeros((n_runs, drift_vec.shape[0])), zeros,
                                np.zeros(n_runs, dtype=bool), seed, float(horizon))
         else:
-            paths = _exact_paths(region, drift_vec, sigma, n_runs, horizon, seed)
+            paths = _exact_paths(region, drift_vec, sigma, n_runs, horizon, seed, workers)
         mean, stderr = coarse = _mean_stderr(paths.stop_n)
         diag = {"dt": dt, "dt_fine": dt, "discretization_diagnostic": 0.0,
                 "passage": "immediate" if at_once else "exact-inverse-gaussian"}

@@ -1,5 +1,10 @@
 import math
+import os
+import signal
 import sys
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -172,6 +177,73 @@ def test_a_walk_builds_one_stream_pool_per_worker(monkeypatch):
     sb.run_brownian(sb.power_region(2.0, 0.3), 0.5, 1.0, 0.05, 2 * _CHUNK + 7, horizon=6.0,
                     seed=5, workers=2)
     assert len(pools) == 4  # two workers on each of the two Euler grids
+    for workers in (1, 2, 4):  # the exact passage: one per share of its three chunks
+        pools.clear()
+        sb.run_brownian(sb.constant_region(4.0), 0.5, 1.0, 0.05, 2 * _CHUNK + 7, horizon=6.0,
+                        seed=5, workers=workers)
+        assert len(pools) == min(workers, 3)
+
+
+def test_the_pool_starts_at_most_its_cap_of_threads(monkeypatch):
+    args = (sb.constant_region(5.0, "ge", "stopping"), sb.bernoulli_affine(0, 1, 0.5),
+            sb.naturals(), 8 * _CHUNK + 3)  # nine chunks: eight shares
+    one = discrete_paths(*args, seed=6)
+    monkeypatch.setattr(simulate, "_executor", None)
+    monkeypatch.setattr(simulate, "_thread_cap", lambda: 2)
+    before = threading.active_count()
+    try:
+        eight = discrete_paths(*args, seed=6, workers=8)
+        assert threading.active_count() - before <= 2
+    finally:
+        if simulate._executor is not None:
+            simulate._executor.shutdown(wait=True)
+    assert np.array_equal(one.stop_n, eight.stop_n)
+    assert np.array_equal(one.stop_sum, eight.stop_sum)
+    assert np.array_equal(one.last_before, eight.last_before)
+
+
+def test_repeated_threaded_calls_reuse_the_pool():
+    n = 2 * _CHUNK + 7
+    calls = [lambda: sb.run_discrete(*_SIX_CHUNKS[:3], n, seed=1, workers=2),
+             lambda: sb.run_brownian(sb.constant_region(4.0), 0.5, 1.0, 0.05, n, seed=1,
+                                     workers=2),
+             lambda: sb.run_brownian(sb.power_region(2.0, 0.3), 0.5, 1.0, 0.05, n,
+                                     horizon=6.0, seed=1, workers=2)]
+    for call in calls:
+        call()
+        threads = threading.active_count()
+        assert any(t.name.startswith("stopbounds") for t in threading.enumerate())
+        for _ in range(4):
+            call()
+            assert threading.active_count() == threads
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_walks_on_a_pool_of_its_own():
+    args = (*_SIX_CHUNKS[:3], 2 * _CHUNK + 7)
+    parent = discrete_paths(*args, seed=8, workers=2)  # the pool now has a thread
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads, 3.12+
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            dropped = simulate._executor is None
+            child = discrete_paths(*args, seed=8, workers=2)
+            code = 0 if dropped and np.array_equal(child.stop_n, parent.stop_n) else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60.0
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done or time.monotonic() > deadline:
+            break
+        time.sleep(0.01)
+    if not done:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done, "the forked child's walk hung"
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
 
 
 def test_every_block_is_drawn_in_place_into_a_worker_scratch_block(monkeypatch):

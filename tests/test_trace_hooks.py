@@ -6,6 +6,7 @@ layers from a traced run, so they are pinned here.
 """
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -105,10 +106,14 @@ class _CountingGenerator:
 
         def counted(*args, **kwargs):
             out = method(*args, **kwargs)
-            self._drawn[name] = self._drawn.get(name, 0) + np.size(out)
+            with _COUNTS:
+                self._drawn[name] = self._drawn.get(name, 0) + np.size(out)
             return out
 
         return counted
+
+
+_COUNTS = threading.Lock()  # the counters are bumped from the samplers' worker threads
 
 
 def _route(monkeypatch):
@@ -121,8 +126,9 @@ def _route(monkeypatch):
         return _CountingGenerator(stream(pool, index), log["drawn"])
 
     def counting_block(spec, rng, n, out=None):
-        log["block_draws"] += n * spec.dim
-        log["foreign_rng"] += not isinstance(rng, _CountingGenerator)
+        with _COUNTS:
+            log["block_draws"] += n * spec.dim
+            log["foreign_rng"] += not isinstance(rng, _CountingGenerator)
         return block(spec, rng, n, out)
 
     monkeypatch.setattr(moments.StreamPool, "stream", counting_stream)

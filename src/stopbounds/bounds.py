@@ -21,6 +21,8 @@ from .geometry import (
     Hyperplane,
     NoRayExitError,
     Region,
+    exact_sum,
+    float_at_least,
     hyperplane_slice_distance,  # noqa: F401  (kept as a bounds name: the benchmark tracer wraps it)
     log_exit_gradient,
     mean_ray_crossing,
@@ -228,7 +230,9 @@ def slab_optimization_upper_bound(region: Region, profile: MomentProfile,
     if res.empty_domain:
         checks.append(AssumptionCheck("feasible-domain", "fail", "slab misses the region"))
         return BoundReport(tag, "upper", math.nan, checks, diag)
-    value = lam * res.value + K if math.isfinite(res.value) else math.inf
+    value = math.inf
+    if math.isfinite(res.value):  # lam * t + K, rounded up
+        value = float_at_least(*exact_sum([(lam, res.value), (K,)]))
     return BoundReport(tag, "upper", value, checks, diag)
 
 

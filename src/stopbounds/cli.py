@@ -189,13 +189,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _json_cell(value):
+    """A non-finite float as the CSV writes it, since strict JSON has no NaN or Infinity."""
+    return _fmt(value) if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def write_report(rows, columns, path: str, fmt: str):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "json":
         with open(path, "w") as fh:
-            json.dump([{c: row.get(c, "") for c in columns} for row in rows],
-                      fh, indent=2, default=_fmt)
+            json.dump([{c: _json_cell(row.get(c, "")) for c in columns} for row in rows],
+                      fh, indent=2, default=_fmt, allow_nan=False)
             fh.write("\n")
         return
     with open(path, "w", newline="") as fh:
@@ -271,6 +276,7 @@ def cmd_bound(config: dict, seed: int, out: str, fmt: str) -> int:
 
 
 def _simulate_bundle(bundle, config: dict, seed: int, overshoot_level=None):
+    _real(bundle.n_runs, "simulate.n_runs", int, 2)  # one run has no stderr for the 4-sigma slack
     sim = _object(config.get("simulate", {}), "simulate")
     workers = _real(sim.get("workers", 1), "simulate.workers", int, 1)
     if isinstance(bundle, BrownianBundle):
@@ -398,7 +404,7 @@ def cmd_validate(config: dict, seed: int, out: str, fmt: str) -> int:
         elif which in ("jensen-T3", "wald-T4-I", "wald-T4-II", "lp-norm",
                        "lorden-T6", "lorden-T7"):
             result = validate_identity(which, _identity_scenario(item, which),
-                                       _real(item.get("runs", 20_000), "runs", int, 1), seed)
+                                       _real(item.get("runs", 20_000), "runs", int, 2), seed)
             margin = result.margins.get("mean_gap", result.margins.get("mc_overshoot", math.nan))
         else:
             raise ConfigError(f"unknown validator tag {which!r}")

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -260,12 +260,40 @@ class FamilyRegion(Region):
         norm = float(np.linalg.norm(p["s_coef"])) if p["family"] == "halfspace" else 1.0
         return -slack / (n * norm)
 
+    def slab_max(self, slab, t_cap: float) -> "SlabMaxResult":
+        """The largest t in [0, t_cap] whose box meets the slice, for a plain nonempty slab.
+
+        With no primed quadruple and lower edges below upper ones, lo <= hi
+        at every t >= 0, so the one constraint left is the slack at the box
+        edge that maximizes it, lo_i where beta_i > 0 and hi_i elsewhere:
+        the edge cs*t + ci, affine in t.  Along it a flat family's slack is
+        rise - rate*t, whose root comes from exact integer arithmetic and is
+        rounded up; a power boundary's is concave (``_power_slab_max``).
+        """
+        alpha, beta, kappa, _ = self.ray_coefficients
+        take_lo = beta > 0.0
+        cs = np.where(take_lo, slab.lower_slope, slab.upper_slope).tolist()
+        ci = np.where(take_lo, slab.lower_icept, slab.upper_icept).tolist()
+        beta = beta.tolist()
+        if self.family["family"] == "power":  # beta = [sgn]
+            return _power_slab_max(alpha, self.family["exponent"], beta[0] * cs[0],
+                                   beta[0] * ci[0], t_cap)
+        rise, d_rise = exact_sum([(alpha,), *((-b, c) for b, c in zip(beta, ci))])
+        rate, d_rate = exact_sum([(kappa,), *zip(beta, cs)])
+        cap, d_cap = t_cap.as_integer_ratio()
+        if rise * d_rate * d_cap >= cap * rate * d_rise:  # the slack at t_cap is >= 0
+            return SlabMaxResult(math.inf, unbounded=True)
+        if rate <= 0 or rise < 0:  # negative at t_cap and never larger before, or from t = 0 on
+            return SlabMaxResult(0.0, empty_domain=True)
+        return SlabMaxResult(float_at_least(rise * d_rate, rate * d_rise))
+
     def slab_feasibility(self, slab, tol: float):
         """t -> whether the box ``slab.box(t)`` meets the slice at t.
 
         A curve s = f(t) compares f(t) with the box edge on its side; a
         halfspace (time slabs included) takes its slack at the box corner
-        that maximizes it, lo_i where beta_i > 0 and hi_i elsewhere.
+        that maximizes it, lo_i where beta_i > 0 and hi_i elsewhere.  The
+        bisection of a primed slab in ``optimize`` tests each t with it.
         """
         curve = self._curve
         if curve is not None:
@@ -292,6 +320,133 @@ def _sign(orientation) -> float:
     if orientation not in _FLIP:
         raise RegionError(f"orientation must be 'le' or 'ge', not {orientation!r}")
     return 1.0 if orientation == "le" else -1.0
+
+
+class SlabMaxResult(NamedTuple):  # a tuple: cheaper than a dataclass to define at import
+    """The largest t whose slab box meets the region's slice.
+
+    ``unbounded``: the box meets it at t_cap (value inf); ``empty_domain``:
+    at no t in [0, t_cap] (value 0).  ``uncertainty`` is how far the value
+    may lie above the exact maximum: one bisection step plus the feasibility
+    margin for a searched slab (a primed slab, or any slab of an oracle
+    region); 0 for the closed form of a plain slab on a flat family, which
+    is the exact root rounded up to a float; the last bracket, an ulp or a
+    few, for a plain slab on a power boundary.
+    """
+
+    value: float
+    empty_domain: bool = False
+    unbounded: bool = False
+    uncertainty: float = 0.0
+
+
+def exact_sum(terms):
+    """The sum of the products of tuples of floats, exactly: (numerator, denominator > 0).
+
+    A float is an integer over a power of two, so the largest denominator is
+    a common one, and nothing is reduced.
+    """
+    parts = []
+    for term in terms:
+        num = den = 1
+        for x in term:
+            n, d = x.as_integer_ratio()
+            num, den = num * n, den * d
+        parts.append((num, den))
+    den = max(d for _, d in parts)
+    return sum(n * (den // d) for n, d in parts), den
+
+
+def float_at_least(num: int, den: int) -> float:
+    """The smallest float at or above num/den, for den > 0 (int division rounds to nearest)."""
+    t = num / den
+    n, d = t.as_integer_ratio()
+    return math.nextafter(t, math.inf) if n * den < num * d else t
+
+
+_ROUNDING = 2.0**-50  # eight unit roundoffs: the float error of each term of a power slack
+
+
+def _power_sign(a: float, e: float, p: float, q: float, t: float):
+    """The sign of h(t) = a t^e - p t - q for a >= 0: 1, -1, 0 (exactly zero), or None.
+
+    Floats decide unless |h| lies within 2**-50 of the magnitudes of its
+    terms (pow is within an ulp), or 2**-1000 when the terms are
+    subnormal.  Then an exponent with denominator 4
+    compares a^4 t^(4e) with (p t + q)^4 in integers, and any other stays
+    undecided (None).
+    """
+    rise, pt = a * t**e, p * t
+    h = rise - (pt + q)
+    if abs(h) > _ROUNDING * (abs(rise) + abs(pt) + abs(q)) + 2.0**-1000:
+        return 1 if h > 0.0 else -1
+    m = 4.0 * e
+    if m != int(m):
+        return None
+    line, d_line = exact_sum([(p, t), (q,)])
+    if line <= 0:  # a t^e >= 0 >= line, equal only when both vanish
+        return 0 if line == 0 and (a == 0.0 or t == 0.0) else 1
+    (na, da), (nt, dt), m = a.as_integer_ratio(), t.as_integer_ratio(), int(m)
+    d = na**4 * nt**m * d_line**4 - line**4 * da**4 * dt**m
+    return (d > 0) - (d < 0)
+
+
+def _power_slab_max(a: float, e: float, p: float, q: float, t_cap: float) -> SlabMaxResult:
+    """The largest t in [0, t_cap] with h(t) = a t^e - p t - q >= 0, where 0 < e < 1.
+
+    h is concave for a >= 0 (the region on the convex side of its
+    boundary) and peaks at (a e / p)^(1/(1 - e)) when p > 0, so its feasible
+    set is an interval.  Newton from t_cap, on the infeasible side,
+    approaches the right root from above until the floats stall; the value
+    is then the first float past the root by the exact sign of h
+    (``_power_sign``), or past the band where floats cannot tell.
+    """
+    if a < 0.0:
+        raise NonConvexityError("the region lies on the non-convex side of its boundary")
+
+    def past(t: float) -> bool:  # surely at or beyond the right root
+        return _power_sign(a, e, p, q, t) in (-1, 0)
+
+    if not past(t_cap):
+        return SlabMaxResult(math.inf, unbounded=True)
+    try:
+        peak = (a * e / p) ** (1.0 / (1.0 - e)) if p > 0.0 else math.inf
+    except OverflowError:
+        peak = math.inf
+    if peak >= t_cap or _power_sign(a, e, p, q, peak) == -1:  # h < 0 up to t_cap, or at its top
+        return SlabMaxResult(0.0, empty_domain=True)
+    t = t_cap
+    for _ in range(200):  # quadratic convergence takes a handful; a double root about 60
+        slope = a * e * t ** (e - 1.0) - p
+        nxt = t - (a * t**e - p * t - q) / slope if slope < 0.0 else t
+        if not peak < nxt < t:
+            break
+        t = nxt
+    lo, hi = _first_past(past, t, peak, t_cap)
+    return SlabMaxResult(hi, uncertainty=hi - lo)
+
+
+def _first_past(past, x: float, lo: float, hi: float):
+    """(the last float below, the first float in (lo, hi] where ``past`` holds).
+
+    ``past`` holds at hi and, once it holds, at every larger t.  The search
+    gallops from x toward the change in steps that double from an ulp, then
+    bisects to adjacent floats.
+    """
+    step = math.ulp(x)
+    if past(x):
+        hi = x
+        while hi - step > lo and past(hi - step):
+            hi, step = hi - step, 2.0 * step
+        lo = max(lo, hi - step)
+    else:
+        lo = x
+        while lo + step < hi and not past(lo + step):
+            lo, step = lo + step, 2.0 * step
+        hi = min(hi, lo + step)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (lo, mid) if past(mid) else (mid, hi)
+    return lo, hi
 
 
 def _mk_region(family: dict, dim: int, slack_batch, convex: bool) -> FamilyRegion:

@@ -274,8 +274,11 @@ def certify(reports, estimate: SimulationEstimate):
     lower bound, so those comparisons are skipped.  The slack also absorbs
     twice the discretization diagnostic, which is nonzero only for Brownian
     estimates of curved or oracle regions, walked on two Euler grids; exact
-    passage estimates report 0 and get no grid slack.
+    passage estimates report 0 and get no grid slack.  An estimate of one run
+    has no stderr, so it raises ValueError.
     """
+    if estimate.n_runs < 2:
+        raise ValueError("a 4-sigma verdict needs an estimate of at least 2 runs")
     grid_bias = 2.0 * estimate.diagnostics.get("discretization_diagnostic", 0.0)
     rows = []
     for report in reports:

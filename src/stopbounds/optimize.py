@@ -3,8 +3,10 @@
 Three operations: maximize the time coordinate over a slab-constrained
 region slice, maximize a concave function over a box, and maximize the
 fractional vertex form over the corners of the unit cube.  All of them are
-deterministic given their tolerances and seeds.  The slab maximum bisects
-in t, and the region tests each t (``Region.slab_feasibility``).  The box
+deterministic given their tolerances and seeds.  The slab maximum of a
+plain slab on a built-in region is the region's closed form
+(``FamilyRegion.slab_max``); a primed slab, or an oracle region, bisects in
+t, and the region tests each t (``Region.slab_feasibility``).  The box
 maximum is a function kernel (golden section for d = 1, multi-start ascent
 above), which oracle regions call for the maximum of their ray exit.
 """
@@ -14,11 +16,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import Hyperplane, Region
+from .geometry import Hyperplane, Region, SlabMaxResult
 
 
 class ProvisoViolatedError(RuntimeError):
@@ -65,29 +67,27 @@ class Slab:
         return lo, hi
 
 
-@dataclass(frozen=True)
-class SlabMaxResult:
-    value: float
-    empty_domain: bool = False
-    unbounded: bool = False
-    uncertainty: float = 0.0  # one bisection step plus feasibility margin
-
-
 def max_time_in_region(region: Region, slab: Slab, t_cap: float = 2.0**30,
                        tol: float = 1e-9) -> SlabMaxResult:
     """Largest t whose slab box intersects the region slice.
 
-    The feasible t values form an interval by convexity, so the search
-    halves t from t_cap (down to 1e-12, then 0) to a feasible t, and
-    bisects between it and the last infeasible t above it.  Feasibility at
-    t_cap is reported as an unbounded domain; feasibility nowhere as an
-    empty one.  A built-in region tests each t exactly, with no membership
-    call, and an oracle region searches its slice.
+    Feasibility at t_cap is reported as an unbounded domain; feasibility
+    nowhere as an empty one.  A plain slab (no primed quadruple) on a
+    built-in region is closed-form (``FamilyRegion.slab_max``): the root of
+    an affine slack for a flat family, of a concave one for a power
+    boundary, with no search.  A primed slab, or any slab of an oracle
+    region, is searched: the feasible t values form an interval by
+    convexity, so the search halves t from t_cap (down to 1e-12, then 0) to
+    a feasible t, and bisects between it and the last infeasible t above
+    it.  A built-in region tests each t exactly, with no membership call,
+    and an oracle region searches its slice.
     """
     if not region.convex_closure:
         raise ValueError("max_time_in_region requires the asserted convex closure")
     if slab.is_empty:
         return SlabMaxResult(0.0, empty_domain=True)
+    if slab.primed is None and region.closed_form:
+        return region.slab_max(slab, t_cap)
     feasible = region.slab_feasibility(slab, tol)
     if feasible(t_cap):
         return SlabMaxResult(math.inf, unbounded=True)
@@ -222,8 +222,7 @@ def max_concave_over_box(fun: Callable[[np.ndarray], float], lo, hi,
     return best
 
 
-@dataclass(frozen=True)
-class VertexMaxResult:
+class VertexMaxResult(NamedTuple):  # a tuple: cheaper than a dataclass to define at import
     value: float
     vertex: tuple
     min_denominator: float

@@ -652,8 +652,11 @@ def validate_identity(which: str, scenario: dict, n_runs: int, seed: int = 0) ->
     ``schedule`` (plus ``gfun`` for the sample-mean inequalities, ``p`` for
     the norm inequality, ``lam`` for the overshoot checks against the bounds
     module).  Equalities pass when |mean| <= 4 stderr of the
-    per-run difference; inequalities when mean >= -4 stderr.
+    per-run difference; inequalities when mean >= -4 stderr, so ``n_runs``
+    must be at least 2.
     """
+    if n_runs < 2:
+        raise ValueError("a 4-sigma verdict needs at least 2 runs")
     if which in ("jensen-T3",):
         gfun = scenario["gfun"]
         y_spec, z_spec = scenario["y_spec"], scenario["z_spec"]

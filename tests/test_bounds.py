@@ -598,6 +598,46 @@ def test_shipped_bound_reports_probe_membership_only_in_slice_side(monkeypatch):
     assert callers["member"] > 0
 
 
+def test_shipped_t10_reports_test_no_slab_feasibility(monkeypatch):
+    # T10's plain slab is a root in closed form: no t is tested for it.  T11's
+    # primed slab keeps its bisection, with the 551 probes it has always made
+    probes, current = collections.Counter(), [None]
+    feasibility = geometry.FamilyRegion.slab_feasibility
+
+    def counted(self, slab, tol):
+        feasible = feasibility(self, slab, tol)
+
+        def probe(t):
+            probes[current[0]] += 1
+            return feasible(t)
+
+        return probe
+
+    monkeypatch.setattr(geometry.FamilyRegion, "slab_feasibility", counted)
+    reports = []
+    for report, rows in ((bound_report, certification_matrix(10)),
+                         (brownian_report, brownian_cases(10))):
+        for row in rows:
+            for tag in row["tags"]:
+                current[0] = tag
+                reports.append(report(tag, row["bundle"]))
+    assert len(reports) == 155 and probes == {"T11-upper-bounded": 551}
+
+
+@pytest.mark.parametrize("name,exact_mean", [
+    ("const-pointmass-naturals", 6), ("affine-pointmass-arith", 10),
+    ("sqrt-pointmass-naturals", 5)])
+def test_t10_holds_with_no_slack_on_the_point_mass_rows(name, exact_mean):
+    # a point mass makes N sure, so Monte Carlo reads its mean with stderr 0
+    # and a T10 a single ulp low would fail certification; on the constant
+    # and square-root rows T10 is tight
+    bundle = next(r["bundle"] for r in certification_matrix(10) if r["bundle"].name == name)
+    report = bound_report("T10-upper", bundle)
+    assert report.applicable and report.value >= exact_mean
+    if name != "affine-pointmass-arith":
+        assert report.value == exact_mean
+
+
 def test_matrix_reports_agree_with_those_of_the_oracle_twins():
     # each matrix row against its region as a bare predicate, tag by tag: the
     # closed forms against the searches.  A twin has no complement (T8, the

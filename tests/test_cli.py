@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stopbounds.bounds import ALL_TAGS
+from stopbounds import constant_region, naturals, point_mass
+from stopbounds.bounds import ALL_TAGS, BoundReport
 from stopbounds.cli import CSV_COLUMNS, main
-from stopbounds.simulate import _CHUNK
+from stopbounds.harness import certify
+from stopbounds.simulate import _CHUNK, SimulationEstimate, validate_identity
 
 
 def write_config(tmp_path: Path, name: str, payload: dict) -> Path:
@@ -373,6 +375,68 @@ def test_report_schema_stable_and_json_format(tmp_path):
     data = json.loads(out_json.read_text())
     assert [d["theorem"] for d in data] == ["T10-upper", "T8-lower"]
     assert set(data[0]) == set(CSV_COLUMNS)
+
+
+def _strict_json(path: Path):
+    """The report parsed as RFC 8259 JSON, which has no NaN or Infinity."""
+    def refuse(name):
+        raise ValueError(f"{path.name} holds the non-standard constant {name}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_json_reports_parse_as_strict_json(tmp_path):
+    # non-finite values are written as the CSV writes them
+    explicit = dict(BASE, schedule={"kind": "explicit", "values": [2, 4]},
+                    bounds=["T10-upper", "T8-lower"])
+    conic = dict(BASE, region={"family": "affine", "slope": 1.0, "intercept": 5.0,
+                               "orientation": "le", "kind": "continuity"},
+                 distribution={"family": "bernoulli-affine",
+                               "params": {"x0": 0, "x1": 1, "p": 0.5}},
+                 bounds=["T10-upper"])
+    values = []
+    for k, cfg in enumerate((explicit, conic)):
+        out = tmp_path / f"bound{k}.json"
+        assert main(["bound", str(write_config(tmp_path, f"b{k}.json", cfg)),
+                     "--out", str(out), "--format", "json"]) == 0
+        values += [row["value"] for row in _strict_json(out)]
+    assert values == ["nan", 5.0, "inf"]
+    certified = dict(BASE, distribution={"family": "exponential", "params": {"rate": 1.0}},
+                     bounds=["T10-upper", "T11-upper-bounded"], simulate={"n_runs": 256})
+    out = tmp_path / "certify.json"
+    assert main(["certify", str(write_config(tmp_path, "c.json", certified)),
+                 "--out", str(out), "--format", "json"]) == 0
+    rows = _strict_json(out)
+    assert [(r["value"], r["verdict"]) for r in rows][1] == ("nan", "inapplicable")
+    assert isinstance(rows[0]["value"], float) and rows[0]["verdict"] == "pass"
+    validated = {"validators": [{"which": "perspective", "gfun": "square", "trials": 100}]}
+    out = tmp_path / "validate.json"
+    assert main(["validate", str(write_config(tmp_path, "v.json", validated)),
+                 "--out", str(out), "--format", "json"]) == 0
+    assert [r["verdict"] for r in _strict_json(out)] == ["pass"]
+
+
+def test_single_run_verdicts_are_refused(tmp_path, capsys):
+    # one run has stderr 0, so a 4-sigma verdict would be drawn with no slack
+    shipped = ROOT / "configs" / "brownian_passage_certify.json"
+    bern = write_config(tmp_path, "cfg.json", dict(BASE, bounds=["T10-upper"],
+                                                   simulate={"n_runs": 1}))
+    wald = write_config(tmp_path, "wald.json", {"validators": [
+        {"which": "wald-T4-I", "runs": 1,
+         "distribution": {"family": "bernoulli-affine", "params": {"x0": 0, "x1": 1, "p": 0.5}},
+         "region": {"family": "constant", "level": 5.0}, "schedule": {"kind": "all-naturals"}}]})
+    for argv in (["certify", str(shipped), "--runs", "1"], ["certify", str(bern)],
+                 ["certify", str(bern), "--runs", "0"], ["validate", str(wald)]):
+        assert main(argv + ["--out", str(tmp_path / "rep.csv")]) == 2, argv
+        assert capsys.readouterr().err.startswith("stopbounds: ")
+    assert main(["certify", str(bern), "--runs", "2", "--out", str(tmp_path / "rep.csv")]) == 0
+    one_run = SimulationEstimate(mean=6.0, stderr=0.0, n_runs=1, truncated=0, horizon=100.0,
+                                 seed=0)
+    with pytest.raises(ValueError):
+        certify([BoundReport("manual", "upper", 7.0)], one_run)
+    with pytest.raises(ValueError):
+        validate_identity("wald-T4-I", {"spec": point_mass(1.0), "region": constant_region(5.0),
+                                        "schedule": naturals()}, 1)
 
 
 def test_seed_and_runs_overrides(tmp_path):

@@ -557,8 +557,9 @@ def _widened(slab, by):
 @settings(max_examples=60, deadline=None)
 @given(case=_region_and_slab())
 def test_built_in_slab_feasibility_matches_the_search_on_oracles(case):
-    # the exact test of each t (curve edge or halfspace corner) against the
-    # membership search, through the same bisection in t to tol = 1e-9; the
+    # the closed form of a plain slab, or the exact test of each t (curve
+    # edge or halfspace corner) of a primed one through the bisection in t to
+    # tol = 1e-9, against the membership search through that bisection; the
     # built-in side makes no membership call.  The search reads a box within
     # tol of the slice as meeting it, so its answer lies between the exact
     # answers for the slab and for the slab widened by tol

@@ -1,13 +1,17 @@
+import dataclasses
 import itertools
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import stopbounds as sb
-from stopbounds.optimize import ProvisoViolatedError
+from stopbounds.geometry import NonConvexityError
+from stopbounds.optimize import ProvisoViolatedError, bisect
 
 
 def ray_slab(mu):
@@ -232,3 +236,259 @@ def test_empty_slab_flag():
     assert slab.is_empty
     res = sb.max_time_in_region(sb.constant_region(5.0), slab)
     assert res.empty_domain
+
+
+# ---------------------------------------------------------------------------
+# The closed-form maximum of a plain slab on a built-in region
+# ---------------------------------------------------------------------------
+
+T_CAP = 2.0**30
+_EIGHTHS = st.integers(-24, 24).map(lambda k: k / 8.0)
+_REALS = st.one_of(_EIGHTHS, st.floats(-3.0, 3.0, allow_nan=False))
+_WIDTHS = st.one_of(st.integers(0, 8).map(lambda k: k / 8.0), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _plain_slab_case(draw, families=("constant", "affine", "power", "halfspace"),
+                     exponents=st.sampled_from([0.25, 0.5, 0.75])):
+    """A convex built-in region (1-3-d halfspaces, time slabs among them) and a plain slab."""
+    family = draw(st.sampled_from(families))
+    orientation = draw(st.sampled_from(["le", "ge"]))
+    kind = draw(st.sampled_from(["continuity", "stopping"]))
+    if family == "constant":
+        region = sb.constant_region(draw(_REALS), orientation, kind)
+    elif family == "affine":
+        region = sb.affine_region(draw(_REALS), draw(_REALS), orientation, kind)
+    elif family == "power":  # the coefficient's sign puts the region on the convex side
+        coef = draw(st.integers(1, 32).map(lambda k: k / 8.0) | st.floats(0.01, 4.0))
+        region = sb.power_region(coef if orientation == "le" else -coef, draw(exponents),
+                                 orientation, kind)
+    else:
+        dim = draw(st.integers(1, 3))
+        s_coef = [0.0] * dim if draw(st.booleans()) else [draw(_REALS) for _ in range(dim)]
+        region = sb.halfspace_region(s_coef, draw(_REALS), draw(_REALS), orientation, kind)
+    widths = np.array([[draw(_WIDTHS) for _ in range(region.dim)] for _ in range(2)])
+    if family == "power" and draw(st.booleans()):
+        # an edge p t + q (times the slack's sign) that the concave slack
+        # crosses first after t = 0: 0 < q < its value at the peak
+        a, e, p = abs(region.family["coef"]), region.power_exponent, draw(st.floats(0.05, 2.0))
+        peak = (a * e / p) ** (1.0 / (1.0 - e))
+        q = draw(st.floats(0.05, 0.95)) * (a * peak**e - p * peak)
+        if orientation == "le":  # the lower edge
+            return region, sb.Slab([p], [p] + widths[0], [q], [q] + widths[1])
+        return region, sb.Slab([-p] - widths[0], [-p], [-q] - widths[1], [-q])
+    lower_slope = np.array([draw(_REALS) for _ in range(region.dim)])
+    lower_icept = np.array([draw(_REALS) for _ in range(region.dim)])
+    return region, sb.Slab(lower_slope, lower_slope + widths[0], lower_icept,
+                           lower_icept + widths[1])
+
+
+def _edge(region, slab):
+    """(cs, ci): the box edge cs*t + ci where the region's slack is largest."""
+    take_lo = region.ray_coefficients[1] > 0.0
+    return (np.where(take_lo, slab.lower_slope, slab.upper_slope),
+            np.where(take_lo, slab.lower_icept, slab.upper_icept))
+
+
+def _power_terms(region, slab):
+    """(a, e, p, q) with the power slack along the edge a t^e - p t - q, as floats."""
+    fam, (cs, ci) = region.family, _edge(region, slab)
+    sgn = 1.0 if fam["orientation"] == "le" else -1.0
+    return sgn * fam["coef"], fam["exponent"], sgn * float(cs[0]), sgn * float(ci[0])
+
+
+def _exact_linear_root(region, slab):
+    """(rise, rate) in fractions: the flat slack along the edge is rise - rate*t."""
+    alpha, beta, kappa = region.linear_slack
+    cs, ci = _edge(region, slab)
+    rise = Fraction(alpha) - sum(Fraction(b) * Fraction(c) for b, c in zip(beta, ci))
+    rate = Fraction(kappa) + sum(Fraction(b) * Fraction(c) for b, c in zip(beta, cs))
+    return rise, rate
+
+
+def _decimal_slack(terms, t):
+    """(a t^e - p t - q, |a t^e| + |p t| + |q|) in the current decimal context."""
+    a, e, p, q = (Decimal(x) for x in terms)
+    t = Decimal(t)
+    rise = a * t**e
+    return rise - p * t - q, abs(rise) + abs(p * t) + abs(q)
+
+
+def _decimal_feasible(terms, t):
+    """The power slack at t is >= 0 at 50 digits, within 1e-40 of its terms' size."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        h, scale = _decimal_slack(terms, t)
+        return h >= -scale * Decimal("1e-40")
+
+
+def _decimal_root(terms):
+    """The right root of the power slack at 50 digits, or None when it peaks below 0.
+
+    Bisection on [peak, T_CAP], with ``_decimal_feasible``.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a, e, p, _ = (Decimal(x) for x in terms)
+        peak = (a * e / p) ** (1 / (1 - e)) if p > 0 else Decimal(T_CAP)
+        lo, hi = min(peak, Decimal(T_CAP)), Decimal(T_CAP)
+        if not _decimal_feasible(terms, lo):
+            return None
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if _decimal_feasible(terms, mid) else (lo, mid)
+        return lo
+
+
+def _exact_feasible(region, slab, t):
+    """Whether the box at t meets the slice in exact arithmetic (50 digits for a power)."""
+    if region.linear_slack is not None:
+        rise, rate = _exact_linear_root(region, slab)
+        return rise - rate * Fraction(t) >= 0
+    return _decimal_feasible(_power_terms(region, slab), t)
+
+
+def _exact_flag(region, slab):
+    """"unbounded", "empty" or "bounded" in exact arithmetic, as ``_bisected`` reads them."""
+    if _exact_feasible(region, slab, T_CAP):
+        return "unbounded"
+    if region.linear_slack is not None:
+        nonempty = _exact_linear_root(region, slab)[0] >= 0  # feasible at t = 0
+    else:
+        nonempty = _decimal_root(_power_terms(region, slab)) is not None
+    return "bounded" if nonempty else "empty"
+
+
+def _bisected(region, slab):
+    """The reference: ("unbounded" | "empty" | "bounded", inside, outside, probes).
+
+    ``optimize.bisect`` to adjacent floats on the region's own
+    ``slab_feasibility``, from the first feasible t among 0, the halvings of
+    T_CAP and, for a power boundary, the peak of its slack, where a feasible
+    set that does not start at 0 is widest.  ``probes`` are the t whose
+    float test decided the flag: T_CAP and the starts tried.
+    """
+    feasible = region.slab_feasibility(slab, 0.0)
+    if feasible(T_CAP):
+        return "unbounded", None, None, [T_CAP]
+    starts = [0.0] + [T_CAP * 0.5**k for k in range(1, 90)]
+    if region.power_exponent is not None:
+        a, e, p, _ = _power_terms(region, slab)
+        if p > 0.0:
+            starts.insert(0, (a * e / p) ** (1.0 / (1.0 - e)))
+    probes = [T_CAP]
+    for t in starts:
+        if t < T_CAP:
+            probes.append(t)
+            if feasible(t):
+                return ("bounded", *bisect(feasible, t, T_CAP, 0.0), probes)
+    return "empty", None, None, probes
+
+
+def _check_against_exact(region, slab, res):
+    """The value is never below the exact maximum; a flat family's is the next float up."""
+    if region.linear_slack is not None:
+        rise, rate = _exact_linear_root(region, slab)
+        root = rise / rate
+        assert Fraction(res.value) >= root
+        assert Fraction(math.nextafter(res.value, -math.inf)) < root or res.value == 0.0
+        assert res.uncertainty == 0.0
+        return
+    root = _decimal_root(_power_terms(region, slab))
+    assert root is not None
+    with localcontext() as ctx:
+        ctx.prec = 50
+        assert Decimal(res.value) >= root * (1 - Decimal("1e-30"))
+    assert res.value <= float(root) + 4 * math.ulp(float(root))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_plain_slab_case())
+def test_closed_slab_maximum_matches_a_bisection_to_adjacent_floats(case):
+    # the closed form against exact arithmetic (fractions, or 50 decimal
+    # digits for a power boundary) and against the bisection on the region's
+    # own float feasibility test: the same flags whenever the float test
+    # reads every t that decided them as exact arithmetic does, and a value
+    # in the reference's last bracket whenever it reads both ends so
+    region, slab = case
+    assume(not slab.is_empty)
+    res = sb.max_time_in_region(region, slab)
+    exact = _exact_flag(region, slab)
+    assert (res.unbounded, res.empty_domain) == (exact == "unbounded", exact == "empty")
+    flag, inside, outside, probes = _bisected(region, slab)
+    feasible = region.slab_feasibility(slab, 0.0)
+    if all(feasible(t) == _exact_feasible(region, slab, t) for t in probes):
+        assert flag == exact
+    if exact != "bounded":
+        assert res.value == (math.inf if res.unbounded else 0.0)
+        return
+    _check_against_exact(region, slab, res)
+    if (flag == "bounded" and _exact_feasible(region, slab, inside)
+            and not _exact_feasible(region, slab, outside)):
+        assert inside <= res.value <= outside + 4 * math.ulp(outside)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_plain_slab_case(families=("power",), exponents=st.floats(0.05, 0.95)))
+def test_closed_slab_maximum_on_any_power_exponent_stays_past_the_root(case):
+    # an exponent whose denominator is not 4 leaves a band of a few ulps
+    # where floats cannot tell the sign; the value lies past it
+    region, slab = case
+    assume(not slab.is_empty)
+    res = sb.max_time_in_region(region, slab)
+    exact = _exact_flag(region, slab)
+    assert (res.unbounded, res.empty_domain) == (exact == "unbounded", exact == "empty")
+    if exact == "bounded":
+        root = _decimal_root(_power_terms(region, slab))
+        with localcontext() as ctx:
+            ctx.prec = 50
+            assert Decimal(res.value) >= root * (1 - Decimal("1e-30"))
+        assert res.value <= float(root) * (1.0 + 1e-12) + 1e-300
+
+
+@pytest.mark.parametrize("region,slab,expected", [
+    # the slab's lower edge t + 1 touches 2 sqrt(t) at t = 1 only: a double
+    # root at the peak, which a computed peak may miss by an ulp either way,
+    # so the value is the next float up
+    (sb.power_region(2.0, 0.5), sb.Slab([1.0], [1.0], [1.0], [1.0]), 1.0 + 2.0**-52),
+    # the lower edge t/10 + 1/2 enters {s <= 2 sqrt(t)} after t = 0
+    (sb.power_region(2.0, 0.5), sb.Slab([0.125], [0.125], [0.5], [0.5]), None),
+    # {s <= 5} from below, 0.9 t - 0.5 <= 5 up to t = 55/9
+    (sb.constant_region(5.0), sb.Slab([0.9], [1.1], [-0.5], [0.5]), None),
+    # the halfspace's best corner of the box
+    (sb.halfspace_region([1.0, -1.0], 0.5, 3.0), sb.Slab([0.1, 0.2], [0.3, 0.4], [0.0, 0.0],
+                                                          [1.0, 1.0]), None),
+], ids=["double-root", "late-start", "flat", "halfspace-2d"])
+def test_closed_slab_maximum_examples(region, slab, expected):
+    res = sb.max_time_in_region(region, slab)
+    assert not (res.unbounded or res.empty_domain)
+    if expected is not None:
+        assert res.value == expected
+    _check_against_exact(region, slab, res)
+
+
+@pytest.mark.parametrize("region,slab", [
+    (sb.power_region(2.0, 0.5), sb.Slab([1.0], [1.0], [1.5], [1.5])),  # peaks at -1/2
+    (sb.affine_region(1.0, 5.0, "le"), sb.Slab([1.0], [1.0], [6.0], [6.0])),
+    (sb.halfspace_region([0.0, 0.0], 1.0, -1.0), sb.Slab([0.0, 0.0], [1.0, 1.0], [0.0, 0.0],
+                                                          [1.0, 1.0])),  # t <= -1
+], ids=["power", "affine", "time-slab"])
+def test_closed_slab_maximum_reads_an_empty_domain(region, slab):
+    res = sb.max_time_in_region(region, slab)
+    assert res.empty_domain and res.value == 0.0
+    assert _bisected(region, slab)[0] == "empty"
+
+
+def test_closed_slab_maximum_reads_an_unbounded_domain_starting_late():
+    # s <= t - 2 holds from t = 4 on for the ray s = t/2: the bisection's halvings find it
+    region, slab = sb.affine_region(1.0, -2.0, "le"), ray_slab(0.5)
+    res = sb.max_time_in_region(region, slab)
+    assert res.unbounded and res.value == math.inf
+    assert _bisected(region, slab)[0] == "unbounded"
+
+
+def test_closed_slab_maximum_refuses_the_non_convex_side():
+    # a convexity flag that misstates a power region: its slack is convex in t
+    region = dataclasses.replace(sb.power_region(2.0, 0.5, "ge"), convex_closure=True)
+    with pytest.raises(NonConvexityError):
+        sb.max_time_in_region(region, ray_slab(1.0))

@@ -86,8 +86,20 @@ def _known(tag: str, *tags: str) -> str:
     return tag
 
 
+def _start_check(ident: str, region: Region, profile: MomentProfile, n0: int) -> AssumptionCheck:
+    """Whether (n0, S_{n0}) surely lies in the closed region: (IV), and T12's sure start.
+
+    At n0 = 0 that is (III)'s origin flag; an oracle region's None reads "declared".
+    """
+    held = region.contains_origin if n0 == 0 else region.contains_sums(
+        n0, profile.support_lo, profile.support_hi)
+    if held is None:
+        return AssumptionCheck(ident, "declared", "a membership oracle cannot bound S_n0")
+    return _chk(ident, held, f"support of S_{n0} in the closed region at t={n0}")
+
+
 def _standard_audit(region: Region, profile: MomentProfile, schedule: SampleSchedule,
-                    need_third_moment: bool, start_containment_declared: bool):
+                    need_third_moment: bool):
     """Assumptions (I)-(IV), plus (VI) when asked.
 
     (I) and (II) come from the schedule's kind and parameters, never from a
@@ -98,8 +110,7 @@ def _standard_audit(region: Region, profile: MomentProfile, schedule: SampleSche
         _chk("I", aud.growth_pass, f"lam={schedule.lam:.6g}, K={schedule.K:.6g}"),
         _chk("II", aud.gap_or_ratio_pass, aud.gap_or_ratio_mode),
         _chk("III", region.convex_closure and region.contains_origin, "asserted flags"),
-        AssumptionCheck("IV", "declared" if start_containment_declared else "fail",
-                        "start containment is a modeling hypothesis"),
+        _start_check("IV", region, profile, schedule.n0),
     ]
     if need_third_moment:
         checks.append(_chk("VI", profile.abs_third_finite))
@@ -145,15 +156,16 @@ def stopping_region_lower_bound(region: Region, mean) -> BoundReport:
 
 
 def wald_lower_bound(gfun: Callable[[np.ndarray], float], mean,
-                     concave_declared: bool = True) -> BoundReport:
+                     concave: Optional[bool] = None) -> BoundReport:
     """E[N] >= 1/gfun(mean) for rules that stop once n >= 1/gfun(sample mean).
 
-    gfun(mean) = 0 leaves the rule at the mean never stopping: the value is
-    +inf with the positivity check marked "unchecked".
+    ``concave`` is whether gfun is known concave; None, unknown, reads
+    "declared".  gfun(mean) = 0 leaves the rule at the mean never stopping:
+    the value is +inf with the positivity check marked "unchecked".
     """
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     g0 = float(gfun(mean))
-    checks = [AssumptionCheck("g-concave", "declared" if concave_declared else "fail")]
+    checks = [AssumptionCheck("g-concave", {True: "pass", False: "fail"}.get(concave, "declared"))]
     if g0 == 0.0:
         checks.append(AssumptionCheck("g-positive-at-mean", "unchecked",
                                       "g(mean)=0: never stops, value +inf"))
@@ -200,8 +212,7 @@ def bounded_support_slab(profile: MomentProfile, lam: float, K: float, n0: float
 
 
 def slab_optimization_upper_bound(region: Region, profile: MomentProfile,
-                                  schedule: SampleSchedule, tag: str,
-                                  start_containment_declared: bool = True) -> BoundReport:
+                                  schedule: SampleSchedule, tag: str) -> BoundReport:
     """E[N] <= lam * max{t over the slab-constrained region} + K.
 
     "T10-upper" uses the one-sided-deviation slab; "T11-upper-bounded" needs
@@ -209,8 +220,7 @@ def slab_optimization_upper_bound(region: Region, profile: MomentProfile,
     """
     bounded = _known(tag, "T10-upper", "T11-upper-bounded") == "T11-upper-bounded"
     lam, K, n0 = schedule.lam, schedule.K, schedule.n0
-    checks = _standard_audit(region, profile, schedule, need_third_moment=not bounded,
-                             start_containment_declared=start_containment_declared)
+    checks = _standard_audit(region, profile, schedule, need_third_moment=not bounded)
     vchecks, m = _crossing_check(region, profile.mean)
     checks += vchecks
     diag = {"m": m, "lam": lam, "K": K, "n0": n0}
@@ -238,8 +248,6 @@ def slab_optimization_upper_bound(region: Region, profile: MomentProfile,
 
 def sample_mean_upper_bound(region: Region, profile: MomentProfile,
                             schedule: SampleSchedule, tag: str,
-                            concave_declared: bool = True,
-                            sure_start_declared: bool = True,
                             audit_concavity: bool = False) -> BoundReport:
     """E[N] <= K + max of g over a moment box, for rules n >= g(sample mean).
 
@@ -261,7 +269,8 @@ def sample_mean_upper_bound(region: Region, profile: MomentProfile,
     K = gap_supremum(schedule)
     n0 = schedule.n0
     diag["K"] = K
-    checks.append(AssumptionCheck("g-concave", "declared" if concave_declared else "fail"))
+    # which concavity of g each theorem needs is not settled: no region answers it
+    checks.append(AssumptionCheck("g-concave", "declared"))
     if audit_concavity:
         ok = _concavity_probe(gfun, *_box_for(profile, tag))
         checks.append(_chk("g-concavity-audit", ok))
@@ -273,9 +282,7 @@ def sample_mean_upper_bound(region: Region, profile: MomentProfile,
     else:
         checks.append(_chk("gap-at-most-start", K <= n0,
                            f"max gap {K} vs start anchor {n0}"))
-        checks.append(AssumptionCheck(
-            "sure-start", "declared" if sure_start_declared else "fail",
-            "rule must surely continue at the start anchor"))
+        checks.append(_start_check("sure-start", region, profile, n0))
         checks.append(_chk("VI", profile.abs_third_finite))
         constant = float(K)
     if tag == "T-try88-bounded":
@@ -319,8 +326,7 @@ def _concavity_probe(gfun, lo, hi, trials: int = 400, seed: int = 5) -> bool:
 
 
 def hyperplane_vertex_upper_bound(region: Region, hyp: Hyperplane, profile: MomentProfile,
-                                  schedule: SampleSchedule, tag: str,
-                                  start_containment_declared: bool = True) -> BoundReport:
+                                  schedule: SampleSchedule, tag: str) -> BoundReport:
     """E[N] <= lam * (vertex fractional max) + K using the region's supporting hyperplane.
 
     "T14-hyperplane" evaluates the deviation slab; "T15-hyperplane-bounded"
@@ -329,8 +335,7 @@ def hyperplane_vertex_upper_bound(region: Region, hyp: Hyperplane, profile: Mome
     """
     bounded = _known(tag, "T14-hyperplane", "T15-hyperplane-bounded") == "T15-hyperplane-bounded"
     lam, K, n0 = schedule.lam, schedule.K, schedule.n0
-    checks = _standard_audit(region, profile, schedule, need_third_moment=not bounded,
-                             start_containment_declared=start_containment_declared)
+    checks = _standard_audit(region, profile, schedule, need_third_moment=not bounded)
     diag = {"m": hyp.anchor, "C": hyp.level, "lam": lam, "K": K, "n0": n0}
     if bounded:
         checks.append(_chk("support-bounds", profile.bounded))
@@ -506,8 +511,7 @@ _CROSSING_ROUND = 1e-9
 
 def concentration_upper_bound(region: Region, profile: MomentProfile,
                               schedule: SampleSchedule, hyp: Optional[Hyperplane] = None,
-                              user_tail: Optional[Callable] = None,
-                              start_containment_declared: bool = True) -> BoundReport:
+                              user_tail: Optional[Callable] = None) -> BoundReport:
     """Tail-sum bound N_tau + sum of schedule gaps weighted by deviation tails.
 
     Deviations come from the distance between the mean and the region slice
@@ -526,8 +530,7 @@ def concentration_upper_bound(region: Region, profile: MomentProfile,
     tag = "T18-concentration" if hyp is None else "T19-concentration-hyperplane"
     d = profile.dim
     mu = profile.mean
-    checks = _standard_audit(region, profile, schedule, need_third_moment=True,
-                             start_containment_declared=start_containment_declared)
+    checks = _standard_audit(region, profile, schedule, need_third_moment=True)
     vchecks, m = _crossing_check(region, mu)
     checks += vchecks
     diag = {"m": m}

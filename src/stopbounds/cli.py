@@ -107,16 +107,6 @@ def _reals(value, what: str):
     return _real(value, what)
 
 
-def _declarations(value) -> dict:
-    """The declared modeling hypotheses: known keys with JSON booleans only."""
-    declarations = _object(value, "declarations")
-    for key, flag in declarations.items():
-        _choice(key, ("concave_rule", "sure_start", "start_containment"), "declaration key")
-        if not isinstance(flag, bool):
-            raise ConfigError(f"declaration {key!r} must be true or false, got {flag!r}")
-    return declarations
-
-
 def spec_from_config(cfg: dict) -> mm.DistributionSpec:
     cfg = _keys(cfg, ("family", "params"), "distribution")
     family = cfg.get("family")
@@ -165,6 +155,11 @@ def schedule_from_config(cfg: dict) -> sch.SampleSchedule:
         return sch.explicit([_real(v, "schedule values", int) for v in values], n0)
     except sch.ScheduleError as exc:
         raise ConfigError(f"bad schedule config: {exc}") from exc
+
+
+_CONFIG_KEYS = {"bound": ("name", "seed", "distribution", "region", "schedule", "brownian",
+                          "bounds", "simulate"), "validate": ("name", "seed", "validators")}
+_CONFIG_KEYS["certify"] = (*_CONFIG_KEYS["bound"], "manual_bounds")
 
 
 def load_config(path: str) -> dict:
@@ -224,7 +219,6 @@ def _build_discrete_bundle(config: dict) -> ScenarioBundle:
         n_runs=_real(sim.get("n_runs", 100_000), "simulate.n_runs", int, 1),
         horizon=_real(sim.get("horizon", 1_000_000), "simulate.horizon", int, 1),
         boundary=_choice(sim.get("boundary", "closed"), ("closed", "strict"), "boundary"),
-        declarations=_declarations(config.get("declarations", {})),
     )
 
 
@@ -251,7 +245,6 @@ def _build_brownian_bundle(config: dict) -> BrownianBundle:
         dt=_real(sim.get("dt", 0.01), "simulate.dt", minimum=1e-9),
         n_runs=_real(sim.get("n_runs", 50_000), "simulate.n_runs", int, 1),
         horizon=_real(sim.get("horizon", 10_000.0), "simulate.horizon", minimum=1e-9),
-        declarations=_declarations(config.get("declarations", {})),
     )
 
 
@@ -438,7 +431,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        config = load_config(args.config)
+        config = _keys(load_config(args.config), _CONFIG_KEYS[args.command],
+                       f"a {args.command} config")
         if args.runs is not None:
             sim = _object(config.get("simulate", {}), "simulate")
             config["simulate"] = dict(sim, n_runs=args.runs)

@@ -70,12 +70,12 @@ _CURVES = {
 class Region:
     """Continuity or stopping region with asserted flags: what every region type provides.
 
-    Each type has the methods ``inside``, ``ray_exit``, ``entry_and_exit``,
-    ``exit_box_max``, ``log_gradient``, ``slice_side``, ``slice_distance``,
-    ``slab_feasibility`` and ``complement_closure``.  ``closed_form`` says
-    whether the answers are exact, so that the supporting plane needs no
-    ``support_audit``.  The capabilities below belong to some built-in
-    families; a region without one answers None, or False for ``time_slab``.
+    Each type has the methods ``inside``, ``contains_sums``, ``ray_exit``,
+    ``entry_and_exit``, ``exit_box_max``, ``log_gradient``, ``slice_side``,
+    ``slice_distance``, ``slab_feasibility`` and ``complement_closure``.
+    ``closed_form`` says whether the answers are exact, so that the supporting
+    plane needs no ``support_audit``.  The capabilities below belong to some
+    built-in families; a region without one answers None, or False for ``time_slab``.
     """
 
     kind: str  # "continuity" | "stopping"
@@ -224,6 +224,23 @@ class FamilyRegion(Region):
         if np.any(lo > hi):
             raise ValueError("box is empty")
         return ray_exit_time(self, np.where(self.ray_coefficients[1] > 0.0, lo, hi))
+
+    def contains_sums(self, n: int, lo, hi) -> bool:
+        """Whether the closed region holds (n, s) for every sum s of n increments in [lo, hi].
+
+        Those sums fill the box n*[lo, hi].  The slack, alpha - <beta, s> -
+        kappa*t or on a power boundary alpha*t**e - <beta, s> (t**e a float),
+        is least at the corner taking hi_i where beta_i > 0 and lo_i where
+        beta_i < 0, and is summed there exactly, as in ``slab_max``.
+        """
+        alpha, beta, kappa, _ = self.ray_coefficients
+        corner = np.where(beta > 0.0, hi, lo).tolist()
+        terms = [(-b, n, c) for b, c in zip(beta.tolist(), corner) if b != 0.0 and n]
+        if any(math.isinf(c) for *_, c in terms):
+            return False
+        e = self.power_exponent
+        terms += [(alpha, n ** e)] if e is not None else [(alpha,), (-kappa, n)]
+        return exact_sum(terms)[0] >= 0
 
     def entry_and_exit(self, v: np.ndarray, tol: Optional[float] = None):
         """Exact (inf A, sup A), or (None, None)."""

@@ -13,7 +13,7 @@ four-sigma slack, respecting truncation bias.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property, wraps
 from typing import Optional
 
@@ -34,7 +34,7 @@ from .simulate import SimulationEstimate
 
 
 class _RegionViews:
-    """Region views, rule functions and declarations of a bundle with ``region``."""
+    """Region views and rule functions of a bundle with ``region``."""
 
     @cached_property
     def continuity_view(self) -> Region:
@@ -67,25 +67,20 @@ class _RegionViews:
 
         return g
 
-    def declared(self, key: str) -> bool:
-        """A modeling hypothesis, held true unless declared false."""
-        return bool(self.declarations.get(key, True))
-
-    def reciprocal_rule_concave(self) -> bool:
-        """Whether 1/g may be held concave, as T-UseWald-lower and Brown4 need.
+    def reciprocal_rule_concave(self) -> Optional[bool]:
+        """Whether 1/g is concave, as T-UseWald-lower and Brown4 need; None if unknown.
 
         Along a ray a built-in region has g = (alpha/rate)^(1/k) with the
         rate affine in v, so 1/g = (rate/alpha)^(1/k) is affine for a flat
-        family (k = 1), which keeps its declaration, and strictly convex for
-        a power boundary (k < 1), whatever is declared.  An oracle region,
-        which has no power exponent, keeps its declaration.
+        family (k = 1) and strictly convex for a power boundary (k < 1).
         """
-        return self.declared("concave_rule") and self.continuity_view.power_exponent is None
+        view = self.continuity_view
+        return view.power_exponent is None if view.closed_form else None
 
 
 @dataclass
 class ScenarioBundle(_RegionViews):
-    """One experiment: distribution + region + schedule + declared hypotheses."""
+    """One experiment: distribution + region + schedule."""
 
     name: str
     spec: DistributionSpec
@@ -94,7 +89,6 @@ class ScenarioBundle(_RegionViews):
     n_runs: int = 100_000
     horizon: int = 1_000_000
     boundary: str = "closed"
-    declarations: dict = field(default_factory=dict)
 
     @cached_property
     def profile(self) -> MomentProfile:
@@ -128,7 +122,6 @@ class BrownianBundle(_RegionViews):
     dt: float
     n_runs: int = 50_000
     horizon: float = 10_000.0
-    declarations: dict = field(default_factory=dict)
 
 
 # a region outside a calculator's geometric hypotheses makes its report inapplicable,
@@ -161,23 +154,18 @@ def bound_report(tag: str, bundle: ScenarioBundle) -> bd.BoundReport:
     prof = bundle.profile
     sched = bundle.schedule
     mean = prof.mean
-    iv = bundle.declared("start_containment")
     if tag == "T8-lower":
         return bd.stopping_region_lower_bound(bundle.stopping_view, mean)
     if tag == "T-UseWald-lower":
         return bd.wald_lower_bound(bundle.reciprocal_rule_function(), mean,
-                                   concave_declared=bundle.reciprocal_rule_concave())
+                                   concave=bundle.reciprocal_rule_concave())
     if tag in ("T10-upper", "T11-upper-bounded"):
-        return bd.slab_optimization_upper_bound(bundle.continuity_view, prof, sched, tag,
-                                                start_containment_declared=iv)
+        return bd.slab_optimization_upper_bound(bundle.continuity_view, prof, sched, tag)
     if tag in ("T12-samplemean", "T13-samplemean-naturals", "T-try88-bounded"):
-        return bd.sample_mean_upper_bound(
-            bundle.continuity_view, prof, sched, tag,
-            concave_declared=bundle.declared("concave_rule"),
-            sure_start_declared=bundle.declared("sure_start"))
+        return bd.sample_mean_upper_bound(bundle.continuity_view, prof, sched, tag)
     if tag in ("T14-hyperplane", "T15-hyperplane-bounded"):
         return bd.hyperplane_vertex_upper_bound(bundle.continuity_view, bundle.hyperplane,
-                                                prof, sched, tag, start_containment_declared=iv)
+                                                prof, sched, tag)
     if tag.startswith("T16-chenlorden-"):
         k = 1 if sched.is_all_naturals else (sched.step or 0)
         if not k or not sched.is_multiples_of(k):
@@ -187,10 +175,8 @@ def bound_report(tag: str, bundle: ScenarioBundle) -> bd.BoundReport:
     if tag in ("T17-gradient", "vipformula"):
         return bd.gradient_upper_bound(bundle.continuity_view, prof, sched, tag)
     if tag in ("T18-concentration", "T19-concentration-hyperplane"):
-        return bd.concentration_upper_bound(
-            bundle.continuity_view, prof, sched,
-            hyp=bundle.hyperplane if tag.startswith("T19") else None,
-            start_containment_declared=iv)
+        hyp = bundle.hyperplane if tag.startswith("T19") else None
+        return bd.concentration_upper_bound(bundle.continuity_view, prof, sched, hyp=hyp)
     if tag in ("Lorden-T6", "Lorden-T7"):
         level = bundle.threshold_level()
         if level is None:
@@ -225,15 +211,14 @@ def brownian_report(tag: str, bundle: BrownianBundle) -> bd.BoundReport:
         return replace(report, theorem=tag, direction="upper",
                        value=report.diagnostics.get("mean_ray_exit", report.value))
     if tag == "Brown3":
-        report = bd.wald_lower_bound(bundle.rule_function(), drift,
-                                     concave_declared=bundle.declared("concave_rule"))
+        report = bd.wald_lower_bound(bundle.rule_function(), drift)
         g0 = report.diagnostics["g_at_mean"]
         if g0 == 0.0:  # Wald's +inf lower bound at g = 0 bounds nothing from above
             report.assumptions[-1] = bd._chk("g-positive-at-mean", False, "g(mean)=0")
         return replace(report, theorem=tag, direction="upper", value=g0 if g0 > 0.0 else math.nan)
     if tag == "Brown4":
         report = bd.wald_lower_bound(bundle.reciprocal_rule_function(), drift,
-                                     concave_declared=bundle.reciprocal_rule_concave())
+                                     concave=bundle.reciprocal_rule_concave())
         return replace(report, theorem=tag)
     raise ValueError(f"unknown Brownian tag {tag!r}")
 

@@ -69,7 +69,7 @@ class ScalarFamily:
     """One scalar increment law; each function takes the validated ``params`` first.
 
     ``moments`` gives (mean, E[(Z-mean)^+], variance, E[|Z-mean|^3], support
-    lo, support hi), None for an unbounded side.  ``sum_law(p, k)`` gives
+    lo, support hi), infinite on an unbounded side.  ``sum_law(p, k)`` gives
     c -> Pr{Y < c} and c -> E[(Y-c)^+] for the k-fold i.i.d. sum Y, and
     ``expect(p, fn)`` is E[fn(Z)].  ``strictly_positive``: draws are > 0.
     """
@@ -272,7 +272,8 @@ _GAUSSIAN = ScalarFamily(
     "gaussian", ("mean", "sd"),
     ((lambda p: p["sd"] > 0, "sd must be positive (use point-mass for sd=0)"),),
     moments=lambda p: (p["mean"], p["sd"] / math.sqrt(2.0 * math.pi), p["sd"] * p["sd"],
-                       2.0 * math.sqrt(2.0) / math.sqrt(math.pi) * p["sd"] ** 3, None, None),
+                       2.0 * math.sqrt(2.0) / math.sqrt(math.pi) * p["sd"] ** 3,
+                       -math.inf, math.inf),
     draw=_gaussian_draw,
     positive_part_square=lambda p: ((p["mean"] * p["mean"] + p["sd"] * p["sd"])
                                     * _Phi(p["mean"] / p["sd"])
@@ -286,7 +287,7 @@ _EXPONENTIAL = ScalarFamily(
     ((lambda p: p["rate"] > 0, "rate must be positive"),),
     # E[(X-1/r)^+] = e^-1 / r, E[|X-1/r|^3] = (12/e - 2) / r^3
     moments=lambda p: (1.0 / p["rate"], math.exp(-1.0) / p["rate"], 1.0 / p["rate"] ** 2,
-                       (12.0 * math.exp(-1.0) - 2.0) / p["rate"] ** 3, None, None),
+                       (12.0 * math.exp(-1.0) - 2.0) / p["rate"] ** 3, 0.0, math.inf),
     draw=_exponential_draw,
     positive_part_square=lambda p: 2.0 / p["rate"] ** 2,
     sum_law=_erlang_law,
@@ -337,9 +338,9 @@ class MomentProfile:
 
     ``pos_dev`` and ``neg_dev`` are E[(X-mean)^+] and E[(X-mean)^-]; they are
     equal for every distribution since the centered increment has zero mean.
-    ``bound_v`` is the moment envelope (mean-a)(b-mean)/(b-a), defined only
-    when the support box [a, b] exists; it dominates both one-sided
-    deviations.
+    The support box [a, b] is infinite on an unbounded side.  ``bound_v`` is
+    the moment envelope (mean-a)(b-mean)/(b-a), defined only when [a, b] is
+    bounded; it dominates both one-sided deviations.
     """
 
     mean: np.ndarray
@@ -347,8 +348,8 @@ class MomentProfile:
     neg_dev: np.ndarray
     variance: np.ndarray
     abs_third: np.ndarray
-    support_lo: Optional[np.ndarray] = None
-    support_hi: Optional[np.ndarray] = None
+    support_lo: np.ndarray
+    support_hi: np.ndarray
     bound_v: Optional[np.ndarray] = None
 
     @property
@@ -357,7 +358,7 @@ class MomentProfile:
 
     @property
     def bounded(self) -> bool:
-        return self.support_lo is not None and self.support_hi is not None
+        return self.bound_v is not None
 
     @property
     def abs_third_finite(self) -> bool:
@@ -367,15 +368,11 @@ class MomentProfile:
 def analytic_moments(spec: DistributionSpec) -> MomentProfile:
     """Closed-form moment profile for a distribution spec."""
     cols = list(zip(*(SCALAR_FAMILIES[c.family].moments(c.params) for c in spec.components)))
-    mean, pos, var, a3 = (np.array(col, dtype=float) for col in cols[:4])
-    los, his = cols[4:]
-    if all(v is not None for v in los):
-        lo = np.array(los, dtype=float)
-        hi = np.array(his, dtype=float)
-        width = hi - lo
-        v = np.where(width > 0, (mean - lo) * (hi - mean) / np.where(width > 0, width, 1.0), 0.0)
-        return MomentProfile(mean, pos, pos.copy(), var, a3, lo, hi, v)
-    return MomentProfile(mean, pos, pos.copy(), var, a3)
+    mean, pos, var, a3, lo, hi = (np.array(col, dtype=float) for col in cols)
+    width = hi - lo  # inf on an unbounded side
+    v = None if np.isinf(width).any() else np.where(
+        width > 0, (mean - lo) * (hi - mean) / np.where(width > 0, width, 1.0), 0.0)
+    return MomentProfile(mean, pos, pos.copy(), var, a3, lo, hi, v)
 
 
 def _seed_word(seed: int) -> int:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -32,7 +33,7 @@ class Slab:
     """Constraint t*lower_slope + lower_icept <= s <= t*upper_slope + upper_icept.
 
     An optional primed quadruple intersects a second slab of the same form.
-    The slab is flagged empty when a lower edge exceeds its upper edge.
+    The slab is flagged empty, on the first read only, when a lower edge exceeds its upper edge.
     """
 
     lower_slope: np.ndarray
@@ -49,7 +50,7 @@ class Slab:
     def dim(self) -> int:
         return self.lower_slope.shape[0]
 
-    @property
+    @cached_property
     def is_empty(self) -> bool:
         bad = np.any(self.lower_slope > self.upper_slope) or np.any(self.lower_icept > self.upper_icept)
         if self.primed is not None:

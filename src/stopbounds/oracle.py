@@ -89,6 +89,9 @@ class OracleRegion(Region):
     def complement_closure(self):
         raise RegionError("complement_closure requires a built-in region family")
 
+    def contains_sums(self, n: int, lo, hi) -> None:
+        """None: membership at points cannot show that a whole box of sums lies inside."""
+
     def ray_exit(self, v: np.ndarray, tol=None, t_start: float = 1.0) -> float:
         """sup{t >= 0 : (t, t v) in the region} from a bracket at ``t_start``, audited, bisected."""
         member = _ray_member(self, v)

@@ -15,8 +15,8 @@ from stopbounds.harness import BrownianBundle, ScenarioBundle, bound_report, bro
 from stopbounds.scenarios import brownian_cases, certification_matrix
 
 
-def bundle(spec, region, schedule, **decl):
-    return ScenarioBundle("test", spec, region, schedule, declarations=decl)
+def bundle(spec, region, schedule):
+    return ScenarioBundle("test", spec, region, schedule)
 
 
 def test_stopping_lower_bound_examples():
@@ -668,22 +668,38 @@ def test_brown4_is_inapplicable_on_power_boundaries(exponent):
     report = brownian_report("Brown4", case)
     assert not report.applicable and report.failed_assumptions() == ["g-concave"]
     flat = BrownianBundle("flat", sb.constant_region(4.0), drift=0.5, diffusion=1.0, dt=0.01)
-    assert brownian_report("Brown4", flat).applicable  # 1/g = v/4 is affine
-    declared = dataclasses.replace(flat, declarations={"concave_rule": False})
-    assert not brownian_report("Brown4", declared).applicable
+    report = brownian_report("Brown4", flat)  # 1/g = v/4 is affine
+    assert report.applicable and report.assumptions[0].status == "pass"
 
 
 def test_wald_lower_bound_is_inapplicable_on_a_power_row_without_declarations():
     row = bundle(sb.bernoulli_affine(0, 1, 0.5), sb.power_region(2.0, 0.5), sb.naturals())
-    assert row.declarations == {}
     report = bound_report("T-UseWald-lower", row)
     assert not report.applicable and report.failed_assumptions() == ["g-concave"]
-    # a declaration cannot make it concave; a flat row keeps its declaration
-    declared = bundle(sb.bernoulli_affine(0, 1, 0.5), sb.power_region(2.0, 0.5), sb.naturals(),
-                      concave_rule=True)
-    assert not bound_report("T-UseWald-lower", declared).applicable
+    # concavity of 1/g is computed: pass on a flat row, unknown on an oracle region
     flat = bundle(sb.bernoulli_affine(0, 1, 0.5), sb.constant_region(5.0), sb.naturals())
-    assert bound_report("T-UseWald-lower", flat).applicable
+    report = bound_report("T-UseWald-lower", flat)
+    assert report.applicable and report.assumptions[0].status == "pass"
+    twin = dataclasses.replace(flat, region=sb.region_from_oracle(
+        flat.region.contains, 1, convex_closure=True, contains_origin=True))
+    assert bound_report("T-UseWald-lower", twin).assumptions[0].status == "declared"
+
+
+def test_start_containment_is_computed_from_the_support_of_the_start_sum():
+    def iv(region, prof, schedule):
+        report = sb.slab_optimization_upper_bound(region, prof, schedule, "T10-upper")
+        return next(c.status for c in report.assumptions if c.ident == "IV")
+
+    region = sb.constant_region(5.0)
+    bern = sb.analytic_moments(sb.bernoulli_affine(0, 1, 0.5))
+    assert iv(region, bern, sb.naturals(5)) == "pass"  # S_5 <= 5
+    assert iv(region, bern, sb.naturals(6)) == "fail"  # S_6 = 6 with probability 1/64
+    exp = sb.analytic_moments(sb.exponential(1.0))
+    assert iv(region, exp, sb.naturals()) == "pass"  # at n0 = 0, the origin
+    assert iv(region, exp, sb.naturals(1)) == "fail"  # S_1 is unbounded above
+    oracle = sb.region_from_oracle(region.contains, 1, convex_closure=True, contains_origin=True)
+    assert iv(oracle, bern, sb.naturals()) == "pass"
+    assert iv(oracle, bern, sb.naturals(1)) == "declared"
 
 
 @pytest.mark.parametrize("tag", ["T-UseWald-lower", "Brown4"])

@@ -113,14 +113,11 @@ def test_bound_command_config_errors(tmp_path, capsys):
         # a schedule kind that is no string is refused like an unknown one
         ("bound", dict(BASE, bounds=["T10-upper"], schedule={"kind": ["all-naturals"]})),
         ("bound", dict(BASE, bounds=["T10-upper"], schedule={"kind": {"all-naturals": 0}})),
-        # declarations take known keys and JSON booleans; anything else would be misread
-        ("bound", dict(SQRT_WALD, declarations={"concave_rule": "false"})),
-        ("bound", dict(SQRT_WALD, declarations={"concave_rul": False})),
-        ("bound", dict(SQRT_WALD, declarations={"concave_rule": 0})),
-        ("bound", dict(SQRT_WALD, declarations={"concave_rule": None})),
-        ("bound", dict(BROWNIAN, declarations={"concave_rule": "no"})),
-        ("bound", dict(BROWNIAN, declarations=[])),
-        # keys the parsers do not read are refused, not ignored
+        # keys the parsers do not read are refused, not ignored, at the top level too
+        ("bound", dict(BASE, boundz=["T10-upper"])),
+        ("bound", dict(BASE, bounds=["T10-upper"], simulte={"n_runs": 10})),
+        ("certify", dict(BROWNIAN, schedule_kind="all-naturals")),
+        ("validate", {"validators": [], "bounds": ["T10-upper"]}),
         ("bound", dict(BASE, bounds=["T10-upper"],
                        schedule={"kind": "arithmetic", "n0": 0, "step": 2, "ste": 3})),
         ("bound", dict(BASE, bounds=["T10-upper"], region=dict(BASE["region"], levle=6.0))),
@@ -147,10 +144,12 @@ def test_bound_command_config_errors(tmp_path, capsys):
             assert capsys.readouterr().err.startswith("stopbounds: ")
     assert main(["bound", str(path), "--seed", str(2**64 - 1),
                  "--out", str(tmp_path / "rep.csv")]) == 0
+    # hypotheses are computed, so a stale declarations key is refused by name
     path = write_config(tmp_path, "declared.json", dict(SQRT_WALD, declarations={
-        "concave_rule": False, "sure_start": True, "start_containment": True}))
-    assert main(["bound", str(path), "--out", str(tmp_path / "rep.csv")]) == 0
-    assert read_rows(tmp_path / "rep.csv")[0]["applicable"] == "false"
+        "concave_rule": True}))
+    capsys.readouterr()
+    assert main(["bound", str(path), "--out", str(tmp_path / "rep.csv")]) == 2
+    assert "unknown: 'declarations'" in capsys.readouterr().err
 
 
 BROWNIAN = {
@@ -186,7 +185,7 @@ _FUZZ_BASES = [
          region={"family": "constant", "level": 5.0, "orientation": "ge", "kind": "stopping"},
          schedule={"kind": "arithmetic", "n0": 0, "step": 2},
          bounds=["T8-lower", "T10-upper", "T12-samplemean", "Lorden-T6", "Lorden-T7"],
-         simulate={"n_runs": 100, "horizon": 1000}, declarations={"concave_rule": True}),
+         simulate={"n_runs": 100, "horizon": 1000}),
     dict(BASE, distribution={"family": "bernoulli-affine", "params": {"x0": 0, "x1": 1, "p": 0.5}},
          schedule={"kind": "explicit", "values": [2, 4]},
          bounds=[tag for tag in ALL_TAGS if not tag.startswith("Brown")]),

@@ -686,3 +686,35 @@ def test_power_region_on_its_non_convex_side_is_refuted():
         sb.ray_exit_time(region, 1.0)
     assert sb.ray_entry_and_exit(region, 1.0) == (0.0, math.inf)
     assert sb.ray_entry_and_exit(region, -1.0) == (0.0, 0.0)
+
+
+def test_contains_sums_takes_the_worst_corner_exactly():
+    le2 = sb.constant_region(2.0, "le")
+    assert le2.contains_sums(2, [0.0], [1.0])  # S_2 in [0, 2], on the boundary at worst
+    assert not le2.contains_sums(2, [0.0], [1.5])
+    assert not le2.contains_sums(1, [0.0], [math.inf])
+    assert le2.contains_sums(3, [-math.inf], [0.5])  # only the upper end meets the boundary
+    assert sb.constant_region(-1.0, "ge").contains_sums(2, [-0.5], [math.inf])
+    # at n = 0 the sum is 0 whatever the increments: the origin check
+    assert le2.contains_sums(0, [-math.inf], [math.inf])
+    assert not sb.constant_region(2.0, "ge").contains_sums(0, [0.0], [0.0])
+    # summed exactly: three steps of the float 0.1 land on the line s = 0.1 t, of 2 ulps more not
+    line = sb.affine_region(0.1, 0.0, "le")
+    assert line.contains_sums(3, [0.1], [0.1])
+    assert not line.contains_sums(3, [0.1], [0.1 + 2**-55])
+    # 2*sqrt(4) = 4: a tie on the power boundary is inside the closed region
+    root = sb.power_region(2.0, 0.5, "le")
+    assert root.contains_sums(4, [0.0], [1.0]) and not root.contains_sums(4, [0.0], [1.01])
+    # a coordinate with no coefficient does not enter, even unbounded
+    plane = sb.halfspace_region([1.0, 0.0, -1.0], 0.5, 4.0, "le")
+    assert plane.contains_sums(2, [-1.0, -math.inf, 0.0], [1.0, math.inf, 2.0])
+    assert plane.contains_sums(2, [-1.0, -math.inf, -0.5], [1.0, math.inf, 2.0])  # a tie
+    assert not plane.contains_sums(2, [-1.0, -math.inf, -1.0], [1.0, math.inf, 2.0])
+    assert sb.halfspace_region([0.0], 1.0, 4.0).contains_sums(4, [-math.inf], [math.inf])
+    assert not sb.halfspace_region([0.0], 1.0, 4.0).contains_sums(5, [0.0], [0.0])
+
+
+def test_an_oracle_region_cannot_answer_contains_sums():
+    oracle = sb.region_from_oracle(lambda t, s: s[0] <= 2.0, 1, convex_closure=True,
+                                   contains_origin=True)
+    assert oracle.contains_sums(2, [0.0], [0.5]) is None

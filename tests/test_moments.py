@@ -95,6 +95,15 @@ def test_empirical_mean_within_clt_band(spec):
         assert np.all(draws <= prof.support_hi + 1e-12)
 
 
+def test_unbounded_supports_carry_infinite_ends():
+    prof = sb.analytic_moments(sb.product([sb.exponential(2.0), sb.gaussian(0.0, 1.0),
+                                           sb.uniform_interval(-1.0, 1.0)]))
+    assert prof.support_lo.tolist() == [0.0, -math.inf, -1.0]
+    assert prof.support_hi.tolist() == [math.inf, math.inf, 1.0]
+    assert not prof.bounded and prof.bound_v is None
+    assert sb.analytic_moments(sb.uniform_interval(-1.0, 1.0)).bounded
+
+
 def test_degenerate_and_certain_draws():
     rng = stream_for_run(0, 0)
     assert sb.sample(sb.point_mass(0.5), rng)[0] == 0.5

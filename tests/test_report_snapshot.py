@@ -40,5 +40,14 @@ def test_shipped_reports_match_the_snapshot():
         assert old == new, old[:2]
 
 
+def test_only_the_unsettled_concavity_checks_read_declared():
+    # every other hypothesis of a built-in report is computed from its region
+    declared = [(entry[1], ident) for entry in shipped_reports()
+                for ident, status in entry[6] if status == "declared"]
+    assert len(declared) == 11
+    assert set(declared) <= {(tag, "g-concave") for tag in (
+        "T12-samplemean", "T13-samplemean-naturals", "T-try88-bounded", "Brown3")}
+
+
 if __name__ == "__main__":
     sys.stdout.write("[\n" + ",\n".join(json.dumps(e) for e in shipped_reports()) + "\n]\n")

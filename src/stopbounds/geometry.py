@@ -14,16 +14,18 @@ and, for d = 1 boundaries s = f(t), the exact slope f'.  Along a ray
 (t, t v) the slack has the sign of alpha - rate*t**k (``ray_form``), with
 the rate affine in v, so ray exits, entries and the maximum of g over a box
 are closed forms, as are the side and distance of a slice, where the slack
-is affine in s.  The slope gives the exact log-gradient 1/(f'(m) - mean),
-and a halfspace gives -a/(<a, mean> + b), so the supporting hyperplane is
-exact.  A membership predicate makes an ``oracle.OracleRegion``, whose
+is affine in s, and the largest t at which a slab's box meets a slice.  The
+slope gives the exact log-gradient 1/(f'(m) - mean), and a halfspace gives
+-a/(<a, mean> + b), so the supporting hyperplane is exact.  A membership predicate makes an ``oracle.OracleRegion``, whose
 methods are searches and whose plane is audited on sampled members.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Optional
@@ -72,7 +74,7 @@ class Region:
 
     Each type has the methods ``inside``, ``contains_sums``, ``ray_exit``,
     ``entry_and_exit``, ``exit_box_max``, ``log_gradient``, ``slice_side``,
-    ``slice_distance``, ``slab_feasibility`` and ``complement_closure``.
+    ``slice_distance``, ``slab_max`` and ``complement_closure``.
     ``closed_form`` says whether the answers are exact, so that the supporting
     plane needs no ``support_audit``.  The capabilities below belong to some
     built-in families; a region without one answers None, or False for ``time_slab``.
@@ -277,56 +279,72 @@ class FamilyRegion(Region):
         norm = float(np.linalg.norm(p["s_coef"])) if p["family"] == "halfspace" else 1.0
         return -slack / (n * norm)
 
-    def slab_max(self, slab, t_cap: float) -> "SlabMaxResult":
-        """The largest t in [0, t_cap] whose box meets the slice, for a plain nonempty slab.
+    def slab_max(self, slab, t_cap: float, tol: Optional[float] = None) -> "SlabMaxResult":
+        """The largest t in [0, t_cap] whose box meets the slice, for a slab that is not empty.
 
-        With no primed quadruple and lower edges below upper ones, lo <= hi
-        at every t >= 0, so the one constraint left is the slack at the box
-        edge that maximizes it, lo_i where beta_i > 0 and hi_i elsewhere:
-        the edge cs*t + ci, affine in t.  Along it a flat family's slack is
-        rise - rate*t, whose root comes from exact integer arithmetic and is
-        rounded up; a power boundary's is concave (``_power_slab_max``).
+        On each coordinate a primed slab's box runs from the larger of two
+        lower edges to the smaller of two upper ones, so its breakpoints, where
+        two of them cross, cut [0, t_cap] into pieces on which it is a plain
+        slab (``slab.piece``); a plain slab is one piece.  The pieces are read
+        from the right: each cut is tested exactly, since the box may meet the
+        slice at that t alone, then the piece left of it, where the slack along
+        one box edge decides (``_edge_slack``).  Every value is rounded up; tol
+        is unused, as in ``ray_exit``.
+        """
+        if self.power_exponent is not None and self.ray_coefficients[0] < 0.0:
+            raise NonConvexityError("the region lies on the non-convex side of its boundary")
+        slack = functools.cache(self._edge_slack)
+
+        def meets(t: Fraction) -> bool:
+            piece = slab.piece(t)
+            return piece is not None and slack(piece)[0](t)
+
+        cuts = [Fraction(0), *slab.breakpoints(t_cap), Fraction(t_cap)]
+        if meets(cuts[-1]):
+            return SlabMaxResult(math.inf, unbounded=True)
+        for lo, hi in zip(cuts[-2::-1], cuts[:0:-1]):
+            mid = Fraction(lo.numerator * hi.denominator + hi.numerator * lo.denominator,
+                           2 * lo.denominator * hi.denominator)  # (lo + hi) / 2, in fewer steps
+            piece = slab.piece(mid)
+            found = piece is not None and slack(piece)[1](lo, hi)
+            if found:
+                return found
+            if meets(lo):
+                return SlabMaxResult(float_at_least(lo.numerator, lo.denominator))
+        return SlabMaxResult(0.0, empty_domain=True)
+
+    def _edge_slack(self, piece):
+        """(meets, last_root) of the slack along the box edge of a plain slab where it is largest.
+
+        That edge takes lo_i where beta_i > 0 and hi_i elsewhere: cs*t + ci,
+        affine in t.  ``meets(t)``: the slack is >= 0 at an exact t.
+        ``last_root(lo, hi)``: for a slack < 0 at hi, the largest t in (lo, hi)
+        where it is >= 0, rounded up, as a ``SlabMaxResult``; None when there is
+        none.  A flat family's slack is rise - rate*t in exact rationals; a
+        power boundary's is concave (``_power_last_root``).
         """
         alpha, beta, kappa, _ = self.ray_coefficients
-        take_lo = beta > 0.0
-        cs = np.where(take_lo, slab.lower_slope, slab.upper_slope).tolist()
-        ci = np.where(take_lo, slab.lower_icept, slab.upper_icept).tolist()
+        lower_slope, upper_slope, lower_icept, upper_icept = piece
         beta = beta.tolist()
-        if self.family["family"] == "power":  # beta = [sgn]
-            return _power_slab_max(alpha, self.family["exponent"], beta[0] * cs[0],
-                                   beta[0] * ci[0], t_cap)
+        cs = [ls if b > 0.0 else us for b, ls, us in zip(beta, lower_slope, upper_slope)]
+        ci = [li if b > 0.0 else ui for b, li, ui in zip(beta, lower_icept, upper_icept)]
+        if self.power_exponent is not None:  # beta = [sgn]
+            terms = (alpha, self.power_exponent, beta[0] * cs[0], beta[0] * ci[0])
+            return (lambda t: _power_sign(*terms, t) != -1,
+                    lambda lo, hi: _power_last_root(*terms, lo, hi))
+        # the slack is rise/d_rise - (rate/d_rate)*t
         rise, d_rise = exact_sum([(alpha,), *((-b, c) for b, c in zip(beta, ci))])
         rate, d_rate = exact_sum([(kappa,), *zip(beta, cs)])
-        cap, d_cap = t_cap.as_integer_ratio()
-        if rise * d_rate * d_cap >= cap * rate * d_rise:  # the slack at t_cap is >= 0
-            return SlabMaxResult(math.inf, unbounded=True)
-        if rate <= 0 or rise < 0:  # negative at t_cap and never larger before, or from t = 0 on
-            return SlabMaxResult(0.0, empty_domain=True)
-        return SlabMaxResult(float_at_least(rise * d_rate, rate * d_rise))
 
-    def slab_feasibility(self, slab, tol: float):
-        """t -> whether the box ``slab.box(t)`` meets the slice at t.
+        def meets(t: Fraction) -> bool:
+            return rise * d_rate * t.denominator >= rate * d_rise * t.numerator
 
-        A curve s = f(t) compares f(t) with the box edge on its side; a
-        halfspace (time slabs included) takes its slack at the box corner
-        that maximizes it, lo_i where beta_i > 0 and hi_i elsewhere.  The
-        bisection of a primed slab in ``optimize`` tests each t with it.
-        """
-        curve = self._curve
-        if curve is not None:
-            f, le = curve[0], curve[2] == "le"
+        def last_root(lo: Fraction, hi: Fraction):
+            if rate > 0 and rise * d_rate * lo.denominator > lo.numerator * rate * d_rise:
+                return SlabMaxResult(float_at_least(rise * d_rate, rate * d_rise))
+            return None
 
-            def feasible(t: float) -> bool:
-                lo, hi = slab.box(t)
-                lo, hi = float(lo[0]), float(hi[0])
-                return lo <= hi and (lo <= f(t) if le else hi >= f(t))
-        else:
-            take_lo = self.linear_slack[1] > 0.0
-
-            def feasible(t: float) -> bool:
-                lo, hi = slab.box(t)
-                return not np.any(lo > hi) and self.slack_batch(t, np.where(take_lo, lo, hi)) >= 0.0
-        return feasible
+        return meets, last_root
 
 
 _FLIP = {"le": "ge", "ge": "le"}
@@ -344,11 +362,12 @@ class SlabMaxResult(NamedTuple):  # a tuple: cheaper than a dataclass to define 
 
     ``unbounded``: the box meets it at t_cap (value inf); ``empty_domain``:
     at no t in [0, t_cap] (value 0).  ``uncertainty`` is how far the value
-    may lie above the exact maximum: one bisection step plus the feasibility
-    margin for a searched slab (a primed slab, or any slab of an oracle
-    region); 0 for the closed form of a plain slab on a flat family, which
-    is the exact root rounded up to a float; the last bracket, an ulp or a
-    few, for a plain slab on a power boundary.
+    may lie above the exact maximum.  On a built-in region, plain or primed
+    slab alike, it is 0 where the value is an exact root or cut rounded up
+    to a float, and the last bracket, an ulp or a few, at the root of a
+    power boundary's slack.  On an oracle region it is the last bisection
+    step, and the value may also exceed the maximum by the feasibility
+    margin tol.
     """
 
     value: float
@@ -384,63 +403,61 @@ def float_at_least(num: int, den: int) -> float:
 _ROUNDING = 2.0**-50  # eight unit roundoffs: the float error of each term of a power slack
 
 
-def _power_sign(a: float, e: float, p: float, q: float, t: float):
+def _power_sign(a: float, e: float, p: float, q: float, t):
     """The sign of h(t) = a t^e - p t - q for a >= 0: 1, -1, 0 (exactly zero), or None.
 
-    Floats decide unless |h| lies within 2**-50 of the magnitudes of its
-    terms (pow is within an ulp), or 2**-1000 when the terms are
-    subnormal.  Then an exponent with denominator 4
-    compares a^4 t^(4e) with (p t + q)^4 in integers, and any other stays
-    undecided (None).
+    t is a float or a fraction.  Floats decide unless |h| lies within 2**-50
+    of the magnitudes of its terms (pow is within an ulp), or 2**-1000 when
+    the terms are subnormal.  Then an exponent with denominator 4 compares
+    a^4 t^(4e) with (p t + q)^4 in integers, and any other stays undecided
+    (None).
     """
-    rise, pt = a * t**e, p * t
+    x = float(t)
+    rise, pt = a * x**e, p * x
     h = rise - (pt + q)
     if abs(h) > _ROUNDING * (abs(rise) + abs(pt) + abs(q)) + 2.0**-1000:
         return 1 if h > 0.0 else -1
     m = 4.0 * e
     if m != int(m):
         return None
-    line, d_line = exact_sum([(p, t), (q,)])
-    if line <= 0:  # a t^e >= 0 >= line, equal only when both vanish
-        return 0 if line == 0 and (a == 0.0 or t == 0.0) else 1
     (na, da), (nt, dt), m = a.as_integer_ratio(), t.as_integer_ratio(), int(m)
+    (n_p, d_p), (n_q, d_q) = p.as_integer_ratio(), q.as_integer_ratio()
+    line, d_line = n_p * nt * d_q + n_q * d_p * dt, d_p * dt * d_q  # p t + q
+    if line <= 0:  # a t^e >= 0 >= line, equal only when both vanish
+        return 0 if line == 0 and (a == 0.0 or t == 0) else 1
     d = na**4 * nt**m * d_line**4 - line**4 * da**4 * dt**m
     return (d > 0) - (d < 0)
 
 
-def _power_slab_max(a: float, e: float, p: float, q: float, t_cap: float) -> SlabMaxResult:
-    """The largest t in [0, t_cap] with h(t) = a t^e - p t - q >= 0, where 0 < e < 1.
+def _power_last_root(a: float, e: float, p: float, q: float, lo: Fraction, hi: Fraction):
+    """The largest t in (lo, hi) with h(t) = a t^e - p t - q >= 0, where 0 < e < 1 and h(hi) < 0.
 
     h is concave for a >= 0 (the region on the convex side of its
     boundary) and peaks at (a e / p)^(1/(1 - e)) when p > 0, so its feasible
-    set is an interval.  Newton from t_cap, on the infeasible side,
+    set is an interval.  Newton from hi rounded up, on the infeasible side,
     approaches the right root from above until the floats stall; the value
     is then the first float past the root by the exact sign of h
-    (``_power_sign``), or past the band where floats cannot tell.
+    (``_power_sign``), or past the band where floats cannot tell, and its
+    uncertainty the step to the float below.  None when h < 0 on (lo, hi).
     """
-    if a < 0.0:
-        raise NonConvexityError("the region lies on the non-convex side of its boundary")
-
     def past(t: float) -> bool:  # surely at or beyond the right root
         return _power_sign(a, e, p, q, t) in (-1, 0)
 
-    if not past(t_cap):
-        return SlabMaxResult(math.inf, unbounded=True)
     try:
         peak = (a * e / p) ** (1.0 / (1.0 - e)) if p > 0.0 else math.inf
     except OverflowError:
         peak = math.inf
-    if peak >= t_cap or _power_sign(a, e, p, q, peak) == -1:  # h < 0 up to t_cap, or at its top
-        return SlabMaxResult(0.0, empty_domain=True)
-    t = t_cap
+    if peak >= hi or _power_sign(a, e, p, q, peak) == -1:  # h < 0 up to hi, or at its top
+        return None
+    t = top = float_at_least(hi.numerator, hi.denominator)
     for _ in range(200):  # quadratic convergence takes a handful; a double root about 60
         slope = a * e * t ** (e - 1.0) - p
         nxt = t - (a * t**e - p * t - q) / slope if slope < 0.0 else t
         if not peak < nxt < t:
             break
         t = nxt
-    lo, hi = _first_past(past, t, peak, t_cap)
-    return SlabMaxResult(hi, uncertainty=hi - lo)
+    below, value = _first_past(past, t, peak, top)
+    return SlabMaxResult(value, uncertainty=value - below) if value > lo else None
 
 
 def _first_past(past, x: float, lo: float, hi: float):
@@ -601,13 +618,6 @@ def ray_exit_time(region: Region, v, tol: Optional[float] = None) -> float:
     """
     _require_convex_origin(region)
     return region.ray_exit(np.atleast_1d(np.asarray(v, dtype=float)), tol)
-
-
-def ray_exit_box_max(region: Region, lo, hi) -> float:
-    """max of ray_exit_time(region, v) over the box lo <= v <= hi, for a built-in family only."""
-    if not region.closed_form:
-        raise RegionError("the closed-form box maximum requires a built-in region family")
-    return region.exit_box_max(lo, hi)
 
 
 def mean_ray_crossing(region: Region, mean, tol: Optional[float] = None) -> float:

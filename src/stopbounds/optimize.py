@@ -3,12 +3,12 @@
 Three operations: maximize the time coordinate over a slab-constrained
 region slice, maximize a concave function over a box, and maximize the
 fractional vertex form over the corners of the unit cube.  All of them are
-deterministic given their tolerances and seeds.  The slab maximum of a
-plain slab on a built-in region is the region's closed form
-(``FamilyRegion.slab_max``); a primed slab, or an oracle region, bisects in
-t, and the region tests each t (``Region.slab_feasibility``).  The box
-maximum is a function kernel (golden section for d = 1, multi-start ascent
-above), which oracle regions call for the maximum of their ray exit.
+deterministic given their tolerances and seeds.  The slab maximum is the
+region's own ``slab_max``: a closed form on a built-in region, for a plain
+or a primed slab alike, and a scan and bisection in t on an oracle region,
+the one caller of the ``bracket`` and ``bisect`` kernels.  The box maximum
+is a function kernel (golden section for d = 1, multi-start ascent above),
+which oracle regions call for the maximum of their ray exit.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
@@ -67,38 +68,88 @@ class Slab:
             hi = np.minimum(hi, phi)
         return lo, hi
 
+    @cached_property
+    def _edges(self):
+        """Per coordinate, the lower and the upper edges of the slab and its primed ones, as (S, I, slope, icept).
+
+        A float is an integer over a power of two, so the largest denominator
+        of the slab's floats is a common one, and S and I are the integers
+        that slope and icept are over it: two edges cross at t = (I2 - I1) /
+        (S1 - S2), and compare at t = n/d through S*n + I*d.
+        """
+        slabs = [self]
+        while slabs[-1].primed is not None:
+            slabs.append(slabs[-1].primed)
+        den = max(v.as_integer_ratio()[1] for x in slabs
+                  for row in (x.lower_slope, x.upper_slope, x.lower_icept, x.upper_icept)
+                  for v in row.tolist())
+
+        def edges(side: str, i: int) -> list:
+            pairs = [(float(getattr(x, side + "_slope")[i]), float(getattr(x, side + "_icept")[i]))
+                     for x in slabs]
+            return [(*(n * (den // d) for n, d in map(float.as_integer_ratio, pair)), *pair)
+                    for pair in pairs]
+
+        return [(edges("lower", i), edges("upper", i)) for i in range(self.dim)]
+
+    def breakpoints(self, t_cap: float) -> list:
+        """The t in (0, t_cap) where two edges of one coordinate cross, as sorted fractions.
+
+        Between two of them, and between the last and t_cap, each coordinate
+        keeps the same largest lower edge and smallest upper edge, so a primed
+        slab is a plain one there (``piece``).  A plain slab has none.
+        """
+        if self.primed is None:
+            return []
+        cap, d_cap = t_cap.as_integer_ratio()
+        cuts = set()
+        for lower, upper in self._edges:
+            for a, b in itertools.combinations(lower + upper, 2):
+                num, den = b[1] - a[1], a[0] - b[0]
+                if den < 0:
+                    num, den = -num, -den
+                if den and 0 < num and num * d_cap < cap * den:
+                    cuts.add(Fraction(num, den))
+        return sorted(cuts)
+
+    @cached_property
+    def _own_edges(self):  # a plain slab's piece
+        return tuple(tuple(x.tolist()) for x in (self.lower_slope, self.upper_slope,
+                                                 self.lower_icept, self.upper_icept))
+
+    def piece(self, t: Fraction):
+        """The plain slab whose box is the box at an exact t >= 0, or None when that box is empty.
+
+        Given as its (lower_slope, upper_slope, lower_icept, upper_icept)
+        tuples, so that it can key a cache.  A plain slab that is not
+        ``is_empty`` is its own piece at every t.
+        """
+        if self.primed is None:
+            return self._own_edges
+        n, d = t.numerator, t.denominator
+        rows = []
+        for lower, upper in self._edges:
+            lo = max(lower, key=lambda e: e[0] * n + e[1] * d)
+            hi = min(upper, key=lambda e: e[0] * n + e[1] * d)
+            if lo[0] * n + lo[1] * d > hi[0] * n + hi[1] * d:
+                return None
+            rows.append((lo[2], hi[2], lo[3], hi[3]))
+        return tuple(zip(*rows))
+
 
 def max_time_in_region(region: Region, slab: Slab, t_cap: float = 2.0**30,
                        tol: float = 1e-9) -> SlabMaxResult:
-    """Largest t whose slab box intersects the region slice.
+    """Largest t whose slab box intersects the region slice: the region's ``slab_max``.
 
     Feasibility at t_cap is reported as an unbounded domain; feasibility
-    nowhere as an empty one.  A plain slab (no primed quadruple) on a
-    built-in region is closed-form (``FamilyRegion.slab_max``): the root of
-    an affine slack for a flat family, of a concave one for a power
-    boundary, with no search.  A primed slab, or any slab of an oracle
-    region, is searched: the feasible t values form an interval by
-    convexity, so the search halves t from t_cap (down to 1e-12, then 0) to
-    a feasible t, and bisects between it and the last infeasible t above
-    it.  A built-in region tests each t exactly, with no membership call,
-    and an oracle region searches its slice.
+    nowhere as an empty one.  A built-in region answers in closed form and
+    ignores tol; an oracle region searches in t to tol.
     """
     if not region.convex_closure:
         raise ValueError("max_time_in_region requires the asserted convex closure")
     if slab.is_empty:
         return SlabMaxResult(0.0, empty_domain=True)
-    if slab.primed is None and region.closed_form:
-        return region.slab_max(slab, t_cap)
-    feasible = region.slab_feasibility(slab, tol)
-    if feasible(t_cap):
-        return SlabMaxResult(math.inf, unbounded=True)
-    hi, lo = bracket(feasible, 0.5 * t_cap, 0.5, 1e-12, t_cap)
-    if lo is None:
-        if not feasible(0.0):
-            return SlabMaxResult(0.0, empty_domain=True)
-        lo = 0.0
-    lo, hi = bisect(feasible, lo, hi, tol)
-    return SlabMaxResult(hi, uncertainty=hi - lo)
+    return region.slab_max(slab, t_cap, tol)
 
 
 def bracket(flips: Callable[[float], bool], x: float, factor: float, cap: float, last=None):

@@ -25,6 +25,7 @@ from .geometry import (
     NonConvexityError,
     Region,
     RegionError,
+    SlabMaxResult,
     ray_exit_time,
 )
 from .optimize import bisect, bracket, golden_section_max, max_concave_over_box
@@ -228,25 +229,57 @@ class OracleRegion(Region):
             return self._slice_distance_2d(n, mu, tol)
         return self._slice_distance_nd(n, mu, tol)
 
-    def slab_feasibility(self, slab, tol: float):
-        """t -> whether the box ``slab.box(t)`` meets the slice at t.
+    def slab_max(self, slab, t_cap: float, tol: float) -> SlabMaxResult:
+        """The largest t in [0, t_cap] whose box meets the slice: a scan in t, then a bisection.
 
-        Failing the centre, the corners (up to d = 12) and a 65-point sweep
-        of each of the d axis segments through the centre, each probe walks
-        toward a member found by doubling from the centre; a boundary point
-        so found within tol of the box counts.  The doubling starts outside
-        the box, so a bounded slice inside the box is found only by the
-        probes: the sweep finds any such slice that covers more than 1/64
-        of one of those segments.
+        The feasible t form an interval by convexity.  Failing t_cap, the scan
+        tests from the top down the halvings t_cap/2, t_cap/4, ... to 1e-12,
+        then 0, and among them the slab's breakpoints, where two box edges
+        cross, each as the nearest float and its two neighbours, to a feasible
+        t; the bisection runs to tol between it and the last infeasible t
+        above it.  On a flat boundary a nonempty feasible set holds 0, t_cap
+        or a breakpoint, so the scan finds it, even as one t between two
+        floats, where the box is empty by far less than tol; on a curved
+        boundary it may lie between two probes.
         """
-        return lambda t: self._meets_box(t, *slab.box(t), tol)
+        def feasible(t: float) -> bool:
+            return self._meets_box(t, *slab.box(t), tol)
+
+        if feasible(t_cap):
+            return SlabMaxResult(math.inf, unbounded=True)
+        probes = {0.0}
+        for t in map(float, slab.breakpoints(t_cap)):
+            probes.update((math.nextafter(t, -math.inf), t, math.nextafter(t, t_cap)))
+        t = 0.5 * t_cap
+        while t >= 1e-12:
+            probes.add(t)
+            t *= 0.5
+        outside = t_cap
+        for t in sorted(probes, reverse=True):
+            if feasible(t):
+                inside, outside = bisect(feasible, t, outside, tol)
+                return SlabMaxResult(outside, uncertainty=outside - inside)
+            outside = t
+        return SlabMaxResult(0.0, empty_domain=True)
 
     def _meets_box(self, t: float, lo: np.ndarray, hi: np.ndarray, tol: float) -> bool:
+        """Whether the box [lo, hi] at t meets the slice, up to tol.
+
+        A box that is empty by at most tol on a coordinate stands for the
+        segment between its edges there.  Failing the centre, the corners (up
+        to d = 12) and a 65-point sweep of each of the d axis segments through
+        the centre, each probe walks toward a member found by doubling from
+        the centre; a boundary point so found within tol of the box counts.
+        The doubling starts outside the box, so a bounded slice inside the box
+        is found only by the probes: the sweep finds any such slice that
+        covers more than 1/64 of one of those segments.
+        """
         def member(s: np.ndarray) -> bool:
             return self.contains(t, s)
 
-        if np.any(lo > hi):
+        if np.any(lo > hi + tol):
             return False
+        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
         d = lo.shape[0]
         center = 0.5 * (lo + hi)
         probes = [center]

@@ -10,7 +10,7 @@ import pytest
 import stopbounds as sb
 import stopbounds.oracle  # sets sb.oracle, whose searches a test counts
 from stopbounds.bounds import ALL_TAGS, UPPER_TAGS, overshoot_upper_bound
-from stopbounds import geometry
+from stopbounds import geometry, optimize
 from stopbounds.harness import BrownianBundle, ScenarioBundle, bound_report, brownian_report
 from stopbounds.scenarios import brownian_cases, certification_matrix
 
@@ -598,30 +598,28 @@ def test_shipped_bound_reports_probe_membership_only_in_slice_side(monkeypatch):
     assert callers["member"] > 0
 
 
-def test_shipped_t10_reports_test_no_slab_feasibility(monkeypatch):
-    # T10's plain slab is a root in closed form: no t is tested for it.  T11's
-    # primed slab keeps its bisection, with the 551 probes it has always made
-    probes, current = collections.Counter(), [None]
-    feasibility = geometry.FamilyRegion.slab_feasibility
+def test_shipped_slab_reports_make_no_search(monkeypatch):
+    # T10's plain slab and T11's primed slab are both closed forms on a
+    # built-in region: no t is bracketed, bisected or tested for a slab
+    calls = collections.Counter()
+    for owner, name in ((optimize, "bracket"), (optimize, "bisect"), (sb.oracle, "bracket"),
+                        (sb.oracle, "bisect"), (sb.oracle.OracleRegion, "_meets_box")):
+        def counted(*args, _name=name, _search=getattr(owner, name), **kwargs):
+            calls[_name] += 1
+            return _search(*args, **kwargs)
 
-    def counted(self, slab, tol):
-        feasible = feasibility(self, slab, tol)
-
-        def probe(t):
-            probes[current[0]] += 1
-            return feasible(t)
-
-        return probe
-
-    monkeypatch.setattr(geometry.FamilyRegion, "slab_feasibility", counted)
-    reports = []
-    for report, rows in ((bound_report, certification_matrix(10)),
-                         (brownian_report, brownian_cases(10))):
-        for row in rows:
-            for tag in row["tags"]:
-                current[0] = tag
-                reports.append(report(tag, row["bundle"]))
-    assert len(reports) == 155 and probes == {"T11-upper-bounded": 551}
+        monkeypatch.setattr(owner, name, counted)
+    reports = [bound_report(tag, row["bundle"])
+               for row in certification_matrix(10) for tag in row["tags"]]
+    reports += [brownian_report(tag, case["bundle"])
+                for case in brownian_cases(10) for tag in case["tags"]]
+    assert len(reports) == 155 and calls == {}
+    # the counters see an oracle region's slab search
+    oracle = sb.region_from_oracle(lambda t, s: s[0] <= 5.0, 1, convex_closure=True,
+                                   contains_origin=True)
+    res = sb.max_time_in_region(oracle, sb.Slab([1.0], [1.0], [0.0], [0.0]))
+    assert res.value == pytest.approx(5.0, abs=1e-8)
+    assert calls["bisect"] > 0 and calls["_meets_box"] > 0
 
 
 @pytest.mark.parametrize("name,exact_mean", [

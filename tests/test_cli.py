@@ -242,6 +242,20 @@ def test_bound_command_reports_concentration_on_a_time_slab(tmp_path):
         (tag, "true", 4.0) for tag in tags]
 
 
+@pytest.mark.parametrize("name", ["bernoulli_threshold_certify", "brownian_passage_certify"])
+def test_shipped_certify_reports_are_current(tmp_path, name):
+    # the committed report is what certify writes today: the bound columns
+    # exactly, the Monte Carlo columns to float rounding
+    out = tmp_path / "report.csv"
+    assert main(["certify", str(ROOT / "configs" / f"{name}.json"), "--out", str(out)]) == 0
+    fresh, shipped = read_rows(out), read_rows(ROOT / "configs" / f"{name}.report.csv")
+    assert len(fresh) == len(shipped) > 0
+    for new, old in zip(fresh, shipped):
+        for col in ("mc_mean", "mc_stderr"):
+            assert float(new.pop(col)) == pytest.approx(float(old.pop(col)), rel=1e-12, abs=0.0)
+        assert new == old
+
+
 def test_certify_anchor_scenario_exits_zero(tmp_path):
     cfg = {
         "name": "bern-threshold",

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import stopbounds as sb
@@ -16,7 +16,6 @@ from stopbounds.geometry import (
     NoRayExitError,
     RegionError,
     convexity_audit,
-    ray_exit_box_max,
     region_from_family,
     sample_member_points,
     slice_side,
@@ -521,7 +520,7 @@ def test_closed_box_maximum_matches_the_search_on_oracles(case):
     # regions without the convexity and origin flags raise on both paths
     region, lo, hi = case
     oracle = _exact_oracle(region)
-    closed = _outcome(ray_exit_box_max, region, lo, hi)
+    closed = _outcome(region.exit_box_max, lo, hi)
 
     def g(v):
         return sb.ray_exit_time(oracle, v, tol=_tight(closed))
@@ -554,15 +553,37 @@ def _widened(slab, by):
                    slab.upper_icept + by, primed)
 
 
+def _exactly_meets(region, slab, t: float) -> bool:
+    """Whether the box at t meets the slice of a power region, in exact rationals.
+
+    The exponents 1/4, 1/2 and 3/4 compare a^4 t^(4e) with the fourth power
+    of the box edge on the slack's side, as ``_power_sign`` does.
+    """
+    t = Fraction(t)
+    slabs = [slab] if slab.primed is None else [slab, slab.primed]
+    lo = max(Fraction(x.lower_slope[0]) * t + Fraction(x.lower_icept[0]) for x in slabs)
+    hi = min(Fraction(x.upper_slope[0]) * t + Fraction(x.upper_icept[0]) for x in slabs)
+    alpha, beta, _, _ = region.ray_coefficients
+    line = Fraction(beta[0]) * (lo if beta[0] > 0.0 else hi)
+    return lo <= hi and (line <= 0 or Fraction(alpha) ** 4 * t ** int(4 * region.power_exponent)
+                         >= line**4)
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=_region_and_slab())
+@example(case=(sb.power_region(2.0, 0.5),
+               sb.Slab([1 / 3], [1 / 3], [2.999], [2.999],
+                       primed=sb.Slab([-10.0], [10.0], [-100.0], [100.0]))))
 def test_built_in_slab_feasibility_matches_the_search_on_oracles(case):
-    # the closed form of a plain slab, or the exact test of each t (curve
-    # edge or halfspace corner) of a primed one through the bisection in t to
-    # tol = 1e-9, against the membership search through that bisection; the
-    # built-in side makes no membership call.  The search reads a box within
-    # tol of the slice as meeting it, so its answer lies between the exact
-    # answers for the slab and for the slab widened by tol
+    # the closed form of a slab, plain or primed, against the membership
+    # search through a bisection in t to tol = 1e-9; the built-in side makes
+    # no membership call.  The search reads a box within tol of the slice as
+    # meeting it, so its answer lies between the exact answers for the slab
+    # and for the slab widened by tol.  Its scan probes every breakpoint of
+    # the slab, so on a flat boundary it misses no feasible t; on a power
+    # boundary they may all lie between two probes, as in the example, and
+    # then the closed value is checked in exact arithmetic: the float below
+    # it meets the slice, the float above does not
     region, slab = case
     calls = []
     contains = geometry.Region.contains
@@ -575,6 +596,10 @@ def test_built_in_slab_feasibility_matches_the_search_on_oracles(case):
         closed = sb.max_time_in_region(region, slab)
     assert calls == []
     searched = sb.max_time_in_region(_exact_oracle(region), slab)
+    if searched.empty_domain and region.power_exponent is not None and not closed.empty_domain:
+        assert _exactly_meets(region, slab, closed.value - closed.uncertainty)
+        assert not _exactly_meets(region, slab, math.nextafter(closed.value, math.inf))
+        return
     widened = sb.max_time_in_region(region, _widened(slab, 1e-9))
     assert closed.value - 1e-9 <= searched.value <= widened.value + 1e-9
 
@@ -588,9 +613,7 @@ def test_closed_box_maximum_refuses_what_ray_exit_time_refuses(region, error):
     with pytest.raises(error):
         sb.ray_exit_time(region, 0.5)
     with pytest.raises(error):
-        ray_exit_box_max(region, [0.25], [0.75])
-    with pytest.raises(RegionError):  # an oracle region has no closed form
-        ray_exit_box_max(_oracle(sb.constant_region(5.0)), [0.25], [0.75])
+        region.exit_box_max([0.25], [0.75])
 
 
 def _probed_ray_exit_time(region, v):

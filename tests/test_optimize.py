@@ -249,9 +249,14 @@ _WIDTHS = st.one_of(st.integers(0, 8).map(lambda k: k / 8.0), st.floats(0.0, 1.0
 
 
 @st.composite
-def _plain_slab_case(draw, families=("constant", "affine", "power", "halfspace"),
-                     exponents=st.sampled_from([0.25, 0.5, 0.75])):
-    """A convex built-in region (1-3-d halfspaces, time slabs among them) and a plain slab."""
+def _slab_case(draw, families=("constant", "affine", "power", "halfspace"),
+               exponents=st.sampled_from([0.25, 0.5, 0.75]), primed=False):
+    """A convex built-in region (1-3-d halfspaces, time slabs among them) and a slab.
+
+    With ``primed`` the slab has a primed slab: half the time a random one,
+    and otherwise a line that crosses the slab's lower edge, itself made a
+    line, so that the box is at most one point.
+    """
     family = draw(st.sampled_from(families))
     orientation = draw(st.sampled_from(["le", "ge"]))
     kind = draw(st.sampled_from(["continuity", "stopping"]))
@@ -275,12 +280,28 @@ def _plain_slab_case(draw, families=("constant", "affine", "power", "halfspace")
         peak = (a * e / p) ** (1.0 / (1.0 - e))
         q = draw(st.floats(0.05, 0.95)) * (a * peak**e - p * peak)
         if orientation == "le":  # the lower edge
-            return region, sb.Slab([p], [p] + widths[0], [q], [q] + widths[1])
-        return region, sb.Slab([-p] - widths[0], [-p], [-q] - widths[1], [-q])
-    lower_slope = np.array([draw(_REALS) for _ in range(region.dim)])
-    lower_icept = np.array([draw(_REALS) for _ in range(region.dim)])
-    return region, sb.Slab(lower_slope, lower_slope + widths[0], lower_icept,
-                           lower_icept + widths[1])
+            slab = sb.Slab([p], [p] + widths[0], [q], [q] + widths[1])
+        else:
+            slab = sb.Slab([-p] - widths[0], [-p], [-q] - widths[1], [-q])
+    else:
+        slab = _random_slab(draw, region.dim, widths)
+    if not primed:
+        return region, slab
+    if draw(st.booleans()):
+        widths = np.array([[draw(_WIDTHS) for _ in range(region.dim)] for _ in range(2)])
+        return region, dataclasses.replace(slab, primed=_random_slab(draw, region.dim, widths))
+    # eighths cross exactly at t0 on every coordinate
+    t0 = draw(st.integers(0, 64).map(lambda k: k / 8.0) | st.floats(0.0, 8.0))
+    slope = np.array([draw(_REALS) for _ in range(region.dim)])
+    icept = slab.lower_slope * t0 + slab.lower_icept - slope * t0
+    line = sb.Slab(slab.lower_slope, slab.lower_slope, slab.lower_icept, slab.lower_icept)
+    return region, dataclasses.replace(line, primed=sb.Slab(slope, slope, icept, icept))
+
+
+def _random_slab(draw, dim, widths):
+    lower_slope = np.array([draw(_REALS) for _ in range(dim)])
+    lower_icept = np.array([draw(_REALS) for _ in range(dim)])
+    return sb.Slab(lower_slope, lower_slope + widths[0], lower_icept, lower_icept + widths[1])
 
 
 def _edge(region, slab):
@@ -359,16 +380,39 @@ def _exact_flag(region, slab):
     return "bounded" if nonempty else "empty"
 
 
+def _float_feasibility(region, slab):
+    """t -> whether the box ``slab.box(t)`` meets the slice at t, in floats.
+
+    A curve s = f(t) compares f(t) with the box edge on its side; a
+    halfspace (time slabs included) takes its slack at the box corner
+    that maximizes it, lo_i where beta_i > 0 and hi_i elsewhere.
+    """
+    if region.scalar_boundary is not None:
+        f, le = region.scalar_boundary, region.orientation == "le"
+
+        def feasible(t: float) -> bool:
+            lo, hi = slab.box(t)
+            lo, hi = float(lo[0]), float(hi[0])
+            return lo <= hi and (lo <= f(t) if le else hi >= f(t))
+    else:
+        take_lo = region.linear_slack[1] > 0.0
+
+        def feasible(t: float) -> bool:
+            lo, hi = slab.box(t)
+            return not np.any(lo > hi) and region.slack_batch(t, np.where(take_lo, lo, hi)) >= 0.0
+    return feasible
+
+
 def _bisected(region, slab):
     """The reference: ("unbounded" | "empty" | "bounded", inside, outside, probes).
 
-    ``optimize.bisect`` to adjacent floats on the region's own
-    ``slab_feasibility``, from the first feasible t among 0, the halvings of
-    T_CAP and, for a power boundary, the peak of its slack, where a feasible
-    set that does not start at 0 is widest.  ``probes`` are the t whose
-    float test decided the flag: T_CAP and the starts tried.
+    ``optimize.bisect`` to adjacent floats on ``_float_feasibility``, from
+    the first feasible t among 0, the halvings of T_CAP and, for a power
+    boundary, the peak of its slack, where a feasible set that does not
+    start at 0 is widest.  ``probes`` are the t whose float test decided
+    the flag: T_CAP and the starts tried.
     """
-    feasible = region.slab_feasibility(slab, 0.0)
+    feasible = _float_feasibility(region, slab)
     if feasible(T_CAP):
         return "unbounded", None, None, [T_CAP]
     starts = [0.0] + [T_CAP * 0.5**k for k in range(1, 90)]
@@ -403,7 +447,7 @@ def _check_against_exact(region, slab, res):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=_plain_slab_case())
+@given(case=_slab_case())
 def test_closed_slab_maximum_matches_a_bisection_to_adjacent_floats(case):
     # the closed form against exact arithmetic (fractions, or 50 decimal
     # digits for a power boundary) and against the bisection on the region's
@@ -416,7 +460,7 @@ def test_closed_slab_maximum_matches_a_bisection_to_adjacent_floats(case):
     exact = _exact_flag(region, slab)
     assert (res.unbounded, res.empty_domain) == (exact == "unbounded", exact == "empty")
     flag, inside, outside, probes = _bisected(region, slab)
-    feasible = region.slab_feasibility(slab, 0.0)
+    feasible = _float_feasibility(region, slab)
     if all(feasible(t) == _exact_feasible(region, slab, t) for t in probes):
         assert flag == exact
     if exact != "bounded":
@@ -429,7 +473,7 @@ def test_closed_slab_maximum_matches_a_bisection_to_adjacent_floats(case):
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=_plain_slab_case(families=("power",), exponents=st.floats(0.05, 0.95)))
+@given(case=_slab_case(families=("power",), exponents=st.floats(0.05, 0.95)))
 def test_closed_slab_maximum_on_any_power_exponent_stays_past_the_root(case):
     # an exponent whose denominator is not 4 leaves a band of a few ulps
     # where floats cannot tell the sign; the value lies past it
@@ -492,3 +536,106 @@ def test_closed_slab_maximum_refuses_the_non_convex_side():
     region = dataclasses.replace(sb.power_region(2.0, 0.5, "ge"), convex_closure=True)
     with pytest.raises(NonConvexityError):
         sb.max_time_in_region(region, ray_slab(1.0))
+
+
+# ---------------------------------------------------------------------------
+# The closed-form maximum of a primed slab, against exact arithmetic
+# ---------------------------------------------------------------------------
+
+
+def _edges(slab):
+    """Per coordinate, the (slope, icept) fractions of its lower and of its upper edges."""
+    slabs = [slab] if slab.primed is None else [slab, slab.primed]
+    return [tuple([(Fraction(getattr(x, side + "_slope")[i]), Fraction(getattr(x, side + "_icept")[i]))
+                   for x in slabs] for side in ("lower", "upper")) for i in range(slab.dim)]
+
+
+def _exact_meets(region, slab, t):
+    """Whether the box at t (a fraction) meets the slice: exactly, or at 50 digits for a power."""
+    alpha, beta, kappa, _ = region.ray_coefficients
+    corner = []  # the edge (slope, icept) that bounds the box on the slack's side
+    for b, (lower, upper) in zip(beta, _edges(slab)):
+        lo, hi = max(lower, key=lambda e: e[0] * t + e[1]), min(upper, key=lambda e: e[0] * t + e[1])
+        if lo[0] * t + lo[1] > hi[0] * t + hi[1]:
+            return False
+        corner.append(lo if b > 0.0 else hi)
+    if region.power_exponent is None:
+        return (Fraction(alpha) - sum(Fraction(b) * (cs * t + ci) for b, (cs, ci) in zip(beta, corner))
+                - Fraction(kappa) * t >= 0)
+    (cs, ci), = corner
+    with localcontext() as ctx:
+        ctx.prec = 50
+        t = Decimal(t.numerator) / Decimal(t.denominator)
+    return _decimal_feasible((alpha, region.power_exponent, beta[0] * float(cs), beta[0] * float(ci)), t)
+
+
+def _exact_slab_max(region, slab):
+    """The largest t in [0, T_CAP] whose box meets the slice, or None when there is none.
+
+    The largest feasible t is T_CAP, a t where two edges of one coordinate
+    cross, or a root of the slack along some choice of one edge per
+    coordinate on the slack's side: 0 or the crossing or root itself when
+    the set is one point.  Each candidate is tested with ``_exact_meets``;
+    a power boundary's right roots are bisected at 50 digits.
+    """
+    alpha, beta, kappa, _ = region.ray_coefficients
+    edges = _edges(slab)
+    candidates = {Fraction(0), Fraction(T_CAP)}
+    for lower, upper in edges:
+        for (s1, i1), (s2, i2) in itertools.combinations(lower + upper, 2):
+            if s1 != s2:
+                candidates.add((i2 - i1) / (s1 - s2))
+    sides = [lower if b > 0.0 else upper for b, (lower, upper) in zip(beta, edges)]
+    for choice in itertools.product(*sides):
+        if region.power_exponent is not None:
+            (cs, ci), = choice
+            terms = (alpha, region.power_exponent, beta[0] * float(cs), beta[0] * float(ci))
+            root = _decimal_root(terms)
+            if root is not None:
+                candidates.add(Fraction(root))
+            continue
+        rise = Fraction(alpha) - sum(Fraction(b) * ci for b, (_, ci) in zip(beta, choice))
+        rate = Fraction(kappa) + sum(Fraction(b) * cs for b, (cs, _) in zip(beta, choice))
+        if rate != 0:
+            candidates.add(rise / rate)
+    feasible = [t for t in candidates if 0 <= t <= T_CAP and _exact_meets(region, slab, t)]
+    return max(feasible, default=None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_slab_case(primed=True))
+def test_closed_slab_maximum_of_a_primed_slab_matches_exact_arithmetic(case):
+    # the value is the exact maximum rounded up to the next float, or within
+    # a few ulps above it for a power boundary; a box that is one point
+    # counts at that t
+    region, slab = case
+    assume(not slab.is_empty)
+    res = sb.max_time_in_region(region, slab)
+    best = _exact_slab_max(region, slab)
+    assert (res.unbounded, res.empty_domain) == (best == T_CAP, best is None)
+    if best is None or best == T_CAP:
+        assert res.value == (math.inf if res.unbounded else 0.0)
+        return
+    assert Fraction(res.value) >= best * (1 - Fraction(1, 10**30))
+    if region.power_exponent is None:
+        assert Fraction(math.nextafter(res.value, -math.inf)) < best or res.value == 0.0
+    else:
+        assert res.value <= float(best) + 4 * math.ulp(float(best))
+
+
+@pytest.mark.parametrize("region,slab,expected", [
+    # the support slab leaves the plain slab's line s = t/3 + 2.999 alone,
+    # which meets {s <= 2 sqrt(t)} on [8.68, 9.33] only: between the halvings
+    # 8 and 16 of 2**30, which read an empty domain
+    (sb.power_region(2.0, 0.5), sb.Slab([1 / 3], [1 / 3], [2.999], [2.999],
+                                         primed=sb.Slab([-10.0], [10.0], [-100.0], [100.0])),
+     9.33163353450311),
+    # the lines s = -t/32 and s = -3/32 meet at t = 3 alone, inside {s <= 1/8}
+    (sb.constant_region(0.125), sb.Slab([-1 / 32], [-1 / 32], [0.0], [0.0],
+                                         primed=sb.Slab([0.0], [0.0], [-3 / 32], [-3 / 32])), 3.0),
+], ids=["power-between-halvings", "single-point-box"])
+def test_closed_slab_maximum_of_a_primed_slab_examples(region, slab, expected):
+    res = sb.max_time_in_region(region, slab)
+    assert not (res.unbounded or res.empty_domain)
+    assert res.value == expected
+    assert _exact_slab_max(region, slab) <= Fraction(expected)

@@ -247,8 +247,7 @@ def slab_optimization_upper_bound(region: Region, profile: MomentProfile,
 
 
 def sample_mean_upper_bound(region: Region, profile: MomentProfile,
-                            schedule: SampleSchedule, tag: str,
-                            audit_concavity: bool = False) -> BoundReport:
+                            schedule: SampleSchedule, tag: str) -> BoundReport:
     """E[N] <= K + max of g over a moment box, for rules n >= g(sample mean).
 
     g(v) = ray_exit_time(region, v) is the rule of the continuity region.
@@ -259,10 +258,6 @@ def sample_mean_upper_bound(region: Region, profile: MomentProfile,
     closed-form for a built-in family and searched for an oracle region.
     """
     _known(tag, "T12-samplemean", "T13-samplemean-naturals", "T-try88-bounded")
-
-    def gfun(v):
-        return ray_exit_time(region, v)
-
     mu = profile.mean
     checks = []
     diag = {}
@@ -271,12 +266,9 @@ def sample_mean_upper_bound(region: Region, profile: MomentProfile,
     diag["K"] = K
     # which concavity of g each theorem needs is not settled: no region answers it
     checks.append(AssumptionCheck("g-concave", "declared"))
-    if audit_concavity:
-        ok = _concavity_probe(gfun, *_box_for(profile, tag))
-        checks.append(_chk("g-concavity-audit", ok))
     if tag == "T13-samplemean-naturals":
         checks.append(_chk("all-naturals", schedule.is_all_naturals))
-        gmu = float(gfun(mu))
+        gmu = float(ray_exit_time(region, mu))
         checks.append(_chk("g-nonnegative", gmu >= 0.0, f"g(mean)={gmu:.6g}"))
         constant = 2.0
     else:
@@ -303,21 +295,6 @@ def _box_for(profile: MomentProfile, tag: str):
     if tag == "T-try88-bounded":
         return profile.mean - profile.bound_v, profile.mean + profile.bound_v
     return profile.mean - profile.pos_dev, profile.mean + profile.neg_dev
-
-
-def _concavity_probe(gfun, lo, hi, trials: int = 400, seed: int = 5) -> bool:
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        x = lo + rng.random(lo.shape[0]) * (hi - lo)
-        y = lo + rng.random(lo.shape[0]) * (hi - lo)
-        rho = rng.random()
-        mid = rho * x + (1.0 - rho) * y
-        gm, gx, gy = float(gfun(mid)), float(gfun(x)), float(gfun(y))
-        if not (math.isfinite(gm) and math.isfinite(gx) and math.isfinite(gy)):
-            continue
-        if gm < rho * gx + (1.0 - rho) * gy - 1e-9 * (1.0 + abs(gm)):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

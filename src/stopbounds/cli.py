@@ -308,11 +308,11 @@ def cmd_certify(config: dict, seed: int, out: str, fmt: str) -> int:
     return 1 if failures else 0
 
 
-_VALIDATOR_GFUNS = {
-    "square": lambda z: float(np.sum(np.atleast_1d(z) ** 2)),
-    "abs": lambda z: float(np.sum(np.abs(np.atleast_1d(z)))),
-    "neg-square": lambda z: -float(np.sum(np.atleast_1d(z) ** 2)),
-    "identity": lambda z: float(np.atleast_1d(z)[0]),
+_VALIDATOR_GFUNS = {  # each maps (n, d) points to n values
+    "square": lambda z: np.sum(z**2, axis=1),
+    "abs": lambda z: np.sum(np.abs(z), axis=1),
+    "neg-square": lambda z: -np.sum(z**2, axis=1),
+    "identity": lambda z: z[:, 0],
 }
 
 _CONVEX_MEAN_CASES = {
@@ -339,11 +339,8 @@ def _convex_mean_validator(item: dict, seed: int):
     if case == "two-point":
         halfspaces = _CONVEX_MEAN_CASES["triangle"]["halfspaces"]
         verts = np.array([[1.0, 0.0], [0.0, 1.0]])
-
-        def sampler(rng):
-            return verts[rng.integers(0, 2)]
-
-        return validate_convex_mean(halfspaces, sampler, samples, seed)
+        return validate_convex_mean(halfspaces, lambda rng, n: verts[rng.integers(0, 2, n)],
+                                    samples, seed)
     if case == "random-polytope":
         rng = np.random.default_rng(_real(item.get("case_seed", 42), "case_seed", int, 0))
         normals = rng.normal(size=(5, 2))

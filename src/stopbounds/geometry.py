@@ -696,31 +696,35 @@ class Hyperplane:
         return float(self.s_coef @ s + self.t_coef * t)
 
 
+def _accepted_rows(rng: np.random.Generator, lo, hi, n: int, keep: Callable, max_rows: int):
+    """The first n rows lo + (hi - lo)*u of one uniform stream that ``keep`` accepts.
+
+    Row k equals the k-th ``rng.uniform(lo, hi)`` call.  Rows are drawn and
+    tested 4*n at a time, at most ``max_rows`` in all, so fewer than n may
+    come back; consecutive ``rng.random`` calls continue one stream.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    parts, found, drawn = [np.empty((0, lo.shape[0]))], 0, 0
+    while found < n and drawn < max_rows:
+        width = min(4 * n, max_rows - drawn)
+        rows = lo + (hi - lo) * rng.random((width, lo.shape[0]))
+        drawn += width
+        parts.append(rows[np.flatnonzero(keep(rows))[:n - found]])
+        found += parts[-1].shape[0]
+    return np.concatenate(parts)
+
+
 def sample_member_points(region: Region, n_points: int, seed: int, t_max: float, s_span):
     """Rejection-sample up to n_points members of the region inside a box.
 
-    Candidate k is row k of one uniform stream: t = t_max*u[k, 0] and
-    s = -s_span + 2*s_span*u[k, 1:], the values that per-candidate calls
-    rng.uniform(0, t_max), rng.uniform(-s_span, s_span) would return.
-    Candidates are drawn and tested 4*n_points rows at a time, up to
-    200*n_points rows; consecutive ``rng.random`` calls continue one
-    stream, so the slices are the rows a single draw would give.
+    Candidate k is the (t, s) that per-candidate calls rng.uniform(0, t_max),
+    rng.uniform(-s_span, s_span) would return, up to 200*n_points candidates.
     """
-    rng = np.random.default_rng(seed)
     s_span = np.atleast_1d(np.asarray(s_span, dtype=float))
-    width = 4 * n_points  # candidates drawn and tested at a time
-    t_parts, s_parts, found = [], [], 0
-    for _ in range(50):  # 200 * n_points candidates at most
-        u = rng.random((width, 1 + region.dim))
-        ts = t_max * u[:, 0]
-        ss = -s_span + (s_span - -s_span) * u[:, 1:]
-        keep = np.flatnonzero(region.inside(ts, ss))[:n_points - found]
-        t_parts.append(ts[keep])
-        s_parts.append(ss[keep])
-        found += keep.size
-        if found == n_points:
-            break
-    return np.concatenate(t_parts), np.concatenate(s_parts)
+    rows = _accepted_rows(np.random.default_rng(seed), np.concatenate(([0.0], -s_span)),
+                          np.concatenate(([t_max], s_span)), n_points,
+                          lambda x: region.inside(x[:, 0], x[:, 1:]), 200 * n_points)
+    return rows[:, 0], rows[:, 1:]
 
 
 def supporting_hyperplane(region: Region, mean, grad=None) -> Hyperplane:

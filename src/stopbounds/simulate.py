@@ -42,7 +42,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import Region
+from .geometry import Region, _accepted_rows
 from .moments import DistributionSpec, StreamPool, analytic_moments, sample_block, stream_for_run
 from .schedules import SampleSchedule
 
@@ -575,16 +575,26 @@ class ValidationResult:
 
 
 def box_rejection_sampler(halfspaces, box_lo, box_hi):
-    """Sampler of uniform points in a polytope via rejection from a box."""
-    box_lo = np.atleast_1d(np.asarray(box_lo, dtype=float))
-    box_hi = np.atleast_1d(np.asarray(box_hi, dtype=float))
+    """Sampler ``draw(rng, n) -> (n, d)`` of uniform points in a polytope, by rejection from a box.
 
-    def draw(rng: np.random.Generator) -> np.ndarray:
-        for _ in range(100_000):
-            x = rng.uniform(box_lo, box_hi)
-            if all(float(np.dot(w, x)) <= c + 1e-12 for w, c in halfspaces):
-                return x
-        raise RuntimeError("rejection sampler failed to hit the polytope")
+    Point k is the k-th box point ``rng.uniform(box_lo, box_hi)`` inside every
+    (normal, offset) halfspace {x : <normal, x> <= offset} to 1e-12.  At most
+    max(200*n, 100 000) box points are tried; with fewer than n hits among
+    them, ``draw`` raises RuntimeError.
+    """
+    lo = np.atleast_1d(np.asarray(box_lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(box_hi, dtype=float))
+    normals = np.array([np.atleast_1d(w) for w, _ in halfspaces], dtype=float).reshape(-1, lo.size)
+    offsets = np.array([c for _, c in halfspaces], dtype=float)
+
+    def inside(x):
+        return np.all(x @ normals.T <= offsets + 1e-12, axis=1)
+
+    def draw(rng: np.random.Generator, n: int) -> np.ndarray:
+        points = _accepted_rows(rng, lo, hi, n, inside, max(200 * n, 100_000))
+        if points.shape[0] < n:
+            raise RuntimeError("rejection sampler failed to hit the polytope")
+        return points
 
     return draw
 
@@ -594,11 +604,10 @@ def validate_convex_mean(halfspaces, sampler: Callable, n_samples: int,
     """Check that the empirical mean of points inside a polytope stays inside.
 
     ``halfspaces`` is a list of (normal, offset) with the polytope
-    {x : <normal, x> <= offset}; a failure returns the violated halfspace.
+    {x : <normal, x> <= offset}; ``sampler(rng, n)`` returns the (n, d)
+    sample in one call.  A failure returns the violated halfspace.
     """
-    rng = np.random.default_rng(seed)
-    points = np.array([sampler(rng) for _ in range(n_samples)])
-    mean = points.mean(axis=0)
+    mean = sampler(np.random.default_rng(seed), n_samples).mean(axis=0)
     margins = {}
     for i, (w, c) in enumerate(halfspaces):
         margins[f"halfspace[{i}]"] = float(c - np.dot(w, mean))
@@ -610,39 +619,58 @@ def validate_convex_mean(halfspaces, sampler: Callable, n_samples: int,
     return ValidationResult("convex-mean", True, margins)
 
 
+_PERSPECTIVE_BLOCK = 65_536  # trials drawn and tested at a time
+
+
 def validate_perspective(gfun: Callable, n_trials: int, seed: int = 0,
                          dim: int = 1) -> ValidationResult:
     """Probabilistic audit that (t, s) -> t * gfun(s/t) is jointly convex for t > 0.
 
-    Fails with a witness triple when a sampled chord dips below the surface,
-    which happens quickly when gfun itself is not convex.
+    ``gfun`` maps (n, dim) points to n values.  Trial k draws t1, t2 in
+    [0.2, 3], s1, s2 in [-3, 3]^dim and rho in [0.05, 0.95] as per-trial
+    ``rng.uniform`` calls in that order would, in blocks of at most
+    ``_PERSPECTIVE_BLOCK`` trials.  The first chord more than 1e-10 below
+    the surface fails with its witness triple and ends the draws, which
+    happens quickly when gfun itself is not convex; ``trials`` counts the
+    trials up to it and ``worst_gap`` is their smallest gap.
     """
     rng = np.random.default_rng(seed)
+    lo = np.array([0.2, 0.2] + [-3.0] * (2 * dim) + [0.05])
+    hi = np.array([3.0, 3.0] + [3.0] * (2 * dim) + [0.95])
 
     def f(t, s):
-        return t * float(gfun(s / t))
+        return t * gfun(s / t[:, None])
 
-    worst = math.inf
-    for trial in range(n_trials):
-        t1, t2 = rng.uniform(0.2, 3.0, 2)
-        s1, s2 = rng.uniform(-3.0, 3.0, (2, dim))
-        rho = rng.uniform(0.05, 0.95)
+    worst, done = math.inf, 0
+    while done < n_trials:
+        u = lo + (hi - lo) * rng.random((min(_PERSPECTIVE_BLOCK, n_trials - done), lo.size))
+        t1, t2, rho = u[:, 0], u[:, 1], u[:, -1]
+        s1, s2 = u[:, 2:2 + dim], u[:, 2 + dim:-1]
         tm = rho * t1 + (1 - rho) * t2
-        sm = rho * s1 + (1 - rho) * s2
+        sm = rho[:, None] * s1 + (1 - rho)[:, None] * s2
         gap = rho * f(t1, s1) + (1 - rho) * f(t2, s2) - f(tm, sm)
-        worst = min(worst, gap)
-        if gap < -1e-10:
+        bad = np.flatnonzero(gap < -1e-10)
+        if bad.size:  # the first failing gap is the smallest one so far
+            k = bad[0]
             return ValidationResult("perspective-convexity", False,
-                                    {"worst_gap": gap, "trials": trial + 1},
-                                    {"t1": t1, "s1": s1.tolist(), "t2": t2,
-                                     "s2": s2.tolist(), "rho": rho})
+                                    {"worst_gap": float(gap[k]), "trials": done + int(k) + 1},
+                                    {"t1": float(t1[k]), "s1": s1[k].tolist(), "t2": float(t2[k]),
+                                     "s2": s2[k].tolist(), "rho": float(rho[k])})
+        seen = gap[~np.isnan(gap)]  # as in a running min(): NaN never wins, the first tie does
+        if seen.size:
+            worst = min(worst, float(seen[np.argmin(seen)]))
+        done += u.shape[0]
     return ValidationResult("perspective-convexity", True,
                             {"worst_gap": worst, "trials": n_trials})
 
 
-def _four_sigma(values: np.ndarray):
-    mean, stderr = _mean_stderr(values)
-    return mean, stderr, 4.0 * stderr
+def _four_sigma(name: str, diff: np.ndarray, equality: bool = False, **margins) -> ValidationResult:
+    """The 4-sigma verdict on per-run differences: |mean| <= 4 stderr for an
+    equality, mean >= -4 stderr for an inequality."""
+    mean, stderr = _mean_stderr(diff)
+    slack = 4.0 * stderr
+    return ValidationResult(name, abs(mean) <= slack if equality else mean >= -slack,
+                            {"mean_gap": mean, "stderr": stderr, **margins})
 
 
 def validate_identity(which: str, scenario: dict, n_runs: int, seed: int = 0) -> ValidationResult:
@@ -651,7 +679,8 @@ def validate_identity(which: str, scenario: dict, n_runs: int, seed: int = 0) ->
     ``scenario`` supplies the simulation inputs: keys ``spec``, ``region``,
     ``schedule`` (plus ``gfun`` for the sample-mean inequalities, ``p`` for
     the norm inequality, ``lam`` for the overshoot checks against the bounds
-    module).  Equalities pass when |mean| <= 4 stderr of the
+    module).  ``gfun`` maps (n, d) points to n values and is called once on
+    the runs' array.  Equalities pass when |mean| <= 4 stderr of the
     per-run difference; inequalities when mean >= -4 stderr, so ``n_runs``
     must be at least 2.
     """
@@ -665,12 +694,10 @@ def validate_identity(which: str, scenario: dict, n_runs: int, seed: int = 0) ->
         z = sample_block(z_spec, rng, n_runs)[:, 0]
         if np.any(y <= 0):
             raise ValueError("jensen-T3 check needs a positive ratio variable")
-        lhs = y * np.array([float(gfun(np.atleast_1d(v))) for v in z / y])
+        lhs = y * gfun((z / y)[:, None])
         ratio = float(np.mean(z)) / float(np.mean(y))
-        rhs = float(np.mean(y)) * float(gfun(np.atleast_1d(ratio)))
-        mean, stderr, slack = _four_sigma(lhs - rhs)
-        return ValidationResult(which, mean >= -slack,
-                                {"mean_gap": mean, "stderr": stderr})
+        rhs = float(np.mean(y)) * float(gfun(np.array([[ratio]]))[0])
+        return _four_sigma(which, lhs - rhs)
 
     paths = discrete_paths(scenario["region"], scenario["spec"], scenario["schedule"],
                            n_runs, scenario.get("horizon", 1_000_000), seed,
@@ -680,42 +707,24 @@ def validate_identity(which: str, scenario: dict, n_runs: int, seed: int = 0) ->
     mu = prof.mean
     n = paths.stop_n
     s = paths.stop_sum
+    gfun = scenario.get("gfun")
     if which == "wald-T4-I":
-        gfun = scenario.get("gfun")
         if gfun is None:
             # linear rule function: the inequality collapses to Wald equality
-            diff = s[:, 0] - n * mu[0]
-            mean, stderr, slack = _four_sigma(diff)
-            return ValidationResult(which, abs(mean) <= slack,
-                                    {"mean_gap": mean, "stderr": stderr, "mode": "equality"})
-        xbar = s / n[:, None]
-        vals = n * np.array([float(gfun(x)) for x in xbar])
-        rhs = float(gfun(mu))
-        diff = vals - n * rhs
-        mean, stderr, slack = _four_sigma(diff)
-        return ValidationResult(which, mean >= -slack,
-                                {"mean_gap": mean, "stderr": stderr, "mode": "inequality"})
+            return _four_sigma(which, s[:, 0] - n * mu[0], True, mode="equality")
+        diff = n * gfun(s / n[:, None]) - n * float(gfun(mu[None, :])[0])
+        return _four_sigma(which, diff, mode="inequality")
     if which == "wald-T4-II":
-        centered = s - n[:, None] * mu
-        vbar = centered**2 / n[:, None]
-        gfun = scenario.get("gfun")
+        vbar = (s - n[:, None] * mu) ** 2 / n[:, None]
         if gfun is None:
-            diff = n * vbar[:, 0] - n * prof.variance[0]
-            mean, stderr, slack = _four_sigma(diff)
-            return ValidationResult(which, abs(mean) <= slack,
-                                    {"mean_gap": mean, "stderr": stderr, "mode": "equality"})
-        vals = n * np.array([float(gfun(v)) for v in vbar])
-        diff = vals - n * float(gfun(prof.variance))
-        mean, stderr, slack = _four_sigma(diff)
-        return ValidationResult(which, mean >= -slack,
-                                {"mean_gap": mean, "stderr": stderr, "mode": "inequality"})
+            return _four_sigma(which, n * vbar[:, 0] - n * prof.variance[0], True,
+                               mode="equality")
+        diff = n * gfun(vbar) - n * float(gfun(prof.variance[None, :])[0])
+        return _four_sigma(which, diff, mode="inequality")
     if which == "lp-norm":
         p = scenario.get("p", 2)
         lhs = np.linalg.norm(s, ord=p, axis=1)
-        rhs = n * float(np.linalg.norm(mu, ord=p))
-        mean, stderr, slack = _four_sigma(lhs - rhs)
-        return ValidationResult(f"lp-norm-p{p}", mean >= -slack,
-                                {"mean_gap": mean, "stderr": stderr})
+        return _four_sigma(f"lp-norm-p{p}", lhs - n * float(np.linalg.norm(mu, ord=p)))
     if which in ("lorden-T6", "lorden-T7"):
         # the one validator that consumes a calculator; imported here so the
         # simulator stays importable without the bounds machinery
@@ -725,11 +734,10 @@ def validate_identity(which: str, scenario: dict, n_runs: int, seed: int = 0) ->
         level = lam if isinstance(lam, (int, float)) else None
         if level is None:
             raise ValueError("overshoot validators use a constant threshold")
-        overshoot = s[:, 0] - level
-        mean, stderr, slack = _four_sigma(overshoot)
+        mean, stderr = _mean_stderr(s[:, 0] - level)
         # the validator's name is its bound's tag with a lowercase initial
         report = overshoot_upper_bound(spec, lam, scenario["schedule"], "L" + which[1:])
-        ok = report.applicable and mean - slack <= report.value
+        ok = report.applicable and mean - 4.0 * stderr <= report.value
         return ValidationResult(which, ok,
                                 {"mc_overshoot": mean, "stderr": stderr,
                                  "bound": report.value})

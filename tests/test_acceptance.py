@@ -166,7 +166,7 @@ def test_criterion_4_identity_suite():
             assert result.passed, (case["name"], result.margins)
             assert result.margins["mode"] == "equality"
         convex_case = dict(identity_cases()["wald"][0])
-        convex_case["gfun"] = lambda z: float(z[0] ** 2)
+        convex_case["gfun"] = lambda z: z[:, 0] ** 2
         result = validate_identity("wald-T4-I", convex_case, 30_000, SEED + 44)
         assert result.passed
         assert result.margins["mean_gap"] > 4.0 * result.margins["stderr"]
@@ -272,10 +272,10 @@ def test_criterion_7_validator_suite():
         sampler = box_rejection_sampler(halfspaces, [0, 0], [1, 1])
         result = validate_convex_mean(halfspaces, sampler, 100_000, SEED + 71)
         assert result.passed
-        result = validate_perspective(lambda z: float(z[0] ** 2), 100_000, SEED + 72)
+        result = validate_perspective(lambda z: z[:, 0] ** 2, 100_000, SEED + 72)
         assert result.passed
         # injected counterexamples must surface within 1000 trials
-        result = validate_perspective(lambda z: -float(z[0] ** 2), 1_000, SEED + 73)
+        result = validate_perspective(lambda z: -z[:, 0] ** 2, 1_000, SEED + 73)
         assert not result.passed and result.margins["trials"] <= 1_000
         fake = [([1.0, 0.0], -0.5)]
         result = validate_convex_mean(fake, sampler, 1_000, SEED + 74)

@@ -89,9 +89,6 @@ def test_sample_mean_bound_gate_checks():
     five_over_v = sb.constant_region(5.0)
     report = sb.sample_mean_upper_bound(five_over_v, bern, sb.naturals(), "T12-samplemean")
     assert not report.applicable  # max gap 1 exceeds start anchor 0
-    report = sb.sample_mean_upper_bound(five_over_v, bern, sb.naturals(),
-                                        "T13-samplemean-naturals", audit_concavity=True)
-    assert not report.applicable  # 5/v is convex, the opt-in audit rejects it
     exp = sb.analytic_moments(sb.exponential(1.0))
     report = sb.sample_mean_upper_bound(five_over_v, exp, sb.naturals(1), "T-try88-bounded")
     assert not report.applicable  # no support bounds

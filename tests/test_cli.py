@@ -256,6 +256,20 @@ def test_shipped_certify_reports_are_current(tmp_path, name):
         assert new == old
 
 
+def test_shipped_validate_report_is_current(tmp_path):
+    # the committed report is what validate writes today: every column
+    # exactly, the Monte Carlo margin in ``value`` to float rounding
+    out = tmp_path / "report.csv"
+    assert main(["validate", str(ROOT / "configs" / "foundations_validate.json"),
+                 "--out", str(out)]) == 0
+    fresh = read_rows(out)
+    shipped = read_rows(ROOT / "configs" / "foundations_validate.report.csv")
+    assert len(fresh) == len(shipped) > 0
+    for new, old in zip(fresh, shipped):
+        assert float(new.pop("value")) == pytest.approx(float(old.pop("value")), rel=1e-12, abs=0.0)
+        assert new == old
+
+
 def test_certify_anchor_scenario_exits_zero(tmp_path):
     cfg = {
         "name": "bern-threshold",

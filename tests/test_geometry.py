@@ -574,6 +574,8 @@ def _exactly_meets(region, slab, t: float) -> bool:
 @example(case=(sb.power_region(2.0, 0.5),
                sb.Slab([1 / 3], [1 / 3], [2.999], [2.999],
                        primed=sb.Slab([-10.0], [10.0], [-100.0], [100.0]))))
+@example(case=(sb.power_region(0.625, 0.75), sb.Slab([1 / 32], [5 / 32], [0.0], [0.0])))
+@example(case=(sb.power_region(0.875, 0.75), sb.Slab([1 / 32], [1 / 32], [0.0], [0.0])))
 def test_built_in_slab_feasibility_matches_the_search_on_oracles(case):
     # the closed form of a slab, plain or primed, against the membership
     # search through a bisection in t to tol = 1e-9; the built-in side makes
@@ -600,8 +602,10 @@ def test_built_in_slab_feasibility_matches_the_search_on_oracles(case):
         assert _exactly_meets(region, slab, closed.value - closed.uncertainty)
         assert not _exactly_meets(region, slab, math.nextafter(closed.value, math.inf))
         return
+    # the search's value may also lie its last bisection step above the
+    # maximum (``SlabMaxResult``), as in the two plain-slab examples
     widened = sb.max_time_in_region(region, _widened(slab, 1e-9))
-    assert closed.value - 1e-9 <= searched.value <= widened.value + 1e-9
+    assert closed.value - 1e-9 <= searched.value <= widened.value + 1e-9 + searched.uncertainty
 
 
 @pytest.mark.parametrize("region,error", [

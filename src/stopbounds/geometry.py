@@ -280,12 +280,13 @@ class FamilyRegion(Region):
         return -slack / (n * norm)
 
     def slab_max(self, slab, t_cap: float, tol: Optional[float] = None) -> "SlabMaxResult":
-        """The largest t in [0, t_cap] whose box meets the slice, for a slab that is not empty.
+        """The largest t in [0, t_cap] whose box meets the slice.
 
         On each coordinate a primed slab's box runs from the larger of two
         lower edges to the smaller of two upper ones, so its breakpoints, where
         two of them cross, cut [0, t_cap] into pieces on which it is a plain
-        slab (``slab.piece``); a plain slab is one piece.  The pieces are read
+        slab or empty (``slab.piece``), as is a plain slab whose own edges
+        cross; any other plain slab is one piece.  The pieces are read
         from the right: each cut is tested exactly, since the box may meet the
         slice at that t alone, then the piece left of it, where the slack along
         one box edge decides (``_edge_slack``).  Every value is rounded up; tol
@@ -364,10 +365,10 @@ class SlabMaxResult(NamedTuple):  # a tuple: cheaper than a dataclass to define 
     at no t in [0, t_cap] (value 0).  ``uncertainty`` is how far the value
     may lie above the exact maximum.  On a built-in region, plain or primed
     slab alike, it is 0 where the value is an exact root or cut rounded up
-    to a float, and the last bracket, an ulp or a few, at the root of a
-    power boundary's slack.  On an oracle region it is the last bisection
-    step, and the value may also exceed the maximum by the feasibility
-    margin tol.
+    to a float, and the last bracket, an ulp or a few or the band of
+    undecided sign, at the root of a power boundary's slack.  On an oracle
+    region it is the last bisection step, and the value may also exceed the
+    maximum by the feasibility margin tol.
     """
 
     value: float
@@ -438,7 +439,8 @@ def _power_last_root(a: float, e: float, p: float, q: float, lo: Fraction, hi: F
     approaches the right root from above until the floats stall; the value
     is then the first float past the root by the exact sign of h
     (``_power_sign``), or past the band where floats cannot tell, and its
-    uncertainty the step to the float below.  None when h < 0 on (lo, hi).
+    uncertainty reaches down to the last float where h > 0 surely: the
+    step to the float below, or across that band.  None when h < 0 on (lo, hi).
     """
     def past(t: float) -> bool:  # surely at or beyond the right root
         return _power_sign(a, e, p, q, t) in (-1, 0)
@@ -457,6 +459,8 @@ def _power_last_root(a: float, e: float, p: float, q: float, lo: Fraction, hi: F
             break
         t = nxt
     below, value = _first_past(past, t, peak, top)
+    if _power_sign(a, e, p, q, below) is None:  # the root lies somewhere in the band
+        below = _first_past(lambda x: _power_sign(a, e, p, q, x) != 1, below, peak, value)[0]
     return SlabMaxResult(value, uncertainty=value - below) if value > lo else None
 
 

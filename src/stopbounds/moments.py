@@ -393,33 +393,21 @@ def stream_for_run(seed: int, index: int) -> np.random.Generator:
 
 
 class StreamPool:
-    """Reusable generator that is rekeyed per stream index.
+    """The streams of one seed: ``stream(index)`` is ``stream_for_run(seed, index)``.
 
-    The simulator keys one stream per block of a chunk of runs (see
-    ``simulate``).  Rekeying an existing Philox state is an order of
-    magnitude cheaper than constructing a fresh bit generator, and the
-    draws are bit-identical to ``stream_for_run(seed, index)``.  Not
-    thread-safe: use one pool per worker.
+    The simulator takes one stream per chunk of runs from it (see
+    ``simulate``), so a fresh bit generator per stream costs nothing that
+    shows.  The class is the one place both samplers get a generator from,
+    and the benchmark's tracer replaces its ``stream`` method to count and
+    time the draws (``perfbench/tracing.py``, pinned by
+    ``tests/test_trace_hooks.py``).
     """
 
     def __init__(self, seed: int):
-        self._key = np.array([_seed_word(seed), 0], dtype=np.uint64)
-        self._zeros = np.zeros(4, dtype=np.uint64)
-        self._bg = np.random.Philox(key=self._key)
-        self._gen = np.random.Generator(self._bg)
-        self._state = self._bg.state
+        self._seed = _seed_word(seed)
 
     def stream(self, index: int) -> np.random.Generator:
-        self._key[1] = index & _MASK64
-        inner = self._state["state"]
-        inner["key"] = self._key
-        inner["counter"] = self._zeros
-        self._state["buffer_pos"] = 4
-        self._state["buffer"] = self._zeros
-        self._state["has_uint32"] = 0
-        self._state["uinteger"] = 0
-        self._bg.state = self._state
-        return self._gen
+        return stream_for_run(self._seed, index)
 
 
 def sample_block(spec: DistributionSpec, rng: np.random.Generator, n: int,

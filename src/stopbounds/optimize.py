@@ -34,7 +34,8 @@ class Slab:
     """Constraint t*lower_slope + lower_icept <= s <= t*upper_slope + upper_icept.
 
     An optional primed quadruple intersects a second slab of the same form.
-    The slab is flagged empty, on the first read only, when a lower edge exceeds its upper edge.
+    ``is_empty`` flags a lower slope or intercept above its upper one: the box may still be
+    non-empty on an interval of t, which the slab maximum finds, as for a primed slab.
     """
 
     lower_slope: np.ndarray
@@ -97,9 +98,9 @@ class Slab:
 
         Between two of them, and between the last and t_cap, each coordinate
         keeps the same largest lower edge and smallest upper edge, so a primed
-        slab is a plain one there (``piece``).  A plain slab has none.
+        slab is a plain one there (``piece``) or empty; a plain slab not ``is_empty`` has none.
         """
-        if self.primed is None:
+        if self.primed is None and not self.is_empty:
             return []
         cap, d_cap = t_cap.as_integer_ratio()
         cuts = set()
@@ -124,7 +125,7 @@ class Slab:
         tuples, so that it can key a cache.  A plain slab that is not
         ``is_empty`` is its own piece at every t.
         """
-        if self.primed is None:
+        if self.primed is None and not self.is_empty:
             return self._own_edges
         n, d = t.numerator, t.denominator
         rows = []
@@ -147,8 +148,6 @@ def max_time_in_region(region: Region, slab: Slab, t_cap: float = 2.0**30,
     """
     if not region.convex_closure:
         raise ValueError("max_time_in_region requires the asserted convex closure")
-    if slab.is_empty:
-        return SlabMaxResult(0.0, empty_domain=True)
     return region.slab_max(slab, t_cap, tol)
 
 

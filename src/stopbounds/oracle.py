@@ -78,7 +78,9 @@ class OracleRegion(Region):
     slack_batch = None
 
     def inside(self, ts, ss, strict: bool = False):
-        """Membership asked point by point over any leading shape; there is no open variant."""
+        """Membership asked point by point over any leading shape; strict raises RegionError."""
+        if strict:
+            raise RegionError("an oracle region answers closed membership only, not strict")
         ss = np.asarray(ss, dtype=float)
         if ss.ndim == 1:
             return bool(self.membership(ts, ss))

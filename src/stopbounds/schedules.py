@@ -14,6 +14,7 @@ after its last element, so its last gap, its K and its gap supremum are
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, fields
 from typing import Iterator, Optional
 
@@ -132,17 +133,16 @@ class SampleSchedule:
         return False
 
 
-_GEOMETRIC_CACHE: dict = {}
+_GEOMETRIC_CACHE: dict = {}  # (first, ratio) -> its elements so far, extended under the lock
+_GEOMETRIC_LOCK = threading.Lock()
 
 
 def _geometric_element(first: int, ratio: float, index: int) -> int:
     # exact rational growth: float multiplication would overflow and break
     # the growth certificate on long prefixes
-    from fractions import Fraction
-
-    cache = _GEOMETRIC_CACHE.setdefault((first, ratio), [first])
-    if index > len(cache):
-        num, den = Fraction(ratio).as_integer_ratio()
+    with _GEOMETRIC_LOCK:
+        cache = _GEOMETRIC_CACHE.setdefault((first, ratio), [first])
+        num, den = ratio.as_integer_ratio()
         value = cache[-1]
         for _ in range(index - len(cache)):
             value = max(value + 1, -((-num * value) // den))

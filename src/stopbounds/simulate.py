@@ -5,8 +5,8 @@ and a chunk advances one block of steps at a time as one (live runs x
 block x d) matrix: one draw, one cumulative sum and one exit test at the
 checkpoints inside the block.  Blocks grow from ``_FIRST`` steps, a little
 more than a short walk uses, to ``_BLOCK``.  Runs that stopped are dropped
-before the next block.  Block b of chunk c draws from the counter-based
-stream keyed by (seed, grid, c, b), one row per live run in run order.
+before the next block.  Every block of chunk c continues one counter-based
+stream keyed by (seed, grid, c), one row per live run in run order.
 The chunk size depends on neither ``n_runs`` nor the worker count, so
 results are bit-identical for any number of workers.  Of W = min(workers,
 chunks) shares, share w takes chunks w, w + W, ... with one ``StreamPool``
@@ -19,12 +19,12 @@ from this layout.
 
 Discrete walks apply the stopping rule only at schedule sizes, which are
 enumerated lazily as the blocks reach them, and use closed membership by
-default (a strict variant is a switch).
+default (a strict variant is a switch, which an oracle region refuses).
 
 Brownian motion leaves a region with a flat boundary (constant, affine
 and halfspace families) at an inverse-Gaussian time, which is sampled
 exactly: one draw per run, and chunk c takes all of its draws from the
-single stream keyed (seed, grid 2, c, block 0); its chunks are shared out
+single stream keyed (seed, grid 2, c); its chunks are shared out
 as the walk's are.  With noise it leaves a power boundary c*t^e with
 e >= 1/2 at time 0, which needs no draw at all.
 Other regions are walked by the engine as Euler increments (grid 1 at dt,
@@ -123,20 +123,20 @@ def _exit_test(region: Region, boundary: str):
 
 
 def _blocks(n_steps: int):
-    """(block, start, length) of the blocks that cover steps 1..n_steps.
+    """(start, length) of the blocks that cover steps 1..n_steps.
 
     Blocks grow from ``_FIRST`` to ``_BLOCK`` steps, so that short walks
     draw little more than they use and long ones few, large blocks.
     """
-    block, start, length = 0, 0, _FIRST
+    start, length = 0, _FIRST
     while start < n_steps:
-        yield block, start, min(length, n_steps - start)
-        block, start, length = block + 1, start + length, min(2 * length, _BLOCK)
+        yield start, min(length, n_steps - start)
+        start, length = start + length, min(2 * length, _BLOCK)
 
 
-def _stream_key(grid: int, chunk: int, block: int) -> int:
-    """``StreamPool`` index of one block: 2 bits of grid, 30 of chunk, 32 of block."""
-    return grid << 62 | chunk << 32 | block
+def _stream_key(grid: int, chunk: int) -> int:
+    """``StreamPool`` index of one chunk: 2 bits of grid, 30 of chunk, and 32 zero bits."""
+    return grid << 62 | chunk << 32
 
 
 _executor = None  # the thread pool of both samplers, built by the first call with two shares
@@ -225,8 +225,8 @@ def _walk(draw, checkpoints, stops, dim: int, n_steps: int, n_runs: int, seed: i
     those steps, at times ``ts = step * scale``.  ``anchor`` is the time
     recorded as ``last_before`` for a stop at the first checkpoint;
     truncated runs record ``cap`` as their stop.  Each share of the chunks
-    (``_in_shares``) walks them with one ``StreamPool`` and one scratch
-    block that every block it draws reuses.
+    (``_in_shares``) walks them with one ``StreamPool``, a chunk drawing all
+    its blocks from ``pool.stream(_stream_key(grid, chunk))`` into one scratch block.
     """
     stop_n = np.full(n_runs, float(cap))
     stop_sum = np.empty((n_runs, dim))
@@ -239,11 +239,12 @@ def _walk(draw, checkpoints, stops, dim: int, n_steps: int, n_runs: int, seed: i
         total = carry[:rows.size]
         total.fill(0.0)
         last = float(anchor)
-        for block, start, length in _blocks(n_steps):
+        rng = pool.stream(_stream_key(grid, chunk))
+        for start, length in _blocks(n_steps):
             if not rows.size:
                 break
             sums = scratch[:rows.size * length * dim].reshape(rows.size, length, dim)
-            draw(pool.stream(_stream_key(grid, chunk, block)), sums)
+            draw(rng, sums)
             np.cumsum(sums, axis=1, out=sums)
             sums += total[:, None, :]
             live = slice(None)
@@ -296,7 +297,8 @@ def discrete_paths(region: Region, spec: DistributionSpec, schedule: SampleSched
     The rule is evaluated only at schedule sizes; ``last_before`` records
     the schedule size preceding the stop (the start anchor when the rule
     fires at the first size).  Runs reaching the horizon are marked
-    truncated; a finite schedule ends the walk at its last size.
+    truncated; a finite schedule ends the walk at its last size.  An oracle
+    region refuses ``boundary="strict"`` with ``RegionError``.
     """
     if boundary not in ("closed", "strict"):
         raise ValueError("boundary must be 'closed' or 'strict'")
@@ -316,20 +318,20 @@ def replay_run(seed: int, run: int, spec: DistributionSpec, schedule: SampleSche
                stop_n: np.ndarray, horizon: int) -> np.ndarray:
     """The increments of one run of ``discrete_paths`` up to its stop, shape (steps, dim).
 
-    Rebuilt from the stream layout alone: block b of the run's chunk drew
-    one row per run of the chunk whose stop lies beyond the block's start,
-    in run order.  ``stop_n`` holds the stop sizes of all the walk's runs,
-    which fix those rows; the schedule and horizon fix where the walk ends.
+    Rebuilt from the stream layout alone: each block, in turn, drew from the
+    chunk's stream one row per run of the chunk whose stop lies beyond the
+    block's start, in run order.  ``stop_n`` holds the stop sizes of all the
+    walk's runs, which fix those rows; the schedule and horizon fix where the walk ends.
     """
     chunk, d = run // _CHUNK, spec.dim
     peers = np.asarray(stop_n)[chunk * _CHUNK:(chunk + 1) * _CHUNK]
     end = int(stop_n[run])
-    pool, out = StreamPool(seed), []
-    for block, start, length in _blocks(_last_step(schedule, horizon)):
+    rng, out = StreamPool(seed).stream(_stream_key(0, chunk)), []
+    for start, length in _blocks(_last_step(schedule, horizon)):
         if start >= end:
             break
         live = peers > start
-        draws = sample_block(spec, pool.stream(_stream_key(0, chunk, block)), live.sum() * length)
+        draws = sample_block(spec, rng, live.sum() * length)
         row = np.count_nonzero(live[:run - chunk * _CHUNK])
         out.append(draws.reshape(-1, length, d)[row])
     return np.concatenate(out)[:end]
@@ -373,7 +375,12 @@ def _coefficients(drift, diffusion):
 def _brownian_paths(region: Region, drift_vec: np.ndarray, sigma: np.ndarray, dt: float,
                     n_runs: int, horizon: float, seed: int, grid: int,
                     workers: int) -> PathSample:
-    """Euler walk: increments drift*dt + sqrt(dt)*diffusion*N(0, 1), checked every step."""
+    """Euler walk: increments drift*dt + sqrt(dt)*diffusion*N(0, 1), checked every step.
+
+    A continuity region continues strictly, so that drift-only passages stop
+    exactly at the boundary grid point, but an oracle region, which knows
+    closed membership only, continues on its closure.
+    """
     d = drift_vec.shape[0]
     n_steps = int(math.ceil(horizon / dt))
     step_drift, step_noise = drift_vec * dt, math.sqrt(dt) * sigma
@@ -387,9 +394,7 @@ def _brownian_paths(region: Region, drift_vec: np.ndarray, sigma: np.ndarray, dt
         out *= step_noise
         out += step_drift
 
-    # continuity regions use strict continuation so that drift-only passages
-    # stop exactly when the path reaches the boundary grid point
-    boundary = "strict" if region.kind == "continuity" else "closed"
+    boundary = "strict" if region.kind == "continuity" and region.closed_form else "closed"
     return _walk(draw, lambda lo, hi: np.arange(lo + 1, hi + 1), _exit_test(region, boundary),
                  d, n_steps, n_runs, seed, grid, workers, horizon, cap=float(n_steps) * dt,
                  scale=dt)
@@ -437,7 +442,7 @@ def _passage_times(rng: np.random.Generator, n: int, c: float, gamma: float,
 
 def _exact_paths(region: Region, drift_vec: np.ndarray, sigma: np.ndarray, n_runs: int,
                  horizon: float, seed: int, workers: int = 1) -> PathSample:
-    """Exact first passage through a flat boundary, one stream per chunk (grid 2, block 0).
+    """Exact first passage through a flat boundary, one stream per chunk (grid 2).
 
     Y_t = <a, W_t> + b*t is a Brownian motion with drift gamma = <a, mu> + b
     and variance v = sum_i a_i^2 sigma_i^2, and the exit is Y's passage
@@ -481,7 +486,7 @@ def _exact_paths(region: Region, drift_vec: np.ndarray, sigma: np.ndarray, n_run
         pool = StreamPool(seed)
         for chunk in chunks:
             rows = np.arange(chunk * _CHUNK, min((chunk + 1) * _CHUNK, n_runs))
-            rng = pool.stream(_stream_key(2, chunk, 0))
+            rng = pool.stream(_stream_key(2, chunk))
             tau = _passage_times(rng, rows.size, c, gamma, v)
             cut = tau > h
             done, gone = rows[~cut], rows[cut]

@@ -244,8 +244,15 @@ def test_bound_command_reports_concentration_on_a_time_slab(tmp_path):
 
 @pytest.mark.parametrize("name", ["bernoulli_threshold_certify", "brownian_passage_certify"])
 def test_shipped_certify_reports_are_current(tmp_path, name):
-    # the committed report is what certify writes today: the bound columns
-    # exactly, the Monte Carlo columns to float rounding
+    """The committed report is what certify writes today.
+
+    The bound columns match exactly, the Monte Carlo columns to float
+    rounding.  Regenerate a report only for an intended change, with the
+    CLI alone, which writes the pinned file in place:
+
+        PYTHONPATH=src python -m stopbounds certify configs/bernoulli_threshold_certify.json
+        PYTHONPATH=src python -m stopbounds certify configs/brownian_passage_certify.json
+    """
     out = tmp_path / "report.csv"
     assert main(["certify", str(ROOT / "configs" / f"{name}.json"), "--out", str(out)]) == 0
     fresh, shipped = read_rows(out), read_rows(ROOT / "configs" / f"{name}.report.csv")
@@ -257,8 +264,14 @@ def test_shipped_certify_reports_are_current(tmp_path, name):
 
 
 def test_shipped_validate_report_is_current(tmp_path):
-    # the committed report is what validate writes today: every column
-    # exactly, the Monte Carlo margin in ``value`` to float rounding
+    """The committed report is what validate writes today.
+
+    Every column matches exactly, the Monte Carlo margin in ``value`` to
+    float rounding.  Regenerate it only for an intended change, with the
+    CLI alone, which writes the pinned file in place:
+
+        PYTHONPATH=src python -m stopbounds validate configs/foundations_validate.json
+    """
     out = tmp_path / "report.csv"
     assert main(["validate", str(ROOT / "configs" / "foundations_validate.json"),
                  "--out", str(out)]) == 0

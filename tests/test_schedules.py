@@ -1,11 +1,14 @@
 import dataclasses
 import math
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stopbounds as sb
+from stopbounds import schedules
 from stopbounds.schedules import (
     ExhaustedScheduleError,
     ScheduleError,
@@ -147,3 +150,29 @@ def test_geometric_rounding_grows_strictly():
     values = [sched.element(i) for i in range(1, 30)]
     assert values[:5] == [3, 4, 5, 6, 7]
     assert all(b > a for a, b in zip(values, values[1:]))
+
+
+def test_geometric_elements_under_thread_switching(monkeypatch):
+    # four threads extend the process-wide list of one (first, ratio) at
+    # once; an interleaved extension would leave duplicate or unordered looks
+    # for every later schedule with the same parameters
+    monkeypatch.setattr(schedules, "_GEOMETRIC_CACHE", {})
+    list(sb.geometric(1, 1.5).iter_elements(10**7))
+    expected = list(schedules._GEOMETRIC_CACHE[(1, 1.5)])  # with the first element past 10**7
+
+    def walk():
+        list(sb.geometric(1, 1.5).iter_elements(10**7))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-7)
+    try:
+        for _ in range(200):
+            schedules._GEOMETRIC_CACHE.clear()
+            threads = [threading.Thread(target=walk) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert schedules._GEOMETRIC_CACHE[(1, 1.5)] == expected
+    finally:
+        sys.setswitchinterval(interval)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import signal
@@ -11,8 +12,9 @@ import pytest
 
 import stopbounds as sb
 from stopbounds import simulate
-from stopbounds.moments import StreamPool
-from stopbounds.simulate import (_BLOCK, _CHUNK, AllTruncatedError, _blocks, _coefficients,
+from stopbounds.geometry import RegionError
+from stopbounds.moments import StreamPool, stream_for_run
+from stopbounds.simulate import (_BLOCK, _CHUNK, _FIRST, AllTruncatedError, _blocks, _coefficients,
                                  _exact_paths, _passage_line, _stream_key, discrete_paths,
                                  replay_run)
 
@@ -49,10 +51,22 @@ def test_boundary_convention_switch():
     assert strict.mean == 5.0  # boundary touch already counts as exit
 
 
+def test_an_oracle_region_refuses_a_strict_boundary():
+    # an oracle answers closed membership only: a strict walk is refused
+    # rather than walked as closed, which would read 6 where strict reads 5
+    twin = sb.region_from_oracle(lambda t, s: s[0] <= 5.0, 1, convex_closure=True,
+                                 contains_origin=True)
+    with pytest.raises(RegionError, match="closed membership only"):
+        sb.run_discrete(twin, sb.point_mass(1.0), sb.naturals(), 10, seed=0, boundary="strict")
+    with pytest.raises(RegionError, match="closed membership only"):
+        twin.contains(1.0, [0.0], strict=True)
+    assert sb.run_discrete(twin, sb.point_mass(1.0), sb.naturals(), 10, seed=0).mean == 6.0
+
+
 def _block_sums(draws):
     """Running sums as the engine forms them: each block's cumsum plus the total before it."""
     sums, total = [], 0.0
-    for _, lo, length in _blocks(draws.size):
+    for lo, length in _blocks(draws.size):
         sums.append(total + np.cumsum(draws[lo:lo + length]))
         total = sums[-1][-1]
     return np.concatenate(sums)
@@ -92,7 +106,7 @@ def test_replay_spans_chunks_and_long_walks():
     spec = sb.uniform_interval(0.0, 2.0)
     paths = discrete_paths(region, spec, sched, runs, seed=8, workers=2)
     # stops fall in several blocks, so later blocks draw for fewer runs
-    starts = [start for _, start, _ in _blocks(1000)]
+    starts = [start for start, _ in _blocks(1000)]
     assert len(set(np.searchsorted(starts, paths.stop_n))) > 1
     assert paths.stop_n.min() > 3 * _BLOCK  # and every run outlives several blocks
     picked = list(range(0, runs, 331)) + [_CHUNK - 1, _CHUNK, 2 * _CHUNK - 1, 2 * _CHUNK,
@@ -104,6 +118,56 @@ def test_replay_spans_chunks_and_long_walks():
         assert all(sums[p - 1] < 500.0 for p in sched.iter_elements(n) if p < n)
         assert sums[n - 1] >= 500.0
         assert paths.stop_sum[idx, 0] == sums[n - 1]
+
+
+def test_a_chunk_draws_every_block_from_its_one_stream():
+    # rebuilt without replay_run: chunk c's blocks continue the one stream
+    # keyed (seed, grid 0, c), each drawing `length` increments for every run
+    # still live at its start, in run order
+    runs, seed, level = 9000, 8, 200.0
+    assert runs % _CHUNK and 2 * _CHUNK < runs < 3 * _CHUNK
+    region = sb.constant_region(level, "ge", "stopping")
+    paths = discrete_paths(region, sb.uniform_interval(0.0, 2.0), sb.naturals(), runs, seed=seed,
+                           workers=2)
+    assert paths.stop_n.min() > _FIRST + 2 * _FIRST + 4 * _FIRST  # past the third block
+    for chunk in range(3):
+        rows = np.arange(chunk * _CHUNK, min((chunk + 1) * _CHUNK, runs))
+        rng = stream_for_run(seed, _stream_key(0, chunk))
+        total, stop_n, stop_sum = np.zeros(rows.size), np.zeros(rows.size), np.zeros(rows.size)
+        live = np.arange(rows.size)
+        for start, length in _blocks(10**6):
+            if not live.size:
+                break
+            sums = np.cumsum(rng.uniform(0.0, 2.0, (live.size, length)), axis=1)
+            sums += total[live, None]
+            hits = sums >= level
+            done = hits.any(axis=1)
+            first = hits.argmax(axis=1)[done]
+            stop_n[live[done]] = start + 1 + first
+            stop_sum[live[done]] = sums[done, first]
+            total[live] = sums[:, -1]
+            live = live[~done]
+        assert np.array_equal(paths.stop_n[rows], stop_n)
+        assert np.array_equal(paths.stop_sum[rows, 0], stop_sum)
+
+
+def test_walks_that_stop_within_the_first_block_keep_their_draws():
+    # the first block of chunk c draws from the stream keyed (seed, grid 0, c)
+    # and every run below stops within it, so these digests of the stops have
+    # not moved since each block of a chunk had a stream of its own
+    cases = [
+        (sb.constant_region(5.0, "ge", "stopping"), sb.uniform_interval(0.5, 1.5),
+         "7bc187208c6aeafa54383825b4aa2f495f28f9cb58fb95ae88c6239de68b93a3"),
+        (sb.halfspace_region([1.0, 1.0], 0.0, 8.0, "ge", "stopping"),
+         sb.product([sb.uniform_interval(0.5, 1.5), sb.exponential(2.0)]),
+         "d54aa5b8cbfa45781ae533f799c4c1feaa3c249d8a1dc93e31ff9917018839e1"),
+    ]
+    for region, spec, digest in cases:
+        for workers in (1, 3):
+            paths = discrete_paths(region, spec, sb.naturals(), 9000, seed=21, workers=workers)
+            assert paths.stop_n.max() <= _FIRST and not paths.truncated.any()
+            data = paths.stop_n.tobytes() + paths.stop_sum.tobytes()
+            assert hashlib.sha256(data).hexdigest() == digest
 
 
 @pytest.mark.parametrize("schedule,horizon", [(sb.naturals(), 0),
@@ -464,13 +528,13 @@ def test_halfspace_exit_lies_on_the_plane_with_the_stated_covariance():
 
 def test_replay_passage_from_the_chunk_stream():
     # chunk c of the exact sampler draws everything from the stream keyed
-    # (seed, grid 2, chunk c, block 0): first the passage times, in run order
+    # (seed, grid 2, chunk c): first the passage times, in run order
     n, seed = 9000, 8
     assert n % _CHUNK and 2 * _CHUNK < n < 3 * _CHUNK
     paths = _exact(sb.constant_region(4.0), 0.5, 1.0, n, 400.0, seed)
     for chunk in range(3):
         rows = slice(chunk * _CHUNK, min((chunk + 1) * _CHUNK, n))
-        rng = StreamPool(seed).stream(_stream_key(2, chunk, 0))
+        rng = StreamPool(seed).stream(_stream_key(2, chunk))
         tau = rng.wald(8.0, 16.0, rows.stop - rows.start)
         assert np.array_equal(paths.stop_n[rows], tau)
         assert np.allclose(paths.stop_sum[rows, 0], 4.0, rtol=0, atol=1e-12)
@@ -482,7 +546,7 @@ def test_replay_passage_from_the_chunk_stream():
     gamma, v = -0.1, 2.0
     for chunk in range(3):
         rows = np.arange(chunk * _CHUNK, min((chunk + 1) * _CHUNK, n))
-        rng = StreamPool(seed).stream(_stream_key(2, chunk, 0))
+        rng = StreamPool(seed).stream(_stream_key(2, chunk))
         hit = rng.random(rows.size) < math.exp(2.0 * gamma / v)
         tau = rng.wald(10.0, 0.5, hit.sum())
         inside = tau <= 30.0

@@ -117,7 +117,7 @@ _COUNTS = threading.Lock()  # the counters are bumped from the samplers' worker 
 
 
 def _route(monkeypatch):
-    """Counting wrappers over the two names the tracer patches for draws and rekeys."""
+    """Counting wrappers over the two names the tracer patches for draws and streams."""
     log = {"keys": [], "drawn": {}, "block_draws": 0, "foreign_rng": 0}
     stream, block = moments.StreamPool.stream, simulate.sample_block
 
@@ -146,8 +146,8 @@ def test_discrete_draws_and_keys_go_through_the_traced_names(monkeypatch):
     traced = discrete_paths(region, spec, sb.naturals(), n, seed=4, workers=3)
     assert np.array_equal(traced.stop_n, plain.stop_n)
     assert np.array_equal(traced.stop_sum, plain.stop_sum)
-    # one fresh key per block, every variate drawn through sample_block on a keyed stream
-    assert len(routed["keys"]) == len(set(routed["keys"])) >= 3
+    # one key per chunk, every variate drawn through sample_block on a keyed stream
+    assert sorted(routed["keys"]) == [simulate._stream_key(0, c) for c in range(3)]
     assert routed["foreign_rng"] == 0
     assert sum(routed["drawn"].values()) == routed["block_draws"]
     assert traced.stop_n.sum() * spec.dim <= routed["block_draws"]  # draw efficiency <= 1
@@ -175,7 +175,7 @@ def test_brownian_draws_and_keys_go_through_the_traced_names(monkeypatch):
         assert (traced.mean, traced.stderr, traced.extras) == (plain.mean, plain.stderr,
                                                                plain.extras)
         # one fresh key per chunk, all on the exact sampler's grid
-        assert sorted(routed["keys"]) == [simulate._stream_key(2, c, 0) for c in range(chunks)]
+        assert sorted(routed["keys"]) == [simulate._stream_key(2, c) for c in range(chunks)]
         assert set(routed["drawn"]) == methods
         assert routed["block_draws"] == 0
         if methods == {"wald"}:
@@ -191,7 +191,8 @@ def test_euler_brownian_draws_and_keys_go_through_the_traced_names(monkeypatch):
     routed = _route(monkeypatch)
     traced = simulate.run_brownian(*args, horizon=200.0, seed=5, workers=2)
     assert (traced.mean, traced.stderr, traced.extras) == (plain.mean, plain.stderr, plain.extras)
-    assert len(routed["keys"]) == len(set(routed["keys"]))
+    # one key per chunk on each of the two grids
+    assert sorted(routed["keys"]) == [simulate._stream_key(g, c) for g in (0, 1) for c in (0, 1)]
     assert set(routed["drawn"]) == {"standard_normal"}
     used = traced.n_runs * (traced.mean / 0.0125 + traced.extras["coarse"][0] / 0.05)
     assert used <= routed["drawn"]["standard_normal"]

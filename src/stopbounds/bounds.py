@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -19,13 +20,12 @@ from . import overshoot as ovs
 from .geometry import (
     GradientDomainError,
     Hyperplane,
-    NoRayExitError,
     Region,
     exact_sum,
     float_at_least,
     hyperplane_slice_distance,  # noqa: F401  (kept as a bounds name: the benchmark tracer wraps it)
     log_exit_gradient,
-    mean_ray_crossing,
+    mean_ray_crossing,  # noqa: F401  (as above; the crossing is read off ray_exit_time at the mean)
     ray_entry_and_exit,
     ray_exit_time,
     slice_distance,
@@ -86,48 +86,129 @@ def _known(tag: str, *tags: str) -> str:
     return tag
 
 
-def _start_check(ident: str, region: Region, profile: MomentProfile, n0: int) -> AssumptionCheck:
-    """Whether (n0, S_{n0}) surely lies in the closed region: (IV), and T12's sure start.
-
-    At n0 = 0 that is (III)'s origin flag; an oracle region's None reads "declared".
-    """
-    held = region.contains_origin if n0 == 0 else region.contains_sums(
-        n0, profile.support_lo, profile.support_hi)
-    if held is None:
-        return AssumptionCheck(ident, "declared", "a membership oracle cannot bound S_n0")
-    return _chk(ident, held, f"support of S_{n0} in the closed region at t={n0}")
-
-
-def _standard_audit(region: Region, profile: MomentProfile, schedule: SampleSchedule,
-                    need_third_moment: bool):
-    """Assumptions (I)-(IV), plus (VI) when asked.
-
-    (I) and (II) come from the schedule's kind and parameters, never from a
-    prefix of its elements; (III) from the region's asserted flags.
-    """
-    aud = audit_assumptions(schedule)
-    checks = [
-        _chk("I", aud.growth_pass, f"lam={schedule.lam:.6g}, K={schedule.K:.6g}"),
-        _chk("II", aud.gap_or_ratio_pass, aud.gap_or_ratio_mode),
-        _chk("III", region.convex_closure and region.contains_origin, "asserted flags"),
-        _start_check("IV", region, profile, schedule.n0),
-    ]
-    if need_third_moment:
-        checks.append(_chk("VI", profile.abs_third_finite))
-    return checks
-
-
 # the mean ray never leaving the region leaves the domain unbounded: +inf is the bound
 _NEVER_EXITS = AssumptionCheck("V", "unchecked", "mean ray never exits: unbounded, value +inf")
 
 
-def _crossing_check(region: Region, mean):
-    """Assumption (V): the unique mean-ray crossing.  Returns (checks, m or inf)."""
-    try:
-        m = mean_ray_crossing(region, mean)
-        return [_chk("V", True, f"m={m:.12g}")], m
-    except NoRayExitError:
-        return [_NEVER_EXITS], math.inf
+class Premises:
+    """What the calculators of one scenario share, each derived once, on first use.
+
+    ``region`` is the continuity-side region and ``mean`` the slope of its
+    mean ray: the increment mean, or a Brownian drift, which comes with no
+    ``profile`` or ``schedule`` and reads only (III) and the mean ray.  A
+    premise whose derivation raises is not kept, so every calculator that
+    reads it raises the same error.  A calculator called without premises
+    derives a fresh set, so no report depends on the reports made before it.
+    """
+
+    def __init__(self, region: Region, mean, profile: Optional[MomentProfile] = None,
+                 schedule: Optional[SampleSchedule] = None):
+        self.region, self.mean, self.profile, self.schedule = region, mean, profile, schedule
+
+    @cached_property
+    def convex_origin(self) -> AssumptionCheck:
+        """(III), from the region's asserted flags."""
+        return _chk("III", self.region.convex_closure and self.region.contains_origin,
+                    "asserted flags")
+
+    @cached_property
+    def hypotheses(self) -> tuple:
+        """(I)-(IV).
+
+        (I) and (II) come from the schedule's kind and parameters, never from
+        a prefix of its elements; (III) from the region's asserted flags.
+        """
+        schedule = self.schedule
+        aud = audit_assumptions(schedule)
+        return (
+            _chk("I", aud.growth_pass, f"lam={schedule.lam:.6g}, K={schedule.K:.6g}"),
+            _chk("II", aud.gap_or_ratio_pass, aud.gap_or_ratio_mode),
+            self.convex_origin,
+            self.start_check("IV"),
+        )
+
+    @cached_property
+    def third_moment(self) -> AssumptionCheck:
+        """(VI)."""
+        return _chk("VI", self.profile.abs_third_finite)
+
+    def audit(self, need_third_moment: bool) -> list:
+        """A fresh list of (I)-(IV), plus (VI) when asked."""
+        checks = list(self.hypotheses)
+        if need_third_moment:
+            checks.append(self.third_moment)
+        return checks
+
+    @cached_property
+    def _start_held(self) -> Optional[bool]:
+        """Whether (n0, S_{n0}) surely lies in the closed region; None from an oracle region.
+
+        At n0 = 0 that is (III)'s origin flag.
+        """
+        n0, profile = self.schedule.n0, self.profile
+        if n0 == 0:
+            return self.region.contains_origin
+        return self.region.contains_sums(n0, profile.support_lo, profile.support_hi)
+
+    def start_check(self, ident: str) -> AssumptionCheck:
+        """The sure start as check ``ident``: (IV), and T12's "sure-start"."""
+        held, n0 = self._start_held, self.schedule.n0
+        if held is None:
+            return AssumptionCheck(ident, "declared", "a membership oracle cannot bound S_n0")
+        return _chk(ident, held, f"support of S_{n0} in the closed region at t={n0}")
+
+    @cached_property
+    def g_at_mean(self) -> float:
+        """g(mean): how long the mean ray stays in the closed region, +inf if it never leaves."""
+        return ray_exit_time(self.region, self.mean)
+
+    @cached_property
+    def crossing(self) -> tuple:
+        """(V) and the unique mean-ray crossing m = g(mean), +inf when the ray never exits."""
+        m = self.g_at_mean
+        if math.isinf(m):
+            return _NEVER_EXITS, math.inf
+        return _chk("V", True, f"m={m:.12g}"), m
+
+    @cached_property
+    def max_gap(self) -> float:
+        """The schedule's gap supremum, N_1 - N_0 included."""
+        return gap_supremum(self.schedule)
+
+    @cached_property
+    def dev_slab(self) -> Slab:
+        """T10's and T14's slab, from the one-sided deviations."""
+        s = self.schedule
+        return deviation_slab(self.profile, s.lam, s.K, s.n0)
+
+    @cached_property
+    def support_slab(self) -> Slab:
+        """T11's envelope slab with the primed support slab; needs support bounds."""
+        s = self.schedule
+        return bounded_support_slab(self.profile, s.lam, s.K, s.n0)
+
+    @cached_property
+    def envelope_slab(self) -> Slab:
+        """The envelope slab alone, which T15 evaluates beside the primed one."""
+        both = self.support_slab
+        return Slab(both.lower_slope, both.upper_slope, both.lower_icept, both.upper_icept)
+
+    @cached_property
+    def series_start(self) -> tuple:
+        """T18's and T19's (tau, N_tau): the first element past the crossing, raised by _CROSSING_ROUND."""
+        m = self.crossing[1]
+        return tau_index(self.schedule, m + _CROSSING_ROUND * max(1.0, m))
+
+    @cached_property
+    def side_at_n_tau(self) -> str:
+        """For d = 1: whether the slice at N_tau lies "above" or "below" the mean, or holds it."""
+        return slice_side(self.region, self.series_start[1], self.mean)
+
+
+def _own(premises: Optional[Premises], region: Region, profile: MomentProfile,
+         schedule: SampleSchedule) -> Premises:
+    """The scenario's premises, or a fresh set for a direct call."""
+    return premises if premises is not None else Premises(region, profile.mean, profile, schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +293,8 @@ def bounded_support_slab(profile: MomentProfile, lam: float, K: float, n0: float
 
 
 def slab_optimization_upper_bound(region: Region, profile: MomentProfile,
-                                  schedule: SampleSchedule, tag: str) -> BoundReport:
+                                  schedule: SampleSchedule, tag: str,
+                                  premises: Optional[Premises] = None) -> BoundReport:
     """E[N] <= lam * max{t over the slab-constrained region} + K.
 
     "T10-upper" uses the one-sided-deviation slab; "T11-upper-bounded" needs
@@ -220,9 +302,10 @@ def slab_optimization_upper_bound(region: Region, profile: MomentProfile,
     """
     bounded = _known(tag, "T10-upper", "T11-upper-bounded") == "T11-upper-bounded"
     lam, K, n0 = schedule.lam, schedule.K, schedule.n0
-    checks = _standard_audit(region, profile, schedule, need_third_moment=not bounded)
-    vchecks, m = _crossing_check(region, profile.mean)
-    checks += vchecks
+    p = _own(premises, region, profile, schedule)
+    checks = p.audit(need_third_moment=not bounded)
+    vcheck, m = p.crossing
+    checks.append(vcheck)
     diag = {"m": m, "lam": lam, "K": K, "n0": n0}
     if bounded:
         checks.append(_chk("support-bounds", profile.bounded))
@@ -230,7 +313,7 @@ def slab_optimization_upper_bound(region: Region, profile: MomentProfile,
         return BoundReport(tag, "upper", math.nan, checks, diag)
     if not math.isfinite(m):
         return BoundReport(tag, "upper", math.inf, checks, diag)
-    slab = (bounded_support_slab if bounded else deviation_slab)(profile, lam, K, n0)
+    slab = p.support_slab if bounded else p.dev_slab
     checks.append(_chk("slab-nonempty", not slab.is_empty))
     if slab.is_empty:
         return BoundReport(tag, "upper", math.nan, checks, diag)
@@ -247,7 +330,8 @@ def slab_optimization_upper_bound(region: Region, profile: MomentProfile,
 
 
 def sample_mean_upper_bound(region: Region, profile: MomentProfile,
-                            schedule: SampleSchedule, tag: str) -> BoundReport:
+                            schedule: SampleSchedule, tag: str,
+                            premises: Optional[Premises] = None) -> BoundReport:
     """E[N] <= K + max of g over a moment box, for rules n >= g(sample mean).
 
     g(v) = ray_exit_time(region, v) is the rule of the continuity region.
@@ -258,24 +342,24 @@ def sample_mean_upper_bound(region: Region, profile: MomentProfile,
     closed-form for a built-in family and searched for an oracle region.
     """
     _known(tag, "T12-samplemean", "T13-samplemean-naturals", "T-try88-bounded")
-    mu = profile.mean
+    p = _own(premises, region, profile, schedule)
     checks = []
     diag = {}
-    K = gap_supremum(schedule)
+    K = p.max_gap
     n0 = schedule.n0
     diag["K"] = K
     # which concavity of g each theorem needs is not settled: no region answers it
     checks.append(AssumptionCheck("g-concave", "declared"))
     if tag == "T13-samplemean-naturals":
         checks.append(_chk("all-naturals", schedule.is_all_naturals))
-        gmu = float(ray_exit_time(region, mu))
+        gmu = float(p.g_at_mean)
         checks.append(_chk("g-nonnegative", gmu >= 0.0, f"g(mean)={gmu:.6g}"))
         constant = 2.0
     else:
         checks.append(_chk("gap-at-most-start", K <= n0,
                            f"max gap {K} vs start anchor {n0}"))
-        checks.append(_start_check("sure-start", region, profile, n0))
-        checks.append(_chk("VI", profile.abs_third_finite))
+        checks.append(p.start_check("sure-start"))
+        checks.append(p.third_moment)
         constant = float(K)
     if tag == "T-try88-bounded":
         checks.append(_chk("support-bounds", profile.bounded))
@@ -303,7 +387,8 @@ def _box_for(profile: MomentProfile, tag: str):
 
 
 def hyperplane_vertex_upper_bound(region: Region, hyp: Hyperplane, profile: MomentProfile,
-                                  schedule: SampleSchedule, tag: str) -> BoundReport:
+                                  schedule: SampleSchedule, tag: str,
+                                  premises: Optional[Premises] = None) -> BoundReport:
     """E[N] <= lam * (vertex fractional max) + K using the region's supporting hyperplane.
 
     "T14-hyperplane" evaluates the deviation slab; "T15-hyperplane-bounded"
@@ -312,21 +397,17 @@ def hyperplane_vertex_upper_bound(region: Region, hyp: Hyperplane, profile: Mome
     """
     bounded = _known(tag, "T14-hyperplane", "T15-hyperplane-bounded") == "T15-hyperplane-bounded"
     lam, K, n0 = schedule.lam, schedule.K, schedule.n0
-    checks = _standard_audit(region, profile, schedule, need_third_moment=not bounded)
+    p = _own(premises, region, profile, schedule)
+    checks = p.audit(need_third_moment=not bounded)
     diag = {"m": hyp.anchor, "C": hyp.level, "lam": lam, "K": K, "n0": n0}
     if bounded:
         checks.append(_chk("support-bounds", profile.bounded))
     if any(c.status == "fail" for c in checks):
         return BoundReport(tag, "upper", math.nan, checks, diag)
     if not bounded:
-        slabs = {"deviation": deviation_slab(profile, lam, K, n0)}
+        slabs = {"deviation": p.dev_slab}
     else:
-        both = bounded_support_slab(profile, lam, K, n0)
-        slabs = {
-            "envelope": Slab(both.lower_slope, both.upper_slope,
-                             both.lower_icept, both.upper_icept),
-            "support": both.primed,
-        }
+        slabs = {"envelope": p.envelope_slab, "support": p.support_slab.primed}
     results = {}
     for name, slab in slabs.items():
         try:
@@ -407,7 +488,7 @@ def lorden_hyperplane_upper_bound(hyp: Hyperplane, profile: MomentProfile, K: in
 
 
 def gradient_upper_bound(region: Region, profile: MomentProfile, schedule: SampleSchedule,
-                         tag: str) -> BoundReport:
+                         tag: str, premises: Optional[Premises] = None) -> BoundReport:
     """E[N] <= g(mean) + 1 + quadratic form of the log-gradient against the noise.
 
     "T17-gradient" is the general form; "vipformula" is the closed scalar
@@ -416,20 +497,21 @@ def gradient_upper_bound(region: Region, profile: MomentProfile, schedule: Sampl
     """
     _known(tag, "T17-gradient", "vipformula")
     mu = profile.mean
+    p = _own(premises, region, profile, schedule)
     checks = [
-        _chk("III", region.convex_closure and region.contains_origin, "asserted flags"),
+        p.convex_origin,
         _chk("second-moment-finite", bool(np.all(np.isfinite(profile.variance)))),
         _chk("all-naturals", schedule.is_all_naturals),
     ]
     diag = {}
     if any(c.status == "fail" for c in checks):
         return BoundReport(tag, "upper", math.nan, checks, diag)
-    g0 = ray_exit_time(region, mu)
+    g0 = p.g_at_mean
     diag["g_at_mean"] = g0
-    if not math.isfinite(g0):
-        checks.append(_NEVER_EXITS)
+    vcheck, m = p.crossing
+    checks.append(vcheck)
+    if math.isinf(m):
         return BoundReport(tag, "upper", math.inf, checks, diag)
-    checks.append(_chk("V", True, f"m={g0:.12g}"))
     if tag == "vipformula":
         slope = region.boundary_slope
         checks.append(_chk("scalar-boundary", slope is not None and profile.dim == 1))
@@ -488,7 +570,8 @@ _CROSSING_ROUND = 1e-9
 
 def concentration_upper_bound(region: Region, profile: MomentProfile,
                               schedule: SampleSchedule, hyp: Optional[Hyperplane] = None,
-                              user_tail: Optional[Callable] = None) -> BoundReport:
+                              user_tail: Optional[Callable] = None,
+                              premises: Optional[Premises] = None) -> BoundReport:
     """Tail-sum bound N_tau + sum of schedule gaps weighted by deviation tails.
 
     Deviations come from the distance between the mean and the region slice
@@ -506,10 +589,10 @@ def concentration_upper_bound(region: Region, profile: MomentProfile,
     """
     tag = "T18-concentration" if hyp is None else "T19-concentration-hyperplane"
     d = profile.dim
-    mu = profile.mean
-    checks = _standard_audit(region, profile, schedule, need_third_moment=True)
-    vchecks, m = _crossing_check(region, mu)
-    checks += vchecks
+    p = _own(premises, region, profile, schedule)
+    checks = p.audit(need_third_moment=True)
+    vcheck, m = p.crossing
+    checks.append(vcheck)
     diag = {"m": m}
     if user_tail is None:
         checks.append(_chk("support-bounds", profile.bounded, "tail=hoeffding"))
@@ -518,58 +601,21 @@ def concentration_upper_bound(region: Region, profile: MomentProfile,
     if any(c.status == "fail" for c in checks) or not math.isfinite(m):
         value = math.inf if not math.isfinite(m) else math.nan
         return BoundReport(tag, "upper", value, checks, diag)
-    tau, n_tau = tau_index(schedule, m + _CROSSING_ROUND * max(1.0, m))
+    tau, n_tau = p.series_start
     diag["tau"] = tau
     diag["N_tau"] = n_tau
-    if hyp is not None:
-        anchor, abs_gap, norm = hyp.anchor, abs(hyp.mean_gap(mu)), hyp.norm
-    if region.time_slab if hyp is None else norm == 0.0:
+    if region.time_slab if hyp is None else hyp.norm == 0.0:
         # a plane, or a built-in halfspace, in t alone has empty slices past
         # the crossing: a continuation probability of 0, so every walk has
         # stopped by N_tau
         return BoundReport(tag, "upper", float(n_tau), checks, diag)
     one_sided = False
     if d == 1:
-        side = slice_side(region, n_tau, mu)
+        side = p.side_at_n_tau
         diag["slice_side_at_N_tau"] = side
         one_sided = side in ("above", "below")
     diag["one_sided"] = one_sided
-
-    # the series constants are computed once, outside the loop (T19's before
-    # the time-slab check); the T19 term keeps the operation order of
-    # geometry.hyperplane_slice_distance, so the two agree bit for bit; a
-    # region with a d = 1 boundary curve s = f(t) gives its deviation directly
-    f = region.scalar_boundary if d == 1 else None
-    if hyp is not None:
-        def deviation(n: float) -> float:
-            if not n > anchor:
-                raise ValueError("slice size must exceed the anchor time")
-            return (1.0 - anchor / n) * abs_gap / norm
-    elif f is not None:
-        mu0 = float(mu[0])
-
-        def deviation(n: float) -> float:
-            return abs(mu0 - f(n) / n)
-    else:
-        def deviation(n: float) -> float:
-            return slice_distance(region, n, mu)
-
-    widths = [float(w) for w in profile.support_hi - profile.support_lo] if profile.bounded else None
-    root_d = math.sqrt(d)
-
-    def tail_probability(n: float, dev: float) -> float:
-        if one_sided:
-            if user_tail is None:
-                return min(1.0, _hoeffding_one_sided(n, dev, widths[0]))
-            return min(1.0, float(user_tail(n, dev)))
-        total = 0.0
-        comp_dev = dev / root_d
-        for k in range(d):
-            if user_tail is None:
-                total += 2.0 * _hoeffding_one_sided(n, comp_dev, widths[k])
-            else:
-                total += 2.0 * float(user_tail(n, comp_dev))
-        return min(1.0, total)  # a continuation probability never exceeds one
+    weight = _series_weight(region, profile, hyp, user_tail, one_sided)
 
     total = 0.0
     tiny_streak = 0
@@ -579,7 +625,7 @@ def concentration_upper_bound(region: Region, profile: MomentProfile,
     while True:
         n_next = schedule.element(index + 1)
         gap = n_next - n_cur
-        term = gap * tail_probability(n_cur, deviation(n_cur))
+        term = gap * weight(n_cur)
         total += term
         terms += 1
         if term < _TERM_TOL:
@@ -596,6 +642,54 @@ def concentration_upper_bound(region: Region, profile: MomentProfile,
     diag["last_term"] = term
     diag["truncation_tol"] = _TERM_TOL
     return BoundReport(tag, "upper", n_tau + total, checks, diag)
+
+
+def _series_weight(region: Region, profile: MomentProfile, hyp: Optional[Hyperplane],
+                   user_tail: Optional[Callable], one_sided: bool) -> Callable[[float], float]:
+    """The concentration series' continuation weight at size n: one call per term.
+
+    The deviation at n is T19's plane distance, in the operation order of
+    geometry.hyperplane_slice_distance so that the two agree bit for bit,
+    or, on a d = 1 region with a boundary curve s = f(t), |mean - f(n)/n|,
+    or else ``slice_distance``.  The constants are computed once, here.
+    """
+    d, mu = profile.dim, profile.mean
+    f = region.scalar_boundary if d == 1 else None
+    widths = [float(w) for w in profile.support_hi - profile.support_lo] if profile.bounded else None
+    if hyp is not None:
+        anchor, abs_gap, norm = hyp.anchor, abs(hyp.mean_gap(mu)), hyp.norm
+    elif f is not None:
+        mu0 = float(mu[0])
+    root_d = math.sqrt(d)
+
+    def weight(n: float) -> float:
+        if hyp is not None:
+            if not n > anchor:
+                raise ValueError("slice size must exceed the anchor time")
+            dev = (1.0 - anchor / n) * abs_gap / norm
+        elif f is not None:
+            dev = abs(mu0 - f(n) / n)
+        else:
+            dev = slice_distance(region, n, mu)
+        if not one_sided:
+            total = 0.0
+            comp_dev = dev / root_d
+            for k in range(d):
+                if user_tail is None:
+                    total += 2.0 * _hoeffding_one_sided(n, comp_dev, widths[k])
+                else:
+                    total += 2.0 * float(user_tail(n, comp_dev))
+            return min(1.0, total)  # a continuation probability never exceeds one
+        if user_tail is not None:
+            return min(1.0, float(user_tail(n, dev)))
+        # _hoeffding_one_sided(n, dev, widths[0]), written out: the shipped case
+        if dev <= 0.0:
+            return 1.0
+        if widths[0] == 0.0:
+            return 0.0
+        return min(1.0, math.exp(-2.0 * n * dev * dev / (widths[0] * widths[0])))
+
+    return weight
 
 
 # ---------------------------------------------------------------------------

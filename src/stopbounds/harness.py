@@ -2,9 +2,11 @@
 
 A bundle ties one increment law, one region, and one schedule together and
 derives the views the calculators need: the continuity-side closure, the
-stopping-side closure, the ray rule function and its reciprocal, and the
-supporting hyperplane.  A Brownian bundle shares the region views and rule
-functions.  ``bound_report`` turns a theorem tag into a report, and
+stopping-side closure, the supporting hyperplane, and the premises that
+several calculators share (``bounds.Premises``: the hypotheses, the mean-ray
+crossing, the slabs, the start of the concentration series), each once per
+bundle.  A Brownian bundle shares the region views and derives its premises
+at the drift.  ``bound_report`` turns a theorem tag into a report, and
 ``brownian_report`` answers a Brownian tag with the same calculators at the
 drift; ``certify`` compares reports against a Monte Carlo estimate with the
 four-sigma slack, respecting truncation bias.
@@ -33,8 +35,21 @@ from .schedules import SampleSchedule
 from .simulate import SimulationEstimate
 
 
+def _reciprocal(g: float) -> float:
+    """1/g, with 1/0 = +inf and 1/+inf = 0."""
+    return 1.0 / g if g > 0 else math.inf
+
+
+def _evaluated(value: float):
+    """A rule function for ``wald_lower_bound``, which reads its rule only at the mean.
+
+    ``value`` is the rule there, as the bundle's premises already hold it.
+    """
+    return lambda v: value
+
+
 class _RegionViews:
-    """Region views and rule functions of a bundle with ``region``."""
+    """Region views and the reciprocal rule function of a bundle with ``region``."""
 
     @cached_property
     def continuity_view(self) -> Region:
@@ -48,22 +63,12 @@ class _RegionViews:
             return self.region
         return self.region.complement_closure()
 
-    def rule_function(self):
-        """g(v): how long the slope-v ray stays in the continuity closure."""
-        view = self.continuity_view
-
-        def g(v):
-            return ray_exit_time(view, v)
-
-        return g
-
     def reciprocal_rule_function(self):
-        """1/g(v), with 1/0 = +inf and 1/+inf = 0."""
+        """1/g(v), with 1/0 = +inf and 1/+inf = 0; g(v) is how long the slope-v ray stays."""
         view = self.continuity_view
 
         def g(v):
-            val = ray_exit_time(view, v)
-            return 1.0 / val if val > 0 else math.inf
+            return _reciprocal(ray_exit_time(view, v))
 
         return g
 
@@ -98,6 +103,11 @@ class ScenarioBundle(_RegionViews):
     def hyperplane(self):
         return supporting_hyperplane(self.continuity_view, self.profile.mean)
 
+    @cached_property
+    def premises(self) -> bd.Premises:
+        """What the calculators share, derived once for this bundle."""
+        return bd.Premises(self.continuity_view, self.profile.mean, self.profile, self.schedule)
+
     def threshold_level(self) -> Optional[float]:
         """Level c of a flat stopping threshold {s >= c}, in whatever family it is written.
 
@@ -122,6 +132,11 @@ class BrownianBundle(_RegionViews):
     dt: float
     n_runs: int = 50_000
     horizon: float = 10_000.0
+
+    @cached_property
+    def premises(self) -> bd.Premises:
+        """(III) and the mean ray at the drift, derived once for this bundle."""
+        return bd.Premises(self.continuity_view, self.drift)
 
 
 # a region outside a calculator's geometric hypotheses makes its report inapplicable,
@@ -157,15 +172,17 @@ def bound_report(tag: str, bundle: ScenarioBundle) -> bd.BoundReport:
     if tag == "T8-lower":
         return bd.stopping_region_lower_bound(bundle.stopping_view, mean)
     if tag == "T-UseWald-lower":
-        return bd.wald_lower_bound(bundle.reciprocal_rule_function(), mean,
-                                   concave=bundle.reciprocal_rule_concave())
+        rule = _evaluated(_reciprocal(bundle.premises.g_at_mean))
+        return bd.wald_lower_bound(rule, mean, concave=bundle.reciprocal_rule_concave())
     if tag in ("T10-upper", "T11-upper-bounded"):
-        return bd.slab_optimization_upper_bound(bundle.continuity_view, prof, sched, tag)
+        return bd.slab_optimization_upper_bound(bundle.continuity_view, prof, sched, tag,
+                                                premises=bundle.premises)
     if tag in ("T12-samplemean", "T13-samplemean-naturals", "T-try88-bounded"):
-        return bd.sample_mean_upper_bound(bundle.continuity_view, prof, sched, tag)
+        return bd.sample_mean_upper_bound(bundle.continuity_view, prof, sched, tag,
+                                          premises=bundle.premises)
     if tag in ("T14-hyperplane", "T15-hyperplane-bounded"):
         return bd.hyperplane_vertex_upper_bound(bundle.continuity_view, bundle.hyperplane,
-                                                prof, sched, tag)
+                                                prof, sched, tag, premises=bundle.premises)
     if tag.startswith("T16-chenlorden-"):
         k = 1 if sched.is_all_naturals else (sched.step or 0)
         if not k or not sched.is_multiples_of(k):
@@ -173,10 +190,12 @@ def bound_report(tag: str, bundle: ScenarioBundle) -> bd.BoundReport:
                            "rule must be checked at multiples of a fixed batch size")
         return bd.lorden_hyperplane_upper_bound(bundle.hyperplane, prof, k, tag)
     if tag in ("T17-gradient", "vipformula"):
-        return bd.gradient_upper_bound(bundle.continuity_view, prof, sched, tag)
+        return bd.gradient_upper_bound(bundle.continuity_view, prof, sched, tag,
+                                       premises=bundle.premises)
     if tag in ("T18-concentration", "T19-concentration-hyperplane"):
         hyp = bundle.hyperplane if tag.startswith("T19") else None
-        return bd.concentration_upper_bound(bundle.continuity_view, prof, sched, hyp=hyp)
+        return bd.concentration_upper_bound(bundle.continuity_view, prof, sched, hyp=hyp,
+                                            premises=bundle.premises)
     if tag in ("Lorden-T6", "Lorden-T7"):
         level = bundle.threshold_level()
         if level is None:
@@ -193,16 +212,16 @@ def brownian_report(tag: str, bundle: BrownianBundle) -> bd.BoundReport:
     """The discrete calculators at the drift, renamed to the Brownian tag.
 
     Brown2 reads the entry and exit of T8's ray; Brown3 and Brown4 are the
-    Wald checks on the rule function and on its reciprocal.
+    Wald checks on the rule function g and on its reciprocal, which read g
+    at the drift from the bundle's premises, as Brown1 reads the crossing.
     """
     drift = bundle.drift
     if tag == "Brown1":
-        view = bundle.continuity_view
-        iii = bd._chk("III", view.convex_closure and view.contains_origin, "asserted flags")
+        iii = bundle.premises.convex_origin
         if iii.status == "fail":
             return bd.BoundReport(tag, "upper", math.nan, [iii], {})
-        crossing, m = bd._crossing_check(view, drift)
-        return bd.BoundReport(tag, "upper", m, [iii, *crossing], {"m": m})
+        crossing, m = bundle.premises.crossing
+        return bd.BoundReport(tag, "upper", m, [iii, crossing], {"m": m})
     if tag in ("Brown2-lower", "Brown2-upper"):
         report = bd.stopping_region_lower_bound(bundle.stopping_view, drift)
         if tag == "Brown2-lower":
@@ -211,14 +230,14 @@ def brownian_report(tag: str, bundle: BrownianBundle) -> bd.BoundReport:
         return replace(report, theorem=tag, direction="upper",
                        value=report.diagnostics.get("mean_ray_exit", report.value))
     if tag == "Brown3":
-        report = bd.wald_lower_bound(bundle.rule_function(), drift)
+        report = bd.wald_lower_bound(_evaluated(bundle.premises.g_at_mean), drift)
         g0 = report.diagnostics["g_at_mean"]
         if g0 == 0.0:  # Wald's +inf lower bound at g = 0 bounds nothing from above
             report.assumptions[-1] = bd._chk("g-positive-at-mean", False, "g(mean)=0")
         return replace(report, theorem=tag, direction="upper", value=g0 if g0 > 0.0 else math.nan)
     if tag == "Brown4":
-        report = bd.wald_lower_bound(bundle.reciprocal_rule_function(), drift,
-                                     concave=bundle.reciprocal_rule_concave())
+        rule = _evaluated(_reciprocal(bundle.premises.g_at_mean))
+        report = bd.wald_lower_bound(rule, drift, concave=bundle.reciprocal_rule_concave())
         return replace(report, theorem=tag)
     raise ValueError(f"unknown Brownian tag {tag!r}")
 

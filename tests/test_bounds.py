@@ -574,7 +574,7 @@ def test_shipped_bound_reports_never_search(monkeypatch):
 def test_shipped_bound_reports_probe_membership_only_in_slice_side(monkeypatch):
     # built-in ray exits answer from the coefficients alone, with no origin
     # probe and no audit probe around the exit; what is left is slice_side's
-    # one slack evaluation per d = 1 T18/T19 report
+    # one slack evaluation per bundle with d = 1 T18/T19 reports, which share N_tau
     callers = collections.Counter()
     contains = geometry.Region.contains
 
@@ -587,7 +587,7 @@ def test_shipped_bound_reports_probe_membership_only_in_slice_side(monkeypatch):
                for row in certification_matrix(10) for tag in row["tags"]]
     reports += [brownian_report(tag, case["bundle"])
                 for case in brownian_cases(10) for tag in case["tags"]]
-    assert len(reports) == 155 and callers == {"slice_side": 22}
+    assert len(reports) == 155 and callers == {"slice_side": 11}
     # the counter sees the probes of an oracle region's search and audit
     oracle = sb.region_from_oracle(lambda t, s: s[0] <= 5.0, 1, convex_closure=True,
                                    contains_origin=True)

@@ -31,7 +31,6 @@ from .geometry import (
     Region,
     affine_region,
     constant_region,
-    convexity_audit,
     halfspace_region,
     hyperplane_slice_distance,
     log_exit_gradient,
@@ -39,7 +38,6 @@ from .geometry import (
     power_region,
     ray_entry_and_exit,
     ray_exit_time,
-    region_from_oracle,
     slice_distance,
     supporting_hyperplane,
 )

@@ -140,11 +140,8 @@ class Premises:
         return checks
 
     @cached_property
-    def _start_held(self) -> Optional[bool]:
-        """Whether (n0, S_{n0}) surely lies in the closed region; None from an oracle region.
-
-        At n0 = 0 that is (III)'s origin flag.
-        """
+    def _start_held(self) -> bool:
+        """Whether (n0, S_{n0}) surely lies in the closed region; at n0 = 0, (III)'s origin flag."""
         n0, profile = self.schedule.n0, self.profile
         if n0 == 0:
             return self.region.contains_origin
@@ -152,10 +149,8 @@ class Premises:
 
     def start_check(self, ident: str) -> AssumptionCheck:
         """The sure start as check ``ident``: (IV), and T12's "sure-start"."""
-        held, n0 = self._start_held, self.schedule.n0
-        if held is None:
-            return AssumptionCheck(ident, "declared", "a membership oracle cannot bound S_n0")
-        return _chk(ident, held, f"support of S_{n0} in the closed region at t={n0}")
+        n0 = self.schedule.n0
+        return _chk(ident, self._start_held, f"support of S_{n0} in the closed region at t={n0}")
 
     @cached_property
     def g_at_mean(self) -> float:
@@ -338,8 +333,8 @@ def sample_mean_upper_bound(region: Region, profile: MomentProfile,
     "T12-samplemean" uses the one-sided-deviation box with the schedule's max
     gap K; "T13-samplemean-naturals" is the all-naturals form with constant 2
     instead of K; "T-try88-bounded" uses the support envelope box and needs
-    bounded increments.  The box maximum is the region's ``exit_box_max``:
-    closed-form for a built-in family and searched for an oracle region.
+    bounded increments.  The box maximum is the region's ``exit_box_max``,
+    a closed form.
     """
     _known(tag, "T12-samplemean", "T13-samplemean-naturals", "T-try88-bounded")
     p = _own(premises, region, profile, schedule)
@@ -559,9 +554,9 @@ def _hoeffding_one_sided(n: float, dev: float, width: float) -> float:
 _TERM_TOL = 1e-12
 _MAX_TERMS = 1_000_000
 # N_tau is the first schedule element above the crossing raised by this
-# relative margin.  A computed m can fall below the true one by rounding (an
-# oracle region's bisection: up to 5e-10 relative).  When the walk reaches
-# the boundary at an element just above the computed m, the series would
+# relative margin.  A computed m can fall below the true one by rounding (the
+# float quotient and power of the closed form: a few ulps).  When the walk
+# reaches the boundary at an element just above the computed m, the series would
 # weight that element by the tail of a small positive deviation, which is 0
 # for zero-width increments, and so drop it.  Taking the next element as
 # N_tau replaces that term gap * tail by gap, which never lowers the bound.

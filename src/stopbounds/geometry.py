@@ -16,8 +16,8 @@ the rate affine in v, so ray exits, entries and the maximum of g over a box
 are closed forms, as are the side and distance of a slice, where the slack
 is affine in s, and the largest t at which a slab's box meets a slice.  The
 slope gives the exact log-gradient 1/(f'(m) - mean), and a halfspace gives
--a/(<a, mean> + b), so the supporting hyperplane is exact.  A membership predicate makes an ``oracle.OracleRegion``, whose
-methods are searches and whose plane is audited on sampled members.
+-a/(<a, mean> + b), so the supporting hyperplane is exact.  Every region the
+library builds is such a family (``region_from_family``).
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
-DOUBLING_CAP = 2.0**60
-_RAY_CAP = 2.0 * DOUBLING_CAP  # the last doubling probe: a crossing there or beyond reads inf
+_RAY_CAP = 2.0**61  # a ray crossing there or beyond reads inf
 
 
 class RegionError(ValueError):
@@ -41,11 +40,11 @@ class RegionError(ValueError):
 
 
 class NoRayExitError(RuntimeError):
-    """The ray never leaves the region below the doubling cap (no unique crossing)."""
+    """The ray never leaves the region below 2**61 (no unique crossing)."""
 
 
 class NonConvexityError(RuntimeError):
-    """Observed membership pattern contradicts the asserted convexity."""
+    """The region contradicts its asserted convexity."""
 
 
 class GradientDomainError(RuntimeError):
@@ -53,7 +52,7 @@ class GradientDomainError(RuntimeError):
 
 
 class EmptySliceError(RuntimeError):
-    """The fixed-size slice of the region contains no point reachable by search."""
+    """The fixed-size slice of the region is empty."""
 
 
 # The boundary s = f(t) of each d = 1 family as (f, f'), from its parameters.
@@ -74,20 +73,16 @@ class Region:
 
     Each type has the methods ``inside``, ``contains_sums``, ``ray_exit``,
     ``entry_and_exit``, ``exit_box_max``, ``log_gradient``, ``slice_side``,
-    ``slice_distance``, ``slab_max`` and ``complement_closure``.
-    ``closed_form`` says whether the answers are exact, so that the supporting
-    plane needs no ``support_audit``.  The capabilities below belong to some
-    built-in families; a region without one answers None, or False for ``time_slab``.
+    ``slice_distance``, ``slab_max`` and ``complement_closure``, and the
+    capabilities ``scalar_boundary``, ``boundary_slope``, ``orientation``,
+    ``linear_slack``, ``power_exponent`` (each None where it does not
+    apply) and ``time_slab``, as ``FamilyRegion`` defines them.
     """
 
     kind: str  # "continuity" | "stopping"
     dim: int
     convex_closure: bool
     contains_origin: bool
-
-    closed_form = False
-    scalar_boundary = boundary_slope = orientation = linear_slack = power_exponent = None
-    time_slab = False
 
     def __post_init__(self):
         if self.kind not in ("continuity", "stopping"):
@@ -114,8 +109,6 @@ class FamilyRegion(Region):
 
     family: Mapping = field(repr=False)
     slack_batch: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-    closed_form = True
 
     def inside(self, ts, ss, strict: bool = False):
         """Membership of points with times ts >= 0, in the closed or open region.
@@ -366,9 +359,7 @@ class SlabMaxResult(NamedTuple):  # a tuple: cheaper than a dataclass to define 
     may lie above the exact maximum.  On a built-in region, plain or primed
     slab alike, it is 0 where the value is an exact root or cut rounded up
     to a float, and the last bracket, an ulp or a few or the band of
-    undecided sign, at the root of a power boundary's slack.  On an oracle
-    region it is the last bisection step, and the value may also exceed the
-    maximum by the feasibility margin tol.
+    undecided sign, at the root of a power boundary's slack.
     """
 
     value: float
@@ -566,14 +557,6 @@ def halfspace_region(s_coef, t_coef: float, level: float, orientation: str = "le
     return _mk_region(family, a.shape[0], slack_batch, True)
 
 
-def region_from_oracle(membership, dim: int, kind: str = "continuity",
-                       convex_closure: bool = False, contains_origin: bool = False) -> Region:
-    """Wrap a plain membership predicate as an ``oracle.OracleRegion``, which searches."""
-    from .oracle import OracleRegion
-
-    return OracleRegion(kind, dim, convex_closure, contains_origin, membership)
-
-
 _FAMILY_BUILDERS = {  # family -> (constructor, the parameters it takes before orientation, kind)
     "constant": (constant_region, ("level",)),
     "affine": (affine_region, ("slope", "intercept")),
@@ -617,8 +600,7 @@ def ray_exit_time(region: Region, v, tol: Optional[float] = None) -> float:
     """sup{t >= 0 : (t, t v) in the closed region}; inf when the ray never leaves.
 
     Requires the convexity and origin flags.  A built-in family answers in
-    closed form; an oracle region searches to ``tol`` and audits convexity
-    around the exit.  Either way an exit at or beyond 2**61 reads inf.
+    closed form and ignores ``tol``; an exit at or beyond 2**61 reads inf.
     """
     _require_convex_origin(region)
     return region.ray_exit(np.atleast_1d(np.asarray(v, dtype=float)), tol)
@@ -628,8 +610,7 @@ def mean_ray_crossing(region: Region, mean, tol: Optional[float] = None) -> floa
     """The unique positive m with (m, m*mean) on the region boundary.
 
     Raises NoRayExitError when the mean ray never leaves the region below
-    the doubling cap (the caller may interpret the associated bound as
-    infinite).
+    2**61 (the caller may interpret the associated bound as infinite).
     """
     m = ray_exit_time(region, mean, tol=tol)
     if math.isinf(m):
@@ -640,8 +621,8 @@ def mean_ray_crossing(region: Region, mean, tol: Optional[float] = None) -> floa
 def ray_entry_and_exit(region: Region, v, tol: Optional[float] = None):
     """(inf A, sup A) for A = {t >= 0 : (t, t v) in the closed region}.
 
-    Returns (None, None) when A holds no point below the doubling cap
-    (2**61).  sup A is math.inf when the ray stays inside past the cap.
+    Returns (None, None) when A holds no point below 2**61.  sup A is
+    math.inf when the ray stays inside past that cap.
     """
     return region.entry_and_exit(np.atleast_1d(np.asarray(v, dtype=float)), tol)
 
@@ -651,16 +632,20 @@ def ray_entry_and_exit(region: Region, v, tol: Optional[float] = None):
 # ---------------------------------------------------------------------------
 
 
-def log_exit_gradient(region: Region, mean) -> np.ndarray:
-    """Gradient of ln g(v) at v=mean: exact for a built-in family, extrapolated differences else."""
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    g0 = ray_exit_time(region, mean)
+def _log_gradient_at(region: Region, mean: np.ndarray, g0: float) -> np.ndarray:
+    """The region's gradient of ln g at the mean, where g = g0 must be finite and positive."""
     if not (np.isfinite(g0) and g0 > 0.0):
         raise GradientDomainError("g is not finite and positive at the mean")
     grad = region.log_gradient(mean, g0)
     if not np.all(np.isfinite(grad)):
         raise GradientDomainError("non-finite log-gradient")
     return grad
+
+
+def log_exit_gradient(region: Region, mean) -> np.ndarray:
+    """Gradient of ln g(v) at v=mean, exact for a built-in family."""
+    mean = np.atleast_1d(np.asarray(mean, dtype=float))
+    return _log_gradient_at(region, mean, ray_exit_time(region, mean))
 
 
 @dataclass(frozen=True)
@@ -700,81 +685,21 @@ class Hyperplane:
         return float(self.s_coef @ s + self.t_coef * t)
 
 
-def _accepted_rows(rng: np.random.Generator, lo, hi, n: int, keep: Callable, max_rows: int):
-    """The first n rows lo + (hi - lo)*u of one uniform stream that ``keep`` accepts.
-
-    Row k equals the k-th ``rng.uniform(lo, hi)`` call.  Rows are drawn and
-    tested 4*n at a time, at most ``max_rows`` in all, so fewer than n may
-    come back; consecutive ``rng.random`` calls continue one stream.
-    """
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    parts, found, drawn = [np.empty((0, lo.shape[0]))], 0, 0
-    while found < n and drawn < max_rows:
-        width = min(4 * n, max_rows - drawn)
-        rows = lo + (hi - lo) * rng.random((width, lo.shape[0]))
-        drawn += width
-        parts.append(rows[np.flatnonzero(keep(rows))[:n - found]])
-        found += parts[-1].shape[0]
-    return np.concatenate(parts)
-
-
-def sample_member_points(region: Region, n_points: int, seed: int, t_max: float, s_span):
-    """Rejection-sample up to n_points members of the region inside a box.
-
-    Candidate k is the (t, s) that per-candidate calls rng.uniform(0, t_max),
-    rng.uniform(-s_span, s_span) would return, up to 200*n_points candidates.
-    """
-    s_span = np.atleast_1d(np.asarray(s_span, dtype=float))
-    rows = _accepted_rows(np.random.default_rng(seed), np.concatenate(([0.0], -s_span)),
-                          np.concatenate(([t_max], s_span)), n_points,
-                          lambda x: region.inside(x[:, 0], x[:, 1:]), 200 * n_points)
-    return rows[:, 0], rows[:, 1:]
-
-
-def supporting_hyperplane(region: Region, mean, grad=None) -> Hyperplane:
+def supporting_hyperplane(region: Region, mean) -> Hyperplane:
     """Supporting hyperplane of the region at the mean-ray crossing point.
 
-    Coefficients come from the log-gradient of the ray function: the normal
-    on the sum coordinate is minus that gradient, the time coefficient is
-    chosen so the mean gap equals one, and the level equals the crossing
-    time.  With the exact gradient of a built-in family the plane is exact:
-    the boundary itself for a flat family, the tangent on the convex side of
-    a power boundary (``ray_exit_time`` refuses the other side).  A region
-    without closed forms, or a supplied gradient, gets ``support_audit``,
-    which guards against bad gradients or a non-convex region.
+    Coefficients come from the log-gradient of the ray function at the
+    crossing time m: the normal on the sum coordinate is minus that
+    gradient, the time coefficient is chosen so the mean gap equals one,
+    and the level equals m.  With the exact gradient of a built-in family
+    the plane is exact: the boundary itself for a flat family, the tangent
+    on the convex side of a power boundary (``ray_exit_time`` refuses the
+    other side).
     """
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     m = mean_ray_crossing(region, mean)
-    numeric = log_exit_gradient(region, mean)
-    if grad is not None:
-        grad = np.atleast_1d(np.asarray(grad, dtype=float))
-        if not np.allclose(grad, numeric, rtol=1e-4, atol=1e-4):
-            raise GradientDomainError("supplied gradient disagrees with the numeric one")
-        use = grad
-    else:
-        use = numeric
-    a = -use
-    b = 1.0 - float(a @ mean)
-    hyp = Hyperplane(s_coef=a, t_coef=b, level=m, anchor=m)
-    if not region.closed_form or grad is not None:
-        support_audit(region, hyp, mean)
-    return hyp
-
-
-def support_audit(region: Region, hyp: Hyperplane, mean):
-    """Raise NonConvexityError unless 200 members sampled from seed 7 lie below the plane.
-
-    Members come from [0, 2m] x [-span, span] with span = 2m(|mean| + 1) and
-    m the plane's anchor; each must satisfy value <= level + 1e-6 max(1, m).
-    """
-    m = hyp.anchor
-    span = 2.0 * m * (np.abs(mean) + 1.0)
-    ts, ss = sample_member_points(region, 200, 7, 2.0 * m, span)
-    if ts.size:
-        vals = ss @ hyp.s_coef + hyp.t_coef * ts
-        slackness = 1e-6 * max(1.0, abs(m))
-        if np.any(vals > hyp.level + slackness):
-            raise NonConvexityError("support check failed: a member lies above the plane")
+    a = -_log_gradient_at(region, mean, m)
+    return Hyperplane(s_coef=a, t_coef=1.0 - float(a @ mean), level=m, anchor=m)
 
 
 # ---------------------------------------------------------------------------
@@ -795,33 +720,11 @@ def hyperplane_slice_distance(hyp: Hyperplane, n: float, mean) -> float:
 def slice_distance(region: Region, n: float, mean, tol: float = 1e-9) -> float:
     """Euclidean distance from the mean to {z : (n, n z) in the closed region}.
 
-    Exact for the built-in families; an oracle region's search is
-    approximate for d >= 3.  Returns 0 when the mean lies in the slice.
+    Exact for the built-in families.  Returns 0 when the mean lies in the slice.
     """
     if not region.convex_closure:
         raise RegionError("slice distance requires the asserted convex closure")
     return region.slice_distance(n, np.atleast_1d(np.asarray(mean, dtype=float)), tol)
-
-
-def convexity_audit(region: Region, t_max: float, s_span, n_pairs: int = 200,
-                    seed: int = 19) -> bool:
-    """Probabilistic audit of the asserted convexity inside a sampling box.
-
-    Samples member pairs and checks membership of random mixtures.  Passing
-    does not certify convexity; a failure refutes the asserted flag.
-    """
-    rng = np.random.default_rng(seed)
-    ts, ss = sample_member_points(region, 2 * n_pairs, seed + 1, t_max, s_span)
-    if ts.size < 2:
-        return True
-    for _ in range(n_pairs):
-        i, j = rng.integers(0, ts.size, 2)
-        rho = rng.uniform(0.0, 1.0)
-        t_mix = rho * ts[i] + (1.0 - rho) * ts[j]
-        s_mix = rho * ss[i] + (1.0 - rho) * ss[j]
-        if not region.contains(t_mix, s_mix):
-            return False
-    return True
 
 
 def slice_side(region: Region, n: float, mean, tol: float = 1e-9) -> str:

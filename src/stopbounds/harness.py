@@ -5,11 +5,11 @@ derives the views the calculators need: the continuity-side closure, the
 stopping-side closure, the supporting hyperplane, and the premises that
 several calculators share (``bounds.Premises``: the hypotheses, the mean-ray
 crossing, the slabs, the start of the concentration series), each once per
-bundle.  A Brownian bundle shares the region views and derives its premises
-at the drift.  ``bound_report`` turns a theorem tag into a report, and
-``brownian_report`` answers a Brownian tag with the same calculators at the
-drift; ``certify`` compares reports against a Monte Carlo estimate with the
-four-sigma slack, respecting truncation bias.
+bundle.  A Brownian bundle shares the region views and derives its premises,
+and T8's ray for Brown2, at the drift.  ``bound_report`` turns a theorem tag
+into a report, and ``brownian_report`` answers a Brownian tag with the same
+calculators at the drift; ``certify`` compares reports against a Monte Carlo
+estimate with the four-sigma slack, respecting truncation bias.
 """
 
 from __future__ import annotations
@@ -72,15 +72,14 @@ class _RegionViews:
 
         return g
 
-    def reciprocal_rule_concave(self) -> Optional[bool]:
-        """Whether 1/g is concave, as T-UseWald-lower and Brown4 need; None if unknown.
+    def reciprocal_rule_concave(self) -> bool:
+        """Whether 1/g is concave, as T-UseWald-lower and Brown4 need.
 
         Along a ray a built-in region has g = (alpha/rate)^(1/k) with the
         rate affine in v, so 1/g = (rate/alpha)^(1/k) is affine for a flat
         family (k = 1) and strictly convex for a power boundary (k < 1).
         """
-        view = self.continuity_view
-        return view.power_exponent is None if view.closed_form else None
+        return self.continuity_view.power_exponent is None
 
 
 @dataclass
@@ -138,9 +137,14 @@ class BrownianBundle(_RegionViews):
         """(III) and the mean ray at the drift, derived once for this bundle."""
         return bd.Premises(self.continuity_view, self.drift)
 
+    @cached_property
+    def stopping_ray(self) -> bd.BoundReport:
+        """T8 at the drift, derived once: Brown2-lower reads its entry, Brown2-upper its exit."""
+        return bd.stopping_region_lower_bound(self.stopping_view, self.drift)
+
 
 # a region outside a calculator's geometric hypotheses makes its report inapplicable,
-# as does an oracle slice search that finds no member
+# as does an empty slice
 _GEOMETRY_ERRORS = (RegionError, NoRayExitError, NonConvexityError, GradientDomainError,
                     EmptySliceError)
 
@@ -223,12 +227,14 @@ def brownian_report(tag: str, bundle: BrownianBundle) -> bd.BoundReport:
         crossing, m = bundle.premises.crossing
         return bd.BoundReport(tag, "upper", m, [iii, crossing], {"m": m})
     if tag in ("Brown2-lower", "Brown2-upper"):
-        report = bd.stopping_region_lower_bound(bundle.stopping_view, drift)
+        report = bundle.stopping_ray
+        own = {"theorem": tag, "assumptions": list(report.assumptions),
+               "diagnostics": dict(report.diagnostics)}  # not shared with the other Brown2
         if tag == "Brown2-lower":
-            return replace(report, theorem=tag)
+            return replace(report, **own)
         # a ray that never enters keeps the +inf, failed checks the nan
-        return replace(report, theorem=tag, direction="upper",
-                       value=report.diagnostics.get("mean_ray_exit", report.value))
+        return replace(report, direction="upper",
+                       value=report.diagnostics.get("mean_ray_exit", report.value), **own)
     if tag == "Brown3":
         report = bd.wald_lower_bound(_evaluated(bundle.premises.g_at_mean), drift)
         g0 = report.diagnostics["g_at_mean"]
@@ -277,7 +283,7 @@ def certify(reports, estimate: SimulationEstimate):
     mean + slack.  A truncated (downward-biased) estimate cannot refute a
     lower bound, so those comparisons are skipped.  The slack also absorbs
     twice the discretization diagnostic, which is nonzero only for Brownian
-    estimates of curved or oracle regions, walked on two Euler grids; exact
+    estimates of curved regions, walked on two Euler grids; exact
     passage estimates report 0 and get no grid slack.  An estimate of one run
     has no stderr, so it raises ValueError.
     """

@@ -5,10 +5,9 @@ region slice, maximize a concave function over a box, and maximize the
 fractional vertex form over the corners of the unit cube.  All of them are
 deterministic given their tolerances and seeds.  The slab maximum is the
 region's own ``slab_max``: a closed form on a built-in region, for a plain
-or a primed slab alike, and a scan and bisection in t on an oracle region,
-the one caller of the ``bracket`` and ``bisect`` kernels.  The box maximum
-is a function kernel (golden section for d = 1, multi-start ascent above),
-which oracle regions call for the maximum of their ray exit.
+or a primed slab alike.  The box maximum is a function kernel (golden
+section for d = 1, multi-start ascent above); a built-in region's
+``exit_box_max`` is a closed form and needs none.
 """
 
 from __future__ import annotations
@@ -144,36 +143,11 @@ def max_time_in_region(region: Region, slab: Slab, t_cap: float = 2.0**30,
 
     Feasibility at t_cap is reported as an unbounded domain; feasibility
     nowhere as an empty one.  A built-in region answers in closed form and
-    ignores tol; an oracle region searches in t to tol.
+    ignores tol.
     """
     if not region.convex_closure:
         raise ValueError("max_time_in_region requires the asserted convex closure")
     return region.slab_max(slab, t_cap, tol)
-
-
-def bracket(flips: Callable[[float], bool], x: float, factor: float, cap: float, last=None):
-    """(last x that did not flip, first x = start * factor**j that flips), x None if none does.
-
-    Doubling stops past cap, halving below it; ``last`` starts as the point before the start.
-    """
-    while x <= cap if factor > 1.0 else x >= cap:
-        if flips(x):
-            return last, x
-        last, x = x, x * factor
-    return last, None
-
-
-def bisect(holds: Callable[[float], bool], inside: float, outside: float, tol: float):
-    """(inside, outside), where ``holds`` is true and false, bisected to tol or adjacent floats."""
-    while abs(outside - inside) > tol:
-        mid = 0.5 * (inside + outside)
-        if mid in (inside, outside):  # adjacent floats: tol is below their spacing
-            break
-        if holds(mid):
-            inside = mid
-        else:
-            outside = mid
-    return inside, outside
 
 
 def golden_section_max(fun: Callable[[float], float], a: float, b: float, tol: float) -> float:
@@ -203,8 +177,7 @@ def max_concave_over_box(fun: Callable[[np.ndarray], float], lo, hi,
 
     The corners (for d <= 12) and the centre first, then golden-section
     search for d=1 and projected multi-start ascent for d >= 2.  An infinite
-    probe value propagates as the maximum.  An oracle region's
-    ``exit_box_max`` calls it; a built-in family has a closed form.
+    probe value propagates as the maximum.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))

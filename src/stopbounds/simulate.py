@@ -19,7 +19,7 @@ from this layout.
 
 Discrete walks apply the stopping rule only at schedule sizes, which are
 enumerated lazily as the blocks reach them, and use closed membership by
-default (a strict variant is a switch, which an oracle region refuses).
+default (a strict variant is a switch).
 
 Brownian motion leaves a region with a flat boundary (constant, affine
 and halfspace families) at an inverse-Gaussian time, which is sampled
@@ -42,7 +42,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import Region, _accepted_rows
+from .geometry import Region
 from .moments import DistributionSpec, StreamPool, analytic_moments, sample_block, stream_for_run
 from .schedules import SampleSchedule
 
@@ -297,8 +297,7 @@ def discrete_paths(region: Region, spec: DistributionSpec, schedule: SampleSched
     The rule is evaluated only at schedule sizes; ``last_before`` records
     the schedule size preceding the stop (the start anchor when the rule
     fires at the first size).  Runs reaching the horizon are marked
-    truncated; a finite schedule ends the walk at its last size.  An oracle
-    region refuses ``boundary="strict"`` with ``RegionError``.
+    truncated; a finite schedule ends the walk at its last size.
     """
     if boundary not in ("closed", "strict"):
         raise ValueError("boundary must be 'closed' or 'strict'")
@@ -378,8 +377,7 @@ def _brownian_paths(region: Region, drift_vec: np.ndarray, sigma: np.ndarray, dt
     """Euler walk: increments drift*dt + sqrt(dt)*diffusion*N(0, 1), checked every step.
 
     A continuity region continues strictly, so that drift-only passages stop
-    exactly at the boundary grid point, but an oracle region, which knows
-    closed membership only, continues on its closure.
+    exactly at the boundary grid point.
     """
     d = drift_vec.shape[0]
     n_steps = int(math.ceil(horizon / dt))
@@ -394,7 +392,7 @@ def _brownian_paths(region: Region, drift_vec: np.ndarray, sigma: np.ndarray, dt
         out *= step_noise
         out += step_drift
 
-    boundary = "strict" if region.kind == "continuity" and region.closed_form else "closed"
+    boundary = "strict" if region.kind == "continuity" else "closed"
     return _walk(draw, lambda lo, hi: np.arange(lo + 1, hi + 1), _exit_test(region, boundary),
                  d, n_steps, n_runs, seed, grid, workers, horizon, cap=float(n_steps) * dt,
                  scale=dt)
@@ -577,6 +575,24 @@ class ValidationResult:
     passed: bool
     margins: dict = field(default_factory=dict)
     witness: Optional[dict] = None
+
+
+def _accepted_rows(rng: np.random.Generator, lo, hi, n: int, keep: Callable, max_rows: int):
+    """The first n rows lo + (hi - lo)*u of one uniform stream that ``keep`` accepts.
+
+    Row k equals the k-th ``rng.uniform(lo, hi)`` call.  Rows are drawn and
+    tested 4*n at a time, at most ``max_rows`` in all, so fewer than n may
+    come back; consecutive ``rng.random`` calls continue one stream.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    parts, found, drawn = [np.empty((0, lo.shape[0]))], 0, 0
+    while found < n and drawn < max_rows:
+        width = min(4 * n, max_rows - drawn)
+        rows = lo + (hi - lo) * rng.random((width, lo.shape[0]))
+        drawn += width
+        parts.append(rows[np.flatnonzero(keep(rows))[:n - found]])
+        found += parts[-1].shape[0]
+    return np.concatenate(parts)
 
 
 def box_rejection_sampler(halfspaces, box_lo, box_hi):

@@ -1,11 +1,13 @@
-"""Oracle regions: known by membership alone, they search what built-in families answer exactly.
+"""The search twin: a region known by membership alone, the reference for every closed form.
 
-``geometry.region_from_oracle`` makes an ``OracleRegion``, like the general
-convex regions of the paper, and imports this module on its first call, so
-the built-in path never loads it.  Its methods use the ``optimize`` kernels
-``bracket`` (double or halve until membership flips), ``bisect``,
-``golden_section_max`` and ``max_concave_over_box``; their searches are the
-reference for every closed form.
+``region_from_oracle`` wraps a predicate membership(t, s) as an
+``OracleRegion``.  It is a ``geometry.Region``, so every free function and
+bound calculator takes it where it takes a built-in region, and its methods
+answer each geometry question by probing membership: ``bracket`` (double
+or halve until membership flips), ``bisect``, ``optimize.golden_section_max``
+and ``optimize.max_concave_over_box``.  Tests check the closed forms of the
+built-in families against these searches, and the planes against
+``support_audit`` on sampled members.  The library builds no such region.
 """
 
 from __future__ import annotations
@@ -17,18 +19,46 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import (
-    _RAY_CAP,
-    DOUBLING_CAP,
+from stopbounds import optimize
+from stopbounds.geometry import (
     EmptySliceError,
     GradientDomainError,
+    Hyperplane,
     NonConvexityError,
     Region,
     RegionError,
     SlabMaxResult,
+    _RAY_CAP,
     ray_exit_time,
 )
-from .optimize import bisect, bracket, golden_section_max, max_concave_over_box
+from stopbounds.simulate import _accepted_rows
+
+DOUBLING_CAP = 0.5 * _RAY_CAP  # the last doubling probe below the ray cap
+
+
+def bracket(flips: Callable[[float], bool], x: float, factor: float, cap: float, last=None):
+    """(last x that did not flip, first x = start * factor**j that flips), x None if none does.
+
+    Doubling stops past cap, halving below it; ``last`` starts as the point before the start.
+    """
+    while x <= cap if factor > 1.0 else x >= cap:
+        if flips(x):
+            return last, x
+        last, x = x, x * factor
+    return last, None
+
+
+def bisect(holds: Callable[[float], bool], inside: float, outside: float, tol: float):
+    """(inside, outside), where ``holds`` is true and false, bisected to tol or adjacent floats."""
+    while abs(outside - inside) > tol:
+        mid = 0.5 * (inside + outside)
+        if mid in (inside, outside):  # adjacent floats: tol is below their spacing
+            break
+        if holds(mid):
+            inside = mid
+        else:
+            outside = mid
+    return inside, outside
 
 
 def _boundary_root(member, inside: float, outside: float, tol=None) -> float:
@@ -69,13 +99,54 @@ def _audit_exit(member, lo: float, hi: float):
             raise NonConvexityError("membership recurs along the ray beyond the exit")
 
 
+def region_from_oracle(membership, dim: int, kind: str = "continuity",
+                       convex_closure: bool = False, contains_origin: bool = False) -> Region:
+    """Wrap a plain membership predicate as an ``OracleRegion``, which searches."""
+    return OracleRegion(kind, dim, convex_closure, contains_origin, membership)
+
+
+def sample_member_points(region: Region, n_points: int, seed: int, t_max: float, s_span):
+    """Rejection-sample up to n_points members of the region inside a box.
+
+    Candidate k is the (t, s) that per-candidate calls rng.uniform(0, t_max),
+    rng.uniform(-s_span, s_span) would return, up to 200*n_points candidates.
+    """
+    s_span = np.atleast_1d(np.asarray(s_span, dtype=float))
+    rows = _accepted_rows(np.random.default_rng(seed), np.concatenate(([0.0], -s_span)),
+                          np.concatenate(([t_max], s_span)), n_points,
+                          lambda x: region.inside(x[:, 0], x[:, 1:]), 200 * n_points)
+    return rows[:, 0], rows[:, 1:]
+
+
+def support_audit(region: Region, hyp: Hyperplane, mean):
+    """Raise NonConvexityError unless 200 members sampled from seed 7 lie below the plane.
+
+    Members come from [0, 2m] x [-span, span] with span = 2m(|mean| + 1) and
+    m the plane's anchor; each must satisfy value <= level + 1e-6 max(1, m).
+    """
+    m = hyp.anchor
+    span = 2.0 * m * (np.abs(mean) + 1.0)
+    ts, ss = sample_member_points(region, 200, 7, 2.0 * m, span)
+    if ts.size:
+        vals = ss @ hyp.s_coef + hyp.t_coef * ts
+        slackness = 1e-6 * max(1.0, abs(m))
+        if np.any(vals > hyp.level + slackness):
+            raise NonConvexityError("support check failed: a member lies above the plane")
+
+
 @dataclass(frozen=True)
 class OracleRegion(Region):
-    """Known by ``membership(t, s)`` alone (s a (d,) float vector): no slack or complement."""
+    """Known by ``membership(t, s)`` alone (s a (d,) float vector): no slack or complement.
+
+    It has none of the built-in capabilities: no boundary curve, flat slack
+    or power exponent, and no time slab.
+    """
 
     membership: Callable[[float, np.ndarray], bool]
 
     slack_batch = None
+    scalar_boundary = boundary_slope = orientation = linear_slack = power_exponent = None
+    time_slab = False
 
     def inside(self, ts, ss, strict: bool = False):
         """Membership asked point by point over any leading shape; strict raises RegionError."""
@@ -92,8 +163,14 @@ class OracleRegion(Region):
     def complement_closure(self):
         raise RegionError("complement_closure requires a built-in region family")
 
-    def contains_sums(self, n: int, lo, hi) -> None:
-        """None: membership at points cannot show that a whole box of sums lies inside."""
+    def contains_sums(self, n: int, lo, hi) -> bool:
+        """Whether every corner of the box n*[lo, hi] is a member at t = n.
+
+        A convex region's slice at t = n holds the box of sums exactly when
+        it holds the corners; an infinite corner is asked as it is.
+        """
+        return all(self.contains(n, n * np.array(corner)) for corner in itertools.product(
+            *zip(np.atleast_1d(lo).tolist(), np.atleast_1d(hi).tolist())))
 
     def ray_exit(self, v: np.ndarray, tol=None, t_start: float = 1.0) -> float:
         """sup{t >= 0 : (t, t v) in the region} from a bracket at ``t_start``, audited, bisected."""
@@ -108,7 +185,7 @@ class OracleRegion(Region):
 
     def exit_box_max(self, lo, hi) -> float:
         """The box search of ``max_concave_over_box`` on g = ``ray_exit_time``."""
-        return max_concave_over_box(lambda v: ray_exit_time(self, v), lo, hi)
+        return optimize.max_concave_over_box(lambda v: ray_exit_time(self, v), lo, hi)
 
     def entry_and_exit(self, v: np.ndarray, tol=None):
         """(inf A, sup A) of A = {t >= 0 : (t, t v) in the region}, or (None, None).
@@ -181,8 +258,8 @@ class OracleRegion(Region):
         span = angles[1] - angles[0]
         # an angle off by 1e-12 moves the distance by about 1e-24 of it, far
         # below the bisection error of each radial distance
-        refined = -golden_section_max(lambda a: -radial(a), angles[best] - span,
-                                      angles[best] + span, 1e-12)
+        refined = -optimize.golden_section_max(lambda a: -radial(a), angles[best] - span,
+                                               angles[best] + span, 1e-12)
         return min(refined, float(dists[best]))
 
     def _slice_distance_nd(self, n: float, mu: np.ndarray, tol: float) -> float:

@@ -181,7 +181,7 @@ def test_criterion_4_identity_suite():
 
 def test_criterion_5_geometry_equivalences():
     def run():
-        # slice distances: oracle search vs hyperplane closed form
+        # slice distances: the region's closed form vs the hyperplane's
         for region, mu in ((sb.constant_region(5.0), 0.5),
                            (sb.affine_region(0.5, -1.0, "ge"), 0.25)):
             hyp = sb.supporting_hyperplane(region, mu)

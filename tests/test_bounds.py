@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 import stopbounds as sb
-import stopbounds.oracle  # sets sb.oracle, whose searches a test counts
 from stopbounds.bounds import ALL_TAGS, UPPER_TAGS, overshoot_upper_bound
 from stopbounds import geometry, optimize
 from stopbounds.harness import BrownianBundle, ScenarioBundle, bound_report, brownian_report
 from stopbounds.scenarios import brownian_cases, certification_matrix
+
+import search_twin
+from search_twin import region_from_oracle
 
 
 def bundle(spec, region, schedule):
@@ -28,7 +30,7 @@ def test_stopping_lower_bound_examples():
 
 
 def test_stopping_lower_bound_requires_flags():
-    region = sb.region_from_oracle(lambda t, s: s[0] >= 5, dim=1, kind="stopping")
+    region = region_from_oracle(lambda t, s: s[0] >= 5, dim=1, kind="stopping")
     report = sb.stopping_region_lower_bound(region, 1.0)
     assert not report.applicable
 
@@ -100,7 +102,7 @@ def test_sample_mean_bound_infinite_box_value():
     report = sb.sample_mean_upper_bound(region, bern, sb.naturals(), "T13-samplemean-naturals")
     assert report.value == math.inf
     # an oracle region takes the box search, which finds the same +inf
-    oracle = sb.region_from_oracle(region.contains, 1, convex_closure=True, contains_origin=True)
+    oracle = region_from_oracle(region.contains, 1, convex_closure=True, contains_origin=True)
     report = sb.sample_mean_upper_bound(oracle, bern, sb.naturals(), "T13-samplemean-naturals")
     assert report.value == math.inf
 
@@ -419,8 +421,8 @@ def test_concentration_on_a_time_slab_reads_the_sure_stop(d):
 def test_oracle_slice_search_without_a_member_reads_inapplicable():
     # the search cannot tell an empty slice from a missed one, so T18 on an
     # oracle time slab is inapplicable rather than a raised EmptySliceError
-    slab = sb.region_from_oracle(lambda t, s: t <= 3.0, 1, convex_closure=True,
-                                 contains_origin=True)
+    slab = region_from_oracle(lambda t, s: t <= 3.0, 1, convex_closure=True,
+                              contains_origin=True)
     report = bound_report("T18-concentration",
                           bundle(sb.bernoulli_affine(0, 1, 0.5), slab, sb.naturals()))
     assert not report.applicable and report.failed_assumptions() == ["geometry"]
@@ -543,11 +545,9 @@ def test_t8_entries_on_the_affine_scenarios_are_exact():
 
 def test_shipped_bound_reports_never_search(monkeypatch):
     # every shipped region is a built-in family, answered by closed forms: a
-    # silent fall-back to the ray search, the box search or the sampled
-    # support audit fails here
+    # call of the box search or its golden-section kernel fails here
     calls = collections.Counter()
-    for owner, name in ((sb.oracle, "_boundary_root"), (sb.oracle, "_bracket_ray_exit"),
-                        (geometry, "sample_member_points"), (sb.oracle, "max_concave_over_box")):
+    for owner, name in ((optimize, "max_concave_over_box"), (optimize, "golden_section_max")):
         def counted(*args, _name=name, _search=getattr(owner, name), **kwargs):
             calls[_name] += 1
             return _search(*args, **kwargs)
@@ -558,17 +558,13 @@ def test_shipped_bound_reports_never_search(monkeypatch):
     reports += [brownian_report(tag, case["bundle"])
                 for case in brownian_cases(10) for tag in case["tags"]]
     assert len(reports) == 155 and calls == {}
-    # the counters see the searches: an oracle region goes through each
-    oracle = sb.region_from_oracle(lambda t, s: s[0] <= 5.0, 1, convex_closure=True,
-                                   contains_origin=True)
-    assert sb.mean_ray_crossing(oracle, 1.0) == pytest.approx(5.0, abs=1e-8)
-    assert calls["_boundary_root"] == calls["_bracket_ray_exit"] == 1
-    assert sb.supporting_hyperplane(oracle, 1.0).level == pytest.approx(5.0, abs=1e-8)
-    assert calls["sample_member_points"] == 1
+    # the counters see the searches: the box maximum of an oracle twin goes through both
+    oracle = region_from_oracle(lambda t, s: s[0] <= 5.0, 1, convex_closure=True,
+                                contains_origin=True)
     prof = sb.analytic_moments(sb.bernoulli_affine(0, 1, 0.5))
     report = sb.sample_mean_upper_bound(oracle, prof, sb.naturals(), "T13-samplemean-naturals")
     assert report.value == pytest.approx(2.0 + 5.0 / 0.25, rel=1e-8)  # box [0.25, 0.75]
-    assert calls["max_concave_over_box"] == 1
+    assert calls["max_concave_over_box"] == 1 and calls["golden_section_max"] == 1
 
 
 def test_shipped_bound_reports_probe_membership_only_in_slice_side(monkeypatch):
@@ -589,18 +585,18 @@ def test_shipped_bound_reports_probe_membership_only_in_slice_side(monkeypatch):
                 for case in brownian_cases(10) for tag in case["tags"]]
     assert len(reports) == 155 and callers == {"slice_side": 11}
     # the counter sees the probes of an oracle region's search and audit
-    oracle = sb.region_from_oracle(lambda t, s: s[0] <= 5.0, 1, convex_closure=True,
-                                   contains_origin=True)
+    oracle = region_from_oracle(lambda t, s: s[0] <= 5.0, 1, convex_closure=True,
+                                contains_origin=True)
     assert sb.ray_exit_time(oracle, 1.0) == pytest.approx(5.0, abs=1e-8)
     assert callers["member"] > 0
 
 
 def test_shipped_slab_reports_make_no_search(monkeypatch):
     # T10's plain slab and T11's primed slab are both closed forms on a
-    # built-in region: no t is bracketed, bisected or tested for a slab
+    # built-in region: no slab box is built at a t to be tested
     calls = collections.Counter()
-    for owner, name in ((optimize, "bracket"), (optimize, "bisect"), (sb.oracle, "bracket"),
-                        (sb.oracle, "bisect"), (sb.oracle.OracleRegion, "_meets_box")):
+    for owner, name in ((sb.Slab, "box"), (search_twin, "bisect"),
+                        (search_twin.OracleRegion, "_meets_box")):
         def counted(*args, _name=name, _search=getattr(owner, name), **kwargs):
             calls[_name] += 1
             return _search(*args, **kwargs)
@@ -612,11 +608,11 @@ def test_shipped_slab_reports_make_no_search(monkeypatch):
                 for case in brownian_cases(10) for tag in case["tags"]]
     assert len(reports) == 155 and calls == {}
     # the counters see an oracle region's slab search
-    oracle = sb.region_from_oracle(lambda t, s: s[0] <= 5.0, 1, convex_closure=True,
-                                   contains_origin=True)
+    oracle = region_from_oracle(lambda t, s: s[0] <= 5.0, 1, convex_closure=True,
+                                contains_origin=True)
     res = sb.max_time_in_region(oracle, sb.Slab([1.0], [1.0], [0.0], [0.0]))
     assert res.value == pytest.approx(5.0, abs=1e-8)
-    assert calls["bisect"] > 0 and calls["_meets_box"] > 0
+    assert calls["box"] > 0 and calls["bisect"] > 0 and calls["_meets_box"] > 0
 
 
 @pytest.mark.parametrize("name,exact_mean", [
@@ -641,7 +637,7 @@ def test_matrix_reports_agree_with_those_of_the_oracle_twins():
     compared, tags = 0, set()
     for row in certification_matrix(10):
         built_in, r = row["bundle"], row["bundle"].region
-        twin = dataclasses.replace(built_in, region=sb.region_from_oracle(
+        twin = dataclasses.replace(built_in, region=region_from_oracle(
             r.contains, r.dim, r.kind, r.convex_closure, r.contains_origin))
         for tag in row["tags"]:
             closed, searched = bound_report(tag, built_in), bound_report(tag, twin)
@@ -671,13 +667,10 @@ def test_wald_lower_bound_is_inapplicable_on_a_power_row_without_declarations():
     row = bundle(sb.bernoulli_affine(0, 1, 0.5), sb.power_region(2.0, 0.5), sb.naturals())
     report = bound_report("T-UseWald-lower", row)
     assert not report.applicable and report.failed_assumptions() == ["g-concave"]
-    # concavity of 1/g is computed: pass on a flat row, unknown on an oracle region
+    # concavity of 1/g is computed: pass on a flat row
     flat = bundle(sb.bernoulli_affine(0, 1, 0.5), sb.constant_region(5.0), sb.naturals())
     report = bound_report("T-UseWald-lower", flat)
     assert report.applicable and report.assumptions[0].status == "pass"
-    twin = dataclasses.replace(flat, region=sb.region_from_oracle(
-        flat.region.contains, 1, convex_closure=True, contains_origin=True))
-    assert bound_report("T-UseWald-lower", twin).assumptions[0].status == "declared"
 
 
 def test_start_containment_is_computed_from_the_support_of_the_start_sum():
@@ -692,9 +685,11 @@ def test_start_containment_is_computed_from_the_support_of_the_start_sum():
     exp = sb.analytic_moments(sb.exponential(1.0))
     assert iv(region, exp, sb.naturals()) == "pass"  # at n0 = 0, the origin
     assert iv(region, exp, sb.naturals(1)) == "fail"  # S_1 is unbounded above
-    oracle = sb.region_from_oracle(region.contains, 1, convex_closure=True, contains_origin=True)
-    assert iv(oracle, bern, sb.naturals()) == "pass"
-    assert iv(oracle, bern, sb.naturals(1)) == "declared"
+    # the search twin reads the same from the corners of the box of sums
+    twin = region_from_oracle(region.contains, 1, convex_closure=True, contains_origin=True)
+    for prof, n0, status in ((bern, 5, "pass"), (bern, 6, "fail"), (exp, 0, "pass"),
+                             (exp, 1, "fail")):
+        assert iv(twin, prof, sb.naturals(n0)) == status, (n0, status)
 
 
 @pytest.mark.parametrize("tag", ["T-UseWald-lower", "Brown4"])

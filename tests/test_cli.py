@@ -552,17 +552,15 @@ reports = [bound_report(tag, row["bundle"])
 reports += [brownian_report(tag, case["bundle"])
             for case in brownian_cases(10) for tag in case["tags"]]
 assert len(reports) == 155
-print("stopbounds.oracle" in sys.modules, "numpy.random" in sys.modules)
+print("numpy.random" in sys.modules)
 """
 
 
 def test_shipped_bound_reports_load_no_numpy_random():
-    # no search and no sampled audit: a bound pass never loads the oracle
-    # searches, and draws no random number at all
+    # no search and no sampled audit: a bound pass draws no random number at all
     probe = run_python("-c", _NO_RANDOM_PROBE)
     assert probe.returncode == 0, probe.stderr
-    oracle_loaded, random_loaded = probe.stdout.split()
-    assert oracle_loaded == "False"
+    random_loaded = probe.stdout.strip()
     numpy_only = run_python("-c", "import sys, numpy; print('numpy.random' in sys.modules)")
     if numpy_only.stdout.strip() == "True":
         pytest.skip("this numpy loads numpy.random on import")
@@ -574,8 +572,7 @@ def test_import_and_cli_runs_load_no_scipy_or_thread_pool(tmp_path):
     # (OpenSSL) until a report is written; only walks on more than one worker
     # load concurrent.futures (and with it logging), which runs before
     # scipy.integrate loads it too; quadrature for a random threshold with a
-    # density loads scipy.integrate on first use; no CLI run on built-in
-    # regions loads the oracle searches
+    # density loads scipy.integrate on first use
     probe = run_python("-c", _SCIPY_PROBE.format(runs=2 * _CHUNK))  # two chunks
     assert probe.returncode == 0, probe.stderr
     assert probe.stdout.split() == ["[]", "True", "True"]
@@ -594,4 +591,3 @@ def test_import_and_cli_runs_load_no_scipy_or_thread_pool(tmp_path):
                     if line.startswith("import time:")]
         assert "stopbounds.cli" in imported and len(read_rows(out)) > 0
         assert not [name for name in imported if name.startswith(("scipy", "concurrent"))], argv
-        assert "stopbounds.oracle" not in imported, argv

@@ -15,12 +15,11 @@ from stopbounds.geometry import (
     NonConvexityError,
     NoRayExitError,
     RegionError,
-    convexity_audit,
     region_from_family,
-    sample_member_points,
     slice_side,
-    support_audit,
 )
+
+from search_twin import DOUBLING_CAP, region_from_oracle, sample_member_points, support_audit
 
 
 def test_mean_ray_crossing_examples():
@@ -98,8 +97,8 @@ def test_gradient_matches_boundary_slope_form(region, mu):
 
 
 def _oracle(region):
-    return sb.region_from_oracle(region.contains, region.dim, region.kind,
-                                 region.convex_closure, region.contains_origin)
+    return region_from_oracle(region.contains, region.dim, region.kind,
+                              region.convex_closure, region.contains_origin)
 
 
 @pytest.mark.parametrize("region,mu", [
@@ -174,7 +173,7 @@ def _reference_member_points(region, n_points, seed, t_max, s_span, factor=200):
 @pytest.mark.parametrize("region,t_max,s_span,n_points", [
     (sb.power_region(2.0, 0.5), 8.0, [12.0], 200),
     (sb.halfspace_region([1.0, 2.0], 0.5, 3.0, "le"), 4.0, [3.0, 3.0], 200),
-    (sb.region_from_oracle(lambda t, s: s[0] ** 2 + s[1] ** 2 <= t, 2), 2.0, [2.0, 2.0], 150),
+    (region_from_oracle(lambda t, s: s[0] ** 2 + s[1] ** 2 <= t, 2), 2.0, [2.0, 2.0], 150),
     (sb.constant_region(-50.0, "le"), 1.0, [1.0], 5),  # no members: the cap ends the search
 ], ids=["power-1d", "halfspace-2d", "oracle-2d", "empty"])
 def test_sample_member_points_matches_per_candidate_reference(region, t_max, s_span, n_points):
@@ -200,11 +199,13 @@ class _RowCounter:
 
 
 def test_support_audit_draws_candidates_slice_by_slice(monkeypatch):
-    # a built-in plane is exact and skips the audit: an oracle region gets it
+    # the audit of an oracle twin's plane
     rows, make = [], np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda seed: _RowCounter(make(seed), rows))
-    hyp = sb.supporting_hyperplane(_oracle(sb.constant_region(5.0)), 0.5)
+    twin = _oracle(sb.constant_region(5.0))
+    hyp = sb.supporting_hyperplane(twin, 0.5)
     assert hyp.level == pytest.approx(10.0, abs=1e-8)
+    support_audit(twin, hyp, 0.5)
     # 200 members are found in the first slice of 4 * 200 rows
     assert 0 < sum(rows) <= 800
     # a region with no members in the box stops at the cap of 200 * n_points rows
@@ -215,9 +216,30 @@ def test_support_audit_draws_candidates_slice_by_slice(monkeypatch):
 
 
 def test_supporting_hyperplane_rejects_bad_gradient():
+    # the plane and log_exit_gradient read g(mean) once each and share one check
+    # of it and of the region's gradient
     region = sb.power_region(2.0, 0.5)
-    with pytest.raises((sb.GradientDomainError, NonConvexityError)):
-        sb.supporting_hyperplane(region, 1.0, grad=[+2.0])
+    exits = []
+    ray_exit = geometry.FamilyRegion.ray_exit
+
+    def counted(self, *args, **kwargs):
+        exits.append(args[0])
+        return ray_exit(self, *args, **kwargs)
+
+    with mock.patch.object(geometry.FamilyRegion, "ray_exit", counted):
+        plane = sb.supporting_hyperplane(region, 1.0)
+        assert len(exits) == 1
+        assert np.array_equal(plane.s_coef, -sb.log_exit_gradient(region, 1.0))
+        assert len(exits) == 2
+    with mock.patch.object(geometry.FamilyRegion, "log_gradient",
+                           lambda self, mean, g0: np.array([math.nan])):
+        with pytest.raises(sb.GradientDomainError, match="non-finite log-gradient"):
+            sb.supporting_hyperplane(region, 1.0)
+        with pytest.raises(sb.GradientDomainError, match="non-finite log-gradient"):
+            sb.log_exit_gradient(region, 1.0)
+    # g(0) = 0 on a power boundary: ln g has no gradient there
+    with pytest.raises(sb.GradientDomainError, match="finite and positive"):
+        sb.log_exit_gradient(region, 0.0)
 
 
 def test_slice_distance_examples():
@@ -344,20 +366,21 @@ def test_power_region_convexity_flags():
 
 
 def test_convexity_audit_flags_nonconvex_oracle():
-    # two disjoint strips: mixtures fall between them
-    def membership(t, s):
-        return s[0] <= 1.0 or 3.0 <= s[0] <= 4.0
-
-    bad = sb.region_from_oracle(membership, dim=1, convex_closure=True,
-                                contains_origin=True)
-    assert not convexity_audit(bad, t_max=5.0, s_span=[5.0], n_pairs=400)
-    good = sb.constant_region(5.0)
-    assert convexity_audit(good, t_max=5.0, s_span=[8.0], n_pairs=200)
+    # the twin audits convexity around every ray exit it searches for; two
+    # disjoint strips: membership recurs along the ray beyond the first exit
+    bad = region_from_oracle(lambda t, s: s[0] <= 1.0 or 3.0 <= s[0] <= 4.0, dim=1,
+                             convex_closure=True, contains_origin=True)
+    for v in (1.0, 0.5, 0.25):
+        with pytest.raises(NonConvexityError, match="recurs along the ray"):
+            sb.ray_exit_time(bad, v)
+    good = region_from_oracle(lambda t, s: s[0] <= 5.0, dim=1, convex_closure=True,
+                              contains_origin=True)
+    assert sb.ray_exit_time(good, 1.0) == pytest.approx(5.0, abs=1e-8)
 
 
 def test_oracle_region_bisection_fallback():
-    region = sb.region_from_oracle(lambda t, s: s[0] <= 5.0, dim=1,
-                                   convex_closure=True, contains_origin=True)
+    region = region_from_oracle(lambda t, s: s[0] <= 5.0, dim=1,
+                                convex_closure=True, contains_origin=True)
     assert sb.mean_ray_crossing(region, 1.0, tol=1e-10) == pytest.approx(5.0, abs=1e-9)
     assert sb.slice_distance(region, 10, 1.0, tol=1e-10) == pytest.approx(0.5, abs=1e-8)
     # 1e8 from the mean the float spacing exceeds tol: bisection ends at adjacent floats
@@ -365,7 +388,7 @@ def test_oracle_region_bisection_fallback():
 
 
 def test_flag_requirements():
-    region = sb.region_from_oracle(lambda t, s: s[0] <= 5.0, dim=1, kind="continuity")
+    region = region_from_oracle(lambda t, s: s[0] <= 5.0, dim=1, kind="continuity")
     with pytest.raises(RegionError):
         sb.ray_exit_time(region, 1.0)
     with pytest.raises(RegionError):
@@ -431,8 +454,8 @@ def _exact_oracle(region):
     def member(t, s):
         return alpha - sum(b * Fraction(x) for b, x in zip(beta, s)) - kappa * Fraction(t) >= 0
 
-    return sb.region_from_oracle(member, region.dim, region.kind, region.convex_closure,
-                                 region.contains_origin)
+    return region_from_oracle(member, region.dim, region.kind, region.convex_closure,
+                              region.contains_origin)
 
 
 def _outcome(fn, *args, **kwargs):
@@ -643,7 +666,7 @@ def _probed_ray_exit_time(region, v):
     if 0.0 < g < math.inf and not member(0.25 * g):
         raise NonConvexityError("membership not monotone along the ray below the exit")
     for factor in (1.5, 4.0):
-        if 0.0 < g * factor <= geometry.DOUBLING_CAP and member(g * factor):
+        if 0.0 < g * factor <= DOUBLING_CAP and member(g * factor):
             raise NonConvexityError("membership recurs along the ray beyond the exit")
     return g
 
@@ -671,8 +694,8 @@ def test_probe_free_ray_exit_agrees_with_the_probed_path(case):
 @settings(max_examples=200, deadline=None)
 @given(case=_flagged_region_and_ray())
 def test_closed_form_planes_pass_the_sampled_support_audit(case):
-    # the audit that supporting_hyperplane runs for oracle regions, on every
-    # built-in family's exact plane: the boundary itself or a tangent
+    # the sampled audit of the search twin on every built-in family's exact
+    # plane: the boundary itself or a tangent
     region, v = case
     try:
         plane = sb.supporting_hyperplane(region, v)
@@ -715,6 +738,25 @@ def test_power_region_on_its_non_convex_side_is_refuted():
     assert sb.ray_entry_and_exit(region, -1.0) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("region,n,lo,hi", [
+    (sb.constant_region(2.0), 2, [0.0], [0.5]),
+    (sb.constant_region(2.0), 2, [0.0], [1.5]),
+    (sb.constant_region(-1.0, "ge"), 2, [-0.5], [0.5]),
+    (sb.power_region(2.0, 0.5), 4, [-1.0], [1.0]),  # 2 sqrt(4) = 4: a tie
+    (sb.power_region(2.0, 0.5), 4, [0.0], [1.01]),
+    (sb.affine_region(0.5, -1.0, "ge"), 8, [-1.0], [0.0]),
+    (sb.halfspace_region([1.0, -1.0], 0.5, 4.0, "le"), 2, [-1.0, 0.0], [1.0, 2.0]),
+    (sb.halfspace_region([1.0, -1.0], 0.5, 4.0, "le"), 2, [-1.0, -0.5], [1.0, 2.0]),
+    (sb.halfspace_region([1.0, -1.0], 0.5, 4.0, "le"), 2, [-1.0, -1.0], [1.0, 2.0]),
+])
+def test_an_oracle_region_answers_contains_sums_from_the_box_corners(region, n, lo, hi):
+    # on a finite box the twin's corner check reads what the exact worst-corner
+    # sum of the built-in region reads, ties included
+    twin = region_from_oracle(region.contains, region.dim, region.kind, region.convex_closure,
+                              region.contains_origin)
+    assert twin.contains_sums(n, lo, hi) == region.contains_sums(n, lo, hi)
+
+
 def test_contains_sums_takes_the_worst_corner_exactly():
     le2 = sb.constant_region(2.0, "le")
     assert le2.contains_sums(2, [0.0], [1.0])  # S_2 in [0, 2], on the boundary at worst
@@ -739,9 +781,3 @@ def test_contains_sums_takes_the_worst_corner_exactly():
     assert not plane.contains_sums(2, [-1.0, -math.inf, -1.0], [1.0, math.inf, 2.0])
     assert sb.halfspace_region([0.0], 1.0, 4.0).contains_sums(4, [-math.inf], [math.inf])
     assert not sb.halfspace_region([0.0], 1.0, 4.0).contains_sums(5, [0.0], [0.0])
-
-
-def test_an_oracle_region_cannot_answer_contains_sums():
-    oracle = sb.region_from_oracle(lambda t, s: s[0] <= 2.0, 1, convex_closure=True,
-                                   contains_origin=True)
-    assert oracle.contains_sums(2, [0.0], [0.5]) is None

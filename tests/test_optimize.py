@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 import stopbounds as sb
 from stopbounds.geometry import NonConvexityError
-from stopbounds.optimize import ProvisoViolatedError, bisect
+from stopbounds.optimize import ProvisoViolatedError
+
+from search_twin import bisect, region_from_oracle
 
 
 def ray_slab(mu):
@@ -89,8 +91,8 @@ def test_max_time_finds_a_d1_oracle_slice_inside_the_box_away_from_its_centre():
     # the convex band {2t - 1 <= s <= 2t + 1, t <= 10} leaves the box centre
     # s = 0 at t = 0.5, and its slice misses both ends of the box, but stays
     # inside the box up to t = 10
-    band = sb.region_from_oracle(lambda t, s: 2.0 * t - 1.0 <= s[0] <= 2.0 * t + 1.0 and t <= 10.0,
-                                 1, convex_closure=True, contains_origin=True)
+    band = region_from_oracle(lambda t, s: 2.0 * t - 1.0 <= s[0] <= 2.0 * t + 1.0 and t <= 10.0,
+                              1, convex_closure=True, contains_origin=True)
     for slab in (sb.Slab([0.0], [0.0], [-50.0], [50.0]), sb.Slab([0.0], [0.0], [-5.0], [30.0])):
         res = sb.max_time_in_region(band, slab)
         assert not res.empty_domain
@@ -106,7 +108,7 @@ def test_max_time_finds_an_oracle_slice_inside_the_box_along_an_axis_segment(d, 
         others = np.delete(s, axis)
         return abs(s[axis] - 2.0 * t) <= 1.0 and bool(np.all(np.abs(others) <= 1.0)) and t <= 10.0
 
-    band = sb.region_from_oracle(member, d, convex_closure=True, contains_origin=True)
+    band = region_from_oracle(member, d, convex_closure=True, contains_origin=True)
     zero = np.zeros(d)
     res = sb.max_time_in_region(band, sb.Slab(zero, zero, np.full(d, -50.0), np.full(d, 50.0)))
     assert not res.empty_domain
@@ -250,8 +252,8 @@ def test_slab_max_of_a_slab_whose_own_edges_cross(slab, expected):
     # are: the answer is where its box meets the slice, not an empty domain
     assert slab.is_empty
     region = sb.constant_region(5.0)
-    twin = sb.region_from_oracle(lambda t, s: s[0] <= 5.0, 1, convex_closure=True,
-                                 contains_origin=True)
+    twin = region_from_oracle(lambda t, s: s[0] <= 5.0, 1, convex_closure=True,
+                              contains_origin=True)
     for res in (sb.max_time_in_region(region, slab), sb.max_time_in_region(twin, slab)):
         assert res.empty_domain == (expected is None)
         assert res.unbounded == (expected == math.inf)

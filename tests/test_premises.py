@@ -23,6 +23,8 @@ from stopbounds.bounds import ALL_TAGS
 from stopbounds.harness import BrownianBundle, ScenarioBundle, bound_report, brownian_report
 from stopbounds.scenarios import brownian_cases, certification_matrix
 
+from search_twin import region_from_oracle
+
 DISCRETE_TAGS = tuple(t for t in ALL_TAGS if not t.startswith("Brown"))
 BROWNIAN_TAGS = tuple(t for t in ALL_TAGS if t.startswith("Brown"))
 BERNOULLI = sb.bernoulli_affine(0, 1, 0.5)
@@ -39,8 +41,8 @@ def _error_paths():
     # a power boundary's region above the curve, with the convexity flag misstated
     non_convex = dataclasses.replace(sb.power_region(2.0, 0.5, "ge"), convex_closure=True)
     never_exits = sb.affine_region(1.0, 2.0, "le")
-    oracle = sb.region_from_oracle(lambda t, s: s[0] <= 5.0, 1, convex_closure=True,
-                                   contains_origin=True)
+    oracle = region_from_oracle(lambda t, s: s[0] <= 5.0, 1, convex_closure=True,
+                                contains_origin=True)
     discrete = [
         ScenarioBundle("origin-outside", BERNOULLI, flat_outside, sb.naturals()),
         ScenarioBundle("non-convex-side", BERNOULLI, non_convex, sb.naturals()),
@@ -87,15 +89,15 @@ def test_no_premise_leaks_between_reports(case):
 
 
 def test_shipped_bundles_derive_each_shared_premise_at_most_once(monkeypatch):
-    calls = collections.Counter()
+    calls, exits = collections.Counter(), collections.Counter()
     means = {}
 
-    def counting(owner, name, key, at_mean=False):
+    def counting(owner, name, key, at_mean=False, counter=calls):
         original = getattr(owner, name)
 
         def counted(*args, **kwargs):
             if not at_mean or np.array_equal(np.atleast_1d(args[1]), means["mean"]):
-                calls[key] += 1
+                counter[key] += 1
             return original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
@@ -106,6 +108,8 @@ def test_shipped_bundles_derive_each_shared_premise_at_most_once(monkeypatch):
     counting(bounds, "audit_assumptions", "audit_assumptions")
     counting(geometry.FamilyRegion, "contains_sums", "contains_sums")
     counting(bounds, "slice_side", "slice_side")
+    counting(geometry.FamilyRegion, "entry_and_exit", "entry_and_exit")
+    counting(geometry.FamilyRegion, "ray_exit", "ray_exit(mean)", at_mean=True, counter=exits)
     per_bundle, reports = {}, 0
     for bundle, tags, report_fn in _shipped():
         calls.clear()
@@ -119,12 +123,16 @@ def test_shipped_bundles_derive_each_shared_premise_at_most_once(monkeypatch):
     assert all(n == 1 for counts in per_bundle.values() for n in counts.values()), per_bundle
     # the counters see each premise where it is read: g(mean) on every bundle
     # but the stopping line's (Brown2 reads the stopping view), the audit on
-    # every discrete bundle, the start sum where n0 > 0, the side where T18/T19 run
+    # every discrete bundle, the start sum where n0 > 0, the side where T18/T19
+    # run, T8's ray on the bundles with T8 or Brown2
     totals = collections.Counter()
     for counts in per_bundle.values():
         totals.update(counts)
     assert totals == {"g(mean)": 15, "audit_assumptions": 13, "contains_sums": 3,
-                      "slice_side": 11}
+                      "slice_side": 11, "entry_and_exit": 10}
+    # the ray exits at the mean: the 15 premises, one crossing per plane (13),
+    # one per T17 gradient (8) and one box maximum with a corner at the mean
+    assert exits == {"ray_exit(mean)": 37}
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +247,8 @@ def test_concentration_series_resums_bit_for_bit(case, plane):
 
 def test_concentration_series_resums_on_an_oracle_slice():
     # a d = 1 region with no boundary curve reads each deviation from slice_distance
-    oracle = sb.region_from_oracle(lambda t, s: s[0] <= 5.0, 1, convex_closure=True,
-                                   contains_origin=True)
+    oracle = region_from_oracle(lambda t, s: s[0] <= 5.0, 1, convex_closure=True,
+                                contains_origin=True)
     profile = sb.analytic_moments(BERNOULLI)
     for user_tail in (None, _gentle_tail):
         report = _assert_resums(oracle, profile, sb.naturals(), user_tail=user_tail)

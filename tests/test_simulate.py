@@ -18,6 +18,8 @@ from stopbounds.simulate import (_BLOCK, _CHUNK, _FIRST, AllTruncatedError, _blo
                                  _exact_paths, _passage_line, _stream_key, discrete_paths,
                                  replay_run)
 
+from search_twin import region_from_oracle
+
 
 def test_point_mass_continuity_anchor():
     est = sb.run_discrete(sb.constant_region(5.0), sb.point_mass(1.0),
@@ -52,10 +54,10 @@ def test_boundary_convention_switch():
 
 
 def test_an_oracle_region_refuses_a_strict_boundary():
-    # an oracle answers closed membership only: a strict walk is refused
+    # the search twin answers closed membership only: a strict walk is refused
     # rather than walked as closed, which would read 6 where strict reads 5
-    twin = sb.region_from_oracle(lambda t, s: s[0] <= 5.0, 1, convex_closure=True,
-                                 contains_origin=True)
+    twin = region_from_oracle(lambda t, s: s[0] <= 5.0, 1, convex_closure=True,
+                              contains_origin=True)
     with pytest.raises(RegionError, match="closed membership only"):
         sb.run_discrete(twin, sb.point_mass(1.0), sb.naturals(), 10, seed=0, boundary="strict")
     with pytest.raises(RegionError, match="closed membership only"):
@@ -564,7 +566,9 @@ def test_replay_passage_from_the_chunk_stream():
 
 @pytest.mark.parametrize("region", [
     sb.power_region(2.0, 0.3),
-    sb.region_from_oracle(sb.constant_region(4.0).contains, 1, "continuity", True, True),
+    # a twin answers closed membership only, so its Euler walk is of a stopping region
+    region_from_oracle(sb.constant_region(4.0, "ge", "stopping").contains, 1, "stopping",
+                       True, False),
 ], ids=["power", "oracle"])
 def test_curved_and_oracle_regions_keep_the_two_grid_euler_path(region):
     est = sb.run_brownian(region, 0.5, 1.0, 0.05, 600, horizon=200.0, seed=3)
@@ -612,8 +616,8 @@ def test_noisy_power_boundary_with_exponent_from_one_half_is_left_at_once(orient
 def test_oracle_wrapper_walks_like_its_region(region, spec, schedule):
     # the per-point oracle branch of the exit test against the slack, which
     # takes the checkpoint times and the gathered block as they are
-    oracle = sb.region_from_oracle(region.contains, region.dim, region.kind,
-                                   region.convex_closure, region.contains_origin)
+    oracle = region_from_oracle(region.contains, region.dim, region.kind,
+                                region.convex_closure, region.contains_origin)
     exact = discrete_paths(region, spec, schedule, 60, seed=3)
     wrapped = discrete_paths(oracle, spec, schedule, 60, seed=3)
     assert np.array_equal(exact.stop_n, wrapped.stop_n)

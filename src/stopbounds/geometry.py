@@ -33,6 +33,7 @@ from typing import Callable, Mapping, NamedTuple, Optional
 import numpy as np
 
 _RAY_CAP = 2.0**61  # a ray crossing there or beyond reads inf
+_T_CAP = 2.0**30  # a slab box meeting the slice there reads an unbounded domain
 
 
 class RegionError(ValueError):
@@ -194,7 +195,7 @@ class FamilyRegion(Region):
         spec["kind"] = "stopping" if self.kind == "continuity" else "continuity"
         return region_from_family(spec)
 
-    def ray_exit(self, v: np.ndarray, tol: Optional[float] = None) -> float:
+    def ray_exit(self, v: np.ndarray) -> float:
         """(alpha/rate)^(1/k), with no membership call, refusing flags that misstate the region.
 
         The slack at the origin is alpha on a flat boundary, so alpha < 0 puts
@@ -237,7 +238,7 @@ class FamilyRegion(Region):
         terms += [(alpha, n ** e)] if e is not None else [(alpha,), (-kappa, n)]
         return exact_sum(terms)[0] >= 0
 
-    def entry_and_exit(self, v: np.ndarray, tol: Optional[float] = None):
+    def entry_and_exit(self, v: np.ndarray):
         """Exact (inf A, sup A), or (None, None)."""
         alpha, rate, k = self.ray_form(v)
         cross = _ray_crossing(alpha, rate, k)
@@ -255,13 +256,13 @@ class FamilyRegion(Region):
             return -a / (a @ mean + p["t_coef"])
         return np.array([1.0 / (self.boundary_slope(g0) - mean[0])])
 
-    def slice_side(self, n: float, mu: np.ndarray, tol: float) -> str:
+    def slice_side(self, n: float, mu: np.ndarray) -> str:
         """The side of the curve the slice lies on, when it misses mu."""
         if self.time_slab:
             raise EmptySliceError(f"the slice at n={n} is empty")
         return "above" if self.orientation == "ge" else "below"
 
-    def slice_distance(self, n: float, mu: np.ndarray, tol: float) -> float:
+    def slice_distance(self, n: float, mu: np.ndarray) -> float:
         """max(0, -slack(n, n mu)) / (n |beta|), beta = s_coef for a halfspace and 1 for a curve."""
         slack = float(self.slack_batch(n, n * mu))
         if slack >= 0.0:
@@ -272,18 +273,17 @@ class FamilyRegion(Region):
         norm = float(np.linalg.norm(p["s_coef"])) if p["family"] == "halfspace" else 1.0
         return -slack / (n * norm)
 
-    def slab_max(self, slab, t_cap: float, tol: Optional[float] = None) -> "SlabMaxResult":
-        """The largest t in [0, t_cap] whose box meets the slice.
+    def slab_max(self, slab) -> "SlabMaxResult":
+        """The largest t in [0, 2**30] whose box meets the slice.
 
         On each coordinate a primed slab's box runs from the larger of two
         lower edges to the smaller of two upper ones, so its breakpoints, where
-        two of them cross, cut [0, t_cap] into pieces on which it is a plain
+        two of them cross, cut [0, 2**30] into pieces on which it is a plain
         slab or empty (``slab.piece``), as is a plain slab whose own edges
         cross; any other plain slab is one piece.  The pieces are read
         from the right: each cut is tested exactly, since the box may meet the
         slice at that t alone, then the piece left of it, where the slack along
-        one box edge decides (``_edge_slack``).  Every value is rounded up; tol
-        is unused, as in ``ray_exit``.
+        one box edge decides (``_edge_slack``).  Every value is rounded up.
         """
         if self.power_exponent is not None and self.ray_coefficients[0] < 0.0:
             raise NonConvexityError("the region lies on the non-convex side of its boundary")
@@ -293,7 +293,7 @@ class FamilyRegion(Region):
             piece = slab.piece(t)
             return piece is not None and slack(piece)[0](t)
 
-        cuts = [Fraction(0), *slab.breakpoints(t_cap), Fraction(t_cap)]
+        cuts = [Fraction(0), *slab.breakpoints(_T_CAP), Fraction(_T_CAP)]
         if meets(cuts[-1]):
             return SlabMaxResult(math.inf, unbounded=True)
         for lo, hi in zip(cuts[-2::-1], cuts[:0:-1]):
@@ -354,8 +354,8 @@ def _sign(orientation) -> float:
 class SlabMaxResult(NamedTuple):  # a tuple: cheaper than a dataclass to define at import
     """The largest t whose slab box meets the region's slice.
 
-    ``unbounded``: the box meets it at t_cap (value inf); ``empty_domain``:
-    at no t in [0, t_cap] (value 0).  ``uncertainty`` is how far the value
+    ``unbounded``: the box meets it at t = 2**30 (value inf); ``empty_domain``:
+    at no t in [0, 2**30] (value 0).  ``uncertainty`` is how far the value
     may lie above the exact maximum.  On a built-in region, plain or primed
     slab alike, it is 0 where the value is an exact root or cut rounded up
     to a float, and the last bracket, an ulp or a few or the band of
@@ -596,35 +596,35 @@ def _ray_crossing(alpha: float, rate: float, k: float) -> float:
     return ratio ** (1.0 / k) if ratio < _RAY_CAP**k else math.inf
 
 
-def ray_exit_time(region: Region, v, tol: Optional[float] = None) -> float:
+def ray_exit_time(region: Region, v) -> float:
     """sup{t >= 0 : (t, t v) in the closed region}; inf when the ray never leaves.
 
     Requires the convexity and origin flags.  A built-in family answers in
-    closed form and ignores ``tol``; an exit at or beyond 2**61 reads inf.
+    closed form; an exit at or beyond 2**61 reads inf.
     """
     _require_convex_origin(region)
-    return region.ray_exit(np.atleast_1d(np.asarray(v, dtype=float)), tol)
+    return region.ray_exit(np.atleast_1d(np.asarray(v, dtype=float)))
 
 
-def mean_ray_crossing(region: Region, mean, tol: Optional[float] = None) -> float:
+def mean_ray_crossing(region: Region, mean) -> float:
     """The unique positive m with (m, m*mean) on the region boundary.
 
     Raises NoRayExitError when the mean ray never leaves the region below
     2**61 (the caller may interpret the associated bound as infinite).
     """
-    m = ray_exit_time(region, mean, tol=tol)
+    m = ray_exit_time(region, mean)
     if math.isinf(m):
-        raise NoRayExitError("mean ray stays inside the region up to the doubling cap")
+        raise NoRayExitError("mean ray stays inside the region below 2**61")
     return m
 
 
-def ray_entry_and_exit(region: Region, v, tol: Optional[float] = None):
+def ray_entry_and_exit(region: Region, v):
     """(inf A, sup A) for A = {t >= 0 : (t, t v) in the closed region}.
 
     Returns (None, None) when A holds no point below 2**61.  sup A is
     math.inf when the ray stays inside past that cap.
     """
-    return region.entry_and_exit(np.atleast_1d(np.asarray(v, dtype=float)), tol)
+    return region.entry_and_exit(np.atleast_1d(np.asarray(v, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
@@ -717,17 +717,17 @@ def hyperplane_slice_distance(hyp: Hyperplane, n: float, mean) -> float:
     return (1.0 - hyp.anchor / n) * abs(hyp.mean_gap(mean)) / hyp.norm
 
 
-def slice_distance(region: Region, n: float, mean, tol: float = 1e-9) -> float:
+def slice_distance(region: Region, n: float, mean) -> float:
     """Euclidean distance from the mean to {z : (n, n z) in the closed region}.
 
     Exact for the built-in families.  Returns 0 when the mean lies in the slice.
     """
     if not region.convex_closure:
         raise RegionError("slice distance requires the asserted convex closure")
-    return region.slice_distance(n, np.atleast_1d(np.asarray(mean, dtype=float)), tol)
+    return region.slice_distance(n, np.atleast_1d(np.asarray(mean, dtype=float)))
 
 
-def slice_side(region: Region, n: float, mean, tol: float = 1e-9) -> str:
+def slice_side(region: Region, n: float, mean) -> str:
     """For scalar regions: whether the slice lies above or below the mean.
 
     Returns "inside" when the mean belongs to the slice.  The concentration
@@ -738,4 +738,4 @@ def slice_side(region: Region, n: float, mean, tol: float = 1e-9) -> str:
         raise RegionError("slice_side is defined for scalar regions only")
     if region.contains(n, n * mu):
         return "inside"
-    return region.slice_side(n, mu, tol)
+    return region.slice_side(n, mu)

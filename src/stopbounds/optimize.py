@@ -3,11 +3,11 @@
 Three operations: maximize the time coordinate over a slab-constrained
 region slice, maximize a concave function over a box, and maximize the
 fractional vertex form over the corners of the unit cube.  All of them are
-deterministic given their tolerances and seeds.  The slab maximum is the
-region's own ``slab_max``: a closed form on a built-in region, for a plain
-or a primed slab alike.  The box maximum is a function kernel (golden
-section for d = 1, multi-start ascent above); a built-in region's
-``exit_box_max`` is a closed form and needs none.
+deterministic: the box search draws its random starts from a fixed seed.
+The slab maximum is the region's own ``slab_max``: a closed form on a
+built-in region, for a plain or a primed slab alike.  The box maximum is a
+function kernel (golden section for d = 1, multi-start ascent above); a
+built-in region's ``exit_box_max`` is a closed form and needs none.
 """
 
 from __future__ import annotations
@@ -57,16 +57,6 @@ class Slab:
         if self.primed is not None:
             bad = bad or self.primed.is_empty
         return bool(bad)
-
-    def box(self, t: float):
-        """Elementwise box [lo, hi] for s at fixed t, intersecting the primed slab."""
-        lo = t * self.lower_slope + self.lower_icept
-        hi = t * self.upper_slope + self.upper_icept
-        if self.primed is not None:
-            plo, phi = self.primed.box(t)
-            lo = np.maximum(lo, plo)
-            hi = np.minimum(hi, phi)
-        return lo, hi
 
     @cached_property
     def _edges(self):
@@ -137,17 +127,15 @@ class Slab:
         return tuple(zip(*rows))
 
 
-def max_time_in_region(region: Region, slab: Slab, t_cap: float = 2.0**30,
-                       tol: float = 1e-9) -> SlabMaxResult:
+def max_time_in_region(region: Region, slab: Slab) -> SlabMaxResult:
     """Largest t whose slab box intersects the region slice: the region's ``slab_max``.
 
-    Feasibility at t_cap is reported as an unbounded domain; feasibility
-    nowhere as an empty one.  A built-in region answers in closed form and
-    ignores tol.
+    Feasibility at t = 2**30 is reported as an unbounded domain; feasibility
+    nowhere as an empty one.  A built-in region answers in closed form.
     """
     if not region.convex_closure:
         raise ValueError("max_time_in_region requires the asserted convex closure")
-    return region.slab_max(slab, t_cap, tol)
+    return region.slab_max(slab)
 
 
 def golden_section_max(fun: Callable[[float], float], a: float, b: float, tol: float) -> float:

@@ -5,17 +5,19 @@
 bound calculator takes it where it takes a built-in region, and its methods
 answer each geometry question by probing membership: ``bracket`` (double
 or halve until membership flips), ``bisect``, ``optimize.golden_section_max``
-and ``optimize.max_concave_over_box``.  Tests check the closed forms of the
-built-in families against these searches, and the planes against
-``support_audit`` on sampled members.  The library builds no such region.
+and ``optimize.max_concave_over_box``, each to the region's own ``tol``.
+Tests check the closed forms of the built-in families against these
+searches, and the planes against ``support_audit`` on sampled members.  The
+library builds no such region, and no slab box at a given t (``box``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from stopbounds.geometry import (
     RegionError,
     SlabMaxResult,
     _RAY_CAP,
+    _T_CAP,
     ray_exit_time,
 )
 from stopbounds.simulate import _accepted_rows
@@ -67,6 +70,17 @@ def _boundary_root(member, inside: float, outside: float, tol=None) -> float:
         tol = 1e-9 * max(1.0, abs(inside), abs(outside))
     inside, outside = bisect(member, inside, outside, tol)
     return 0.5 * (inside + outside)
+
+
+def box(slab, t: float):
+    """Elementwise box [lo, hi] of the sums s a slab allows at t, intersecting its primed slab."""
+    lo = t * slab.lower_slope + slab.lower_icept
+    hi = t * slab.upper_slope + slab.upper_icept
+    if slab.primed is not None:
+        plo, phi = box(slab.primed, t)
+        lo = np.maximum(lo, plo)
+        hi = np.minimum(hi, phi)
+    return lo, hi
 
 
 def _directions(d: int, extra: int, rng) -> list:
@@ -139,10 +153,13 @@ class OracleRegion(Region):
     """Known by ``membership(t, s)`` alone (s a (d,) float vector): no slack or complement.
 
     It has none of the built-in capabilities: no boundary curve, flat slack
-    or power exponent, and no time slab.
+    or power exponent, and no time slab.  ``tol`` is how far every search
+    may end from the boundary; None takes 1e-9 of the larger end of a ray's
+    bracket (at least 1e-9), and 1e-9 on a slice or a slab.
     """
 
     membership: Callable[[float, np.ndarray], bool]
+    tol: Optional[float] = None
 
     slack_batch = None
     scalar_boundary = boundary_slope = orientation = linear_slack = power_exponent = None
@@ -167,12 +184,23 @@ class OracleRegion(Region):
         """Whether every corner of the box n*[lo, hi] is a member at t = n.
 
         A convex region's slice at t = n holds the box of sums exactly when
-        it holds the corners; an infinite corner is asked as it is.
+        it holds the corners.  An infinite coordinate of n*corner is asked
+        as the largest float of its sign, so that a zero coefficient on it
+        reads 0, not NaN; at n = 0 the sum of no increments is 0.
         """
-        return all(self.contains(n, n * np.array(corner)) for corner in itertools.product(
-            *zip(np.atleast_1d(lo).tolist(), np.atleast_1d(hi).tolist())))
+        corners = itertools.product(*zip(np.atleast_1d(lo).tolist(), np.atleast_1d(hi).tolist()))
+        big = sys.float_info.max
+        return all(self.contains(n, np.clip(n * np.array(c), -big, big) if n else np.zeros(len(c)))
+                   for c in corners)
 
-    def ray_exit(self, v: np.ndarray, tol=None, t_start: float = 1.0) -> float:
+    @property
+    def _slice_tol(self) -> float:  # the search tolerance on a slice or a slab
+        return 1e-9 if self.tol is None else self.tol
+
+    def ray_exit(self, v: np.ndarray) -> float:
+        return self._exit(v, self.tol, 1.0)  # log_gradient asks its stencil tighter
+
+    def _exit(self, v: np.ndarray, tol: Optional[float], t_start: float) -> float:
         """sup{t >= 0 : (t, t v) in the region} from a bracket at ``t_start``, audited, bisected."""
         member = _ray_member(self, v)
         if not member(0.0):
@@ -187,7 +215,7 @@ class OracleRegion(Region):
         """The box search of ``max_concave_over_box`` on g = ``ray_exit_time``."""
         return optimize.max_concave_over_box(lambda v: ray_exit_time(self, v), lo, hi)
 
-    def entry_and_exit(self, v: np.ndarray, tol=None):
+    def entry_and_exit(self, v: np.ndarray):
         """(inf A, sup A) of A = {t >= 0 : (t, t v) in the region}, or (None, None).
 
         An entry past the origin is scanned for by doubling from 2**-40.
@@ -199,9 +227,9 @@ class OracleRegion(Region):
             prev, t_in = bracket(member, 2.0**-40, 2.0, _RAY_CAP, 0.0)
             if t_in is None:
                 return None, None
-            entry = _boundary_root(member, t_in, prev, tol)
+            entry = _boundary_root(member, t_in, prev, self.tol)
         lo, hi = _bracket_ray_exit(member, t_in)
-        return entry, math.inf if hi is None else _boundary_root(member, lo, hi, tol)
+        return entry, math.inf if hi is None else _boundary_root(member, lo, hi, self.tol)
 
     def log_gradient(self, mean: np.ndarray, g0: float) -> np.ndarray:
         """Richardson-extrapolated central differences of ln g at the mean, where g = g0."""
@@ -217,8 +245,8 @@ class OracleRegion(Region):
                 vm = mean.copy()
                 vp[k] += hh
                 vm[k] -= hh
-                gp = self.ray_exit(vp, tol, g0)
-                gm = self.ray_exit(vm, tol, g0)
+                gp = self._exit(vp, tol, g0)
+                gm = self._exit(vm, tol, g0)
                 if not (np.isfinite(gp) and np.isfinite(gm) and gp > 0.0 and gm > 0.0):
                     raise GradientDomainError("g not finite in the difference stencil")
                 return (math.log(gp) - math.log(gm)) / (2.0 * hh)
@@ -243,8 +271,8 @@ class OracleRegion(Region):
             raise EmptySliceError(f"no member of the slice at n={n} found near the mean")
         return ("above", above) if above <= below else ("below", below)
 
-    def slice_side(self, n: float, mu: np.ndarray, tol: float) -> str:
-        return self._nearest_side(n, mu, tol)[0]
+    def slice_side(self, n: float, mu: np.ndarray) -> str:
+        return self._nearest_side(n, mu, self._slice_tol)[0]
 
     def _slice_distance_2d(self, n: float, mu: np.ndarray, tol: float) -> float:
         def radial(a):
@@ -298,31 +326,35 @@ class OracleRegion(Region):
                 best_d, best = dist, z
         return best_d
 
-    def slice_distance(self, n: float, mu: np.ndarray, tol: float) -> float:
+    def slice_distance(self, n: float, mu: np.ndarray) -> float:
         """Distance from mu to {z : (n, n z) in the region}: 0 when mu is a member."""
         if self.contains(n, n * mu):
             return 0.0
+        tol = self._slice_tol
         if mu.shape[0] == 1:
             return self._nearest_side(n, mu, tol)[1]
         if mu.shape[0] == 2:
             return self._slice_distance_2d(n, mu, tol)
         return self._slice_distance_nd(n, mu, tol)
 
-    def slab_max(self, slab, t_cap: float, tol: float) -> SlabMaxResult:
+    def slab_max(self, slab) -> SlabMaxResult:
         """The largest t in [0, t_cap] whose box meets the slice: a scan in t, then a bisection.
 
-        The feasible t form an interval by convexity.  Failing t_cap, the scan
-        tests from the top down the halvings t_cap/2, t_cap/4, ... to 1e-12,
-        then 0, and among them the slab's breakpoints, where two box edges
-        cross, each as the nearest float and its two neighbours, to a feasible
-        t; the bisection runs to tol between it and the last infeasible t
-        above it.  On a flat boundary a nonempty feasible set holds 0, t_cap
-        or a breakpoint, so the scan finds it, even as one t between two
-        floats, where the box is empty by far less than tol; on a curved
-        boundary it may lie between two probes.
+        t_cap is 2**30, as on a built-in region.  The feasible t form an
+        interval by convexity.  Failing t_cap, the scan tests from the top
+        down the halvings t_cap/2, t_cap/4, ... to 1e-12, then 0, and among
+        them the slab's breakpoints, where two box edges cross, each as the
+        nearest float and its two neighbours, to a feasible t; the bisection
+        runs to tol between it and the last infeasible t above it.  On a
+        flat boundary a nonempty feasible set holds 0, t_cap or a
+        breakpoint, so the scan finds it, even as one t between two floats,
+        where the box is empty by far less than tol; on a curved boundary it
+        may lie between two probes.
         """
+        t_cap, tol = _T_CAP, self._slice_tol
+
         def feasible(t: float) -> bool:
-            return self._meets_box(t, *slab.box(t), tol)
+            return self._meets_box(t, *box(slab, t), tol)
 
         if feasible(t_cap):
             return SlabMaxResult(math.inf, unbounded=True)

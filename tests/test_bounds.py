@@ -54,7 +54,7 @@ def test_slab_bound_bounded_variant_against_grid():
     slab = bounded_support_slab(prof, 1.0, 1.0, 0)
     best = 0.0
     for t in np.linspace(0.0, 40.0, 16001):
-        lo, hi = slab.box(t)
+        lo, hi = search_twin.box(slab, t)
         if lo[0] <= min(hi[0], 5.0):
             best = t
     assert report.value == pytest.approx(1.0 * best + 1.0, abs=5e-3)
@@ -595,7 +595,7 @@ def test_shipped_slab_reports_make_no_search(monkeypatch):
     # T10's plain slab and T11's primed slab are both closed forms on a
     # built-in region: no slab box is built at a t to be tested
     calls = collections.Counter()
-    for owner, name in ((sb.Slab, "box"), (search_twin, "bisect"),
+    for owner, name in ((search_twin, "box"), (search_twin, "bisect"),
                         (search_twin.OracleRegion, "_meets_box")):
         def counted(*args, _name=name, _search=getattr(owner, name), **kwargs):
             calls[_name] += 1
@@ -708,11 +708,13 @@ def test_reciprocal_rule_of_a_never_exiting_ray_gives_an_applicable_infinity(tag
 
 
 def test_reciprocal_rule_function_maps_zero_and_infinity():
+    # Brown4 reads its rule 1/g at the drift: 1/inf = 0, 1/0 = inf and 1/8
     never, at_once = sb.affine_region(1.0, 2.0, "le"), sb.constant_region(0.0)
     views = [BrownianBundle(name, region, drift=0.5, diffusion=1.0, dt=0.01)
              for name, region in (("never", never), ("at-once", at_once),
                                   ("finite", sb.constant_region(4.0)))]
-    assert [b.reciprocal_rule_function()(0.5) for b in views] == [0.0, math.inf, 0.125]
+    rules = [brownian_report("Brown4", b).diagnostics["g_at_mean"] for b in views]
+    assert rules == [0.0, math.inf, 0.125]
     # g(drift) = 0: Brown3 stays inapplicable, Brown4 is the true lower bound 1/(1/0) = 0
     brown3 = brownian_report("Brown3", views[1])
     assert not brown3.applicable and math.isnan(brown3.value)

@@ -30,11 +30,12 @@ def test_mean_ray_crossing_examples():
 
 
 def test_mean_ray_crossing_brackets_the_flip():
+    # the closed form lands on the boundary itself: the next float out is outside
     region = sb.power_region(2.0, 0.5)
-    tol = 1e-9
-    m = sb.mean_ray_crossing(region, 1.0, tol=tol)
-    assert region.contains(m - tol, (m - tol) * 1.0)
-    assert not region.contains(m + tol, np.array([(m + tol) * 1.0]))
+    m = sb.mean_ray_crossing(region, 1.0)
+    assert region.contains(m, m * 1.0)
+    t = math.nextafter(m, math.inf)
+    assert not region.contains(t, np.array([t * 1.0]))
 
 
 def test_ray_exit_time_examples():
@@ -381,8 +382,9 @@ def test_convexity_audit_flags_nonconvex_oracle():
 def test_oracle_region_bisection_fallback():
     region = region_from_oracle(lambda t, s: s[0] <= 5.0, dim=1,
                                 convex_closure=True, contains_origin=True)
-    assert sb.mean_ray_crossing(region, 1.0, tol=1e-10) == pytest.approx(5.0, abs=1e-9)
-    assert sb.slice_distance(region, 10, 1.0, tol=1e-10) == pytest.approx(0.5, abs=1e-8)
+    tight = dataclasses.replace(region, tol=1e-10)
+    assert sb.mean_ray_crossing(tight, 1.0) == pytest.approx(5.0, abs=1e-9)
+    assert sb.slice_distance(tight, 10, 1.0) == pytest.approx(0.5, abs=1e-8)
     # 1e8 from the mean the float spacing exceeds tol: bisection ends at adjacent floats
     assert sb.slice_distance(region, 1, 1e8 + 5.0) == pytest.approx(1e8, rel=1e-15)
 
@@ -475,9 +477,10 @@ def _agree(closed, searched) -> bool:
     return closed == searched
 
 
-def _tight(*values) -> float:
+def _tight(oracle, *values):
+    """The oracle searching to 1e-12 of the largest finite float among values, at least 1e-12."""
     finite = [abs(x) for x in values if isinstance(x, float) and math.isfinite(x)]
-    return 1e-12 * max([1.0] + finite)
+    return dataclasses.replace(oracle, tol=1e-12 * max([1.0] + finite))
 
 
 @settings(max_examples=300, deadline=None)
@@ -488,18 +491,18 @@ def test_closed_forms_match_the_search_on_oracles(case, n):
     oracle = _exact_oracle(region)
     for fn in (sb.ray_exit_time, sb.mean_ray_crossing):
         closed = _outcome(fn, region, v)
-        assert _agree(closed, _outcome(fn, oracle, v, tol=_tight(closed))), fn.__name__
+        assert _agree(closed, _outcome(fn, _tight(oracle, closed), v)), fn.__name__
     if region.convex_closure:  # the search reads a non-convex ray set only in part
         closed = _outcome(sb.ray_entry_and_exit, region, v)
-        searched = _outcome(sb.ray_entry_and_exit, oracle, v,
-                            tol=_tight(*(closed if isinstance(closed, tuple) else ())))
+        searched = _outcome(sb.ray_entry_and_exit,
+                            _tight(oracle, *(closed if isinstance(closed, tuple) else ())), v)
         assert _agree(closed, searched), "ray_entry_and_exit"
     # slices within the radial search's reach (about 5e8 from the mean)
     if region.dim == 1 and abs(float(region.slack_batch(n, n * v))) / n < 1e6:
         closed = _outcome(slice_side, region, n, v)
-        assert closed == _outcome(slice_side, oracle, n, v, tol=1e-12), "slice_side"
+        assert closed == _outcome(slice_side, _tight(oracle), n, v), "slice_side"
         closed = _outcome(sb.slice_distance, region, n, v)
-        searched = _outcome(sb.slice_distance, oracle, n, v, tol=_tight(closed))
+        searched = _outcome(sb.slice_distance, _tight(oracle, closed), n, v)
         assert _agree(closed, searched), "slice_distance"
 
 
@@ -544,9 +547,10 @@ def test_closed_box_maximum_matches_the_search_on_oracles(case):
     region, lo, hi = case
     oracle = _exact_oracle(region)
     closed = _outcome(region.exit_box_max, lo, hi)
+    tight = _tight(oracle, closed)
 
     def g(v):
-        return sb.ray_exit_time(oracle, v, tol=_tight(closed))
+        return sb.ray_exit_time(tight, v)
 
     searched = _outcome(sb.max_concave_over_box, g, lo, hi)
     assert _agree(closed, searched)
@@ -748,10 +752,13 @@ def test_power_region_on_its_non_convex_side_is_refuted():
     (sb.halfspace_region([1.0, -1.0], 0.5, 4.0, "le"), 2, [-1.0, 0.0], [1.0, 2.0]),
     (sb.halfspace_region([1.0, -1.0], 0.5, 4.0, "le"), 2, [-1.0, -0.5], [1.0, 2.0]),
     (sb.halfspace_region([1.0, -1.0], 0.5, 4.0, "le"), 2, [-1.0, -1.0], [1.0, 2.0]),
+    # unbounded increments on a coordinate with a zero coefficient
+    (sb.halfspace_region([1.0, 0.0, -1.0], 0.5, 4.0, "le"), 2, [-1.0, -math.inf, 0.0],
+     [1.0, math.inf, 2.0]),
 ])
 def test_an_oracle_region_answers_contains_sums_from_the_box_corners(region, n, lo, hi):
-    # on a finite box the twin's corner check reads what the exact worst-corner
-    # sum of the built-in region reads, ties included
+    # the twin's corner check reads what the exact worst-corner sum of the
+    # built-in region reads, ties and infinite corners included
     twin = region_from_oracle(region.contains, region.dim, region.kind, region.convex_closure,
                               region.contains_origin)
     assert twin.contains_sums(n, lo, hi) == region.contains_sums(n, lo, hi)

@@ -13,7 +13,7 @@ import stopbounds as sb
 from stopbounds.geometry import NonConvexityError
 from stopbounds.optimize import ProvisoViolatedError
 
-from search_twin import bisect, region_from_oracle
+from search_twin import bisect, box, region_from_oracle
 
 
 def ray_slab(mu):
@@ -22,23 +22,30 @@ def ray_slab(mu):
     return sb.Slab(mu, mu, zero, zero)
 
 
+def _rounded_up(res, root) -> bool:
+    """Whether res is the smallest float at or above the exact root, with nothing uncertain."""
+    below = Fraction(math.nextafter(res.value, -math.inf))
+    return res.uncertainty == 0.0 and Fraction(res.value) >= root > below
+
+
 def test_max_time_collapsed_slab_examples():
-    region = sb.constant_region(5.0)
-    res = sb.max_time_in_region(region, ray_slab(1.0), tol=1e-9)
-    assert res.value == pytest.approx(5.0, abs=1e-6)
-    res = sb.max_time_in_region(sb.power_region(2.0, 0.5), ray_slab(1.0), tol=1e-9)
-    assert res.value == pytest.approx(4.0, abs=1e-6)
+    # the closed form lands on the exact crossing of the ray; on a power
+    # boundary its uncertainty reaches down to it
+    assert _rounded_up(sb.max_time_in_region(sb.constant_region(5.0), ray_slab(1.0)), 5)
+    res = sb.max_time_in_region(sb.power_region(2.0, 0.5), ray_slab(1.0))
+    assert res.value - res.uncertainty <= 4.0 <= res.value < 4.0 + 4 * math.ulp(4.0)
 
 
 def test_max_time_wide_slab_against_grid_oracle():
     region = sb.constant_region(5.0)
     slab = sb.Slab([0.9], [1.1], [-0.5], [0.5])
-    res = sb.max_time_in_region(region, slab, tol=1e-9)
-    assert res.value == pytest.approx(55.0 / 9.0, abs=1e-6)
+    res = sb.max_time_in_region(region, slab)
+    # the lower edge 0.9 t - 0.5 reaches 5 at the root, in the floats' exact values
+    assert _rounded_up(res, (5 + Fraction(0.5)) / Fraction(0.9))
     # oracle: dense 2-d feasibility grid over (t, s)
     best = 0.0
     for t in np.linspace(0.0, 10.0, 4001):
-        lo, hi = slab.box(t)
+        lo, hi = box(slab, t)
         if lo[0] <= min(hi[0], 5.0):
             best = t
     assert res.value == pytest.approx(best, abs=5e-3)
@@ -51,11 +58,12 @@ def test_max_time_feasibility_interval_property():
         (sb.affine_region(0.5, -1.0, "ge"), sb.Slab([0.05], [0.45], [-0.2], [0.2])),
     ]
     for region, slab in cases:
-        res = sb.max_time_in_region(region, slab, tol=1e-10)
+        res = sb.max_time_in_region(region, slab)
+        _check_against_exact(region, slab, res)  # the exact maximum, rounded up
         t_star = res.value
 
         def feasible(t):
-            lo, hi = slab.box(t)
+            lo, hi = box(slab, t)
             if lo[0] > hi[0]:
                 return False
             f = region.scalar_boundary(t)
@@ -67,7 +75,7 @@ def test_max_time_feasibility_interval_property():
 
 def test_max_time_unbounded_and_empty_flags():
     conic = sb.affine_region(1.0, 5.0, "le")
-    res = sb.max_time_in_region(conic, ray_slab(0.5), t_cap=2.0**20)
+    res = sb.max_time_in_region(conic, ray_slab(0.5))
     assert res.unbounded and res.value == math.inf
     # slab floats above the region for every t
     region = sb.constant_region(5.0)
@@ -79,12 +87,12 @@ def test_max_time_unbounded_and_empty_flags():
 def test_max_time_vector_dimension():
     region = sb.halfspace_region([1.0, 1.0], 0.0, 2.0, "le")
     mu = np.array([0.6, 0.6])
-    res = sb.max_time_in_region(region, ray_slab(mu), tol=1e-7)
-    assert res.value == pytest.approx(2.0 / 1.2, abs=1e-4)
+    assert _rounded_up(sb.max_time_in_region(region, ray_slab(mu)), 1 / Fraction(0.6))
     slab = sb.Slab(mu - 0.1, mu + 0.1, [-0.2, -0.2], [0.2, 0.2])
-    res = sb.max_time_in_region(region, slab, tol=1e-6)
-    # slice feasible while the lowest box corner satisfies the halfspace
-    assert res.value == pytest.approx(2.4 / 1.0, abs=1e-3)
+    res = sb.max_time_in_region(region, slab)
+    # slice feasible while the lowest box corner satisfies the halfspace:
+    # 2 (0.5 t - 0.2) <= 2, with 0.6 - 0.1 = 0.5 in floats
+    assert _rounded_up(res, (1 + Fraction(0.2)) / Fraction(0.5))
 
 
 def test_max_time_finds_a_d1_oracle_slice_inside_the_box_away_from_its_centre():
@@ -416,7 +424,7 @@ def _exact_flag(region, slab):
 
 
 def _float_feasibility(region, slab):
-    """t -> whether the box ``slab.box(t)`` meets the slice at t, in floats.
+    """t -> whether the box ``box(slab, t)`` meets the slice at t, in floats.
 
     A curve s = f(t) compares f(t) with the box edge on its side; a
     halfspace (time slabs included) takes its slack at the box corner
@@ -426,14 +434,14 @@ def _float_feasibility(region, slab):
         f, le = region.scalar_boundary, region.orientation == "le"
 
         def feasible(t: float) -> bool:
-            lo, hi = slab.box(t)
+            lo, hi = box(slab, t)
             lo, hi = float(lo[0]), float(hi[0])
             return lo <= hi and (lo <= f(t) if le else hi >= f(t))
     else:
         take_lo = region.linear_slack[1] > 0.0
 
         def feasible(t: float) -> bool:
-            lo, hi = slab.box(t)
+            lo, hi = box(slab, t)
             return not np.any(lo > hi) and region.slack_batch(t, np.where(take_lo, lo, hi)) >= 0.0
     return feasible
 

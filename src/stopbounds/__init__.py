@@ -12,6 +12,7 @@ from .bounds import (
     ALL_TAGS,
     AssumptionCheck,
     BoundReport,
+    Premises,
     concentration_upper_bound,
     gradient_upper_bound,
     hyperplane_vertex_upper_bound,

@@ -30,7 +30,7 @@ from .geometry import (
     ray_exit_time,
     slice_distance,
     slice_side,
-    supporting_hyperplane,  # noqa: F401  (kept as a bounds name: the benchmark tracer wraps it)
+    supporting_hyperplane,
 )
 from .moments import DistributionSpec, MomentProfile, analytic_moments, scalar_family
 from .optimize import ProvisoViolatedError, Slab, max_time_in_region, vertex_fraction_max
@@ -91,14 +91,13 @@ _NEVER_EXITS = AssumptionCheck("V", "unchecked", "mean ray never exits: unbounde
 
 
 class Premises:
-    """What the calculators of one scenario share, each derived once, on first use.
+    """What is derived from one scenario's inputs, each fact once, on first use.
 
-    ``region`` is the continuity-side region and ``mean`` the slope of its
-    mean ray: the increment mean, or a Brownian drift, which comes with no
-    ``profile`` or ``schedule`` and reads only (III) and the mean ray.  A
-    premise whose derivation raises is not kept, so every calculator that
-    reads it raises the same error.  A calculator called without premises
-    derives a fresh set, so no report depends on the reports made before it.
+    ``region`` is the scenario's region, of either kind, and ``mean`` the
+    slope of its mean ray: the increment mean, or a Brownian drift, which
+    comes with no ``profile`` or ``schedule`` and reads only the region
+    views, (III) and the mean ray.  A premise whose derivation raises is not
+    kept, so every calculator that reads it raises the same error.
     """
 
     def __init__(self, region: Region, mean, profile: Optional[MomentProfile] = None,
@@ -106,10 +105,57 @@ class Premises:
         self.region, self.mean, self.profile, self.schedule = region, mean, profile, schedule
 
     @cached_property
+    def continuity_view(self) -> Region:
+        """The closure of the continuity region, which every other premise reads."""
+        if self.region.kind == "continuity":
+            return self.region
+        return self.region.complement_closure()
+
+    @cached_property
+    def stopping_view(self) -> Region:
+        """The closure of the stopping region, which T8 and the overshoot level read."""
+        if self.region.kind == "stopping":
+            return self.region
+        return self.region.complement_closure()
+
+    @cached_property
+    def hyperplane(self) -> Hyperplane:
+        """The supporting hyperplane at the mean-ray crossing."""
+        return supporting_hyperplane(self.continuity_view, self.mean)
+
+    @cached_property
+    def stopping_ray(self) -> BoundReport:
+        """T8 at the mean: T8-lower, and Brown2, which reads its entry and exit."""
+        return stopping_region_lower_bound(self.stopping_view, self.mean)
+
+    @cached_property
+    def reciprocal_rule_concave(self) -> bool:
+        """Whether 1/g is concave, as T-UseWald-lower and Brown4 need.
+
+        Along a ray a built-in region has g = (alpha/rate)^(1/k) with the
+        rate affine in v, so 1/g = (rate/alpha)^(1/k) is affine for a flat
+        family (k = 1) and strictly convex for a power boundary (k < 1).
+        """
+        return self.continuity_view.power_exponent is None
+
+    @cached_property
+    def threshold_level(self) -> Optional[float]:
+        """Level c of a flat stopping threshold {s >= c}, in whatever family it is written.
+
+        The boundary s = f(t) is flat when its exact slope is 0; t = 1
+        avoids the power family's infinite slope at t = 0.  Only a region
+        with a boundary curve has an orientation.
+        """
+        view = self.stopping_view
+        if view.orientation == "ge" and view.boundary_slope(1.0) == 0.0:
+            return float(view.scalar_boundary(1.0))
+        return None
+
+    @cached_property
     def convex_origin(self) -> AssumptionCheck:
         """(III), from the region's asserted flags."""
-        return _chk("III", self.region.convex_closure and self.region.contains_origin,
-                    "asserted flags")
+        region = self.continuity_view
+        return _chk("III", region.convex_closure and region.contains_origin, "asserted flags")
 
     @cached_property
     def hypotheses(self) -> tuple:
@@ -142,10 +188,10 @@ class Premises:
     @cached_property
     def _start_held(self) -> bool:
         """Whether (n0, S_{n0}) surely lies in the closed region; at n0 = 0, (III)'s origin flag."""
-        n0, profile = self.schedule.n0, self.profile
+        n0, profile, region = self.schedule.n0, self.profile, self.continuity_view
         if n0 == 0:
-            return self.region.contains_origin
-        return self.region.contains_sums(n0, profile.support_lo, profile.support_hi)
+            return region.contains_origin
+        return region.contains_sums(n0, profile.support_lo, profile.support_hi)
 
     def start_check(self, ident: str) -> AssumptionCheck:
         """The sure start as check ``ident``: (IV), and T12's "sure-start"."""
@@ -155,7 +201,7 @@ class Premises:
     @cached_property
     def g_at_mean(self) -> float:
         """g(mean): how long the mean ray stays in the closed region, +inf if it never leaves."""
-        return ray_exit_time(self.region, self.mean)
+        return ray_exit_time(self.continuity_view, self.mean)
 
     @cached_property
     def crossing(self) -> tuple:
@@ -197,13 +243,7 @@ class Premises:
     @cached_property
     def side_at_n_tau(self) -> str:
         """For d = 1: whether the slice at N_tau lies "above" or "below" the mean, or holds it."""
-        return slice_side(self.region, self.series_start[1], self.mean)
-
-
-def _own(premises: Optional[Premises], region: Region, profile: MomentProfile,
-         schedule: SampleSchedule) -> Premises:
-    """The scenario's premises, or a fresh set for a direct call."""
-    return premises if premises is not None else Premises(region, profile.mean, profile, schedule)
+        return slice_side(self.continuity_view, self.series_start[1], self.mean)
 
 
 # ---------------------------------------------------------------------------
@@ -231,16 +271,15 @@ def stopping_region_lower_bound(region: Region, mean) -> BoundReport:
                        {"mean_ray_entry": entry, "mean_ray_exit": sup})
 
 
-def wald_lower_bound(gfun: Callable[[np.ndarray], float], mean,
-                     concave: Optional[bool] = None) -> BoundReport:
-    """E[N] >= 1/gfun(mean) for rules that stop once n >= 1/gfun(sample mean).
+def wald_lower_bound(rule_at_mean: float, concave: Optional[bool] = None) -> BoundReport:
+    """E[N] >= 1/g(mean) for rules that stop once n >= 1/g(sample mean).
 
-    ``concave`` is whether gfun is known concave; None, unknown, reads
-    "declared".  gfun(mean) = 0 leaves the rule at the mean never stopping:
-    the value is +inf with the positivity check marked "unchecked".
+    ``rule_at_mean`` is g(mean), and ``concave`` whether g is known concave;
+    None, unknown, reads "declared".  g(mean) = 0 leaves the rule at the
+    mean never stopping: the value is +inf with the positivity check marked
+    "unchecked".
     """
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    g0 = float(gfun(mean))
+    g0 = float(rule_at_mean)
     checks = [AssumptionCheck("g-concave", {True: "pass", False: "fail"}.get(concave, "declared"))]
     if g0 == 0.0:
         checks.append(AssumptionCheck("g-positive-at-mean", "unchecked",
@@ -287,23 +326,20 @@ def bounded_support_slab(profile: MomentProfile, lam: float, K: float, n0: float
     )
 
 
-def slab_optimization_upper_bound(region: Region, profile: MomentProfile,
-                                  schedule: SampleSchedule, tag: str,
-                                  premises: Optional[Premises] = None) -> BoundReport:
+def slab_optimization_upper_bound(p: Premises, tag: str) -> BoundReport:
     """E[N] <= lam * max{t over the slab-constrained region} + K.
 
     "T10-upper" uses the one-sided-deviation slab; "T11-upper-bounded" needs
     support bounds and intersects the envelope slab with the primed support slab.
     """
     bounded = _known(tag, "T10-upper", "T11-upper-bounded") == "T11-upper-bounded"
-    lam, K, n0 = schedule.lam, schedule.K, schedule.n0
-    p = _own(premises, region, profile, schedule)
+    lam, K, n0 = p.schedule.lam, p.schedule.K, p.schedule.n0
     checks = p.audit(need_third_moment=not bounded)
     vcheck, m = p.crossing
     checks.append(vcheck)
     diag = {"m": m, "lam": lam, "K": K, "n0": n0}
     if bounded:
-        checks.append(_chk("support-bounds", profile.bounded))
+        checks.append(_chk("support-bounds", p.profile.bounded))
     if any(c.status == "fail" for c in checks):
         return BoundReport(tag, "upper", math.nan, checks, diag)
     if not math.isfinite(m):
@@ -312,7 +348,7 @@ def slab_optimization_upper_bound(region: Region, profile: MomentProfile,
     checks.append(_chk("slab-nonempty", not slab.is_empty))
     if slab.is_empty:
         return BoundReport(tag, "upper", math.nan, checks, diag)
-    res = max_time_in_region(region, slab)
+    res = max_time_in_region(p.continuity_view, slab)
     diag["sample_count_before_exit_max"] = res.value
     diag["optimizer_uncertainty"] = res.uncertainty
     if res.empty_domain:
@@ -324,9 +360,7 @@ def slab_optimization_upper_bound(region: Region, profile: MomentProfile,
     return BoundReport(tag, "upper", value, checks, diag)
 
 
-def sample_mean_upper_bound(region: Region, profile: MomentProfile,
-                            schedule: SampleSchedule, tag: str,
-                            premises: Optional[Premises] = None) -> BoundReport:
+def sample_mean_upper_bound(p: Premises, tag: str) -> BoundReport:
     """E[N] <= K + max of g over a moment box, for rules n >= g(sample mean).
 
     g(v) = ray_exit_time(region, v) is the rule of the continuity region.
@@ -337,7 +371,7 @@ def sample_mean_upper_bound(region: Region, profile: MomentProfile,
     a closed form.
     """
     _known(tag, "T12-samplemean", "T13-samplemean-naturals", "T-try88-bounded")
-    p = _own(premises, region, profile, schedule)
+    profile, schedule = p.profile, p.schedule
     checks = []
     diag = {}
     K = p.max_gap
@@ -364,7 +398,7 @@ def sample_mean_upper_bound(region: Region, profile: MomentProfile,
     diag["box"] = (lo.tolist(), hi.tolist())
     if any(c.status == "fail" for c in checks):
         return BoundReport(tag, "upper", math.nan, checks, diag)
-    peak = region.exit_box_max(lo, hi)
+    peak = p.continuity_view.exit_box_max(lo, hi)
     diag["box_max"] = peak
     value = constant + peak if math.isfinite(peak) else math.inf
     return BoundReport(tag, "upper", value, checks, diag)
@@ -381,22 +415,19 @@ def _box_for(profile: MomentProfile, tag: str):
 # ---------------------------------------------------------------------------
 
 
-def hyperplane_vertex_upper_bound(region: Region, hyp: Hyperplane, profile: MomentProfile,
-                                  schedule: SampleSchedule, tag: str,
-                                  premises: Optional[Premises] = None) -> BoundReport:
-    """E[N] <= lam * (vertex fractional max) + K using the region's supporting hyperplane.
+def hyperplane_vertex_upper_bound(p: Premises, hyp: Hyperplane, tag: str) -> BoundReport:
+    """E[N] <= lam * (vertex fractional max) + K from a plane ``hyp`` supporting the region.
 
     "T14-hyperplane" evaluates the deviation slab; "T15-hyperplane-bounded"
     evaluates both the envelope and primed support slabs and keeps the
     smaller vertex maximum among those whose positivity proviso holds.
     """
     bounded = _known(tag, "T14-hyperplane", "T15-hyperplane-bounded") == "T15-hyperplane-bounded"
-    lam, K, n0 = schedule.lam, schedule.K, schedule.n0
-    p = _own(premises, region, profile, schedule)
+    lam, K, n0 = p.schedule.lam, p.schedule.K, p.schedule.n0
     checks = p.audit(need_third_moment=not bounded)
     diag = {"m": hyp.anchor, "C": hyp.level, "lam": lam, "K": K, "n0": n0}
     if bounded:
-        checks.append(_chk("support-bounds", profile.bounded))
+        checks.append(_chk("support-bounds", p.profile.bounded))
     if any(c.status == "fail" for c in checks):
         return BoundReport(tag, "upper", math.nan, checks, diag)
     if not bounded:
@@ -482,8 +513,7 @@ def lorden_hyperplane_upper_bound(hyp: Hyperplane, profile: MomentProfile, K: in
 # ---------------------------------------------------------------------------
 
 
-def gradient_upper_bound(region: Region, profile: MomentProfile, schedule: SampleSchedule,
-                         tag: str, premises: Optional[Premises] = None) -> BoundReport:
+def gradient_upper_bound(p: Premises, tag: str) -> BoundReport:
     """E[N] <= g(mean) + 1 + quadratic form of the log-gradient against the noise.
 
     "T17-gradient" is the general form; "vipformula" is the closed scalar
@@ -491,12 +521,12 @@ def gradient_upper_bound(region: Region, profile: MomentProfile, schedule: Sampl
     boundary curve.
     """
     _known(tag, "T17-gradient", "vipformula")
+    region, profile = p.continuity_view, p.profile
     mu = profile.mean
-    p = _own(premises, region, profile, schedule)
     checks = [
         p.convex_origin,
         _chk("second-moment-finite", bool(np.all(np.isfinite(profile.variance)))),
-        _chk("all-naturals", schedule.is_all_naturals),
+        _chk("all-naturals", p.schedule.is_all_naturals),
     ]
     diag = {}
     if any(c.status == "fail" for c in checks):
@@ -563,10 +593,8 @@ _MAX_TERMS = 1_000_000
 _CROSSING_ROUND = 1e-9
 
 
-def concentration_upper_bound(region: Region, profile: MomentProfile,
-                              schedule: SampleSchedule, hyp: Optional[Hyperplane] = None,
-                              user_tail: Optional[Callable] = None,
-                              premises: Optional[Premises] = None) -> BoundReport:
+def concentration_upper_bound(p: Premises, hyp: Optional[Hyperplane] = None,
+                              user_tail: Optional[Callable] = None) -> BoundReport:
     """Tail-sum bound N_tau + sum of schedule gaps weighted by deviation tails.
 
     Deviations come from the distance between the mean and the region slice
@@ -583,8 +611,8 @@ def concentration_upper_bound(region: Region, profile: MomentProfile,
     empty.
     """
     tag = "T18-concentration" if hyp is None else "T19-concentration-hyperplane"
+    region, profile, schedule = p.continuity_view, p.profile, p.schedule
     d = profile.dim
-    p = _own(premises, region, profile, schedule)
     checks = p.audit(need_third_moment=True)
     vcheck, m = p.crossing
     checks.append(vcheck)

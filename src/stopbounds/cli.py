@@ -126,6 +126,12 @@ def region_from_config(cfg: dict):
     spec.setdefault("orientation", "le")
     spec.setdefault("kind", "continuity")
     _choice(spec["orientation"], ("le", "ge"), "region orientation")
+    for key in spec:  # every family parameter is a number; s_coef a nonempty list, even at d = 1
+        what = f"region {key}"
+        if key == "s_coef":
+            spec[key] = _reals(_list(spec[key], what), what)
+        elif key not in ("family", "orientation", "kind"):
+            spec[key] = _real(spec[key], what)
     try:
         return region_from_family(spec)
     except Exception as exc:
@@ -146,8 +152,7 @@ def schedule_from_config(cfg: dict) -> sch.SampleSchedule:
         if kind == "all-naturals":
             return sch.naturals(n0)
         if kind == "arithmetic":
-            return sch.arithmetic(_real(cfg.get("n0"), "n0", int),
-                                  _real(cfg.get("step"), "step", int))
+            return sch.arithmetic(n0, _real(cfg.get("step"), "step", int))
         if kind == "geometric":
             return sch.geometric(_real(cfg.get("first"), "first", int),
                                  _real(cfg.get("ratio"), "ratio"), n0)
@@ -240,6 +245,8 @@ def _build_brownian_bundle(config: dict) -> BrownianBundle:
     if len(np.atleast_1d(drift)) != region.dim or len(np.atleast_1d(diffusion)) not in (
             1, region.dim):
         raise ConfigError("region, drift and diffusion dimensions disagree")
+    if not all(math.isfinite(s * s) for s in np.atleast_1d(diffusion).tolist()):
+        raise ConfigError(f"brownian.diffusion squared must be finite, got {diffusion!r}")
     return BrownianBundle(
         config.get("name", "scenario"), region, drift=drift, diffusion=diffusion,
         dt=_real(sim.get("dt", 0.01), "simulate.dt", minimum=1e-9),
@@ -292,7 +299,7 @@ def cmd_certify(config: dict, seed: int, out: str, fmt: str) -> int:
             _real(manual.get("value"), "manual bound value")))
     level = None
     if not isinstance(bundle, BrownianBundle):
-        level = bundle.threshold_level() if any(
+        level = bundle.premises.threshold_level if any(
             r.theorem.startswith("Lorden-") for r in reports) else None
     try:
         estimate = _simulate_bundle(bundle, config, seed, overshoot_level=level)

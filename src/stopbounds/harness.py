@@ -1,15 +1,12 @@
 """Scenario bundles, theorem-tag dispatch, and the certification comparison.
 
-A bundle ties one increment law, one region, and one schedule together and
-derives the views the calculators need: the continuity-side closure, the
-stopping-side closure, the supporting hyperplane, and the premises that
-several calculators share (``bounds.Premises``: the hypotheses, the mean-ray
-crossing, the slabs, the start of the concentration series), each once per
-bundle.  A Brownian bundle shares the region views and derives its premises,
-and T8's ray for Brown2, at the drift.  ``bound_report`` turns a theorem tag
-into a report, and ``brownian_report`` answers a Brownian tag with the same
-calculators at the drift; ``certify`` compares reports against a Monte Carlo
-estimate with the four-sigma slack, respecting truncation bias.
+A bundle holds one scenario's inputs (an increment law, a region and a
+schedule, or a Brownian drift and diffusion) and its ``bounds.Premises``:
+all that is derived from them, each fact once per bundle, at the drift for
+a Brownian bundle.  ``bound_report`` turns a theorem tag into a report, and
+``brownian_report`` answers a Brownian tag with the same calculators at the
+drift; ``certify`` compares reports against a Monte Carlo estimate with the
+four-sigma slack, respecting truncation bias.
 """
 
 from __future__ import annotations
@@ -17,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, wraps
-from typing import Optional
 
 from . import bounds as bd
 from .geometry import (
@@ -28,9 +24,9 @@ from .geometry import (
     Region,
     RegionError,
     ray_exit_time,  # noqa: F401  (kept as a harness name: the benchmark tracer wraps it)
-    supporting_hyperplane,
+    supporting_hyperplane,  # noqa: F401  (as above; the plane is built through bounds)
 )
-from .moments import DistributionSpec, MomentProfile, analytic_moments
+from .moments import DistributionSpec, analytic_moments
 from .schedules import SampleSchedule
 from .simulate import SimulationEstimate
 
@@ -40,41 +36,8 @@ def _reciprocal(g: float) -> float:
     return 1.0 / g if g > 0 else math.inf
 
 
-def _evaluated(value: float):
-    """A rule function for ``wald_lower_bound``, which reads its rule only at the mean.
-
-    ``value`` is the rule there, as the bundle's premises already hold it.
-    """
-    return lambda v: value
-
-
-class _RegionViews:
-    """Region views of a bundle with ``region``, and whether its reciprocal rule is concave."""
-
-    @cached_property
-    def continuity_view(self) -> Region:
-        if self.region.kind == "continuity":
-            return self.region
-        return self.region.complement_closure()
-
-    @cached_property
-    def stopping_view(self) -> Region:
-        if self.region.kind == "stopping":
-            return self.region
-        return self.region.complement_closure()
-
-    def reciprocal_rule_concave(self) -> bool:
-        """Whether 1/g is concave, as T-UseWald-lower and Brown4 need.
-
-        Along a ray a built-in region has g = (alpha/rate)^(1/k) with the
-        rate affine in v, so 1/g = (rate/alpha)^(1/k) is affine for a flat
-        family (k = 1) and strictly convex for a power boundary (k < 1).
-        """
-        return self.continuity_view.power_exponent is None
-
-
 @dataclass
-class ScenarioBundle(_RegionViews):
+class ScenarioBundle:
     """One experiment: distribution + region + schedule."""
 
     name: str
@@ -86,33 +49,14 @@ class ScenarioBundle(_RegionViews):
     boundary: str = "closed"
 
     @cached_property
-    def profile(self) -> MomentProfile:
-        return analytic_moments(self.spec)
-
-    @cached_property
-    def hyperplane(self):
-        return supporting_hyperplane(self.continuity_view, self.profile.mean)
-
-    @cached_property
     def premises(self) -> bd.Premises:
-        """What the calculators share, derived once for this bundle."""
-        return bd.Premises(self.continuity_view, self.profile.mean, self.profile, self.schedule)
-
-    def threshold_level(self) -> Optional[float]:
-        """Level c of a flat stopping threshold {s >= c}, in whatever family it is written.
-
-        The boundary s = f(t) is flat when its exact slope is 0; t = 1
-        avoids the power family's infinite slope at t = 0.  Only a region
-        with a boundary curve has an orientation.
-        """
-        view = self.stopping_view
-        if view.orientation == "ge" and view.boundary_slope(1.0) == 0.0:
-            return float(view.scalar_boundary(1.0))
-        return None
+        """What is derived from the scenario, once for this bundle."""
+        profile = analytic_moments(self.spec)
+        return bd.Premises(self.region, profile.mean, profile, self.schedule)
 
 
 @dataclass(frozen=True)
-class BrownianBundle(_RegionViews):
+class BrownianBundle:
     """Continuous-time experiment: drift/diffusion path in a region."""
 
     name: str
@@ -125,13 +69,8 @@ class BrownianBundle(_RegionViews):
 
     @cached_property
     def premises(self) -> bd.Premises:
-        """(III) and the mean ray at the drift, derived once for this bundle."""
-        return bd.Premises(self.continuity_view, self.drift)
-
-    @cached_property
-    def stopping_ray(self) -> bd.BoundReport:
-        """T8 at the drift, derived once: Brown2-lower reads its entry, Brown2-upper its exit."""
-        return bd.stopping_region_lower_bound(self.stopping_view, self.drift)
+        """The region views, (III) and the rays at the drift, once for this bundle."""
+        return bd.Premises(self.region, self.drift)
 
 
 # a region outside a calculator's geometric hypotheses makes its report inapplicable,
@@ -146,14 +85,16 @@ def _failed(tag: str, direction: str, ident: str, note: str) -> bd.BoundReport:
 
 
 def _geometry_guard(report_fn):
-    """Turn a geometry error raised for ``tag`` into an inapplicable report."""
+    """Turn a geometry error, or a float overflow or division by 0, into an inapplicable report."""
     @wraps(report_fn)
     def guarded(tag: str, bundle) -> bd.BoundReport:
+        direction = "upper" if tag in bd.UPPER_TAGS else "lower"
         try:
             return report_fn(tag, bundle)
         except _GEOMETRY_ERRORS as exc:
-            return _failed(tag, "upper" if tag in bd.UPPER_TAGS else "lower",
-                           "geometry", str(exc))
+            return _failed(tag, direction, "geometry", str(exc))
+        except ArithmeticError as exc:
+            return _failed(tag, direction, "finite-arithmetic", f"{type(exc).__name__}: {exc}")
 
     return guarded
 
@@ -161,38 +102,30 @@ def _geometry_guard(report_fn):
 @_geometry_guard
 def bound_report(tag: str, bundle: ScenarioBundle) -> bd.BoundReport:
     """Compute the report for one theorem tag against the bundle's scenario."""
-    prof = bundle.profile
-    sched = bundle.schedule
-    mean = prof.mean
+    p = bundle.premises
+    prof, sched = p.profile, p.schedule
     if tag == "T8-lower":
-        return bd.stopping_region_lower_bound(bundle.stopping_view, mean)
+        return _copy(p.stopping_ray)
     if tag == "T-UseWald-lower":
-        rule = _evaluated(_reciprocal(bundle.premises.g_at_mean))
-        return bd.wald_lower_bound(rule, mean, concave=bundle.reciprocal_rule_concave())
+        return bd.wald_lower_bound(_reciprocal(p.g_at_mean), concave=p.reciprocal_rule_concave)
     if tag in ("T10-upper", "T11-upper-bounded"):
-        return bd.slab_optimization_upper_bound(bundle.continuity_view, prof, sched, tag,
-                                                premises=bundle.premises)
+        return bd.slab_optimization_upper_bound(p, tag)
     if tag in ("T12-samplemean", "T13-samplemean-naturals", "T-try88-bounded"):
-        return bd.sample_mean_upper_bound(bundle.continuity_view, prof, sched, tag,
-                                          premises=bundle.premises)
+        return bd.sample_mean_upper_bound(p, tag)
     if tag in ("T14-hyperplane", "T15-hyperplane-bounded"):
-        return bd.hyperplane_vertex_upper_bound(bundle.continuity_view, bundle.hyperplane,
-                                                prof, sched, tag, premises=bundle.premises)
+        return bd.hyperplane_vertex_upper_bound(p, p.hyperplane, tag)
     if tag.startswith("T16-chenlorden-"):
         k = 1 if sched.is_all_naturals else (sched.step or 0)
         if not k or not sched.is_multiples_of(k):
             return _failed(tag, "upper", "schedule-multiples",
                            "rule must be checked at multiples of a fixed batch size")
-        return bd.lorden_hyperplane_upper_bound(bundle.hyperplane, prof, k, tag)
+        return bd.lorden_hyperplane_upper_bound(p.hyperplane, prof, k, tag)
     if tag in ("T17-gradient", "vipformula"):
-        return bd.gradient_upper_bound(bundle.continuity_view, prof, sched, tag,
-                                       premises=bundle.premises)
+        return bd.gradient_upper_bound(p, tag)
     if tag in ("T18-concentration", "T19-concentration-hyperplane"):
-        hyp = bundle.hyperplane if tag.startswith("T19") else None
-        return bd.concentration_upper_bound(bundle.continuity_view, prof, sched, hyp=hyp,
-                                            premises=bundle.premises)
+        return bd.concentration_upper_bound(p, hyp=p.hyperplane if tag.startswith("T19") else None)
     if tag in ("Lorden-T6", "Lorden-T7"):
-        level = bundle.threshold_level()
+        level = p.threshold_level
         if level is None:
             return _failed(tag, "upper", "constant-threshold",
                            "overshoot bounds need a constant stopping threshold")
@@ -200,6 +133,12 @@ def bound_report(tag: str, bundle: ScenarioBundle) -> bd.BoundReport:
             return _failed(tag, "upper", "scalar-increments", "dim must be 1")
         return bd.overshoot_upper_bound(bundle.spec, level, sched, tag)
     raise ValueError(f"unknown theorem tag {tag!r}")
+
+
+def _copy(report: bd.BoundReport, **changes) -> bd.BoundReport:
+    """``report`` with ``changes``, holding lists of its own: a shared premise stays unchanged."""
+    return replace(report, assumptions=list(report.assumptions),
+                   diagnostics=dict(report.diagnostics), **changes)
 
 
 @_geometry_guard
@@ -210,31 +149,28 @@ def brownian_report(tag: str, bundle: BrownianBundle) -> bd.BoundReport:
     Wald checks on the rule function g and on its reciprocal, which read g
     at the drift from the bundle's premises, as Brown1 reads the crossing.
     """
-    drift = bundle.drift
+    p = bundle.premises
     if tag == "Brown1":
-        iii = bundle.premises.convex_origin
+        iii = p.convex_origin
         if iii.status == "fail":
             return bd.BoundReport(tag, "upper", math.nan, [iii], {})
-        crossing, m = bundle.premises.crossing
+        crossing, m = p.crossing
         return bd.BoundReport(tag, "upper", m, [iii, crossing], {"m": m})
-    if tag in ("Brown2-lower", "Brown2-upper"):
-        report = bundle.stopping_ray
-        own = {"theorem": tag, "assumptions": list(report.assumptions),
-               "diagnostics": dict(report.diagnostics)}  # not shared with the other Brown2
-        if tag == "Brown2-lower":
-            return replace(report, **own)
+    if tag == "Brown2-lower":
+        return _copy(p.stopping_ray, theorem=tag)
+    if tag == "Brown2-upper":
         # a ray that never enters keeps the +inf, failed checks the nan
-        return replace(report, direction="upper",
-                       value=report.diagnostics.get("mean_ray_exit", report.value), **own)
-    if tag == "Brown3":
-        report = bd.wald_lower_bound(_evaluated(bundle.premises.g_at_mean), drift)
-        g0 = report.diagnostics["g_at_mean"]
-        if g0 == 0.0:  # Wald's +inf lower bound at g = 0 bounds nothing from above
-            report.assumptions[-1] = bd._chk("g-positive-at-mean", False, "g(mean)=0")
-        return replace(report, theorem=tag, direction="upper", value=g0 if g0 > 0.0 else math.nan)
+        ray = p.stopping_ray
+        return _copy(ray, theorem=tag, direction="upper",
+                     value=ray.diagnostics.get("mean_ray_exit", ray.value))
+    if tag == "Brown3":  # g(mean) bounds E[N] above; g = 0, where Wald's bound is +inf, nothing
+        g0 = float(p.g_at_mean)
+        checks = [bd.AssumptionCheck("g-concave", "declared"),
+                  bd._chk("g-positive-at-mean", g0 > 0.0, f"g(mean)={g0:.6g}")]
+        return bd.BoundReport(tag, "upper", g0 if g0 > 0.0 else math.nan, checks,
+                              {"g_at_mean": g0})
     if tag == "Brown4":
-        rule = _evaluated(_reciprocal(bundle.premises.g_at_mean))
-        report = bd.wald_lower_bound(rule, drift, concave=bundle.reciprocal_rule_concave())
+        report = bd.wald_lower_bound(_reciprocal(p.g_at_mean), concave=p.reciprocal_rule_concave)
         return replace(report, theorem=tag)
     raise ValueError(f"unknown Brownian tag {tag!r}")
 

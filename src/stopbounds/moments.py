@@ -369,7 +369,8 @@ def analytic_moments(spec: DistributionSpec) -> MomentProfile:
     """Closed-form moment profile for a distribution spec."""
     cols = list(zip(*(SCALAR_FAMILIES[c.family].moments(c.params) for c in spec.components)))
     mean, pos, var, a3, lo, hi = (np.array(col, dtype=float) for col in cols)
-    width = hi - lo  # inf on an unbounded side
+    with np.errstate(over="ignore"):
+        width = hi - lo  # inf on an unbounded side, or past the float range
     v = None if np.isinf(width).any() else np.where(
         width > 0, (mean - lo) * (hi - mean) / np.where(width > 0, width, 1.0), 0.0)
     return MomentProfile(mean, pos, pos.copy(), var, a3, lo, hi, v)

@@ -412,29 +412,48 @@ def _passage_line(region: Region):
     return -beta, -kappa, -alpha
 
 
+# past this mean/scale ratio Generator.wald's transform cancels to exact zeros
+_WALD_RATIO = 1e8
+
+
+def _inverse_gaussian(rng: np.random.Generator, mu: float, lam: float, n: int) -> np.ndarray:
+    """n IG(mu, lam) draws: ``Generator.wald`` up to mu/lam = _WALD_RATIO.
+
+    Past it, the same Michael, Schucany & Haas (1976) transform without its
+    subtraction: with y = Z^2, x = 4 lam y / (y + sqrt(y^2 + 4 lam y / mu))^2,
+    kept with probability 1/(1 + x/mu), else mu^2/x; at mu = inf, lam/Z^2.
+    """
+    if mu <= _WALD_RATIO * lam:  # lam = c^2/v may underflow to 0
+        return rng.wald(mu, lam, n)
+    y = rng.standard_normal(n) ** 2
+    keep = rng.random(n)
+    with np.errstate(divide="ignore", over="ignore"):
+        x = 4.0 * lam * y / (y + np.sqrt(y * y + 4.0 * lam * y / mu)) ** 2
+        return np.where(keep <= 1.0 / (1.0 + x / mu), x, mu * (mu / x))
+
+
 def _passage_times(rng: np.random.Generator, n: int, c: float, gamma: float,
                    v: float) -> np.ndarray:
     """n first times at which a Brownian motion with drift gamma and variance v reaches c.
 
-    An inverse Gaussian IG(c/gamma, c^2/v) time for gamma > 0, drawn with
-    ``Generator.wald`` (Michael, Schucany & Haas 1976); the Levy time
-    c^2/(v Z^2) for gamma = 0; for gamma < 0 the level is reached with
-    probability exp(2 c gamma / v), and then at an IG(c/|gamma|, c^2/v)
-    time.  A level never reached gives inf.
+    An inverse Gaussian IG(c/gamma, c^2/v) time for gamma > 0
+    (``_inverse_gaussian``); the Levy time c^2/(v Z^2) for gamma = 0; for
+    gamma < 0 the level is reached with probability exp(2 c gamma / v), and
+    then at an IG(c/|gamma|, c^2/v) time.  A level never reached gives inf.
     """
     if c <= 0.0:
         return np.zeros(n)
     if v == 0.0:
         return np.full(n, c / gamma if gamma > 0.0 else math.inf)
     if gamma > 0.0:
-        return rng.wald(c / gamma, c * c / v, n)
+        return _inverse_gaussian(rng, c / gamma, c * c / v, n)
     if gamma == 0.0:
         z = rng.standard_normal(n)
         with np.errstate(divide="ignore"):
             return c * c / (v * z * z)
     tau = np.full(n, math.inf)
     hit = rng.random(n) < math.exp(2.0 * c * gamma / v)
-    tau[hit] = rng.wald(c / -gamma, c * c / v, int(np.count_nonzero(hit)))
+    tau[hit] = _inverse_gaussian(rng, c / -gamma, c * c / v, int(np.count_nonzero(hit)))
     return tau
 
 

@@ -21,6 +21,10 @@ def bundle(spec, region, schedule):
     return ScenarioBundle("test", spec, region, schedule)
 
 
+def premises(region, profile, schedule):
+    return sb.Premises(region, profile.mean, profile, schedule)
+
+
 def test_stopping_lower_bound_examples():
     region = sb.affine_region(1.0, 10.0, "ge", "stopping")
     assert sb.stopping_region_lower_bound(region, 2.0).value == pytest.approx(10.0, abs=1e-9)
@@ -38,7 +42,7 @@ def test_stopping_lower_bound_requires_flags():
 def test_slab_bound_point_mass():
     prof = sb.analytic_moments(sb.point_mass(1.0))
     report = sb.slab_optimization_upper_bound(
-        sb.constant_region(5.0), prof, sb.naturals(), "T10-upper")
+        premises(sb.constant_region(5.0), prof, sb.naturals()), "T10-upper")
     assert report.applicable
     assert report.value == pytest.approx(6.0, abs=1e-6)
 
@@ -46,7 +50,8 @@ def test_slab_bound_point_mass():
 def test_slab_bound_bounded_variant_against_grid():
     prof = sb.analytic_moments(sb.bernoulli_affine(0, 1, 0.5))
     region = sb.constant_region(5.0)
-    report = sb.slab_optimization_upper_bound(region, prof, sb.naturals(), "T11-upper-bounded")
+    report = sb.slab_optimization_upper_bound(premises(region, prof, sb.naturals()),
+                                              "T11-upper-bounded")
     assert report.applicable
     # grid oracle over (t, s): envelope and support slabs intersected
     from stopbounds.bounds import bounded_support_slab
@@ -63,7 +68,7 @@ def test_slab_bound_bounded_variant_against_grid():
 def test_slab_bound_unbounded_domain_flag():
     prof = sb.analytic_moments(sb.bernoulli_affine(0, 1, 0.5))
     conic = sb.affine_region(1.0, 5.0, "le")
-    report = sb.slab_optimization_upper_bound(conic, prof, sb.naturals(), "T10-upper")
+    report = sb.slab_optimization_upper_bound(premises(conic, prof, sb.naturals()), "T10-upper")
     assert report.value == math.inf
     assert report.applicable  # no unique crossing: the domain is unbounded
     assert [c.status for c in report.assumptions if c.ident == "V"] == ["unchecked"]
@@ -72,53 +77,62 @@ def test_slab_bound_unbounded_domain_flag():
 def test_sample_mean_bound_examples():
     pm = sb.analytic_moments(sb.point_mass(1.0))
     five_over_v = sb.constant_region(5.0)  # g(v) = 5/v
-    report = sb.sample_mean_upper_bound(five_over_v, pm, sb.naturals(),
+    report = sb.sample_mean_upper_bound(premises(five_over_v, pm, sb.naturals()),
                                         "T13-samplemean-naturals")
     assert report.applicable and report.value == pytest.approx(7.0, abs=1e-9)
 
     bern = sb.analytic_moments(sb.bernoulli_affine(0, 1, 0.5))
     sched = sb.naturals(1)  # gap 1 <= start anchor 1
-    report = sb.sample_mean_upper_bound(five_over_v, bern, sched, "T-try88-bounded")
+    report = sb.sample_mean_upper_bound(premises(five_over_v, bern, sched), "T-try88-bounded")
     assert report.applicable and report.value == pytest.approx(21.0, abs=1e-9)
 
     four = sb.halfspace_region([0.0], 1.0, 4.0)  # g(v) = 4: the time slab t <= 4
-    report = sb.sample_mean_upper_bound(four, bern, sched, "T12-samplemean")
+    report = sb.sample_mean_upper_bound(premises(four, bern, sched), "T12-samplemean")
     assert report.value == pytest.approx(1.0 + 4.0, abs=1e-12)
 
 
 def test_sample_mean_bound_gate_checks():
     bern = sb.analytic_moments(sb.bernoulli_affine(0, 1, 0.5))
     five_over_v = sb.constant_region(5.0)
-    report = sb.sample_mean_upper_bound(five_over_v, bern, sb.naturals(), "T12-samplemean")
+    report = sb.sample_mean_upper_bound(premises(five_over_v, bern, sb.naturals()),
+                                        "T12-samplemean")
     assert not report.applicable  # max gap 1 exceeds start anchor 0
     exp = sb.analytic_moments(sb.exponential(1.0))
-    report = sb.sample_mean_upper_bound(five_over_v, exp, sb.naturals(1), "T-try88-bounded")
+    report = sb.sample_mean_upper_bound(premises(five_over_v, exp, sb.naturals(1)),
+                                        "T-try88-bounded")
     assert not report.applicable  # no support bounds
 
 
 def test_sample_mean_bound_infinite_box_value():
     bern = sb.analytic_moments(sb.bernoulli_affine(0, 1, 0.5))
     region = sb.affine_region(0.5, -1.0, "ge")  # rays at slope >= 1/2 never leave
-    report = sb.sample_mean_upper_bound(region, bern, sb.naturals(), "T13-samplemean-naturals")
+    report = sb.sample_mean_upper_bound(premises(region, bern, sb.naturals()),
+                                        "T13-samplemean-naturals")
     assert report.value == math.inf
     # an oracle region takes the box search, which finds the same +inf
     oracle = region_from_oracle(region.contains, 1, convex_closure=True, contains_origin=True)
-    report = sb.sample_mean_upper_bound(oracle, bern, sb.naturals(), "T13-samplemean-naturals")
+    report = sb.sample_mean_upper_bound(premises(oracle, bern, sb.naturals()),
+                                        "T13-samplemean-naturals")
     assert report.value == math.inf
 
 
 def test_wald_lower_bound_examples():
-    assert sb.wald_lower_bound(lambda v: v[0], 0.25).value == pytest.approx(4.0)
-    assert sb.wald_lower_bound(lambda v: min(v[0], 1.0), 0.5).value == pytest.approx(2.0)
-    assert sb.wald_lower_bound(lambda v: math.sqrt(v[0]), 0.25).value == pytest.approx(2.0)
-    assert not sb.wald_lower_bound(lambda v: -1.0, 0.25).applicable
+    # the rule g at the mean: E[N] >= 1/g(mean)
+    assert sb.wald_lower_bound(0.25).value == 4.0
+    assert sb.wald_lower_bound(0.5, concave=True).value == 2.0
+    assert sb.wald_lower_bound(0.5).assumptions[0].status == "declared"
+    assert not sb.wald_lower_bound(0.5, concave=False).applicable
+    assert not sb.wald_lower_bound(-1.0).applicable
+    never = sb.wald_lower_bound(0.0)
+    assert never.applicable and never.value == math.inf
 
 
 def test_hyperplane_vertex_bound_examples():
     pm = sb.analytic_moments(sb.point_mass(1.0))
     hyp = sb.Hyperplane([1.0], 0.0, 5.0, 5.0)
     region = sb.constant_region(5.0)
-    report = sb.hyperplane_vertex_upper_bound(region, hyp, pm, sb.naturals(), "T14-hyperplane")
+    report = sb.hyperplane_vertex_upper_bound(premises(region, pm, sb.naturals()), hyp,
+                                              "T14-hyperplane")
     assert report.value == pytest.approx(6.0, abs=1e-12)
 
     # two-vertex arithmetic with a widened manual slab
@@ -133,7 +147,7 @@ def test_hyperplane_vertex_bounded_variant_takes_minimum():
     prof = sb.analytic_moments(sb.bernoulli_affine(0, 1, 0.5))
     region = sb.constant_region(5.0)
     hyp = sb.supporting_hyperplane(region, prof.mean)
-    report = sb.hyperplane_vertex_upper_bound(region, hyp, prof, sb.naturals(),
+    report = sb.hyperplane_vertex_upper_bound(premises(region, prof, sb.naturals()), hyp,
                                               "T15-hyperplane-bounded")
     assert report.applicable
     assert report.diagnostics["winning_slab"] == "support"
@@ -159,7 +173,7 @@ def test_hyperplane_vertex_bound_needs_support():
     prof = sb.analytic_moments(sb.exponential(1.0))
     hyp = sb.Hyperplane([1.0], 0.0, 5.0, 5.0)
     region = sb.constant_region(5.0)
-    report = sb.hyperplane_vertex_upper_bound(region, hyp, prof, sb.naturals(),
+    report = sb.hyperplane_vertex_upper_bound(premises(region, prof, sb.naturals()), hyp,
                                               "T15-hyperplane-bounded")
     assert not report.applicable
 
@@ -209,17 +223,17 @@ def test_lorden_chain_is_monotone(batch):
 def test_gradient_bound_examples():
     bern = sb.analytic_moments(sb.bernoulli_affine(0, 1, 0.5))
     region = sb.constant_region(5.0)
-    report = sb.gradient_upper_bound(region, bern, sb.naturals(), "vipformula")
+    report = sb.gradient_upper_bound(premises(region, bern, sb.naturals()), "vipformula")
     assert report.applicable and report.value == pytest.approx(12.0, abs=1e-9)
 
     pm = sb.analytic_moments(sb.point_mass(1.0))
-    report = sb.gradient_upper_bound(sb.power_region(2.0, 0.5), pm, sb.naturals(), "T17-gradient")
+    sqrt_boundary = sb.power_region(2.0, 0.5)
+    report = sb.gradient_upper_bound(premises(sqrt_boundary, pm, sb.naturals()), "T17-gradient")
     assert report.value == pytest.approx(5.0, abs=1e-6)
 
-    report = sb.gradient_upper_bound(sb.power_region(2.0, 0.5), bern, sb.naturals(),
-                                     "vipformula")
+    report = sb.gradient_upper_bound(premises(sqrt_boundary, bern, sb.naturals()), "vipformula")
     assert report.value == pytest.approx(21.0, abs=1e-6)
-    report = sb.gradient_upper_bound(sb.power_region(2.0, 0.5), bern, sb.naturals(), "T17-gradient")
+    report = sb.gradient_upper_bound(premises(sqrt_boundary, bern, sb.naturals()), "T17-gradient")
     assert report.value == pytest.approx(21.0, abs=1e-4)
 
 
@@ -233,8 +247,8 @@ def test_gradient_bound_examples():
 def test_t17_equals_vipformula_on_scalar_regions(region, spec):
     # d = 1: grad ln g = 1/(f'(m) - mean), so the quadratic form is var/(f'(m) - mean)^2
     prof = sb.analytic_moments(spec)
-    t17 = sb.gradient_upper_bound(region, prof, sb.naturals(), "T17-gradient")
-    vip = sb.gradient_upper_bound(region, prof, sb.naturals(), "vipformula")
+    t17 = sb.gradient_upper_bound(premises(region, prof, sb.naturals()), "T17-gradient")
+    vip = sb.gradient_upper_bound(premises(region, prof, sb.naturals()), "vipformula")
     assert t17.applicable and vip.applicable
     assert t17.value == pytest.approx(vip.value, rel=0, abs=1e-12)
     assert t17.diagnostics["closed_scalar_form"] == pytest.approx(vip.value, rel=0, abs=1e-12)
@@ -277,7 +291,7 @@ def test_flat_threshold_forms_give_identical_lorden_reports(spec, schedule):
 def test_gradient_bound_gates():
     bern = sb.analytic_moments(sb.bernoulli_affine(0, 1, 0.5))
     region = sb.constant_region(5.0)
-    report = sb.gradient_upper_bound(region, bern, sb.arithmetic(0, 2), "T17-gradient")
+    report = sb.gradient_upper_bound(premises(region, bern, sb.arithmetic(0, 2)), "T17-gradient")
     assert not report.applicable  # needs every sample size
 
 
@@ -285,15 +299,14 @@ def test_calculators_take_only_the_report_tags():
     # one name per theorem: a calculator computes the tag it is given, and
     # refuses a short name or another calculator's tag
     prof = sb.analytic_moments(sb.bernoulli_affine(0, 1, 0.5))
-    region, hyp = sb.constant_region(5.0), sb.Hyperplane([1.0], 0.0, 5.0, 10.0)
+    p = premises(sb.constant_region(5.0), prof, sb.naturals())
+    hyp = sb.Hyperplane([1.0], 0.0, 5.0, 10.0)
     calls = {
-        "T10-upper": lambda tag: sb.slab_optimization_upper_bound(region, prof, sb.naturals(), tag),
-        "T13-samplemean-naturals": lambda tag: sb.sample_mean_upper_bound(
-            region, prof, sb.naturals(), tag),
-        "T15-hyperplane-bounded": lambda tag: sb.hyperplane_vertex_upper_bound(
-            region, hyp, prof, sb.naturals(), tag),
+        "T10-upper": lambda tag: sb.slab_optimization_upper_bound(p, tag),
+        "T13-samplemean-naturals": lambda tag: sb.sample_mean_upper_bound(p, tag),
+        "T15-hyperplane-bounded": lambda tag: sb.hyperplane_vertex_upper_bound(p, hyp, tag),
         "T16-chenlorden-III": lambda tag: sb.lorden_hyperplane_upper_bound(hyp, prof, 1, tag),
-        "vipformula": lambda tag: sb.gradient_upper_bound(region, prof, sb.naturals(), tag),
+        "vipformula": lambda tag: sb.gradient_upper_bound(p, tag),
         "Lorden-T6": lambda tag: overshoot_upper_bound(sb.exponential(1.0), 1.0,
                                                        sb.naturals(), tag),
     }
@@ -321,7 +334,7 @@ def _series_oracle_mpmath(n_start, dev_fn, width=1.0):
 def test_concentration_bound_affine_example():
     prof = sb.analytic_moments(sb.bernoulli_affine(0, 1, 0.25))
     region = sb.affine_region(0.5, -1.0, "ge")
-    report = sb.concentration_upper_bound(region, prof, sb.naturals())
+    report = sb.concentration_upper_bound(premises(region, prof, sb.naturals()))
     # the slice lies above the mean, so the one-sided scalar tail is summed
     assert report.diagnostics["slice_side_at_N_tau"] == "above"
     assert report.diagnostics["one_sided"]
@@ -335,7 +348,7 @@ def test_concentration_bound_affine_example():
 def test_concentration_point_mass_collapses_to_first_check():
     prof = sb.analytic_moments(sb.point_mass(1.0))
     region = sb.constant_region(5.0)
-    report = sb.concentration_upper_bound(region, prof, sb.naturals())
+    report = sb.concentration_upper_bound(premises(region, prof, sb.naturals()))
     assert report.value == pytest.approx(6.0, abs=1e-12)
 
 
@@ -343,8 +356,8 @@ def test_concentration_t19_matches_t18_on_halfspace():
     prof = sb.analytic_moments(sb.bernoulli_affine(0, 1, 0.25))
     region = sb.affine_region(0.5, -1.0, "ge")
     hyp = sb.supporting_hyperplane(region, prof.mean)
-    t18 = sb.concentration_upper_bound(region, prof, sb.naturals())
-    t19 = sb.concentration_upper_bound(region, prof, sb.naturals(), hyp=hyp)
+    t18 = sb.concentration_upper_bound(premises(region, prof, sb.naturals()))
+    t19 = sb.concentration_upper_bound(premises(region, prof, sb.naturals()), hyp=hyp)
     assert (t18.theorem, t19.theorem) == ("T18-concentration", "T19-concentration-hyperplane")
     assert t19.value == pytest.approx(t18.value, abs=1e-9)
 
@@ -352,7 +365,7 @@ def test_concentration_t19_matches_t18_on_halfspace():
 def test_concentration_needs_support_for_hoeffding():
     prof = sb.analytic_moments(sb.exponential(1.0))
     region = sb.constant_region(5.0)
-    report = sb.concentration_upper_bound(region, prof, sb.naturals())
+    report = sb.concentration_upper_bound(premises(region, prof, sb.naturals()))
     assert not report.applicable
 
 
@@ -360,7 +373,7 @@ def test_concentration_vector_variant_d2():
     spec = sb.product([sb.bernoulli_affine(0, 1, 0.5), sb.bernoulli_affine(0, 1, 0.5)])
     prof = sb.analytic_moments(spec)
     region = sb.halfspace_region([1.0, 1.0], 0.0, 5.0, "le", "continuity")
-    report = sb.concentration_upper_bound(region, prof, sb.geometric(1, 2.0))
+    report = sb.concentration_upper_bound(premises(region, prof, sb.geometric(1, 2.0)))
     assert report.applicable
     assert not report.diagnostics["one_sided"]
     est = sb.run_discrete(region, spec, sb.geometric(1, 2.0), 10_000, seed=5)
@@ -368,7 +381,7 @@ def test_concentration_vector_variant_d2():
     # the two-sided vector tail, which no snapshot row (all d = 1) reaches, pinned
     # bit for bit on both series: the plane of a halfspace is the halfspace
     hyp = sb.supporting_hyperplane(region, prof.mean)
-    t19 = sb.concentration_upper_bound(region, prof, sb.geometric(1, 2.0), hyp=hyp)
+    t19 = sb.concentration_upper_bound(premises(region, prof, sb.geometric(1, 2.0)), hyp=hyp)
     assert report.value == t19.value == 17.460274096760507
 
 
@@ -379,7 +392,8 @@ def test_concentration_user_tail():
     def gauss_tail(n, dev):  # exact one-sided gaussian mean tail
         return math.erfc(dev * math.sqrt(n) / (0.5 * math.sqrt(2.0))) / 2.0
 
-    report = sb.concentration_upper_bound(region, prof, sb.naturals(), user_tail=gauss_tail)
+    report = sb.concentration_upper_bound(premises(region, prof, sb.naturals()),
+                                          user_tail=gauss_tail)
     assert report.applicable
     assert report.value > report.diagnostics["N_tau"]
     assert report.value == 12.302896357794216  # pinned bit for bit: no snapshot row has a user tail
@@ -396,7 +410,7 @@ def test_concentration_at_an_exact_tie_counts_the_touching_look(coef, exponent):
     prof = sb.analytic_moments(sb.point_mass(-1.0))
     hyp = sb.supporting_hyperplane(region, prof.mean)
     for plane in (None, hyp):
-        report = sb.concentration_upper_bound(region, prof, sb.naturals(), hyp=plane)
+        report = sb.concentration_upper_bound(premises(region, prof, sb.naturals()), hyp=plane)
         assert report.applicable and report.value == 17.0
     est = sb.run_discrete(region, sb.point_mass(-1.0), sb.naturals(), 100, seed=1)
     assert est.mean == 17.0 and est.stderr == 0.0
@@ -481,7 +495,7 @@ def test_brownian_bound_examples():
 
 def test_degenerate_noise_collapse():
     b = bundle(sb.point_mass(1.0), sb.constant_region(5.0), sb.naturals())
-    m = sb.mean_ray_crossing(b.continuity_view, 1.0)
+    m = sb.mean_ray_crossing(b.premises.continuity_view, 1.0)
     for tag in ("T10-upper", "T11-upper-bounded", "T14-hyperplane",
                 "T15-hyperplane-bounded", "T16-chenlorden-I", "T16-chenlorden-II",
                 "T16-chenlorden-III", "T17-gradient", "vipformula",
@@ -510,11 +524,10 @@ def test_t14_zero_vertex_denominator_gives_an_applicable_infinity():
     check = next(c for c in report.assumptions if c.ident == "denominator-positive")
     assert check.status == "unchecked" and "unbounded" in check.note
     # a negative smallest denominator still fails the proviso
-    hyp = row["bundle"].hyperplane
+    p = row["bundle"].premises
+    hyp = p.hyperplane
     steeper = sb.Hyperplane(hyp.s_coef, hyp.t_coef - 1.0, hyp.level, hyp.anchor)
-    report = sb.hyperplane_vertex_upper_bound(row["bundle"].continuity_view, steeper,
-                                              row["bundle"].profile, sb.naturals(),
-                                              "T14-hyperplane")
+    report = sb.hyperplane_vertex_upper_bound(p, steeper, "T14-hyperplane")
     assert not report.applicable and math.isnan(report.value)
     assert report.failed_assumptions() == ["denominator-positive"]
 
@@ -562,7 +575,8 @@ def test_shipped_bound_reports_never_search(monkeypatch):
     oracle = region_from_oracle(lambda t, s: s[0] <= 5.0, 1, convex_closure=True,
                                 contains_origin=True)
     prof = sb.analytic_moments(sb.bernoulli_affine(0, 1, 0.5))
-    report = sb.sample_mean_upper_bound(oracle, prof, sb.naturals(), "T13-samplemean-naturals")
+    report = sb.sample_mean_upper_bound(premises(oracle, prof, sb.naturals()),
+                                        "T13-samplemean-naturals")
     assert report.value == pytest.approx(2.0 + 5.0 / 0.25, rel=1e-8)  # box [0.25, 0.75]
     assert calls["max_concave_over_box"] == 1 and calls["golden_section_max"] == 1
 
@@ -675,7 +689,7 @@ def test_wald_lower_bound_is_inapplicable_on_a_power_row_without_declarations():
 
 def test_start_containment_is_computed_from_the_support_of_the_start_sum():
     def iv(region, prof, schedule):
-        report = sb.slab_optimization_upper_bound(region, prof, schedule, "T10-upper")
+        report = sb.slab_optimization_upper_bound(premises(region, prof, schedule), "T10-upper")
         return next(c.status for c in report.assumptions if c.ident == "IV")
 
     region = sb.constant_region(5.0)
@@ -759,12 +773,11 @@ def test_explicit_list_gets_no_upper_bound():
     with pytest.raises(sb.AllTruncatedError):
         sb.run_discrete(short.region, short.spec, short.schedule, 200, horizon=10**6, seed=1)
     # the calculators called directly run the same schedule checks
-    prof, region = short.profile, short.continuity_view
     decades = sb.explicit([1, 2, 3] + [10 * 2**k for k in range(7)])
-    direct = sb.hyperplane_vertex_upper_bound(region, short.hyperplane, prof, decades,
-                                              "T14-hyperplane")
+    p = premises(short.region, short.premises.profile, decades)
+    direct = sb.hyperplane_vertex_upper_bound(p, short.premises.hyperplane, "T14-hyperplane")
     assert {"I", "II"} <= set(direct.failed_assumptions())
-    gradient = sb.gradient_upper_bound(region, prof, decades, "T17-gradient")
+    gradient = sb.gradient_upper_bound(p, "T17-gradient")
     assert gradient.failed_assumptions() == ["all-naturals"]
     t6 = overshoot_upper_bound(sb.exponential(1.0), 5.0, decades, "Lorden-T6")
     assert t6.failed_assumptions() == ["all-naturals"]

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -144,6 +145,20 @@ def test_bound_command_config_errors(tmp_path, capsys):
             assert capsys.readouterr().err.startswith("stopbounds: ")
     assert main(["bound", str(path), "--seed", str(2**64 - 1),
                  "--out", str(tmp_path / "rep.csv")]) == 0
+    # region parameters are config numbers too: no string, bool, NaN or
+    # infinity, and a halfspace's s_coef is a nonempty list of them
+    for region in ('{"family": "constant", "level": "5"}',
+                   '{"family": "constant", "level": true}',
+                   '{"family": "constant", "level": NaN, "orientation": "ge", "kind": "stopping"}',
+                   '{"family": "constant", "level": Infinity}',
+                   '{"family": "affine", "slope": 1e400, "intercept": 5.0}',
+                   '{"family": "halfspace", "s_coef": 1.0, "t_coef": 0.0, "level": 5.0}',
+                   '{"family": "halfspace", "s_coef": [], "t_coef": 0.0, "level": 5.0}'):
+        text = json.dumps(dict(BASE, region="REGION", bounds=["T10-upper", "Lorden-T6"]))
+        path = tmp_path / "region.json"
+        path.write_text(text.replace('"REGION"', region))
+        assert main(["bound", str(path), "--out", str(tmp_path / "rep.csv")]) == 2, region
+        assert capsys.readouterr().err.startswith("stopbounds: region ")
     # hypotheses are computed, so a stale declarations key is refused by name
     path = write_config(tmp_path, "declared.json", dict(SQRT_WALD, declarations={
         "concave_rule": True}))
@@ -191,8 +206,10 @@ _FUZZ_BASES = [
          bounds=[tag for tag in ALL_TAGS if not tag.startswith("Brown")]),
     BROWNIAN,
 ]
+_EXTREMES = [1e308, -1e308, 1e-308, -1e-308, math.inf, -math.inf, math.nan]
 _JSON = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(-3, 40), st.floats(-50, 50),
+              st.sampled_from(_EXTREMES),
               st.text(max_size=3), st.sampled_from(["ge", "stopping", "gaussian", "explicit"])),
     lambda inner: st.one_of(st.lists(inner, max_size=3),
                             st.dictionaries(st.sampled_from(["p", "lo", "sd", "n0", "level"]),
@@ -214,7 +231,55 @@ def test_bound_command_never_raises_on_mutated_configs(config):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(config))
-        assert main(["bound", str(path), "--out", str(Path(tmp) / "rep.csv")]) in (0, 2)
+        out = Path(tmp) / "rep.csv"
+        assert main(["bound", str(path), "--out", str(out)]) in (0, 2)
+        # a value that is no number is never consumed as a bound
+        rows = read_rows(out) if out.exists() else []
+        assert not [r for r in rows if r["applicable"] == "true" and r["value"] == "nan"], rows
+
+
+_EXTREME_CASES = {  # (command, config) for finite numbers at the ends of the float range
+    "point-mass-1e308-T17": ("bound", dict(BASE, bounds=["T17-gradient"], distribution={
+        "family": "point-mass", "params": {"value": 1e308}})),
+    "exponential-rate-1e308": ("bound", dict(BASE, bounds=["T10-upper"], distribution={
+        "family": "exponential", "params": {"rate": 1e308}})),
+    "exponential-rate-1e-308": ("bound", dict(BASE, bounds=["T10-upper"], distribution={
+        "family": "exponential", "params": {"rate": 1e-308}})),
+    "bernoulli-x1-1e200": ("bound", dict(BASE, bounds=["T10-upper"], distribution={
+        "family": "bernoulli-affine", "params": {"x0": 0, "x1": 1e200, "p": 0.5}})),
+    "uniform-full-range-T6": ("bound", dict(
+        BASE, bounds=["Lorden-T6"],
+        region={"family": "constant", "level": 5.0, "orientation": "ge", "kind": "stopping"},
+        distribution={"family": "uniform-interval", "params": {"lo": -1e308, "hi": 1e308}})),
+    "brownian-diffusion-1e200": ("certify", dict(BROWNIAN, brownian={"drift": 0.5,
+                                                                    "diffusion": 1e200})),
+}
+
+
+@pytest.mark.parametrize("case", list(_EXTREME_CASES))
+def test_extreme_finite_numbers_end_without_a_traceback(tmp_path, capsys, case):
+    command, config = _EXTREME_CASES[case]
+    path = write_config(tmp_path, "cfg.json", config)
+    out = tmp_path / "rep.csv"
+    code = main([command, str(path), "--runs", "64", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("stopbounds: ")
+        return
+    # or every row is inapplicable: the overflow is named in its failed check
+    assert code == 0 and [r["applicable"] for r in read_rows(out)] == ["false"]
+
+
+def test_schedule_n0_defaults_to_0_for_every_kind(tmp_path):
+    # an arithmetic schedule without n0 starts at 0, like every other kind
+    out = tmp_path / "rep.csv"
+    for n0 in ({}, {"n0": 0}):
+        schedule = dict(n0, kind="arithmetic", step=2)
+        path = write_config(tmp_path, "cfg.json",
+                            dict(BASE, schedule=schedule, bounds=["T10-upper"]))
+        assert main(["bound", str(path), "--out", str(out)]) == 0
+        assert read_rows(out)[0]["value"] == "7.0"  # lam * m + K = 5 + 2
 
 
 def test_bound_command_reports_on_explicit_lists(tmp_path):

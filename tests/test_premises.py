@@ -114,7 +114,7 @@ def test_shipped_bundles_derive_each_shared_premise_at_most_once(monkeypatch):
     for bundle, tags, report_fn in _shipped():
         calls.clear()
         means["mean"] = np.atleast_1d(
-            bundle.drift if isinstance(bundle, BrownianBundle) else bundle.profile.mean)
+            bundle.drift if isinstance(bundle, BrownianBundle) else bundle.premises.profile.mean)
         for tag in tags:
             report_fn(tag, bundle)
             reports += 1
@@ -182,8 +182,8 @@ def _resummed(region, profile, schedule, hyp, user_tail, diag):
 
 def _assert_resums(region, profile, schedule, hyp=None, user_tail=None, report=None):
     if report is None:
-        report = sb.concentration_upper_bound(region, profile, schedule, hyp=hyp,
-                                              user_tail=user_tail)
+        report = sb.concentration_upper_bound(sb.Premises(region, profile.mean, profile, schedule),
+                                              hyp=hyp, user_tail=user_tail)
     assert report.applicable and "series_terms" in report.diagnostics, report
     value, terms = _resummed(region, profile, schedule, hyp, user_tail, report.diagnostics)
     assert repr(report.value) == repr(value)
@@ -197,8 +197,9 @@ def test_shipped_concentration_reports_resum_bit_for_bit():
         b = row["bundle"]
         for tag in ("T18-concentration", "T19-concentration-hyperplane"):
             if tag in row["tags"]:
-                hyp = b.hyperplane if tag.startswith("T19") else None
-                _assert_resums(b.continuity_view, b.profile, b.schedule, hyp,
+                p = b.premises
+                hyp = p.hyperplane if tag.startswith("T19") else None
+                _assert_resums(p.continuity_view, p.profile, b.schedule, hyp,
                                report=bound_report(tag, b))
                 resummed += 1
     assert resummed == 22

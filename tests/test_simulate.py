@@ -389,6 +389,19 @@ def test_brownian_diffusive_first_passage():
     assert abs(est.mean - 8.0) <= band
 
 
+@pytest.mark.parametrize("drift", [1e-17, 1e-18, 1e-308, -1e-18])
+def test_exact_passage_at_a_tiny_drift_is_the_levy_time(drift):
+    # past mean/scale ~ 1e15 Generator.wald's transform cancels to exact zeros,
+    # and at mean = inf it returns NaN: the passage to 4 at drift ~0 is
+    # Levy's, truncated at h, with mean the integral of P(|Z| < 4/sqrt(t)) to h
+    from scipy import integrate, special
+
+    h = 400.0
+    truth = integrate.quad(lambda t: special.erf(4.0 / math.sqrt(2.0 * t)), 0.0, h, limit=200)[0]
+    est = sb.run_brownian(sb.constant_region(4.0), drift, 1.0, 0.01, 20000, horizon=h, seed=3)
+    assert abs(est.mean - truth) <= 4.0 * est.stderr, (est.mean, est.stderr, truth)
+
+
 def test_brownian_workers_bit_identical():
     n = 6000
     assert n % _CHUNK and n > _CHUNK  # two chunks, the last one partial

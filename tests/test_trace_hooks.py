@@ -46,7 +46,8 @@ def test_gradient_bound_calls_log_exit_gradient_through_bounds(monkeypatch):
     monkeypatch.setattr(bounds, "log_exit_gradient",
                         lambda *a, **k: calls.append(a) or original(*a, **k))
     prof = sb.analytic_moments(sb.bernoulli_affine(0, 1, 0.5))
-    report = sb.gradient_upper_bound(sb.constant_region(5.0), prof, sb.naturals(), "T17-gradient")
+    p = sb.Premises(sb.constant_region(5.0), prof.mean, prof, sb.naturals())
+    report = sb.gradient_upper_bound(p, "T17-gradient")
     assert report.applicable and len(calls) == 1
 
 

@@ -22,7 +22,7 @@ library builds is such a family (``region_from_family``).
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -274,71 +274,80 @@ class FamilyRegion(Region):
         return -slack / (n * norm)
 
     def slab_max(self, slab) -> "SlabMaxResult":
-        """The largest t in [0, 2**30] whose box meets the slice.
+        """The largest t in [0, 2**30] whose box meets the slice: the right end of one interval.
 
-        On each coordinate a primed slab's box runs from the larger of two
-        lower edges to the smaller of two upper ones, so its breakpoints, where
-        two of them cross, cut [0, 2**30] into pieces on which it is a plain
-        slab or empty (``slab.piece``), as is a plain slab whose own edges
-        cross; any other plain slab is one piece.  The pieces are read
-        from the right: each cut is tested exactly, since the box may meet the
-        slice at that t alone, then the piece left of it, where the slack along
-        one box edge decides (``_edge_slack``).  Every value is rounded up.
-        """
-        if self.power_exponent is not None and self.ray_coefficients[0] < 0.0:
-            raise NonConvexityError("the region lies on the non-convex side of its boundary")
-        slack = functools.cache(self._edge_slack)
-
-        def meets(t: Fraction) -> bool:
-            piece = slab.piece(t)
-            return piece is not None and slack(piece)[0](t)
-
-        cuts = [Fraction(0), *slab.breakpoints(_T_CAP), Fraction(_T_CAP)]
-        if meets(cuts[-1]):
-            return SlabMaxResult(math.inf, unbounded=True)
-        for lo, hi in zip(cuts[-2::-1], cuts[:0:-1]):
-            mid = Fraction(lo.numerator * hi.denominator + hi.numerator * lo.denominator,
-                           2 * lo.denominator * hi.denominator)  # (lo + hi) / 2, in fewer steps
-            piece = slab.piece(mid)
-            found = piece is not None and slack(piece)[1](lo, hi)
-            if found:
-                return found
-            if meets(lo):
-                return SlabMaxResult(float_at_least(lo.numerator, lo.denominator))
-        return SlabMaxResult(0.0, empty_domain=True)
-
-    def _edge_slack(self, piece):
-        """(meets, last_root) of the slack along the box edge of a plain slab where it is largest.
-
-        That edge takes lo_i where beta_i > 0 and hi_i elsewhere: cs*t + ci,
-        affine in t.  ``meets(t)``: the slack is >= 0 at an exact t.
-        ``last_root(lo, hi)``: for a slack < 0 at hi, the largest t in (lo, hi)
-        where it is >= 0, rounded up, as a ``SlabMaxResult``; None when there is
-        none.  A flat family's slack is rise - rate*t in exact rationals; a
-        power boundary's is concave (``_power_last_root``).
+        The box at t meets the closed slice exactly when two kinds of
+        condition hold, and each holds on an interval of t, so the feasible t
+        form one interval.  Box edges: on each coordinate every lower edge of
+        the slab and its primed slab lies at or below every upper one, affine
+        in t; a layer that is not ``is_empty`` holds its own at every t >= 0.
+        Slack: the slack, affine in s, is largest at the box corner taking
+        the largest lower edge where beta_i > 0 and the smallest upper edge
+        elsewhere, so it is >= 0 there exactly when alpha t^e - kappa t -
+        sum beta_i (s_i t + c_i) >= 0 for every choice of one edge per
+        coordinate on that side: affine in t on a flat family, concave on a
+        power boundary (alpha >= 0).  The affine conditions cut [0, 2**30] to
+        [lo, hi] in exact rationals, and a flat family's answer is hi.  On a
+        power boundary the smallest right root (``_power_last_root``) of the
+        curves negative at hi binds, where every other curve must hold; a
+        curve with no root in (lo, hi) leaves lo alone, tested exactly.
+        Every value is rounded up.
         """
         alpha, beta, kappa, _ = self.ray_coefficients
-        lower_slope, upper_slope, lower_icept, upper_icept = piece
+        e = self.power_exponent
+        if e is not None and alpha < 0.0:
+            raise NonConvexityError("the region lies on the non-convex side of its boundary")
+        layers = [slab]
+        while layers[-1].primed is not None:
+            layers.append(layers[-1].primed)
+        rows = [[row.tolist() for row in (x.lower_slope, x.upper_slope, x.lower_icept, x.upper_icept)]
+                for x in layers]
+        cuts = [_affine_cut([(ui,), (-li,)], [(ls,), (-us,)])  # lower edge <= upper edge
+                for j, (lower_slope, _, lower_icept, _) in enumerate(rows)
+                for k, (_, upper_slope, _, upper_icept) in enumerate(rows)
+                if j != k or layers[j].is_empty
+                for ls, us, li, ui in zip(lower_slope, upper_slope, lower_icept, upper_icept)]
         beta = beta.tolist()
-        cs = [ls if b > 0.0 else us for b, ls, us in zip(beta, lower_slope, upper_slope)]
-        ci = [li if b > 0.0 else ui for b, li, ui in zip(beta, lower_icept, upper_icept)]
-        if self.power_exponent is not None:  # beta = [sgn]
-            terms = (alpha, self.power_exponent, beta[0] * cs[0], beta[0] * ci[0])
-            return (lambda t: _power_sign(*terms, t) != -1,
-                    lambda lo, hi: _power_last_root(*terms, lo, hi))
-        # the slack is rise/d_rise - (rate/d_rate)*t
-        rise, d_rise = exact_sum([(alpha,), *((-b, c) for b, c in zip(beta, ci))])
-        rate, d_rate = exact_sum([(kappa,), *zip(beta, cs)])
-
-        def meets(t: Fraction) -> bool:
-            return rise * d_rate * t.denominator >= rate * d_rise * t.numerator
-
-        def last_root(lo: Fraction, hi: Fraction):
-            if rate > 0 and rise * d_rate * lo.denominator > lo.numerator * rate * d_rise:
-                return SlabMaxResult(float_at_least(rise * d_rate, rate * d_rise))
-            return None
-
-        return meets, last_root
+        read = [i for i, b in enumerate(beta) if b != 0.0]  # the coordinates the slack reads
+        weights = [beta[i] for i in read]
+        sides = [[(r[0][i], r[2][i]) if beta[i] > 0.0 else (r[1][i], r[3][i]) for r in rows]
+                 for i in read]
+        curves = []  # a power boundary's slack along each choice, as _power_sign's terms
+        for choice in itertools.product(*sides):
+            if e is None:
+                cuts.append(_affine_cut([(alpha,), *((-b, c) for b, (_, c) in zip(weights, choice))],
+                                        [(kappa,), *((b, s) for b, (s, _) in zip(weights, choice))]))
+            else:  # d = 1
+                (s, c), = choice
+                curves.append((alpha, e, weights[0] * s, weights[0] * c))
+        lo, lo_d, hi, hi_d = 0, 1, int(_T_CAP), 1  # the feasible t lie in [lo/lo_d, hi/hi_d]
+        for rise, rate in cuts:
+            if rate > 0 and rise * hi_d < hi * rate:
+                hi, hi_d = rise, rate
+            elif rate < 0 and rise * lo_d < lo * rate:
+                lo, lo_d = -rise, -rate
+            elif rate == 0 and rise < 0:
+                return SlabMaxResult(0.0, empty_domain=True)
+        if lo * hi_d > hi * lo_d:
+            return SlabMaxResult(0.0, empty_domain=True)
+        t_hi = Fraction(hi, hi_d)
+        falling = [_power_sign(*c, t_hi) == -1 for c in curves]
+        if not any(falling):
+            if t_hi == _T_CAP:
+                return SlabMaxResult(math.inf, unbounded=True)
+            return SlabMaxResult(float_at_least(hi, hi_d))
+        t_lo = Fraction(lo, lo_d)
+        roots = [_power_last_root(*c, t_lo, t_hi) if down else None
+                 for c, down in zip(curves, falling)]
+        if any(down and r is None for down, r in zip(falling, roots)):  # no root in (lo, hi)
+            if all(_power_sign(*c, t_lo) != -1 for c in curves):
+                return SlabMaxResult(float_at_least(lo, lo_d))
+            return SlabMaxResult(0.0, empty_domain=True)
+        best = min(r for r in roots if r is not None)
+        if any(_power_sign(*c, best.value) == -1
+               for c, r in zip(curves, roots) if r is None or r.value > best.value):
+            return SlabMaxResult(0.0, empty_domain=True)
+        return best
 
 
 _FLIP = {"le": "ge", "ge": "le"}
@@ -357,8 +366,8 @@ class SlabMaxResult(NamedTuple):  # a tuple: cheaper than a dataclass to define 
     ``unbounded``: the box meets it at t = 2**30 (value inf); ``empty_domain``:
     at no t in [0, 2**30] (value 0).  ``uncertainty`` is how far the value
     may lie above the exact maximum.  On a built-in region, plain or primed
-    slab alike, it is 0 where the value is an exact root or cut rounded up
-    to a float, and the last bracket, an ulp or a few or the band of
+    slab alike, it is 0 where the value is an exact end of the feasible
+    interval rounded up to a float, and the last bracket, an ulp or a few or the band of
     undecided sign, at the root of a power boundary's slack.
     """
 
@@ -383,6 +392,16 @@ def exact_sum(terms):
         parts.append((num, den))
     den = max(d for _, d in parts)
     return sum(n * (den // d) for n, d in parts), den
+
+
+def _affine_cut(rise_terms, rate_terms):
+    """The condition rise - rate*t >= 0 on t as two integers (rise, rate).
+
+    rise and rate are sums of products of floats, each summed exactly over its
+    own denominator (``exact_sum``); cross-multiplying puts both over one.
+    """
+    (rise, d_rise), (rate, d_rate) = exact_sum(rise_terms), exact_sum(rate_terms)
+    return rise * d_rate, rate * d_rise
 
 
 def float_at_least(num: int, den: int) -> float:

@@ -211,8 +211,11 @@ def certify(reports, estimate: SimulationEstimate):
     lower bound, so those comparisons are skipped.  The slack also absorbs
     twice the discretization diagnostic, which is nonzero only for Brownian
     estimates of curved regions, walked on two Euler grids; exact
-    passage estimates report 0 and get no grid slack.  An estimate of one run
-    has no stderr, so it raises ValueError.
+    passage estimates report 0 and get no grid slack.  Its floor is four
+    ulps of the estimate's mean, the rounding of a mean with no spread: a
+    walk that stops at one N for every run, or an exact passage time at a
+    huge drift.  The ulp is the mean's, never the bound's, which may be
+    infinite.  An estimate of one run has no stderr, so it raises ValueError.
     """
     if estimate.n_runs < 2:
         raise ValueError("a 4-sigma verdict needs an estimate of at least 2 runs")
@@ -225,7 +228,7 @@ def certify(reports, estimate: SimulationEstimate):
                                 False, estimate.mean, estimate.stderr, "inapplicable"))
             continue
         mean, stderr = target
-        slack = max(_SLACK_SIGMAS * stderr, grid_bias)
+        slack = max(_SLACK_SIGMAS * stderr, grid_bias, 4.0 * math.ulp(mean))
         if report.direction == "upper":
             verdict = "pass" if report.value >= mean - slack else "fail"
         else:

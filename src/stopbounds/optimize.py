@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
@@ -44,8 +43,13 @@ class Slab:
     primed: Optional["Slab"] = None
 
     def __post_init__(self):
-        for name in ("lower_slope", "upper_slope", "lower_icept", "upper_icept"):
+        names = ("lower_slope", "upper_slope", "lower_icept", "upper_icept")
+        for name in names:
             object.__setattr__(self, name, np.atleast_1d(np.asarray(getattr(self, name), dtype=float)))
+        if len({getattr(self, name).shape for name in names}) != 1:
+            raise ValueError("the four rows of a slab must have one length")
+        if self.primed is not None and self.primed.dim != self.dim:
+            raise ValueError("a slab and its primed slab must have one dimension")
 
     @property
     def dim(self) -> int:
@@ -58,74 +62,6 @@ class Slab:
             bad = bad or self.primed.is_empty
         return bool(bad)
 
-    @cached_property
-    def _edges(self):
-        """Per coordinate, the lower and the upper edges of the slab and its primed ones, as (S, I, slope, icept).
-
-        A float is an integer over a power of two, so the largest denominator
-        of the slab's floats is a common one, and S and I are the integers
-        that slope and icept are over it: two edges cross at t = (I2 - I1) /
-        (S1 - S2), and compare at t = n/d through S*n + I*d.
-        """
-        slabs = [self]
-        while slabs[-1].primed is not None:
-            slabs.append(slabs[-1].primed)
-        den = max(v.as_integer_ratio()[1] for x in slabs
-                  for row in (x.lower_slope, x.upper_slope, x.lower_icept, x.upper_icept)
-                  for v in row.tolist())
-
-        def edges(side: str, i: int) -> list:
-            pairs = [(float(getattr(x, side + "_slope")[i]), float(getattr(x, side + "_icept")[i]))
-                     for x in slabs]
-            return [(*(n * (den // d) for n, d in map(float.as_integer_ratio, pair)), *pair)
-                    for pair in pairs]
-
-        return [(edges("lower", i), edges("upper", i)) for i in range(self.dim)]
-
-    def breakpoints(self, t_cap: float) -> list:
-        """The t in (0, t_cap) where two edges of one coordinate cross, as sorted fractions.
-
-        Between two of them, and between the last and t_cap, each coordinate
-        keeps the same largest lower edge and smallest upper edge, so a primed
-        slab is a plain one there (``piece``) or empty; a plain slab not ``is_empty`` has none.
-        """
-        if self.primed is None and not self.is_empty:
-            return []
-        cap, d_cap = t_cap.as_integer_ratio()
-        cuts = set()
-        for lower, upper in self._edges:
-            for a, b in itertools.combinations(lower + upper, 2):
-                num, den = b[1] - a[1], a[0] - b[0]
-                if den < 0:
-                    num, den = -num, -den
-                if den and 0 < num and num * d_cap < cap * den:
-                    cuts.add(Fraction(num, den))
-        return sorted(cuts)
-
-    @cached_property
-    def _own_edges(self):  # a plain slab's piece
-        return tuple(tuple(x.tolist()) for x in (self.lower_slope, self.upper_slope,
-                                                 self.lower_icept, self.upper_icept))
-
-    def piece(self, t: Fraction):
-        """The plain slab whose box is the box at an exact t >= 0, or None when that box is empty.
-
-        Given as its (lower_slope, upper_slope, lower_icept, upper_icept)
-        tuples, so that it can key a cache.  A plain slab that is not
-        ``is_empty`` is its own piece at every t.
-        """
-        if self.primed is None and not self.is_empty:
-            return self._own_edges
-        n, d = t.numerator, t.denominator
-        rows = []
-        for lower, upper in self._edges:
-            lo = max(lower, key=lambda e: e[0] * n + e[1] * d)
-            hi = min(upper, key=lambda e: e[0] * n + e[1] * d)
-            if lo[0] * n + lo[1] * d > hi[0] * n + hi[1] * d:
-                return None
-            rows.append((lo[2], hi[2], lo[3], hi[3]))
-        return tuple(zip(*rows))
-
 
 def max_time_in_region(region: Region, slab: Slab) -> SlabMaxResult:
     """Largest t whose slab box intersects the region slice: the region's ``slab_max``.
@@ -135,6 +71,8 @@ def max_time_in_region(region: Region, slab: Slab) -> SlabMaxResult:
     """
     if not region.convex_closure:
         raise ValueError("max_time_in_region requires the asserted convex closure")
+    if slab.dim != region.dim:
+        raise ValueError("region and slab dimensions disagree")
     return region.slab_max(slab)
 
 

@@ -17,6 +17,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
@@ -81,6 +82,26 @@ def box(slab, t: float):
         lo = np.maximum(lo, plo)
         hi = np.minimum(hi, phi)
     return lo, hi
+
+
+def _breakpoints(slab, t_cap: float) -> list:
+    """The t in (0, t_cap) where two edges of one coordinate cross, among all the slab's layers.
+
+    A lower edge and its own upper one count, so a plain slab that is not
+    ``is_empty`` has none.  Sorted fractions.
+    """
+    layers = [slab]
+    while layers[-1].primed is not None:
+        layers.append(layers[-1].primed)
+    cuts = set()
+    for i in range(slab.dim):
+        edges = [(Fraction(float(getattr(x, side + "_slope")[i])),
+                  Fraction(float(getattr(x, side + "_icept")[i])))
+                 for side in ("lower", "upper") for x in layers]
+        for (s1, i1), (s2, i2) in itertools.combinations(edges, 2):
+            if s1 != s2 and 0 < (t := (i2 - i1) / (s1 - s2)) < t_cap:
+                cuts.add(t)
+    return sorted(cuts)
 
 
 def _directions(d: int, extra: int, rng) -> list:
@@ -343,7 +364,7 @@ class OracleRegion(Region):
         t_cap is 2**30, as on a built-in region.  The feasible t form an
         interval by convexity.  Failing t_cap, the scan tests from the top
         down the halvings t_cap/2, t_cap/4, ... to 1e-12, then 0, and among
-        them the slab's breakpoints, where two box edges cross, each as the
+        them the slab's ``_breakpoints``, where two box edges cross, each as the
         nearest float and its two neighbours, to a feasible t; the bisection
         runs to tol between it and the last infeasible t above it.  On a
         flat boundary a nonempty feasible set holds 0, t_cap or a
@@ -359,7 +380,7 @@ class OracleRegion(Region):
         if feasible(t_cap):
             return SlabMaxResult(math.inf, unbounded=True)
         probes = {0.0}
-        for t in map(float, slab.breakpoints(t_cap)):
+        for t in map(float, _breakpoints(slab, t_cap)):
             probes.update((math.nextafter(t, -math.inf), t, math.nextafter(t, t_cap)))
         t = 0.5 * t_cap
         while t >= 1e-12:

@@ -413,6 +413,37 @@ def test_certify_brownian_drift_only_zero_stderr(tmp_path):
     assert row["verdict"] == "pass"
 
 
+@pytest.mark.parametrize("cfg", [
+    # every walk stops at N = 7, read as 6.999999999999999 by the bounds that are exactly 7
+    dict(BASE, distribution={"family": "point-mass", "params": {"value": 0.05}},
+         region={"family": "constant", "level": 0.3, "orientation": "le", "kind": "continuity"},
+         bounds=["T14-hyperplane", "T15-hyperplane-bounded", "T16-chenlorden-I",
+                 "T16-chenlorden-II", "T16-chenlorden-III", "T17-gradient", "vipformula"],
+         simulate={"n_runs": 64}),
+    # the exact passage mean reads 3.999999999999999e-154 against the bounds' 4e-154
+    {"name": "huge-drift", "brownian": {"drift": 1e154, "diffusion": 1.0},
+     "region": {"family": "constant", "level": 4.0, "orientation": "le", "kind": "continuity"},
+     "bounds": ["Brown2-lower", "Brown4"], "simulate": {"n_runs": 2000}, "seed": 1},
+], ids=["point-mass-tie", "huge-drift"])
+def test_certify_zero_stderr_estimate_passes_a_bound_an_ulp_away(tmp_path, cfg):
+    # a mean with no spread gets four of its own ulps as slack
+    out = tmp_path / "rep.csv"
+    assert main(["certify", str(write_config(tmp_path, "cfg.json", cfg)), "--out", str(out)]) == 0
+    rows = read_rows(out)
+    assert len(rows) == len(cfg["bounds"])
+    assert all(float(r["mc_stderr"]) == 0.0 and r["verdict"] == "pass" for r in rows)
+
+
+def test_certify_rounding_floor_is_the_mean_ulp_not_the_bound_ulp():
+    # an infinite lower bound would pass against ulp(inf) = inf
+    estimate = SimulationEstimate(mean=7.0, stderr=0.0, n_runs=2, truncated=0, horizon=100.0,
+                                  seed=0)
+    rows = certify([BoundReport("inf-lower", "lower", math.inf),
+                    BoundReport("over-lower", "lower", 7.0 + 8 * math.ulp(7.0)),
+                    BoundReport("tie-lower", "lower", 7.0 + 4 * math.ulp(7.0))], estimate)
+    assert [r.verdict for r in rows] == ["fail", "fail", "pass"]
+
+
 def test_certify_all_truncated_exits_with_diagnostic(tmp_path, capsys):
     cfg = {
         "name": "never-stops",

@@ -256,8 +256,8 @@ def test_empty_slab_flag():
     (sb.Slab([0.0], [1.0], [1.0], [-1.0]), math.inf),  # box [1, t - 1]: non-empty from t = 2 on
 ], ids=["empties-at-2", "never", "fills-at-2"])
 def test_slab_max_of_a_slab_whose_own_edges_cross(slab, expected):
-    # the crossing of a slab's own edges is a breakpoint, as a primed slab's
-    # are: the answer is where its box meets the slice, not an empty domain
+    # the crossing of a slab's own edges bounds t, as a primed slab's edges
+    # do: the answer is where its box meets the slice, not an empty domain
     assert slab.is_empty
     region = sb.constant_region(5.0)
     twin = region_from_oracle(lambda t, s: s[0] <= 5.0, 1, convex_closure=True,
@@ -683,9 +683,44 @@ def test_closed_slab_maximum_of_a_primed_slab_matches_exact_arithmetic(case):
     # the lines s = -t/32 and s = -3/32 meet at t = 3 alone, inside {s <= 1/8}
     (sb.constant_region(0.125), sb.Slab([-1 / 32], [-1 / 32], [0.0], [0.0],
                                          primed=sb.Slab([0.0], [0.0], [-3 / 32], [-3 / 32])), 3.0),
-], ids=["power-between-halvings", "single-point-box"])
+    # the lower edges t + 0.95 and t/5 + 2.4 each meet {s <= 2 sqrt(t)} on an
+    # interval, but the two intervals are disjoint
+    (sb.power_region(2.0, 0.5), sb.Slab([1.0], [1.0], [0.95], [100.0],
+                                         primed=sb.Slab([0.2], [0.2], [2.4], [100.0])), None),
+    # the primed lower edge t/5 + 2 enters the slice near t = 1.27 and t + 0.9 leaves it at 1.73
+    (sb.power_region(2.0, 0.5), sb.Slab([1.0], [1.0], [0.9], [100.0],
+                                         primed=sb.Slab([0.2], [0.2], [2.0], [100.0])),
+     1.7324555320336759),
+    # the upper edge 3 meets the primed lower edge t/2 at t = 6, inside the slice
+    (sb.power_region(2.0, 0.5), sb.Slab([0.0], [0.0], [0.0], [3.0],
+                                         primed=sb.Slab([0.5], [0.5], [0.0], [100.0])), 6.0),
+], ids=["power-between-halvings", "single-point-box", "disjoint-curves", "curves-cross",
+        "box-edges-cross"])
 def test_closed_slab_maximum_of_a_primed_slab_examples(region, slab, expected):
     res = sb.max_time_in_region(region, slab)
+    if expected is None:
+        assert res.empty_domain and res.value == 0.0
+        assert _exact_slab_max(region, slab) is None
+        return
     assert not (res.unbounded or res.empty_domain)
     assert res.value == expected
     assert _exact_slab_max(region, slab) <= Fraction(expected)
+
+
+@pytest.mark.parametrize("region,slab", [
+    (sb.halfspace_region([1.0, 1.0], 0.0, 6.0), sb.Slab([0.5], [0.5], [0.0], [0.0])),
+    (sb.halfspace_region([1.0, 1.0], 0.0, 6.0), sb.Slab([0.5] * 3, [0.5] * 3, [0.0] * 3,
+                                                         [0.0] * 3)),
+], ids=["1-d-slab", "3-d-slab"])
+def test_slab_maximum_refuses_a_slab_of_another_dimension(region, slab):
+    # zip would truncate either one to the shorter: 12.0 and 6.0 read as answers
+    with pytest.raises(ValueError, match="dimensions disagree"):
+        sb.max_time_in_region(region, slab)
+
+
+def test_slab_refuses_rows_or_a_primed_slab_of_another_length():
+    with pytest.raises(ValueError, match="one length"):
+        sb.Slab([1.0, 2.0], [1.0], [0.0], [0.0])
+    with pytest.raises(ValueError, match="one dimension"):
+        sb.Slab([1.0], [1.0], [0.0], [0.0], primed=sb.Slab([1.0, 2.0], [1.0, 2.0], [0.0, 0.0],
+                                                           [0.0, 0.0]))

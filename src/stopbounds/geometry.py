@@ -22,7 +22,6 @@ library builds is such a family (``region_from_family``).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -286,12 +285,16 @@ class FamilyRegion(Region):
         elsewhere, so it is >= 0 there exactly when alpha t^e - kappa t -
         sum beta_i (s_i t + c_i) >= 0 for every choice of one edge per
         coordinate on that side: affine in t on a flat family, concave on a
-        power boundary (alpha >= 0).  The affine conditions cut [0, 2**30] to
-        [lo, hi] in exact rationals, and a flat family's answer is hi.  On a
-        power boundary the smallest right root (``_power_last_root``) of the
-        curves negative at hi binds, where every other curve must hold; a
-        curve with no root in (lo, hi) leaves lo alone, tested exactly.
-        Every value is rounded up.
+        power boundary (alpha >= 0).  The box edges cut [0, 2**30] to [lo, hi]
+        in exact rationals.  A flat family's least slack over the choices is
+        concave and piecewise affine, and the choice taking each coordinate's
+        worst edge at hi reaches it there, so hi is cut to that choice's root
+        until the slack holds at hi: each cut leaves a piece, and there are at
+        most d (layers - 1) + 1, so no choice but those is ever formed.  A
+        power boundary has d = 1: the smallest right root
+        (``_power_last_root``) of the layers' curves negative at hi binds,
+        where every other curve must hold; a curve with no root in (lo, hi)
+        leaves lo alone, tested exactly.  Every value is rounded up.
         """
         alpha, beta, kappa, _ = self.ray_coefficients
         e = self.power_exponent
@@ -312,14 +315,6 @@ class FamilyRegion(Region):
         weights = [beta[i] for i in read]
         sides = [[(r[0][i], r[2][i]) if beta[i] > 0.0 else (r[1][i], r[3][i]) for r in rows]
                  for i in read]
-        curves = []  # a power boundary's slack along each choice, as _power_sign's terms
-        for choice in itertools.product(*sides):
-            if e is None:
-                cuts.append(_affine_cut([(alpha,), *((-b, c) for b, (_, c) in zip(weights, choice))],
-                                        [(kappa,), *((b, s) for b, (s, _) in zip(weights, choice))]))
-            else:  # d = 1
-                (s, c), = choice
-                curves.append((alpha, e, weights[0] * s, weights[0] * c))
         lo, lo_d, hi, hi_d = 0, 1, int(_T_CAP), 1  # the feasible t lie in [lo/lo_d, hi/hi_d]
         for rise, rate in cuts:
             if rate > 0 and rise * hi_d < hi * rate:
@@ -330,6 +325,24 @@ class FamilyRegion(Region):
                 return SlabMaxResult(0.0, empty_domain=True)
         if lo * hi_d > hi * lo_d:
             return SlabMaxResult(0.0, empty_domain=True)
+        curves = []  # a power boundary's (d = 1) concave slack along each layer's edge
+        if e is None:  # each edge's slack term -beta_i (s t + c) as (rise, rate), over one denominator
+            (rise0, rate0, *nums), _ = _numerators(
+                [(alpha,), (kappa,), *(x for b, side in zip(weights, sides)
+                                       for s, c in side for x in ((-b, c), (b, s)))])
+            pairs = list(zip(nums[::2], nums[1::2]))
+            edges = [pairs[k:k + len(rows)] for k in range(0, len(pairs), len(rows))]
+            while True:  # the slack along each coordinate's worst edge at hi, cut to its root
+                rise, rate = rise0, rate0
+                for r, q in (min(es, key=lambda p: p[0] * hi_d - p[1] * hi) for es in edges):
+                    rise, rate = rise + r, rate + q
+                if rise * hi_d >= rate * hi:
+                    break
+                if rate <= 0 or rise * lo_d < lo * rate:
+                    return SlabMaxResult(0.0, empty_domain=True)
+                hi, hi_d = rise, rate
+        else:
+            curves = [(alpha, e, weights[0] * s, weights[0] * c) for s, c in sides[0]]
         t_hi = Fraction(hi, hi_d)
         falling = [_power_sign(*c, t_hi) == -1 for c in curves]
         if not any(falling):
@@ -383,6 +396,12 @@ def exact_sum(terms):
     A float is an integer over a power of two, so the largest denominator is
     a common one, and nothing is reduced.
     """
+    nums, den = _numerators(terms)
+    return sum(nums), den
+
+
+def _numerators(terms):
+    """The products of tuples of floats as integers over one common denominator: (nums, den)."""
     parts = []
     for term in terms:
         num = den = 1
@@ -391,7 +410,7 @@ def exact_sum(terms):
             num, den = num * n, den * d
         parts.append((num, den))
     den = max(d for _, d in parts)
-    return sum(n * (den // d) for n, d in parts), den
+    return [n * (den // d) for n, d in parts], den
 
 
 def _affine_cut(rise_terms, rate_terms):

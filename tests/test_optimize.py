@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -724,3 +725,19 @@ def test_slab_refuses_rows_or_a_primed_slab_of_another_length():
     with pytest.raises(ValueError, match="one dimension"):
         sb.Slab([1.0], [1.0], [0.0], [0.0], primed=sb.Slab([1.0, 2.0], [1.0, 2.0], [0.0, 0.0],
                                                            [0.0, 0.0]))
+
+
+@pytest.mark.parametrize("level,expected", [(226.25, 10.0), (158.125, 5.0)])
+def test_slab_maximum_of_a_40_dim_primed_slab_takes_no_choice_per_corner(level, expected):
+    # on coordinate i the lower edges 0.5 t and 0.25 t + i/8 cross at t = i/2, so the least
+    # slack has 41 pieces; one affine cut per choice of lower edges would be 2**40 of them
+    d = 40
+    region = sb.halfspace_region([1.0] * d, 0.0, level)
+    slab = sb.Slab([0.5] * d, [1.0] * d, [0.0] * d, [100.0] * d,
+                   primed=sb.Slab([0.25] * d, [1.0] * d, [i / 8 for i in range(1, d + 1)], [100.0] * d))
+    start = time.perf_counter()
+    res = sb.max_time_in_region(region, slab)
+    assert time.perf_counter() - start < 1.0
+    assert res == (expected, False, False, 0.0)
+    assert _exact_meets(region, slab, Fraction(expected))
+    assert not _exact_meets(region, slab, Fraction(math.nextafter(expected, math.inf)))

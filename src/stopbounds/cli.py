@@ -275,6 +275,13 @@ def cmd_bound(config: dict, seed: int, out: str, fmt: str) -> int:
     return 0
 
 
+def _first_look_within(schedule, horizon: int, what: str) -> None:
+    """Refuse a simulation horizon below the schedule's first look: no walk could be sampled."""
+    first = schedule.element(1)
+    if first > horizon:
+        raise ConfigError(f"{what} {horizon} lies below the schedule's first look {first}")
+
+
 def _simulate_bundle(bundle, config: dict, seed: int, overshoot_level=None):
     _real(bundle.n_runs, "simulate.n_runs", int, 2)  # one run has no stderr for the 4-sigma slack
     sim = _object(config.get("simulate", {}), "simulate")
@@ -283,6 +290,7 @@ def _simulate_bundle(bundle, config: dict, seed: int, overshoot_level=None):
         return run_brownian(bundle.region, bundle.drift, bundle.diffusion,
                             bundle.dt, bundle.n_runs, bundle.horizon, seed,
                             workers=workers)
+    _first_look_within(bundle.schedule, bundle.horizon, "simulate.horizon")
     return run_discrete(bundle.region, bundle.spec, bundle.schedule,
                         bundle.n_runs, bundle.horizon, seed,
                         boundary=bundle.boundary, workers=workers,
@@ -374,6 +382,7 @@ def _identity_scenario(item: dict, which: str):
                                     "boundary")}
     if scenario["region"].dim != spec.dim:
         raise ConfigError("region and distribution dimensions disagree")
+    _first_look_within(scenario["schedule"], scenario["horizon"], "horizon")
     if "gfun" in item:
         scenario["gfun"] = _gfun(item["gfun"])
     if "p" in item:

@@ -7,11 +7,19 @@ deterministic: the box search draws its random starts from a fixed seed.
 The slab maximum is the region's own ``slab_max``: a closed form on a
 built-in region, for a plain or a primed slab alike.  The box maximum is a
 function kernel (golden section for d = 1, multi-start ascent above); a
-built-in region's ``exit_box_max`` is a closed form and needs none.
+built-in region's ``exit_box_max`` is a closed form and needs none.  The
+vertex maximum is a threshold argument in exact integers: numerator and
+denominator are affine in the vertex q, so at the maximum ratio lam* each
+q_i is 1 where its gain n_i - lam* d_i is positive and 0 where it is
+negative, and one sweep through the sorted breakpoints n_i/d_i meets a
+maximizer among d + 1 vertices.  Its positivity proviso is decided on the
+exact least denominator, and ties go to the lexicographically smallest
+maximizing vertex.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -20,7 +28,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import Hyperplane, Region, SlabMaxResult
+from .geometry import Hyperplane, Region, SlabMaxResult, _numerators, float_at_least
 
 
 class ProvisoViolatedError(RuntimeError):
@@ -178,44 +186,80 @@ class VertexMaxResult(NamedTuple):  # a tuple: cheaper than a dataclass to defin
     min_denominator: float
 
 
+def _float_form(hyp: Hyperplane, rows: list, vertex: tuple):
+    """(numerator, denominator) of the fractional form at a vertex, in floats summed left to right.
+
+    ``rows`` holds one (a_i, upper slope, lower slope, upper icept, lower icept) per coordinate.
+    """
+    num = den = 0.0
+    for (a, us, ls, ui, li), q in zip(rows, vertex):
+        den += a * (us + q * (ls - us))
+        num += a * (ui + q * (li - ui))
+    return hyp.level - num, hyp.t_coef + den
+
+
 def vertex_fraction_max(hyp: Hyperplane, slab: Slab) -> VertexMaxResult:
     """Maximum of (level - <a, icept(q)>) / (t_coef + <a, slope(q)>) over cube vertices.
 
     q ranges over {0,1}^d; slope(q) interpolates the upper and lower slab
-    slopes elementwise and icept(q) the intercepts.  The positivity of every
-    denominator is the applicability proviso and is checked first: a
-    negative minimum raises, and a minimum of exactly 0 leaves the maximum
-    unbounded, so the value is +inf at the first vertex with that
-    denominator.  Ties resolve to the lexicographically smallest maximizing
-    vertex.
+    slopes elementwise and icept(q) the intercepts, so the ratio is
+    (N0 + sum q_i n_i) / (D0 + sum q_i d_i), each gain an exact integer over
+    one common denominator.  The proviso, every denominator positive, is
+    decided first and exactly: a negative minimum D0 + sum min(0, d_i)
+    raises, and a minimum of 0 leaves the maximum unbounded: +inf at the
+    vertex taking 1 exactly where d_i < 0.  Otherwise a maximizer takes
+    q_i = 1 where n_i - lam* d_i > 0 and 0 where it is < 0, for the maximum
+    ratio lam* (Dinkelbach, Management Science 1967), and that choice only
+    changes where lam passes a breakpoint n_i/d_i: the best ratio along one
+    sweep flipping the coordinates in increasing order of breakpoint is
+    lam*.  Ties go to the lexicographically smallest maximizer, q_i = 1
+    exactly where n_i - lam* d_i > 0.  ``value`` is the float form at that
+    vertex and ``min_denominator`` its denominator at the minimum vertex;
+    where cancellation leaves a float denominator at or below 0, the exact
+    one, or the exact ratio, is rounded up instead.
     """
-    d = slab.dim
-    if d > 20:
-        raise ValueError("vertex enumeration is limited to dim <= 20")
-    if hyp.dim != d:
+    if hyp.dim != slab.dim:
         raise ValueError("hyperplane and slab dimensions disagree")
-    a = hyp.s_coef
-    best_val, best_vertex = -math.inf, None
-    min_den = math.inf
-    rows = []
-    for bits in itertools.product((0, 1), repeat=d):
-        q = np.array(bits, dtype=float)
-        slope = slab.upper_slope + q * (slab.lower_slope - slab.upper_slope)
-        icept = slab.upper_icept + q * (slab.lower_icept - slab.upper_icept)
-        den = hyp.t_coef + float(a @ slope)
-        num = hyp.level - float(a @ icept)
-        min_den = min(min_den, den)
-        rows.append((bits, num, den))
-    if min_den < 0.0:
-        raise ProvisoViolatedError(
-            f"vertex denominator minimum {min_den:.6g} is not positive")
-    if min_den == 0.0:
-        return VertexMaxResult(math.inf, next(bits for bits, _, den in rows if den == 0.0), 0.0)
-    for bits, num, den in rows:
-        val = num / den
-        if val > best_val + 0.0 or (val == best_val and bits < best_vertex):
-            if val > best_val:
-                best_val, best_vertex = val, bits
-            elif bits < best_vertex:
-                best_vertex = bits
-    return VertexMaxResult(best_val, best_vertex, min_den)
+    rows = list(zip(hyp.s_coef.tolist(), slab.upper_slope.tolist(), slab.lower_slope.tolist(),
+                    slab.upper_icept.tolist(), slab.lower_icept.tolist()))
+    terms = [(hyp.t_coef,), (hyp.level,)]
+    for a, us, ls, ui, li in rows:
+        terms += (a, us), (a, ls), (a, ui), (a, li)
+    (den0, num0, *products), den = _numerators(terms)
+    dg, ng = [], []  # the gains d_i and n_i of taking q_i = 1
+    fall = rise_n = rise_d = 0  # the gains below 0, and those taken at lam = -inf
+    for k in range(0, len(products), 4):
+        us, ls, ui, li = products[k:k + 4]
+        den0, num0 = den0 + us, num0 - ui
+        x, n = ls - us, ui - li
+        dg.append(x)
+        ng.append(n)
+        if x < 0:
+            fall += x
+        elif x > 0 or n > 0:
+            rise_n, rise_d = rise_n + n, rise_d + x
+    lowest = den0 + fall
+    min_vertex = tuple([int(x < 0) for x in dg])
+    if lowest <= 0:
+        min_f = _float_form(hyp, rows, min_vertex)[1]
+        if lowest < 0:
+            raise ProvisoViolatedError(f"vertex denominator minimum {min_f:.6g} is not positive")
+        return VertexMaxResult(math.inf, min_vertex, 0.0)
+    num, dnm = num0 + rise_n, den0 + rise_d  # the vertex at lam = -inf, then each breakpoint
+    best_num, best_den = num, dnm
+    moving = [i for i, x in enumerate(dg) if x != 0]
+    # n_i/d_i - n_j/d_j has the sign of (n_i d_j - n_j d_i) d_i d_j
+    moving.sort(key=functools.cmp_to_key(
+        lambda i, j: (ng[i] * dg[j] - ng[j] * dg[i]) * (1 if (dg[i] > 0) == (dg[j] > 0) else -1)))
+    for i in moving:  # q_i falls from 1 to 0 where d_i > 0 and rises where d_i < 0
+        if dg[i] > 0:
+            num, dnm = num - ng[i], dnm - dg[i]
+        else:
+            num, dnm = num + ng[i], dnm + dg[i]
+        if num * best_den > best_num * dnm:
+            best_num, best_den = num, dnm
+    vertex = tuple([int(n * best_den > best_num * x) for n, x in zip(ng, dg)])
+    num_f, den_f = _float_form(hyp, rows, vertex)
+    min_f = den_f if vertex == min_vertex else _float_form(hyp, rows, min_vertex)[1]
+    value = num_f / den_f if den_f > 0.0 else float_at_least(best_num, best_den)
+    return VertexMaxResult(value, vertex, min_f if min_f > 0.0 else float_at_least(lowest, den))

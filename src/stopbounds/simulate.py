@@ -627,8 +627,14 @@ def box_rejection_sampler(halfspaces, box_lo, box_hi):
     normals = np.array([np.atleast_1d(w) for w, _ in halfspaces], dtype=float).reshape(-1, lo.size)
     offsets = np.array([c for _, c in halfspaces], dtype=float)
 
-    def inside(x):
-        return np.all(x @ normals.T <= offsets + 1e-12, axis=1)
+    def inside(x):  # column products summed per halfspace: a matrix product would wake BLAS threads
+        keep = np.ones(x.shape[0], dtype=bool)
+        for w, c in zip(normals.tolist(), (offsets + 1e-12).tolist()):
+            lhs = x[:, 0] * w[0]
+            for k in range(1, len(w)):
+                lhs += x[:, k] * w[k]
+            keep &= lhs <= c
+        return keep
 
     def draw(rng: np.random.Generator, n: int) -> np.ndarray:
         points = _accepted_rows(rng, lo, hi, n, inside, max(200 * n, 100_000))

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -132,6 +133,14 @@ def test_bound_command_config_errors(tmp_path, capsys):
         ("bound", dict(BASE, bounds=["T10-upper"], distribution={
             "family": "product-of-scalars", "params": {"components": [BASE["distribution"]],
                                                        "dim": 1}})),
+        # a simulation horizon below the schedule's first look could sample no walk
+        ("certify", dict(BASE, bounds=["T10-upper"], schedule={"kind": "all-naturals", "n0": 50},
+                         simulate={"n_runs": 16, "horizon": 10})),
+        ("certify", dict(BASE, bounds=["T10-upper"], simulate={"n_runs": 16, "horizon": 2000},
+                         schedule={"kind": "arithmetic", "n0": 0, "step": 10**6})),
+        ("validate", {"validators": [{
+            "which": "wald-T4-I", "distribution": BASE["distribution"], "region": BASE["region"],
+            "schedule": {"kind": "arithmetic", "n0": 0, "step": 10}, "horizon": 5, "runs": 16}]}),
     ]:
         path = write_config(tmp_path, "malformed.json", payload)
         assert main([command, str(path), "--out", str(tmp_path / "rep.csv")]) == 2, payload
@@ -305,6 +314,28 @@ def test_bound_command_reports_concentration_on_a_time_slab(tmp_path):
     rows = read_rows(out)
     assert [(r["theorem"], r["applicable"], float(r["value"])) for r in rows] == [
         (tag, "true", 4.0) for tag in tags]
+
+
+@pytest.mark.parametrize("d", [21, 40])
+def test_bound_command_answers_vertex_bounds_in_high_dimension(tmp_path, d):
+    # a walk of d fair coins below the plane sum(s) = 5 d: the vertex maximum sweeps d + 1
+    # vertices, where a list of all 2**d of them grows exponentially and stopped at d = 20
+    coin = {"family": "bernoulli-affine", "params": {"x0": 0, "x1": 1, "p": 0.5}}
+    cfg = dict(BASE, distribution={"family": "product-of-scalars",
+                                   "params": {"components": [coin] * d}},
+               region={"family": "halfspace", "s_coef": [1.0] * d, "t_coef": 0.0,
+                       "level": 5.0 * d, "orientation": "le", "kind": "continuity"},
+               bounds=["T14-hyperplane", "T15-hyperplane-bounded"])
+    path = write_config(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "rep.csv"
+    start = time.perf_counter()
+    assert main(["bound", str(path), "--out", str(out)]) == 0
+    assert time.perf_counter() - start < 1.0
+    rows = read_rows(out)
+    assert [(r["theorem"], r["applicable"]) for r in rows] == [
+        ("T14-hyperplane", "true"), ("T15-hyperplane-bounded", "true")]
+    # E[N] = sum_n Pr{S_n <= 5 d} is 10.57 at d = 21 and 10.54 at d = 40
+    assert all(10.6 < float(r["value"]) <= 22.0 for r in rows)
 
 
 @pytest.mark.parametrize("name", ["bernoulli_threshold_certify", "brownian_passage_certify"])

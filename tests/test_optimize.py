@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -220,6 +221,60 @@ def test_vertex_fraction_proviso_error():
     # a smallest denominator of exactly 0 leaves the maximum unbounded
     res = sb.vertex_fraction_max(sb.Hyperplane([1.0], -0.9, 5.0, 5.0), slab)
     assert (res.value, res.vertex, res.min_denominator) == (math.inf, (1,), 0.0)
+    # the proviso is decided exactly: the float form 1 + (2**-60 - 1) cancels to 0
+    # at q = (1,), but that denominator is 2**-60 > 0, and the ratio 1/2**-60 is finite
+    res = sb.vertex_fraction_max(sb.Hyperplane([1.0], 0.0, 1.0, 1.0),
+                                 sb.Slab([2.0**-60], [1.0], [0.0], [0.0]))
+    assert tuple(res) == (2.0**60, (1,), 2.0**-60)
+
+
+def _enumerated_vertex_max(hyp, slab):
+    """The maximum over all 2^d vertices in float arithmetic, the lexicographically first on ties."""
+    a = hyp.s_coef
+    rows = []
+    for bits in itertools.product((0, 1), repeat=slab.dim):
+        q = np.array(bits, dtype=float)
+        slope = slab.upper_slope + q * (slab.lower_slope - slab.upper_slope)
+        icept = slab.upper_icept + q * (slab.lower_icept - slab.upper_icept)
+        rows.append((bits, hyp.level - float(a @ icept), hyp.t_coef + float(a @ slope)))
+    min_den = min(den for _, _, den in rows)
+    if min_den < 0.0:
+        raise ProvisoViolatedError(f"vertex denominator minimum {min_den:.6g} is not positive")
+    if min_den == 0.0:
+        return (math.inf, next(bits for bits, _, den in rows if den == 0.0), 0.0)
+    value, bits = max(((num / den, bits) for bits, num, den in rows),
+                      key=lambda row: (row[0], tuple(-b for b in row[1])))
+    return (value, bits, min_den)
+
+
+# quarters in [-2, 2]: the float form is exact, and equal breakpoints, zero gains
+# and zero or negative minimum denominators all occur
+_QUARTER = st.integers(-8, 8).map(lambda k: k / 4)
+
+
+@st.composite
+def _vertex_case(draw):
+    d = draw(st.integers(1, 8))
+    row = st.lists(_QUARTER, min_size=d, max_size=d)
+    hyp = sb.Hyperplane(draw(row), draw(_QUARTER), draw(st.integers(1, 8)) / 4, 1.0)
+    return hyp, sb.Slab(draw(row), draw(row), draw(row), draw(row))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_vertex_case())
+@example(case=(sb.Hyperplane([1.0, 1.0], 1.0, 2.0, 1.0),  # two equal breakpoints
+               sb.Slab([0.5, 0.5], [1.0, 1.0], [0.0, 0.0], [0.5, 0.5])))
+@example(case=(sb.Hyperplane([1.0, -1.0], 1.0, 1.0, 1.0),  # a minimum denominator of 0
+               sb.Slab([0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0])))
+def test_vertex_sweep_matches_the_enumeration(case):
+    hyp, slab = case
+    try:
+        expected = _enumerated_vertex_max(hyp, slab)
+    except ProvisoViolatedError as exc:
+        with pytest.raises(ProvisoViolatedError, match=re.escape(str(exc))):
+            sb.vertex_fraction_max(hyp, slab)
+        return
+    assert tuple(sb.vertex_fraction_max(hyp, slab)) == expected
 
 
 @settings(max_examples=30, deadline=None)

@@ -5,6 +5,9 @@ value must not be consumed by the certification harness.  When a proviso
 fails the calculators return such a report rather than a silently wrong
 number; when the geometry shows an unbounded domain the value is +inf with
 the relevant check marked "unchecked", so the report stays applicable.
+Every calculator computes on tuples of Python floats with ``math`` and sums
+left to right from 0.0 (``geometry.dot``), so that a vector of one to a few
+entries costs no numpy call.
 """
 
 from __future__ import annotations
@@ -14,13 +17,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
 
-import numpy as np
-
 from . import overshoot as ovs
 from .geometry import (
     GradientDomainError,
     Hyperplane,
     Region,
+    as_floats,
+    dot,
     exact_sum,
     float_at_least,
     hyperplane_slice_distance,  # noqa: F401  (kept as a bounds name: the benchmark tracer wraps it)
@@ -86,6 +89,22 @@ def _known(tag: str, *tags: str) -> str:
     return tag
 
 
+def _sum(values) -> float:
+    """A sum of floats left to right from 0.0, the order ``geometry.dot`` sums in."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
+def _square(x: float) -> float:
+    """x ** 2 as libm's pow rounds it, and +inf past the float range, where Python raises."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 # the mean ray never leaving the region leaves the domain unbounded: +inf is the bound
 _NEVER_EXITS = AssumptionCheck("V", "unchecked", "mean ray never exits: unbounded, value +inf")
 
@@ -94,15 +113,17 @@ class Premises:
     """What is derived from one scenario's inputs, each fact once, on first use.
 
     ``region`` is the scenario's region, of either kind, and ``mean`` the
-    slope of its mean ray: the increment mean, or a Brownian drift, which
-    comes with no ``profile`` or ``schedule`` and reads only the region
-    views, (III) and the mean ray.  A premise whose derivation raises is not
-    kept, so every calculator that reads it raises the same error.
+    slope of its mean ray, kept as a tuple of floats: the increment mean, or
+    a Brownian drift, which comes with no ``profile`` or ``schedule`` and
+    reads only the region views, (III) and the mean ray.  A premise whose
+    derivation raises is not kept, so every calculator that reads it raises
+    the same error.
     """
 
     def __init__(self, region: Region, mean, profile: Optional[MomentProfile] = None,
                  schedule: Optional[SampleSchedule] = None):
-        self.region, self.mean, self.profile, self.schedule = region, mean, profile, schedule
+        self.region, self.profile, self.schedule = region, profile, schedule
+        self.mean = as_floats(mean)
 
     @cached_property
     def continuity_view(self) -> Region:
@@ -297,11 +318,12 @@ def wald_lower_bound(rule_at_mean: float, concave: Optional[bool] = None) -> Bou
 
 def deviation_slab(profile: MomentProfile, lam: float, K: float, n0: float) -> Slab:
     """Slab from the one-sided deviations of the increment law."""
+    mu, pos, neg = profile.mean, profile.pos_dev, profile.neg_dev
     return Slab(
-        lower_slope=profile.mean - lam * profile.pos_dev,
-        upper_slope=profile.mean + lam * profile.neg_dev,
-        lower_icept=(n0 - K) * profile.pos_dev,
-        upper_icept=(K - n0) * profile.neg_dev,
+        lower_slope=[m - lam * x for m, x in zip(mu, pos)],
+        upper_slope=[m + lam * x for m, x in zip(mu, neg)],
+        lower_icept=[(n0 - K) * x for x in pos],
+        upper_icept=[(K - n0) * x for x in neg],
     )
 
 
@@ -312,16 +334,16 @@ def bounded_support_slab(profile: MomentProfile, lam: float, K: float, n0: float
     v = profile.bound_v
     a, b, mu = profile.support_lo, profile.support_hi, profile.mean
     primed = Slab(
-        lower_slope=b + lam * (mu - b),
-        upper_slope=a + lam * (mu - a),
-        lower_icept=K * (mu - b),
-        upper_icept=K * (mu - a),
+        lower_slope=[y + lam * (m - y) for m, y in zip(mu, b)],
+        upper_slope=[x + lam * (m - x) for m, x in zip(mu, a)],
+        lower_icept=[K * (m - y) for m, y in zip(mu, b)],
+        upper_icept=[K * (m - x) for m, x in zip(mu, a)],
     )
     return Slab(
-        lower_slope=mu - lam * v,
-        upper_slope=mu + lam * v,
-        lower_icept=(n0 - K) * v,
-        upper_icept=-(n0 - K) * v,
+        lower_slope=[m - lam * w for m, w in zip(mu, v)],
+        upper_slope=[m + lam * w for m, w in zip(mu, v)],
+        lower_icept=[(n0 - K) * w for w in v],
+        upper_icept=[-(n0 - K) * w for w in v],
         primed=primed,
     )
 
@@ -395,7 +417,7 @@ def sample_mean_upper_bound(p: Premises, tag: str) -> BoundReport:
         if not profile.bounded:
             return BoundReport(tag, "upper", math.nan, checks, diag)
     lo, hi = _box_for(profile, tag)
-    diag["box"] = (lo.tolist(), hi.tolist())
+    diag["box"] = (list(lo), list(hi))
     if any(c.status == "fail" for c in checks):
         return BoundReport(tag, "upper", math.nan, checks, diag)
     peak = p.continuity_view.exit_box_max(lo, hi)
@@ -405,9 +427,10 @@ def sample_mean_upper_bound(p: Premises, tag: str) -> BoundReport:
 
 
 def _box_for(profile: MomentProfile, tag: str):
-    if tag == "T-try88-bounded":
-        return profile.mean - profile.bound_v, profile.mean + profile.bound_v
-    return profile.mean - profile.pos_dev, profile.mean + profile.neg_dev
+    mu = profile.mean
+    below, above = ((profile.bound_v, profile.bound_v) if tag == "T-try88-bounded"
+                    else (profile.pos_dev, profile.neg_dev))
+    return [m - x for m, x in zip(mu, below)], [m + x for m, x in zip(mu, above)]
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +443,9 @@ def hyperplane_vertex_upper_bound(p: Premises, hyp: Hyperplane, tag: str) -> Bou
 
     "T14-hyperplane" evaluates the deviation slab; "T15-hyperplane-bounded"
     evaluates both the envelope and primed support slabs and keeps the
-    smaller vertex maximum among those whose positivity proviso holds.
+    smaller vertex maximum among those whose positivity proviso holds.  That
+    maximum is the exact ratio rounded up, and lam * value + K is summed
+    exactly and rounded up, as T10 and T11 round theirs.
     """
     bounded = _known(tag, "T14-hyperplane", "T15-hyperplane-bounded") == "T15-hyperplane-bounded"
     lam, K, n0 = p.schedule.lam, p.schedule.K, p.schedule.n0
@@ -455,7 +480,10 @@ def hyperplane_vertex_upper_bound(p: Premises, hyp: Hyperplane, tag: str) -> Bou
     diag["vertex"] = res.vertex
     diag["min_denominator"] = res.min_denominator
     diag["sample_count_before_exit_max"] = res.value
-    return BoundReport(tag, "upper", lam * res.value + K, checks, diag)
+    value = math.inf
+    if math.isfinite(res.value):  # lam * value + K, rounded up
+        value = float_at_least(*exact_sum([(lam, res.value), (K,)]))
+    return BoundReport(tag, "upper", value, checks, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -468,26 +496,27 @@ def lorden_hyperplane_upper_bound(hyp: Hyperplane, profile: MomentProfile, K: in
     """Renewal-overshoot bound for rules checked every K samples.
 
     "T16-chenlorden-I" is the Euclidean-norm chain member, "-II" the
-    elementwise variance form (independent components), "-III" the
-    bounded-support form.  The elementwise reading of II is
-    sum_k s_coef_k^2 * var_k, recorded in diagnostics.
+    elementwise variance form (independent components: a scalar law, or a
+    profile marked ``independent``), "-III" the bounded-support form.  The
+    elementwise reading of II is sum_k s_coef_k^2 * var_k, recorded in
+    diagnostics.
     """
     _known(tag, "T16-chenlorden-I", "T16-chenlorden-II", "T16-chenlorden-III")
     m, c = hyp.anchor, hyp.level
-    a = hyp.s_coef
+    a, var = hyp.s_coef, profile.variance
     checks = [
         _chk("K-positive-integer", K >= 1 and int(K) == K),
-        _chk("second-moment-finite", bool(np.all(np.isfinite(profile.variance)))),
+        _chk("second-moment-finite", all(map(math.isfinite, var))),
     ]
     diag = {"m": m, "C": c, "K": K}
     if tag == "T16-chenlorden-I":
-        quad = float(np.dot(a, a)) * float(np.sum(profile.variance))
-        value = m + K + (m / c) ** 2 * quad
+        quad = dot(a, a) * _sum(var)
+        value = m + K + _square(m / c) * quad
         diag["norm_chain_member"] = value
     elif tag == "T16-chenlorden-II":
-        checks.append(_chk("independent-components", profile.dim == 1))
-        quad = float(np.sum(a * a * profile.variance))
-        value = m + K + (m / c) ** 2 * quad
+        checks.append(_chk("independent-components", profile.dim == 1 or profile.independent))
+        quad = _sum([x * x * v for x, v in zip(a, var)])
+        value = m + K + _square(m / c) * quad
         diag["elementwise_quadratic"] = quad
         diag["elementwise_reading"] = "sum_k s_coef_k^2 var_k"
     else:
@@ -495,14 +524,15 @@ def lorden_hyperplane_upper_bound(hyp: Hyperplane, profile: MomentProfile, K: in
         if not profile.bounded:
             return BoundReport(tag, "upper", math.nan, checks, diag)
         lo, hi = profile.support_lo, profile.support_hi
-        u = 0.5 * (float(a @ (lo + hi)) + float(np.abs(a) @ (lo - hi))) + hyp.t_coef
-        vbar = 0.5 * (float(a @ (lo + hi)) + float(np.abs(a) @ (hi - lo))) + hyp.t_coef
+        centre = dot(a, [x + y for x, y in zip(lo, hi)])
+        u = 0.5 * (centre + dot(map(abs, a), [x - y for x, y in zip(lo, hi)])) + hyp.t_coef
+        vbar = 0.5 * (centre + dot(map(abs, a), [y - x for x, y in zip(lo, hi)])) + hyp.t_coef
         diag["batch_min_mean_gap"] = u
         diag["batch_max_mean_gap"] = vbar
         value = m + K * m * (u + vbar) / c - K * m * m * u * vbar / (c * c)
         if u < 0.0:
             diag["negative_min_form"] = (
-                m + (K * vbar**2 / (vbar - u)) * (m / c) ** 2 * (c / m - u))
+                m + (K * _square(vbar) / (vbar - u)) * _square(m / c) * (c / m - u))
     if any(ch.status == "fail" for ch in checks):
         return BoundReport(tag, "upper", math.nan, checks, diag)
     return BoundReport(tag, "upper", value, checks, diag)
@@ -522,10 +552,10 @@ def gradient_upper_bound(p: Premises, tag: str) -> BoundReport:
     """
     _known(tag, "T17-gradient", "vipformula")
     region, profile = p.continuity_view, p.profile
-    mu = profile.mean
+    mu, var = profile.mean, profile.variance
     checks = [
         p.convex_origin,
-        _chk("second-moment-finite", bool(np.all(np.isfinite(profile.variance)))),
+        _chk("second-moment-finite", all(map(math.isfinite, var))),
         _chk("all-naturals", p.schedule.is_all_naturals),
     ]
     diag = {}
@@ -544,7 +574,7 @@ def gradient_upper_bound(p: Premises, tag: str) -> BoundReport:
             return BoundReport(tag, "upper", math.nan, checks, diag)
         fprime = slope(g0)
         diag["boundary_slope_at_m"] = fprime
-        value = g0 + 1.0 + float(profile.variance[0]) / (fprime - float(mu[0])) ** 2
+        value = g0 + 1.0 + var[0] / _square(fprime - mu[0])
         return BoundReport(tag, "upper", value, checks, diag)
     try:
         grad = log_exit_gradient(region, mu)
@@ -552,18 +582,16 @@ def gradient_upper_bound(p: Premises, tag: str) -> BoundReport:
         checks.append(AssumptionCheck("g-differentiable", "fail", str(exc)))
         return BoundReport(tag, "upper", math.nan, checks, diag)
     checks.append(_chk("g-differentiable", True))
-    diag["log_gradient"] = grad.tolist()
+    diag["log_gradient"] = list(grad)
+    chain = dot(grad, grad) * _sum(var)
     if profile.dim == 1:
-        quad = float(np.sum(grad * grad * profile.variance))
+        quad = _sum([g * g * v for g, v in zip(grad, var)])
     else:
-        # cross moments unknown: fall back to the norm chain member
-        quad = float(np.dot(grad, grad)) * float(np.sum(profile.variance))
-    diag["norm_chain_member"] = (
-        g0 + 1.0 + float(np.dot(grad, grad)) * float(np.sum(profile.variance)))
+        quad = chain  # cross moments unknown: fall back to the norm chain member
+    diag["norm_chain_member"] = g0 + 1.0 + chain
     if region.boundary_slope is not None and profile.dim == 1:
         fprime = region.boundary_slope(g0)
-        diag["closed_scalar_form"] = (
-            g0 + 1.0 + float(profile.variance[0]) / (fprime - float(mu[0])) ** 2)
+        diag["closed_scalar_form"] = g0 + 1.0 + var[0] / _square(fprime - mu[0])
     return BoundReport(tag, "upper", g0 + 1.0 + quad, checks, diag)
 
 
@@ -678,11 +706,12 @@ def _series_weight(region: Region, profile: MomentProfile, hyp: Optional[Hyperpl
     """
     d, mu = profile.dim, profile.mean
     f = region.scalar_boundary if d == 1 else None
-    widths = [float(w) for w in profile.support_hi - profile.support_lo] if profile.bounded else None
+    widths = ([b - a for a, b in zip(profile.support_lo, profile.support_hi)]
+              if profile.bounded else None)
     if hyp is not None:
         anchor, abs_gap, norm = hyp.anchor, abs(hyp.mean_gap(mu)), hyp.norm
     elif f is not None:
-        mu0 = float(mu[0])
+        mu0 = mu[0]
     root_d = math.sqrt(d)
 
     def weight(n: float) -> float:
@@ -734,8 +763,8 @@ def overshoot_upper_bound(z_spec: DistributionSpec, lam, schedule: SampleSchedul
         raise ValueError("overshoot bounds are for scalar increments")
     z_spec = z_spec.components[0]  # a one-component product is its component
     prof = analytic_moments(z_spec)
-    ez = float(prof.mean[0])
-    ez2 = float(prof.variance[0] + prof.mean[0] ** 2)
+    ez = prof.mean[0]
+    ez2 = prof.variance[0] + _square(ez)
     checks = [
         _chk("positive-mean", ez > 0.0, f"E[Z]={ez:.6g}"),
         _chk("second-moment-finite", math.isfinite(ez2)),
@@ -749,7 +778,7 @@ def overshoot_upper_bound(z_spec: DistributionSpec, lam, schedule: SampleSchedul
                            "every-sample crossing rule"))
     else:  # T7: positive increments, schedule with finite max gap
         strictly_positive = (scalar_family(z_spec).strictly_positive or (
-            prof.bounded and float(prof.support_lo[0]) > 0.0))
+            prof.bounded and prof.support_lo[0] > 0.0))
         checks.append(_chk("positive-increments", strictly_positive))
         K = gap_supremum(schedule)
         checks.append(_chk("finite-max-gap", math.isfinite(K)))

@@ -18,11 +18,16 @@ is affine in s, and the largest t at which a slab's box meets a slice.  The
 slope gives the exact log-gradient 1/(f'(m) - mean), and a halfspace gives
 -a/(<a, mean> + b), so the supporting hyperplane is exact.  Every region the
 library builds is such a family (``region_from_family``).
+
+The plane holds its normal as a tuple of Python floats, and what the
+calculators read back, the plane's products and the log-gradient, are
+Python floats summed left to right from 0.0 (``as_floats``, ``dot``).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -303,8 +308,7 @@ class FamilyRegion(Region):
         layers = [slab]
         while layers[-1].primed is not None:
             layers.append(layers[-1].primed)
-        rows = [[row.tolist() for row in (x.lower_slope, x.upper_slope, x.lower_icept, x.upper_icept)]
-                for x in layers]
+        rows = [(x.lower_slope, x.upper_slope, x.lower_icept, x.upper_icept) for x in layers]
         cuts = [_affine_cut([(ui,), (-li,)], [(ls,), (-us,)])  # lower edge <= upper edge
                 for j, (lower_slope, _, lower_icept, _) in enumerate(rows)
                 for k, (_, upper_slope, _, upper_icept) in enumerate(rows)
@@ -390,6 +394,22 @@ class SlabMaxResult(NamedTuple):  # a tuple: cheaper than a dataclass to define 
     uncertainty: float = 0.0
 
 
+def as_floats(v) -> tuple:
+    """A vector as a tuple of Python floats: a sequence or 1-D array by entry, a number as one."""
+    try:
+        return tuple(map(float, v))
+    except TypeError:
+        return (float(v),)
+
+
+def dot(a, b) -> float:
+    """<a, b> of two float sequences, summed left to right from 0.0."""
+    total = 0.0
+    for x, y in zip(a, b):
+        total += x * y
+    return total
+
+
 def exact_sum(terms):
     """The sum of the products of tuples of floats, exactly: (numerator, denominator > 0).
 
@@ -424,8 +444,14 @@ def _affine_cut(rise_terms, rate_terms):
 
 
 def float_at_least(num: int, den: int) -> float:
-    """The smallest float at or above num/den, for den > 0 (int division rounds to nearest)."""
-    t = num / den
+    """The smallest float at or above num/den, for den > 0 (int division rounds to nearest).
+
+    Past the float range that is +inf above it and the most negative float below it.
+    """
+    try:
+        t = num / den
+    except OverflowError:
+        return math.inf if num > 0 else -sys.float_info.max
     n, d = t.as_integer_ratio()
     return math.nextafter(t, math.inf) if n * den < num * d else t
 
@@ -680,10 +706,10 @@ def _log_gradient_at(region: Region, mean: np.ndarray, g0: float) -> np.ndarray:
     return grad
 
 
-def log_exit_gradient(region: Region, mean) -> np.ndarray:
-    """Gradient of ln g(v) at v=mean, exact for a built-in family."""
+def log_exit_gradient(region: Region, mean) -> tuple:
+    """Gradient of ln g(v) at v=mean as a tuple of floats, exact for a built-in family."""
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    return _log_gradient_at(region, mean, ray_exit_time(region, mean))
+    return as_floats(_log_gradient_at(region, mean, ray_exit_time(region, mean)))
 
 
 @dataclass(frozen=True)
@@ -691,15 +717,17 @@ class Hyperplane:
     """Supporting hyperplane <s_coef, s> + t_coef * t = level, anchored at time ``anchor``.
 
     The whole region lies on the side <= level, and level is positive.
+    ``s_coef`` is held as a tuple of Python floats, whatever sequence it is
+    given as, and every product with it is summed left to right (``dot``).
     """
 
-    s_coef: np.ndarray
+    s_coef: tuple
     t_coef: float
     level: float
     anchor: float
 
     def __post_init__(self):
-        object.__setattr__(self, "s_coef", np.atleast_1d(np.asarray(self.s_coef, dtype=float)))
+        object.__setattr__(self, "s_coef", as_floats(self.s_coef))
         if not self.level > 0.0:
             raise RegionError("hyperplane level must be positive")
         if not self.anchor > 0.0:
@@ -707,20 +735,18 @@ class Hyperplane:
 
     @property
     def dim(self) -> int:
-        return self.s_coef.shape[0]
+        return len(self.s_coef)
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.s_coef))
+        return math.sqrt(dot(self.s_coef, self.s_coef))
 
     def mean_gap(self, mean) -> float:
         """<s_coef, mean> + t_coef, which equals level/anchor for a valid plane."""
-        mean = np.atleast_1d(np.asarray(mean, dtype=float))
-        return float(self.s_coef @ mean + self.t_coef)
+        return dot(self.s_coef, as_floats(mean)) + self.t_coef
 
     def value(self, t: float, s) -> float:
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        return float(self.s_coef @ s + self.t_coef * t)
+        return dot(self.s_coef, as_floats(s)) + self.t_coef * t
 
 
 def supporting_hyperplane(region: Region, mean) -> Hyperplane:

@@ -334,27 +334,30 @@ def product(components) -> DistributionSpec:
 
 @dataclass(frozen=True)
 class MomentProfile:
-    """Exact moments of an increment vector, one entry per coordinate.
+    """Exact moments of an increment vector: tuples of Python floats, one entry per coordinate.
 
     ``pos_dev`` and ``neg_dev`` are E[(X-mean)^+] and E[(X-mean)^-]; they are
     equal for every distribution since the centered increment has zero mean.
     The support box [a, b] is infinite on an unbounded side.  ``bound_v`` is
     the moment envelope (mean-a)(b-mean)/(b-a), defined only when [a, b] is
-    bounded; it dominates both one-sided deviations.
+    bounded; it dominates both one-sided deviations.  ``independent``: the
+    coordinates are known to be independent, as those of every law
+    ``analytic_moments`` reads are.
     """
 
-    mean: np.ndarray
-    pos_dev: np.ndarray
-    neg_dev: np.ndarray
-    variance: np.ndarray
-    abs_third: np.ndarray
-    support_lo: np.ndarray
-    support_hi: np.ndarray
-    bound_v: Optional[np.ndarray] = None
+    mean: tuple
+    pos_dev: tuple
+    neg_dev: tuple
+    variance: tuple
+    abs_third: tuple
+    support_lo: tuple
+    support_hi: tuple
+    bound_v: Optional[tuple] = None
+    independent: bool = False
 
     @property
     def dim(self) -> int:
-        return self.mean.shape[0]
+        return len(self.mean)
 
     @property
     def bounded(self) -> bool:
@@ -362,18 +365,20 @@ class MomentProfile:
 
     @property
     def abs_third_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.abs_third)))
+        return all(map(math.isfinite, self.abs_third))
 
 
 def analytic_moments(spec: DistributionSpec) -> MomentProfile:
-    """Closed-form moment profile for a distribution spec."""
-    cols = list(zip(*(SCALAR_FAMILIES[c.family].moments(c.params) for c in spec.components)))
-    mean, pos, var, a3, lo, hi = (np.array(col, dtype=float) for col in cols)
-    with np.errstate(over="ignore"):
-        width = hi - lo  # inf on an unbounded side, or past the float range
-    v = None if np.isinf(width).any() else np.where(
-        width > 0, (mean - lo) * (hi - mean) / np.where(width > 0, width, 1.0), 0.0)
-    return MomentProfile(mean, pos, pos.copy(), var, a3, lo, hi, v)
+    """Closed-form moment profile for a distribution spec.
+
+    A scalar law and a product of scalar laws both have independent coordinates.
+    """
+    cols = zip(*(SCALAR_FAMILIES[c.family].moments(c.params) for c in spec.components))
+    mean, pos, var, a3, lo, hi = (tuple(map(float, col)) for col in cols)
+    widths = [b - a for a, b in zip(lo, hi)]  # inf on an unbounded side, or past the float range
+    v = None if any(map(math.isinf, widths)) else tuple([
+        (m - a) * (b - m) / w if w > 0.0 else 0.0 for m, a, b, w in zip(mean, lo, hi, widths)])
+    return MomentProfile(mean, pos, pos, var, a3, lo, hi, v, independent=True)
 
 
 def _seed_word(seed: int) -> int:

@@ -13,8 +13,9 @@ denominator are affine in the vertex q, so at the maximum ratio lam* each
 q_i is 1 where its gain n_i - lam* d_i is positive and 0 where it is
 negative, and one sweep through the sorted breakpoints n_i/d_i meets a
 maximizer among d + 1 vertices.  Its positivity proviso is decided on the
-exact least denominator, and ties go to the lexicographically smallest
-maximizing vertex.
+exact least denominator, ties go to the lexicographically smallest
+maximizing vertex, and the maximum ratio is rounded up to a float.  Slabs
+hold tuples of Python floats.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import Hyperplane, Region, SlabMaxResult, _numerators, float_at_least
+from .geometry import Hyperplane, Region, SlabMaxResult, _numerators, as_floats, float_at_least
 
 
 class ProvisoViolatedError(RuntimeError):
@@ -39,36 +40,38 @@ class ProvisoViolatedError(RuntimeError):
 class Slab:
     """Constraint t*lower_slope + lower_icept <= s <= t*upper_slope + upper_icept.
 
-    An optional primed quadruple intersects a second slab of the same form.
-    ``is_empty`` flags a lower slope or intercept above its upper one: the box may still be
-    non-empty on an interval of t, which the slab maximum finds, as for a primed slab.
+    Each of the four rows is held as a tuple of Python floats, one per
+    coordinate, whatever sequence it is given as.  An optional primed
+    quadruple intersects a second slab of the same form.  ``is_empty`` flags
+    a lower slope or intercept above its upper one: the box may still be
+    non-empty on an interval of t, which the slab maximum finds, as for a
+    primed slab.
     """
 
-    lower_slope: np.ndarray
-    upper_slope: np.ndarray
-    lower_icept: np.ndarray
-    upper_icept: np.ndarray
+    lower_slope: tuple
+    upper_slope: tuple
+    lower_icept: tuple
+    upper_icept: tuple
     primed: Optional["Slab"] = None
 
     def __post_init__(self):
         names = ("lower_slope", "upper_slope", "lower_icept", "upper_icept")
         for name in names:
-            object.__setattr__(self, name, np.atleast_1d(np.asarray(getattr(self, name), dtype=float)))
-        if len({getattr(self, name).shape for name in names}) != 1:
+            object.__setattr__(self, name, as_floats(getattr(self, name)))
+        if len({len(getattr(self, name)) for name in names}) != 1:
             raise ValueError("the four rows of a slab must have one length")
         if self.primed is not None and self.primed.dim != self.dim:
             raise ValueError("a slab and its primed slab must have one dimension")
 
     @property
     def dim(self) -> int:
-        return self.lower_slope.shape[0]
+        return len(self.lower_slope)
 
     @cached_property
     def is_empty(self) -> bool:
-        bad = np.any(self.lower_slope > self.upper_slope) or np.any(self.lower_icept > self.upper_icept)
-        if self.primed is not None:
-            bad = bad or self.primed.is_empty
-        return bool(bad)
+        return (any(lo > hi for lo, hi in zip(self.lower_slope, self.upper_slope))
+                or any(lo > hi for lo, hi in zip(self.lower_icept, self.upper_icept))
+                or (self.primed is not None and self.primed.is_empty))
 
 
 def max_time_in_region(region: Region, slab: Slab) -> SlabMaxResult:
@@ -186,18 +189,6 @@ class VertexMaxResult(NamedTuple):  # a tuple: cheaper than a dataclass to defin
     min_denominator: float
 
 
-def _float_form(hyp: Hyperplane, rows: list, vertex: tuple):
-    """(numerator, denominator) of the fractional form at a vertex, in floats summed left to right.
-
-    ``rows`` holds one (a_i, upper slope, lower slope, upper icept, lower icept) per coordinate.
-    """
-    num = den = 0.0
-    for (a, us, ls, ui, li), q in zip(rows, vertex):
-        den += a * (us + q * (ls - us))
-        num += a * (ui + q * (li - ui))
-    return hyp.level - num, hyp.t_coef + den
-
-
 def vertex_fraction_max(hyp: Hyperplane, slab: Slab) -> VertexMaxResult:
     """Maximum of (level - <a, icept(q)>) / (t_coef + <a, slope(q)>) over cube vertices.
 
@@ -213,17 +204,15 @@ def vertex_fraction_max(hyp: Hyperplane, slab: Slab) -> VertexMaxResult:
     changes where lam passes a breakpoint n_i/d_i: the best ratio along one
     sweep flipping the coordinates in increasing order of breakpoint is
     lam*.  Ties go to the lexicographically smallest maximizer, q_i = 1
-    exactly where n_i - lam* d_i > 0.  ``value`` is the float form at that
-    vertex and ``min_denominator`` its denominator at the minimum vertex;
-    where cancellation leaves a float denominator at or below 0, the exact
-    one, or the exact ratio, is rounded up instead.
+    exactly where n_i - lam* d_i > 0.  ``value`` is that exact ratio N*/D*
+    and ``min_denominator`` the exact least denominator, each rounded up to
+    a float.
     """
     if hyp.dim != slab.dim:
         raise ValueError("hyperplane and slab dimensions disagree")
-    rows = list(zip(hyp.s_coef.tolist(), slab.upper_slope.tolist(), slab.lower_slope.tolist(),
-                    slab.upper_icept.tolist(), slab.lower_icept.tolist()))
     terms = [(hyp.t_coef,), (hyp.level,)]
-    for a, us, ls, ui, li in rows:
+    for a, us, ls, ui, li in zip(hyp.s_coef, slab.upper_slope, slab.lower_slope,
+                                 slab.upper_icept, slab.lower_icept):
         terms += (a, us), (a, ls), (a, ui), (a, li)
     (den0, num0, *products), den = _numerators(terms)
     dg, ng = [], []  # the gains d_i and n_i of taking q_i = 1
@@ -241,9 +230,9 @@ def vertex_fraction_max(hyp: Hyperplane, slab: Slab) -> VertexMaxResult:
     lowest = den0 + fall
     min_vertex = tuple([int(x < 0) for x in dg])
     if lowest <= 0:
-        min_f = _float_form(hyp, rows, min_vertex)[1]
         if lowest < 0:
-            raise ProvisoViolatedError(f"vertex denominator minimum {min_f:.6g} is not positive")
+            raise ProvisoViolatedError(
+                f"vertex denominator minimum {float_at_least(lowest, den):.6g} is not positive")
         return VertexMaxResult(math.inf, min_vertex, 0.0)
     num, dnm = num0 + rise_n, den0 + rise_d  # the vertex at lam = -inf, then each breakpoint
     best_num, best_den = num, dnm
@@ -259,7 +248,4 @@ def vertex_fraction_max(hyp: Hyperplane, slab: Slab) -> VertexMaxResult:
         if num * best_den > best_num * dnm:
             best_num, best_den = num, dnm
     vertex = tuple([int(n * best_den > best_num * x) for n, x in zip(ng, dg)])
-    num_f, den_f = _float_form(hyp, rows, vertex)
-    min_f = den_f if vertex == min_vertex else _float_form(hyp, rows, min_vertex)[1]
-    value = num_f / den_f if den_f > 0.0 else float_at_least(best_num, best_den)
-    return VertexMaxResult(value, vertex, min_f if min_f > 0.0 else float_at_least(lowest, den))
+    return VertexMaxResult(float_at_least(best_num, best_den), vertex, float_at_least(lowest, den))

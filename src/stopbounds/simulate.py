@@ -750,7 +750,7 @@ def validate_identity(which: str, scenario: dict, n_runs: int, seed: int = 0) ->
                            scenario.get("boundary", "closed"))
     spec = scenario["spec"]
     prof = analytic_moments(spec)
-    mu = prof.mean
+    mu, variance = np.array(prof.mean), np.array(prof.variance)
     n = paths.stop_n
     s = paths.stop_sum
     gfun = scenario.get("gfun")
@@ -763,9 +763,9 @@ def validate_identity(which: str, scenario: dict, n_runs: int, seed: int = 0) ->
     if which == "wald-T4-II":
         vbar = (s - n[:, None] * mu) ** 2 / n[:, None]
         if gfun is None:
-            return _four_sigma(which, n * vbar[:, 0] - n * prof.variance[0], True,
+            return _four_sigma(which, n * vbar[:, 0] - n * variance[0], True,
                                mode="equality")
-        diff = n * gfun(vbar) - n * float(gfun(prof.variance[None, :])[0])
+        diff = n * gfun(vbar) - n * float(gfun(variance[None, :])[0])
         return _four_sigma(which, diff, mode="inequality")
     if which == "lp-norm":
         p = scenario.get("p", 2)

@@ -75,8 +75,8 @@ def _boundary_root(member, inside: float, outside: float, tol=None) -> float:
 
 def box(slab, t: float):
     """Elementwise box [lo, hi] of the sums s a slab allows at t, intersecting its primed slab."""
-    lo = t * slab.lower_slope + slab.lower_icept
-    hi = t * slab.upper_slope + slab.upper_icept
+    lo = t * np.array(slab.lower_slope) + slab.lower_icept
+    hi = t * np.array(slab.upper_slope) + slab.upper_icept
     if slab.primed is not None:
         plo, phi = box(slab.primed, t)
         lo = np.maximum(lo, plo)

@@ -201,11 +201,12 @@ def test_criterion_5_geometry_equivalences():
         ]
         for hyp, slab in cases:
             res = sb.vertex_fraction_max(hyp, slab)
-            a = hyp.s_coef
+            a, ls, us, li, ui = map(np.array, (hyp.s_coef, slab.lower_slope, slab.upper_slope,
+                                               slab.lower_icept, slab.upper_icept))
             axes = [np.linspace(0.0, 1.0, 50)] * slab.dim
             grid = max(
-                (hyp.level - float(a @ (slab.upper_icept + np.array(q) * (slab.lower_icept - slab.upper_icept))))
-                / (hyp.t_coef + float(a @ (slab.upper_slope + np.array(q) * (slab.lower_slope - slab.upper_slope))))
+                (hyp.level - float(a @ (ui + np.array(q) * (li - ui))))
+                / (hyp.t_coef + float(a @ (us + np.array(q) * (ls - us))))
                 for q in itertools.product(*axes))
             assert res.value == pytest.approx(grid, abs=1e-9)
         # supporting hyperplane of the square-root boundary at unit mean

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import math
 import sys
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 import stopbounds as sb
 from stopbounds.bounds import ALL_TAGS, UPPER_TAGS, overshoot_upper_bound
 from stopbounds import geometry, optimize
-from stopbounds.harness import BrownianBundle, ScenarioBundle, bound_report, brownian_report
+from stopbounds.harness import BrownianBundle, ScenarioBundle, bound_report, brownian_report, certify
 from stopbounds.scenarios import brownian_cases, certification_matrix
 
 import search_twin
@@ -160,10 +161,10 @@ def test_hyperplane_vertex_bounded_variant_takes_minimum():
     for quad in (Slab(both.lower_slope, both.upper_slope, both.lower_icept,
                       both.upper_icept), both.primed):
         res = vertex_fraction_max(hyp, quad)
-        a = hyp.s_coef
+        a, ls, us, li, ui = map(np.array, (hyp.s_coef, quad.lower_slope, quad.upper_slope,
+                                           quad.lower_icept, quad.upper_icept))
         grid = max(
-            (hyp.level - float(a @ (quad.upper_icept + q * (quad.lower_icept - quad.upper_icept))))
-            / (hyp.t_coef + float(a @ (quad.upper_slope + q * (quad.lower_slope - quad.upper_slope))))
+            (hyp.level - float(a @ (ui + q * (li - ui)))) / (hyp.t_coef + float(a @ (us + q * (ls - us))))
             for q in np.linspace(0.0, 1.0, 2001)[:, None]
         )
         assert res.value == pytest.approx(grid, abs=1e-9)
@@ -505,6 +506,49 @@ def test_degenerate_noise_collapse():
         assert report.applicable, (tag, report.failed_assumptions())
         assert math.isfinite(report.value), tag
         assert report.value >= m - 1e-9, tag
+
+
+def _coin_halfspace(d, p=0.5):
+    """A walk of d Bernoulli(p) coins in the continuity region below the plane sum(s) = 5 d."""
+    return bundle(sb.product([sb.bernoulli_affine(0, 1, p)] * d),
+                  sb.halfspace_region([1.0] * d, 0.0, 5.0 * d), sb.naturals())
+
+
+@pytest.mark.parametrize("d,p", [(3, 0.5), (2, 0.3), (5, 0.5)])
+def test_t16_ii_applies_to_product_laws(d, p):
+    # a product law's components are independent by construction, so the elementwise
+    # form applies at every dimension: 11.33, 18.83 and 11.2 against E[N] of about
+    # 11.00, 18.55 and 10.80, below the norm chain member T16-I
+    b = _coin_halfspace(d, p)
+    first, second = (bound_report(tag, b) for tag in ("T16-chenlorden-I", "T16-chenlorden-II"))
+    assert second.applicable and second.value <= first.value
+    estimate = sb.run_discrete(b.region, b.spec, b.schedule, 100_000, seed=31)
+    assert [row.verdict for row in certify([second], estimate)] == ["pass"]
+    # a profile that does not know its coordinates independent keeps the check failing
+    prof = dataclasses.replace(b.premises.profile, independent=False)
+    report = sb.lorden_hyperplane_upper_bound(b.premises.hyperplane, prof, 1, "T16-chenlorden-II")
+    assert report.failed_assumptions() == ["independent-components"]
+
+
+@pytest.mark.parametrize("d", [21, 40])
+def test_vertex_bound_rounds_the_exact_ratio_up(d):
+    # T15 on d fair coins reads 12 on the exact plane, and its float form once read
+    # 11.999999999999998: the value is now lam * N*/D* + K on the rounded plane, in
+    # exact arithmetic at the winning vertex, rounded up
+    b = _coin_halfspace(d)
+    report = bound_report("T15-hyperplane-bounded", b)
+    assert report.applicable and report.value >= 12.0
+    p, q = b.premises, report.diagnostics["vertex"]
+    hyp, slab = p.hyperplane, p.support_slab.primed
+    assert report.diagnostics["winning_slab"] == "support"
+    num = Fraction(hyp.level) - sum(
+        Fraction(a) * (Fraction(ui) + k * (Fraction(li) - Fraction(ui)))
+        for a, ui, li, k in zip(hyp.s_coef, slab.upper_icept, slab.lower_icept, q))
+    den = Fraction(hyp.t_coef) + sum(
+        Fraction(a) * (Fraction(us) + k * (Fraction(ls) - Fraction(us)))
+        for a, us, ls, k in zip(hyp.s_coef, slab.upper_slope, slab.lower_slope, q))
+    exact = Fraction(p.schedule.lam) * num / den + Fraction(p.schedule.K)
+    assert Fraction(report.value) >= exact > Fraction(math.nextafter(report.value, -math.inf))
 
 
 def test_inapplicable_report_carries_no_consumable_value():

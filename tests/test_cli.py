@@ -276,8 +276,15 @@ def test_extreme_finite_numbers_end_without_a_traceback(tmp_path, capsys, case):
     if code == 2:
         assert err.startswith("stopbounds: ")
         return
+    rows = [(r["applicable"], r["value"]) for r in read_rows(out)]
+    if case == "point-mass-1e308-T17":
+        # g(mean) + 1 + 0, exact: every walk stops at its first step.  The squared slope
+        # gap of the closed scalar form reads inf past the float range; it once raised
+        # OverflowError and made the row inapplicable
+        assert code == 0 and rows == [("true", "1.0")]
+        return
     # or every row is inapplicable: the overflow is named in its failed check
-    assert code == 0 and [r["applicable"] for r in read_rows(out)] == ["false"]
+    assert code == 0 and [applicable for applicable, _ in rows] == ["false"]
 
 
 def test_schedule_n0_defaults_to_0_for_every_kind(tmp_path):
@@ -334,8 +341,11 @@ def test_bound_command_answers_vertex_bounds_in_high_dimension(tmp_path, d):
     rows = read_rows(out)
     assert [(r["theorem"], r["applicable"]) for r in rows] == [
         ("T14-hyperplane", "true"), ("T15-hyperplane-bounded", "true")]
-    # E[N] = sum_n Pr{S_n <= 5 d} is 10.57 at d = 21 and 10.54 at d = 40
-    assert all(10.6 < float(r["value"]) <= 22.0 for r in rows)
+    # E[N] = sum_n Pr{S_n <= 5 d} is 10.57 at d = 21 and 10.54 at d = 40.  The formulas
+    # read 22 and 12 on the exact plane; the plane's coefficients 2/d are rounded, and
+    # each bound is the exact ratio on them rounded up: at most 8 ulps above, never below
+    for row, formula in zip(rows, (22.0, 12.0)):
+        assert 0.0 <= float(row["value"]) - formula <= 8 * math.ulp(formula)
 
 
 @pytest.mark.parametrize("name", ["bernoulli_threshold_certify", "brownian_passage_certify"])

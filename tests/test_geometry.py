@@ -230,7 +230,7 @@ def test_supporting_hyperplane_rejects_bad_gradient():
     with mock.patch.object(geometry.FamilyRegion, "ray_exit", counted):
         plane = sb.supporting_hyperplane(region, 1.0)
         assert len(exits) == 1
-        assert np.array_equal(plane.s_coef, -sb.log_exit_gradient(region, 1.0))
+        assert plane.s_coef == tuple(-x for x in sb.log_exit_gradient(region, 1.0))
         assert len(exits) == 2
     with mock.patch.object(geometry.FamilyRegion, "log_gradient",
                            lambda self, mean, g0: np.array([math.nan])):
@@ -576,8 +576,8 @@ def _region_and_slab(draw):
 def _widened(slab, by):
     """The slab with its intercepts moved apart by ``by`` each way: every box grows by ``by``."""
     primed = None if slab.primed is None else _widened(slab.primed, by)
-    return sb.Slab(slab.lower_slope, slab.upper_slope, slab.lower_icept - by,
-                   slab.upper_icept + by, primed)
+    return sb.Slab(slab.lower_slope, slab.upper_slope, [x - by for x in slab.lower_icept],
+                   [x + by for x in slab.upper_icept], primed)
 
 
 def _exactly_meets(region, slab, t: float) -> bool:

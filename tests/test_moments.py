@@ -72,14 +72,16 @@ ALL_SPECS = [
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
 def test_one_sided_deviations_balance(spec):
     prof = sb.analytic_moments(spec)
-    assert np.all(np.abs(prof.pos_dev - prof.neg_dev) <= 1e-12)
-    assert np.all(prof.pos_dev >= 0)
-    assert np.all(prof.variance >= 0)
+    mean, pos, neg, var, lo, hi = map(np.array, (prof.mean, prof.pos_dev, prof.neg_dev,
+                                                 prof.variance, prof.support_lo, prof.support_hi))
+    assert np.all(np.abs(pos - neg) <= 1e-12)
+    assert np.all(pos >= 0)
+    assert np.all(var >= 0)
     if prof.bounded:
-        assert np.all(prof.support_lo <= prof.mean + 1e-12)
-        assert np.all(prof.mean <= prof.support_hi + 1e-12)
-        assert np.all(prof.pos_dev <= prof.bound_v + 1e-12)
-        assert np.all(prof.neg_dev <= prof.bound_v + 1e-12)
+        assert np.all(lo <= mean + 1e-12)
+        assert np.all(mean <= hi + 1e-12)
+        assert np.all(pos <= np.array(prof.bound_v) + 1e-12)
+        assert np.all(neg <= np.array(prof.bound_v) + 1e-12)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
@@ -91,15 +93,15 @@ def test_empirical_mean_within_clt_band(spec):
         band = 4.0 * math.sqrt(max(prof.variance[k], 1e-30) / n)
         assert abs(draws[:, k].mean() - prof.mean[k]) <= band + 1e-12
     if prof.bounded:
-        assert np.all(draws >= prof.support_lo - 1e-12)
-        assert np.all(draws <= prof.support_hi + 1e-12)
+        assert np.all(draws >= np.array(prof.support_lo) - 1e-12)
+        assert np.all(draws <= np.array(prof.support_hi) + 1e-12)
 
 
 def test_unbounded_supports_carry_infinite_ends():
     prof = sb.analytic_moments(sb.product([sb.exponential(2.0), sb.gaussian(0.0, 1.0),
                                            sb.uniform_interval(-1.0, 1.0)]))
-    assert prof.support_lo.tolist() == [0.0, -math.inf, -1.0]
-    assert prof.support_hi.tolist() == [math.inf, math.inf, 1.0]
+    assert prof.support_lo == (0.0, -math.inf, -1.0)
+    assert prof.support_hi == (math.inf, math.inf, 1.0)
     assert not prof.bounded and prof.bound_v is None
     assert sb.analytic_moments(sb.uniform_interval(-1.0, 1.0)).bounded
 

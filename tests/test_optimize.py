@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import re
+import sys
 import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -12,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import stopbounds as sb
-from stopbounds.geometry import NonConvexityError
+from stopbounds.geometry import NonConvexityError, float_at_least
 from stopbounds.optimize import ProvisoViolatedError
 
 from search_twin import bisect, box, region_from_oracle
@@ -187,11 +188,12 @@ def _cube_grid_max(hyp, slab, points=50):
     d = slab.dim
     axes = [np.linspace(0.0, 1.0, points)] * d
     best = -math.inf
-    a = hyp.s_coef
+    a, ls, us, li, ui = map(np.array, (hyp.s_coef, slab.lower_slope, slab.upper_slope,
+                                       slab.lower_icept, slab.upper_icept))
     for combo in itertools.product(*axes):
         q = np.array(combo)
-        slope = slab.upper_slope + q * (slab.lower_slope - slab.upper_slope)
-        icept = slab.upper_icept + q * (slab.lower_icept - slab.upper_icept)
+        slope = us + q * (ls - us)
+        icept = ui + q * (li - ui)
         den = hyp.t_coef + float(a @ slope)
         num = hyp.level - float(a @ icept)
         best = max(best, num / den)
@@ -228,23 +230,41 @@ def test_vertex_fraction_proviso_error():
     assert tuple(res) == (2.0**60, (1,), 2.0**-60)
 
 
+def test_vertex_fraction_rounds_the_exact_ratio_up():
+    # 1/3 rounds to nearest below itself: the value is the float above
+    res = sb.vertex_fraction_max(sb.Hyperplane([1.0], 3.0, 1.0, 1.0),
+                                 sb.Slab([0.0], [0.0], [0.0], [0.0]))
+    assert Fraction(res.value) > Fraction(1, 3) > Fraction(math.nextafter(res.value, 0.0))
+    # a ratio past the float range reads inf, as the float quotient 1e308 / 1e-308 does
+    res = sb.vertex_fraction_max(sb.Hyperplane([1.0], 1e-308, 1e308, 1.0),
+                                 sb.Slab([0.0], [0.0], [0.0], [0.0]))
+    assert tuple(res) == (math.inf, (0,), 1e-308)
+    assert float_at_least(-(10**400), 1) == -sys.float_info.max
+
+
 def _enumerated_vertex_max(hyp, slab):
-    """The maximum over all 2^d vertices in float arithmetic, the lexicographically first on ties."""
-    a = hyp.s_coef
+    """The maximum over all 2^d vertices, the lexicographically first on ties.
+
+    Numerators and denominators are exact in floats on quarters; the ratios
+    are compared as fractions and the largest is rounded up to a float.
+    """
+    a, ls, us, li, ui = map(np.array, (hyp.s_coef, slab.lower_slope, slab.upper_slope,
+                                       slab.lower_icept, slab.upper_icept))
     rows = []
     for bits in itertools.product((0, 1), repeat=slab.dim):
         q = np.array(bits, dtype=float)
-        slope = slab.upper_slope + q * (slab.lower_slope - slab.upper_slope)
-        icept = slab.upper_icept + q * (slab.lower_icept - slab.upper_icept)
+        slope = us + q * (ls - us)
+        icept = ui + q * (li - ui)
         rows.append((bits, hyp.level - float(a @ icept), hyp.t_coef + float(a @ slope)))
     min_den = min(den for _, _, den in rows)
     if min_den < 0.0:
         raise ProvisoViolatedError(f"vertex denominator minimum {min_den:.6g} is not positive")
     if min_den == 0.0:
         return (math.inf, next(bits for bits, _, den in rows if den == 0.0), 0.0)
-    value, bits = max(((num / den, bits) for bits, num, den in rows),
+    ratio, bits = max(((Fraction(num) / Fraction(den), bits) for bits, num, den in rows),
                       key=lambda row: (row[0], tuple(-b for b in row[1])))
-    return (value, bits, min_den)
+    value = float(ratio)  # to nearest, then up
+    return (value if Fraction(value) >= ratio else math.nextafter(value, math.inf), bits, min_den)
 
 
 # quarters in [-2, 2]: the float form is exact, and equal breakpoints, zero gains
@@ -390,7 +410,7 @@ def _slab_case(draw, families=("constant", "affine", "power", "halfspace"),
     # eighths cross exactly at t0 on every coordinate
     t0 = draw(st.integers(0, 64).map(lambda k: k / 8.0) | st.floats(0.0, 8.0))
     slope = np.array([draw(_REALS) for _ in range(region.dim)])
-    icept = slab.lower_slope * t0 + slab.lower_icept - slope * t0
+    icept = np.array(slab.lower_slope) * t0 + slab.lower_icept - slope * t0
     line = sb.Slab(slab.lower_slope, slab.lower_slope, slab.lower_icept, slab.lower_icept)
     return region, dataclasses.replace(line, primed=sb.Slab(slope, slope, icept, icept))
 

@@ -149,7 +149,8 @@ def _resummed(region, profile, schedule, hyp, user_tail, diag):
     """
     mu, d = profile.mean, profile.dim
     f = region.scalar_boundary if d == 1 else None
-    widths = (profile.support_hi - profile.support_lo).tolist() if profile.bounded else None
+    widths = ([b - a for a, b in zip(profile.support_lo, profile.support_hi)]
+              if profile.bounded else None)
 
     def tail(n, dev, k):
         if user_tail is None:
@@ -254,3 +255,34 @@ def test_concentration_series_resums_on_an_oracle_slice():
     for user_tail in (None, _gentle_tail):
         report = _assert_resums(oracle, profile, sb.naturals(), user_tail=user_tail)
         assert report.diagnostics["one_sided"]
+
+
+def _float_tuple(value) -> bool:
+    return type(value) is tuple and all(type(x) is float for x in value)
+
+
+def test_shipped_carriers_hold_tuples_of_python_floats():
+    # the bound path computes on Python floats: every profile field, both slabs, the
+    # primed slab and the plane's normal are tuples of them, with no numpy scalar inside
+    seen = collections.Counter()
+    for bundle, _, _ in _shipped():
+        p = bundle.premises
+        assert _float_tuple(p.mean), bundle.name
+        if p.profile is not None:
+            prof = p.profile
+            for field in dataclasses.fields(prof):
+                value = getattr(prof, field.name)
+                if field.name == "independent" or (field.name == "bound_v" and value is None):
+                    continue
+                assert _float_tuple(value), (bundle.name, field.name)
+            slabs = [p.dev_slab]
+            if prof.bounded:
+                slabs += [p.support_slab, p.support_slab.primed, p.envelope_slab]
+            for slab in slabs:
+                for name in ("lower_slope", "upper_slope", "lower_icept", "upper_icept"):
+                    assert _float_tuple(getattr(slab, name)), (bundle.name, name)
+            seen["slabs"] += len(slabs)
+        assert _float_tuple(p.hyperplane.s_coef), bundle.name
+        seen["planes"] += 1
+    # 13 deviation slabs, three more for each of the 11 bounded laws; 13 + 3 planes
+    assert seen == {"slabs": 46, "planes": 16}

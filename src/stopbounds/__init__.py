@@ -10,6 +10,7 @@ Carlo certification harness.
 
 from .bounds import (
     ALL_TAGS,
+    THEOREMS,
     AssumptionCheck,
     BoundReport,
     Premises,

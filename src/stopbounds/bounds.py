@@ -1,4 +1,4 @@
-"""Bound calculators: each returns a report with a checked assumption list.
+"""Bound calculators, and ``THEOREMS``: each theorem tag's direction, target, kind and calculator.
 
 A report whose assumption list contains a failure is inapplicable and its
 value must not be consumed by the certification harness.  When a proviso
@@ -40,16 +40,6 @@ from .optimize import ProvisoViolatedError, Slab, max_time_in_region, vertex_fra
 from .optimize import max_concave_over_box  # noqa: F401  (a bounds name the tracer wraps)
 from .schedules import SampleSchedule, audit_assumptions, gap_supremum, tau_index
 
-UPPER_TAGS = (
-    "T10-upper", "T11-upper-bounded", "T12-samplemean", "T13-samplemean-naturals",
-    "T-try88-bounded", "T14-hyperplane", "T15-hyperplane-bounded",
-    "T16-chenlorden-I", "T16-chenlorden-II", "T16-chenlorden-III",
-    "T17-gradient", "vipformula", "T18-concentration", "T19-concentration-hyperplane",
-    "Lorden-T6", "Lorden-T7", "Brown1", "Brown2-upper", "Brown3",
-)
-LOWER_TAGS = ("T8-lower", "T-UseWald-lower", "Brown2-lower", "Brown4")
-ALL_TAGS = UPPER_TAGS + LOWER_TAGS
-
 
 class CapExceededError(RuntimeError):
     """A series bound failed to converge within the iteration cap."""
@@ -78,15 +68,25 @@ class BoundReport:
         return [c.ident for c in self.assumptions if c.status == "fail"]
 
 
+@dataclass(frozen=True)
+class Theorem:
+    """A theorem tag's record: ``calculator(premises, tag)`` computes its report."""
+
+    direction: str  # "upper" | "lower"
+    calculator: Callable[..., BoundReport]
+    form: str = ""  # the closed form the calculator computes; "" is the general one
+    brownian: bool = False  # a Brownian tag, answered at the drift
+    overshoot: bool = False  # bounds E[overshoot] past a threshold rather than E[N]
+
+
 def _chk(ident: str, ok: bool, note: str = "") -> AssumptionCheck:
     return AssumptionCheck(ident, "pass" if ok else "fail", note)
 
 
-def _known(tag: str, *tags: str) -> str:
-    """``tag`` if it names one of the theorems a calculator computes."""
-    if tag not in tags:
-        raise ValueError(f"tag must be one of {', '.join(tags)}; got {tag!r}")
-    return tag
+def inapplicable(tag: str, ident: str, note: str) -> BoundReport:
+    """The report of ``tag`` that failed the one check ``ident``: value NaN, no diagnostics."""
+    return BoundReport(tag, THEOREMS[tag].direction, math.nan,
+                       [AssumptionCheck(ident, "fail", note)], {})
 
 
 def _sum(values) -> float:
@@ -114,16 +114,18 @@ class Premises:
 
     ``region`` is the scenario's region, of either kind, and ``mean`` the
     slope of its mean ray, kept as a tuple of floats: the increment mean, or
-    a Brownian drift, which comes with no ``profile`` or ``schedule`` and
-    reads only the region views, (III) and the mean ray.  A premise whose
-    derivation raises is not kept, so every calculator that reads it raises
-    the same error.
+    a Brownian drift, which comes with no ``profile``, ``schedule`` or
+    increment law ``spec`` and reads only the region views, (III) and the
+    mean ray.  A premise whose derivation raises is not kept, so every
+    calculator that reads it raises the same error.
     """
 
     def __init__(self, region: Region, mean, profile: Optional[MomentProfile] = None,
-                 schedule: Optional[SampleSchedule] = None):
-        self.region, self.profile, self.schedule = region, profile, schedule
+                 schedule: Optional[SampleSchedule] = None, spec: DistributionSpec = None):
+        self.region, self.profile, self.schedule, self.spec = region, profile, schedule, spec
         self.mean = as_floats(mean)
+        if len(self.mean) != region.dim:
+            raise ValueError(f"region and mean dimensions disagree: {region.dim}, {len(self.mean)}")
 
     @cached_property
     def continuity_view(self) -> Region:
@@ -145,9 +147,9 @@ class Premises:
         return supporting_hyperplane(self.continuity_view, self.mean)
 
     @cached_property
-    def stopping_ray(self) -> BoundReport:
-        """T8 at the mean: T8-lower, and Brown2, which reads its entry and exit."""
-        return stopping_region_lower_bound(self.stopping_view, self.mean)
+    def stopping_ray(self) -> tuple:
+        """The mean ray's (entry, exit) of the stopping view, which T8 and Brown2 read."""
+        return ray_entry_and_exit(self.stopping_view, self.mean)
 
     @cached_property
     def reciprocal_rule_concave(self) -> bool:
@@ -164,8 +166,8 @@ class Premises:
         """Level c of a flat stopping threshold {s >= c}, in whatever family it is written.
 
         The boundary s = f(t) is flat when its exact slope is 0; t = 1
-        avoids the power family's infinite slope at t = 0.  Only a region
-        with a boundary curve has an orientation.
+        avoids the power family's infinite slope at t = 0.  Only a d = 1
+        region has a boundary curve, and with it an orientation.
         """
         view = self.stopping_view
         if view.orientation == "ge" and view.boundary_slope(1.0) == 0.0:
@@ -272,27 +274,36 @@ class Premises:
 # ---------------------------------------------------------------------------
 
 
-def stopping_region_lower_bound(region: Region, mean) -> BoundReport:
-    """E[N] >= first mean-ray entry time of a convex stopping region.
-
-    When the mean ray never meets the region the expected stopping time is
-    infinite and the report carries value +inf.  Otherwise the diagnostics
-    also hold the ray's exit time, the Brownian upper bound.
-    """
-    checks = [
-        _chk("stopping-kind", region.kind == "stopping"),
-        _chk("convex", region.convex_closure, "asserted flag"),
-    ]
+def _ray_report(region: Region, tag: str, ray: Callable[[], tuple]) -> BoundReport:
+    """T8's checks on a stopping region, then ``ray()``, the mean ray's (entry, exit) of it."""
+    direction = THEOREMS[tag].direction
+    checks = [_chk("stopping-kind", region.kind == "stopping"),
+              _chk("convex", region.convex_closure, "asserted flag")]
     if any(c.status == "fail" for c in checks):
-        return BoundReport("T8-lower", "lower", math.nan, checks, {})
-    entry, sup = ray_entry_and_exit(region, mean)
+        return BoundReport(tag, direction, math.nan, checks, {})
+    entry, sup = ray()
     if entry is None:
-        return BoundReport("T8-lower", "lower", math.inf, checks, {"mean_ray_entry": None})
-    return BoundReport("T8-lower", "lower", entry, checks,
+        return BoundReport(tag, direction, math.inf, checks, {"mean_ray_entry": None})
+    return BoundReport(tag, direction, entry if direction == "lower" else sup, checks,
                        {"mean_ray_entry": entry, "mean_ray_exit": sup})
 
 
-def wald_lower_bound(rule_at_mean: float, concave: Optional[bool] = None) -> BoundReport:
+def stopping_region_lower_bound(region: Region, mean, tag: str) -> BoundReport:
+    """E[N] >= first mean-ray entry time of a convex stopping region (T8).
+
+    When the mean ray never meets the region the expected stopping time is
+    infinite and the report carries value +inf.  Otherwise the diagnostics
+    also hold the ray's exit time, the Brownian upper bound (Brown2's).
+    """
+    return _ray_report(region, tag, lambda: ray_entry_and_exit(region, mean))
+
+
+def _stopping_ray_bound(p: Premises, tag: str) -> BoundReport:
+    """T8 and Brown2 at the mean, from the premises' stopping ray."""
+    return _ray_report(p.stopping_view, tag, lambda: p.stopping_ray)
+
+
+def wald_lower_bound(rule_at_mean: float, tag: str, concave: Optional[bool] = None) -> BoundReport:
     """E[N] >= 1/g(mean) for rules that stop once n >= 1/g(sample mean).
 
     ``rule_at_mean`` is g(mean), and ``concave`` whether g is known concave;
@@ -305,10 +316,33 @@ def wald_lower_bound(rule_at_mean: float, concave: Optional[bool] = None) -> Bou
     if g0 == 0.0:
         checks.append(AssumptionCheck("g-positive-at-mean", "unchecked",
                                       "g(mean)=0: never stops, value +inf"))
-        return BoundReport("T-UseWald-lower", "lower", math.inf, checks, {"g_at_mean": g0})
+        return BoundReport(tag, "lower", math.inf, checks, {"g_at_mean": g0})
     checks.append(_chk("g-positive-at-mean", g0 > 0.0, f"g(mean)={g0:.6g}"))
     value = 1.0 / g0 if g0 > 0 else math.nan
-    return BoundReport("T-UseWald-lower", "lower", value, checks, {"g_at_mean": g0})
+    return BoundReport(tag, "lower", value, checks, {"g_at_mean": g0})
+
+
+def _reciprocal_rule_bound(p: Premises, tag: str) -> BoundReport:
+    """Wald's bound for the rule 1/g, at 1/g(mean): +inf at g(mean) = 0, and 0 at +inf."""
+    g0 = p.g_at_mean
+    return wald_lower_bound(1.0 / g0 if g0 > 0 else math.inf, tag, p.reciprocal_rule_concave)
+
+
+def _crossing_bound(p: Premises, tag: str) -> BoundReport:
+    """Brown1: E[N] <= m, the mean ray's crossing, under (III)."""
+    iii = p.convex_origin
+    if iii.status == "fail":
+        return BoundReport(tag, "upper", math.nan, [iii], {})
+    crossing, m = p.crossing
+    return BoundReport(tag, "upper", m, [iii, crossing], {"m": m})
+
+
+def _rule_bound(p: Premises, tag: str) -> BoundReport:
+    """Brown3: g(mean) bounds E[N] above; at g = 0, where Wald's bound is +inf, nothing."""
+    g0 = float(p.g_at_mean)
+    checks = [AssumptionCheck("g-concave", "declared"),
+              _chk("g-positive-at-mean", g0 > 0.0, f"g(mean)={g0:.6g}")]
+    return BoundReport(tag, "upper", g0 if g0 > 0.0 else math.nan, checks, {"g_at_mean": g0})
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +385,10 @@ def bounded_support_slab(profile: MomentProfile, lam: float, K: float, n0: float
 def slab_optimization_upper_bound(p: Premises, tag: str) -> BoundReport:
     """E[N] <= lam * max{t over the slab-constrained region} + K.
 
-    "T10-upper" uses the one-sided-deviation slab; "T11-upper-bounded" needs
+    T10 uses the one-sided-deviation slab; T11, the support form, needs
     support bounds and intersects the envelope slab with the primed support slab.
     """
-    bounded = _known(tag, "T10-upper", "T11-upper-bounded") == "T11-upper-bounded"
+    bounded = THEOREMS[tag].form == "support"
     lam, K, n0 = p.schedule.lam, p.schedule.K, p.schedule.n0
     checks = p.audit(need_third_moment=not bounded)
     vcheck, m = p.crossing
@@ -386,22 +420,19 @@ def sample_mean_upper_bound(p: Premises, tag: str) -> BoundReport:
     """E[N] <= K + max of g over a moment box, for rules n >= g(sample mean).
 
     g(v) = ray_exit_time(region, v) is the rule of the continuity region.
-    "T12-samplemean" uses the one-sided-deviation box with the schedule's max
-    gap K; "T13-samplemean-naturals" is the all-naturals form with constant 2
-    instead of K; "T-try88-bounded" uses the support envelope box and needs
-    bounded increments.  The box maximum is the region's ``exit_box_max``,
-    a closed form.
+    T12 uses the one-sided-deviation box with the schedule's max gap K;
+    T13 is the all-naturals form with constant 2 instead of K; try88, the
+    support form, uses the support envelope box and needs bounded
+    increments.  The box maximum is the region's ``exit_box_max``, a closed
+    form.
     """
-    _known(tag, "T12-samplemean", "T13-samplemean-naturals", "T-try88-bounded")
+    form = THEOREMS[tag].form
     profile, schedule = p.profile, p.schedule
-    checks = []
-    diag = {}
-    K = p.max_gap
-    n0 = schedule.n0
-    diag["K"] = K
+    K, n0 = p.max_gap, schedule.n0
+    diag = {"K": K}
     # which concavity of g each theorem needs is not settled: no region answers it
-    checks.append(AssumptionCheck("g-concave", "declared"))
-    if tag == "T13-samplemean-naturals":
+    checks = [AssumptionCheck("g-concave", "declared")]
+    if form == "naturals":
         checks.append(_chk("all-naturals", schedule.is_all_naturals))
         gmu = float(p.g_at_mean)
         checks.append(_chk("g-nonnegative", gmu >= 0.0, f"g(mean)={gmu:.6g}"))
@@ -412,11 +443,14 @@ def sample_mean_upper_bound(p: Premises, tag: str) -> BoundReport:
         checks.append(p.start_check("sure-start"))
         checks.append(p.third_moment)
         constant = float(K)
-    if tag == "T-try88-bounded":
+    if form == "support":
         checks.append(_chk("support-bounds", profile.bounded))
         if not profile.bounded:
             return BoundReport(tag, "upper", math.nan, checks, diag)
-    lo, hi = _box_for(profile, tag)
+    below, above = ((profile.bound_v, profile.bound_v) if form == "support"
+                    else (profile.pos_dev, profile.neg_dev))
+    lo = [m - x for m, x in zip(profile.mean, below)]
+    hi = [m + x for m, x in zip(profile.mean, above)]
     diag["box"] = (list(lo), list(hi))
     if any(c.status == "fail" for c in checks):
         return BoundReport(tag, "upper", math.nan, checks, diag)
@@ -426,28 +460,23 @@ def sample_mean_upper_bound(p: Premises, tag: str) -> BoundReport:
     return BoundReport(tag, "upper", value, checks, diag)
 
 
-def _box_for(profile: MomentProfile, tag: str):
-    mu = profile.mean
-    below, above = ((profile.bound_v, profile.bound_v) if tag == "T-try88-bounded"
-                    else (profile.pos_dev, profile.neg_dev))
-    return [m - x for m, x in zip(mu, below)], [m + x for m, x in zip(mu, above)]
-
-
 # ---------------------------------------------------------------------------
 # Hyperplane vertex bounds
 # ---------------------------------------------------------------------------
 
 
-def hyperplane_vertex_upper_bound(p: Premises, hyp: Hyperplane, tag: str) -> BoundReport:
+def hyperplane_vertex_upper_bound(p: Premises, tag: str,
+                                  hyp: Optional[Hyperplane] = None) -> BoundReport:
     """E[N] <= lam * (vertex fractional max) + K from a plane ``hyp`` supporting the region.
 
-    "T14-hyperplane" evaluates the deviation slab; "T15-hyperplane-bounded"
-    evaluates both the envelope and primed support slabs and keeps the
-    smaller vertex maximum among those whose positivity proviso holds.  That
-    maximum is the exact ratio rounded up, and lam * value + K is summed
-    exactly and rounded up, as T10 and T11 round theirs.
+    T14 evaluates the deviation slab; T15, the support form, evaluates both
+    the envelope and primed support slabs and keeps the smaller vertex
+    maximum among those whose positivity proviso holds.  That maximum is the
+    exact ratio rounded up, and lam * value + K is summed exactly and
+    rounded up, as T10 and T11 round theirs.  ``hyp`` defaults to the premises' plane.
     """
-    bounded = _known(tag, "T14-hyperplane", "T15-hyperplane-bounded") == "T15-hyperplane-bounded"
+    hyp = p.hyperplane if hyp is None else hyp
+    bounded = THEOREMS[tag].form == "support"
     lam, K, n0 = p.schedule.lam, p.schedule.K, p.schedule.n0
     checks = p.audit(need_third_moment=not bounded)
     diag = {"m": hyp.anchor, "C": hyp.level, "lam": lam, "K": K, "n0": n0}
@@ -455,10 +484,8 @@ def hyperplane_vertex_upper_bound(p: Premises, hyp: Hyperplane, tag: str) -> Bou
         checks.append(_chk("support-bounds", p.profile.bounded))
     if any(c.status == "fail" for c in checks):
         return BoundReport(tag, "upper", math.nan, checks, diag)
-    if not bounded:
-        slabs = {"deviation": p.dev_slab}
-    else:
-        slabs = {"envelope": p.envelope_slab, "support": p.support_slab.primed}
+    slabs = ({"envelope": p.envelope_slab, "support": p.support_slab.primed} if bounded
+             else {"deviation": p.dev_slab})
     results = {}
     for name, slab in slabs.items():
         try:
@@ -495,13 +522,13 @@ def lorden_hyperplane_upper_bound(hyp: Hyperplane, profile: MomentProfile, K: in
                                   tag: str) -> BoundReport:
     """Renewal-overshoot bound for rules checked every K samples.
 
-    "T16-chenlorden-I" is the Euclidean-norm chain member, "-II" the
+    T16-I, the general form, is the Euclidean-norm chain member, T16-II the
     elementwise variance form (independent components: a scalar law, or a
-    profile marked ``independent``), "-III" the bounded-support form.  The
+    profile marked ``independent``), T16-III the bounded-support form.  The
     elementwise reading of II is sum_k s_coef_k^2 * var_k, recorded in
     diagnostics.
     """
-    _known(tag, "T16-chenlorden-I", "T16-chenlorden-II", "T16-chenlorden-III")
+    form = THEOREMS[tag].form
     m, c = hyp.anchor, hyp.level
     a, var = hyp.s_coef, profile.variance
     checks = [
@@ -509,11 +536,11 @@ def lorden_hyperplane_upper_bound(hyp: Hyperplane, profile: MomentProfile, K: in
         _chk("second-moment-finite", all(map(math.isfinite, var))),
     ]
     diag = {"m": m, "C": c, "K": K}
-    if tag == "T16-chenlorden-I":
+    if form == "":
         quad = dot(a, a) * _sum(var)
         value = m + K + _square(m / c) * quad
         diag["norm_chain_member"] = value
-    elif tag == "T16-chenlorden-II":
+    elif form == "elementwise":
         checks.append(_chk("independent-components", profile.dim == 1 or profile.independent))
         quad = _sum([x * x * v for x, v in zip(a, var)])
         value = m + K + _square(m / c) * quad
@@ -538,6 +565,15 @@ def lorden_hyperplane_upper_bound(hyp: Hyperplane, profile: MomentProfile, K: in
     return BoundReport(tag, "upper", value, checks, diag)
 
 
+def _batched_lorden_bound(p: Premises, tag: str) -> BoundReport:
+    """T16 at the supporting hyperplane, for a rule checked at the multiples of a batch size."""
+    k = 1 if p.schedule.is_all_naturals else (p.schedule.step or 0)
+    if not k or not p.schedule.is_multiples_of(k):
+        return inapplicable(tag, "schedule-multiples",
+                            "rule must be checked at multiples of a fixed batch size")
+    return lorden_hyperplane_upper_bound(p.hyperplane, p.profile, k, tag)
+
+
 # ---------------------------------------------------------------------------
 # Gradient bound
 # ---------------------------------------------------------------------------
@@ -546,11 +582,10 @@ def lorden_hyperplane_upper_bound(hyp: Hyperplane, profile: MomentProfile, K: in
 def gradient_upper_bound(p: Premises, tag: str) -> BoundReport:
     """E[N] <= g(mean) + 1 + quadratic form of the log-gradient against the noise.
 
-    "T17-gradient" is the general form; "vipformula" is the closed scalar
-    form m + 1 + var/(f'(m)-mean)^2 for d=1 regions with a differentiable
+    T17 is the general form; vipformula is the closed scalar form
+    m + 1 + var/(f'(m)-mean)^2 for d=1 regions with a differentiable
     boundary curve.
     """
-    _known(tag, "T17-gradient", "vipformula")
     region, profile = p.continuity_view, p.profile
     mu, var = profile.mean, profile.variance
     checks = [
@@ -567,7 +602,7 @@ def gradient_upper_bound(p: Premises, tag: str) -> BoundReport:
     checks.append(vcheck)
     if math.isinf(m):
         return BoundReport(tag, "upper", math.inf, checks, diag)
-    if tag == "vipformula":
+    if THEOREMS[tag].form == "scalar":
         slope = region.boundary_slope
         checks.append(_chk("scalar-boundary", slope is not None and profile.dim == 1))
         if slope is None or profile.dim != 1:
@@ -621,14 +656,14 @@ _MAX_TERMS = 1_000_000
 _CROSSING_ROUND = 1e-9
 
 
-def concentration_upper_bound(p: Premises, hyp: Optional[Hyperplane] = None,
+def concentration_upper_bound(p: Premises, tag: str, hyp: Optional[Hyperplane] = None,
                               user_tail: Optional[Callable] = None) -> BoundReport:
     """Tail-sum bound N_tau + sum of schedule gaps weighted by deviation tails.
 
     Deviations come from the distance between the mean and the region slice
-    at each schedule size ("T18-concentration") or, when ``hyp`` is given,
-    from that supporting hyperplane's closed-form distance
-    ("T19-concentration-hyperplane").  When the d = 1 slice at the first
+    at each schedule size (T18) or, in T19's plane form, from the closed-form
+    distance to a supporting hyperplane: ``hyp``, by default the premises'
+    plane at the mean-ray crossing.  When the d = 1 slice at the first
     post-crossing size lies above or below the mean, the one-sided scalar
     tail is used, which is never looser than the two-sided vector form.
     Tails are Hoeffding's, which need support bounds, unless ``user_tail``
@@ -638,7 +673,7 @@ def concentration_upper_bound(p: Premises, hyp: Optional[Hyperplane] = None,
     a built-in time slab, reads N_tau: its slices past the crossing are
     empty.
     """
-    tag = "T18-concentration" if hyp is None else "T19-concentration-hyperplane"
+    hyp = (p.hyperplane if hyp is None else hyp) if THEOREMS[tag].form == "plane" else None
     region, profile, schedule = p.continuity_view, p.profile, p.schedule
     d = profile.dim
     checks = p.audit(need_third_moment=True)
@@ -753,12 +788,12 @@ def overshoot_upper_bound(z_spec: DistributionSpec, lam, schedule: SampleSchedul
                           tag: str) -> BoundReport:
     """Expected-overshoot bound for renewal sums crossing a threshold.
 
-    "Lorden-T6" bounds E[overshoot] for a crossing checked at every sample,
-    so it needs the all-naturals schedule; "Lorden-T7" handles thresholds
-    checked only on a schedule with finite maximum gap K, via the law of the
-    first-batch sum.
+    Lorden's T6, the all-naturals form, bounds E[overshoot] for a crossing
+    checked at every sample, so it needs the all-naturals schedule; T7
+    handles thresholds checked only on a schedule with finite maximum gap
+    K, via the law of the first-batch sum.
     """
-    every_sample = _known(tag, "Lorden-T6", "Lorden-T7") == "Lorden-T6"
+    every_sample = THEOREMS[tag].form == "naturals"
     if z_spec.dim != 1:
         raise ValueError("overshoot bounds are for scalar increments")
     z_spec = z_spec.components[0]  # a one-component product is its component
@@ -795,3 +830,42 @@ def overshoot_upper_bound(z_spec: DistributionSpec, lam, schedule: SampleSchedul
     diag["partial_expectation"] = pe
     coef = pos2 / ez if every_sample else (K - 1.0) * ez + ez2 / ez
     return BoundReport(tag, "upper", coef * pr + pe, checks, diag)
+
+
+def _threshold_overshoot_bound(p: Premises, tag: str) -> BoundReport:
+    """T6 and T7 at the level of a flat stopping threshold."""
+    if p.threshold_level is None:
+        return inapplicable(tag, "constant-threshold",
+                            "overshoot bounds need a constant stopping threshold")
+    return overshoot_upper_bound(p.spec, p.threshold_level, p.schedule, tag)
+
+
+# each theorem tag's record; ALL_TAGS keeps this order, the upper tags first
+THEOREMS = {
+    "T10-upper": Theorem("upper", slab_optimization_upper_bound),
+    "T11-upper-bounded": Theorem("upper", slab_optimization_upper_bound, "support"),
+    "T12-samplemean": Theorem("upper", sample_mean_upper_bound),
+    "T13-samplemean-naturals": Theorem("upper", sample_mean_upper_bound, "naturals"),
+    "T-try88-bounded": Theorem("upper", sample_mean_upper_bound, "support"),
+    "T14-hyperplane": Theorem("upper", hyperplane_vertex_upper_bound),
+    "T15-hyperplane-bounded": Theorem("upper", hyperplane_vertex_upper_bound, "support"),
+    "T16-chenlorden-I": Theorem("upper", _batched_lorden_bound),
+    "T16-chenlorden-II": Theorem("upper", _batched_lorden_bound, "elementwise"),
+    "T16-chenlorden-III": Theorem("upper", _batched_lorden_bound, "support"),
+    "T17-gradient": Theorem("upper", gradient_upper_bound),
+    "vipformula": Theorem("upper", gradient_upper_bound, "scalar"),
+    "T18-concentration": Theorem("upper", concentration_upper_bound),
+    "T19-concentration-hyperplane": Theorem("upper", concentration_upper_bound, "plane"),
+    "Lorden-T6": Theorem("upper", _threshold_overshoot_bound, "naturals", overshoot=True),
+    "Lorden-T7": Theorem("upper", _threshold_overshoot_bound, overshoot=True),
+    "Brown1": Theorem("upper", _crossing_bound, brownian=True),
+    "Brown2-upper": Theorem("upper", _stopping_ray_bound, brownian=True),
+    "Brown3": Theorem("upper", _rule_bound, brownian=True),
+    "T8-lower": Theorem("lower", _stopping_ray_bound),
+    "T-UseWald-lower": Theorem("lower", _reciprocal_rule_bound),
+    "Brown2-lower": Theorem("lower", _stopping_ray_bound, brownian=True),
+    "Brown4": Theorem("lower", _reciprocal_rule_bound, brownian=True),
+}
+ALL_TAGS = tuple(THEOREMS)
+UPPER_TAGS = tuple(tag for tag, theorem in THEOREMS.items() if theorem.direction == "upper")
+LOWER_TAGS = tuple(tag for tag, theorem in THEOREMS.items() if theorem.direction == "lower")

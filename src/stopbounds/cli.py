@@ -21,7 +21,7 @@ import numpy as np
 
 from . import moments as mm
 from . import schedules as sch
-from .bounds import ALL_TAGS, BoundReport
+from .bounds import THEOREMS, BoundReport
 from .geometry import region_from_family
 from .harness import BrownianBundle, ScenarioBundle, bound_report, brownian_report, certify
 from .simulate import (
@@ -232,7 +232,7 @@ def _missing(key: str):
 
 
 def _bound_tags(config: dict, brownian: bool) -> list:
-    known = [t for t in ALL_TAGS if t.startswith("Brown") == brownian]
+    known = [tag for tag, theorem in THEOREMS.items() if theorem.brownian == brownian]
     return [_choice(t, known, "bound tag") for t in _list(config.get("bounds", []), "bounds")]
 
 
@@ -299,16 +299,16 @@ def _simulate_bundle(bundle, config: dict, seed: int, overshoot_level=None):
 
 def cmd_certify(config: dict, seed: int, out: str, fmt: str) -> int:
     bundle, reports = _bound_reports(config)
+    overshoot = any(THEOREMS[r.theorem].overshoot for r in reports)  # the walk then records it
+    level = bundle.premises.threshold_level if overshoot else None
     for manual in _list(config.get("manual_bounds", []), "manual_bounds"):
         manual = _object(manual, "manual bound")
+        name = manual.get("theorem", "manual")
+        if name in THEOREMS:  # a manual row bounds E[N] under a name of its own
+            raise ConfigError(f"manual bound theorem {name!r} is a built-in theorem tag")
         reports.append(BoundReport(
-            manual.get("theorem", "manual"),
-            _choice(manual.get("direction"), ("upper", "lower"), "manual bound direction"),
+            name, _choice(manual.get("direction"), ("upper", "lower"), "manual bound direction"),
             _real(manual.get("value"), "manual bound value")))
-    level = None
-    if not isinstance(bundle, BrownianBundle):
-        level = bundle.premises.threshold_level if any(
-            r.theorem.startswith("Lorden-") for r in reports) else None
     try:
         estimate = _simulate_bundle(bundle, config, seed, overshoot_level=level)
     except AllTruncatedError as exc:

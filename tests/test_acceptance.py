@@ -131,9 +131,9 @@ def test_criterion_2_exact_anchors():
         assert values["T16-chenlorden-II"] == pytest.approx(12.0, abs=1e-6)
         assert values["vipformula"] == pytest.approx(12.0, abs=1e-6)
         region = sb.affine_region(1.0, 10.0, "ge", "stopping")
-        assert sb.stopping_region_lower_bound(region, 2.0).value == pytest.approx(
+        assert sb.stopping_region_lower_bound(region, 2.0, "T8-lower").value == pytest.approx(
             10.0, abs=1e-9)
-        assert sb.stopping_region_lower_bound(region, 1.0).value == math.inf
+        assert sb.stopping_region_lower_bound(region, 1.0, "T8-lower").value == math.inf
 
     _announce(2, run)
 

@@ -1,15 +1,17 @@
 import collections
 import dataclasses
 import math
+import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
 import stopbounds as sb
-from stopbounds.bounds import ALL_TAGS, UPPER_TAGS, overshoot_upper_bound
+from stopbounds.bounds import ALL_TAGS, LOWER_TAGS, THEOREMS, UPPER_TAGS, overshoot_upper_bound
 from stopbounds import geometry, optimize
 from stopbounds.harness import BrownianBundle, ScenarioBundle, bound_report, brownian_report, certify
 from stopbounds.scenarios import brownian_cases, certification_matrix
@@ -28,15 +30,16 @@ def premises(region, profile, schedule):
 
 def test_stopping_lower_bound_examples():
     region = sb.affine_region(1.0, 10.0, "ge", "stopping")
-    assert sb.stopping_region_lower_bound(region, 2.0).value == pytest.approx(10.0, abs=1e-9)
-    assert sb.stopping_region_lower_bound(region, 1.0).value == math.inf
+    assert sb.stopping_region_lower_bound(region, 2.0, "T8-lower").value == pytest.approx(
+        10.0, abs=1e-9)
+    assert sb.stopping_region_lower_bound(region, 1.0, "T8-lower").value == math.inf
     assert sb.stopping_region_lower_bound(
-        sb.constant_region(0.0, "ge", "stopping"), 1.0).value == 0.0
+        sb.constant_region(0.0, "ge", "stopping"), 1.0, "T8-lower").value == 0.0
 
 
 def test_stopping_lower_bound_requires_flags():
     region = region_from_oracle(lambda t, s: s[0] >= 5, dim=1, kind="stopping")
-    report = sb.stopping_region_lower_bound(region, 1.0)
+    report = sb.stopping_region_lower_bound(region, 1.0, "T8-lower")
     assert not report.applicable
 
 
@@ -119,12 +122,13 @@ def test_sample_mean_bound_infinite_box_value():
 
 def test_wald_lower_bound_examples():
     # the rule g at the mean: E[N] >= 1/g(mean)
-    assert sb.wald_lower_bound(0.25).value == 4.0
-    assert sb.wald_lower_bound(0.5, concave=True).value == 2.0
-    assert sb.wald_lower_bound(0.5).assumptions[0].status == "declared"
-    assert not sb.wald_lower_bound(0.5, concave=False).applicable
-    assert not sb.wald_lower_bound(-1.0).applicable
-    never = sb.wald_lower_bound(0.0)
+    wald = "T-UseWald-lower"
+    assert sb.wald_lower_bound(0.25, wald).value == 4.0
+    assert sb.wald_lower_bound(0.5, wald, concave=True).value == 2.0
+    assert sb.wald_lower_bound(0.5, wald).assumptions[0].status == "declared"
+    assert not sb.wald_lower_bound(0.5, wald, concave=False).applicable
+    assert not sb.wald_lower_bound(-1.0, wald).applicable
+    never = sb.wald_lower_bound(0.0, wald)
     assert never.applicable and never.value == math.inf
 
 
@@ -132,8 +136,8 @@ def test_hyperplane_vertex_bound_examples():
     pm = sb.analytic_moments(sb.point_mass(1.0))
     hyp = sb.Hyperplane([1.0], 0.0, 5.0, 5.0)
     region = sb.constant_region(5.0)
-    report = sb.hyperplane_vertex_upper_bound(premises(region, pm, sb.naturals()), hyp,
-                                              "T14-hyperplane")
+    report = sb.hyperplane_vertex_upper_bound(premises(region, pm, sb.naturals()),
+                                              "T14-hyperplane", hyp)
     assert report.value == pytest.approx(6.0, abs=1e-12)
 
     # two-vertex arithmetic with a widened manual slab
@@ -148,8 +152,8 @@ def test_hyperplane_vertex_bounded_variant_takes_minimum():
     prof = sb.analytic_moments(sb.bernoulli_affine(0, 1, 0.5))
     region = sb.constant_region(5.0)
     hyp = sb.supporting_hyperplane(region, prof.mean)
-    report = sb.hyperplane_vertex_upper_bound(premises(region, prof, sb.naturals()), hyp,
-                                              "T15-hyperplane-bounded")
+    report = sb.hyperplane_vertex_upper_bound(premises(region, prof, sb.naturals()),
+                                              "T15-hyperplane-bounded", hyp)
     assert report.applicable
     assert report.diagnostics["winning_slab"] == "support"
     assert report.value == pytest.approx(12.0, abs=1e-6)
@@ -174,8 +178,8 @@ def test_hyperplane_vertex_bound_needs_support():
     prof = sb.analytic_moments(sb.exponential(1.0))
     hyp = sb.Hyperplane([1.0], 0.0, 5.0, 5.0)
     region = sb.constant_region(5.0)
-    report = sb.hyperplane_vertex_upper_bound(premises(region, prof, sb.naturals()), hyp,
-                                              "T15-hyperplane-bounded")
+    report = sb.hyperplane_vertex_upper_bound(premises(region, prof, sb.naturals()),
+                                              "T15-hyperplane-bounded", hyp)
     assert not report.applicable
 
 
@@ -260,7 +264,7 @@ def test_scalar_halfspace_matches_its_constant_region():
     spec = sb.bernoulli_affine(-1, 1, 0.7)
     flipped = bundle(spec, sb.halfspace_region([-1.0], 0.0, -5.0, "ge"), sb.naturals())
     plain = bundle(spec, sb.constant_region(5.0, "le"), sb.naturals())
-    for tag in (t for t in ALL_TAGS if not t.startswith("Brown")):
+    for tag in (t for t in ALL_TAGS if not THEOREMS[t].brownian):
         a, b = bound_report(tag, flipped), bound_report(tag, plain)
         assert a.applicable == b.applicable, tag
         if math.isnan(b.value):
@@ -296,26 +300,59 @@ def test_gradient_bound_gates():
     assert not report.applicable  # needs every sample size
 
 
-def test_calculators_take_only_the_report_tags():
-    # one name per theorem: a calculator computes the tag it is given, and
-    # refuses a short name or another calculator's tag
-    prof = sb.analytic_moments(sb.bernoulli_affine(0, 1, 0.5))
-    p = premises(sb.constant_region(5.0), prof, sb.naturals())
-    hyp = sb.Hyperplane([1.0], 0.0, 5.0, 10.0)
-    calls = {
-        "T10-upper": lambda tag: sb.slab_optimization_upper_bound(p, tag),
-        "T13-samplemean-naturals": lambda tag: sb.sample_mean_upper_bound(p, tag),
-        "T15-hyperplane-bounded": lambda tag: sb.hyperplane_vertex_upper_bound(p, hyp, tag),
-        "T16-chenlorden-III": lambda tag: sb.lorden_hyperplane_upper_bound(hyp, prof, 1, tag),
-        "vipformula": lambda tag: sb.gradient_upper_bound(p, tag),
-        "Lorden-T6": lambda tag: overshoot_upper_bound(sb.exponential(1.0), 1.0,
-                                                       sb.naturals(), tag),
-    }
-    for tag, call in calls.items():
-        assert call(tag).theorem == tag
-        for wrong in ("T10", "II", "T6", "T17", "T18-concentration"):
-            with pytest.raises(ValueError):
-                call(wrong)
+def test_the_tag_tuples_keep_their_order():
+    # the CLI lists its known tags in this order
+    assert UPPER_TAGS == (
+        "T10-upper", "T11-upper-bounded", "T12-samplemean", "T13-samplemean-naturals",
+        "T-try88-bounded", "T14-hyperplane", "T15-hyperplane-bounded",
+        "T16-chenlorden-I", "T16-chenlorden-II", "T16-chenlorden-III",
+        "T17-gradient", "vipformula", "T18-concentration", "T19-concentration-hyperplane",
+        "Lorden-T6", "Lorden-T7", "Brown1", "Brown2-upper", "Brown3",
+    )
+    assert LOWER_TAGS == ("T8-lower", "T-UseWald-lower", "Brown2-lower", "Brown4")
+    assert ALL_TAGS == UPPER_TAGS + LOWER_TAGS == tuple(THEOREMS)
+
+
+def test_each_tag_is_named_once_in_the_package():
+    # the table in bounds names every tag; outside it only scenarios.py, which
+    # lists the tags each shipped scenario certifies, writes one
+    package = Path(sb.__file__).parent
+    sources = [path.read_text() for path in sorted(package.glob("*.py"))
+               if path.name != "scenarios.py"]
+    for tag in ALL_TAGS:
+        literal = re.compile("([\"'])" + re.escape(tag) + "\\1")
+        assert sum(len(literal.findall(text)) for text in sources) == 1, tag
+
+
+def test_each_record_calculator_labels_its_report_with_the_record():
+    walk = bundle(sb.bernoulli_affine(0, 1, 0.5), sb.constant_region(5.0), sb.naturals())
+    drift = BrownianBundle("drift", sb.constant_region(5.0), 0.5, 1.0, 0.05)
+    for tag, theorem in THEOREMS.items():
+        report = theorem.calculator((drift if theorem.brownian else walk).premises, tag)
+        assert (report.theorem, report.direction) == (tag, theorem.direction), tag
+
+
+def test_dispatch_refuses_an_unknown_tag_and_a_tag_of_the_other_kind():
+    walk = bundle(sb.bernoulli_affine(0, 1, 0.5), sb.constant_region(5.0), sb.naturals())
+    drift = BrownianBundle("drift", sb.constant_region(5.0), 0.5, 1.0, 0.05)
+    for tag in ("T10", "Brown1", "Brown2-lower"):
+        with pytest.raises(ValueError, match=f"^unknown theorem tag '{tag}'$"):
+            bound_report(tag, walk)
+    for tag in ("Brown", "T10-upper", "T8-lower"):
+        with pytest.raises(ValueError, match=f"^unknown Brownian tag '{tag}'$"):
+            brownian_report(tag, drift)
+
+
+@pytest.mark.parametrize("schedule", [sb.geometric(1, 2.0), sb.arithmetic(2, 2), sb.naturals(1),
+                                      sb.explicit([1, 2, 3])],
+                         ids=["geometric", "shifted-arithmetic", "shifted-naturals", "explicit"])
+def test_t16_needs_a_rule_checked_at_multiples_of_a_batch_size(schedule):
+    row = bundle(sb.bernoulli_affine(0, 1, 0.5), sb.constant_region(5.0), schedule)
+    for tag in ("T16-chenlorden-I", "T16-chenlorden-II", "T16-chenlorden-III"):
+        report = bound_report(tag, row)
+        assert math.isnan(report.value) and report.diagnostics == {}, tag
+        assert [(c.ident, c.status) for c in report.assumptions] == [
+            ("schedule-multiples", "fail")], tag
 
 
 def _series_oracle_mpmath(n_start, dev_fn, width=1.0):
@@ -335,7 +372,8 @@ def _series_oracle_mpmath(n_start, dev_fn, width=1.0):
 def test_concentration_bound_affine_example():
     prof = sb.analytic_moments(sb.bernoulli_affine(0, 1, 0.25))
     region = sb.affine_region(0.5, -1.0, "ge")
-    report = sb.concentration_upper_bound(premises(region, prof, sb.naturals()))
+    report = sb.concentration_upper_bound(premises(region, prof, sb.naturals()),
+                                          "T18-concentration")
     # the slice lies above the mean, so the one-sided scalar tail is summed
     assert report.diagnostics["slice_side_at_N_tau"] == "above"
     assert report.diagnostics["one_sided"]
@@ -349,7 +387,8 @@ def test_concentration_bound_affine_example():
 def test_concentration_point_mass_collapses_to_first_check():
     prof = sb.analytic_moments(sb.point_mass(1.0))
     region = sb.constant_region(5.0)
-    report = sb.concentration_upper_bound(premises(region, prof, sb.naturals()))
+    report = sb.concentration_upper_bound(premises(region, prof, sb.naturals()),
+                                          "T18-concentration")
     assert report.value == pytest.approx(6.0, abs=1e-12)
 
 
@@ -357,8 +396,9 @@ def test_concentration_t19_matches_t18_on_halfspace():
     prof = sb.analytic_moments(sb.bernoulli_affine(0, 1, 0.25))
     region = sb.affine_region(0.5, -1.0, "ge")
     hyp = sb.supporting_hyperplane(region, prof.mean)
-    t18 = sb.concentration_upper_bound(premises(region, prof, sb.naturals()))
-    t19 = sb.concentration_upper_bound(premises(region, prof, sb.naturals()), hyp=hyp)
+    t18 = sb.concentration_upper_bound(premises(region, prof, sb.naturals()), "T18-concentration")
+    t19 = sb.concentration_upper_bound(premises(region, prof, sb.naturals()),
+                                       "T19-concentration-hyperplane", hyp=hyp)
     assert (t18.theorem, t19.theorem) == ("T18-concentration", "T19-concentration-hyperplane")
     assert t19.value == pytest.approx(t18.value, abs=1e-9)
 
@@ -366,7 +406,8 @@ def test_concentration_t19_matches_t18_on_halfspace():
 def test_concentration_needs_support_for_hoeffding():
     prof = sb.analytic_moments(sb.exponential(1.0))
     region = sb.constant_region(5.0)
-    report = sb.concentration_upper_bound(premises(region, prof, sb.naturals()))
+    report = sb.concentration_upper_bound(premises(region, prof, sb.naturals()),
+                                          "T18-concentration")
     assert not report.applicable
 
 
@@ -374,7 +415,8 @@ def test_concentration_vector_variant_d2():
     spec = sb.product([sb.bernoulli_affine(0, 1, 0.5), sb.bernoulli_affine(0, 1, 0.5)])
     prof = sb.analytic_moments(spec)
     region = sb.halfspace_region([1.0, 1.0], 0.0, 5.0, "le", "continuity")
-    report = sb.concentration_upper_bound(premises(region, prof, sb.geometric(1, 2.0)))
+    report = sb.concentration_upper_bound(premises(region, prof, sb.geometric(1, 2.0)),
+                                          "T18-concentration")
     assert report.applicable
     assert not report.diagnostics["one_sided"]
     est = sb.run_discrete(region, spec, sb.geometric(1, 2.0), 10_000, seed=5)
@@ -382,7 +424,8 @@ def test_concentration_vector_variant_d2():
     # the two-sided vector tail, which no snapshot row (all d = 1) reaches, pinned
     # bit for bit on both series: the plane of a halfspace is the halfspace
     hyp = sb.supporting_hyperplane(region, prof.mean)
-    t19 = sb.concentration_upper_bound(premises(region, prof, sb.geometric(1, 2.0)), hyp=hyp)
+    t19 = sb.concentration_upper_bound(premises(region, prof, sb.geometric(1, 2.0)),
+                                       "T19-concentration-hyperplane", hyp=hyp)
     assert report.value == t19.value == 17.460274096760507
 
 
@@ -394,7 +437,7 @@ def test_concentration_user_tail():
         return math.erfc(dev * math.sqrt(n) / (0.5 * math.sqrt(2.0))) / 2.0
 
     report = sb.concentration_upper_bound(premises(region, prof, sb.naturals()),
-                                          user_tail=gauss_tail)
+                                          "T18-concentration", user_tail=gauss_tail)
     assert report.applicable
     assert report.value > report.diagnostics["N_tau"]
     assert report.value == 12.302896357794216  # pinned bit for bit: no snapshot row has a user tail
@@ -410,8 +453,9 @@ def test_concentration_at_an_exact_tie_counts_the_touching_look(coef, exponent):
     region = sb.power_region(coef, exponent, "ge")
     prof = sb.analytic_moments(sb.point_mass(-1.0))
     hyp = sb.supporting_hyperplane(region, prof.mean)
-    for plane in (None, hyp):
-        report = sb.concentration_upper_bound(premises(region, prof, sb.naturals()), hyp=plane)
+    for tag, plane in (("T18-concentration", None), ("T19-concentration-hyperplane", hyp)):
+        report = sb.concentration_upper_bound(premises(region, prof, sb.naturals()), tag,
+                                              hyp=plane)
         assert report.applicable and report.value == 17.0
     est = sb.run_discrete(region, sb.point_mass(-1.0), sb.naturals(), 100, seed=1)
     assert est.mean == 17.0 and est.stderr == 0.0
@@ -571,7 +615,7 @@ def test_t14_zero_vertex_denominator_gives_an_applicable_infinity():
     p = row["bundle"].premises
     hyp = p.hyperplane
     steeper = sb.Hyperplane(hyp.s_coef, hyp.t_coef - 1.0, hyp.level, hyp.anchor)
-    report = sb.hyperplane_vertex_upper_bound(p, steeper, "T14-hyperplane")
+    report = sb.hyperplane_vertex_upper_bound(p, "T14-hyperplane", steeper)
     assert not report.applicable and math.isnan(report.value)
     assert report.failed_assumptions() == ["denominator-positive"]
 
@@ -810,7 +854,7 @@ def test_explicit_list_gets_no_upper_bound():
     # looks at 1, 2 and 3 only: no run ever leaves {s <= 5}
     short = bundle(sb.bernoulli_affine(0, 1, 0.5), sb.constant_region(5.0), sb.explicit([1, 2, 3]))
     for tag in UPPER_TAGS:
-        if not tag.startswith("Brown"):
+        if not THEOREMS[tag].brownian:
             report = bound_report(tag, short)
             assert not report.applicable and math.isnan(report.value), tag
     assert bound_report("T8-lower", short).applicable  # lower bounds do not read the schedule
@@ -819,7 +863,7 @@ def test_explicit_list_gets_no_upper_bound():
     # the calculators called directly run the same schedule checks
     decades = sb.explicit([1, 2, 3] + [10 * 2**k for k in range(7)])
     p = premises(short.region, short.premises.profile, decades)
-    direct = sb.hyperplane_vertex_upper_bound(p, short.premises.hyperplane, "T14-hyperplane")
+    direct = sb.hyperplane_vertex_upper_bound(p, "T14-hyperplane", short.premises.hyperplane)
     assert {"I", "II"} <= set(direct.failed_assumptions())
     gradient = sb.gradient_upper_bound(p, "T17-gradient")
     assert gradient.failed_assumptions() == ["all-naturals"]

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stopbounds import constant_region, naturals, point_mass
-from stopbounds.bounds import ALL_TAGS, BoundReport
+from stopbounds.bounds import THEOREMS, BoundReport
 from stopbounds.cli import CSV_COLUMNS, main
 from stopbounds.harness import certify
 from stopbounds.simulate import _CHUNK, SimulationEstimate, validate_identity
@@ -212,7 +212,7 @@ _FUZZ_BASES = [
          simulate={"n_runs": 100, "horizon": 1000}),
     dict(BASE, distribution={"family": "bernoulli-affine", "params": {"x0": 0, "x1": 1, "p": 0.5}},
          schedule={"kind": "explicit", "values": [2, 4]},
-         bounds=[tag for tag in ALL_TAGS if not tag.startswith("Brown")]),
+         bounds=[tag for tag, theorem in THEOREMS.items() if not theorem.brownian]),
     BROWNIAN,
 ]
 _EXTREMES = [1e308, -1e308, 1e-308, -1e-308, math.inf, -math.inf, math.nan]
@@ -433,6 +433,36 @@ def test_certify_fails_on_wrong_manual_bound(tmp_path):
     rows = {r["theorem"]: r for r in read_rows(out)}
     assert rows["manual-too-small"]["verdict"] == "fail"
     assert rows["T8-lower"]["verdict"] == "pass"
+
+
+def test_a_manual_row_certifies_against_the_stopping_time(tmp_path, capsys):
+    # the walk of 0/1 steps hits 5 exactly: E[overshoot] = 0 and E[N] = 10.  A
+    # manual row bounds E[N] whatever its name; only Lorden-T6 reads the overshoot
+    cfg = {
+        "name": "bern-threshold-manual",
+        "distribution": {"family": "bernoulli-affine",
+                         "params": {"x0": 0, "x1": 1, "p": 0.5}},
+        "region": {"family": "constant", "level": 5.0, "orientation": "ge",
+                   "kind": "stopping"},
+        "schedule": {"kind": "all-naturals"},
+        "bounds": ["Lorden-T6"],
+        "manual_bounds": [{"theorem": "Lorden-by-hand", "direction": "upper", "value": 1.0}],
+        "simulate": {"n_runs": 4000},
+        "seed": 5,
+    }
+    path = write_config(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "rep.csv"
+    assert main(["certify", str(path), "--out", str(out)]) == 1
+    rows = {r["theorem"]: r for r in read_rows(out)}
+    assert float(rows["Lorden-T6"]["mc_mean"]) == 0.0
+    assert rows["Lorden-T6"]["verdict"] == "pass"
+    assert abs(float(rows["Lorden-by-hand"]["mc_mean"]) - 10.0) < 0.5
+    assert rows["Lorden-by-hand"]["verdict"] == "fail"
+    # a manual row may not take a built-in tag, which would read as that theorem
+    cfg["manual_bounds"][0]["theorem"] = "Lorden-T6"
+    path = write_config(tmp_path, "named.json", cfg)
+    assert main(["certify", str(path), "--out", str(out)]) == 2
+    assert "'Lorden-T6' is a built-in theorem tag" in capsys.readouterr().err
 
 
 def test_certify_brownian_drift_only_zero_stderr(tmp_path):

@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 
 import stopbounds as sb
-from stopbounds.bounds import ALL_TAGS
+from stopbounds.bounds import THEOREMS
 from stopbounds.harness import ScenarioBundle, bound_report
 
 # the Lorden tags bound the overshoot, not E[N]
-TAGS = [t for t in ALL_TAGS if not t.startswith(("Brown", "Lorden"))]
+TAGS = [tag for tag, theorem in THEOREMS.items() if not (theorem.brownian or theorem.overshoot)]
 LAWS = [(x0, x1, p) for x0, x1 in ((0, 1), (0, 2), (-1, 2)) for p in (0.3, 0.5, 0.8)]
 REGIONS = {
     f"{name}-{side}": build(side) for side in ("le", "ge") for name, build in (

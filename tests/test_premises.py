@@ -19,14 +19,14 @@ from hypothesis import strategies as st
 
 import stopbounds as sb
 from stopbounds import bounds, geometry, harness
-from stopbounds.bounds import ALL_TAGS
+from stopbounds.bounds import THEOREMS
 from stopbounds.harness import BrownianBundle, ScenarioBundle, bound_report, brownian_report
 from stopbounds.scenarios import brownian_cases, certification_matrix
 
 from search_twin import region_from_oracle
 
-DISCRETE_TAGS = tuple(t for t in ALL_TAGS if not t.startswith("Brown"))
-BROWNIAN_TAGS = tuple(t for t in ALL_TAGS if t.startswith("Brown"))
+DISCRETE_TAGS = tuple(tag for tag, theorem in THEOREMS.items() if not theorem.brownian)
+BROWNIAN_TAGS = tuple(tag for tag, theorem in THEOREMS.items() if theorem.brownian)
 BERNOULLI = sb.bernoulli_affine(0, 1, 0.5)
 
 
@@ -183,8 +183,9 @@ def _resummed(region, profile, schedule, hyp, user_tail, diag):
 
 def _assert_resums(region, profile, schedule, hyp=None, user_tail=None, report=None):
     if report is None:
+        tag = "T18-concentration" if hyp is None else "T19-concentration-hyperplane"
         report = sb.concentration_upper_bound(sb.Premises(region, profile.mean, profile, schedule),
-                                              hyp=hyp, user_tail=user_tail)
+                                              tag, hyp=hyp, user_tail=user_tail)
     assert report.applicable and "series_terms" in report.diagnostics, report
     value, terms = _resummed(region, profile, schedule, hyp, user_tail, report.diagnostics)
     assert repr(report.value) == repr(value)
@@ -286,3 +287,17 @@ def test_shipped_carriers_hold_tuples_of_python_floats():
         seen["planes"] += 1
     # 13 deviation slabs, three more for each of the 11 bounded laws; 13 + 3 planes
     assert seen == {"slabs": 46, "planes": 16}
+
+
+def test_premises_refuse_a_region_and_a_mean_of_different_dimension():
+    pair = sb.product([BERNOULLI, BERNOULLI])
+    walk = ScenarioBundle("x", pair, sb.constant_region(3.0, "ge", "stopping"), sb.naturals())
+    for tag in ("T10-upper", "Lorden-T6"):
+        with pytest.raises(ValueError, match="^region and mean dimensions disagree: 1, 2$"):
+            bound_report(tag, walk)
+    drift = BrownianBundle("y", sb.constant_region(3.0), [0.5, 0.5], 1.0, 0.05)
+    with pytest.raises(ValueError, match="^region and mean dimensions disagree: 1, 2$"):
+        brownian_report("Brown1", drift)
+    plane = sb.halfspace_region([1.0, 1.0], 0.0, 8.0, "ge", "stopping")
+    with pytest.raises(ValueError, match="^region and mean dimensions disagree: 2, 1$"):
+        sb.Premises(plane, [0.5])

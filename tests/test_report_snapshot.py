@@ -13,6 +13,7 @@ import json
 import sys
 from pathlib import Path
 
+from stopbounds.bounds import THEOREMS
 from stopbounds.harness import bound_report, brownian_report
 from stopbounds.scenarios import brownian_cases, certification_matrix
 
@@ -38,6 +39,13 @@ def test_shipped_reports_match_the_snapshot():
     assert len(recorded) == len(current) == 155
     for old, new in zip(recorded, current):
         assert old == new, old[:2]
+
+
+def test_every_shipped_report_carries_its_records_direction():
+    entries = shipped_reports()
+    assert len(entries) == 155
+    for name, tag, theorem, direction, *_ in entries:
+        assert (theorem, direction) == (tag, THEOREMS[tag].direction), (name, tag)
 
 
 def test_only_the_unsettled_concavity_checks_read_declared():

@@ -126,6 +126,8 @@ class Premises:
         self.mean = as_floats(mean)
         if len(self.mean) != region.dim:
             raise ValueError(f"region and mean dimensions disagree: {region.dim}, {len(self.mean)}")
+        if profile is not None and as_floats(profile.mean) != self.mean:
+            raise ValueError(f"mean and profile mean disagree: {self.mean}, {profile.mean}")
 
     @cached_property
     def continuity_view(self) -> Region:
@@ -567,8 +569,8 @@ def lorden_hyperplane_upper_bound(hyp: Hyperplane, profile: MomentProfile, K: in
 
 def _batched_lorden_bound(p: Premises, tag: str) -> BoundReport:
     """T16 at the supporting hyperplane, for a rule checked at the multiples of a batch size."""
-    k = 1 if p.schedule.is_all_naturals else (p.schedule.step or 0)
-    if not k or not p.schedule.is_multiples_of(k):
+    k = p.schedule.step  # None unless arithmetic
+    if not p.schedule.is_multiples_of(k):
         return inapplicable(tag, "schedule-multiples",
                             "rule must be checked at multiples of a fixed batch size")
     return lorden_hyperplane_upper_bound(p.hyperplane, p.profile, k, tag)

@@ -8,16 +8,19 @@ hyperplane at (m, m*mean), and distances from the mean to region slices at
 fixed sample size.
 
 The free functions here check the flags an answer needs, then ask the
-region's own method.  A built-in family (``FamilyRegion``) is one signed
-slack (positive inside, zero on the boundary) that broadcasts over points,
-and, for d = 1 boundaries s = f(t), the exact slope f'.  Along a ray
-(t, t v) the slack has the sign of alpha - rate*t**k (``ray_form``), with
-the rate affine in v, so ray exits, entries and the maximum of g over a box
-are closed forms, as are the side and distance of a slice, where the slack
-is affine in s, and the largest t at which a slab's box meets a slice.  The
-slope gives the exact log-gradient 1/(f'(m) - mean), and a halfspace gives
--a/(<a, mean> + b), so the supporting hyperplane is exact.  Every region the
-library builds is such a family (``region_from_family``).
+region's own method.  A built-in region (``FamilyRegion``) is its kind and
+its slack form: the slack alpha*t**e - <beta, s> - kappa*t, positive inside
+and zero on the boundary, with no t**e factor on a flat boundary, is
+computed once by its constructor beside a kernel that evaluates it over
+batches of points.  Along a ray (t, t v) the slack has the sign of
+alpha - rate*t**k (``ray_form``), with the rate affine in v, so ray exits,
+entries and the maximum of g over a box are closed forms, as are the side
+and distance of a slice, where the slack is affine in s, and the largest t
+at which a slab's box meets a slice.  A flat boundary gives the exact
+log-gradient -beta/(<beta, mean> + kappa), and a d = 1 power boundary
+s = f(t) gives 1/(f'(m) - mean) from its exact slope, so the supporting
+hyperplane is exact.  Only the four constructors and ``region_from_family``
+know the family names.
 
 The plane holds its normal as a tuple of Python floats, and what the
 calculators read back, the plane's products and the log-gradient, are
@@ -30,9 +33,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -60,18 +61,6 @@ class EmptySliceError(RuntimeError):
     """The fixed-size slice of the region is empty."""
 
 
-# The boundary s = f(t) of each d = 1 family as (f, f'), from its parameters.
-# A scalar halfspace <a, s> + b t = c with a != 0 is the line s = (c - b t)/a.
-_CURVES = {
-    "constant": lambda level, **_: (lambda t: level, lambda t: 0.0),
-    "affine": lambda slope, intercept, **_: (lambda t: slope * t + intercept, lambda t: slope),
-    "power": lambda coef, exponent, **_: (lambda t: coef * t**exponent,
-                                          lambda t: coef * exponent * t ** (exponent - 1.0)),
-    "halfspace": lambda s_coef, t_coef, level, **_: (lambda t: (level - t_coef * t) / s_coef[0],
-                                                     lambda t: -t_coef / s_coef[0]),
-}
-
-
 @dataclass(frozen=True)
 class Region:
     """Continuity or stopping region with asserted flags: what every region type provides.
@@ -79,9 +68,10 @@ class Region:
     Each type has the methods ``inside``, ``contains_sums``, ``ray_exit``,
     ``entry_and_exit``, ``exit_box_max``, ``log_gradient``, ``slice_side``,
     ``slice_distance``, ``slab_max`` and ``complement_closure``, and the
-    capabilities ``scalar_boundary``, ``boundary_slope``, ``orientation``,
+    read-outs ``scalar_boundary``, ``boundary_slope``, ``orientation``,
     ``linear_slack``, ``power_exponent`` (each None where it does not
-    apply) and ``time_slab``, as ``FamilyRegion`` defines them.
+    apply), ``ray_coefficients``, ``ray_form`` and ``time_slab``, as
+    ``FamilyRegion`` reads them off its slack form.
     """
 
     kind: str  # "continuity" | "stopping"
@@ -99,21 +89,21 @@ class Region:
         return bool(self.inside(t, np.atleast_1d(np.asarray(s, dtype=float)), strict))
 
 
-def _curve_part(index: int, doc: str) -> property:
-    return property(lambda self: None if self._curve is None else self._curve[index], doc=doc)
-
-
 @dataclass(frozen=True)
 class FamilyRegion(Region):
-    """A built-in region family, answered in closed form with no membership call.
+    """A built-in region, answered in closed form with no membership call.
 
-    ``family`` holds the parameters, read-only, since the slack and every
-    closed form are built from them.  ``slack_batch`` is the signed margin,
-    nonnegative exactly on the closed region, over the shapes ``inside`` takes.
+    ``form`` is its slack alpha*t**e - <beta, s> - kappa*t, nonnegative
+    exactly on the closed region, as the tuple (alpha, beta, kappa, e) with
+    ``beta`` a read-only array: e is None on a flat boundary (constant,
+    affine, halfspace), whose slack has no t**e factor, and a power boundary
+    c*t**e has kappa = 0 and d = 1.  Every closed form reads it.
+    ``slack_batch`` evaluates a slack of that sign over the shapes ``inside``
+    takes, as its constructor writes it, so walks stop on it bit for bit.
     """
 
-    family: Mapping = field(repr=False)
     slack_batch: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    form: tuple = field(repr=False, compare=False)
 
     def inside(self, ts, ss, strict: bool = False):
         """Membership of points with times ts >= 0, in the closed or open region.
@@ -125,51 +115,52 @@ class FamilyRegion(Region):
         margin = self.slack_batch(ts, ss)
         return margin > 0.0 if strict else margin >= 0.0
 
-    @cached_property
-    def _curve(self):
-        """(f, f', side) when the region lies on one side of a d = 1 curve s = f(t), else None.
+    @property
+    def orientation(self) -> Optional[str]:
+        """The side of a d = 1 boundary s = f(t) the region lies on: "le" (beta > 0) or "ge"."""
+        beta = self.form[1]
+        if beta.shape[0] != 1 or beta[0] == 0.0:
+            return None
+        return "le" if beta[0] > 0.0 else "ge"
 
-        A negative s_coef flips the side of a scalar halfspace.  Cached: ``family`` is read-only.
-        """
-        p = self.family
-        side = p["orientation"]
-        if p["family"] == "halfspace":
-            if len(p["s_coef"]) != 1 or p["s_coef"][0] == 0.0:
-                return None
-            side = side if p["s_coef"][0] > 0.0 else _FLIP[side]
-        return (*_CURVES[p["family"]](**p), side)
+    @property
+    def scalar_boundary(self):
+        """The boundary f = (alpha*t**e, or alpha - kappa*t)/beta of {s <= f(t)} or {s >= f(t)}."""
+        if self.orientation is None:
+            return None
+        alpha, beta, kappa, e = self.form
+        b = float(beta[0])
+        if e is None:
+            return lambda t: (alpha - kappa * t) / b
+        return lambda t: alpha * t**e / b
 
-    scalar_boundary = _curve_part(0, "The boundary f of a d = 1 region {s <= f(t)} or {s >= f(t)}.")
-    boundary_slope = _curve_part(1, "The exact slope f' of that boundary.")
-    orientation = _curve_part(2, 'The side of that boundary the region lies on: "le" or "ge".')
+    @property
+    def boundary_slope(self):
+        """The exact slope f' of that boundary."""
+        if self.orientation is None:
+            return None
+        alpha, beta, kappa, e = self.form
+        b = float(beta[0])
+        if e is None:
+            slope = -kappa / b
+            return lambda t: slope
+        return lambda t: alpha * e * t ** (e - 1.0) / b
 
     @property
     def time_slab(self) -> bool:
-        """Whether this is a halfspace in t alone, whose slices are all or nothing."""
-        p = self.family
-        return p["family"] == "halfspace" and not any(p["s_coef"])
+        """Whether this is a halfspace in t alone (beta = 0), whose slices are all or nothing."""
+        return not self.form[1].any()
 
     @property
     def power_exponent(self) -> Optional[float]:
         """The exponent e of a power boundary c*t**e."""
-        p = self.family
-        return p["exponent"] if p["family"] == "power" else None
+        return self.form[3]
 
     @property
     def linear_slack(self):
-        """(alpha, beta, kappa) with slack alpha - <beta, s> - kappa*t.
-
-        Defined for the families with a flat boundary: constant, affine and
-        halfspace, of either orientation and any dimension.
-        """
-        p = self.family
-        if p["family"] not in ("constant", "affine", "halfspace"):
-            return None
-        sgn = _sign(p["orientation"])
-        if p["family"] == "halfspace":
-            return sgn * p["level"], sgn * np.asarray(p["s_coef"]), sgn * p["t_coef"]
-        f, slope = _CURVES[p["family"]](**p)
-        return sgn * f(0.0), np.array([sgn]), -sgn * slope(0.0)
+        """(alpha, beta, kappa) of a flat boundary, with slack alpha - <beta, s> - kappa*t."""
+        alpha, beta, kappa, e = self.form
+        return None if e is not None else (alpha, beta, kappa)
 
     @property
     def ray_coefficients(self):
@@ -177,15 +168,11 @@ class FamilyRegion(Region):
 
         For t > 0 the point (t, t v) is in the closed region exactly when
         alpha - rate * t**k >= 0, with the rate <beta, v> + kappa affine in
-        v.  A flat family has slack alpha - t*(<beta, v> + kappa), so k = 1;
-        a power boundary c t^e has slack sgn*t^e*(c - v t^(1-e)), so
-        alpha = sgn*c, beta = sgn, kappa = 0 and k = 1 - e.
+        v: the slack over t**e is alpha - t**(1 - e)*rate, so k = 1 - e, and
+        k = 1 on a flat boundary.
         """
-        p = self.family
-        if p["family"] == "power":
-            sgn = _sign(p["orientation"])
-            return sgn * p["coef"], np.array([sgn]), 0.0, 1.0 - p["exponent"]
-        return (*self.linear_slack, 1.0)
+        alpha, beta, kappa, e = self.form
+        return alpha, beta, kappa, 1.0 if e is None else 1.0 - e
 
     def ray_form(self, v: np.ndarray):
         """(alpha, rate, k) along the ray (t, t v)."""
@@ -193,11 +180,11 @@ class FamilyRegion(Region):
         return alpha, float(beta @ v) + kappa, k
 
     def complement_closure(self) -> "FamilyRegion":
-        """Closure of the complement: the opposite kind, with the orientation flipped."""
-        spec = dict(self.family)
-        spec["orientation"] = _FLIP[spec["orientation"]]
-        spec["kind"] = "stopping" if self.kind == "continuity" else "continuity"
-        return region_from_family(spec)
+        """Closure of the complement: the opposite kind, with the form and the slack negated."""
+        alpha, beta, kappa, e = self.form
+        slack = self.slack_batch
+        return _mk_region("stopping" if self.kind == "continuity" else "continuity",
+                          (-alpha, -beta, -kappa, e), lambda ts, ss: -slack(ts, ss))
 
     def ray_exit(self, v: np.ndarray) -> float:
         """(alpha/rate)^(1/k), with no membership call, refusing flags that misstate the region.
@@ -208,7 +195,7 @@ class FamilyRegion(Region):
         """
         alpha, beta, kappa, k = self.ray_coefficients
         if alpha < 0.0:
-            if self.family["family"] != "power":
+            if self.power_exponent is None:
                 raise RegionError("asserted origin containment fails at (0, 0)")
             raise NonConvexityError("the region lies on the non-convex side of its boundary")
         return _ray_crossing(alpha, float(beta @ v) + kappa, k)
@@ -223,7 +210,7 @@ class FamilyRegion(Region):
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
         if np.any(lo > hi):
             raise ValueError("box is empty")
-        return ray_exit_time(self, np.where(self.ray_coefficients[1] > 0.0, lo, hi))
+        return ray_exit_time(self, np.where(self.form[1] > 0.0, lo, hi))
 
     def contains_sums(self, n: int, lo, hi) -> bool:
         """Whether the closed region holds (n, s) for every sum s of n increments in [lo, hi].
@@ -233,12 +220,11 @@ class FamilyRegion(Region):
         is least at the corner taking hi_i where beta_i > 0 and lo_i where
         beta_i < 0, and is summed there exactly, as in ``slab_max``.
         """
-        alpha, beta, kappa, _ = self.ray_coefficients
+        alpha, beta, kappa, e = self.form
         corner = np.where(beta > 0.0, hi, lo).tolist()
         terms = [(-b, n, c) for b, c in zip(beta.tolist(), corner) if b != 0.0 and n]
         if any(math.isinf(c) for *_, c in terms):
             return False
-        e = self.power_exponent
         terms += [(alpha, n ** e)] if e is not None else [(alpha,), (-kappa, n)]
         return exact_sum(terms)[0] >= 0
 
@@ -248,16 +234,15 @@ class FamilyRegion(Region):
         cross = _ray_crossing(alpha, rate, k)
         if alpha >= 0.0:
             return 0.0, cross
-        if self.family["family"] == "power":  # the origin, on the boundary, then [cross, inf)
+        if self.power_exponent is not None:  # the origin, on the boundary, then [cross, inf)
             return 0.0, 0.0 if math.isinf(cross) else math.inf
         return (None, None) if math.isinf(cross) else (cross, math.inf)
 
     def log_gradient(self, mean: np.ndarray, g0: float) -> np.ndarray:
-        """-a / (<a, mean> + b) for a halfspace <a, s> + b t = c; 1 / (f'(g0) - mean) for f."""
-        p = self.family
-        if p["family"] == "halfspace":
-            a = np.asarray(p["s_coef"])
-            return -a / (a @ mean + p["t_coef"])
+        """-beta / (<beta, mean> + kappa) on a flat boundary; 1 / (f'(g0) - mean) on a power one."""
+        _, beta, kappa, e = self.form
+        if e is None:
+            return -beta / (beta @ mean + kappa)
         return np.array([1.0 / (self.boundary_slope(g0) - mean[0])])
 
     def slice_side(self, n: float, mu: np.ndarray) -> str:
@@ -267,15 +252,13 @@ class FamilyRegion(Region):
         return "above" if self.orientation == "ge" else "below"
 
     def slice_distance(self, n: float, mu: np.ndarray) -> float:
-        """max(0, -slack(n, n mu)) / (n |beta|), beta = s_coef for a halfspace and 1 for a curve."""
+        """max(0, -slack(n, n mu)) / (n |beta|)."""
         slack = float(self.slack_batch(n, n * mu))
         if slack >= 0.0:
             return 0.0
         if self.time_slab:
             raise EmptySliceError(f"the slice at n={n} is empty")
-        p = self.family
-        norm = float(np.linalg.norm(p["s_coef"])) if p["family"] == "halfspace" else 1.0
-        return -slack / (n * norm)
+        return -slack / (n * float(np.linalg.norm(self.form[1])))
 
     def slab_max(self, slab) -> "SlabMaxResult":
         """The largest t in [0, 2**30] whose box meets the slice: the right end of one interval.
@@ -301,8 +284,7 @@ class FamilyRegion(Region):
         where every other curve must hold; a curve with no root in (lo, hi)
         leaves lo alone, tested exactly.  Every value is rounded up.
         """
-        alpha, beta, kappa, _ = self.ray_coefficients
-        e = self.power_exponent
+        alpha, beta, kappa, e = self.form
         if e is not None and alpha < 0.0:
             raise NonConvexityError("the region lies on the non-convex side of its boundary")
         layers = [slab]
@@ -367,12 +349,9 @@ class FamilyRegion(Region):
         return best
 
 
-_FLIP = {"le": "ge", "ge": "le"}
-
-
 def _sign(orientation) -> float:
     """Slack sign: +1 for "le" (slack f - s), -1 for "ge" (slack s - f)."""
-    if orientation not in _FLIP:
+    if orientation not in ("le", "ge"):
         raise RegionError(f"orientation must be 'le' or 'ge', not {orientation!r}")
     return 1.0 if orientation == "le" else -1.0
 
@@ -542,46 +521,52 @@ def _first_past(past, x: float, lo: float, hi: float):
     return lo, hi
 
 
-def _mk_region(family: dict, dim: int, slack_batch, convex: bool) -> FamilyRegion:
+def _mk_region(kind: str, form: tuple, slack_batch) -> FamilyRegion:
+    """The region of a slack form: convex when flat or on a power boundary's concave side."""
+    alpha, beta, _, e = form
+    beta.flags.writeable = False
     return FamilyRegion(
-        kind=family["kind"],
-        dim=dim,
-        convex_closure=convex,
-        contains_origin=bool(slack_batch(0.0, np.zeros(dim)) >= 0.0),
-        family=MappingProxyType(family),
+        kind=kind,
+        dim=beta.shape[0],
+        convex_closure=e is None or alpha > 0.0,
+        contains_origin=bool(slack_batch(0.0, np.zeros(beta.shape[0])) >= 0.0),
         slack_batch=slack_batch,
+        form=form,
     )
 
 
-def _curve_region(family: dict, convex: bool) -> FamilyRegion:
+def _curve_region(f, alpha: float, kappa: float, e, sgn: float, kind: str) -> FamilyRegion:
     """The d = 1 region on one side of s = f(t), with slack f(t) - s ("le") or s - f(t) ("ge").
 
-    IEEE subtraction is antisymmetric, so s - f(t) is -(f(t) - s) but for
-    the sign of a zero slack, in one pass over the sums.
+    The form is (alpha, [sgn], kappa, e).  IEEE subtraction is
+    antisymmetric, so s - f(t) is -(f(t) - s) but for the sign of a zero
+    slack, in one pass over the sums.
     """
-    f = _CURVES[family["family"]](**family)[0]
-    if _sign(family["orientation"]) > 0.0:
+    if sgn > 0.0:
         def slack_batch(ts, ss):
             return f(ts) - ss[..., 0]
     else:
         def slack_batch(ts, ss):
             return ss[..., 0] - f(ts)
 
-    return _mk_region(family, 1, slack_batch, convex)
+    return _mk_region(kind, (alpha, np.array([sgn]), kappa, e), slack_batch)
 
 
 def constant_region(level: float, orientation: str = "le", kind: str = "continuity") -> Region:
     """Region {s <= level} ("le") or {s >= level} ("ge") for scalar s."""
-    return _curve_region({"family": "constant", "level": float(level),
-                          "orientation": orientation, "kind": kind}, True)
+    level, sgn = float(level), _sign(orientation)
+    return _curve_region(lambda t: level, sgn * level, -sgn * 0.0, None, sgn, kind)
 
 
 def affine_region(slope: float, intercept: float, orientation: str = "le",
                   kind: str = "continuity") -> Region:
     """Region bounded by the line f(t) = slope*t + intercept."""
-    return _curve_region({"family": "affine", "slope": float(slope),
-                          "intercept": float(intercept), "orientation": orientation,
-                          "kind": kind}, True)
+    slope, intercept, sgn = float(slope), float(intercept), _sign(orientation)
+
+    def f(t):
+        return slope * t + intercept
+
+    return _curve_region(f, sgn * f(0.0), -sgn * slope, None, sgn, kind)
 
 
 def power_region(coef: float, exponent: float, orientation: str = "le",
@@ -595,30 +580,28 @@ def power_region(coef: float, exponent: float, orientation: str = "le",
     coef, exponent = float(coef), float(exponent)
     if not 0.0 < exponent < 1.0:
         raise RegionError("exponent must lie in (0, 1)")
-    convex = coef > 0 if orientation == "le" else coef < 0
-    return _curve_region({"family": "power", "coef": coef, "exponent": exponent,
-                          "orientation": orientation, "kind": kind}, convex)
+    sgn = _sign(orientation)
+    return _curve_region(lambda t: coef * t**exponent, sgn * coef, 0.0, exponent, sgn, kind)
 
 
 def halfspace_region(s_coef, t_coef: float, level: float, orientation: str = "le",
                      kind: str = "continuity") -> Region:
     """Region {<s_coef, s> + t_coef*t <= level} ("le") or ">=" ("ge"), any dim.
 
-    A scalar halfspace with s_coef != 0 is the affine region on one side of
-    s = (level - t_coef*t)/s_coef; a negative s_coef flips that side.
+    The form is sgn*(level, s_coef, t_coef).  A scalar halfspace with
+    s_coef != 0 is the affine region on one side of s = (level -
+    t_coef*t)/s_coef; a negative s_coef flips that side.
     """
-    a = np.atleast_1d(np.asarray(s_coef, dtype=float))
-    b, c = float(t_coef), float(level)
-    family = {"family": "halfspace", "s_coef": tuple(float(x) for x in a), "t_coef": b,
-              "level": c, "orientation": orientation, "kind": kind}
-    if _sign(orientation) > 0.0:  # no sign pass, as for a curve
+    a = np.array(s_coef, dtype=float, ndmin=1)  # a copy: the slack must not change
+    b, c, sgn = float(t_coef), float(level), _sign(orientation)
+    if sgn > 0.0:  # no sign pass, as for a curve
         def slack_batch(ts, ss):
             return c - (ss @ a + b * ts)
     else:
         def slack_batch(ts, ss):
             return (ss @ a + b * ts) - c
 
-    return _mk_region(family, a.shape[0], slack_batch, True)
+    return _mk_region(kind, (sgn * c, sgn * a, sgn * b, None), slack_batch)
 
 
 _FAMILY_BUILDERS = {  # family -> (constructor, the parameters it takes before orientation, kind)
@@ -663,7 +646,7 @@ def _ray_crossing(alpha: float, rate: float, k: float) -> float:
 def ray_exit_time(region: Region, v) -> float:
     """sup{t >= 0 : (t, t v) in the closed region}; inf when the ray never leaves.
 
-    Requires the convexity and origin flags.  A built-in family answers in
+    Requires the convexity and origin flags.  A built-in region answers in
     closed form; an exit at or beyond 2**61 reads inf.
     """
     _require_convex_origin(region)
@@ -707,7 +690,7 @@ def _log_gradient_at(region: Region, mean: np.ndarray, g0: float) -> np.ndarray:
 
 
 def log_exit_gradient(region: Region, mean) -> tuple:
-    """Gradient of ln g(v) at v=mean as a tuple of floats, exact for a built-in family."""
+    """Gradient of ln g(v) at v=mean as a tuple of floats, exact for a built-in region."""
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     return as_floats(_log_gradient_at(region, mean, ray_exit_time(region, mean)))
 
@@ -755,8 +738,8 @@ def supporting_hyperplane(region: Region, mean) -> Hyperplane:
     Coefficients come from the log-gradient of the ray function at the
     crossing time m: the normal on the sum coordinate is minus that
     gradient, the time coefficient is chosen so the mean gap equals one,
-    and the level equals m.  With the exact gradient of a built-in family
-    the plane is exact: the boundary itself for a flat family, the tangent
+    and the level equals m.  With the exact gradient of a built-in region
+    the plane is exact: the boundary itself for a flat boundary, the tangent
     on the convex side of a power boundary (``ray_exit_time`` refuses the
     other side).
     """
@@ -784,7 +767,7 @@ def hyperplane_slice_distance(hyp: Hyperplane, n: float, mean) -> float:
 def slice_distance(region: Region, n: float, mean) -> float:
     """Euclidean distance from the mean to {z : (n, n z) in the closed region}.
 
-    Exact for the built-in families.  Returns 0 when the mean lies in the slice.
+    Exact for the built-in regions.  Returns 0 when the mean lies in the slice.
     """
     if not region.convex_closure:
         raise RegionError("slice distance requires the asserted convex closure")

@@ -36,7 +36,7 @@ class SampleSchedule:
     kind and its parameters, not settable values.
     """
 
-    kind: str  # "all-naturals" | "arithmetic" | "geometric" | "explicit"
+    kind: str  # "arithmetic" | "geometric" | "explicit"
     n0: int = 0
     step: Optional[int] = None
     ratio: Optional[float] = None
@@ -47,8 +47,6 @@ class SampleSchedule:
         """N_index for 1-based index."""
         if index < 1:
             raise ScheduleError("schedule elements are 1-indexed")
-        if self.kind == "all-naturals":
-            return self.n0 + index
         if self.kind == "arithmetic":
             return self.n0 + index * self.step
         if self.kind == "geometric":
@@ -100,13 +98,13 @@ class SampleSchedule:
     def first_index_above(self, level: float):
         """Smallest (index, N_index) with N_index > level.
 
-        Closed form for naturals and arithmetic schedules, whose elements
-        are integers: N_index > level exactly when N_index >= floor(level) + 1,
+        Closed form for an arithmetic schedule, whose elements are
+        integers: N_index > level exactly when N_index >= floor(level) + 1,
         and floor is exact on a float.  Other kinds are scanned from index 1.
         """
-        if self.kind in ("all-naturals", "arithmetic"):
+        if self.kind == "arithmetic":
             above_n0 = math.floor(level) + 1 - self.n0  # the least N - n0 that exceeds level
-            index = max(1, -(-above_n0 // (self.step or 1)))
+            index = max(1, -(-above_n0 // self.step))
             return index, self.element(index)
         index = 1
         while True:
@@ -122,15 +120,12 @@ class SampleSchedule:
 
     @property
     def is_all_naturals(self) -> bool:
-        return self.kind == "all-naturals" and self.n0 == 0
+        """True when the schedule is exactly {1, 2, 3, ...}: step 1 from n0 = 0."""
+        return self.is_multiples_of(1)
 
     def is_multiples_of(self, k: int) -> bool:
         """True when the schedule is exactly {k, 2k, 3k, ...}."""
-        if self.kind == "all-naturals":
-            return k == 1 and self.n0 == 0
-        if self.kind == "arithmetic":
-            return self.n0 == 0 and self.step == k
-        return False
+        return self.kind == "arithmetic" and self.n0 == 0 and self.step == k
 
 
 _GEOMETRIC_CACHE: dict = {}  # (first, ratio) -> its elements so far, extended under the lock
@@ -151,10 +146,8 @@ def _geometric_element(first: int, ratio: float, index: int) -> int:
 
 
 def naturals(n0: int = 0) -> SampleSchedule:
-    """All positive integers above n0; growth constants lam=1, K=1."""
-    if n0 < 0:
-        raise ScheduleError("n0 must be nonnegative")
-    return SampleSchedule("all-naturals", n0=n0)
+    """All positive integers above n0: ``arithmetic(n0, 1)``, with lam=1, K=1."""
+    return arithmetic(n0, 1)
 
 
 def arithmetic(n0: int, step: int) -> SampleSchedule:
@@ -222,8 +215,6 @@ def gap_supremum(schedule: SampleSchedule) -> float:
     Infinite for geometric growth, and for an explicit list, whose rule is
     never checked after its last element.
     """
-    if schedule.kind == "all-naturals":
-        return 1.0
     if schedule.kind == "arithmetic":
         return float(schedule.step)
     return math.inf

@@ -84,6 +84,12 @@ def brownian_results():
     return _cache["brownian"]
 
 
+def _boundary_shape(region) -> str:
+    """A d = 1 region's boundary, read off its slack form: power, affine or constant."""
+    _, _, kappa, exponent = region.form
+    return "power" if exponent is not None else "affine" if kappa else "constant"
+
+
 def test_criterion_1_sandwich_certification_suite():
     def run():
         results = matrix_results()
@@ -91,12 +97,13 @@ def test_criterion_1_sandwich_certification_suite():
         # scenario span: >= 12 scenarios over 3 boundary shapes, 4 increment
         # families, 3 schedule kinds
         assert len(results) >= 12
-        boundaries = {r["bundle"].region.family["family"] for r in results}
+        boundaries = {_boundary_shape(r["bundle"].region) for r in results}
         assert {"constant", "affine", "power"} <= boundaries
         families = {r["bundle"].spec.family for r in results}
         assert {"point-mass", "bernoulli-affine", "uniform-interval",
                 "exponential"} <= families
-        kinds = {r["bundle"].schedule.kind for r in results}
+        kinds = {"all-naturals" if s.is_all_naturals else s.kind
+                 for s in (r["bundle"].schedule for r in results)}
         assert {"all-naturals", "arithmetic", "geometric"} <= kinds
 
         passed = {}

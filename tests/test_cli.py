@@ -247,6 +247,17 @@ def test_bound_command_never_raises_on_mutated_configs(config):
         assert not [r for r in rows if r["applicable"] == "true" and r["value"] == "nan"], rows
 
 
+_STOPPING_AT_5 = {"family": "constant", "level": 5.0, "orientation": "ge", "kind": "stopping"}
+
+
+def _wald_validation(rate: float, horizon: int = 100) -> dict:
+    """A validate config of one Wald identity on an exponential law of the given rate."""
+    return {"name": "wald", "seed": 3, "validators": [{
+        "which": "wald-T4-I", "distribution": {"family": "exponential", "params": {"rate": rate}},
+        "region": _STOPPING_AT_5, "schedule": {"kind": "all-naturals"},
+        "horizon": horizon, "runs": 64}]}
+
+
 _EXTREME_CASES = {  # (command, config) for finite numbers at the ends of the float range
     "point-mass-1e308-T17": ("bound", dict(BASE, bounds=["T17-gradient"], distribution={
         "family": "point-mass", "params": {"value": 1e308}})),
@@ -262,6 +273,15 @@ _EXTREME_CASES = {  # (command, config) for finite numbers at the ends of the fl
         distribution={"family": "uniform-interval", "params": {"lo": -1e308, "hi": 1e308}})),
     "brownian-diffusion-1e200": ("certify", dict(BROWNIAN, brownian={"drift": 0.5,
                                                                     "diffusion": 1e200})),
+    # the Lorden row reads as ``bound`` writes it; at rate 1e308 no walk reaches the level
+    "certify-exponential-rate-1e308-T6": ("certify", dict(
+        BASE, bounds=["Lorden-T6"], region=_STOPPING_AT_5, simulate={"horizon": 100},
+        distribution={"family": "exponential", "params": {"rate": 1e308}})),
+    "certify-exponential-rate-1e-308-T6": ("certify", dict(
+        BASE, bounds=["Lorden-T6"], region=_STOPPING_AT_5,
+        distribution={"family": "exponential", "params": {"rate": 1e-308}})),
+    "validate-exponential-rate-1e308-wald": ("validate", _wald_validation(1e308)),
+    "validate-exponential-rate-1e-308-wald": ("validate", _wald_validation(1e-308)),
 }
 
 
@@ -275,6 +295,9 @@ def test_extreme_finite_numbers_end_without_a_traceback(tmp_path, capsys, case):
     assert "Traceback" not in err
     if code == 2:
         assert err.startswith("stopbounds: ")
+        return
+    if code == 3:  # every walk reaches the horizon at rate 1e308: no estimate to compare with
+        assert "rate-1e308-" in case and err == f"{command}: every run hit the horizon cap\n"
         return
     rows = [(r["applicable"], r["value"]) for r in read_rows(out)]
     if case == "point-mass-1e308-T17":
@@ -529,6 +552,17 @@ def test_certify_all_truncated_exits_with_diagnostic(tmp_path, capsys):
     path = write_config(tmp_path, "cfg.json", cfg)
     assert main(["certify", str(path), "--out", str(tmp_path / "rep.csv")]) == 3
     assert "horizon" in capsys.readouterr().err
+
+
+def test_validate_all_truncated_exits_with_diagnostic(tmp_path, capsys):
+    # a fair coin cannot reach 5 in 3 steps: every run hits the horizon, as in certify
+    config = _wald_validation(1.0, horizon=3)
+    config["validators"][0]["distribution"] = {
+        "family": "bernoulli-affine", "params": {"x0": 0, "x1": 1, "p": 0.5}}
+    path = write_config(tmp_path, "cfg.json", config)
+    assert main(["validate", str(path), "--out", str(tmp_path / "rep.csv")]) == 3
+    assert "horizon" in capsys.readouterr().err
+    assert not (tmp_path / "rep.csv").exists()
 
 
 def test_validate_command_rows_and_counterexample(tmp_path):

@@ -143,9 +143,10 @@ def test_gradient_forms_match_their_exact_formulas(case):
     assert report.applicable, report.failed_assumptions()
     g0, grad = F(report.diagnostics["g_at_mean"]), [F(x) for x in report.diagnostics["log_gradient"]]
     # the log-gradient -a / (<a, mean> + b): d + 1 roundings of the rate, one of the quotient
-    a = [F(x) for x in region.family["s_coef"]]
-    rate = sum(x * y for x, y in zip(a, mean)) + F(region.family["t_coef"])
-    size = sum(abs(x * y) for x, y in zip(a, mean)) + abs(F(region.family["t_coef"]))
+    _, beta, kappa, _ = region.form  # s_coef and t_coef of the "le" halfspace
+    a = [F(x) for x in beta.tolist()]
+    rate = sum(x * y for x, y in zip(a, mean)) + F(kappa)
+    size = sum(abs(x * y) for x, y in zip(a, mean)) + abs(F(kappa))
     for x, g in zip(a, grad):
         # a relative error e of the rate moves -x/rate by about e |x/rate|
         assert _within(float(g), -x / rate, abs(x / rate) * size / rate, 2 * d + 4)

@@ -88,13 +88,15 @@ def test_log_exit_gradient_examples():
 ])
 def test_gradient_matches_boundary_slope_form(region, mu):
     # analytic cross-check: d(ln g)/dv = 1 / (f'(m) - v) at the crossing, with
-    # f' written out by hand for each boundary above (keyed by its mean)
+    # f' written out by hand for each boundary above (keyed by its mean).
+    # Both are the same expressions as the closed forms, up to exact sign
+    # flips: 1 * t**-0.5 on the power boundary, and on a flat one
+    # -beta / (beta*v + kappa) with beta = +-1 and kappa = -+f'
     fprime = {0.7: lambda t: 0.0, 1.3: lambda t: t ** -0.5,
               0.25: lambda t: 0.5, 0.75: lambda t: 0.25}[mu]
     m = sb.mean_ray_crossing(region, mu)
-    assert region.boundary_slope(m) == pytest.approx(fprime(m), abs=1e-15)
-    expected = 1.0 / (fprime(m) - mu)
-    assert sb.log_exit_gradient(region, mu)[0] == pytest.approx(expected, abs=1e-12)
+    assert region.boundary_slope(m) == fprime(m)
+    assert sb.log_exit_gradient(region, mu)[0] == 1.0 / (fprime(m) - mu)
 
 
 def _oracle(region):
@@ -319,20 +321,26 @@ def test_region_complement_closure_roundtrip():
     assert again.orientation == "le" and again.kind == "continuity"
 
 
-def test_region_family_is_read_only():
-    # the slack and the closed forms were built from these parameters: an
-    # edit would make the ray answers disagree with membership
+def test_region_form_is_read_only():
+    # every closed form reads the form, and the walks stop on the slack built
+    # beside it: an edit would make the ray answers disagree with membership
     region = sb.constant_region(5.0)
+    assert isinstance(region.form, tuple)
     with pytest.raises(TypeError):
-        region.family["level"] = 7.0
-    assert region.family["family"] == "constant"
+        region.form[0] = 7.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        region.form = (7.0, np.array([1.0]), 0.0, None)
     assert sb.ray_exit_time(region, 1.0) == 5.0
-    plane = sb.halfspace_region([1.0, 2.0], 0.5, 3.0, "le")
-    with pytest.raises(TypeError):
-        plane.family["s_coef"][0] = 9.0
-    with pytest.raises(TypeError):
-        plane.family["s_coef"] = (9.0, 2.0)
-    assert plane.complement_closure().family["s_coef"] == (1.0, 2.0)
+    s_coef = np.array([1.0, 2.0])
+    plane = sb.halfspace_region(s_coef, 0.5, 3.0, "le")
+    with pytest.raises(ValueError, match="read-only"):
+        plane.form[1][0] = 9.0
+    s_coef[0] = 9.0  # the caller's array is copied, not shared
+    assert plane.form[1].tolist() == [1.0, 2.0] and plane.contains(1.0, [2.0, 0.0])
+    comp = plane.complement_closure()
+    with pytest.raises(ValueError, match="read-only"):
+        comp.form[1][0] = 9.0
+    assert comp.form[1].tolist() == [-1.0, -2.0]
 
 
 @pytest.mark.parametrize("orientation", [None, "xyz", "LE"])
@@ -506,6 +514,38 @@ def test_closed_forms_match_the_search_on_oracles(case, n):
         assert _agree(closed, searched), "slice_distance"
 
 
+def _same_floats(x, y) -> bool:
+    """Equal floats with equal signs, zeros included."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_region_and_ray(), data=st.data())
+def test_complement_closure_negates_the_form_and_the_slack(case, data):
+    region, v = case
+    comp = region.complement_closure()
+    assert {region.kind, comp.kind} == {"continuity", "stopping"}
+    (alpha, beta, kappa, e), (c_alpha, c_beta, c_kappa, c_e) = region.form, comp.form
+    assert _same_floats(c_alpha, -alpha) and _same_floats(c_beta, -beta)
+    assert _same_floats(c_kappa, -kappa) and c_e == e
+    n = data.draw(st.integers(1, 6))
+    ts = np.array(data.draw(st.lists(_DYADIC.map(abs), min_size=n, max_size=n)))
+    ss = np.array(data.draw(st.lists(st.lists(_LEVEL, min_size=region.dim, max_size=region.dim),
+                                     min_size=n, max_size=n)))
+    assert np.array_equal(comp.slack_batch(ts, ss), -region.slack_batch(ts, ss))  # 0.0 == -0.0
+    again = comp.complement_closure()
+    assert again.kind == region.kind and _same_floats(again.slack_batch(ts, ss),
+                                                       region.slack_batch(ts, ss))
+    for read in (lambda r: (r.dim, r.convex_closure, r.contains_origin, r.orientation,
+                            r.time_slab, r.power_exponent),
+                 lambda r: _outcome(sb.ray_exit_time, r, v),
+                 lambda r: _outcome(sb.ray_entry_and_exit, r, v),
+                 lambda r: _outcome(sb.slice_distance, r, 3.0, v),
+                 lambda r: r.inside(ts, ss).tolist()):
+        assert repr(read(again)) == repr(read(region))
+
+
 _POSITIVE = st.integers(1, 24).map(lambda k: k / 8.0)
 
 
@@ -558,11 +598,12 @@ def test_closed_box_maximum_matches_the_search_on_oracles(case):
 
 @st.composite
 def _region_and_slab(draw):
-    """A convex built-in region, some halfspaces made time slabs, and a slab, primed or not."""
+    """A convex built-in region, some flat ones made time slabs, and a slab, primed or not."""
     region, v = draw(st.one_of(_region_and_ray(), _flagged_region_and_ray()))
     assume(region.convex_closure)
-    if region.family["family"] == "halfspace" and draw(st.booleans()):
-        region = region_from_family(dict(region.family, s_coef=(0.0,) * region.dim))
+    if region.linear_slack is not None and draw(st.booleans()):  # its slack with beta = 0
+        alpha, _, kappa, _ = region.form
+        region = sb.halfspace_region([0.0] * region.dim, kappa, alpha, "le", region.kind)
 
     def edges(centre):
         lo = centre + np.array([draw(_DYADIC) for _ in v]) / 4.0

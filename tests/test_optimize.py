@@ -390,7 +390,7 @@ def _slab_case(draw, families=("constant", "affine", "power", "halfspace"),
     if family == "power" and draw(st.booleans()):
         # an edge p t + q (times the slack's sign) that the concave slack
         # crosses first after t = 0: 0 < q < its value at the peak
-        a, e, p = abs(region.family["coef"]), region.power_exponent, draw(st.floats(0.05, 2.0))
+        a, e, p = coef, region.power_exponent, draw(st.floats(0.05, 2.0))
         peak = (a * e / p) ** (1.0 / (1.0 - e))
         q = draw(st.floats(0.05, 0.95)) * (a * peak**e - p * peak)
         if orientation == "le":  # the lower edge
@@ -430,9 +430,9 @@ def _edge(region, slab):
 
 def _power_terms(region, slab):
     """(a, e, p, q) with the power slack along the edge a t^e - p t - q, as floats."""
-    fam, (cs, ci) = region.family, _edge(region, slab)
-    sgn = 1.0 if fam["orientation"] == "le" else -1.0
-    return sgn * fam["coef"], fam["exponent"], sgn * float(cs[0]), sgn * float(ci[0])
+    (alpha, beta, _, e), (cs, ci) = region.form, _edge(region, slab)
+    sgn = float(beta[0])
+    return alpha, e, sgn * float(cs[0]), sgn * float(ci[0])
 
 
 def _exact_linear_root(region, slab):

@@ -301,3 +301,14 @@ def test_premises_refuse_a_region_and_a_mean_of_different_dimension():
     plane = sb.halfspace_region([1.0, 1.0], 0.0, 8.0, "ge", "stopping")
     with pytest.raises(ValueError, match="^region and mean dimensions disagree: 2, 1$"):
         sb.Premises(plane, [0.5])
+
+
+def test_premises_refuse_a_profile_of_another_mean():
+    # the calculators read both p.mean and p.profile.mean: they must be one vector
+    region, coin = sb.constant_region(3.0), sb.analytic_moments(BERNOULLI)
+    with pytest.raises(ValueError, match=r"^mean and profile mean disagree: \(0\.25,\), \(0\.5,\)$"):
+        sb.Premises(region, [0.25], coin, sb.naturals(), BERNOULLI)
+    pair = sb.analytic_moments(sb.product([BERNOULLI, BERNOULLI]))
+    with pytest.raises(ValueError, match=r"^mean and profile mean disagree: \(0\.5,\), \(0\.5, 0\.5\)$"):
+        sb.Premises(region, [0.5], pair, sb.naturals())
+    assert sb.Premises(region, [0.5], coin, sb.naturals(), BERNOULLI).mean == (0.5,)

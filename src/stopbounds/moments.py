@@ -236,7 +236,8 @@ def _gaussian_draw(p: dict, rng, out: np.ndarray):
 
 def _exponential_draw(p: dict, rng, out: np.ndarray):
     rng.standard_exponential(out=out)
-    out *= 1.0 / p["rate"]
+    with np.errstate(over="ignore"):  # past 1/rate = DBL_MAX a draw is inf, silently
+        out *= 1.0 / p["rate"]
 
 
 _POINT_MASS = ScalarFamily(

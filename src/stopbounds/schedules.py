@@ -13,6 +13,7 @@ after its last element, so its last gap, its K and its gap supremum are
 
 from __future__ import annotations
 
+import bisect
 import math
 import threading
 from dataclasses import dataclass, fields
@@ -50,7 +51,7 @@ class SampleSchedule:
         if self.kind == "arithmetic":
             return self.n0 + index * self.step
         if self.kind == "geometric":
-            return _geometric_element(self.first, self.ratio, index)
+            return _geometric_elements(self.first, self.ratio, index, 0)[index - 1]
         if self.kind == "explicit":
             if index > len(self.values):
                 raise ExhaustedScheduleError("explicit schedule exhausted")
@@ -83,17 +84,20 @@ class SampleSchedule:
         return gap_supremum(self)
 
     def iter_elements(self, limit: int) -> Iterator[int]:
-        """Yield schedule elements <= limit in increasing order."""
-        index = 1
-        while True:
-            try:
-                value = self.element(index)
-            except ExhaustedScheduleError:
-                return
-            if value > limit:
-                return
-            yield value
-            index += 1
+        """Yield schedule elements <= limit in increasing order.
+
+        An arithmetic schedule yields from one ``range``; a geometric one
+        from its cached elements, grown past the limit under one lock; an
+        explicit one from its values.
+        """
+        if self.kind == "arithmetic":
+            yield from range(self.n0 + self.step, math.floor(limit) + 1, self.step)
+            return
+        if self.kind == "geometric":
+            values = _geometric_elements(self.first, self.ratio, 0, limit)
+        else:
+            values = self.values
+        yield from values[:bisect.bisect_right(values, limit)]
 
     def first_index_above(self, level: float):
         """Smallest (index, N_index) with N_index > level.
@@ -132,17 +136,20 @@ _GEOMETRIC_CACHE: dict = {}  # (first, ratio) -> its elements so far, extended u
 _GEOMETRIC_LOCK = threading.Lock()
 
 
-def _geometric_element(first: int, ratio: float, index: int) -> int:
+def _geometric_elements(first: int, ratio: float, count: int, limit: float) -> list:
+    """The cached elements of geometric(first, ratio): at least ``count`` and one past ``limit``.
+
+    Threads only append to the list, under the lock, so a prefix read
+    after the return does not change.
+    """
     # exact rational growth: float multiplication would overflow and break
     # the growth certificate on long prefixes
     with _GEOMETRIC_LOCK:
         cache = _GEOMETRIC_CACHE.setdefault((first, ratio), [first])
         num, den = ratio.as_integer_ratio()
-        value = cache[-1]
-        for _ in range(index - len(cache)):
-            value = max(value + 1, -((-num * value) // den))
-            cache.append(value)
-    return cache[index - 1]
+        while len(cache) < count or cache[-1] <= limit:
+            cache.append(max(cache[-1] + 1, -((-num * cache[-1]) // den)))
+    return cache
 
 
 def naturals(n0: int = 0) -> SampleSchedule:

@@ -2,12 +2,17 @@
 
 One engine walks every path.  The runs are cut into chunks of ``_CHUNK``,
 and a chunk advances one block of steps at a time as one (live runs x
-block x d) matrix: one draw, one cumulative sum and one exit test at the
-checkpoints inside the block.  Blocks grow from ``_FIRST`` steps, a little
-more than a short walk uses, to ``_BLOCK``.  Runs that stopped are dropped
-before the next block.  Every block of chunk c continues one counter-based
-stream keyed by (seed, grid, c), one row per live run in run order.
-The chunk size depends on neither ``n_runs`` nor the worker count, so
+block x d) matrix: one draw, one running sum along the steps and one exit
+test at the checkpoints inside the block.  The running sum
+(``_running_sum``) adds each column of steps to the one before it, one
+``np.add`` per column, on blocks of many runs and narrow rows, and is one
+``np.cumsum`` on the others; either way the steps are added in order and
+each run's carry after them, so the sums do not depend on the form.
+Blocks grow from ``_FIRST`` steps, a little more than a short walk uses,
+to ``_BLOCK``.  Runs that stopped are dropped before the next block, and
+a run's first hit is read from the block's hits by flat index.  Every
+block of chunk c continues one counter-based stream keyed by (seed, grid,
+c), one row per live run in run order.  The chunk size depends on neither ``n_runs`` nor the worker count, so
 results are bit-identical for any number of workers.  Of W = min(workers,
 chunks) shares, share w takes chunks w, w + W, ... with one ``StreamPool``
 (``_in_shares``); a walk's share draws every block in place into one
@@ -18,8 +23,11 @@ CPU count, takes the others.  ``replay_run`` rebuilds one run's increments
 from this layout.
 
 Discrete walks apply the stopping rule only at schedule sizes, which are
-enumerated lazily as the blocks reach them, and use closed membership by
-default (a strict variant is a switch).
+enumerated lazily as the blocks reach them (``SampleSchedule.iter_elements``:
+an arithmetic schedule's from one ``range``, a geometric one's from its
+cached elements), and use closed membership by default (a strict variant
+is a switch).  Sums and statistics keep the values IEEE gives: a sum past
+the float range is inf and its stderr NaN, and no warning is raised.
 
 Brownian motion leaves a region with a flat boundary (constant, affine
 and halfspace families) at an inverse-Gaussian time, which is sampled
@@ -94,12 +102,23 @@ class SimulationEstimate:
 
 
 def _mean_stderr(values: np.ndarray):
-    mean = float(np.mean(values))
-    if values.shape[0] > 1:
-        stderr = float(np.std(values, ddof=1) / math.sqrt(values.shape[0]))
-    else:
-        stderr = 0.0
-    return mean, stderr
+    """(mean, stderr) of a 1-d array, bit for bit ``np.mean`` and ``np.std(ddof=1) / sqrt(n)``.
+
+    The same ``np.add.reduce`` passes in numpy's own order, without its
+    wrappers; an integer array is summed in float64, as numpy does.  The
+    values IEEE gives are kept and no warning is raised: an inf among the
+    values reads (inf, nan), the stderr from inf - inf.  A single value has
+    stderr 0.
+    """
+    n = values.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = np.add.reduce(values, dtype=np.float64) / n
+        if n < 2:
+            return float(mean), 0.0
+        dev = np.subtract(values, mean, dtype=np.float64)
+        np.square(dev, out=dev)
+        variance = np.add.reduce(dev) / (n - 1)
+    return float(mean), math.sqrt(variance) / math.sqrt(n)
 
 
 def _exit_test(region: Region, boundary: str):
@@ -211,7 +230,41 @@ class _Checkpoints:
                     self._points = np.fromiter(self._schedule.iter_elements(reach), np.int64)
                     self._reach = reach
         points = self._points
-        return points[np.searchsorted(points, lo, "right"):np.searchsorted(points, hi, "right")]
+        first, end = np.searchsorted(points, (lo, hi), "right")
+        return points[first:end]
+
+
+def _columnwise(runs: int, width: int) -> bool:
+    """Whether a block of ``runs`` rows of ``width`` = steps x d sums takes the column-wise form.
+
+    One call per column costs about what ``np.cumsum``'s loop over 256 rows
+    does; past 64 sums a row, the strided columns miss the cache (timed on
+    16- to 128-step blocks of 64 to 4096 runs at d = 1 and 2, AMD EPYC).
+    """
+    return runs >= 256 and width <= 64
+
+
+def _running_sum(block: np.ndarray, carry: Optional[np.ndarray]):
+    """Each run's running sums along a (runs, steps, d) block, in place, plus its ``carry``.
+
+    Bit for bit ``np.cumsum(block, axis=1) + carry[:, None, :]``: the steps
+    are added in order, and the carry after them.  Blocks of few runs or
+    wide rows take ``np.cumsum``, others one ``np.add`` per column, d
+    columns apart (``_columnwise``).  A chunk's first block has no carry
+    (None): its first step gets + 0.0 instead, which changes only a -0.0,
+    to the +0.0 that adding a zero carry to its running sums would give.
+    """
+    runs, steps, d = block.shape
+    if carry is None:
+        np.add(block[:, 0], 0.0, out=block[:, 0])
+    if _columnwise(runs, steps * d):
+        columns = list(block.reshape(runs, steps * d).T)
+        for prev, column in zip(columns, columns[d:]):
+            np.add(prev, column, out=column)
+    else:
+        np.cumsum(block, axis=1, out=block)
+    if carry is not None:
+        block += carry[:, None, :]
 
 
 def _walk(draw, checkpoints, stops, dim: int, n_steps: int, n_runs: int, seed: int,
@@ -226,7 +279,9 @@ def _walk(draw, checkpoints, stops, dim: int, n_steps: int, n_runs: int, seed: i
     recorded as ``last_before`` for a stop at the first checkpoint;
     truncated runs record ``cap`` as their stop.  Each share of the chunks
     (``_in_shares``) walks them with one ``StreamPool``, a chunk drawing all
-    its blocks from ``pool.stream(_stream_key(grid, chunk))`` into one scratch block.
+    its blocks from ``pool.stream(_stream_key(grid, chunk))`` into one
+    scratch block.  Sums that overflow stay inf, and an inf - inf slack
+    stays NaN, without a warning.
     """
     stop_n = np.full(n_runs, float(cap))
     stop_sum = np.empty((n_runs, dim))
@@ -236,8 +291,7 @@ def _walk(draw, checkpoints, stops, dim: int, n_steps: int, n_runs: int, seed: i
 
     def run_chunk(chunk: int, pool: StreamPool, scratch: np.ndarray, carry: np.ndarray):
         rows = np.arange(chunk * _CHUNK, min((chunk + 1) * _CHUNK, n_runs))
-        total = carry[:rows.size]
-        total.fill(0.0)
+        total = None  # each live run's sum before the block: none before the first
         last = float(anchor)
         rng = pool.stream(_stream_key(grid, chunk))
         for start, length in _blocks(n_steps):
@@ -245,20 +299,23 @@ def _walk(draw, checkpoints, stops, dim: int, n_steps: int, n_runs: int, seed: i
                 break
             sums = scratch[:rows.size * length * dim].reshape(rows.size, length, dim)
             draw(rng, sums)
-            np.cumsum(sums, axis=1, out=sums)
-            sums += total[:, None, :]
+            _running_sum(sums, total)
             live = slice(None)
             steps = checkpoints(start, start + length)
             if steps.size:
                 ts = steps * scale
                 at = sums if steps.size == length else sums[:, steps - start - 1]
                 hits = stops(ts, at)
-                first = hits.argmax(axis=1)
-                done = hits[np.arange(rows.size), first]
+                # the first hit of each run, read by flat index into the (runs, steps) hits
+                first = np.arange(0, hits.size, steps.size)
+                first += hits.argmax(axis=1)
+                done = hits.reshape(-1)[first]
                 if done.any():
-                    j, gone = first[done], rows[done]
+                    first = first[done]
+                    j = first % steps.size
+                    gone = rows[done]
                     stop_n[gone] = ts[j]
-                    stop_sum[gone] = at[done, j]
+                    stop_sum[gone] = at.reshape(-1, dim)[first]
                     last_before[gone] = np.where(j > 0, ts[j - 1], last)
                     live = ~done
                     rows = rows[live]
@@ -266,15 +323,16 @@ def _walk(draw, checkpoints, stops, dim: int, n_steps: int, n_runs: int, seed: i
             total = carry[:rows.size]
             total[...] = sums[live, -1]
         truncated[rows] = True
-        stop_sum[rows] = total
+        stop_sum[rows] = 0.0 if total is None else total  # None: a walk of no steps
         last_before[rows] = last
 
     def run_share(chunks: range):
         pool = StreamPool(seed)
         scratch = np.empty(width * min(n_steps, _BLOCK) * dim)
-        carry = np.empty((width, dim))  # each live run's sum before the block
-        for chunk in chunks:
-            run_chunk(chunk, pool, scratch, carry)
+        carry = np.empty((width, dim))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for chunk in chunks:
+                run_chunk(chunk, pool, scratch, carry)
 
     _in_shares(run_share, -(-n_runs // _CHUNK), workers)
     if bool(truncated.all()):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -308,6 +309,17 @@ def test_extreme_finite_numbers_end_without_a_traceback(tmp_path, capsys, case):
         return
     # or every row is inapplicable: the overflow is named in its failed check
     assert code == 0 and [applicable for applicable, _ in rows] == ["false"]
+
+
+def test_certify_with_draws_past_the_float_range_warns_nothing(tmp_path):
+    # at rate 1e-308 about a sixth of the draws overflow to inf: the draw, the
+    # walk and the statistics keep the IEEE values without a RuntimeWarning
+    command, config = _EXTREME_CASES["certify-exponential-rate-1e-308-T6"]
+    path = write_config(tmp_path, "cfg.json", config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([command, str(path), "--runs", "64", "--out", str(tmp_path / "rep.csv")])
+    assert code == 0
 
 
 def test_schedule_n0_defaults_to_0_for_every_kind(tmp_path):

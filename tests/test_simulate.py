@@ -9,9 +9,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import stopbounds as sb
-from stopbounds import simulate
+from stopbounds import scenarios, simulate
 from stopbounds.geometry import RegionError
 from stopbounds.moments import StreamPool, stream_for_run
 from stopbounds.simulate import (_BLOCK, _CHUNK, _FIRST, AllTruncatedError, _blocks, _coefficients,
@@ -195,6 +197,18 @@ def test_finite_schedule_ends_the_walk():
         assert draws.shape == (min(paths.stop_n[idx], 3), 1)
         assert draws.sum() == paths.stop_sum[idx, 0]
     assert np.all(paths.stop_n[~cut] <= 3.0)
+
+
+def test_sums_past_the_float_range_keep_their_ieee_values_silently():
+    # every walk stops at its first step; the draws past DBL_MAX are inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        est = sb.run_discrete(sb.constant_region(5.0), sb.exponential(1e-308), sb.naturals(),
+                              9000, seed=36, overshoot_level=5.0)
+    assert (est.mean, est.stderr) == (1.0, 0.0)
+    for key in ("stop_sum[0]", "overshoot"):
+        mean, stderr = est.extras[key]
+        assert mean == math.inf and math.isnan(stderr)
 
 
 def test_truncation_accounting_and_bias_flag():
@@ -636,3 +650,143 @@ def test_oracle_wrapper_walks_like_its_region(region, spec, schedule):
     assert np.array_equal(exact.stop_n, wrapped.stop_n)
     assert np.array_equal(exact.stop_sum, wrapped.stop_sum)
     assert np.array_equal(exact.last_before, wrapped.last_before)
+
+
+def _paths_digest(paths) -> str:
+    """sha256 of a walk's stops, stop sums and last checks, byte for byte: signs of zero count."""
+    data = b"".join(np.ascontiguousarray(a).tobytes()
+                    for a in (paths.stop_n, paths.stop_sum, paths.last_before))
+    return hashlib.sha256(data).hexdigest()
+
+
+_BERNOULLI_HALF = sb.bernoulli_affine(0, 1, 0.5)
+_PAIR = sb.product([sb.bernoulli_affine(0, 1, 0.5), sb.uniform_interval(0.0, 1.0)])
+_NOISE = (np.array([0.5]), np.array([1.0]))  # drift and diffusion of the Brownian cases
+
+# walks beyond the matrix: 9000 runs are three chunks, so workers 3 walks three shares
+_WALKS = {
+    "d2-geometric": lambda w: discrete_paths(
+        sb.halfspace_region([1.0, 0.5], 0.0, 30.0, "ge", "stopping"), _PAIR,
+        sb.geometric(1, 1.5), 9000, seed=31, workers=w),
+    "d2-arithmetic-1-3": lambda w: discrete_paths(
+        sb.halfspace_region([1.0, 1.0], -0.5, 3.0, "le", "continuity"), _PAIR,
+        sb.arithmetic(1, 3), 9000, seed=32, workers=w),
+    "strict-boundary": lambda w: discrete_paths(
+        sb.constant_region(5.0), _BERNOULLI_HALF, sb.naturals(), 9000, seed=33,
+        boundary="strict", workers=w),
+    "minus-zero-first-block": lambda w: discrete_paths(
+        sb.halfspace_region([1.0], 1.0, 5.0), sb.point_mass(-0.0), sb.naturals(), 300,
+        seed=34, workers=w),
+    "minus-zero-third-block": lambda w: discrete_paths(
+        sb.affine_region(1.0, -40.0, "ge"), sb.point_mass(-0.0), sb.naturals(), 300,
+        seed=35, workers=w),
+    "exponential-rate-1e-308": lambda w: discrete_paths(
+        sb.constant_region(5.0), sb.exponential(1e-308), sb.naturals(), 9000, seed=36,
+        workers=w),
+    "euler-power-0.3": lambda w: simulate._brownian_paths(
+        sb.power_region(2.0, 0.3), *_NOISE, 1.0 / 8, 2000, 100.0, 37, grid=0, workers=w),
+    "exact-brownian": lambda w: _exact_paths(
+        sb.constant_region(3.0), *_NOISE, 9000, 50.0, 38, workers=w),
+}
+
+# pinned on the kernel that took np.cumsum of every block, whose sums the column form must keep
+_WALK_DIGESTS = {
+    "d2-geometric": "207eee0488b34cd8b12cf41d79be52172322ab72471130f26dc98a3ad86657e9",
+    "d2-arithmetic-1-3": "8f5c39f1074b28ae4e2e230693c2eec2e719d79f033e8046bd1172ffcfa1643c",
+    "strict-boundary": "ee2885b801ad42f0f1e6f60fa51414c16147d895d0891fa98df87f9829ef7eae",
+    "minus-zero-first-block": "9366f99a925e03e195d251c0485cffaf15f70c4b626e170ed966ac8af224044f",
+    "minus-zero-third-block": "dddfabc5eaa5ea2ba164a312aff2c64a0b07ca15a48760064b882050a265b9e1",
+    "exponential-rate-1e-308": "311718baf4c461304ee3eebc759726bdb5a3a154b9a1c995ec1f8b3ec2bc32d6",
+    "euler-power-0.3": "c438e94fa2cfd9006f8d81f71e18451e30a0306b7c7bb272a9458e2b20caa437",
+    "exact-brownian": "37d8dc6a9c4e4dd032d6f40aed6e80521b57e25a1b4ff2f8d76a073c02361ccd",
+}
+
+_MATRIX_DIGESTS = {  # certification_matrix at 2000 runs, scenario i on seed 100 + i
+    "const-pointmass-naturals": "21e92b5570321d497086236bc652902b0e65a0f92e0e76698c7df971c30b52c7",
+    "const-bernoulli-naturals": "56cb56b0d2d18637179625c809fc4f7dba91014026bb65df92095115d7f70558",
+    "const-bernoulli-arith": "ebba6aeb4c8ba9582fe6bc55fa6fbbdb82da96f4a7048d5263e29914da4a35ec",
+    "const-uniform-geometric": "1d8343749177381be9069c85151474338816e62629902bb595fca9931d36f8c8",
+    "const-exponential-naturals": "2b366aae1a9c3555dd3f8e0beb600ba045c517000eb75aed2f18767bed785842",
+    "const-bernoulli-stopping": "024a26858436905f5f88d31b350ecf140f95c7aacef213c7ccad6aabf5807cbd",
+    "affine-bernoulli-naturals": "6ef4091c4c936c4b705a9df8bbdba2a34b787fd5312da6bb93640e97f19514c1",
+    "affine-uniform-arith": "475071a1b6d15de934f2b118295ba5f1d67d115d302b3b1ec234a52013de464e",
+    "affine-pointmass-arith": "11d312614d3a1de66fa6771c1914a45863bf1b573a59b2be681f02f711d83c2f",
+    "sqrt-pointmass-naturals": "937edbe9e9fa3474cb84a951f451d1a9f2a8bd6e156d334d605554da70a507c4",
+    "sqrt-bernoulli-naturals": "d55c5c120cfcb416ee9238324f76d21e1649530cae5fc0a3ae9ca2e3b71e6961",
+    "sqrt-exponential-naturals": "60c098c1e0082a9a8b507541f2d6814cac5a9dc25f5a3712189818e3b775bf8c",
+    "sqrt-uniform-geometric": "003afe0306ef7a87a4d7395044047a80943bf7a73811e84f76c62a3fd48f355e",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_every_walk_matches_its_pinned_digest(workers, monkeypatch):
+    # any change to a draw, a running sum, a stop or its order moves a digest
+    forms, columnwise = set(), simulate._columnwise
+
+    def seen(runs, width):
+        forms.add(columnwise(runs, width))
+        return columnwise(runs, width)
+
+    monkeypatch.setattr(simulate, "_columnwise", seen)
+    got = {}
+    for i, row in enumerate(scenarios.certification_matrix(n_runs=2000)):
+        b = row["bundle"]
+        got[b.name] = _paths_digest(discrete_paths(b.region, b.spec, b.schedule, b.n_runs,
+                                                   b.horizon, 100 + i, b.boundary, workers))
+    assert got == _MATRIX_DIGESTS
+    assert {name: _paths_digest(walk(workers)) for name, walk in _WALKS.items()} == _WALK_DIGESTS
+    assert forms == {True, False}  # both running-sum forms walk here
+
+
+@pytest.mark.parametrize("runs,steps,d", [(2000, 16, 1), (300, 64, 1), (4096, 32, 2), (255, 16, 1),
+                                          (2000, 128, 1), (512, 64, 2), (3, 16, 3)])
+def test_running_sum_is_cumsum_plus_carry_bit_for_bit(runs, steps, d):
+    rng = np.random.default_rng(runs * steps * d)
+    block = rng.standard_normal((runs, steps, d))
+    block[::7] = -0.0  # runs whose sums are -0.0 throughout
+    block[1::7, :3] = -0.0  # and runs that start with -0.0
+    carry = rng.standard_normal((runs, d))
+    carry[::5] = -0.0
+    for c in (None, carry):
+        got = block.copy()
+        simulate._running_sum(got, c)
+        want = np.cumsum(block, axis=1) + (np.zeros((runs, 1, d)) if c is None else c[:, None, :])
+        assert got.tobytes() == want.tobytes()
+
+
+def _numpy_mean_stderr(x):
+    with np.errstate(all="ignore"):
+        stderr = float(np.std(x, ddof=1) / math.sqrt(x.shape[0])) if x.shape[0] > 1 else 0.0
+        return float(np.mean(x)), stderr
+
+
+# numpy's pairwise sum works in blocks of 128 values, its reduce buffer holds 8192
+_SIZES = st.sampled_from([1, 2, 3, 127, 128, 129, 8191, 8192, 8193]) | st.integers(1, 400)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=_SIZES, seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1.0, 1e-300, 1e150, 1e308]),
+       form=st.sampled_from(["normal", "integer-valued", "int64", "strided", "zeros",
+                             "minus-zero"]))
+@example(n=8193, seed=0, scale=1e308, form="strided")
+@example(n=1, seed=0, scale=1.0, form="minus-zero")
+def test_mean_stderr_is_numpy_bit_for_bit(n, seed, scale, form):
+    rng = np.random.default_rng(seed)
+    if form == "int64":
+        x = rng.integers(-1000, 1000, n)
+    elif form == "integer-valued":
+        x = rng.integers(-1000, 1000, n).astype(float)
+    elif form == "strided":  # a column of a C-ordered (n, 3) array
+        with np.errstate(over="ignore"):  # at scale 1e308 some values are inf
+            x = (scale * rng.standard_normal((n, 3)))[:, seed % 3]
+    elif form == "zeros":
+        x = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    elif form == "minus-zero":
+        x = np.full(n, -0.0)
+    else:
+        with np.errstate(over="ignore"):
+            x = scale * rng.standard_normal(n) + rng.standard_normal()
+    got, want = simulate._mean_stderr(x), _numpy_mean_stderr(x)
+    assert all(type(v) is float for v in got)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
